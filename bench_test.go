@@ -52,7 +52,7 @@ func benchCfg() experiments.Config {
 // ~9.6x).
 func BenchmarkTable2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table2(benchCfg())
+		rows, err := experiments.Table2(context.Background(), benchCfg())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func BenchmarkTable2(b *testing.B) {
 // WCC's scratch/diff speedup on the smallest window (paper: up to ~13.7x).
 func BenchmarkFig6(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig6(benchCfg())
+		rows, err := experiments.Fig6(context.Background(), benchCfg())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -86,7 +86,7 @@ func BenchmarkFig6(b *testing.B) {
 // diff/scratch ratio on the smallest window.
 func BenchmarkFig7(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig7(benchCfg())
+		rows, err := experiments.Fig7(context.Background(), benchCfg())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -104,7 +104,7 @@ func BenchmarkFig7(b *testing.B) {
 // the paper).
 func BenchmarkTable3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table3(benchCfg())
+		rows, err := experiments.Table3(context.Background(), benchCfg())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func BenchmarkTable3(b *testing.B) {
 // 9.5-10.3x).
 func BenchmarkTable4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table4(benchCfg())
+		rows, err := experiments.Table4(context.Background(), benchCfg())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -157,9 +157,9 @@ func BenchmarkFig9(b *testing.B) {
 	benchFig89(b, experiments.Fig9)
 }
 
-func benchFig89(b *testing.B, fig func(experiments.Config) ([]experiments.Fig89Row, error)) {
+func benchFig89(b *testing.B, fig func(context.Context, experiments.Config) ([]experiments.Fig89Row, error)) {
 	for i := 0; i < b.N; i++ {
-		rows, err := fig(benchCfg())
+		rows, err := fig(context.Background(), benchCfg())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -185,7 +185,7 @@ func benchFig89(b *testing.B, fig func(experiments.Config) ([]experiments.Fig89R
 // machines).
 func BenchmarkFig10(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig10(benchCfg())
+		rows, err := experiments.Fig10(context.Background(), benchCfg())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -234,7 +234,7 @@ func BenchmarkSegmentParallel(b *testing.B) {
 	for _, p := range []int{1, 4} {
 		b.Run(fmt.Sprintf("parallel=%d", p), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := core.RunCollection(col, analytics.WCC{}, core.RunOptions{
+				res, err := core.RunCollectionContext(context.Background(), col, analytics.WCC{}, core.RunOptions{
 					Mode:        core.Scratch,
 					Parallelism: p,
 				})
@@ -393,7 +393,7 @@ func BenchmarkSpeculativeAdaptive(b *testing.B) {
 		b.Run(fmt.Sprintf("speculate=%v", speculate), func(b *testing.B) {
 			var hits, misses, splits int
 			for i := 0; i < b.N; i++ {
-				res, err := core.RunCollection(col, analytics.WCC{}, core.RunOptions{
+				res, err := core.RunCollectionContext(context.Background(), col, analytics.WCC{}, core.RunOptions{
 					Mode:        core.Adaptive,
 					Parallelism: 4,
 					BatchSize:   2,
@@ -629,7 +629,7 @@ func benchMutationEngine(b *testing.B) (*core.Engine, *graph.Graph) {
 	if err := e.AddGraph(g); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := e.Execute(
+	if _, err := e.ExecuteContext(context.Background(),
 		"create view collection roll on dyn [a: ts < 20], [b: ts < 40], [c: ts < 60], [d: ts < 80], [e: ts < 100]"); err != nil {
 		b.Fatal(err)
 	}
@@ -756,7 +756,7 @@ func BenchmarkServeCached(b *testing.B) {
 			}
 			fmt.Fprintf(&sb, "[srv_v%d: ts < %d]", i, 5*(i+1))
 		}
-		if _, err := e.Execute(sb.String()); err != nil {
+		if _, err := e.ExecuteContext(context.Background(), sb.String()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -34,8 +35,9 @@ func main() {
 		os.Exit(2)
 	}
 
+	ctx := context.Background()
 	cfg := experiments.Config{Scale: *scale, Workers: *workers, Out: os.Stdout}
-	runners := map[string]func(experiments.Config) error{
+	runners := map[string]func(context.Context, experiments.Config) error{
 		"table2": wrap(experiments.Table2),
 		"fig6":   wrap(experiments.Fig6),
 		"fig7":   wrap(experiments.Fig7),
@@ -48,7 +50,7 @@ func main() {
 	name := flag.Arg(0)
 	if name == "all" {
 		for _, n := range []string{"table2", "fig6", "fig7", "table3", "table4", "fig8", "fig9", "fig10"} {
-			if err := run(n, runners[n], cfg); err != nil {
+			if err := run(ctx, n, runners[n], cfg); err != nil {
 				fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", n, err)
 				os.Exit(1)
 			}
@@ -60,15 +62,15 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(name, r, cfg); err != nil {
+	if err := run(ctx, name, r, cfg); err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(name string, f func(experiments.Config) error, cfg experiments.Config) error {
+func run(ctx context.Context, name string, f func(context.Context, experiments.Config) error, cfg experiments.Config) error {
 	start := time.Now()
-	if err := f(cfg); err != nil {
+	if err := f(ctx, cfg); err != nil {
 		return err
 	}
 	fmt.Printf("[%s completed in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
@@ -76,9 +78,9 @@ func run(name string, f func(experiments.Config) error, cfg experiments.Config) 
 }
 
 // wrap adapts the typed experiment functions to a common signature.
-func wrap[T any](f func(experiments.Config) ([]T, error)) func(experiments.Config) error {
-	return func(cfg experiments.Config) error {
-		_, err := f(cfg)
+func wrap[T any](f func(context.Context, experiments.Config) ([]T, error)) func(context.Context, experiments.Config) error {
+	return func(ctx context.Context, cfg experiments.Config) error {
+		_, err := f(ctx, cfg)
 		return err
 	}
 }

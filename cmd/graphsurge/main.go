@@ -220,7 +220,7 @@ func cmdQuery(args []string) error {
 	resp, err := e.NewSession().Do(context.Background(), &core.StatementsRequest{Src: strings.Join(fs.Args(), " ")})
 	if sr, ok := resp.(*core.StatementsResponse); ok {
 		// Statements that completed before an error still materialized;
-		// report them either way, exactly as Engine.Execute always has.
+		// report them either way.
 		for _, res := range sr.Results {
 			fmt.Println(res.String())
 		}
@@ -453,7 +453,7 @@ func cmdServe(args []string) error {
 	tenantRate := fs.Float64("tenant-rate", 0, "requests per second each tenant's token bucket refills (0 = unlimited)")
 	tenantBurst := fs.Float64("tenant-burst", 0, "token bucket capacity (0 = max(1, -tenant-rate))")
 	cacheEntries := fs.Int("cache-entries", 256, "run results the serving cache retains (0 disables caching)")
-	cacheReplicas := fs.Int("cache-replicas", 8, "warm suffix-replay replicas retained (0 disables replay)")
+	cacheReplicas := fs.Int("cache-replicas", 8, "0 disables suffix replay on the engine's warm replicas; any positive value enables it (the engine bounds its own replicas)")
 	fs.Parse(args)
 	e, err := engineFor(*data, *ordering, *workers, *parallel)
 	if err != nil {

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -69,11 +70,24 @@ func main() {
 		if mode != view.OrderOptimized {
 			continue
 		}
-		// Connectivity under every scenario, shared differentially.
-		res, err := core.RunCollection(col, analytics.WCC{}, core.RunOptions{Mode: core.Adaptive})
+		// Connectivity under every scenario, shared differentially: register
+		// the programmatic collection and run it through a session.
+		engine, err := core.NewEngine(core.Options{Workers: 1})
 		if err != nil {
 			log.Fatal(err)
 		}
+		if err := engine.AddCollection(col); err != nil {
+			log.Fatal(err)
+		}
+		resp, err := engine.NewSession().Do(context.Background(), &core.RunRequest{
+			Collection: col.Name,
+			Algorithm:  analytics.Spec{Algorithm: "wcc"},
+			Options:    core.RunOptions{Mode: core.Adaptive},
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		res := resp.(*core.RunResult)
 		fmt.Printf("\nWCC across all %d scenarios in %v (adaptive, %d splits)\n",
 			len(res.Stats), res.Total.Round(1000), res.Splits)
 

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -36,12 +37,16 @@ func main() {
 
 	// The City-Calls-City pattern from Listing 4: city super-nodes with
 	// member counts, super-edges with total interaction weight.
-	if _, err := engine.Execute(`
+	sess := engine.NewSession()
+	statements := func(src string) {
+		if _, err := sess.Do(context.Background(), &core.StatementsRequest{Src: src}); err != nil {
+			log.Fatal(err)
+		}
+	}
+	statements(`
 create view City-To-City on social
 nodes group by city aggregate members: count(*)
-edges aggregate total-w: sum(w), strongest: max(affinity)`); err != nil {
-		log.Fatal(err)
-	}
+edges aggregate total-w: sum(w), strongest: max(affinity)`)
 	av, _ := engine.AggView("City-To-City")
 	fmt.Printf("City-To-City: %d super-nodes, %d super-edges\n", len(av.SuperNodes), len(av.SuperEdges))
 
@@ -66,14 +71,12 @@ edges aggregate total-w: sum(w), strongest: max(affinity)`); err != nil {
 	// An explicit predicate grouping, like the NY-Dr-LA-Lawyer triangle of
 	// Listing 4: compare the high-affinity core against everyone else in
 	// two chosen cities.
-	if _, err := engine.Execute(`
+	statements(`
 create view Core-Vs-Rest on social
 nodes group by [
 (city = 0),
 (city = 1)]
-aggregate count(*)`); err != nil {
-		log.Fatal(err)
-	}
+aggregate count(*)`)
 	av2, _ := engine.AggView("Core-Vs-Rest")
 	fmt.Printf("\nCore-Vs-Rest: %d groups (users outside both cities are dropped)\n", len(av2.SuperNodes))
 	for _, sn := range av2.SuperNodes {

@@ -45,15 +45,21 @@ func main() {
 		}
 		src += fmt.Sprintf("[q%d: ts < %d]", q, q*45)
 	}
-	if _, err := engine.Execute(src); err != nil {
+	ctx := context.Background()
+	sess := engine.NewSession()
+	if _, err := sess.Do(ctx, &core.StatementsRequest{Src: src}); err != nil {
 		log.Fatal(err)
+	}
+	run := func(alg analytics.Spec, mode core.ExecMode) *core.RunResult {
+		resp, err := sess.Do(ctx, &core.RunRequest{Collection: "history", Algorithm: alg, Options: core.RunOptions{Mode: mode}})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return resp.(*core.RunResult)
 	}
 
 	// Connected components per quarter: watch the giant component form.
-	res, err := engine.RunCollection(context.Background(), "history", analytics.WCC{}, core.RunOptions{Mode: core.DiffOnly})
-	if err != nil {
-		log.Fatal(err)
-	}
+	res := run(analytics.Spec{Algorithm: "wcc"}, core.DiffOnly)
 	col, _ := engine.Collection("history")
 	fmt.Printf("connectivity history (%v total, computed differentially):\n", res.Total.Round(1000))
 	fmt.Println("quarter  edges   output-diffs")
@@ -62,10 +68,7 @@ func main() {
 	}
 
 	// Shortest-path spread from the earliest hub across the same history.
-	bfs, err := engine.RunCollection(context.Background(), "history", analytics.BFS{Source: 0}, core.RunOptions{Mode: core.Adaptive})
-	if err != nil {
-		log.Fatal(err)
-	}
+	bfs := run(analytics.Spec{Algorithm: "bfs", Source: 0}, core.Adaptive)
 	reached := bfs.FinalResults()
 	var maxHops int64
 	for vv := range reached {

@@ -17,6 +17,7 @@ import (
 
 	"graphsurge/internal/analytics"
 	"graphsurge/internal/core"
+	"graphsurge/internal/gvdl"
 )
 
 func main() {
@@ -36,36 +37,42 @@ func main() {
 	}
 	fmt.Printf("loaded %s: %d customers, %d calls\n", g.Name, g.NumNodes, g.NumEdges())
 
-	// Listing 1: an individual filtered view.
-	out, err := engine.Execute(`
-create view LA-Long-Calls on Calls
-edges where src.city = 'LA' and dst.city = 'LA' and duration > 5`)
-	if err != nil {
-		log.Fatal(err)
+	// Every operation goes through the session's one typed entry point.
+	ctx := context.Background()
+	sess := engine.NewSession()
+	statements := func(src string) []gvdl.Result {
+		resp, err := sess.Do(ctx, &core.StatementsRequest{Src: src})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return resp.(*core.StatementsResponse).Results
 	}
-	fmt.Println(out[0])
+
+	// Listing 1: an individual filtered view.
+	fmt.Println(statements(`
+create view LA-Long-Calls on Calls
+edges where src.city = 'LA' and dst.city = 'LA' and duration > 5`)[0])
 
 	// Listing 3 (shortened): a view collection of duration thresholds. Each
 	// view contains the calls of at most d minutes.
-	out, err = engine.Execute(`
+	fmt.Println(statements(`
 create view collection call-analysis on Calls
 [D5:  duration <= 5],
 [D10: duration <= 10],
 [D15: duration <= 15],
 [D20: duration <= 20],
-[D35: duration <= 35]`)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(out[0])
+[D35: duration <= 35]`)[0])
 
 	// Run WCC once, differentially across all five views.
-	res, err := engine.RunCollection(context.Background(), "call-analysis", analytics.WCC{}, core.RunOptions{
-		Mode: core.DiffOnly,
+	resp, err := sess.Do(ctx, &core.RunRequest{
+		Collection: "call-analysis",
+		Algorithm:  analytics.Spec{Algorithm: "wcc"},
+		Options:    core.RunOptions{Mode: core.DiffOnly},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	res := resp.(*core.RunResult)
 	fmt.Printf("\nWCC over %d views in %v:\n", len(res.Stats), res.Total.Round(1000))
 	for _, st := range res.Stats {
 		fmt.Printf("  %-4s |GV|=%-3d |dC|=%-3d output-diffs=%d\n",

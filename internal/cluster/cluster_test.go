@@ -326,7 +326,7 @@ func TestClusterDegradesToLocal(t *testing.T) {
 	w := startWorker(t, 1)
 	coord := newTestCoordinator(t, w)
 
-	local, err := core.RunCollection(col, analytics.WCC{}, core.RunOptions{Mode: core.Adaptive})
+	local, err := core.RunCollectionContext(context.Background(), col, analytics.WCC{}, core.RunOptions{Mode: core.Adaptive})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +341,7 @@ func TestClusterDegradesToLocal(t *testing.T) {
 		t.Fatalf("adaptive run shipped %d shards; it must plan online, locally", w.Jobs())
 	}
 
-	localScratch, err := core.RunCollection(col, customWCC{}, core.RunOptions{Mode: core.Scratch})
+	localScratch, err := core.RunCollectionContext(context.Background(), col, customWCC{}, core.RunOptions{Mode: core.Scratch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +418,7 @@ func TestClusterRedialsDeadWorkers(t *testing.T) {
 	if len(ws) != 1 || !ws[0].Alive || ws[0].Capacity != 2 {
 		t.Fatalf("redialed worker roster %+v, want alive with refreshed capacity 2", ws)
 	}
-	local, err := core.RunCollection(col, analytics.WCC{}, core.RunOptions{Mode: core.Scratch})
+	local, err := core.RunCollectionContext(context.Background(), col, analytics.WCC{}, core.RunOptions{Mode: core.Scratch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,7 +503,7 @@ func TestClusterCancelMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := core.RunCollection(col, analytics.WCC{}, core.RunOptions{Mode: core.Scratch})
+	local, err := core.RunCollectionContext(context.Background(), col, analytics.WCC{}, core.RunOptions{Mode: core.Scratch})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -45,7 +46,7 @@ func BenchmarkBatchSizeAblation(b *testing.B) {
 	for _, batch := range []int{1, 4, 10} {
 		b.Run(fmt.Sprintf("l-%d", batch), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := RunCollection(col, analytics.WCC{}, RunOptions{Mode: Adaptive, BatchSize: batch})
+				res, err := RunCollectionContext(context.Background(), col, analytics.WCC{}, RunOptions{Mode: Adaptive, BatchSize: batch})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -62,7 +63,7 @@ func BenchmarkModeAblation(b *testing.B) {
 	for _, mode := range []ExecMode{DiffOnly, Scratch, Adaptive} {
 		b.Run(mode.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := RunCollection(col, analytics.WCC{}, RunOptions{Mode: mode}); err != nil {
+				if _, err := RunCollectionContext(context.Background(), col, analytics.WCC{}, RunOptions{Mode: mode}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -27,7 +27,7 @@ func newTestEngine(t *testing.T) *Engine {
 
 func TestExecuteFilteredViewAndViewOverView(t *testing.T) {
 	e := newTestEngine(t)
-	out, err := e.Execute(`create view early on so edges where ts < 50
+	out, err := e.ExecuteContext(context.Background(), `create view early on so edges where ts < 50
 create view early-short on early edges where duration <= 10`)
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +66,7 @@ func TestExecuteCollectionAndRun(t *testing.T) {
 		}
 		src += fmt.Sprintf("[w%d: ts < %d]", i, i*20)
 	}
-	if _, err := e.Execute(src); err != nil {
+	if _, err := e.ExecuteContext(context.Background(), src); err != nil {
 		t.Fatal(err)
 	}
 	col, ok := e.Collection("hist")
@@ -105,7 +105,7 @@ func TestExecuteAggregateView(t *testing.T) {
 	if err := e.AddGraph(g); err != nil {
 		t.Fatal(err)
 	}
-	out, err := e.Execute(`create view cities on tw
+	out, err := e.ExecuteContext(context.Background(), `create view cities on tw
 nodes group by city aggregate count(*)
 edges aggregate total-w: sum(w)`)
 	if err != nil {
@@ -138,15 +138,15 @@ func TestExecuteErrors(t *testing.T) {
 		"garbage",
 	}
 	for _, src := range bad {
-		if _, err := e.Execute(src); err == nil {
+		if _, err := e.ExecuteContext(context.Background(), src); err == nil {
 			t.Fatalf("expected error for %q", src)
 		}
 	}
 	// Aggregate views over filtered views are rejected.
-	if _, err := e.Execute("create view fv on so edges where ts < 50"); err != nil {
+	if _, err := e.ExecuteContext(context.Background(), "create view fv on so edges where ts < 50"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Execute("create view agg on fv nodes group by city aggregate count(*)"); err == nil {
+	if _, err := e.ExecuteContext(context.Background(), "create view agg on fv nodes group by city aggregate count(*)"); err == nil {
 		t.Fatal("expected error for aggregate over filtered view")
 	}
 }
@@ -156,14 +156,14 @@ func TestExecuteErrors(t *testing.T) {
 func TestModesAgreeOnResults(t *testing.T) {
 	e := newTestEngine(t)
 	src := "create view collection c on so [a: ts < 30], [b: ts < 55], [c: duration <= 20], [d: ts < 90]"
-	if _, err := e.Execute(src); err != nil {
+	if _, err := e.ExecuteContext(context.Background(), src); err != nil {
 		t.Fatal(err)
 	}
 	col, _ := e.Collection("c")
 
 	var results []map[analytics.VertexValue]int64
 	for _, mode := range []ExecMode{DiffOnly, Scratch, Adaptive} {
-		res, err := RunCollection(col, analytics.SSSP{Source: 0}, RunOptions{Mode: mode, WeightProp: "duration", BatchSize: 2})
+		res, err := RunCollectionContext(context.Background(), col, analytics.SSSP{Source: 0}, RunOptions{Mode: mode, WeightProp: "duration", BatchSize: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,11 +190,11 @@ func TestModesAgreeOnResults(t *testing.T) {
 func TestAdaptiveBootstrap(t *testing.T) {
 	e := newTestEngine(t)
 	src := "create view collection c on so [a: ts < 20], [b: ts < 40], [c: ts < 60], [d: ts < 80]"
-	if _, err := e.Execute(src); err != nil {
+	if _, err := e.ExecuteContext(context.Background(), src); err != nil {
 		t.Fatal(err)
 	}
 	col, _ := e.Collection("c")
-	res, err := RunCollection(col, analytics.BFS{Source: 0}, RunOptions{Mode: Adaptive, BatchSize: 2})
+	res, err := RunCollectionContext(context.Background(), col, analytics.BFS{Source: 0}, RunOptions{Mode: Adaptive, BatchSize: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestAdaptiveBootstrap(t *testing.T) {
 
 func TestRunView(t *testing.T) {
 	e := newTestEngine(t)
-	if _, err := e.Execute("create view early on so edges where ts < 50"); err != nil {
+	if _, err := e.ExecuteContext(context.Background(), "create view early on so edges where ts < 50"); err != nil {
 		t.Fatal(err)
 	}
 	fv, _ := e.View("early")
@@ -226,11 +226,11 @@ func TestRunView(t *testing.T) {
 
 func TestViewStatsShape(t *testing.T) {
 	e := newTestEngine(t)
-	if _, err := e.Execute("create view collection c on so [a: ts < 30], [b: ts < 60]"); err != nil {
+	if _, err := e.ExecuteContext(context.Background(), "create view collection c on so [a: ts < 30], [b: ts < 60]"); err != nil {
 		t.Fatal(err)
 	}
 	col, _ := e.Collection("c")
-	res, err := RunCollection(col, analytics.WCC{}, RunOptions{})
+	res, err := RunCollectionContext(context.Background(), col, analytics.WCC{}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,11 +266,11 @@ func TestOrderingModesThroughEngine(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Deliberately shuffled windows.
-		if _, err := e.Execute("create view collection c on so [a: ts < 40], [b: ts < 10], [c: ts < 30], [d: ts < 20]"); err != nil {
+		if _, err := e.ExecuteContext(context.Background(), "create view collection c on so [a: ts < 40], [b: ts < 10], [c: ts < 30], [d: ts < 20]"); err != nil {
 			t.Fatal(err)
 		}
 		col, _ := e.Collection("c")
-		res, err := RunCollection(col, analytics.WCC{}, RunOptions{})
+		res, err := RunCollectionContext(context.Background(), col, analytics.WCC{}, RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -35,7 +35,7 @@ type Options struct {
 	// the number of independent collection segments executed concurrently
 	// per run (minimum 1).
 	Parallelism int
-	// Ordering is the default collection-ordering mode for Execute.
+	// Ordering is the default collection-ordering mode for ExecuteContext.
 	Ordering view.OrderingMode
 	// PoolMaxIdle is the per-pool idle-replica high-water mark: a replica
 	// released beyond it is dropped instead of cached (0 = unlimited).
@@ -76,10 +76,10 @@ type Engine struct {
 	poolMu sync.Mutex
 	pools  map[poolKey]*poolEntry
 
-	// incMu guards the incremental replica map (incremental.go); per-state
-	// locks serialize runs over one replica.
-	incMu     sync.Mutex
-	incStates map[incKey]*incState
+	// incMu guards the warm replica map (replica.go); per-replica locks
+	// serialize runs over one replica.
+	incMu    sync.Mutex
+	replicas map[replicaKey]*replica
 
 	// runMu guards the active-run count, the closing flag and the mutating
 	// flag; runDone is signalled as active reaches zero and as a mutation
@@ -195,7 +195,7 @@ func NewEngine(opts Options) (*Engine, error) {
 		aggViews:    make(map[string]*aggregate.View),
 		aggStmts:    make(map[string]*gvdl.CreateAggView),
 		pools:       make(map[poolKey]*poolEntry),
-		incStates:   make(map[incKey]*incState),
+		replicas:    make(map[replicaKey]*replica),
 		traces:      obs.NewTraceStore(0),
 	}
 	e.runDone = sync.NewCond(&e.runMu)
@@ -244,7 +244,7 @@ func (e *Engine) beginRun() error {
 // meanwhile waits for fn to return. Serving middleware (internal/tenant)
 // uses it to read collection difference streams — for cache fingerprinting —
 // race-free against incremental maintenance. fn must not re-enter the
-// engine's run or mutation paths (RunOn, ExtendReplay, ApplyMutation): a
+// engine's run or mutation paths (RunOn, ApplyMutation): a
 // nested admission would deadlock behind a mutation waiting for this one to
 // drain. Refuses with ErrClosing while Close is draining.
 func (e *Engine) Admit(fn func() error) error {
@@ -364,9 +364,7 @@ func (e *Engine) Close() error {
 	}
 	e.poolMu.Unlock()
 	e.incMu.Lock()
-	for key := range e.incStates {
-		delete(e.incStates, key)
-	}
+	clear(e.replicas)
 	e.incMu.Unlock()
 	e.closing = false
 	e.runMu.Unlock()
@@ -590,19 +588,6 @@ func restrictPredicate(p gvdl.EdgePredicate, fv *view.Filtered, numEdges int) gv
 		member.Set(int(idx))
 	}
 	return func(i int) bool { return member.Get(i) && p(i) }
-}
-
-// Execute parses and runs GVDL statements, materializing the views they
-// define. It returns a short description per statement — the rendered form
-// of the typed results ExecuteContext produces; both are one code path.
-func (e *Engine) Execute(src string) ([]string, error) {
-	//lint:ignore ctxflow compat shim: pre-Session API with no ctx parameter; ExecuteContext is the cancelable path
-	results, err := e.ExecuteContext(context.Background(), src)
-	out := make([]string, 0, len(results))
-	for _, r := range results {
-		out = append(out, r.String())
-	}
-	return out, err
 }
 
 // ExecuteContext parses and runs GVDL statements, materializing the views

@@ -260,11 +260,11 @@ func TestEmptyCollectionLeaksNoSlot(t *testing.T) {
 // aggregate — not just the last segment's counters.
 func TestMaxWorkAggregatesAcrossSegments(t *testing.T) {
 	col := randomCollection(t, 8, 17)
-	seq, err := RunCollection(col, analytics.WCC{}, RunOptions{Mode: Scratch, Workers: 1, Parallelism: 1})
+	seq, err := RunCollectionContext(context.Background(), col, analytics.WCC{}, RunOptions{Mode: Scratch, Workers: 1, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunCollection(col, analytics.WCC{}, RunOptions{Mode: Scratch, Workers: 1, Parallelism: 4})
+	par, err := RunCollectionContext(context.Background(), col, analytics.WCC{}, RunOptions{Mode: Scratch, Workers: 1, Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestSegmentStatsRecorded(t *testing.T) {
 	col := randomCollection(t, 6, 9)
 	for _, mode := range []ExecMode{DiffOnly, Scratch, Adaptive} {
 		for _, par := range []int{1, 3} {
-			res, err := RunCollection(col, analytics.WCC{}, RunOptions{Mode: mode, Parallelism: par, BatchSize: 2})
+			res, err := RunCollectionContext(context.Background(), col, analytics.WCC{}, RunOptions{Mode: mode, Parallelism: par, BatchSize: 2})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -76,14 +76,15 @@ type RunOptions struct {
 	// WeightProp names the integer edge property used as edge weight; empty
 	// means unit weights.
 	WeightProp string `json:"weightProp,omitempty"`
-	// Incremental runs on the engine's warm incremental replica for
-	// (collection, computation, workers, weightProp) instead of draining the
-	// difference stream: the first run on a key absorbs the whole stream
-	// (RunResult.Incremental false), later runs feed only the mutation
-	// deltas queued since (RunResult.Incremental true, delta-sized work
-	// counters). Only Engine runs support it; Mode, Parallelism, Schedule
-	// and Speculate are ignored — an incremental run is a single replica
-	// stepping diffs.
+	// Incremental runs on the engine's warm replica matching (base graph,
+	// computation, workers, weightProp) instead of draining the difference
+	// stream (replica.go): the replica feeds the mutation deltas queued since
+	// it finished on this collection, or steps the views this collection
+	// appends to the stream prefix it has absorbed, and rebuilds cold when it
+	// can prove neither. RunResult.Incremental and CachedPrefix report which
+	// happened; stats and work counters cover only what was stepped. Only
+	// Engine runs support it; Mode, Parallelism, Schedule and Speculate are
+	// ignored — an incremental run is a single replica stepping diffs.
 	Incremental bool `json:"incremental,omitempty"`
 	// BatchSize overrides the adaptive optimizer's ℓ (default 10).
 	BatchSize int `json:"batchSize,omitempty"`
@@ -172,10 +173,11 @@ type RunResult struct {
 	// RunOptions.Speculate was set on an adaptive run with Parallelism > 1.
 	SpecHits   int `json:"specHits,omitempty"`
 	SpecMisses int `json:"specMisses,omitempty"`
-	// Incremental reports that this run executed only the mutation deltas
-	// pending on a warm incremental replica (RunOptions.Incremental on a
-	// previously built key); the work counters and stats are delta-sized. A
-	// cold incremental run — the replica build — reports false.
+	// Incremental reports that the run reused a warm replica
+	// (RunOptions.Incremental): it stepped only the queued mutation deltas or
+	// the stream suffix the replica had not absorbed, and the work counters
+	// and stats are sized accordingly. A cold run — the replica build —
+	// reports false.
 	Incremental bool `json:"incremental,omitempty"`
 	// CacheStatus reports how the serving cache (internal/tenant) satisfied
 	// the run: empty for runs executed outside a cache, "miss" for a run the
@@ -183,10 +185,10 @@ type RunResult struct {
 	// execution, "dedup" for a request coalesced onto a concurrent identical
 	// run, "replay" for a differential suffix replay on a warm replica.
 	CacheStatus string `json:"cacheStatus,omitempty"`
-	// CachedPrefix is the number of leading collection views whose
-	// differential state a warm serving replica had already absorbed when
-	// this run executed — the run stepped only the remaining suffix, so the
-	// stats and work counters are suffix-sized (see Engine.ExtendReplay).
+	// CachedPrefix is the number of leading collection views the run's warm
+	// replica had already absorbed when the run began (zero for a cold build
+	// and for runs outside the replica path) — the other half of what
+	// Incremental reports.
 	CachedPrefix int `json:"cachedPrefix,omitempty"`
 	// RunID names the run's trace: `graphsurge run -trace` renders it and
 	// `GET /v1/traces/<runID>` on a serve process replays it as NDJSON.
@@ -288,7 +290,7 @@ func (e *Engine) RunOn(ctx context.Context, col *view.Collection, comp analytics
 	var res *RunResult
 	var err error
 	if opts.Incremental {
-		// Incremental runs keep private warm replicas (incremental.go) —
+		// Incremental runs keep private warm replicas (replica.go) —
 		// never pool slots, whose in-place reset would discard exactly the
 		// accumulated state an incremental run exists to reuse.
 		res, err = e.runIncremental(ctx, col, comp, opts)
@@ -353,8 +355,9 @@ func normalizeRunOptions(opts *RunOptions) {
 	}
 }
 
-// RunCollection executes a computation over all views of a materialized
-// collection, sharing computation across views according to the chosen mode.
+// RunCollectionContext executes a computation over all views of a
+// materialized collection on a private replica pool, sharing computation
+// across views according to the chosen mode.
 //
 // Execution is a plan → execute pipeline (see DESIGN.md): the splitting
 // strategy's per-view decisions are grouped into segments — each one
@@ -364,21 +367,15 @@ func normalizeRunOptions(opts *RunOptions) {
 // ViewStats land in collection order regardless of which replica ran them.
 // FinalResults are snapshotted from the runner that executed the last view,
 // and MaxWork/IterCapHit aggregate every segment replica's counters, so the
-// result is self-contained and all replicas return to the pool.
-func RunCollection(col *view.Collection, comp analytics.Computation, opts RunOptions) (*RunResult, error) {
-	//lint:ignore ctxflow compat shim: ctx-free entry point kept for callers without a cancellation chain
-	return RunCollectionContext(context.Background(), col, comp, opts)
-}
-
-// RunCollectionContext is RunCollection with a cancellation context —
-// semantics match Engine.RunCollection, on a private replica pool.
+// result is self-contained and all replicas return to the pool. Cancellation
+// semantics match Engine.RunCollection.
 func RunCollectionContext(ctx context.Context, col *view.Collection, comp analytics.Computation, opts RunOptions) (*RunResult, error) {
 	normalizeRunOptions(&opts)
 	return runCollection(ctx, col, comp, opts, analytics.NewPool(comp, opts.Workers, opts.Parallelism))
 }
 
 // runCollection is the shared executor body. The replica pool may be private
-// to this run (package-level RunCollection) or engine-owned and shared with
+// to this run (RunCollectionContext) or engine-owned and shared with
 // concurrent runs; either way a per-run admission limiter caps this run's
 // concurrently live replicas at opts.Parallelism, and every replica —
 // including the one that ran the final view — returns to the pool when the

@@ -28,7 +28,7 @@ func incTestEngine(t *testing.T) (*Engine, *graph.Graph) {
 	if err := e.AddGraph(g); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Execute(
+	if _, err := e.ExecuteContext(context.Background(),
 		"create view collection roll on dyn [a: ts < 6], [b: ts < 12], [c: duration <= 30], [d: ts < 18]"); err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestIncrementalRunLifecycle(t *testing.T) {
 
 	// Re-creating the collection drops the replica: the next incremental
 	// run rebuilds cold instead of serving state for the old object.
-	if _, err := e.Execute(
+	if _, err := e.ExecuteContext(context.Background(),
 		"create view collection roll on dyn [a: ts < 6], [b: ts < 12], [c: duration <= 30], [d: ts < 18]"); err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func TestCollectionFinalViewMatchesIndividualView(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A collection whose last view is definable as an individual view too.
-	if _, err := e.Execute(`create view collection c on pc
+	if _, err := e.ExecuteContext(context.Background(), `create view collection c on pc
 [a: src.year <= 2000 and dst.year <= 2000],
 [b: src.authors <= 10 and dst.authors <= 10],
 [final: src.year <= 2010 and dst.year <= 2010]
@@ -86,7 +86,7 @@ func TestViewStorePersistenceAcrossEngines(t *testing.T) {
 	if err := e1.AddGraph(g); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e1.Execute(`create view early on so edges where ts < 25
+	if _, err := e1.ExecuteContext(context.Background(), `create view early on so edges where ts < 25
 create view collection c on so [a: ts < 20], [b: ts < 40]`); err != nil {
 		t.Fatal(err)
 	}
@@ -107,12 +107,12 @@ create view collection c on so [a: ts < 20], [b: ts < 40]`); err != nil {
 	if !ok {
 		t.Fatal("persisted collection not found by fresh engine")
 	}
-	res, err := RunCollection(col, analytics.WCC{}, RunOptions{})
+	res, err := RunCollectionContext(context.Background(), col, analytics.WCC{}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	origCol, _ := e1.Collection("c")
-	origRes, err := RunCollection(origCol, analytics.WCC{}, RunOptions{})
+	origRes, err := RunCollectionContext(context.Background(), origCol, analytics.WCC{}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestOrderInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunCollection(col, analytics.WCC{}, RunOptions{Mode: DiffOnly})
+		res, err := RunCollectionContext(context.Background(), col, analytics.WCC{}, RunOptions{Mode: DiffOnly})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,8 +20,8 @@ import (
 // collections re-evaluate their predicates only over the touched edges
 // (view.MaintainFiltered/MaintainCollection), aggregate views re-evaluate
 // from their retained statements, and each maintained collection's
-// final-view membership delta is queued for the incremental run path
-// (incremental.go). Mutations are serialized against runs by the engine's
+// final-view membership delta is queued on the warm replicas that finished
+// on it (replica.go). Mutations are serialized against runs by the engine's
 // run barrier: a mutation waits for in-flight runs to drain and blocks new
 // ones while it edits streams in place.
 
@@ -309,7 +309,7 @@ func (e *Engine) runMaintenance(g *graph.Graph, p *maintPlan, a graph.Applied) (
 		}
 		// The final ordered view's membership delta is what an incremental
 		// re-run feeds into a warm replica as a new outer version.
-		e.queueIncDelta(c, deltas[len(deltas)-1], a.Version)
+		e.queueDelta(c, deltas[len(deltas)-1], a.Version)
 		maintained++
 	}
 	for _, stmt := range p.aggs {

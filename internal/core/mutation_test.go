@@ -56,7 +56,7 @@ func streamMembership(c *view.Collection) []map[uint32]bool {
 // against the mutated graph would produce.
 func TestApplyMutationMaintainsViewsAndCollections(t *testing.T) {
 	e := newTestEngine(t)
-	if _, err := e.Execute(`create view recent on so edges where ts >= 50
+	if _, err := e.ExecuteContext(context.Background(), `create view recent on so edges where ts >= 50
 create view recent-short on recent edges where duration <= 10
 create view collection hist on so [w1: ts < 20], [w2: ts < 40], [w3: ts < 60], [w4: ts < 80], [w5: ts < 100]`); err != nil {
 		t.Fatal(err)
@@ -75,7 +75,7 @@ create view collection hist on so [w1: ts < 20], [w2: ts < 40], [w3: ts < 60], [
 	src := fmt.Sprintf(
 		"apply insert 1->2 [ts = 75, duration = 3], 4->5 [ts = 10, duration = 50] delete %d->%d, %d->%d to so",
 		g.Srcs[dIn], g.Dsts[dIn], g.Srcs[dOut], g.Dsts[dOut])
-	out, err := e.Execute(src)
+	out, err := e.ExecuteContext(context.Background(), src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestMutateRequestMaintainsAggregates(t *testing.T) {
 	if err := e.AddGraph(g); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Execute(`create view cities on tw
+	if _, err := e.ExecuteContext(context.Background(), `create view cities on tw
 nodes group by city aggregate count(*)
 edges aggregate total-w: sum(w)`); err != nil {
 		t.Fatal(err)
@@ -210,7 +210,7 @@ func TestMutationPersistenceAndRestart(t *testing.T) {
 	if err := e1.AddGraph(g); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e1.Execute(`create view fresh on dyn edges where ts >= 5
+	if _, err := e1.ExecuteContext(context.Background(), `create view fresh on dyn edges where ts >= 5
 create view collection days on dyn [d3: ts < 3], [d6: ts < 6], [d9: ts < 9]`); err != nil {
 		t.Fatal(err)
 	}
@@ -352,10 +352,10 @@ func TestMutationErrors(t *testing.T) {
 	ctx := context.Background()
 
 	// Apply must target a base graph, not a view.
-	if _, err := e.Execute("create view v on so edges where ts < 50"); err != nil {
+	if _, err := e.ExecuteContext(context.Background(), "create view v on so edges where ts < 50"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Execute("apply insert 0->1 [ts = 1, duration = 1] to v"); err == nil {
+	if _, err := e.ExecuteContext(context.Background(), "apply insert 0->1 [ts = 1, duration = 1] to v"); err == nil {
 		t.Fatal("apply to a view succeeded")
 	}
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -87,7 +88,7 @@ func TestSegmentParallelDeterminism(t *testing.T) {
 				for _, workers := range []int{1, 4} {
 					name := fmt.Sprintf("%s/%s/sched=%s/spec=%v/p=%d/w=%d",
 						comp.Name(), v.mode, v.sched, v.speculate, par, workers)
-					res, err := RunCollection(col, comp, RunOptions{
+					res, err := RunCollectionContext(context.Background(), col, comp, RunOptions{
 						Mode:        v.mode,
 						Workers:     workers,
 						Parallelism: par,
@@ -166,7 +167,7 @@ func TestSeedScanOpeningView(t *testing.T) {
 func TestScratchParallelSplits(t *testing.T) {
 	col := randomCollection(t, 6, 7)
 	for _, par := range []int{1, 2, 4, 8} {
-		res, err := RunCollection(col, analytics.WCC{}, RunOptions{Mode: Scratch, Parallelism: par})
+		res, err := RunCollectionContext(context.Background(), col, analytics.WCC{}, RunOptions{Mode: Scratch, Parallelism: par})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,7 +181,7 @@ func TestScratchParallelSplits(t *testing.T) {
 // independence exists: diff-only has one segment, so extra replicas idle.
 func TestParallelOnSingleSegment(t *testing.T) {
 	col := randomCollection(t, 5, 11)
-	res, err := RunCollection(col, analytics.WCC{}, RunOptions{Mode: DiffOnly, Parallelism: 8})
+	res, err := RunCollectionContext(context.Background(), col, analytics.WCC{}, RunOptions{Mode: DiffOnly, Parallelism: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

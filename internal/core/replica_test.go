@@ -1,0 +1,294 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"graphsurge/internal/analytics"
+	"graphsurge/internal/datagen"
+	"graphsurge/internal/view"
+)
+
+// daysEngine is newTestEngine plus a four-view collection `days` and a
+// six-view sibling `days_ext` whose first four views are the same names and
+// predicates, so the sibling's stream extends days' byte for byte.
+func daysEngine(t *testing.T) (*Engine, *view.Collection, *view.Collection) {
+	t.Helper()
+	e := newTestEngine(t)
+	t.Cleanup(func() { e.Close() })
+	const four = `[d1: ts < 25], [d2: ts < 50], [d3: ts < 75], [d4: ts < 90]`
+	if _, err := e.ExecuteContext(context.Background(),
+		"create view collection days on so "+four+"\n"+
+			"create view collection days_ext on so "+four+", [d5: ts < 95], [d6: ts < 100]"); err != nil {
+		t.Fatal(err)
+	}
+	days, _ := e.Collection("days")
+	ext, _ := e.Collection("days_ext")
+	return e, days, ext
+}
+
+// theReplica returns the engine's only replica.
+func theReplica(t *testing.T, e *Engine) *replica {
+	t.Helper()
+	e.incMu.Lock()
+	defer e.incMu.Unlock()
+	if len(e.replicas) != 1 {
+		t.Fatalf("engine holds %d replicas, want 1", len(e.replicas))
+	}
+	for _, st := range e.replicas {
+		return st
+	}
+	return nil
+}
+
+func mustRunOn(t *testing.T, e *Engine, ctx context.Context, col *view.Collection, comp analytics.Computation, opts RunOptions) *RunResult {
+	t.Helper()
+	res, err := e.RunOn(ctx, col, comp, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// sameAsScratch fails unless res carries the final results of a from-scratch
+// run over col as it stands now.
+func sameAsScratch(t *testing.T, e *Engine, col *view.Collection, comp analytics.Computation, res *RunResult, what string) {
+	t.Helper()
+	want := mustRunOn(t, e, context.Background(), col, comp, RunOptions{Mode: Scratch})
+	if !reflect.DeepEqual(res.FinalResults(), want.FinalResults()) {
+		t.Fatalf("%s: results differ from a scratch run", what)
+	}
+}
+
+// TestReplicaMatchesScratch pins the replica's correctness contract:
+// absorbing a whole stream on a fresh replica yields exactly the final
+// results a normal run produces, a second run over an unchanged collection
+// steps nothing and still answers correctly, a sibling collection extending
+// the absorbed prefix steps only its suffix, and Incremental/CachedPrefix
+// report how much was skipped.
+func TestReplicaMatchesScratch(t *testing.T) {
+	e, days, ext := daysEngine(t)
+	ctx := context.Background()
+	comp := analytics.WCC{}
+	inc := RunOptions{Incremental: true}
+
+	cold := mustRunOn(t, e, ctx, days, comp, inc)
+	if cold.Incremental || cold.CachedPrefix != 0 || len(cold.Stats) != 4 {
+		t.Fatalf("cold run: incremental=%v prefix=%d stats=%d, want false, 0 and 4", cold.Incremental, cold.CachedPrefix, len(cold.Stats))
+	}
+	sameAsScratch(t, e, days, comp, cold, "cold run")
+	if st := theReplica(t, e); st.pos != 4 || st.col != days {
+		t.Fatalf("replica at pos %d on %v, want 4 on days", st.pos, st.col)
+	}
+
+	// Nothing new to step: a warm run over the same stream answers from
+	// absorbed state, with an empty suffix.
+	warm := mustRunOn(t, e, ctx, days, comp, inc)
+	if !warm.Incremental || warm.CachedPrefix != 4 || len(warm.Stats) != 0 {
+		t.Fatalf("warm run: incremental=%v prefix=%d stats=%d, want true, 4 and 0", warm.Incremental, warm.CachedPrefix, len(warm.Stats))
+	}
+	sameAsScratch(t, e, days, comp, warm, "warm run")
+
+	// The sibling is matched by content, not by name.
+	sib := mustRunOn(t, e, ctx, ext, comp, inc)
+	if !sib.Incremental || sib.CachedPrefix != 4 || len(sib.Stats) != 2 || sib.Stats[0].Name != "d5" {
+		t.Fatalf("sibling run: incremental=%v prefix=%d stats=%+v, want true, 4 and the d5, d6 suffix", sib.Incremental, sib.CachedPrefix, sib.Stats)
+	}
+	if sib.MaxWork() >= cold.MaxWork() {
+		t.Fatalf("suffix work %d is not below the cold build's %d", sib.MaxWork(), cold.MaxWork())
+	}
+	sameAsScratch(t, e, ext, comp, sib, "sibling run")
+
+	// Back on the shorter collection the replica has run past it: no prefix
+	// of days ends where the replica stands, so it rebuilds.
+	back := mustRunOn(t, e, ctx, days, comp, inc)
+	if back.Incremental || len(back.Stats) != 4 {
+		t.Fatalf("run behind the replica: incremental=%v stats=%d, want a cold rebuild", back.Incremental, len(back.Stats))
+	}
+	sameAsScratch(t, e, days, comp, back, "rebuilt run")
+}
+
+// TestReplicaAfterMutation pins fail-closed staleness: after a mutation the
+// collection the replica finished on is answered warm from the queued delta,
+// a sibling is answered warm or cold, and both equal scratch.
+func TestReplicaAfterMutation(t *testing.T) {
+	e, days, ext := daysEngine(t)
+	ctx := context.Background()
+	comp := analytics.WCC{}
+	inc := RunOptions{Incremental: true}
+	cold := mustRunOn(t, e, ctx, days, comp, inc)
+
+	mutate := func() {
+		t.Helper()
+		if _, err := e.NewSession().Do(ctx, &MutateRequest{
+			Graph:   "so",
+			Inserts: []EdgeChange{{Src: 0, Dst: 1, Props: map[string]any{"ts": 10, "duration": 5}}},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mutate()
+	warm := mustRunOn(t, e, ctx, days, comp, inc)
+	if !warm.Incremental || len(warm.Stats) != 1 || warm.Stats[0].Name != "Δv1" {
+		t.Fatalf("post-mutation run: incremental=%v stats=%+v, want one delta step", warm.Incremental, warm.Stats)
+	}
+	if warm.MaxWork() >= cold.MaxWork() {
+		t.Fatalf("delta work %d is not below the cold build's %d", warm.MaxWork(), cold.MaxWork())
+	}
+	sameAsScratch(t, e, days, comp, warm, "post-mutation run")
+
+	// The delta-fed replica stands on days' maintained stream, which the
+	// sibling's maintained stream extends.
+	sib := mustRunOn(t, e, ctx, ext, comp, inc)
+	sameAsScratch(t, e, ext, comp, sib, "sibling after a mutation")
+
+	// The replica now finished on the sibling, so days gets no delta: its
+	// next run cannot prove anything and rebuilds.
+	mutate()
+	stale := mustRunOn(t, e, ctx, days, comp, inc)
+	if stale.Incremental {
+		t.Fatal("a replica that missed a mutation was reused")
+	}
+	sameAsScratch(t, e, days, comp, stale, "run on a stale replica")
+}
+
+// cancelAfter is a context that reports cancellation from its n-th Err call
+// on — the replica checks Err once per step, so it cancels between steps.
+type cancelAfter struct {
+	context.Context
+	n int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.n--; c.n < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestReplicaCancelResumes pins the single cancellation rule: a run canceled
+// between two steps — stream views or queued deltas alike — leaves a replica
+// that the next run resumes from the recorded position.
+func TestReplicaCancelResumes(t *testing.T) {
+	e, _, ext := daysEngine(t)
+	comp := analytics.WCC{}
+	inc := RunOptions{Incremental: true}
+
+	// Three Err calls pass: the run's entry check and two view steps.
+	_, err := e.RunOn(&cancelAfter{context.Background(), 3}, ext, comp, inc)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled run: %v, want context.Canceled", err)
+	}
+	if st := theReplica(t, e); st.pos != 2 || st.col != nil {
+		t.Fatalf("replica at pos %d on %v after a cancel between steps, want 2 and mid-stream", st.pos, st.col)
+	}
+	res := mustRunOn(t, e, context.Background(), ext, comp, inc)
+	if !res.Incremental || res.CachedPrefix != 2 || len(res.Stats) != 4 {
+		t.Fatalf("resumed run: incremental=%v prefix=%d stats=%d, want true, 2 and 4", res.Incremental, res.CachedPrefix, len(res.Stats))
+	}
+	sameAsScratch(t, e, ext, comp, res, "resumed run")
+
+	// Two queued deltas, canceled after the first.
+	g, _ := e.Graph("so")
+	r := rand.New(rand.NewSource(3))
+	for i := 0; i < 2; i++ {
+		if _, err := e.ApplyMutation("so", randomBatch(t, r, g, 5, 2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := e.RunOn(&cancelAfter{context.Background(), 2}, ext, comp, inc); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled delta run: %v, want context.Canceled", err)
+	}
+	if st := theReplica(t, e); len(st.pending) != 1 || st.version != 1 {
+		t.Fatalf("replica holds %d deltas at version %d, want 1 at 1", len(st.pending), st.version)
+	}
+	res = mustRunOn(t, e, context.Background(), ext, comp, inc)
+	if !res.Incremental || len(res.Stats) != 1 || res.Stats[0].Name != "Δv2" {
+		t.Fatalf("resumed delta run: incremental=%v stats=%+v, want the one remaining delta", res.Incremental, res.Stats)
+	}
+	sameAsScratch(t, e, ext, comp, res, "resumed delta run")
+}
+
+// TestReplicaGraphIdentity pins that a replica belongs to a graph object, not
+// a graph name: a different graph loaded under the same name, whose
+// collection has an index-identical stream, is never matched.
+func TestReplicaGraphIdentity(t *testing.T) {
+	e, days, _ := daysEngine(t)
+	ctx := context.Background()
+	comp := analytics.WCC{}
+	mustRunOn(t, e, ctx, days, comp, RunOptions{Incremental: true})
+
+	g2 := datagen.Temporal(datagen.TemporalConfig{Nodes: 200, Edges: 2000, Days: 100, Seed: 7})
+	g2.Name = "so"
+	if err := e.AddGraph(g2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.ExecuteContext(ctx, "create view collection again on so [d1: ts < 25], [d2: ts < 50], [d3: ts < 75], [d4: ts < 90]"); err != nil {
+		t.Fatal(err)
+	}
+	again, _ := e.Collection("again")
+	if again.Graph == days.Graph || !reflect.DeepEqual(again.Stream.ChainFingerprints(), days.Stream.ChainFingerprints()) {
+		t.Fatal("test setup: want a different graph object with an identical stream")
+	}
+	res := mustRunOn(t, e, ctx, again, comp, RunOptions{Incremental: true})
+	if res.Incremental {
+		t.Fatal("a replica built on another graph object was reused")
+	}
+	sameAsScratch(t, e, again, comp, res, "run on the reloaded graph")
+}
+
+// TestReplicaBounds pins the store's two bounds: the LRU cap evicts the
+// least recently run replica, and Close empties the store.
+func TestReplicaBounds(t *testing.T) {
+	e, days, _ := daysEngine(t)
+	ctx := context.Background()
+	inc := RunOptions{Incremental: true}
+	for src := uint64(0); src <= maxReplicas; src++ {
+		mustRunOn(t, e, ctx, days, analytics.BFS{Source: src}, inc)
+	}
+	if n := len(e.replicas); n != maxReplicas {
+		t.Fatalf("engine holds %d replicas, want the bound %d", n, maxReplicas)
+	}
+	if res := mustRunOn(t, e, ctx, days, analytics.BFS{Source: maxReplicas}, inc); !res.Incremental {
+		t.Fatal("the most recent replica was evicted")
+	}
+	if res := mustRunOn(t, e, ctx, days, analytics.BFS{Source: 0}, inc); res.Incremental {
+		t.Fatal("the least recently run replica survived the bound")
+	}
+	e.Close()
+	if n := len(e.replicas); n != 0 {
+		t.Fatalf("Close left %d replicas", n)
+	}
+}
+
+// TestReplicaQueuedDeltasBounded pins the delta bound: a replica that is run
+// once and then sits through mutations is dropped once its queued deltas
+// outgrow its collection's final view, instead of retaining every batch.
+func TestReplicaQueuedDeltasBounded(t *testing.T) {
+	e, g := incTestEngine(t)
+	defer e.Close()
+	col, _ := e.Collection("roll")
+	ctx := context.Background()
+	comp := analytics.WCC{}
+	mustRunOn(t, e, ctx, col, comp, RunOptions{Incremental: true})
+
+	// Balanced batches keep the final view's size steady while every batch
+	// queues ~100 delta edges against its ~800.
+	r := rand.New(rand.NewSource(23))
+	for batches := 0; len(e.replicas) > 0; batches++ {
+		if batches == 40 {
+			t.Fatalf("replica still holds %d queued deltas after %d batches", len(theReplica(t, e).pending), batches)
+		}
+		if _, err := e.ApplyMutation("dyn", randomBatch(t, r, g, 50, 50)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res := mustRunOn(t, e, ctx, col, comp, RunOptions{Incremental: true})
+	if res.Incremental {
+		t.Fatal("run after the replica was dropped did not rebuild cold")
+	}
+	sameAsScratch(t, e, col, comp, res, "run after the replica was dropped")
+}

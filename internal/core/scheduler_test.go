@@ -86,12 +86,12 @@ func TestSeedCacheOutOfOrderDispatch(t *testing.T) {
 // dataflow worker) match FIFO exactly, at any parallelism.
 func TestLPTDeterminism(t *testing.T) {
 	col := skewedCollection(t, 8, 41)
-	base, err := RunCollection(col, analytics.WCC{}, RunOptions{Mode: Scratch, Parallelism: 1})
+	base, err := RunCollectionContext(context.Background(), col, analytics.WCC{}, RunOptions{Mode: Scratch, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, par := range []int{1, 4} {
-		res, err := RunCollection(col, analytics.WCC{}, RunOptions{
+		res, err := RunCollectionContext(context.Background(), col, analytics.WCC{}, RunOptions{
 			Mode: Scratch, Parallelism: par, Schedule: schedule.LPT,
 		})
 		if err != nil {
@@ -204,11 +204,11 @@ func TestEngineEstimatorWarmsAcrossRuns(t *testing.T) {
 // both launch and hit.
 func TestSpeculativeAdaptive(t *testing.T) {
 	col := disjointCollection(t, 12, 400)
-	base, err := RunCollection(col, analytics.WCC{}, RunOptions{Mode: Adaptive, Parallelism: 1, BatchSize: 2})
+	base, err := RunCollectionContext(context.Background(), col, analytics.WCC{}, RunOptions{Mode: Adaptive, Parallelism: 1, BatchSize: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunCollection(col, analytics.WCC{}, RunOptions{
+	res, err := RunCollectionContext(context.Background(), col, analytics.WCC{}, RunOptions{
 		Mode: Adaptive, Parallelism: 4, BatchSize: 2, Speculate: true,
 	})
 	if err != nil {
@@ -356,7 +356,7 @@ func TestConcurrentViewLoadSharesOneObject(t *testing.T) {
 	if err := e1.AddGraph(g); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e1.Execute("create view half on cg edges where ts < 10"); err != nil {
+	if _, err := e1.ExecuteContext(context.Background(), "create view half on cg edges where ts < 10"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -401,7 +401,7 @@ func TestViewOverPersistedViewAfterRestart(t *testing.T) {
 	if err := e1.AddGraph(g); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e1.Execute("create view early on rg edges where ts < 20"); err != nil {
+	if _, err := e1.ExecuteContext(context.Background(), "create view early on rg edges where ts < 20"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -410,7 +410,7 @@ func TestViewOverPersistedViewAfterRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := e2.Execute("create view early-short on early edges where duration <= 10")
+	out, err := e2.ExecuteContext(context.Background(), "create view early-short on early edges where duration <= 10")
 	if err != nil {
 		t.Fatalf("view-over-view after restart: %v", err)
 	}
@@ -426,11 +426,11 @@ func TestViewOverPersistedViewAfterRestart(t *testing.T) {
 		t.Fatalf("derived view has %d edges, base %d", derived.NumEdges(), base.NumEdges())
 	}
 	// Collections over persisted views restart too.
-	if _, err := e2.Execute("create view collection cc on early [a: duration <= 5], [b: duration <= 30]"); err != nil {
+	if _, err := e2.ExecuteContext(context.Background(), "create view collection cc on early [a: duration <= 5], [b: duration <= 30]"); err != nil {
 		t.Fatalf("collection over persisted view after restart: %v", err)
 	}
 	// A name that is truly neither still says so.
-	if _, err := e2.Execute("create view x on nothing edges where ts < 5"); err == nil {
+	if _, err := e2.ExecuteContext(context.Background(), "create view x on nothing edges where ts < 5"); err == nil {
 		t.Fatal("expected error for unknown target")
 	}
 }
@@ -477,7 +477,7 @@ func TestCorruptViewStoreErrorsAreDistinct(t *testing.T) {
 	}
 	// resolveTarget surfaces the load failure instead of "neither a graph
 	// nor a view".
-	if _, err := e.Execute("create view v on broken edges where ts < 5"); err == nil {
+	if _, err := e.ExecuteContext(context.Background(), "create view v on broken edges where ts < 5"); err == nil {
 		t.Fatal("create view over corrupt target succeeded")
 	} else if errors.Is(err, ErrNotFound) {
 		t.Fatalf("corrupt target misreported: %v", err)

@@ -373,6 +373,88 @@ func TestIterateNZero(t *testing.T) {
 	}
 }
 
+// vtd is a value-time-diff triple, the element of the retired operator state
+// traces: the reference representation TestArrangedTraceMatchesMapTrace
+// checks arrange.Trace against, kept here as that test's oracle.
+type vtd[V comparable] struct {
+	v V
+	t timestamp.Time
+	d Diff
+}
+
+type vtdKey[V comparable] struct {
+	v V
+	t timestamp.Time
+}
+
+// consolidateVTD merges trace entries with equal (value, time) and drops
+// zeros, returning the compacted slice. Small traces (the common case for
+// per-key histories) merge in place with a quadratic scan, avoiding map
+// allocation on the hot path.
+func consolidateVTD[V comparable](list []vtd[V]) []vtd[V] {
+	if len(list) <= 1 {
+		if len(list) == 1 && list[0].d == 0 {
+			return list[:0]
+		}
+		return list
+	}
+	if len(list) <= 48 {
+		out := list[:0]
+		n := 0
+	next:
+		for _, e := range list[0:] {
+			for i := 0; i < n; i++ {
+				if out[i].v == e.v && out[i].t == e.t {
+					out[i].d += e.d
+					continue next
+				}
+			}
+			out = out[:n+1]
+			out[n] = e
+			n++
+		}
+		// Drop zeroed entries.
+		m := 0
+		for i := 0; i < n; i++ {
+			if out[i].d != 0 {
+				out[m] = out[i]
+				m++
+			}
+		}
+		return out[:m]
+	}
+	acc := make(map[vtdKey[V]]Diff, len(list))
+	for _, e := range list {
+		acc[vtdKey[V]{e.v, e.t}] += e.d
+	}
+	out := list[:0]
+	for k, d := range acc {
+		if d != 0 {
+			out = append(out, vtd[V]{k.v, k.t, d})
+		}
+	}
+	return out
+}
+
+// advanceVTD clamps entry times with Outer < outer to the given outer
+// coordinate and consolidates when anything was clamped. Sound once no
+// future work can occur at any time with Outer ≤ outer: for any future time
+// t, Leq and Join against the clamped time are unchanged. Returns the
+// (possibly compacted) list and whether it changed.
+func advanceVTD[V comparable](list []vtd[V], outer uint32) ([]vtd[V], bool) {
+	clamped := false
+	for i := range list {
+		if list[i].t.Outer < outer {
+			list[i].t.Outer = outer
+			clamped = true
+		}
+	}
+	if !clamped {
+		return list, false
+	}
+	return consolidateVTD(list), true
+}
+
 // traceOracle is the pre-arrangement trace representation: per-key slices of
 // (value, time, diff) entries, clamped eagerly by advanceVTD. It defines the
 // semantics the columnar arrange.Trace must reproduce.

@@ -8,6 +8,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -83,12 +84,12 @@ func ratio(a, b time.Duration) string {
 
 // runModes executes a computation over a collection in each mode and returns
 // the totals.
-func runModes(col *view.Collection, mk func() analytics.Computation, opts core.RunOptions, modes []core.ExecMode) (map[core.ExecMode]*core.RunResult, error) {
+func runModes(ctx context.Context, col *view.Collection, mk func() analytics.Computation, opts core.RunOptions, modes []core.ExecMode) (map[core.ExecMode]*core.RunResult, error) {
 	out := make(map[core.ExecMode]*core.RunResult, len(modes))
 	for _, m := range modes {
 		o := opts
 		o.Mode = m
-		res, err := core.RunCollection(col, mk(), o)
+		res, err := core.RunCollectionContext(ctx, col, mk(), o)
 		if err != nil {
 			return nil, err
 		}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -15,7 +16,7 @@ func tinyCfg(buf *bytes.Buffer) Config {
 
 func TestTable2Shape(t *testing.T) {
 	var buf bytes.Buffer
-	rows, err := Table2(tinyCfg(&buf))
+	rows, err := Table2(context.Background(), tinyCfg(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +35,7 @@ func TestTable2Shape(t *testing.T) {
 
 func TestFig6Shape(t *testing.T) {
 	var buf bytes.Buffer
-	rows, err := Fig6(tinyCfg(&buf))
+	rows, err := Fig6(context.Background(), tinyCfg(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestFig6Shape(t *testing.T) {
 
 func TestFig7Shape(t *testing.T) {
 	var buf bytes.Buffer
-	rows, err := Fig7(tinyCfg(&buf))
+	rows, err := Fig7(context.Background(), tinyCfg(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestFig7Shape(t *testing.T) {
 
 func TestTable3Shape(t *testing.T) {
 	var buf bytes.Buffer
-	rows, err := Table3(tinyCfg(&buf))
+	rows, err := Table3(context.Background(), tinyCfg(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestTable3Shape(t *testing.T) {
 
 func TestTable4Shape(t *testing.T) {
 	var buf bytes.Buffer
-	rows, err := Table4(tinyCfg(&buf))
+	rows, err := Table4(context.Background(), tinyCfg(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,14 +111,14 @@ func TestTable4Shape(t *testing.T) {
 
 func TestFig89Shape(t *testing.T) {
 	var buf bytes.Buffer
-	rows, err := Fig8(tinyCfg(&buf))
+	rows, err := Fig8(context.Background(), tinyCfg(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 2*3*4 {
 		t.Fatalf("fig8: %d rows", len(rows))
 	}
-	rows9, err := Fig9(tinyCfg(&buf))
+	rows9, err := Fig9(context.Background(), tinyCfg(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestFig89Shape(t *testing.T) {
 
 func TestFig10Shape(t *testing.T) {
 	var buf bytes.Buffer
-	rows, err := Fig10(tinyCfg(&buf))
+	rows, err := Fig10(context.Background(), tinyCfg(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -29,7 +30,7 @@ type Fig10Row struct {
 // wall clock cannot improve, so the per-worker max-work proxy carries the
 // scaling signal (it should fall near-linearly with workers), with wall
 // clock reported for reference.
-func Fig10(cfg Config) ([]Fig10Row, error) {
+func Fig10(ctx context.Context, cfg Config) ([]Fig10Row, error) {
 	edges := cfg.scaled(150_000)
 	g := datagen.Social(datagen.SocialConfig{
 		Nodes:     max(20, edges/15),
@@ -73,7 +74,7 @@ func Fig10(cfg Config) ([]Fig10Row, error) {
 	var rows []Fig10Row
 	for _, a := range algs {
 		for _, w := range []int{1, 2, 4, 8, 12} {
-			res, err := core.RunCollection(col, a.mk(), core.RunOptions{Mode: core.DiffOnly, Workers: w})
+			res, err := core.RunCollectionContext(ctx, col, a.mk(), core.RunOptions{Mode: core.DiffOnly, Workers: w})
 			if err != nil {
 				return nil, err
 			}

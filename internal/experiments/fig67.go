@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -55,12 +56,12 @@ func newTemporalGraph(cfg Config) (*graph.Graph, int) {
 	return g, dayCol
 }
 
-func runFig(cfg Config, title string, collections []*view.Collection) ([]FigRow, error) {
+func runFig(ctx context.Context, cfg Config, title string, collections []*view.Collection) ([]FigRow, error) {
 	modes := []core.ExecMode{core.DiffOnly, core.Scratch, core.Adaptive}
 	var rows []FigRow
 	for _, a := range temporalAlgs() {
 		for _, col := range collections {
-			res, err := runModes(col, a.mk, core.RunOptions{Workers: cfg.workers()}, modes)
+			res, err := runModes(ctx, col, a.mk, core.RunOptions{Workers: cfg.workers()}, modes)
 			if err != nil {
 				return nil, err
 			}
@@ -92,7 +93,7 @@ func runFig(cfg Config, title string, collections []*view.Collection) ([]FigRow,
 // five window sizes. Smaller w means more, more-similar views; the paper's
 // shape is an increasing diff-only advantage as w shrinks, with PageRank the
 // least-stable exception, and adaptive tracking the better strategy.
-func Fig6(cfg Config) ([]FigRow, error) {
+func Fig6(ctx context.Context, cfg Config) ([]FigRow, error) {
 	g, dayCol := newTemporalGraph(cfg)
 	const start = temporalDays / 2
 	var collections []*view.Collection
@@ -106,14 +107,14 @@ func Fig6(cfg Config) ([]FigRow, error) {
 		col := view.NewCollection(fmt.Sprintf("w=%dd", w), g, windowStream(g, dayCol, windows, names))
 		collections = append(collections, col)
 	}
-	return runFig(cfg, fmt.Sprintf("Figure 6: Csim expanding windows on temporal graph (|E| = %d)", g.NumEdges()), collections)
+	return runFig(ctx, cfg, fmt.Sprintf("Figure 6: Csim expanding windows on temporal graph (|E| = %d)", g.NumEdges()), collections)
 }
 
 // Fig7 reproduces Figure 7 (§7.2): the Cno collections — completely
 // non-overlapping sliding windows of size w. The paper's shape: scratch wins
 // modestly (≤ ~2.5x) and the advantage does not grow with the number of
 // views; adaptive tracks scratch.
-func Fig7(cfg Config) ([]FigRow, error) {
+func Fig7(ctx context.Context, cfg Config) ([]FigRow, error) {
 	g, dayCol := newTemporalGraph(cfg)
 	var collections []*view.Collection
 	for _, w := range []int{40, 50, 80, 100, 200} {
@@ -126,5 +127,5 @@ func Fig7(cfg Config) ([]FigRow, error) {
 		col := view.NewCollection(fmt.Sprintf("w=%dd", w), g, windowStream(g, dayCol, windows, names))
 		collections = append(collections, col)
 	}
-	return runFig(cfg, fmt.Sprintf("Figure 7: Cno non-overlapping windows on temporal graph (|E| = %d)", g.NumEdges()), collections)
+	return runFig(ctx, cfg, fmt.Sprintf("Figure 7: Cno non-overlapping windows on temporal graph (|E| = %d)", g.NumEdges()), collections)
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"graphsurge/internal/analytics"
@@ -19,7 +20,7 @@ func BenchmarkPRDiffStep(b *testing.B) {
 	col := view.NewCollection("Csmall", g, randomViewSequence(pool, base, 12, 15, 15, 1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := core.RunCollection(col, analytics.PageRank{Iterations: 10}, core.RunOptions{Mode: core.DiffOnly, WeightProp: "w"})
+		_, err := core.RunCollectionContext(context.Background(), col, analytics.PageRank{Iterations: 10}, core.RunOptions{Mode: core.DiffOnly, WeightProp: "w"})
 		if err != nil {
 			b.Fatal(err)
 		}

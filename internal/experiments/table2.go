@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -25,7 +26,7 @@ type Table2Row struct {
 // the base view per view, the paper's 2M/1.5M on 10M edges). The paper's
 // shape: BF wins differentially on both; PR wins differentially only on the
 // similar collection and loses from-scratch on the dissimilar one.
-func Table2(cfg Config) ([]Table2Row, error) {
+func Table2(ctx context.Context, cfg Config) ([]Table2Row, error) {
 	baseEdges := cfg.scaled(120_000)
 	pool := baseEdges * 8 / 5
 	nodes := baseEdges / 15
@@ -55,7 +56,7 @@ func Table2(cfg Config) ([]Table2Row, error) {
 	var rows []Table2Row
 	for _, col := range []*view.Collection{small, big} {
 		for _, a := range algs {
-			res, err := runModes(col, a.mk, core.RunOptions{Workers: cfg.workers(), WeightProp: "w"},
+			res, err := runModes(ctx, col, a.mk, core.RunOptions{Workers: cfg.workers(), WeightProp: "w"},
 				[]core.ExecMode{core.DiffOnly, core.Scratch})
 			if err != nil {
 				return nil, err

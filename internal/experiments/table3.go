@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -113,7 +114,7 @@ func citationCollections(cfg Config) (*graph.Graph, []*view.Collection, error) {
 // adaptive splitting optimizer. The paper's shape: adaptive matches or beats
 // the better of the other two everywhere, and on Caut (which has natural
 // split points where the year window slides) it beats both.
-func Table3(cfg Config) ([]Table3Row, error) {
+func Table3(ctx context.Context, cfg Config) ([]Table3Row, error) {
 	_, collections, err := citationCollections(cfg)
 	if err != nil {
 		return nil, err
@@ -128,7 +129,7 @@ func Table3(cfg Config) ([]Table3Row, error) {
 	var rows []Table3Row
 	for _, a := range algs {
 		for _, col := range collections {
-			res, err := runModes(col, a.mk, core.RunOptions{Workers: cfg.workers(), WeightProp: "w"}, modes)
+			res, err := runModes(ctx, col, a.mk, core.RunOptions{Workers: cfg.workers(), WeightProp: "w"}, modes)
 			if err != nil {
 				return nil, err
 			}

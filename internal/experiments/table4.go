@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -150,9 +151,12 @@ func wtcDataset(cfg Config) (*communityDataset, error) {
 // for the C(10,5) and C(7,4) community-removal collections on both
 // community graphs. The paper's shape: the optimizer produces several-fold
 // fewer diffs at a modest (1.1-1.7x) CCT overhead.
-func Table4(cfg Config) ([]Table4Row, error) {
+func Table4(ctx context.Context, cfg Config) ([]Table4Row, error) {
 	var rows []Table4Row
 	for _, build := range []func(Config) (*communityDataset, error){ljDataset, wtcDataset} {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		ds, err := build(cfg)
 		if err != nil {
 			return nil, err
@@ -197,13 +201,13 @@ func fig89Algs(g *graph.Graph) []temporalAlg {
 	}
 }
 
-func runFig89(cfg Config, ds *communityDataset, figure string) ([]Fig89Row, error) {
+func runFig89(ctx context.Context, cfg Config, ds *communityDataset, figure string) ([]Fig89Row, error) {
 	var rows []Fig89Row
 	for _, cname := range []string{"10C5", "7C4"} {
 		for _, a := range fig89Algs(ds.g) {
 			for _, oname := range orderNames {
 				col := ds.cols[cname][oname]
-				res, err := runModes(col, a.mk,
+				res, err := runModes(ctx, col, a.mk,
 					core.RunOptions{Workers: cfg.workers(), WeightProp: "w"},
 					[]core.ExecMode{core.DiffOnly, core.Adaptive})
 				if err != nil {
@@ -236,20 +240,20 @@ func runFig89(cfg Config, ds *communityDataset, figure string) ([]Fig89Row, erro
 // community graph under the optimizer's order vs random orders, with
 // adaptive splitting off and on. The paper's shape: ordering wins big
 // without adaptive splitting; adaptive narrows but does not erase the gap.
-func Fig8(cfg Config) ([]Fig89Row, error) {
+func Fig8(ctx context.Context, cfg Config) ([]Fig89Row, error) {
 	ds, err := ljDataset(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return runFig89(cfg, ds, "Figure 8")
+	return runFig89(ctx, cfg, ds, "Figure 8")
 }
 
 // Fig9 reproduces Figure 9 (§7.4): the same experiment on the WTC-like
 // graph.
-func Fig9(cfg Config) ([]Fig89Row, error) {
+func Fig9(ctx context.Context, cfg Config) ([]Fig89Row, error) {
 	ds, err := wtcDataset(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return runFig89(cfg, ds, "Figure 9")
+	return runFig89(ctx, cfg, ds, "Figure 9")
 }

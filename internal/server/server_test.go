@@ -41,7 +41,7 @@ func testEngine(t *testing.T, k int) *core.Engine {
 		}
 		fmt.Fprintf(&sb, "[v%d: ts < %d]", i, 100*(i+1)/k)
 	}
-	if _, err := e.Execute(sb.String()); err != nil {
+	if _, err := e.ExecuteContext(context.Background(), sb.String()); err != nil {
 		t.Fatal(err)
 	}
 	return e

@@ -3,23 +3,21 @@ package tenant
 import (
 	"container/list"
 	"encoding/json"
-	"hash/fnv"
 	"sync"
 
 	"graphsurge/internal/core"
 	"graphsurge/internal/obs"
-	"graphsurge/internal/view"
 )
 
-// The result cache and the replay store. Both are keyed by content, not by
-// name alone: a cache key binds the collection's name, the graph version its
-// difference stream was read at, a chained fingerprint of the stream itself,
-// the computation's wire identity, and the normalized run options. Mutations
-// bump the graph version, so every pre-mutation entry is unreachable the
-// instant a mutation commits — the version key is the fail-closed
-// invalidation; the explicit purge on mutating requests just reclaims the
-// memory sooner. The stream fingerprint catches same-name redefinition at an
-// unchanged version.
+// The result cache. It is keyed by content, not by name alone: a cache key
+// binds the collection's name, the graph version its difference stream was
+// read at, a chained fingerprint of the stream itself
+// (view.DiffStream.ChainFingerprints), the computation's wire identity, and
+// the normalized run options. Mutations bump the graph version, so every
+// pre-mutation entry is unreachable the instant a mutation commits — the
+// version key is the fail-closed invalidation; the explicit purge on mutating
+// requests just reclaims the memory sooner. The stream fingerprint catches
+// same-name redefinition at an unchanged version.
 
 // cacheKey identifies one cacheable run result. All fields are comparable
 // strings/scalars so the key works as a map key directly.
@@ -61,35 +59,6 @@ func optionsKey(o core.RunOptions) string {
 		panic(err)
 	}
 	return string(b)
-}
-
-// chainFingerprints returns the cumulative FNV-1a fingerprint of a
-// difference stream's prefix after each view: out[t] covers views [0, t].
-// Chaining means equal values at t imply (up to hash collision) equal
-// prefixes, which is exactly the question suffix replay asks. Must be
-// called under the engine's run barrier — mutations edit Adds/Dels in
-// place.
-func chainFingerprints(s *view.DiffStream) []uint64 {
-	h := fnv.New64a()
-	var buf [4]byte
-	word := func(v uint32) {
-		buf[0], buf[1], buf[2], buf[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-		h.Write(buf[:])
-	}
-	out := make([]uint64, s.NumViews())
-	for t := 0; t < s.NumViews(); t++ {
-		h.Write([]byte(s.Names[t]))
-		word(uint32(len(s.Adds[t])))
-		for _, e := range s.Adds[t] {
-			word(e)
-		}
-		word(uint32(len(s.Dels[t])))
-		for _, e := range s.Dels[t] {
-			word(e)
-		}
-		out[t] = h.Sum64()
-	}
-	return out
 }
 
 // resultCache is an LRU map from cacheKey to a stored *core.RunResult.
@@ -148,107 +117,4 @@ func (c *resultCache) purge() {
 	c.order.Init()
 	c.entries = make(map[cacheKey]*list.Element)
 	obs.M.CacheEvictions.Add(int64(n))
-}
-
-func (c *resultCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-// replayKey identifies a warm replay replica. It deliberately omits the
-// collection name: a replica is reusable by any collection over the same
-// graph whose stream extends the absorbed prefix — including a redefined or
-// differently-named sibling — so prefix matching is by content (chain
-// fingerprint), not by name.
-type replayKey struct {
-	graph   string
-	spec    string
-	workers int
-	weight  string
-}
-
-// replayEntry is one replica plus the identity of what it has absorbed.
-// mu serializes extends over the replica; match returns the entry locked.
-type replayEntry struct {
-	mu      sync.Mutex
-	key     replayKey
-	rep     *core.Replay
-	chainAt uint64 // cumulative fingerprint of the absorbed prefix
-	seq     uint64 // LRU clock tick of last use
-	dead    bool
-}
-
-// replayStore holds at most max warm replicas, one per replayKey, evicting
-// the least recently used.
-type replayStore struct {
-	mu      sync.Mutex
-	max     int
-	clock   uint64
-	entries map[replayKey]*replayEntry
-}
-
-func newReplayStore(max int) *replayStore {
-	return &replayStore{max: max, entries: make(map[replayKey]*replayEntry)}
-}
-
-// match returns the store's replica for the key with its mutex held, if its
-// absorbed prefix is a prefix of the candidate stream (chain[rep.Pos()-1]
-// equals the replica's cumulative fingerprint). The caller must unlock the
-// entry when done extending. A nil return means no usable replica.
-func (s *replayStore) match(key replayKey, chain []uint64) *replayEntry {
-	s.mu.Lock()
-	en := s.entries[key]
-	if en != nil {
-		s.clock++
-		en.seq = s.clock
-	}
-	s.mu.Unlock()
-	if en == nil {
-		return nil
-	}
-	en.mu.Lock()
-	pos := en.rep.Pos()
-	if en.dead || pos == 0 || pos > len(chain) || chain[pos-1] != en.chainAt {
-		en.mu.Unlock()
-		return nil
-	}
-	return en
-}
-
-// put registers a freshly built replica under the key, evicting the least
-// recently used entry at capacity.
-func (s *replayStore) put(key replayKey, rep *core.Replay, chainAt uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.clock++
-	s.entries[key] = &replayEntry{key: key, rep: rep, chainAt: chainAt, seq: s.clock}
-	for len(s.entries) > s.max {
-		var victim replayKey
-		var oldest uint64
-		first := true
-		for k, en := range s.entries {
-			if first || en.seq < oldest {
-				victim, oldest, first = k, en.seq, false
-			}
-		}
-		delete(s.entries, victim)
-	}
-}
-
-// purge marks every replica dead and forgets it. In-flight extends finish
-// under their entry lock and their results stay correct (the engine
-// re-checks the graph version); dead replicas are simply never matched
-// again.
-func (s *replayStore) purge() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for k, en := range s.entries {
-		// dead is read under the entry lock; take it so an in-flight extend
-		// and this purge never race on the flag.
-		en.mu.Lock()
-		en.dead = true
-		en.mu.Unlock()
-		delete(s.entries, k)
-	}
 }

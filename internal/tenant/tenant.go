@@ -4,9 +4,11 @@
 // per-tenant admission control (concurrency slots, a bounded FIFO wait
 // queue, a token-bucket rate limiter), a single-flight result cache keyed by
 // collection content and graph version, and differential suffix replay —
-// a run over a collection that extends an already-absorbed prefix by k views
-// steps only the k-view suffix on a warm replica (core.Replay), so the run
-// costs its delta, the paper's trick applied to the serving layer.
+// diff-only runs execute on the engine's warm replicas
+// (core.RunOptions.Incremental), so a run over a collection that extends an
+// already-absorbed prefix by k views steps only the k-view suffix and a
+// re-run after a mutation only the delta: the run costs what changed, the
+// paper's trick applied to the serving layer.
 //
 // The middleware is a layer, not a fork: requests it cannot accelerate pass
 // through to the wrapped session unchanged, and every result it serves is
@@ -21,10 +23,8 @@ import (
 	"fmt"
 	"sync"
 
-	"graphsurge/internal/analytics"
 	"graphsurge/internal/core"
 	"graphsurge/internal/obs"
-	"graphsurge/internal/view"
 )
 
 // DefaultTenant is the tenant identity used when a request carries none.
@@ -38,8 +38,9 @@ type Options struct {
 	// CacheEntries bounds the result cache; 0 disables caching (and with it
 	// single-flight dedup and suffix replay).
 	CacheEntries int
-	// CacheReplicas bounds the warm suffix-replay replicas; 0 disables
-	// replay while keeping the exact-hit cache.
+	// CacheReplicas enables suffix replay when positive; 0 disables it while
+	// keeping the exact-hit cache. The value no longer sizes anything: warm
+	// replicas live in the engine, under the engine's own bound.
 	CacheReplicas int
 }
 
@@ -62,7 +63,6 @@ type Middleware struct {
 	mu      sync.Mutex
 	flights map[cacheKey]*flight
 	cache   *resultCache // nil when disabled
-	replays *replayStore // nil when disabled
 }
 
 // New builds a middleware over the engine.
@@ -76,9 +76,6 @@ func New(eng *core.Engine, opts Options) *Middleware {
 	}
 	if opts.CacheEntries > 0 {
 		m.cache = newResultCache(opts.CacheEntries)
-		if opts.CacheReplicas > 0 {
-			m.replays = newReplayStore(opts.CacheReplicas)
-		}
 	}
 	return m
 }
@@ -87,8 +84,8 @@ func New(eng *core.Engine, opts Options) *Middleware {
 // DefaultTenant): rate admission first, then — for run requests — the cache
 // and single-flight path, and an execution slot only around work that
 // actually executes. Catalog-mutating requests (statements, loads,
-// mutations) purge the cache and replay store after the inner call, fail
-// closed: a failed statement batch may still have redefined artifacts.
+// mutations) purge the cache after the inner call, fail closed: a failed
+// statement batch may still have redefined artifacts.
 func (m *Middleware) Do(ctx context.Context, tenant string, req core.Request) (core.Response, error) {
 	if tenant == "" {
 		tenant = DefaultTenant
@@ -105,8 +102,13 @@ func (m *Middleware) Do(ctx context.Context, tenant string, req core.Request) (c
 	}
 	defer release()
 	resp, err := m.sess.Do(ctx, req)
-	if mutatesCatalog(req) {
-		m.invalidate()
+	if m.cache != nil && mutatesCatalog(req) {
+		// Version-keyed entries are already unreachable after a mutation
+		// (Graph.Version is monotonic and part of every key); the purge
+		// reclaims them eagerly and also covers same-version redefinition.
+		// Warm replicas need nothing from here: the engine invalidates its
+		// own.
+		m.cache.purge()
 	}
 	return resp, err
 }
@@ -133,26 +135,9 @@ func mutatesCatalog(req core.Request) bool {
 	return false
 }
 
-// invalidate purges the result cache and replay store. Version-keyed
-// entries are already unreachable after a mutation (Graph.Version is
-// monotonic and part of every key); the purge reclaims them eagerly and
-// also covers same-version redefinition.
-func (m *Middleware) invalidate() {
-	if m.cache != nil {
-		m.cache.purge()
-	}
-	if m.replays != nil {
-		m.replays.purge()
-	}
-}
-
 // doRun is the cached run path.
 func (m *Middleware) doRun(ctx context.Context, tenant string, r *core.RunRequest) (core.Response, error) {
-	comp, err := r.Algorithm.Resolve()
-	if err != nil {
-		return nil, err
-	}
-	key, rkey, chain, col, err := m.snapshotKey(r)
+	key, err := m.snapshotKey(r)
 	if err != nil {
 		return nil, err
 	}
@@ -190,7 +175,7 @@ func (m *Middleware) doRun(ctx context.Context, tenant string, r *core.RunReques
 		m.flights[key] = f
 		m.mu.Unlock()
 
-		res, err := m.lead(ctx, tenant, r, comp, key, rkey, chain, col)
+		res, err := m.lead(ctx, tenant, r, key)
 		f.res, f.err = res, err
 		m.mu.Lock()
 		delete(m.flights, key)
@@ -208,17 +193,16 @@ func ctxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// lead executes a run as a flight's leader: acquire an execution slot, run
-// (by suffix replay when a warm replica's prefix matches, by the wrapped
-// session otherwise), and store the result.
-func (m *Middleware) lead(ctx context.Context, tenant string, r *core.RunRequest, comp analytics.Computation, key cacheKey, rkey replayKey, chain []uint64, col *view.Collection) (*core.RunResult, error) {
+// lead executes a run as a flight's leader: acquire an execution slot, run on
+// the wrapped session, and store the result.
+func (m *Middleware) lead(ctx context.Context, tenant string, r *core.RunRequest, key cacheKey) (*core.RunResult, error) {
 	release, err := m.adm.acquireSlot(ctx, tenant)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
 
-	res, status, err := m.execute(ctx, r, comp, rkey, chain, col)
+	res, status, err := m.execute(ctx, r)
 	if err != nil {
 		return nil, err
 	}
@@ -228,69 +212,41 @@ func (m *Middleware) lead(ctx context.Context, tenant string, r *core.RunRequest
 	return stored, nil
 }
 
-// execute picks the cheapest correct execution: extend a warm replay
-// replica over just the suffix, build a fresh replica when the mode allows
-// so the next extension is warm, or fall through to the wrapped session.
-func (m *Middleware) execute(ctx context.Context, r *core.RunRequest, comp analytics.Computation, rkey replayKey, chain []uint64, col *view.Collection) (*core.RunResult, string, error) {
-	norm := normalizeKeyOptions(r.Options)
-	replayable := m.replays != nil && norm.Mode == core.DiffOnly && !norm.Incremental
-	if replayable {
-		if en := m.replays.match(rkey, chain); en != nil {
-			res, err := m.eng.ExtendReplay(ctx, en.rep, col, comp, r.Options)
-			if err == nil {
-				en.chainAt = chain[len(chain)-1]
-				en.mu.Unlock()
-				obs.M.CacheReplays.Inc()
-				return res, "replay", nil
-			}
-			// Stale (a mutation slipped in after the snapshot), canceled, or
-			// failed: the replica is unusable either way. Drop it; only
-			// staleness falls through to a from-scratch rebuild — anything
-			// else would fail the rebuild identically.
-			en.dead = true
-			en.mu.Unlock()
-			if !errors.Is(err, core.ErrReplayStale) {
-				return nil, "", err
-			}
-		}
-		// Miss: build the replica by absorbing the whole stream — full-cost
-		// now, delta-cost for every extension after.
-		rep := &core.Replay{}
-		res, err := m.eng.ExtendReplay(ctx, rep, col, comp, r.Options)
-		if err != nil {
-			return nil, "", err
-		}
-		m.replays.put(rkey, rep, chain[len(chain)-1])
-		obs.M.CacheMisses.Inc()
-		return res, "miss", nil
+// execute runs the request on the wrapped session. With replay enabled a
+// diff-only run executes on the engine's matching warm replica, which steps
+// only what it has not absorbed; the run is a replay when the result reports
+// a reused replica and a miss — full cost now, delta cost for every
+// extension after — when the replica was built cold.
+func (m *Middleware) execute(ctx context.Context, r *core.RunRequest) (*core.RunResult, string, error) {
+	replay := m.opts.CacheReplicas > 0 && r.Options.Mode == core.DiffOnly
+	if replay {
+		cp := *r
+		cp.Options.Incremental = true
+		r = &cp
 	}
-	res, err := m.runInner(ctx, r)
+	resp, err := m.sess.Do(ctx, r)
 	if err != nil {
 		return nil, "", err
+	}
+	res := resp.(*core.RunResult)
+	if replay && res.Incremental {
+		obs.M.CacheReplays.Inc()
+		return res, "replay", nil
 	}
 	obs.M.CacheMisses.Inc()
 	return res, "miss", nil
 }
 
-// runInner delegates to the wrapped session and narrows the response type.
-func (m *Middleware) runInner(ctx context.Context, r *core.RunRequest) (*core.RunResult, error) {
-	resp, err := m.sess.Do(ctx, r)
+// snapshotKey resolves the collection and computes the cache identity as one
+// consistent snapshot under the engine's run barrier: the lookup, the graph
+// version, and the stream fingerprint are all read with no mutation in
+// flight, so the key names exactly the bytes an execution at that version
+// sees (a mutation landing in between only files the result under a version
+// no later request asks for).
+func (m *Middleware) snapshotKey(r *core.RunRequest) (key cacheKey, err error) {
+	specJSON, err := json.Marshal(r.Algorithm)
 	if err != nil {
-		return nil, err
-	}
-	return resp.(*core.RunResult), nil
-}
-
-// snapshotKey resolves the collection and computes the cache/replay identity
-// as one consistent snapshot under the engine's run barrier: the lookup, the
-// graph version, and the stream fingerprints are all read with no mutation
-// in flight, so the key names exactly the bytes a subsequent execution will
-// see (or, if a mutation lands in between, a version the replay path's
-// staleness check refuses).
-func (m *Middleware) snapshotKey(r *core.RunRequest) (key cacheKey, rkey replayKey, chain []uint64, col *view.Collection, err error) {
-	specJSON, jerr := json.Marshal(r.Algorithm)
-	if jerr != nil {
-		return key, rkey, nil, nil, jerr
+		return key, err
 	}
 	// Resolve the engine's worker default before normalizing, so Workers: 0
 	// and an explicit Workers: <engine default> share a key — they run the
@@ -299,17 +255,15 @@ func (m *Middleware) snapshotKey(r *core.RunRequest) (key cacheKey, rkey replayK
 	if opts.Workers == 0 {
 		opts.Workers = m.eng.Options().Workers
 	}
-	opts = normalizeKeyOptions(opts)
-	aerr := m.eng.Admit(func() error {
-		c, lerr := m.eng.LookupCollection(r.Collection)
-		if lerr != nil {
-			return lerr
+	err = m.eng.Admit(func() error {
+		c, err := m.eng.LookupCollection(r.Collection)
+		if err != nil {
+			return err
 		}
 		if c.Stream == nil || c.Stream.NumViews() == 0 {
 			return fmt.Errorf("tenant: collection %q has no views", r.Collection)
 		}
-		col = c
-		chain = chainFingerprints(c.Stream)
+		chain := c.Stream.ChainFingerprints()
 		key = cacheKey{
 			collection: c.Name,
 			version:    c.Version,
@@ -317,18 +271,9 @@ func (m *Middleware) snapshotKey(r *core.RunRequest) (key cacheKey, rkey replayK
 			spec:       string(specJSON),
 			opts:       optionsKey(opts),
 		}
-		rkey = replayKey{
-			graph:   c.Graph.Name,
-			spec:    string(specJSON),
-			workers: opts.Workers,
-			weight:  opts.WeightProp,
-		}
 		return nil
 	})
-	if aerr != nil {
-		return key, rkey, nil, nil, aerr
-	}
-	return key, rkey, chain, col, nil
+	return key, err
 }
 
 // stamped hands out a per-caller copy of a stored result carrying the

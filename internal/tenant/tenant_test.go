@@ -31,7 +31,7 @@ func testEngine(t *testing.T, k int) *core.Engine {
 	if err := e.AddGraph(g); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Execute(collectionStmt("cc", k)); err != nil {
+	if _, err := e.ExecuteContext(context.Background(), collectionStmt("cc", k)); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { e.Close() })
@@ -177,7 +177,11 @@ func TestMutationInvalidation(t *testing.T) {
 	}
 
 	// Mutate through the middleware, concurrently with a stream of cached
-	// runs — the race detector checks the snapshot/mutation exclusion.
+	// runs — the race detector checks the snapshot/mutation exclusion. The
+	// stream runs in scratch mode so it shares no cache key with the runs
+	// asserted on below: whatever it stores after the mutation commits cannot
+	// turn the post-mutation run into a hit. (That the purge empties the
+	// cache is pinned without concurrency in TestReplayAfterMutation.)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	wg.Add(1)
@@ -189,7 +193,7 @@ func TestMutationInvalidation(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := m.Do(context.Background(), "", runReq("cc", core.RunOptions{})); err != nil {
+			if _, err := m.Do(context.Background(), "", runReq("cc", core.RunOptions{Mode: core.Scratch})); err != nil {
 				t.Error(err)
 				return
 			}
@@ -210,9 +214,6 @@ func TestMutationInvalidation(t *testing.T) {
 	applied := resp.(*core.MutationApplied)
 	if applied.Version == 0 {
 		t.Fatal("mutation did not bump the graph version")
-	}
-	if n := m.cache.len(); n != 0 {
-		t.Fatalf("cache holds %d entries after a mutation, want 0", n)
 	}
 
 	after := mustRun(t, m, "", runReq("cc", core.RunOptions{}))
@@ -292,13 +293,17 @@ func TestSuffixReplay(t *testing.T) {
 	// A sibling collection extending cc's five views by two more, under a
 	// different collection name — prefix matching is by stream content, not
 	// by collection name. Defining it is a catalog mutation that purges the
-	// cache and replay store fail-closed, so rebuild the cc replica after.
+	// result cache fail-closed; the engine's replica for cc is untouched, so
+	// the re-run executes again but steps nothing.
 	if _, err := m.Do(context.Background(), "", &core.StatementsRequest{Src: ccExtended(7)}); err != nil {
 		t.Fatal(err)
 	}
 	warm := mustRun(t, m, "", runReq("cc", core.RunOptions{Mode: core.DiffOnly}))
-	if warm.CacheStatus != "miss" {
-		t.Fatalf("post-redefinition run on cc: cache status %q, want miss (fail-closed purge)", warm.CacheStatus)
+	if warm.CacheStatus != "replay" || len(warm.Stats) != 0 {
+		t.Fatalf("post-redefinition run on cc: cache status %q stepping %d views, want a zero-view replay", warm.CacheStatus, len(warm.Stats))
+	}
+	if !reflect.DeepEqual(warm.FinalResults(), first.FinalResults()) {
+		t.Fatal("zero-view replay result differs from the executed run")
 	}
 
 	replays := obs.M.CacheReplays.Value()
@@ -331,10 +336,77 @@ func TestSuffixReplay(t *testing.T) {
 	}
 }
 
+// TestReplayAfterMutation pins what only an engine-owned replica can do: the
+// serving path's warm replica survives a mutation. The re-run after it feeds
+// the queued delta instead of rebuilding, a sibling collection is answered
+// warm or cold but never wrong, and with replay disabled the same traffic is
+// all misses.
+func TestReplayAfterMutation(t *testing.T) {
+	e := testEngine(t, 5)
+	m := New(e, Options{CacheEntries: 16, CacheReplicas: 4})
+	if _, err := m.Do(context.Background(), "", &core.StatementsRequest{Src: ccExtended(7)}); err != nil {
+		t.Fatal(err)
+	}
+	diff := core.RunOptions{Mode: core.DiffOnly}
+	direct := func(collection string) *core.RunResult {
+		t.Helper()
+		resp, err := e.NewSession().Do(context.Background(), runReq(collection, core.RunOptions{Mode: core.Scratch}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.(*core.RunResult)
+	}
+	mutate := func(m *Middleware) {
+		t.Helper()
+		if _, err := m.Do(context.Background(), "", &core.MutateRequest{
+			Graph:   "g",
+			Inserts: []core.EdgeChange{{Src: 0, Dst: 1, Props: map[string]any{"ts": 2, "duration": 3}}},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	cold := mustRun(t, m, "", runReq("cc", diff))
+	if cold.CacheStatus != "miss" || cold.Incremental {
+		t.Fatalf("first run: cache status %q incremental=%v, want a cold miss", cold.CacheStatus, cold.Incremental)
+	}
+	mutate(m)
+	if n := len(m.cache.entries); n != 0 {
+		t.Fatalf("cache holds %d entries after a mutation, want 0", n)
+	}
+	after := mustRun(t, m, "", runReq("cc", diff))
+	if after.CacheStatus != "replay" || !after.Incremental || len(after.Stats) != 1 {
+		t.Fatalf("post-mutation run: cache status %q incremental=%v stepping %d, want a one-delta replay",
+			after.CacheStatus, after.Incremental, len(after.Stats))
+	}
+	if after.MaxWork() >= cold.MaxWork() {
+		t.Fatalf("post-mutation work %d is not below the cold run's %d", after.MaxWork(), cold.MaxWork())
+	}
+	if !reflect.DeepEqual(after.FinalResults(), direct("cc").FinalResults()) {
+		t.Fatal("post-mutation replay differs from a direct scratch run")
+	}
+
+	mutate(m)
+	sib := mustRun(t, m, "", runReq("cc_ext", diff))
+	if sib.CacheStatus != "replay" && sib.CacheStatus != "miss" {
+		t.Fatalf("sibling after a mutation: cache status %q", sib.CacheStatus)
+	}
+	if !reflect.DeepEqual(sib.FinalResults(), direct("cc_ext").FinalResults()) {
+		t.Fatalf("sibling after a mutation (%s) differs from a direct scratch run", sib.CacheStatus)
+	}
+
+	off := New(e, Options{CacheEntries: 16})
+	mustRun(t, off, "", runReq("cc", diff))
+	mutate(off)
+	if r := mustRun(t, off, "", runReq("cc", diff)); r.CacheStatus != "miss" || r.Incremental {
+		t.Fatalf("replay disabled: cache status %q incremental=%v, want a plain miss", r.CacheStatus, r.Incremental)
+	}
+}
+
 // ccExtended emits GVDL defining cc_ext: viewsTotal views over g whose
 // view names and predicates extend collectionStmt("cc", ...)'s, so cc_ext's
 // difference stream is byte-identical to cc's over the shared prefix — the
-// property the replay store's chained fingerprints detect.
+// property a replica's chained fingerprint detects.
 func ccExtended(viewsTotal int) string {
 	var sb strings.Builder
 	sb.WriteString("create view collection cc_ext on g ")

@@ -6,6 +6,7 @@ package view
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -149,6 +150,35 @@ func (d *DiffStream) TotalDiffs() int64 {
 		n += int64(d.DiffSize(t))
 	}
 	return n
+}
+
+// ChainFingerprints returns the cumulative FNV-1a fingerprint of the
+// stream's prefix after each view: out[t] covers views [0, t]. Chaining
+// means equal values at t imply (up to hash collision) equal prefixes, which
+// is the question a warm replica asks before stepping a suffix and the
+// identity the serving cache keys results by. Call it under the engine's run
+// barrier: mutations edit Adds/Dels in place.
+func (d *DiffStream) ChainFingerprints() []uint64 {
+	h := fnv.New64a()
+	var buf [4]byte
+	word := func(v uint32) {
+		buf[0], buf[1], buf[2], buf[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
+		h.Write(buf[:])
+	}
+	out := make([]uint64, d.NumViews())
+	for t := range out {
+		h.Write([]byte(d.Names[t]))
+		word(uint32(len(d.Adds[t])))
+		for _, e := range d.Adds[t] {
+			word(e)
+		}
+		word(uint32(len(d.Dels[t])))
+		for _, e := range d.Dels[t] {
+			word(e)
+		}
+		out[t] = h.Sum64()
+	}
+	return out
 }
 
 // ViewSizes returns |GV_t| for every view (accumulated edge counts).
