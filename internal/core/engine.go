@@ -76,10 +76,10 @@ type Engine struct {
 	poolMu sync.Mutex
 	pools  map[poolKey]*poolEntry
 
-	// incMu guards the warm replica map (replica.go); per-replica locks
+	// incMu guards the warm replica list (replica.go); per-replica locks
 	// serialize runs over one replica.
 	incMu    sync.Mutex
-	replicas map[replicaKey]*replica
+	replicas []*replica
 
 	// runMu guards the active-run count, the closing flag and the mutating
 	// flag; runDone is signalled as active reaches zero and as a mutation
@@ -195,7 +195,6 @@ func NewEngine(opts Options) (*Engine, error) {
 		aggViews:    make(map[string]*aggregate.View),
 		aggStmts:    make(map[string]*gvdl.CreateAggView),
 		pools:       make(map[poolKey]*poolEntry),
-		replicas:    make(map[replicaKey]*replica),
 		traces:      obs.NewTraceStore(0),
 	}
 	e.runDone = sync.NewCond(&e.runMu)
@@ -364,7 +363,7 @@ func (e *Engine) Close() error {
 	}
 	e.poolMu.Unlock()
 	e.incMu.Lock()
-	clear(e.replicas)
+	e.replicas = nil
 	e.incMu.Unlock()
 	e.closing = false
 	e.runMu.Unlock()

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -25,14 +26,15 @@ import (
 //
 // Replicas are deliberately not pool slots: a pooled replica is reset
 // between runs, while a warm replica's accumulated state is the whole point.
-// They live in one LRU-bounded map and die with Close.
+// They live in one LRU-bounded list and die with Close.
 
 // replicaKey is everything that must be equal for a replica's dataflow to be
 // the run's dataflow: the base graph (by pointer — a different graph loaded
 // under the same name shares no edge indices), the computation's identity
 // (bfs(source=1) and bfs(source=2) never share state), the worker count and
 // the weight property the batches are resolved with. The collection is not
-// part of it: which collections a replica can serve is decided by content.
+// part of it: a key holds one replica per collection run on it, and which of
+// them a run can use is decided by content.
 type replicaKey struct {
 	graph   *graph.Graph
 	ident   string
@@ -40,7 +42,7 @@ type replicaKey struct {
 	weight  string
 }
 
-// replicaDelta is one queued mutation delta: the tracked collection's
+// replicaDelta is one queued mutation delta: the owning collection's
 // final-view membership change as columnar batches, stamped with the graph
 // version the collection reached when it was maintained.
 type replicaDelta struct {
@@ -48,113 +50,157 @@ type replicaDelta struct {
 	adds, dels *graph.EdgeBatch
 }
 
-// replica is one warm runner and the identity of what it has absorbed. mu
-// guards every field but lastUse (the engine's incMu) and serializes runs
-// over the replica; lock order is incMu, then mu.
+// replica is one warm runner and the identity of what it has absorbed. The
+// engine's incMu guards col and lastUse, so the store routes, ages and drops
+// replicas without waiting on one; mu guards the rest and serializes runs
+// over the replica. Lock order is incMu, then mu, and nothing blocks on mu
+// while holding incMu.
 type replica struct {
+	key replicaKey
+	// col is the collection of the replica's latest run, its owner: col's
+	// next run comes back here, col's maintenance deltas are queued here once
+	// the replica has absorbed all of col's stream, and re-creating col drops
+	// it. pending is only ever col's: acquire hands a replica to another
+	// collection only while pending is empty.
+	col     *view.Collection
+	lastUse time.Time
+
 	mu      sync.Mutex
 	runner  analytics.Runner
-	version uint64 // graph version the absorbed state reflects
-	pos     int    // stream views absorbed
-	chain   uint64 // chained fingerprint of the absorbed prefix [0, pos)
-	next    uint32 // next outer dataflow version to feed
-	// col is the collection the replica last finished on: its state equals
-	// col's final view at version, so col's maintenance deltas apply to it.
-	// Nil while the replica is part-way through a stream.
-	col     *view.Collection
+	version uint64         // graph version the absorbed state reflects
+	pos     int            // stream views absorbed
+	chain   uint64         // chained fingerprint of the absorbed prefix [0, pos)
+	next    uint32         // next outer dataflow version to feed
 	pending []replicaDelta // col's deltas since version, oldest first
-	queued  int            // steps plus edges queued since the last finished run
-	lastUse time.Time
+	queued  int            // steps plus edges in pending
 }
 
-// maxReplicas bounds the replica map the way maxEnginePools bounds the warm
-// pools: at the cap the least-recently-run replica is dropped (a later run on
-// its key simply rebuilds cold).
+// maxReplicas bounds the replica list the way maxEnginePools bounds the warm
+// pools: at the cap the least-recently-run replica is dropped (a later run of
+// its collection simply rebuilds cold).
 const maxReplicas = 64
 
-// replicaFor returns the replica for the key, creating an empty one —
-// evicting the least recently used at the bound — when there is none.
-func (e *Engine) replicaFor(key replicaKey) *replica {
+// warmFor reports whether the replica can prove its state is a point on
+// col's stream — the one place a replica's version meets a collection's. With
+// deltas queued (they are col's, see replica.col) they must reach col's graph
+// version; without, the replica must reflect that version and its absorbed
+// prefix must be a prefix of col's stream. chain is col's ChainFingerprints.
+func (st *replica) warmFor(col *view.Collection, chain []uint64) bool {
+	if st.runner == nil {
+		return false
+	}
+	if n := len(st.pending); n > 0 {
+		return st.pending[n-1].version == col.Version
+	}
+	return st.version == col.Version && st.pos >= 1 && st.pos <= len(chain) && chain[st.pos-1] == st.chain
+}
+
+// acquire returns, locked, the replica a run of col on key executes on: col's
+// own if it has one (warm or not — extend decides); else the idle replica of
+// the key that has absorbed the longest prefix of col's stream, which col
+// takes over (a sibling collection extending another's stream steps only its
+// suffix); else a new empty one, evicting the least recently used at the
+// bound. A replica busy with another collection's run is left alone.
+func (e *Engine) acquire(key replicaKey, col *view.Collection, chain []uint64) *replica {
 	e.incMu.Lock()
-	defer e.incMu.Unlock()
-	st := e.replicas[key]
+	var st *replica
+	for _, r := range e.replicas {
+		if r.key == key && r.col == col {
+			st = r
+			break
+		}
+	}
+	owned := st != nil
+	if !owned {
+		for _, r := range e.replicas {
+			if r.key != key || !r.mu.TryLock() {
+				continue
+			}
+			if len(r.pending) > 0 || !r.warmFor(col, chain) || (st != nil && st.pos >= r.pos) {
+				r.mu.Unlock()
+				continue
+			}
+			if st != nil {
+				st.mu.Unlock()
+			}
+			st = r
+		}
+	}
 	if st == nil {
 		if len(e.replicas) >= maxReplicas {
-			var victim replicaKey
-			var oldest time.Time
-			first := true
-			for k, old := range e.replicas {
-				if first || old.lastUse.Before(oldest) {
-					victim, oldest, first = k, old.lastUse, false
+			victim := 0
+			for i, r := range e.replicas {
+				if r.lastUse.Before(e.replicas[victim].lastUse) {
+					victim = i
 				}
 			}
-			delete(e.replicas, victim)
+			e.replicas = slices.Delete(e.replicas, victim, victim+1)
 		}
-		st = &replica{}
-		e.replicas[key] = st
+		st = &replica{key: key}
+		st.mu.Lock()
+		e.replicas = append(e.replicas, st)
 	}
-	st.lastUse = time.Now()
+	st.col, st.lastUse = col, time.Now()
+	e.incMu.Unlock()
+	if owned {
+		st.mu.Lock()
+	}
 	return st
 }
 
 // queueDelta hands one maintained collection's final-view delta to every
-// replica that finished on it. Called from runMaintenance under the mutation
-// barrier, so no run holds a replica's mutex concurrently. A replica that
-// finished elsewhere gets nothing and fails closed: its version no longer
-// reaches the graph's, so its next run rebuilds cold.
+// replica that has absorbed all of its stream, and drops the replicas whose
+// queue outgrew its use. Called from runMaintenance under the mutation
+// barrier, so no run holds a replica's mutex. A replica owned by another
+// collection, or part-way through c's stream, gets nothing and fails closed:
+// its version no longer reaches the graph's, so its next run rebuilds cold.
 func (e *Engine) queueDelta(c *view.Collection, d view.ViewDelta, version uint64) {
 	sizes := c.Stream.ViewSizes()
 	e.incMu.Lock()
 	defer e.incMu.Unlock()
-	for key, st := range e.replicas {
-		if key.graph == c.Graph && !st.queue(c, d, version, key.weight, sizes[len(sizes)-1]) {
-			delete(e.replicas, key)
-		}
-	}
+	e.replicas = slices.DeleteFunc(e.replicas, func(st *replica) bool {
+		return st.col == c && !st.queue(c, d, version, sizes[len(sizes)-1])
+	})
 }
 
-// queue appends c's delta to the replica if it finished on c, and reports
-// whether the replica is still worth keeping. Queued deltas are bounded by
-// what they save: once a replica holds more queued steps and edges than its
-// collection's final view has edges, a cold rebuild steps less than feeding
-// them would.
-func (st *replica) queue(c *view.Collection, d view.ViewDelta, version uint64, weight string, finalSize int) bool {
+// queue appends its owner c's delta to the replica if it has absorbed all of
+// c's stream, and reports whether the replica is still worth keeping. Queued
+// deltas are bounded by what they save: once a replica holds more queued
+// steps and edges than its collection's final view has edges, a cold rebuild
+// steps less than feeding them would.
+func (st *replica) queue(c *view.Collection, d view.ViewDelta, version uint64, finalSize int) bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.col != c {
+	if st.pos != c.Stream.NumViews() {
 		return true
 	}
-	wc, err := c.Graph.WeightColumn(weight)
+	wc, err := c.Graph.WeightColumn(st.key.weight)
 	if err != nil {
 		// A mutation cannot remove a column; fail closed all the same.
 		return false
 	}
 	cols := edgeBatcher(c.Graph, wc)
 	// An empty delta still queues: the version chain must stay contiguous
-	// for extend's staleness check.
-	st.pending = append(st.pending, replicaDelta{version: version, adds: cols(d.Adds), dels: cols(d.Dels)})
-	st.queued += 1 + len(d.Adds) + len(d.Dels)
+	// for warmFor's staleness check.
+	adds, dels := cols(d.Adds), cols(d.Dels)
+	st.pending = append(st.pending, replicaDelta{version: version, adds: adds, dels: dels})
+	st.queued += 1 + adds.Len() + dels.Len()
 	return st.queued <= finalSize
 }
 
-// dropIncStates discards every replica that finished on a collection of the
-// given name — re-creating a collection retires the state accumulated under
-// it. Replicas that finished elsewhere are matched by content, never by
-// name, and need no invalidation.
+// dropIncStates discards every replica owned by a collection of the given
+// name — re-creating a collection retires the state accumulated under it. A
+// run in flight on a dropped replica finishes on it undisturbed.
 func (e *Engine) dropIncStates(collection string) {
 	e.incMu.Lock()
 	defer e.incMu.Unlock()
-	for key, st := range e.replicas {
-		st.mu.Lock()
-		if st.col != nil && st.col.Name == collection {
-			delete(e.replicas, key)
-		}
-		st.mu.Unlock()
-	}
+	e.replicas = slices.DeleteFunc(e.replicas, func(st *replica) bool {
+		return st.col.Name == collection
+	})
 }
 
 // runIncremental executes an Incremental run (RunOptions.Incremental) on the
-// engine's replica for the run's key.
+// engine's replica for the run's key and collection.
 func (e *Engine) runIncremental(ctx context.Context, col *view.Collection, comp analytics.Computation, opts RunOptions) (*RunResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -169,43 +215,33 @@ func (e *Engine) runIncremental(ctx context.Context, col *view.Collection, comp 
 	if err != nil {
 		return nil, err
 	}
-	st := e.replicaFor(replicaKey{graph: col.Graph, ident: compIdentity(comp), workers: opts.Workers, weight: opts.WeightProp})
-	st.mu.Lock()
+	chain := col.Stream.ChainFingerprints()
+	st := e.acquire(replicaKey{graph: col.Graph, ident: compIdentity(comp), workers: opts.Workers, weight: opts.WeightProp}, col, chain)
 	defer st.mu.Unlock()
-	return st.extend(ctx, col, comp, opts.Workers, wc)
+	return st.extend(ctx, col, chain, comp, opts.Workers, wc)
 }
 
 // extend brings the replica to col's final view and returns the run's
-// result. In order: when the queued deltas are col's and chain to col's
-// graph version, they are fed, one outer version each; when the replica then
-// reflects col's version and its absorbed prefix is a prefix of col's stream
-// (chained fingerprints agree), the remaining views [pos, k) are stepped;
-// otherwise — no runner yet, a version the deltas do not reach, a stream
-// that diverges — the replica cannot prove its state matches col and
-// rebuilds cold from view zero. Nothing stale is ever served.
+// result. In order: queued deltas that reach col's graph version are fed, one
+// outer version each; when the replica then reflects col's version and its
+// absorbed prefix is a prefix of col's stream (chained fingerprints agree),
+// the remaining views [pos, k) are stepped; otherwise — no runner yet, a
+// version the deltas do not reach, a stream that diverges — the replica
+// cannot prove its state matches col (warmFor) and rebuilds cold from view
+// zero. Nothing stale is ever served.
 //
 // Position, version and fingerprint advance with every step, so a run
 // canceled between steps leaves a valid replica that the next run resumes.
 // Stats and work counters cover only the steps this run fed;
 // RunResult.Incremental reports that a warm replica was reused and
 // CachedPrefix how many stream views it had already absorbed.
-func (st *replica) extend(ctx context.Context, col *view.Collection, comp analytics.Computation, workers, wc int) (*RunResult, error) {
+func (st *replica) extend(ctx context.Context, col *view.Collection, chain []uint64, comp analytics.Computation, workers, wc int) (*RunResult, error) {
 	stream := col.Stream
 	k := stream.NumViews()
-	chain := stream.ChainFingerprints()
 	sizes := stream.ViewSizes()
 	cols := edgeBatcher(col.Graph, wc)
 
-	reach := st.version
-	if n := len(st.pending); n > 0 {
-		reach = st.pending[n-1].version
-	}
-	warm := st.runner != nil && reach == col.Version
-	if len(st.pending) > 0 {
-		warm = warm && st.col == col
-	} else {
-		warm = warm && st.pos >= 1 && st.pos <= k && chain[st.pos-1] == st.chain
-	}
+	warm := st.warmFor(col, chain)
 	ctx, span := obs.StartSpan(ctx, "replica",
 		obs.String("warm", strconv.FormatBool(warm)),
 		obs.Int("prefix", st.pos),
@@ -221,9 +257,6 @@ func (st *replica) extend(ctx context.Context, col *view.Collection, comp analyt
 		}
 		st.runner, st.version, st.pos, st.chain, st.next = runner, col.Version, 0, 0, 0
 		st.pending, st.queued = nil, 0
-	}
-	if st.pos < k {
-		st.col = nil
 	}
 	prefix := st.pos
 	runner := st.runner
@@ -258,13 +291,13 @@ func (st *replica) extend(ctx context.Context, col *view.Collection, comp analyt
 			// stream sums to; chain is not consulted before then.
 			st.version, st.pending = st.pending[0].version, st.pending[1:]
 			st.chain = chain[k-1]
+			st.queued -= 1 + adds.Len() + dels.Len()
 		} else {
 			st.chain = chain[st.pos]
 			st.pos++
 		}
 		stats = append(stats, vs)
 	}
-	st.col, st.pending, st.queued = col, nil, 0
 
 	work := append([]int64(nil), runner.WorkCounts()...)
 	for i := range preWork {

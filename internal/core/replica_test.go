@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"graphsurge/internal/analytics"
@@ -38,10 +39,7 @@ func theReplica(t *testing.T, e *Engine) *replica {
 	if len(e.replicas) != 1 {
 		t.Fatalf("engine holds %d replicas, want 1", len(e.replicas))
 	}
-	for _, st := range e.replicas {
-		return st
-	}
-	return nil
+	return e.replicas[0]
 }
 
 func mustRunOn(t *testing.T, e *Engine, ctx context.Context, col *view.Collection, comp analytics.Computation, opts RunOptions) *RunResult {
@@ -102,13 +100,18 @@ func TestReplicaMatchesScratch(t *testing.T) {
 	}
 	sameAsScratch(t, e, ext, comp, sib, "sibling run")
 
-	// Back on the shorter collection the replica has run past it: no prefix
-	// of days ends where the replica stands, so it rebuilds.
+	// Back on the shorter collection the replica has run past it and belongs
+	// to the sibling: no prefix of days ends where it stands, so days builds
+	// its own and the sibling keeps the one it took over.
 	back := mustRunOn(t, e, ctx, days, comp, inc)
 	if back.Incremental || len(back.Stats) != 4 {
-		t.Fatalf("run behind the replica: incremental=%v stats=%d, want a cold rebuild", back.Incremental, len(back.Stats))
+		t.Fatalf("run behind the replica: incremental=%v stats=%d, want a cold build", back.Incremental, len(back.Stats))
 	}
 	sameAsScratch(t, e, days, comp, back, "rebuilt run")
+	if again := mustRunOn(t, e, ctx, ext, comp, inc); !again.Incremental || len(again.Stats) != 0 || len(e.replicas) != 2 {
+		t.Fatalf("sibling re-run: incremental=%v stats=%d over %d replicas, want its own warm replica beside days'",
+			again.Incremental, len(again.Stats), len(e.replicas))
+	}
 }
 
 // TestReplicaAfterMutation pins fail-closed staleness: after a mutation the
@@ -145,14 +148,34 @@ func TestReplicaAfterMutation(t *testing.T) {
 	sib := mustRunOn(t, e, ctx, ext, comp, inc)
 	sameAsScratch(t, e, ext, comp, sib, "sibling after a mutation")
 
-	// The replica now finished on the sibling, so days gets no delta: its
-	// next run cannot prove anything and rebuilds.
+	// The replica now belongs to the sibling, so days gets no delta: its next
+	// run finds nothing that can prove its state and builds cold.
 	mutate()
 	stale := mustRunOn(t, e, ctx, days, comp, inc)
 	if stale.Incremental {
 		t.Fatal("a replica that missed a mutation was reused")
 	}
 	sameAsScratch(t, e, days, comp, stale, "run on a stale replica")
+
+	// From here each collection has its own replica — the siblings and an
+	// unrelated collection on the same key — and all are maintained at delta
+	// cost through every further mutation.
+	if _, err := e.ExecuteContext(ctx, "create view collection odd on so [o1: ts < 40], [o2: ts < 60]"); err != nil {
+		t.Fatal(err)
+	}
+	odd, _ := e.Collection("odd")
+	mustRunOn(t, e, ctx, ext, comp, inc)
+	mustRunOn(t, e, ctx, odd, comp, inc)
+	for round := 0; round < 3; round++ {
+		mutate()
+		for _, col := range []*view.Collection{days, ext, odd} {
+			res := mustRunOn(t, e, ctx, col, comp, inc)
+			if !res.Incremental || len(res.Stats) != 1 {
+				t.Fatalf("round %d on %s: incremental=%v stepping %d, want one delta step", round, col.Name, res.Incremental, len(res.Stats))
+			}
+			sameAsScratch(t, e, col, comp, res, "round on "+col.Name)
+		}
+	}
 }
 
 // cancelAfter is a context that reports cancellation from its n-th Err call
@@ -182,8 +205,8 @@ func TestReplicaCancelResumes(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled run: %v, want context.Canceled", err)
 	}
-	if st := theReplica(t, e); st.pos != 2 || st.col != nil {
-		t.Fatalf("replica at pos %d on %v after a cancel between steps, want 2 and mid-stream", st.pos, st.col)
+	if st := theReplica(t, e); st.pos != 2 {
+		t.Fatalf("replica at pos %d after a cancel between steps, want 2", st.pos)
 	}
 	res := mustRunOn(t, e, context.Background(), ext, comp, inc)
 	if !res.Incremental || res.CachedPrefix != 2 || len(res.Stats) != 4 {
@@ -210,6 +233,45 @@ func TestReplicaCancelResumes(t *testing.T) {
 		t.Fatalf("resumed delta run: incremental=%v stats=%+v, want the one remaining delta", res.Incremental, res.Stats)
 	}
 	sameAsScratch(t, e, ext, comp, res, "resumed delta run")
+}
+
+// TestReplicaConcurrent races everything that touches the store — sibling
+// runs taking replicas over from each other, mutations queueing deltas, a
+// collection re-created under a live name — and requires the replicas that
+// come out of it to still answer like scratch. Run with -race.
+func TestReplicaConcurrent(t *testing.T) {
+	e, _, _ := daysEngine(t)
+	ctx := context.Background()
+	comp := analytics.WCC{}
+	var wg sync.WaitGroup
+	for _, name := range []string{"days", "days_ext", "days", "days_ext"} {
+		wg.Add(1)
+		go func(name string) {
+			defer wg.Done()
+			for i := 0; i < 12; i++ {
+				if _, err := e.RunCollection(ctx, name, comp, RunOptions{Incremental: true}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(name)
+	}
+	for i := 0; i < 6; i++ {
+		if _, err := e.NewSession().Do(ctx, &MutateRequest{
+			Graph:   "so",
+			Inserts: []EdgeChange{{Src: uint64(i), Dst: uint64(i + 1), Props: map[string]any{"ts": 10 * i, "duration": 5}}},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.ExecuteContext(ctx, "create view collection days on so [d1: ts < 25], [d2: ts < 50], [d3: ts < 75], [d4: ts < 90]"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+	for _, name := range []string{"days", "days_ext"} {
+		col, _ := e.Collection(name)
+		sameAsScratch(t, e, col, comp, mustRunOn(t, e, ctx, col, comp, RunOptions{Incremental: true}), "after the race on "+name)
+	}
 }
 
 // TestReplicaGraphIdentity pins that a replica belongs to a graph object, not

@@ -177,11 +177,15 @@ func TestMutationInvalidation(t *testing.T) {
 	}
 
 	// Mutate through the middleware, concurrently with a stream of cached
-	// runs — the race detector checks the snapshot/mutation exclusion. The
-	// stream runs in scratch mode so it shares no cache key with the runs
-	// asserted on below: whatever it stores after the mutation commits cannot
-	// turn the post-mutation run into a hit. (That the purge empties the
-	// cache is pinned without concurrency in TestReplayAfterMutation.)
+	// runs — the race detector checks the snapshot/mutation exclusion, and
+	// the replica path's (acquire/extend against the mutation's queueDelta).
+	// The stream is diff-only like the runs asserted on below but runs bfs,
+	// so it shares no cache key with them: whatever it stores after the
+	// mutation commits cannot turn the post-mutation wcc run into a hit.
+	// (That the purge empties the cache is pinned without concurrency in
+	// TestReplayAfterMutation.)
+	stream := runReq("cc", core.RunOptions{})
+	stream.Algorithm = analytics.Spec{Algorithm: "bfs"}
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	wg.Add(1)
@@ -193,7 +197,7 @@ func TestMutationInvalidation(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := m.Do(context.Background(), "", runReq("cc", core.RunOptions{Mode: core.Scratch})); err != nil {
+			if _, err := m.Do(context.Background(), "", stream); err != nil {
 				t.Error(err)
 				return
 			}

@@ -81,6 +81,7 @@ func MaintainCollection(c *Collection, preds []gvdl.EdgePredicate, a graph.Appli
 	if len(preds) != k {
 		return nil, fmt.Errorf("view: collection %s has %d views, got %d predicates", c.Name, k, len(preds))
 	}
+	c.Stream.chain.Store(nil) // the edits below change what it fingerprints
 	deltas := make([]ViewDelta, k)
 	for t := range deltas {
 		deltas[t].Name = c.Stream.Names[t]

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"graphsurge/internal/graph"
@@ -133,6 +134,11 @@ type DiffStream struct {
 	Names []string   // view names in execution order
 	Adds  [][]uint32 // per view, ascending edge indices entering
 	Dels  [][]uint32 // per view, ascending edge indices leaving
+
+	// chain caches ChainFingerprints until MaintainCollection next edits the
+	// stream, so a run and the serving cache key hash a version once between
+	// them. Nil on a fresh stream; atomic because runs fill it concurrently.
+	chain atomic.Pointer[[]uint64]
 }
 
 // NumViews returns the number of views in the stream.
@@ -157,8 +163,14 @@ func (d *DiffStream) TotalDiffs() int64 {
 // means equal values at t imply (up to hash collision) equal prefixes, which
 // is the question a warm replica asks before stepping a suffix and the
 // identity the serving cache keys results by. Call it under the engine's run
-// barrier: mutations edit Adds/Dels in place.
+// barrier: mutations edit Adds/Dels in place. The slice is shared between
+// callers (computed once per stream version) and must not be modified; code
+// that edits a fingerprinted stream other than through MaintainCollection
+// must build a new DiffStream.
 func (d *DiffStream) ChainFingerprints() []uint64 {
+	if p := d.chain.Load(); p != nil {
+		return *p
+	}
 	h := fnv.New64a()
 	var buf [4]byte
 	word := func(v uint32) {
@@ -178,6 +190,7 @@ func (d *DiffStream) ChainFingerprints() []uint64 {
 		}
 		out[t] = h.Sum64()
 	}
+	d.chain.Store(&out)
 	return out
 }
 
