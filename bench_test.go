@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -25,7 +24,6 @@ import (
 	"time"
 
 	"graphsurge/internal/analytics"
-	"graphsurge/internal/cluster"
 	"graphsurge/internal/core"
 	"graphsurge/internal/datagen"
 	"graphsurge/internal/experiments"
@@ -528,92 +526,6 @@ func BenchmarkOrdering(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		view.OptimizeOrder(m)
 	}
-}
-
-// BenchmarkClusterOverhead measures what the RPC boundary costs: the same
-// scratch-mode collection run (a) in-process on one engine and (b) through a
-// cluster coordinator with a single localhost worker, where every shard is
-// encoded (columnar edge batches in their binary codec inside the gob
-// envelope), shipped over loopback net/rpc, executed on the worker's engine
-// and merged back. Results are identical by construction (the integration
-// tests pin that); the ns/op gap between the sub-benchmarks is the per-run
-// protocol overhead — shard serialization plus RPC round trips —
-// cluster-shards reports how many shards crossed the wire per run, and
-// wire-bytes/op how many encoded payload bytes they cost.
-func BenchmarkClusterOverhead(b *testing.B) {
-	const k, perView = 8, 1_500
-	g := datagen.Temporal(datagen.TemporalConfig{Nodes: 2_000, Edges: k * perView, Days: 64, Seed: 29})
-	g.Name = "clusterbench"
-	names := make([]string, k)
-	adds := make([][]uint32, k)
-	dels := make([][]uint32, k)
-	for v := 0; v < k; v++ {
-		names[v] = fmt.Sprintf("c%d", v)
-		for e := v * perView; e < (v+1)*perView; e++ {
-			adds[v] = append(adds[v], uint32(e))
-			if v > 0 {
-				dels[v] = append(dels[v], uint32(e-perView))
-			}
-		}
-	}
-	col := view.NewCollection("cluster-col", g, &view.DiffStream{Names: names, Adds: adds, Dels: dels})
-
-	b.Run("local", func(b *testing.B) {
-		b.ReportAllocs()
-		e, err := core.NewEngine(core.Options{Workers: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer e.Close()
-		for i := 0; i < b.N; i++ {
-			if _, err := e.RunOn(context.Background(), col, analytics.WCC{}, core.RunOptions{Mode: core.Scratch}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("cluster-1worker", func(b *testing.B) {
-		b.ReportAllocs()
-		wEng, err := core.NewEngine(core.Options{Workers: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer wEng.Close()
-		srv := cluster.NewServer(wEng, 1)
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		srv.Start(l)
-		defer srv.Close()
-		cEng, err := core.NewEngine(core.Options{Workers: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer cEng.Close()
-		coord := cluster.NewCoordinator(cEng, cluster.Options{})
-		if err := coord.AddWorker(context.Background(), l.Addr().String()); err != nil {
-			b.Fatal(err)
-		}
-		defer coord.Close()
-		for i := 0; i < b.N; i++ {
-			if _, err := coord.RunCollection(context.Background(), col, analytics.WCC{}, core.RunOptions{Mode: core.Scratch}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		stats := coord.Stats()
-		shards := 0
-		for _, n := range stats.Remote {
-			shards += n
-		}
-		b.ReportMetric(float64(shards), "cluster-shards")
-		// Stats accumulate across iterations; divide out b.N so the metric is
-		// per-run bytes shipped under the columnar codec, comparable across
-		// benchtime settings.
-		b.ReportMetric(float64(stats.WireBytes)/float64(b.N), "wire-bytes/op")
-		if stats.Requeued != 0 {
-			b.Fatalf("benchmark run re-queued %d shards", stats.Requeued)
-		}
-	})
 }
 
 // benchMutationEngine builds the dynamic-graph benchmark fixture: a

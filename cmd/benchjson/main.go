@@ -50,8 +50,8 @@ type Benchmark struct {
 	// BytesPerOp lifts Metrics["B/op"], the heap bytes companion.
 	BytesPerOp float64 `json:"bytesPerOp,omitempty"`
 	// WireBytesPerOp lifts Metrics["wire-bytes/op"]: the encoded shard
-	// payload bytes shipped to cluster workers per run, reported by
-	// BenchmarkClusterOverhead under the columnar edge-batch codec.
+	// payload bytes shipped to cluster workers per run, for benchmarks that
+	// report that unit.
 	WireBytesPerOp float64 `json:"wireBytesPerOp,omitempty"`
 }
 

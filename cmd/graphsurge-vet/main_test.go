@@ -74,8 +74,8 @@ func TestVetCatchesSeededRegressions(t *testing.T) {
 			name:     "spanend",
 			file:     filepath.Join("internal", "cluster", "coordinator.go"),
 			pkg:      "./internal/cluster/",
-			anchor:   "\t\t\t\tspan.End()\n",
-			mutation: "\t\t\t\tif err == nil {\n\t\t\t\t\tspan.End()\n\t\t\t\t}\n",
+			anchor:   "runSegment(sctx, spec)\n\tspan.End()\n",
+			mutation: "runSegment(sctx, spec)\n\tif err == nil {\n\t\tspan.End()\n\t}\n",
 		},
 	}
 	for _, seed := range seeds {

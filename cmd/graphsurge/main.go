@@ -113,11 +113,12 @@ adaptive run seed the predicted next split point's segment on an idle
 replica ahead of the decision, committing on a hit and discarding on a
 miss; hit/miss counts are printed. Neither flag changes results.
 -cluster shards a static-plan run (diff or scratch) across the listed
-worker processes: segments are assigned by cost-model LPT, shipped as
-self-contained shards, and merged in collection order — results are
-identical to a local run. A worker that dies mid-run has its shards
-re-queued on this process, so the run completes regardless; dead workers
-are redialed at the start of each later run. Adaptive runs plan online and
+worker processes: segments are dispatched in -schedule order to whichever
+worker slot is free, shipped as self-contained shards, and merged in
+collection order — results are identical to a local run. A worker that
+dies mid-run has its shard re-run on this process, which also takes over
+the rest once no worker is left, so the run completes regardless; dead
+workers are redialed at the start of each later run. Adaptive runs plan online and
 always execute locally. Start workers with "graphsurge worker -listen
 :PORT"; workers hold no data (shards carry their own edges), -workers sets
 each replica's dataflow parallelism and -parallel how many shards the

@@ -14,7 +14,6 @@ import (
 	"graphsurge/internal/analytics"
 	"graphsurge/internal/core"
 	"graphsurge/internal/obs"
-	"graphsurge/internal/schedule"
 	"graphsurge/internal/view"
 )
 
@@ -48,13 +47,12 @@ func (o *Options) defaults() {
 	}
 }
 
-// errWorkerDead marks a shard sent to a worker already known dead; the
-// dispatch loop re-queues it without another kill.
+// errWorkerDead marks a shard sent to a worker already known dead; it is
+// handed back to the engine without another kill.
 var errWorkerDead = errors.New("cluster: worker is dead")
 
 // workerConn is one registered worker: its RPC client, advertised capacity,
-// and liveness. It implements core.SegmentRunner, which is what makes remote
-// workers and the local engine interchangeable behind the dispatch loop.
+// and liveness.
 type workerConn struct {
 	addr       string
 	capacity   int
@@ -102,8 +100,8 @@ func (w *workerConn) revive(client *rpc.Client, capacity int) {
 }
 
 // kill marks the worker dead and closes its client, which terminates every
-// in-flight call on it — the dispatch loop sees those calls fail and
-// re-queues their shards. Idempotent. Used by teardown paths (Close,
+// in-flight call on it — their slots see those calls fail and hand the
+// shards back to the engine. Idempotent. Used by teardown paths (Close,
 // handshake failure) that own the worker outright; failure observers use
 // killClient so a stale failure can never execute a freshly redialed
 // connection.
@@ -179,25 +177,19 @@ func (w *workerConn) call(ctx context.Context, method string, args, reply any, t
 	return callClient(ctx, client, w.addr, method, args, reply, timeout)
 }
 
-// RunSegment implements core.SegmentRunner over the wire: the shard is
-// encoded once, shipped, executed on the worker's engine, and its outcome
-// returned for merging. Cancellation abandons the in-flight call — the
-// worker finishes the shard on its own engine and returns the replica to
-// its pool; the coordinator just stops waiting.
-func (w *workerConn) RunSegment(ctx context.Context, spec *core.SegmentSpec) (*core.SegmentOutcome, error) {
-	out, _, err := w.runSegment(ctx, spec)
-	return out, err
-}
-
-// runSegment is RunSegment plus the connection the call actually used, so a
-// failure observer can kill exactly that connection (killClient) and never
-// a redialed replacement.
+// runSegment ships one shard to the worker: the spec is encoded once, sent,
+// executed on the worker's engine, and its outcome returned for merging. It
+// also returns the connection the call actually used, so a failure observer
+// can kill exactly that connection (killClient) and never a redialed
+// replacement. Cancellation abandons the in-flight call — the worker
+// finishes the shard on its own engine and returns the replica to its pool;
+// the coordinator just stops waiting.
 func (w *workerConn) runSegment(ctx context.Context, spec *core.SegmentSpec) (*core.SegmentOutcome, *rpc.Client, error) {
-	payload, err := EncodeWire(spec)
+	client, err := w.currentClient()
 	if err != nil {
 		return nil, nil, err
 	}
-	client, err := w.currentClient()
+	payload, err := EncodeWire(spec)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -229,26 +221,26 @@ func (w *workerConn) runSegment(ctx context.Context, spec *core.SegmentSpec) (*c
 type RunStats struct {
 	// Remote counts shards completed per worker address.
 	Remote map[string]int
-	// Local counts shards the coordinator's own engine ran (re-queues and
-	// local degradation both land here only via the requeue path; a fully
-	// local fallback run records nothing).
+	// Local counts shards of a sharded run that the coordinator's own engine
+	// executed: the ones a worker failed, and any that were still undispatched
+	// when the last worker died. A fully local fallback run records nothing.
 	Local int
-	// Requeued counts shards that failed on a worker and were re-dispatched.
+	// Requeued counts shards that failed on a worker and were handed back to
+	// the engine's local replicas.
 	Requeued int
 	// Dead lists workers declared dead during the run.
 	Dead []string
-	// WireBytes totals the encoded shard payload bytes shipped to workers
-	// (re-queued shards count their original shipment; local shards ship
-	// nothing).
+	// WireBytes totals the encoded payload bytes of the shards workers
+	// completed (local shards ship nothing).
 	WireBytes int
 }
 
-// Coordinator shards collection runs across registered workers. It owns a
-// local engine that serves three jobs: the degradation target when a run
-// cannot be sharded at all (adaptive mode plans online; closure computations
-// cannot cross the wire; no workers are registered), the re-queue executor
-// for shards whose worker died, and the keeper of the persistent cost
-// estimator that drives cross-machine LPT assignment.
+// Coordinator is the cluster's roster, RPC and failure detection: it keeps
+// the registered workers, redials the dead ones, heartbeats the live ones,
+// and lends each run one core.SegmentRunner slot per unit of live worker
+// capacity. The run itself — planning, dispatch order, the local replicas
+// that absorb a failed worker's shards, estimator feedback, merging —
+// belongs to the engine it wraps (core.Engine.RunSharded).
 type Coordinator struct {
 	eng  *core.Engine
 	opts Options
@@ -443,198 +435,140 @@ func (c *Coordinator) RunOn(ctx context.Context, col *view.Collection, comp anal
 	return c.RunCollection(ctx, col, comp, ropts)
 }
 
+// shardSlot is one unit of a live worker's capacity lent to one run: the
+// core.SegmentRunner the engine's dispatcher ships shards through. It wraps
+// each call in the "shard" span — the wire boundary, whose context travels
+// to the worker so the returned spans stitch in as its children — tallies
+// the run's distribution, and turns a failed call into a dead worker.
+type shardSlot struct {
+	c     *Coordinator
+	w     *workerConn
+	tally *shardTally
+}
+
+// shardTally is one run's distribution, shared by the run's slots.
+type shardTally struct {
+	mu    sync.Mutex
+	stats RunStats
+}
+
+func (s *shardSlot) RunSegment(ctx context.Context, spec *core.SegmentSpec) (*core.SegmentOutcome, error) {
+	sctx, span := obs.StartSpan(ctx, "shard",
+		obs.String("worker", s.w.addr), obs.Int("start", spec.Start), obs.Int("end", spec.End))
+	out, observed, err := s.w.runSegment(sctx, spec)
+	span.End()
+	if err != nil {
+		if ctx.Err() != nil {
+			// Cancellation, not failure: the in-flight call is abandoned but
+			// the worker is healthy — leave it registered.
+			return nil, ctx.Err()
+		}
+		// Connection failure, deadline, or a worker-side error: this worker
+		// is done for the run, and the engine re-runs the shard on a local
+		// replica. Only the connection observed failing is killed — a
+		// concurrent run's redial may already have installed a fresh one.
+		s.w.killClient(observed)
+		s.c.log.Warn("cluster: shard failed on worker, re-queueing locally",
+			obs.WorkerID(s.w.addr), slog.Int("start", spec.Start), slog.Int("end", spec.End), slog.Any("error", err))
+		s.tally.mu.Lock()
+		s.tally.stats.Requeued++
+		s.tally.mu.Unlock()
+		return nil, err
+	}
+	s.tally.mu.Lock()
+	s.tally.stats.Remote[s.w.addr]++
+	s.tally.stats.WireBytes += out.Segment.WireBytes
+	s.tally.mu.Unlock()
+	return out, nil
+}
+
 // RunCollection executes a computation over a collection across the cluster
-// and returns the same RunResult the local executor produces: ViewStats in
-// collection order, FinalResults from the view that ends the collection,
-// MaxWork and IterCapHit aggregated across every replica on every machine.
+// and returns the same RunResult the local executor produces — it is the
+// local executor's run (core.Engine.RunSharded), given one extra slot per
+// unit of live worker capacity.
 //
 // Workers that died in earlier runs are redialed on entry, so a restarted
-// worker process rejoins the cluster without re-registering. The static
-// plan's segments are assigned to worker slots by multi-bin LPT over the
-// engine's persistent cost estimator (size fallback while cold) and
-// shipped as self-contained shards; shards stream to workers in collection
-// order as their seeds are built, so building and remote execution pipeline.
-// Runs that cannot be sharded — adaptive mode (its plan emerges online from
-// live observations), computations without a wire spec, an empty collection,
-// or no live workers — degrade to the local engine, full stop. Worker
-// failure mid-run re-queues the failed worker's shards on the local engine,
-// so the run completes with local semantics rather than erroring.
+// worker process rejoins the cluster without re-registering. Runs that cannot
+// be sharded — adaptive mode (its plan emerges online from live
+// observations), incremental runs, computations without a wire spec, an empty
+// collection, or no live workers — get no slots and are plain engine runs. A
+// worker that fails mid-run is marked dead and its shard re-runs on the
+// coordinator engine's own replicas, so the run completes with local
+// semantics rather than erroring.
 //
-// Cancelling ctx stops the run everywhere the coordinator controls it:
-// shard building aborts, undispatched shards are discarded instead of sent,
-// in-flight worker RPCs are abandoned (the workers finish those shards on
-// their own engines and keep their replicas pooled; they are not marked
-// dead), and locally re-queued shards cancel through the engine's own ctx
-// path. A canceled run returns ctx's error and no result.
-func (c *Coordinator) RunCollection(ctx context.Context, col *view.Collection, comp analytics.Computation, ropts core.RunOptions) (res *core.RunResult, err error) {
-	start := time.Now()
-	wireSpec, ok := analytics.SpecOf(comp)
+// Cancelling ctx stops the run everywhere: the engine stops building and
+// dispatching shards, in-flight worker RPCs are abandoned (the workers finish
+// those shards on their own engines and keep their replicas pooled; they are
+// not marked dead), and local shards stop at their next view boundary. A
+// canceled run returns ctx's error and no result.
+func (c *Coordinator) RunCollection(ctx context.Context, col *view.Collection, comp analytics.Computation, ropts core.RunOptions) (*core.RunResult, error) {
+	_, shardable := analytics.SpecOf(comp)
 	k := col.Stream.NumViews()
-	if ok && ropts.Mode != core.Adaptive && k != 0 {
-		// Only a run that can actually shard pays for redialing dead
-		// workers: adaptive and custom-computation runs execute locally no
-		// matter what the roster says.
+	shardable = shardable && ropts.Mode != core.Adaptive && !ropts.Incremental && k != 0
+	var alive []*workerConn
+	if shardable {
+		// Only a run that can actually shard pays for redialing dead workers.
 		c.redialDead(ctx)
+		alive = c.aliveWorkers()
 	}
-	alive := c.aliveWorkers()
-	if !ok || ropts.Mode == core.Adaptive || len(alive) == 0 || k == 0 {
-		// The whole run is local: reset the distribution stats so Stats()
-		// never reports a previous sharded run as this one's.
-		c.mu.Lock()
-		c.stats = RunStats{Remote: map[string]int{}}
-		c.mu.Unlock()
-		c.log.Info("cluster: run degraded to local engine",
-			slog.String("collection", col.Name), slog.Bool("shardable", ok),
-			slog.Int("views", k), slog.Int("workers_alive", len(alive)))
-		return c.eng.RunOn(ctx, col, comp, ropts)
-	}
-	// The sharded path is a run in its own right: it gets the same root
-	// span and run counters the local executor gives engine runs, so shard
-	// spans nest under "run" and /metrics on a coordinator process counts
-	// cluster runs. (The degrade branch above went through the engine,
-	// which instruments itself.)
-	ctx, span := obs.StartSpan(ctx, "run",
-		obs.String("collection", col.Name),
-		obs.String("computation", comp.Name()),
-		obs.String("mode", ropts.Mode.String()))
-	obs.M.RunsStarted.Inc()
-	obs.M.RunsInflight.Add(1)
-	defer func() {
-		span.End()
-		obs.M.RunsInflight.Add(-1)
-		if err != nil {
-			obs.M.RunsCanceled.Inc()
-		} else {
-			obs.M.RunsFinished.Inc()
-		}
-	}()
-
-	// ropts.Workers is shipped as-is: 0 means "the executing engine's
-	// default", letting each worker apply its own -workers setting; an
-	// explicit value pins every replica's dataflow parallelism cluster-wide.
-	if ropts.Workers < 0 {
-		ropts.Workers = 0
-	}
-
-	plan := core.StaticPlan(ropts.Mode, k)
-	est := ropts.Estimator
-	if est == nil {
-		est = c.eng.CostEstimator(comp, ropts.Workers)
-	}
-	sizes := col.Stream.ViewSizes()
-	diffs := make([]int, k)
-	for t := range diffs {
-		diffs[t] = col.Stream.DiffSize(t)
-	}
-
-	// One dispatch slot per unit of advertised worker capacity; LPT assigns
-	// each segment to a slot up front, so the only queueing is each slot's
-	// own backlog.
-	type slot struct {
-		w  *workerConn
-		ch chan *core.SegmentSpec
-	}
-	var slots []*slot
+	// Stats() reports the most recent run: a run that gets no slots resets
+	// it, never leaving a previous sharded run's distribution behind.
+	tally := &shardTally{stats: RunStats{Remote: make(map[string]int)}}
+	var slots []core.SegmentRunner
 	for _, w := range alive {
 		for i := 0; i < w.cap(); i++ {
-			slots = append(slots, &slot{w: w})
+			slots = append(slots, &shardSlot{c: c, w: w, tally: tally})
 		}
 	}
-	assign, _ := schedule.AssignLPT(est.PlanCosts(plan, sizes, diffs), len(slots))
-	runID := ""
-	if tr := obs.FromContext(ctx); tr != nil {
-		runID = tr.RunID()
-	}
-	c.log.Info("cluster: run sharded", obs.RunID(runID),
-		slog.String("collection", col.Name), slog.Int("segments", len(plan.Segments)),
-		slog.Int("workers", len(alive)), slog.Int("slots", len(slots)))
-	slotOf := make([]int, len(plan.Segments))
-	for b, idxs := range assign {
-		// Buffered to the slot's full assignment: the shard builder never
-		// blocks on a slow or dead worker.
-		slots[b].ch = make(chan *core.SegmentSpec, len(idxs))
-		for _, si := range idxs {
-			slotOf[si] = b
+	c.log.Info("cluster: run starting", slog.String("collection", col.Name),
+		slog.Bool("shardable", shardable), slog.Int("views", k),
+		slog.Int("workers_alive", len(alive)), slog.Int("slots", len(slots)))
+
+	stopHeartbeats := c.heartbeat(alive)
+	res, err := c.eng.RunSharded(ctx, col, comp, ropts, slots)
+	stopHeartbeats()
+
+	// Every slot has returned: the tally is this goroutine's alone now.
+	stats := &tally.stats
+	if res != nil && len(slots) > 0 {
+		stats.Local = len(res.Segments)
+		for _, n := range stats.Remote {
+			stats.Local -= n
 		}
 	}
-
-	stats := RunStats{Remote: make(map[string]int)}
-	var resMu sync.Mutex
-	var outcomes []*core.SegmentOutcome
-	var firstErr error
-	// record publishes one completed shard outcome and streams its segment
-	// stats to the run's progress hook, exactly as the local executor's
-	// finishSegment would — the hook is called outside resMu so a slow
-	// consumer never stalls other slots' bookkeeping.
-	record := func(out *core.SegmentOutcome, tally func()) {
-		resMu.Lock()
-		outcomes = append(outcomes, out)
-		tally()
-		resMu.Unlock()
-		if ropts.OnSegment != nil {
-			ropts.OnSegment(out.Segment)
+	for _, w := range alive {
+		if !w.alive() {
+			stats.Dead = append(stats.Dead, w.addr)
 		}
 	}
-	// Re-queued shards execute on the local engine — the coordinator
-	// degrades to single-process behavior for exactly the shards that need
-	// it. Buffered to the plan so slot goroutines never block on it.
-	retryCh := make(chan *core.SegmentSpec, len(plan.Segments))
-	requeue := func(sp *core.SegmentSpec) {
-		resMu.Lock()
-		stats.Requeued++
-		resMu.Unlock()
-		retryCh <- sp
-	}
+	c.mu.Lock()
+	c.stats = *stats
+	c.mu.Unlock()
+	return res, err
+}
 
-	// Drain re-queues with the local engine's own parallelism: a dead
-	// worker's whole LPT bin lands here, and serializing it would double the
-	// degraded run's tail for no reason.
-	drainers := c.eng.Options().Parallelism
-	if drainers < 1 {
-		drainers = 1
-	}
-	var drainWG sync.WaitGroup
-	for d := 0; d < drainers; d++ {
-		drainWG.Add(1)
-		go func() {
-			defer drainWG.Done()
-			for sp := range retryCh {
-				if ctx.Err() != nil {
-					continue // canceled: discard the backlog, the run is failing with ctx's error
-				}
-				out, err := c.eng.RunSegment(ctx, sp)
-				if err != nil {
-					resMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					resMu.Unlock()
-					continue
-				}
-				record(out, func() { stats.Local++ })
-			}
-		}()
-	}
-
-	// Heartbeats: a worker that stops answering pings is killed, which also
-	// fails its in-flight shard calls immediately — the job deadline is the
-	// backstop for a worker that answers pings but never finishes work. Two
-	// consecutive misses (each given two intervals) are required: one slow
-	// ping on a loaded machine must not execute a healthy worker.
-	hbStop := make(chan struct{})
-	var hbWG sync.WaitGroup
+// heartbeat pings every given worker on the configured interval until the
+// returned stop function is called (which also waits for the pingers to
+// exit). A worker that stops answering is killed, which fails its in-flight
+// shard calls immediately — the job deadline is the backstop for a worker
+// that answers pings but never finishes work. Two consecutive misses (each
+// given two intervals) are required: one slow ping on a loaded machine must
+// not execute a healthy worker.
+func (c *Coordinator) heartbeat(workers []*workerConn) (stop func()) {
+	done := make(chan struct{})
+	var wg sync.WaitGroup
 	if c.opts.Heartbeat > 0 {
-		for _, w := range alive {
-			hbWG.Add(1)
+		for _, w := range workers {
+			wg.Add(1)
 			go func(w *workerConn) {
-				defer hbWG.Done()
+				defer wg.Done()
 				ticker := time.NewTicker(c.opts.Heartbeat)
 				defer ticker.Stop()
 				misses := 0
 				var observed *rpc.Client
 				for {
 					select {
-					case <-hbStop:
+					case <-done:
 						return
 					case <-ticker.C:
 						client, err := w.currentClient()
@@ -666,111 +600,8 @@ func (c *Coordinator) RunCollection(ctx context.Context, col *view.Collection, c
 			}(w)
 		}
 	}
-
-	var slotWG sync.WaitGroup
-	for _, s := range slots {
-		slotWG.Add(1)
-		go func(s *slot) {
-			defer slotWG.Done()
-			for sp := range s.ch {
-				if ctx.Err() != nil {
-					continue // canceled: drain undispatched shards without sending
-				}
-				if !s.w.alive() {
-					requeue(sp)
-					continue
-				}
-				// The shard span is the wire boundary: runSegment ships its
-				// context to the worker, whose returned spans stitch in as its
-				// children. Ended per iteration (never deferred in the loop) so
-				// a long slot backlog can't hold spans open.
-				sctx, span := obs.StartSpan(ctx, "shard",
-					obs.String("worker", s.w.addr), obs.Int("start", sp.Start), obs.Int("end", sp.End))
-				out, observed, err := s.w.runSegment(sctx, sp)
-				span.End()
-				if err != nil {
-					if ctx.Err() != nil {
-						// Cancellation, not failure: the in-flight call is
-						// abandoned but the worker is healthy — leave it
-						// registered and don't re-queue work the run no
-						// longer wants.
-						continue
-					}
-					// Connection failure, deadline, or a worker-side error:
-					// this worker is done for the run, its shard re-queues.
-					// Only the connection observed failing is killed — a
-					// concurrent run's redial may already have installed a
-					// fresh one.
-					s.w.killClient(observed)
-					c.log.Warn("cluster: shard failed on worker, re-queueing locally",
-						obs.WorkerID(s.w.addr), slog.Int("start", sp.Start), slog.Int("end", sp.End), slog.Any("error", err))
-					requeue(sp)
-					continue
-				}
-				record(out, func() {
-					stats.Remote[s.w.addr]++
-					stats.WireBytes += out.Segment.WireBytes
-				})
-			}
-		}(s)
+	return func() {
+		close(done)
+		wg.Wait()
 	}
-
-	// Build shards on this goroutine, streaming each to its slot as its seed
-	// is scanned — remote execution overlaps shard building. Cancellation
-	// aborts the walk before the next seed scan.
-	berr := core.ForEachSegmentSpec(col, wireSpec, ropts, plan, func(i int, sp *core.SegmentSpec) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		slots[slotOf[i]].ch <- sp
-		return nil
-	})
-	for _, s := range slots {
-		close(s.ch)
-	}
-	slotWG.Wait()
-	close(retryCh)
-	drainWG.Wait()
-	close(hbStop)
-	hbWG.Wait()
-
-	for _, w := range alive {
-		if !w.alive() {
-			stats.Dead = append(stats.Dead, w.addr)
-		}
-	}
-	c.mu.Lock()
-	c.stats = stats
-	c.mu.Unlock()
-
-	if err := ctx.Err(); err != nil {
-		// Canceled: everything has drained and joined; the partial outcomes
-		// are discarded rather than merged into a run that claims coverage.
-		return nil, err
-	}
-	if berr != nil {
-		return nil, berr
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	res, err = core.MergeSegmentOutcomes(comp.Name(), col.Name, ropts.Mode, plan, outcomes, time.Since(start))
-	if err != nil {
-		return nil, err
-	}
-	// Feed the measured per-view runtimes back into the scheduling
-	// estimator, exactly as a local run would: the next assignment is
-	// predicted from real costs, wherever the views actually ran.
-	starts := make(map[int]bool, len(plan.Segments))
-	for _, seg := range plan.Segments {
-		starts[seg.Start] = true
-	}
-	for _, st := range res.Stats {
-		if starts[st.Index] {
-			est.ObserveScratch(st.ViewSize, st.Duration)
-		} else {
-			est.ObserveDiff(st.DiffSize, st.Duration)
-		}
-	}
-	return res, nil
 }

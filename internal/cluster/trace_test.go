@@ -77,18 +77,7 @@ func TestClusterUntracedRunShipsNoTrace(t *testing.T) {
 	// Reach one worker directly with empty trace context: the reply must not
 	// fabricate spans.
 	wc := coord.aliveWorkers()[0]
-	var spec *core.SegmentSpec
-	wireSpec, _ := analytics.SpecOf(analytics.WCC{})
-	err := core.ForEachSegmentSpec(col, wireSpec, core.RunOptions{Mode: core.Scratch}, core.StaticPlan(core.Scratch, col.Stream.NumViews()), func(i int, sp *core.SegmentSpec) error {
-		if i == 0 {
-			spec = sp
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload, err := EncodeWire(spec)
+	payload, err := EncodeWire(firstShard(t, col, core.Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}

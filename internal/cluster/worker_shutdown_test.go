@@ -11,28 +11,35 @@ import (
 	"graphsurge/internal/view"
 )
 
-// oneSegmentSpec shards col as a single DiffOnly segment covering every view
-// — the longest-running shard shape, with a cancellation point at each view
-// boundary.
-func oneSegmentSpec(t *testing.T, col *view.Collection) *core.SegmentSpec {
+// specTap is a core.SegmentRunner that keeps the shards an engine's
+// dispatcher hands it and executes none: every call fails, so the run
+// finishes on the engine's own replicas.
+type specTap struct{ specs []*core.SegmentSpec }
+
+func (s *specTap) RunSegment(_ context.Context, spec *core.SegmentSpec) (*core.SegmentOutcome, error) {
+	s.specs = append(s.specs, spec)
+	return nil, errors.New("specTap executes nothing")
+}
+
+// firstShard returns the first shard the engine's dispatcher builds for a
+// run of WCC over col in the given mode — under DiffOnly a single segment
+// covering every view, the longest-running shard shape, with a cancellation
+// point at each view boundary.
+func firstShard(t *testing.T, col *view.Collection, mode core.ExecMode) *core.SegmentSpec {
 	t.Helper()
-	spec, ok := analytics.SpecOf(analytics.WCC{})
-	if !ok {
-		t.Fatal("no wire spec for WCC")
-	}
-	plan := core.StaticPlan(core.DiffOnly, col.Stream.NumViews())
-	if len(plan.Segments) != 1 {
-		t.Fatalf("DiffOnly plan has %d segments, want 1", len(plan.Segments))
-	}
-	var out *core.SegmentSpec
-	err := core.ForEachSegmentSpec(col, spec, core.RunOptions{Workers: 1}, plan, func(_ int, sp *core.SegmentSpec) error {
-		out = sp
-		return nil
-	})
+	eng, err := core.NewEngine(core.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out
+	defer eng.Close()
+	tap := &specTap{}
+	if _, err := eng.RunSharded(context.Background(), col, analytics.WCC{}, core.RunOptions{Mode: mode, Workers: 1}, []core.SegmentRunner{tap}); err != nil {
+		t.Fatal(err)
+	}
+	if len(tap.specs) != 1 {
+		t.Fatalf("a retired slot was offered %d shards, want 1", len(tap.specs))
+	}
+	return tap.specs[0]
 }
 
 // TestWorkerCloseAbortsRunningSegment: closing a worker server cancels its
@@ -49,7 +56,7 @@ func TestWorkerCloseAbortsRunningSegment(t *testing.T) {
 	srv := NewServer(eng, 1)
 	defer srv.Close()
 
-	payload, err := EncodeWire(oneSegmentSpec(t, col))
+	payload, err := EncodeWire(firstShard(t, col, core.DiffOnly))
 	if err != nil {
 		t.Fatal(err)
 	}

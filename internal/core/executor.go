@@ -68,7 +68,7 @@ type RunOptions struct {
 	Workers int `json:"workers,omitempty"`
 	// Parallelism is the number of independent collection segments executed
 	// concurrently, each on its own dataflow replica (see DESIGN.md). The
-	// default of 1 preserves strictly sequential execution. Segments only
+	// default of 1 steps one view at a time. Segments only
 	// exist where the plan splits, so DiffOnly gains nothing, Scratch becomes
 	// embarrassingly parallel, and Adaptive overlaps segments as the
 	// optimizer declares split points.
@@ -264,15 +264,32 @@ func (e *Engine) RunCollection(ctx context.Context, collection string, comp anal
 
 // RunOn executes a computation over a materialized collection value with the
 // engine's pools, estimators and option defaults — RunCollection without the
-// catalog lookup. Embedding callers holding a Collection (and the cluster
-// coordinator's local-degradation path) use it to get engine-amortized
-// execution for collections that were never registered. Cancellation
-// semantics match RunCollection.
+// catalog lookup, for embedding callers holding a collection that was never
+// registered. Cancellation semantics match RunCollection.
 func (e *Engine) RunOn(ctx context.Context, col *view.Collection, comp analytics.Computation, opts RunOptions) (*RunResult, error) {
+	return e.RunSharded(ctx, col, comp, opts, nil)
+}
+
+// RunSharded is RunOn with extra execution slots: a static plan's segments
+// are dispatched onto the given SegmentRunners — a cluster coordinator passes
+// one per unit of live worker capacity — as self-contained shards, beside the
+// run's own Parallelism local replicas, which execute whatever a failed
+// runner hands back (see collectionRun.dispatch). Everything else — the
+// run/mutation barrier, which covers the whole sharded run, the root span,
+// the run counters, scheduling order, estimator feedback, progress hook and
+// result assembly — is the local run's. Runs whose segments cannot be
+// shipped ignore the slots and execute locally: adaptive mode plans online
+// against live observations, incremental runs step a warm replica, and a
+// computation without a wire spec cannot cross a process boundary.
+func (e *Engine) RunSharded(ctx context.Context, col *view.Collection, comp analytics.Computation, opts RunOptions, slots []SegmentRunner) (*RunResult, error) {
 	if err := e.beginRun(); err != nil {
 		return nil, err
 	}
 	defer e.endRun()
+	remote := remoteSlots{workers: max(opts.Workers, 0)}
+	if spec, ok := analytics.SpecOf(comp); ok {
+		remote.runners, remote.comp = slots, spec
+	}
 	if opts.Workers == 0 {
 		opts.Workers = e.opts.Workers
 	}
@@ -299,7 +316,7 @@ func (e *Engine) RunOn(ctx context.Context, col *view.Collection, comp analytics
 		if opts.Estimator == nil {
 			opts.Estimator = est
 		}
-		res, err = runCollection(ctx, col, comp, opts, pool)
+		res, err = runCollection(ctx, col, comp, opts, pool, remote)
 	}
 	span.End()
 	obs.M.RunsInflight.Add(-1)
@@ -307,43 +324,15 @@ func (e *Engine) RunOn(ctx context.Context, col *view.Collection, comp analytics
 		obs.M.RunsCanceled.Inc()
 	} else {
 		obs.M.RunsFinished.Inc()
-		stampRun(res, tr)
+		// One set of numbers for the CLI, HTTP responses and BENCH.json: the
+		// trace identity and the counters /metrics exposes.
+		res.RunID = tr.RunID()
+		res.Metrics = obs.Default.Snapshot()
 	}
 	if created {
 		e.traces.Add(tr)
 	}
 	return res, err
-}
-
-// stampRun attaches the run's trace identity and the process metrics
-// snapshot to a completed result — one place, so the engine path and the
-// cluster coordinator stamp identically.
-func stampRun(res *RunResult, tr *obs.Trace) {
-	if res == nil {
-		return
-	}
-	if tr != nil {
-		res.RunID = tr.RunID()
-	}
-	res.Metrics = obs.Default.Snapshot()
-}
-
-// CostEstimator returns the engine's persistent scheduling cost estimator
-// for (computation, workers) — the model every run over that key warms and
-// LPT dispatch consults. A cluster coordinator schedules cross-machine
-// assignment with it, so segment placement learns from every prior run on
-// this engine. Computations without a faithful identity (closures) get a
-// fresh private estimator, never a shared one. Workers defaults to the
-// engine's option when < 1.
-func (e *Engine) CostEstimator(comp analytics.Computation, workers int) *schedule.Estimator {
-	if workers < 1 {
-		workers = e.opts.Workers
-	}
-	_, est := e.runnerPool(comp, workers, 1)
-	if est == nil {
-		est = &schedule.Estimator{}
-	}
-	return est
 }
 
 func normalizeRunOptions(opts *RunOptions) {
@@ -359,28 +348,27 @@ func normalizeRunOptions(opts *RunOptions) {
 // materialized collection on a private replica pool, sharing computation
 // across views according to the chosen mode.
 //
-// Execution is a plan → execute pipeline (see DESIGN.md): the splitting
-// strategy's per-view decisions are grouped into segments — each one
-// from-scratch view plus its differential successors — and independent
-// segments are dispatched onto a pool of up to opts.Parallelism dataflow
-// replicas. Within a segment, views run strictly in collection order;
-// ViewStats land in collection order regardless of which replica ran them.
-// FinalResults are snapshotted from the runner that executed the last view,
-// and MaxWork/IterCapHit aggregate every segment replica's counters, so the
-// result is self-contained and all replicas return to the pool. Cancellation
-// semantics match Engine.RunCollection.
+// Execution is one pipeline, step → dispatch → merge (see DESIGN.md): the
+// splitting strategy's per-view decisions are grouped into segments — each
+// one from-scratch view plus its differential successors — independent
+// segments execute on up to opts.Parallelism dataflow replicas, each stepping
+// its views strictly in collection order, and every finished segment
+// publishes a SegmentOutcome snapshotted before its replica returns to the
+// pool. MergeSegmentOutcomes assembles the RunResult from those outcomes
+// alone, so the result is self-contained whichever replica, process or
+// strategy ran each segment. Cancellation semantics match
+// Engine.RunCollection.
 func RunCollectionContext(ctx context.Context, col *view.Collection, comp analytics.Computation, opts RunOptions) (*RunResult, error) {
 	normalizeRunOptions(&opts)
-	return runCollection(ctx, col, comp, opts, analytics.NewPool(comp, opts.Workers, opts.Parallelism))
+	return runCollection(ctx, col, comp, opts, analytics.NewPool(comp, opts.Workers, opts.Parallelism), remoteSlots{})
 }
 
 // runCollection is the shared executor body. The replica pool may be private
 // to this run (RunCollectionContext) or engine-owned and shared with
 // concurrent runs; either way a per-run admission limiter caps this run's
-// concurrently live replicas at opts.Parallelism, and every replica —
-// including the one that ran the final view — returns to the pool when the
-// run completes, after its results have been snapshotted into the RunResult.
-func runCollection(ctx context.Context, col *view.Collection, comp analytics.Computation, opts RunOptions, shared *analytics.Pool) (*RunResult, error) {
+// concurrently live replicas at opts.Parallelism, and every replica returns
+// to the pool as its segment completes.
+func runCollection(ctx context.Context, col *view.Collection, comp analytics.Computation, opts RunOptions, shared *analytics.Pool, remote remoteSlots) (*RunResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -397,12 +385,12 @@ func runCollection(ctx context.Context, col *view.Collection, comp analytics.Com
 		est = &schedule.Estimator{}
 	}
 	cr := &collectionRun{
-		stream:    stream,
-		sizes:     stream.ViewSizes(),
-		stats:     make([]ViewStats, k),
-		estimator: est,
-		progress:  opts.OnSegment,
-		cols:      edgeBatcher(g, wc),
+		name:     col.Name,
+		stream:   stream,
+		sizes:    stream.ViewSizes(),
+		cols:     edgeBatcher(g, wc),
+		observe:  feed(est),
+		progress: opts.OnSegment,
 	}
 	pool := newRunPool(shared, opts.Parallelism)
 	scan := newSeedScan(stream, g.NumEdges(), cr.sizes)
@@ -420,44 +408,20 @@ func runCollection(ctx context.Context, col *view.Collection, comp analytics.Com
 		plan = staticPlan(opts.Mode, k)
 		order := fifoOrder(len(plan.Segments))
 		if opts.Schedule == schedule.LPT {
-			diffs := make([]int, k)
-			for t := range diffs {
-				diffs[t] = stream.DiffSize(t)
-			}
-			order = schedule.LPTOrder(est.PlanCosts(plan, cr.sizes, diffs))
+			order = schedule.LPTOrder(est.PlanCosts(plan, cr.sizes, diffSizes(stream)))
 		}
 		seeds := newSeedCache(scan, plan, cr.cols)
 		planSpan.End()
-		err = cr.runStatic(ctx, plan, seeds, pool, order)
+		err = cr.dispatch(ctx, plan, order, seeds, pool, opts.Parallelism, remote)
 	}
 	if err != nil {
 		return nil, err
 	}
-
-	res := &RunResult{
-		Computation: comp.Name(),
-		Collection:  col.Name,
-		Mode:        opts.Mode,
-		Stats:       cr.stats,
-		Segments:    cr.segmentStats(),
-		Wall:        time.Since(wallStart),
-		Splits:      plan.Splits(),
-		SpecHits:    cr.specHits,
-		SpecMisses:  cr.specMisses,
-		final:       map[analytics.VertexValue]int64{},
-		work:        cr.work,
-		iterCap:     cr.iterCap,
+	res, err := MergeSegmentOutcomes(comp.Name(), col.Name, opts.Mode, plan, cr.outcomes, time.Since(wallStart))
+	if err != nil {
+		return nil, err
 	}
-	if cr.finalRes != nil {
-		// The final view's results were snapshotted by finishSegment before
-		// its replica returned to the pool: warm replicas survive the run,
-		// which is what lets an engine-owned pool amortize dataflow
-		// construction across calls (an empty collection snapshots nothing).
-		res.final = cr.finalRes
-	}
-	for _, st := range cr.stats {
-		res.Total += st.Duration
-	}
+	res.SpecHits, res.SpecMisses = cr.specHits, cr.specMisses
 	return res, nil
 }
 

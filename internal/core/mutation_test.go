@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 
+	"graphsurge/internal/analytics"
 	"graphsurge/internal/datagen"
 	"graphsurge/internal/graph"
 	"graphsurge/internal/gvdl"
@@ -374,5 +377,67 @@ func TestMutationErrors(t *testing.T) {
 	}
 	if g.Version != 0 {
 		t.Fatalf("failed mutations bumped version to %d", g.Version)
+	}
+}
+
+// TestRunViewRacesMutations: a RunViewRequest reads the view's edge list
+// under the run barrier, so a mutation maintaining that list in place either
+// finishes before the run starts or waits for it. Every runView issued while
+// a mutation batch is being applied must therefore return exactly the
+// from-scratch answer of the view before the batch or after it — never a
+// blend. Run under -race: without the barrier the run reads the slice view
+// maintenance is rewriting.
+func TestRunViewRacesMutations(t *testing.T) {
+	e, g := incTestEngine(t)
+	defer e.Close()
+	ctx := context.Background()
+	if _, err := e.ExecuteContext(ctx, "create view mid on dyn edges where ts < 12"); err != nil {
+		t.Fatal(err)
+	}
+	sess := e.NewSession()
+	runView := func() (map[analytics.VertexValue]int64, error) {
+		resp, err := sess.Do(ctx, &RunViewRequest{View: "mid", Algorithm: analytics.Spec{Algorithm: "wcc"}})
+		if err != nil {
+			return nil, err
+		}
+		return resp.(*ViewRunResult).Results, nil
+	}
+	r := rand.New(rand.NewSource(13))
+	for round := 0; round < 12; round++ {
+		before, err := runView()
+		if err != nil {
+			t.Fatal(err)
+		}
+		mb := randomBatch(t, r, g, 8, 6)
+		started := make(chan struct{})
+		var during []map[analytics.VertexValue]int64
+		var runErr error
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			close(started)
+			for i := 0; i < 3 && runErr == nil; i++ {
+				var res map[analytics.VertexValue]int64
+				res, runErr = runView()
+				during = append(during, res)
+			}
+		}()
+		<-started
+		if _, err := e.ApplyMutation("dyn", mb); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		<-done
+		if runErr != nil {
+			t.Fatalf("round %d: concurrent runView: %v", round, runErr)
+		}
+		after, err := runView()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, res := range during {
+			if !reflect.DeepEqual(res, before) && !reflect.DeepEqual(res, after) {
+				t.Fatalf("round %d: concurrent runView %d matches neither the view before the mutation nor after it", round, i)
+			}
+		}
 	}
 }

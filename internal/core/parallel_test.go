@@ -150,7 +150,7 @@ func TestSeedScanOpeningView(t *testing.T) {
 		Dels:  [][]uint32{nil, {3}},
 	}
 	ss := newSeedScan(stream, 8, stream.ViewSizes())
-	ss.advance(0) // acquireSegment folds untimed before scanning
+	ss.advance(0) // the seed cache folds untimed before scanning
 	seed := ss.at(0)
 	if len(seed) != 3 || &seed[0] != &stream.Adds[0][0] {
 		t.Fatalf("opening seed not aliased to Adds[0]: %v", seed)

@@ -22,10 +22,10 @@ func staticPlan(mode ExecMode, k int) splitting.Plan {
 
 // seedScan incrementally replays the difference stream to produce segment
 // seeds: the full edge-index list of the view opening each segment. The scan
-// is sequential and shared by the static and adaptive executors; seeds are
-// built one at a time as segments are dispatched, so at most Parallelism
-// seed lists are live at once — peak memory stays proportional to the
-// largest view, not the sum of all views, matching the sequential executor.
+// is sequential and shared by the static and adaptive paths; seeds are
+// built one at a time, at most one ahead of the slots that consume them, so
+// peak memory stays proportional to the largest views, not the sum of all
+// views.
 type seedScan struct {
 	stream *view.DiffStream
 	sizes  []int
@@ -103,8 +103,8 @@ type seedEntry struct {
 // reordering with retained-seed memory bounded by the sum of
 // not-yet-dispatched seed sizes (see DESIGN.md).
 //
-// A seedCache is not safe for concurrent use; both executors call take from
-// their single dispatch loop.
+// A seedCache is not safe for concurrent use; the static dispatcher calls
+// take from its one builder goroutine, the adaptive planner from its loop.
 type seedCache struct {
 	scan   *seedScan
 	starts []int // ascending starts of segments not yet built
@@ -148,6 +148,15 @@ func (sc *seedCache) take(t int) (*graph.EdgeBatch, time.Duration) {
 	start := time.Now()
 	seed := sc.mat(sc.scan.at(t))
 	return seed, time.Since(start)
+}
+
+// diffSizes lists every view's difference-set size, the cost models' input.
+func diffSizes(stream *view.DiffStream) []int {
+	diffs := make([]int, stream.NumViews())
+	for t := range diffs {
+		diffs[t] = stream.DiffSize(t)
+	}
+	return diffs
 }
 
 // fifoOrder is the identity dispatch permutation: collection order.

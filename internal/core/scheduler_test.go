@@ -286,10 +286,10 @@ func settleGoroutines(t *testing.T, base int) {
 	t.Fatalf("goroutines leaked: %d running, base %d", runtime.NumGoroutine(), base)
 }
 
-// TestRunStaticAcquireFailure: a mid-plan Acquire failure must surface the
+// TestDispatchAcquireFailure: a mid-plan Acquire failure must surface the
 // injected error, drain all dispatched segments, release every replica slot
 // and leak no goroutine — in FIFO and LPT dispatch order.
-func TestRunStaticAcquireFailure(t *testing.T) {
+func TestDispatchAcquireFailure(t *testing.T) {
 	col := randomCollection(t, 6, 23)
 	for _, policy := range []schedule.Policy{schedule.FIFO, schedule.LPT} {
 		base := runtime.NumGoroutine()
@@ -298,7 +298,7 @@ func TestRunStaticAcquireFailure(t *testing.T) {
 		pool := analytics.NewPool(comp, 1, 2)
 		_, err := runCollection(context.Background(), col, comp, RunOptions{
 			Mode: Scratch, Workers: 1, Parallelism: 2, Schedule: policy,
-		}, pool)
+		}, pool, remoteSlots{})
 		if err == nil {
 			t.Fatalf("%v: expected injected failure, got nil", policy)
 		}
@@ -331,7 +331,7 @@ func TestRunAdaptiveAcquireFailure(t *testing.T) {
 		pool := analytics.NewPool(comp, 1, c.par)
 		_, err := runCollection(context.Background(), col, comp, RunOptions{
 			Mode: Adaptive, Workers: 1, Parallelism: c.par, BatchSize: 2, Speculate: c.speculate,
-		}, pool)
+		}, pool, remoteSlots{})
 		if err == nil {
 			t.Fatalf("%s: no error despite acquire failures at splits", name)
 		}

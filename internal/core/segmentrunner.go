@@ -8,19 +8,18 @@ import (
 
 	"graphsurge/internal/analytics"
 	"graphsurge/internal/graph"
-	"graphsurge/internal/obs"
 	"graphsurge/internal/splitting"
-	"graphsurge/internal/view"
 )
 
-// This file is the segment-shard layer under cluster execution: a collection
-// run sliced into self-contained SegmentSpec shards that any SegmentRunner —
-// the local engine or a remote worker behind an RPC client — can execute
-// without access to the collection, the graph, or each other. Segments share
-// no dataflow state (see internal/splitting), which is what makes them the
-// natural cross-machine distribution unit; a shard carries its seed and
-// difference sets as materialized triples so the receiving process needs no
-// graph store at all.
+// This file holds the two wire types of the segment pipeline and its merge.
+// A collection run is a set of segments that share no dataflow state (see
+// internal/splitting); a SegmentSpec is one of them made self-contained, its
+// seed and difference sets carried as columnar batches, so any SegmentRunner
+// — this engine or a remote worker behind an RPC client — can execute it
+// without the collection, the graph, or the other segments. Every segment,
+// wherever and however it ran, ends as a SegmentOutcome, and
+// MergeSegmentOutcomes is the only place a run's result is assembled from
+// them.
 
 // SegmentSpec is one self-contained shard of a collection run: everything a
 // process needs to execute the half-open view range [Start, End) of a
@@ -79,12 +78,12 @@ func (s *SegmentSpec) Validate() error {
 	return nil
 }
 
-// SegmentOutcome is a completed shard's result, shaped for merging: per-view
-// stats carrying their absolute collection indices, the segment's timing
-// entry, the replica's work counters and iteration-cap flag (snapshotted
-// before the replica was recycled), and the per-vertex results at the
-// shard's last view — the collection's final results when the shard ends the
-// collection.
+// SegmentOutcome is a completed segment's result, shaped for merging:
+// per-view stats carrying their absolute collection indices, the segment's
+// timing entry, the replica's work counters and iteration-cap flag
+// (snapshotted before the replica was recycled), and the per-vertex results
+// at the segment's last view — the collection's final results when the
+// segment ends the collection; local segments that end earlier leave it nil.
 type SegmentOutcome struct {
 	Stats   []ViewStats
 	Segment SegmentStats
@@ -93,12 +92,27 @@ type SegmentOutcome struct {
 	Final   map[analytics.VertexValue]int64
 }
 
-// SegmentRunner executes one self-contained collection shard. The local
-// engine implements it directly (Engine.RunSegment) and the cluster layer
-// implements it with an RPC client per remote worker, so a dispatch loop
-// schedules over machines and local replicas through one interface. ctx
-// bounds the shard: the local engine stops stepping at the next view
-// boundary, the RPC implementation abandons the in-flight call.
+// view returns the shard's view t as a step — the same step a local slot
+// takes from the collection's stream.
+func (s *SegmentSpec) view(t int) viewStep {
+	i := t - s.Start
+	v := viewStep{
+		meta: ViewStats{Index: t, Name: s.Names[i], Mode: s.Modes[i], ViewSize: s.ViewSizes[i], DiffSize: s.DiffSizes[i]},
+		seed: i == 0,
+		adds: s.Seed,
+	}
+	if i > 0 {
+		v.adds, v.dels = s.Adds[i-1], s.Dels[i-1]
+	}
+	return v
+}
+
+// SegmentRunner executes one self-contained collection shard. An engine
+// implements it directly (Engine.RunSegment) and the cluster layer implements
+// it with an RPC client per remote worker; Engine.RunSharded dispatches over
+// either. ctx bounds the shard: an engine stops stepping at the next view
+// boundary, the RPC implementation abandons the in-flight call. A runner that
+// returns an error is not offered another shard in that run.
 type SegmentRunner interface {
 	RunSegment(ctx context.Context, spec *SegmentSpec) (*SegmentOutcome, error)
 }
@@ -106,12 +120,15 @@ type SegmentRunner interface {
 // RunSegment executes one shard on this engine, drawing the replica from the
 // engine's warm runner pool for (computation, workers) — a worker process
 // serving many jobs for the same computation recycles its dataflows across
-// them exactly as repeated local runs do. Workers defaults to the engine's
-// option when the spec leaves it unset; the pool is grown to the engine's
+// them exactly as repeated local runs do — and warming that key's cost
+// estimator with the views it steps. Workers defaults to the engine's option
+// when the spec leaves it unset; the pool is grown to the engine's
 // Parallelism so that many concurrent RunSegment calls (a coordinator keeps
 // a worker's slots busy) each get their own replica. A canceled ctx aborts
 // the shard at the next view boundary (and any pool wait immediately); the
-// replica still returns to the pool.
+// replica still returns to the pool. The outcome always carries the shard's
+// last view's results: the executing side cannot know whether the shard ends
+// its collection.
 func (e *Engine) RunSegment(ctx context.Context, spec *SegmentSpec) (*SegmentOutcome, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -128,137 +145,25 @@ func (e *Engine) RunSegment(ctx context.Context, spec *SegmentSpec) (*SegmentOut
 	if workers < 1 {
 		workers = e.opts.Workers
 	}
-	pool, _ := e.runnerPool(comp, workers, e.opts.Parallelism)
+	pool, est := e.runnerPool(comp, workers, e.opts.Parallelism)
 	r, setup, err := pool.Acquire(ctx)
 	if err != nil {
 		return nil, err
 	}
 	defer pool.Release(r)
-	out, err := execSegmentSpec(ctx, r, setup, spec)
-	if err != nil {
-		return nil, err
-	}
-	// The segment-latency histograms are observed where the time was spent:
-	// a worker's /metrics reflects the shards it executed, while the
-	// coordinator's reflects only its local segments (remote detail arrives
-	// in the merged RunResult.Stats instead). The in-process executor path
-	// observes in finishSegment and never comes through here.
-	obs.M.SegmentSetup.Observe(out.Segment.Setup.Seconds())
-	obs.M.SegmentDrain.Observe(out.Segment.Drain.Seconds())
-	return out, nil
+	s := &segmentExec{r: r, start: spec.Start, setup: setup}
+	return s.run(ctx, spec.End, true, feed(est), spec.view)
 }
 
-// execSegmentSpec steps a shard's views on an acquired replica, mirroring the
-// in-process executor's accounting (runJob/finishSegment): a mid-collection
-// seed view folds the replica setup cost into its duration, output history is
-// dropped as versions complete, and the replica's counters are snapshotted
-// into the outcome before the caller releases it. Cancellation is honored at
-// view boundaries; a canceled shard returns ctx's error and no outcome.
-func execSegmentSpec(ctx context.Context, r analytics.Runner, setup time.Duration, spec *SegmentSpec) (*SegmentOutcome, error) {
-	n := spec.End - spec.Start
-	out := &SegmentOutcome{Stats: make([]ViewStats, n)}
-	jobStart := time.Now()
-	for i := 0; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		var dur time.Duration
-		switch {
-		case i == 0 && spec.Start > 0:
-			// Split: setup and step are one measured duration, as the
-			// sequential executor timed splits.
-			start := time.Now()
-			r.StepBatch(spec.Seed, nil)
-			dur = setup + time.Since(start)
-		case i == 0:
-			// The collection's opening view: only the step is timed.
-			dur = r.StepBatch(spec.Seed, nil)
-		default:
-			dur = r.StepBatch(spec.Adds[i-1], spec.Dels[i-1])
-		}
-		v, _ := r.Version()
-		out.Stats[i] = ViewStats{
-			Index:       spec.Start + i,
-			Name:        spec.Names[i],
-			Mode:        spec.Modes[i],
-			Duration:    dur,
-			ViewSize:    spec.ViewSizes[i],
-			DiffSize:    spec.DiffSizes[i],
-			OutputDiffs: r.OutputDiffs(v),
-		}
-		r.DropOutputsBefore(v)
-	}
-	out.Final = r.Results()
-	out.Work = r.WorkCounts()
-	out.IterCap = r.IterCapHit()
-	out.Segment = SegmentStats{Start: spec.Start, End: spec.End, Setup: setup, Drain: time.Since(jobStart)}
-	return out, nil
-}
-
-// StaticPlan returns the fully precomputable plan for a non-adaptive mode
-// over a k-view collection — the plan a cluster coordinator shards. Adaptive
-// plans are built online against live observations and cannot be sharded up
-// front.
-func StaticPlan(mode ExecMode, k int) splitting.Plan {
-	return staticPlan(mode, k)
-}
-
-// ForEachSegmentSpec materializes a plan's segments as self-contained shards
-// in collection order, invoking fn for each. The underlying membership scan
-// is strictly forward, so shards are built one at a time; the caller decides
-// retention (a dispatcher buffering shards for remote workers trades the
-// sequential executor's peak-memory bound for shipping, exactly like the LPT
-// seed cache does). A non-nil error from fn aborts the walk.
-func ForEachSegmentSpec(col *view.Collection, comp analytics.Spec, opts RunOptions, plan splitting.Plan, fn func(i int, spec *SegmentSpec) error) error {
-	g := col.Graph
-	wc, err := g.WeightColumn(opts.WeightProp)
-	if err != nil {
-		return err
-	}
-	cols := edgeBatcher(g, wc)
-	stream := col.Stream
-	sizes := stream.ViewSizes()
-	scan := newSeedScan(stream, g.NumEdges(), sizes)
-	for i, seg := range plan.Segments {
-		n := seg.End - seg.Start
-		spec := &SegmentSpec{
-			Comp:       comp,
-			Workers:    opts.Workers,
-			Collection: col.Name,
-			Start:      seg.Start,
-			End:        seg.End,
-			Names:      make([]string, n),
-			Modes:      make([]splitting.Mode, n),
-			ViewSizes:  make([]int, n),
-			DiffSizes:  make([]int, n),
-		}
-		scan.advance(seg.Start)
-		spec.Seed = cols(scan.at(seg.Start))
-		for t := seg.Start; t < seg.End; t++ {
-			spec.Names[t-seg.Start] = stream.Names[t]
-			spec.Modes[t-seg.Start] = plan.Modes[t]
-			spec.ViewSizes[t-seg.Start] = sizes[t]
-			spec.DiffSizes[t-seg.Start] = stream.DiffSize(t)
-			if t > seg.Start {
-				spec.Adds = append(spec.Adds, cols(stream.Adds[t]))
-				spec.Dels = append(spec.Dels, cols(stream.Dels[t]))
-			}
-		}
-		if err := fn(i, spec); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// MergeSegmentOutcomes assembles shard outcomes into the RunResult the local
-// executor would have produced: ViewStats land at their collection indices,
-// per-segment timings sort into collection order, work counters sum per
-// worker index across every replica, the iteration-cap flag ORs, and the
-// final results come from the shard that ends the collection. Outcomes may
-// arrive in any order, but together they must cover the plan's views exactly
-// once — a lost or duplicated shard is a dispatcher bug surfaced here rather
-// than silently folded into wrong results.
+// MergeSegmentOutcomes assembles a run's RunResult from its segments'
+// outcomes — static, sharded, adaptive and committed speculative segments
+// alike: ViewStats land at their collection indices, per-segment timings
+// sort into collection order, work counters sum per worker index across
+// every replica, the iteration-cap flag ORs, and the final results come from
+// the segment that ends the collection. Outcomes may arrive in any order, but
+// together they must cover the plan's views exactly once — a lost or
+// duplicated segment is a dispatcher bug surfaced here rather than silently
+// folded into wrong results.
 func MergeSegmentOutcomes(computation, collection string, mode ExecMode, plan splitting.Plan, outcomes []*SegmentOutcome, wall time.Duration) (*RunResult, error) {
 	k := plan.NumViews()
 	res := &RunResult{

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"sort"
 	"sync"
 	"time"
 
@@ -18,7 +17,7 @@ import (
 // admission limit: the pool's capacity may exceed this run's Parallelism
 // when another concurrent run asked for more, so a local semaphore keeps
 // this run's concurrently live replicas at exactly opts.Parallelism — a
-// Parallelism=1 run stays strictly sequential no matter how large the
+// Parallelism=1 run holds one replica at a time no matter how large the
 // shared pool has grown.
 type runPool struct {
 	pool *analytics.Pool
@@ -76,126 +75,360 @@ func (rp *runPool) TryAcquire() (analytics.Runner, time.Duration, bool) {
 	return r, setup, true
 }
 
-// viewJob is one view handed to a segment executor: the view's index, its
-// mode label for stats, and — on a segment's first view only — the columnar
-// edge batch seeding the segment's fresh dataflow. The batch is built once
-// (by the seed cache or the speculative path) and handed to whichever
-// segment steps it; the job shares it by reference, never copies it.
+// viewStep is one view ready to execute: its stats identity (index, name,
+// mode, sizes — the step fills in the measurements) and the batches to feed.
+// seed marks a segment's opening view, whose adds are the whole view.
+type viewStep struct {
+	meta       ViewStats
+	seed       bool
+	adds, dels *graph.EdgeBatch
+}
+
+// collectionRun is the shared context of one RunCollection call: read-only
+// inputs, the cost-model hook, and the outcomes completed segments publish.
+// Every strategy — static dispatch on local and remote slots, adaptive
+// planning, committed speculation — reduces to "a segment produced a
+// SegmentOutcome", and MergeSegmentOutcomes assembles the result from them.
+type collectionRun struct {
+	name   string
+	stream *view.DiffStream
+	sizes  []int
+	// cols is the run's single edge-index → columnar-batch conversion point
+	// (see edgeBatcher).
+	cols func(idxs []uint32) *graph.EdgeBatch
+
+	// observe receives every executed view's measured runtime for the run's
+	// cost models: the scheduling estimator (LPT ordering of later runs) and,
+	// in adaptive mode, the optimizer. Safe to call from segment goroutines.
+	observe func(st ViewStats, seed bool)
+
+	// progress, when set (RunOptions.OnSegment), receives each segment's
+	// stats as record publishes it — the streaming hook the HTTP server uses.
+	progress func(SegmentStats)
+
+	mu       sync.Mutex
+	outcomes []*SegmentOutcome
+
+	// Speculation tallies; only the adaptive planner goroutine touches them.
+	specHits, specMisses int
+}
+
+// feed returns the observe hook that warms a scheduling estimator.
+func feed(est *schedule.Estimator) func(ViewStats, bool) {
+	return func(st ViewStats, seed bool) {
+		if seed {
+			est.ObserveScratch(st.ViewSize, st.Duration)
+		} else {
+			est.ObserveDiff(st.DiffSize, st.Duration)
+		}
+	}
+}
+
+// view returns view t of the run's stream as a step. A segment's opening
+// view feeds the seed built for it; every other view feeds its difference
+// sets, materialized here — per view, as the segment reaches it, so a long
+// segment never holds more than one view's batches.
+func (cr *collectionRun) view(t int, mode splitting.Mode, seed *graph.EdgeBatch) viewStep {
+	v := viewStep{
+		meta: ViewStats{Index: t, Name: cr.stream.Names[t], Mode: mode, ViewSize: cr.sizes[t], DiffSize: cr.stream.DiffSize(t)},
+		seed: seed != nil,
+		adds: seed,
+	}
+	if seed == nil {
+		v.adds, v.dels = cr.cols(cr.stream.Adds[t]), cr.cols(cr.stream.Dels[t])
+	}
+	return v
+}
+
+// record publishes a completed segment's outcome to the run and to its
+// progress hook. Called from whichever goroutine finished the segment; the
+// hook runs outside the lock because it may write to a network client.
+func (cr *collectionRun) record(out *SegmentOutcome) {
+	cr.mu.Lock()
+	cr.outcomes = append(cr.outcomes, out)
+	cr.mu.Unlock()
+	if cr.progress != nil {
+		cr.progress(out.Segment)
+	}
+}
+
+// segmentExec is one segment executing on a replica: the runner, the setup
+// cost its seed view will carry (replica construction or reset plus the seed
+// build), the per-view stats stepped so far and, when executing
+// asynchronously, the queue the adaptive planner feeds and the drain signal.
+type segmentExec struct {
+	r     analytics.Runner
+	start int           // first view index
+	setup time.Duration // replica acquisition plus seed build
+	drain time.Duration // wall time spent on the segment's views
+	spec  bool          // opened by a committed speculation
+	stats []ViewStats
+
+	jobs chan viewJob
+	done chan struct{}
+
+	// span covers the segment from replica acquisition to release. It is
+	// ended by releaseSeg — the one choke point every lifecycle path
+	// (finish, cancel, speculation discard) goes through — so a canceled run
+	// closes its spans exactly as reliably as it releases its replicas. Nil
+	// when the run carries no trace and on a worker's shard replica.
+	span *obs.Span
+}
+
+// step is the one place a view executes on a segment's replica — static
+// slots, worker-side shards, the adaptive consumer and speculation all come
+// through it. It steps the runner, completes the view's stats, folds output
+// history (the outcome snapshots what the result needs, and retained history
+// would only sit on a pooled replica until its next reset), and reports the
+// measured runtime to observe. A seed view that splits the collection is
+// timed together with the segment's setup cost, so a split pays for the
+// dataflow and seed it rebuilds; the collection's opening view times only
+// the step. A nil observe defers the report to the caller (a speculative
+// seed is observed only if it commits).
+func (s *segmentExec) step(v viewStep, observe func(ViewStats, bool)) {
+	st := v.meta
+	start := time.Now()
+	st.Duration = s.r.StepBatch(v.adds, v.dels)
+	if v.seed && st.Index > 0 {
+		st.Duration = s.setup + time.Since(start)
+	}
+	ver, _ := s.r.Version()
+	st.OutputDiffs = s.r.OutputDiffs(ver)
+	s.r.DropOutputsBefore(ver)
+	s.stats = append(s.stats, st)
+	if observe != nil {
+		observe(st, v.seed)
+	}
+}
+
+// run steps views [s.start, end) in order and returns the segment's outcome.
+// Cancellation is honored at view boundaries (a differential step cannot be
+// interrupted mid-fixpoint); a canceled segment returns ctx's error and no
+// outcome.
+func (s *segmentExec) run(ctx context.Context, end int, final bool, observe func(ViewStats, bool), view func(t int) viewStep) (*SegmentOutcome, error) {
+	began := time.Now()
+	for t := s.start; t < end; t++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		s.step(view(t), observe)
+	}
+	s.drain = time.Since(began)
+	return s.outcome(end, final), nil
+}
+
+// outcome snapshots a finished segment ending at view end: the replica's
+// work counters and iteration-cap flag are read now because the replica is
+// about to be released and reset for reuse, and final additionally captures
+// the per-vertex results (the local paths ask for them only on the segment
+// that ends the collection). The segment-latency histograms are observed
+// here, in the process that spent the time. Call once, after the segment's
+// last view and before its replica is released.
+func (s *segmentExec) outcome(end int, final bool) *SegmentOutcome {
+	out := &SegmentOutcome{
+		Stats:   s.stats,
+		Segment: SegmentStats{Start: s.start, End: end, Setup: s.setup, Drain: s.drain, Speculative: s.spec},
+		Work:    s.r.WorkCounts(),
+		IterCap: s.r.IterCapHit(),
+	}
+	if final {
+		out.Final = s.r.Results()
+	}
+	obs.M.SegmentSetup.Observe(s.setup.Seconds())
+	obs.M.SegmentDrain.Observe(s.drain.Seconds())
+	return out
+}
+
+// openSegment claims a replica for a segment opening at view start. build
+// is the time the segment's seed took to build; it joins the replica's own
+// setup in the cost the seed view reports.
+func openSegment(ctx context.Context, pool *runPool, start int, build time.Duration) (*segmentExec, error) {
+	_, span := obs.StartSpan(ctx, "segment", obs.Int("start", start))
+	r, setup, err := pool.Acquire(ctx)
+	if err != nil {
+		span.End()
+		return nil, err
+	}
+	return &segmentExec{r: r, start: start, setup: setup + build, span: span}, nil
+}
+
+// releaseSeg ends the segment's span and returns its replica to the
+// pool — the single release path, so spans and replicas can never leak
+// independently.
+func releaseSeg(pool *runPool, s *segmentExec) {
+	s.span.End()
+	pool.Release(s.r)
+}
+
+// segment is the unit of static dispatch: a plan segment and the seed the
+// forward builder made for it, with the time that took.
+type segment struct {
+	splitting.Segment
+	seed  *graph.EdgeBatch
+	build time.Duration
+}
+
+// remoteSlots are the SegmentRunner slots a static run dispatches onto
+// beside its local replicas — a cluster coordinator supplies one per unit of
+// live worker capacity — plus what a shard needs to name its computation on
+// the wire.
+type remoteSlots struct {
+	runners []SegmentRunner
+	comp    analytics.Spec
+	// workers is RunOptions.Workers as the caller set it: 0 ships "the
+	// executing engine's default", so each worker applies its own.
+	workers int
+}
+
+// dispatch executes a static plan: a work-conserving list schedule of its
+// segments, in the given order, over slots. One builder goroutine pulls
+// seeds from the forward scan (seeds.take) in dispatch order and offers each
+// segment on an unbuffered queue, so it stays exactly one seed ahead of the
+// slots: a slot that frees up finds its next seed already built, and at most
+// slots+1 seeds are live. A slot is either a local pool replica or a remote
+// SegmentRunner:
+//
+//   - A remote slot takes fresh segments, materializes each as a
+//     self-contained SegmentSpec and ships it. A slot whose runner fails
+//     retires for the rest of the run and hands its segment to the local
+//     slots.
+//   - A local slot first serves what remote slots handed back, then — once
+//     every remote slot has finished or retired, which is immediately in a
+//     plain local run — the fresh queue. While a remote slot lives, local
+//     replicas run only what a remote failed, so a healthy cluster run
+//     builds no local dataflow.
+//
+// Segments share no dataflow state, so any interleaving yields the same
+// outcomes; MergeSegmentOutcomes checks they cover the plan exactly once.
+//
+// Cancellation, or a local slot's failure (which cancels the rest), stops
+// the builder, makes every slot stop at its next view boundary or abandon
+// its remote call, and releases every replica; aborted segments record no
+// outcome — the run is returning an error, so partial results are never
+// read.
+func (cr *collectionRun) dispatch(ctx context.Context, plan splitting.Plan, order []int, seeds *seedCache, pool *runPool, local int, remote remoteSlots) error {
+	ctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	view := func(seg *segment) func(int) viewStep {
+		return func(t int) viewStep {
+			if t == seg.Start {
+				return cr.view(t, plan.Modes[t], seg.seed)
+			}
+			return cr.view(t, plan.Modes[t], nil)
+		}
+	}
+
+	var wg sync.WaitGroup
+	fresh := make(chan *segment)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(fresh)
+		for _, si := range order {
+			seg := &segment{Segment: plan.Segments[si]}
+			seg.seed, seg.build = seeds.take(seg.Start)
+			select {
+			case fresh <- seg:
+			case <-ctx.Done():
+				return
+			}
+		}
+	}()
+
+	// Sized to the plan: a retiring slot never blocks handing its segment back.
+	retry := make(chan *segment, len(order))
+	var remotes sync.WaitGroup
+	for _, r := range remote.runners {
+		remotes.Add(1)
+		go func(r SegmentRunner) {
+			defer remotes.Done()
+			for seg := range fresh {
+				out, err := r.RunSegment(ctx, remote.spec(cr.name, seg, view(seg)))
+				if err != nil {
+					retry <- seg
+					return
+				}
+				for i, st := range out.Stats {
+					cr.observe(st, i == 0)
+				}
+				cr.record(out)
+			}
+		}(r)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		remotes.Wait()
+		close(retry)
+	}()
+
+	for i := 0; i < local; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, queue := range []<-chan *segment{retry, fresh} {
+				for seg := range queue {
+					s, err := openSegment(ctx, pool, seg.Start, seg.build)
+					if err != nil {
+						cancel(err)
+						return
+					}
+					out, err := s.run(ctx, seg.End, seg.End == plan.NumViews(), cr.observe, view(seg))
+					releaseSeg(pool, s)
+					if err != nil {
+						cancel(err)
+						return
+					}
+					cr.record(out)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return context.Cause(ctx)
+}
+
+// spec materializes a segment as the self-contained shard a SegmentRunner
+// executes: the same view steps a local slot would take, with the successor
+// views' difference batches built up front because they must cross a wire.
+func (rs remoteSlots) spec(collection string, seg *segment, view func(int) viewStep) *SegmentSpec {
+	n := seg.Len()
+	sp := &SegmentSpec{
+		Comp:       rs.comp,
+		Workers:    rs.workers,
+		Collection: collection,
+		Start:      seg.Start,
+		End:        seg.End,
+		Names:      make([]string, n),
+		Modes:      make([]splitting.Mode, n),
+		ViewSizes:  make([]int, n),
+		DiffSizes:  make([]int, n),
+		Seed:       seg.seed,
+	}
+	for i := 0; i < n; i++ {
+		v := view(seg.Start + i)
+		sp.Names[i], sp.Modes[i], sp.ViewSizes[i], sp.DiffSizes[i] = v.meta.Name, v.meta.Mode, v.meta.ViewSize, v.meta.DiffSize
+		if i > 0 {
+			sp.Adds, sp.Dels = append(sp.Adds, v.adds), append(sp.Dels, v.dels)
+		}
+	}
+	return sp
+}
+
+// viewJob is one view handed to an adaptive segment's executor: the view's
+// index, the mode the planner chose, and — on the segment's first view only —
+// the columnar edge batch seeding the segment's fresh dataflow.
 type viewJob struct {
 	t    int
 	mode splitting.Mode
 	seed *graph.EdgeBatch // non-nil exactly on the segment's first view
 }
 
-// collectionRun is the shared context of one RunCollection call: read-only
-// inputs plus the per-view stats slots the segment executors fill in.
-// Segments cover disjoint view ranges, so their stats writes never alias; the
-// joins (channel closes, WaitGroup waits) publish them to the caller, keeping
-// stats collection race-free without locks. The cross-segment aggregates —
-// per-worker work counters, the iteration-cap flag, per-segment timings —
-// are folded in under accMu as each segment finishes, because replicas are
-// recycled (and reset) after their segment, so the run result must not read
-// them lazily.
-type collectionRun struct {
-	stream *view.DiffStream
-	sizes  []int
-	// cols is the run's single edge-index → columnar-batch conversion point
-	// (see edgeBatcher).
-	cols  func(idxs []uint32) *graph.EdgeBatch
-	stats []ViewStats
-
-	accMu      sync.Mutex
-	work       []int64 // per-worker counters summed over segment replicas
-	iterCap    bool
-	segStats   []SegmentStats
-	specHits   int
-	specMisses int
-	finalRes   map[analytics.VertexValue]int64 // snapshotted from the final view's segment
-
-	// estimator receives every view's measured runtime for the engine's
-	// scheduling cost model (LPT ordering of later runs). It is
-	// mutex-guarded internally, so segment goroutines feed it directly.
-	estimator *schedule.Estimator
-
-	// progress, when set (RunOptions.OnSegment), receives each segment's
-	// stats as finishSegment records them — the streaming hook the HTTP
-	// server uses. Called from segment goroutines, outside accMu.
-	progress func(SegmentStats)
-
-	// observe, when set (adaptive mode), receives each view's measured
-	// runtime for the optimizer's online models. It must be safe to call
-	// from segment goroutines.
-	observe func(j viewJob, dur time.Duration)
-}
-
-// segmentExec is one segment's execution state: its runner replica, the
-// pending replica construction/reset plus seed-build cost, and, when
-// executing asynchronously, the queue the planner feeds and the drain signal.
-// setup is folded into the seed view's duration so a split still pays for
-// dataflow construction and the membership scan, exactly what the sequential
-// executor timed; the collection's opening view never pays it (its runner
-// was built before the clock started there too).
-type segmentExec struct {
-	r     analytics.Runner
-	setup time.Duration
-	jobs  chan viewJob
-	done  chan struct{}
-
-	start     int           // first view index, for SegmentStats
-	setupStat time.Duration // setup cost, surviving the fold into the seed view
-	drain     time.Duration // summed wall time of the segment's Steps
-	spec      bool          // opened by a committed speculation
-
-	// span covers the segment from replica acquisition to release. It is
-	// ended by releaseSeg — the one choke point every lifecycle path
-	// (finish, cancel, speculation discard) already goes through — so a
-	// canceled run closes its spans exactly as reliably as it releases its
-	// replicas. Nil when the run carries no trace.
-	span *obs.Span
-}
-
-// runJob executes one view on the segment's runner and records its stats.
+// runJob executes one planned view on the segment's replica.
 func (cr *collectionRun) runJob(s *segmentExec, j viewJob) {
-	jobStart := time.Now()
-	var dur time.Duration
-	switch {
-	case j.seed != nil && j.t > 0:
-		// Split: the step is timed together with the setup cost (which
-		// already includes building the seed batch), as the sequential
-		// executor measured splits.
-		start := time.Now()
-		s.r.StepBatch(j.seed, nil)
-		dur = s.setup + time.Since(start)
-		s.setup = 0
-	case j.seed != nil:
-		// The collection's opening view: only the step itself is timed.
-		dur = s.r.StepBatch(j.seed, nil)
-	default:
-		dur = s.r.StepBatch(cr.cols(cr.stream.Adds[j.t]), cr.cols(cr.stream.Dels[j.t]))
-	}
-	v, _ := s.r.Version()
-	cr.stats[j.t] = ViewStats{
-		Index:       j.t,
-		Name:        cr.stream.Names[j.t],
-		Mode:        j.mode,
-		Duration:    dur,
-		ViewSize:    cr.sizes[j.t],
-		DiffSize:    cr.stream.DiffSize(j.t),
-		OutputDiffs: s.r.OutputDiffs(v),
-	}
-	if j.seed != nil {
-		cr.estimator.ObserveScratch(cr.sizes[j.t], dur)
-	} else {
-		cr.estimator.ObserveDiff(cr.stream.DiffSize(j.t), dur)
-	}
-	if cr.observe != nil {
-		cr.observe(j, dur)
-	}
-	// Fold output history as versions complete: the run result snapshots
-	// what it needs, and the replica returns to a pool where retained
-	// history would just sit until the next reset.
-	s.r.DropOutputsBefore(v)
-	s.drain += time.Since(jobStart)
+	began := time.Now()
+	s.step(cr.view(j.t, j.mode, j.seed), cr.observe)
+	s.drain += time.Since(began)
 }
 
 // consume drains the segment's queued views in order and signals completion.
@@ -212,136 +445,13 @@ func (cr *collectionRun) consume(ctx context.Context, s *segmentExec) {
 	close(s.done)
 }
 
-// finishSegment folds a completed segment into the run's aggregates: its
-// replica's work counters and iteration-cap flag (snapshotted now, because
-// the replica is about to be released and reset for reuse), its
-// SegmentStats entry, and — when the segment contains the collection's
-// final view — the per-vertex results the RunResult reports. Snapshotting
-// here lets every replica return to the pool uniformly no matter the
-// dispatch order (under LPT the final segment can finish first). Must be
-// called exactly once per segment, after its last view and before its
-// replica is released.
-func (cr *collectionRun) finishSegment(s *segmentExec, end int) {
-	wc := s.r.WorkCounts()
-	hit := s.r.IterCapHit()
-	var finalRes map[analytics.VertexValue]int64
-	if end == cr.stream.NumViews() {
-		finalRes = s.r.Results()
-	}
-	st := SegmentStats{
-		Start:       s.start,
-		End:         end,
-		Setup:       s.setupStat,
-		Drain:       s.drain,
-		Speculative: s.spec,
-	}
-	cr.accMu.Lock()
-	if cr.work == nil {
-		cr.work = make([]int64, len(wc))
-	}
-	for i, c := range wc {
-		cr.work[i] += c
-	}
-	cr.iterCap = cr.iterCap || hit
-	cr.segStats = append(cr.segStats, st)
-	if finalRes != nil {
-		cr.finalRes = finalRes
-	}
-	cr.accMu.Unlock()
-	obs.M.SegmentSetup.Observe(st.Setup.Seconds())
-	obs.M.SegmentDrain.Observe(st.Drain.Seconds())
-	if cr.progress != nil {
-		// Outside accMu: the callback may write to a network client and must
-		// never hold the run's aggregation lock while it does.
-		cr.progress(st)
-	}
-}
-
-// releaseSeg ends the segment's span and returns its replica to the
-// pool — the single release path, so spans and replicas can never leak
-// independently.
-func (cr *collectionRun) releaseSeg(pool *runPool, s *segmentExec) {
-	s.span.End()
-	pool.Release(s.r)
-}
-
-// segmentStats returns the per-segment timings in collection order. Segments
-// finish out of order under parallel dispatch; all executor goroutines have
-// joined by the time this is called.
-func (cr *collectionRun) segmentStats() []SegmentStats {
-	sort.Slice(cr.segStats, func(i, j int) bool { return cr.segStats[i].Start < cr.segStats[j].Start })
-	return cr.segStats
-}
-
-// acquireSegment takes a replica from the pool and builds the seed batch for
-// a segment opening at view t, folding the seed build time into the setup
-// cost the seed view will report (the cache attributes a seed built ahead
-// of dispatch to the segment that uses it).
-func acquireSegment(ctx context.Context, pool *runPool, seeds *seedCache, t int) (*segmentExec, *graph.EdgeBatch, error) {
-	_, span := obs.StartSpan(ctx, "segment", obs.Int("start", t))
-	r, setup, err := pool.Acquire(ctx)
-	if err != nil {
-		span.End()
-		return nil, nil, err
-	}
-	seed, build := seeds.take(t)
-	setup += build
-	return &segmentExec{r: r, setup: setup, start: t, setupStat: setup, span: span}, seed, nil
-}
-
-// runStatic dispatches a fully precomputed plan's segments onto the pool in
-// the scheduler's dispatch order — collection order under FIFO, longest
-// predicted cost first under LPT (order is a permutation of the segment
-// indices). Segments share no dataflow state, so up to the run's admission
-// limit execute concurrently (Acquire provides the backpressure, making the
-// dispatch a list schedule in the given order). Every segment's replica
-// returns to the pool as it finishes — the final collection segment's
-// results are snapshotted by finishSegment before its release, so even when
-// LPT dispatches (and finishes) that segment first, its replica slot frees
-// for the remaining segments rather than deadlocking a Parallelism=1 run.
-// An empty collection acquires nothing.
-//
-// Cancellation stops dispatch at the next acquire (Acquire itself aborts a
-// blocked wait) and makes every in-flight segment goroutine stop stepping
-// after its current view; aborted segments release their replicas without a
-// finishSegment entry — the run is returning an error, so partial aggregates
-// would never be read.
-func (cr *collectionRun) runStatic(ctx context.Context, plan splitting.Plan, seeds *seedCache, pool *runPool, order []int) error {
-	var wg sync.WaitGroup
-	for _, si := range order {
-		seg := plan.Segments[si]
-		s, seed, err := acquireSegment(ctx, pool, seeds, seg.Start)
-		if err != nil {
-			wg.Wait()
-			return err
-		}
-		wg.Add(1)
-		go func(seg splitting.Segment, s *segmentExec, seed *graph.EdgeBatch) {
-			defer wg.Done()
-			defer cr.releaseSeg(pool, s)
-			cr.runJob(s, viewJob{t: seg.Start, mode: plan.Modes[seg.Start], seed: seed})
-			for t := seg.Start + 1; t < seg.End; t++ {
-				if ctx.Err() != nil {
-					return
-				}
-				cr.runJob(s, viewJob{t: t, mode: plan.Modes[t]})
-			}
-			cr.finishSegment(s, seg.End)
-		}(seg, s, seed)
-	}
-	wg.Wait()
-	return ctx.Err()
-}
-
 // speculation is one in-flight speculative segment start: the predicted
-// split view, the replica seeded with it (nil when no idle replica could be
-// claimed or construction failed), and the seed view's stats, published via
-// the done channel.
+// split view and the segment seeded with it (nil when no idle replica could
+// be claimed or construction failed), published via the done channel.
 type speculation struct {
 	t    int
 	done chan struct{}
 	s    *segmentExec // set only if a replica was acquired and seeded
-	st   ViewStats    // the speculatively executed seed view's stats
 }
 
 // speculate predicts the planner's next split point from the optimizer's
@@ -371,28 +481,15 @@ func (cr *collectionRun) speculate(ctx context.Context, opt *splitting.Optimizer
 		}
 		_, span := obs.StartSpan(ctx, "segment",
 			obs.Int("start", p), obs.String("speculative", "true"))
-		jobStart := time.Now()
+		began := time.Now()
 		fork.advance(p)
 		scanStart := time.Now()
 		seed := cr.cols(fork.at(p))
-		setup += time.Since(scanStart)
-		// Mirror runJob's split timing: replica setup, seed scan, batch
-		// build and the step are one measured duration.
-		stepStart := time.Now()
-		r.StepBatch(seed, nil)
-		dur := setup + time.Since(stepStart)
-		v, _ := r.Version()
-		sp.st = ViewStats{
-			Index:       p,
-			Name:        cr.stream.Names[p],
-			Mode:        splitting.ModeScratch,
-			Duration:    dur,
-			ViewSize:    cr.sizes[p],
-			DiffSize:    cr.stream.DiffSize(p),
-			OutputDiffs: r.OutputDiffs(v),
-		}
-		r.DropOutputsBefore(v)
-		sp.s = &segmentExec{r: r, start: p, setupStat: setup, drain: time.Since(jobStart), spec: true, span: span}
+		s := &segmentExec{r: r, start: p, setup: setup + time.Since(scanStart), spec: true, span: span}
+		// The cost models see the seed view only if its segment commits.
+		s.step(cr.view(p, splitting.ModeScratch, seed), nil)
+		s.drain = time.Since(began)
+		sp.s = s
 	}()
 	return sp
 }
@@ -414,7 +511,7 @@ func (cr *collectionRun) speculate(ctx context.Context, opt *splitting.Optimizer
 //
 // With Speculate additionally set, an idle replica is seeded with the
 // predicted next split point's segment while the planner is still deciding
-// (see speculate); stats and model observations for a speculative seed view
+// (see speculate); a speculative seed view's outcome and model observations
 // are recorded only if its segment commits, so a miss leaves the run's
 // results, ViewStats and work aggregates exactly as if it never happened.
 func (cr *collectionRun) runAdaptive(ctx context.Context, opts RunOptions, pool *runPool, scan *seedScan) (splitting.Plan, error) {
@@ -426,13 +523,15 @@ func (cr *collectionRun) runAdaptive(ctx context.Context, opts RunOptions, pool 
 	// One mutex serializes planner decisions against observations arriving
 	// from segment goroutines; the optimizer is not safe for concurrent use.
 	var mu sync.Mutex
-	cr.observe = func(j viewJob, dur time.Duration) {
+	warm := cr.observe
+	cr.observe = func(st ViewStats, seed bool) {
+		warm(st, seed)
 		mu.Lock()
 		defer mu.Unlock()
-		if j.seed != nil {
-			opt.ObserveScratch(cr.sizes[j.t], dur)
+		if seed {
+			opt.ObserveScratch(st.ViewSize, st.Duration)
 		} else {
-			opt.ObserveDiff(cr.stream.DiffSize(j.t), dur)
+			opt.ObserveDiff(st.DiffSize, st.Duration)
 		}
 	}
 
@@ -442,17 +541,13 @@ func (cr *collectionRun) runAdaptive(ctx context.Context, opts RunOptions, pool 
 	speculating := opts.Speculate && !inline
 	var diffs []int
 	if speculating {
-		diffs = make([]int, k)
-		for t := range diffs {
-			diffs[t] = cr.stream.DiffSize(t)
-		}
+		diffs = diffSizes(cr.stream)
 	}
 	var segs []*segmentExec // asynchronously executing segments, in order
 	var cur *segmentExec
 	var spec *speculation
 	// handoffs tracks the goroutines finishing closed segments; they must be
-	// joined before returning, or their finishSegment aggregation would race
-	// with the caller reading the run's work counters and segment stats.
+	// joined before returning, or a late record would race the merge.
 	var handoffs sync.WaitGroup
 	// resolveSpec joins the outstanding speculation, if any, and returns it
 	// when it seeded the segment the planner just opened at commitAt (a
@@ -472,16 +567,15 @@ func (cr *collectionRun) runAdaptive(ctx context.Context, opts RunOptions, pool 
 		if sp.t == commitAt {
 			return sp
 		}
-		cr.releaseSeg(pool, sp.s)
-		cr.accMu.Lock()
+		releaseSeg(pool, sp.s)
 		cr.specMisses++
-		cr.accMu.Unlock()
 		return nil
 	}
-	// fail drains the already-dispatched segments before returning; it is
-	// only reached from the acquire path, where every segment so far —
-	// including the one just closed by the split — has a closed queue.
-	fail := func(err error) (splitting.Plan, error) {
+	// drain joins the already-dispatched segments and discards any
+	// outstanding speculation. It is only called once every segment's queue
+	// is closed; handoff goroutines own the replicas of segments closed at
+	// split points, the caller the open one's.
+	drain := func(err error) (splitting.Plan, error) {
 		for _, s := range segs {
 			<-s.done
 		}
@@ -491,23 +585,17 @@ func (cr *collectionRun) runAdaptive(ctx context.Context, opts RunOptions, pool 
 	}
 	for t := 0; t < k; t++ {
 		if err := ctx.Err(); err != nil {
-			// Canceled: stop planning, drain the open segments (their
-			// consumers discard queued views once they see the canceled ctx),
-			// discard any speculation, and release the still-open segment's
-			// replica — handoff goroutines own the replicas of segments
-			// already closed at split points.
+			// Canceled: stop planning and close the open segment's queue (its
+			// consumer discards queued views once it sees the canceled ctx),
+			// then release its replica once everything has drained.
 			if cur != nil && !inline {
 				close(cur.jobs)
 			}
-			for _, s := range segs {
-				<-s.done
-			}
-			handoffs.Wait()
-			resolveSpec(-1)
+			plan, err := drain(err)
 			if cur != nil {
-				cr.releaseSeg(pool, cur)
+				releaseSeg(pool, cur)
 			}
-			return planner.Plan(), err
+			return plan, err
 		}
 		mu.Lock()
 		mode, split := planner.Extend(cr.sizes[t], cr.stream.DiffSize(t))
@@ -517,8 +605,8 @@ func (cr *collectionRun) runAdaptive(ctx context.Context, opts RunOptions, pool 
 		if split {
 			if cur != nil {
 				if inline {
-					cr.finishSegment(cur, t)
-					cr.releaseSeg(pool, cur)
+					cr.record(cur.outcome(t, false))
+					releaseSeg(pool, cur)
 				} else {
 					// Hand the closed segment off: it keeps draining while
 					// the new segment seeds; its replica returns to the pool
@@ -528,31 +616,24 @@ func (cr *collectionRun) runAdaptive(ctx context.Context, opts RunOptions, pool 
 					go func(s *segmentExec, end int) {
 						defer handoffs.Done()
 						<-s.done
-						cr.finishSegment(s, end)
-						cr.releaseSeg(pool, s)
+						cr.record(s.outcome(end, false))
+						releaseSeg(pool, s)
 					}(cur, t)
 				}
 			}
 			if sp := resolveSpec(t); sp != nil {
-				// Hit: the segment's seed view already ran on the
-				// speculative replica. Publish its stats and feed the models
-				// now — exactly what runJob would have done had the view run
-				// after the decision.
+				// Hit: the segment's seed view already ran on the speculative
+				// replica; feed the models now that it counts.
 				cur = sp.s
-				cr.stats[t] = sp.st
-				cr.estimator.ObserveScratch(cr.sizes[t], sp.st.Duration)
-				mu.Lock()
-				opt.ObserveScratch(cr.sizes[t], sp.st.Duration)
-				mu.Unlock()
-				cr.accMu.Lock()
+				cr.observe(cur.stats[0], true)
 				cr.specHits++
-				cr.accMu.Unlock()
 				committed = true
 			} else {
+				var build time.Duration
+				seed, build = seeds.take(t)
 				var err error
-				cur, seed, err = acquireSegment(ctx, pool, seeds, t)
-				if err != nil {
-					return fail(err)
+				if cur, err = openSegment(ctx, pool, t, build); err != nil {
+					return drain(err)
 				}
 			}
 			if !inline {
@@ -593,16 +674,12 @@ func (cr *collectionRun) runAdaptive(ctx context.Context, opts RunOptions, pool 
 	}
 	if !inline {
 		close(cur.jobs)
-		for _, s := range segs {
-			<-s.done
-		}
-		handoffs.Wait()
 	}
-	resolveSpec(-1)
-	cr.finishSegment(cur, k)
-	cr.releaseSeg(pool, cur)
+	plan, _ := drain(nil)
+	cr.record(cur.outcome(k, true))
+	releaseSeg(pool, cur)
 	// A cancellation that lands during the tail drain still fails the run:
-	// consumers discard queued views after cancel, so the stats would be
+	// consumers discard queued views after cancel, so the outcomes would be
 	// partial even though every queue closed normally.
-	return planner.Plan(), ctx.Err()
+	return plan, ctx.Err()
 }

@@ -225,21 +225,12 @@ func (s *Session) Do(ctx context.Context, req Request) (Response, error) {
 			// equivalent.
 			runner = s.eng
 		}
-		// The trace is created here, at the narrow waist, so cluster runs
-		// (whose RunOn never reaches Engine.RunOn) are traced identically to
-		// engine runs, and every front-end can look the trace up by the
-		// result's RunID afterwards.
-		ctx, tr, created := s.eng.ensureTrace(ctx)
 		res, err := runner.RunOn(ctx, col, comp, r.Options)
-		if created {
-			s.eng.traces.Add(tr)
-		}
 		if err != nil {
 			// A literal nil Response, never a typed-nil *RunResult wrapped in
 			// a non-nil interface — callers may check resp != nil.
 			return nil, err
 		}
-		stampRun(res, tr)
 		return res, nil
 
 	case *RunViewRequest:
@@ -251,17 +242,17 @@ func (s *Session) Do(ctx context.Context, req Request) (Response, error) {
 		if err != nil {
 			return nil, err
 		}
-		results, dur, err := RunView(ctx, fv, comp, r.Workers, r.WeightProp)
+		// Under the run barrier: view maintenance rewrites fv.Edges in place.
+		res := &ViewRunResult{Computation: comp.Name(), View: r.View}
+		err = s.eng.Admit(func() (err error) {
+			res.Edges = fv.NumEdges()
+			res.Results, res.Duration, err = RunView(ctx, fv, comp, r.Workers, r.WeightProp)
+			return err
+		})
 		if err != nil {
 			return nil, err
 		}
-		return &ViewRunResult{
-			Computation: comp.Name(),
-			View:        r.View,
-			Edges:       fv.NumEdges(),
-			Duration:    dur,
-			Results:     results,
-		}, nil
+		return res, nil
 
 	case *MutateRequest:
 		res, err := s.eng.Mutate(r)

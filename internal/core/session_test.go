@@ -207,7 +207,7 @@ func TestCancelMidRunReturnsReplicas(t *testing.T) {
 			defer cancel()
 			errCh := make(chan error, 1)
 			go func() {
-				_, err := runCollection(ctx, col, comp, tc.opts, pool)
+				_, err := runCollection(ctx, col, comp, tc.opts, pool, remoteSlots{})
 				errCh <- err
 			}()
 			<-comp.started

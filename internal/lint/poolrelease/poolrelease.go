@@ -5,22 +5,19 @@
 // and every later run queues forever — production-only symptoms the
 // analyzer turns into vet failures.
 //
-// The analysis is intra-procedural and ownership-aware:
+// The analysis is intra-procedural and ownership-aware (the walk itself is
+// lintutil.Leaks, shared with spanend):
 //
 //   - An acquire whose runner value *escapes* the function — returned,
 //     stored into a variable/struct/map/channel, captured by a closure, or
 //     passed to any function other than Release — transfers ownership and
 //     is not flagged; the executor's dispatch paths (internal/core's
-//     segment states) hand runners between goroutines this way. Calling
-//     methods on the runner and comparing it are uses, not escapes.
+//     segment states) hand runners between goroutines this way.
 //
-//   - Otherwise the runner is locally owned, and a path walk requires a
-//     Release (directly or via defer) on every path from the acquire to
-//     function exit. Each path's outcome is tracked as a set — a branch
-//     that leaves via continue/break does not get credit for a release
-//     later in the block. The failure branch of the acquire
-//     (`if err != nil`, `if !ok`) is recognized and exempt — no runner
-//     exists there.
+//   - Otherwise the runner is locally owned, and a Release (directly or via
+//     defer) is required on every path from the acquire to function exit.
+//     The failure branch of the acquire (`if err != nil`, `if !ok`) is
+//     exempt — no runner exists there.
 //
 //   - A runner assigned to the blank identifier, or an acquire used as a
 //     bare expression statement, can never be released and is always
@@ -32,7 +29,6 @@ package poolrelease
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 
 	"graphsurge/internal/lint/analysis"
@@ -46,107 +42,56 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {
-	for _, file := range pass.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				if n.Body != nil {
-					analyzeBody(pass, n.Body)
-				}
-			case *ast.FuncLit:
-				analyzeBody(pass, n.Body)
-			}
-			return true
-		})
-	}
+	lintutil.EachFuncBody(pass.Files, func(body *ast.BlockStmt) { analyzeBody(pass, body) })
 	return nil, nil
-}
-
-// acquireSite is one Acquire/TryAcquire call bound to local variables.
-type acquireSite struct {
-	stmt   ast.Stmt // the assignment statement
-	call   *ast.CallExpr
-	method string       // Acquire or TryAcquire
-	runner types.Object // the runner variable
-	status types.Object // err (Acquire) or ok (TryAcquire); nil if blank
 }
 
 // analyzeBody checks every acquire lexically inside body but outside any
 // nested function literal (literals are analyzed as their own bodies).
 func analyzeBody(pass *analysis.Pass, body *ast.BlockStmt) {
-	var sites []acquireSite
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.ExprStmt:
-			if call, ok := n.X.(*ast.CallExpr); ok {
-				if m, isAcq := acquireMethod(pass.TypesInfo, call); isAcq {
-					pass.Reportf(call.Pos(), "result of analytics.Pool.%s is discarded — the replica slot can never be released", m)
-				}
-			}
-		case *ast.AssignStmt:
-			if len(n.Rhs) != 1 {
-				return true
-			}
-			call, ok := n.Rhs[0].(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			m, isAcq := acquireMethod(pass.TypesInfo, call)
-			if !isAcq || len(n.Lhs) != 3 {
-				return true
-			}
-			site := acquireSite{stmt: n, call: call, method: m}
-			site.runner = identObj(pass.TypesInfo, n.Lhs[0])
-			site.status = identObj(pass.TypesInfo, n.Lhs[2])
-			if site.runner == nil {
-				pass.Reportf(call.Pos(), "runner from analytics.Pool.%s assigned to the blank identifier — the replica slot can never be released", m)
-				return true
-			}
-			sites = append(sites, site)
+	info := pass.TypesInfo
+	isAcquire := func(call *ast.CallExpr) bool { return acquireMethod(info, call) != "" }
+	type site struct {
+		call  *ast.CallExpr
+		owned lintutil.Owned
+	}
+	var sites []site
+	lintutil.EachAcquire(body, isAcquire, func(call *ast.CallExpr) {
+		pass.Reportf(call.Pos(), "result of analytics.Pool.%s is discarded — the replica slot can never be released", acquireMethod(info, call))
+	}, func(n *ast.AssignStmt, call *ast.CallExpr) {
+		if len(n.Lhs) != 3 {
+			return
 		}
-		return true
+		runner := lintutil.IdentObj(info, n.Lhs[0])
+		if runner == nil {
+			pass.Reportf(call.Pos(), "runner from analytics.Pool.%s assigned to the blank identifier — the replica slot can never be released", acquireMethod(info, call))
+			return
+		}
+		sites = append(sites, site{call, lintutil.Owned{
+			Stmt:      n,
+			Obj:       runner,
+			Status:    lintutil.IdentObj(info, n.Lhs[2]), // err (Acquire) or ok (TryAcquire)
+			IsRelease: func(c *ast.CallExpr) bool { return isReleaseCall(info, c, runner) },
+		}})
 	})
-
-	for _, site := range sites {
-		if escapes(pass.TypesInfo, body, site) {
-			continue
-		}
-		ev := &eval{info: pass.TypesInfo, site: site}
-		found, st := ev.seek(body.List)
-		if found && st&^released != 0 {
-			pass.Reportf(site.call.Pos(),
-				"replica acquired from analytics.Pool.%s is not released on every path — add a defer pool.Release or release on each exit", site.method)
+	for _, s := range sites {
+		if lintutil.Leaks(info, body, s.owned) {
+			pass.Reportf(s.call.Pos(),
+				"replica acquired from analytics.Pool.%s is not released on every path — add a defer pool.Release or release on each exit", acquireMethod(info, s.call))
 		}
 	}
 }
 
-// acquireMethod reports whether call invokes analytics.Pool.Acquire or
-// TryAcquire.
-func acquireMethod(info *types.Info, call *ast.CallExpr) (string, bool) {
+// acquireMethod names the analytics.Pool acquire method call invokes —
+// Acquire or TryAcquire — or returns "" for any other call.
+func acquireMethod(info *types.Info, call *ast.CallExpr) string {
 	obj := lintutil.Callee(info, call)
-	if obj == nil {
-		return "", false
+	for _, m := range []string{"Acquire", "TryAcquire"} {
+		if obj != nil && lintutil.IsMethodOn(obj, "analytics", "Pool", m) {
+			return m
+		}
 	}
-	if lintutil.IsMethodOn(obj, "analytics", "Pool", "Acquire") {
-		return "Acquire", true
-	}
-	if lintutil.IsMethodOn(obj, "analytics", "Pool", "TryAcquire") {
-		return "TryAcquire", true
-	}
-	return "", false
-}
-
-func identObj(info *types.Info, e ast.Expr) types.Object {
-	id, ok := e.(*ast.Ident)
-	if !ok || id.Name == "_" {
-		return nil
-	}
-	if obj := info.Defs[id]; obj != nil {
-		return obj
-	}
-	return info.Uses[id]
+	return ""
 }
 
 // isReleaseCall reports whether call is Pool.Release with the runner as an
@@ -158,401 +103,6 @@ func isReleaseCall(info *types.Info, call *ast.CallExpr, runner types.Object) bo
 	}
 	for _, arg := range call.Args {
 		if id, ok := ast.Unparen(arg).(*ast.Ident); ok && info.Uses[id] == runner {
-			return true
-		}
-	}
-	return false
-}
-
-// escapes reports whether the runner's ownership can leave the function:
-// any use of the runner identifier other than method calls on it,
-// comparisons, reassignment, or Release. Classification is by the use
-// site's parent node; unknown contexts count as escapes, biasing toward
-// silence over false leak reports.
-func escapes(info *types.Info, body *ast.BlockStmt, site acquireSite) bool {
-	esc := false
-	var stack []ast.Node
-	ast.Inspect(body, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		stack = append(stack, n)
-		if esc {
-			return true
-		}
-		id, ok := n.(*ast.Ident)
-		if !ok || info.Uses[id] != site.runner {
-			return true
-		}
-		if useEscapes(info, stack, id, site) {
-			esc = true
-		}
-		return true
-	})
-	return esc
-}
-
-// useEscapes classifies one use of the runner identifier. stack holds the
-// ancestors of id, innermost last (id itself on top).
-func useEscapes(info *types.Info, stack []ast.Node, id *ast.Ident, site acquireSite) bool {
-	// A reference from inside a function literal outlives this frame.
-	for _, anc := range stack[:len(stack)-1] {
-		if _, ok := anc.(*ast.FuncLit); ok {
-			return true
-		}
-	}
-	parent, grand := ancestors(stack)
-	switch p := parent.(type) {
-	case *ast.SelectorExpr:
-		// r.Step() is a use; r.Step as a method value escapes.
-		if call, ok := grand.(*ast.CallExpr); ok && ast.Unparen(call.Fun) == p {
-			return false
-		}
-		return true
-	case *ast.CallExpr:
-		// The runner as an argument: only Release keeps ownership local.
-		return !isReleaseCall(info, p, site.runner)
-	case *ast.AssignStmt:
-		for _, lhs := range p.Lhs {
-			if ast.Unparen(lhs) == id {
-				return false // reassignment of r itself
-			}
-		}
-		return true // r on the right-hand side is stored somewhere
-	case *ast.BinaryExpr:
-		return false // comparison (r == nil)
-	case *ast.SwitchStmt, *ast.CaseClause:
-		return false // switch r { case other: } comparisons
-	}
-	return true
-}
-
-// ancestors returns id's parent and grandparent nodes, looking through
-// parentheses.
-func ancestors(stack []ast.Node) (parent, grand ast.Node) {
-	nodes := make([]ast.Node, 0, 2)
-	for i := len(stack) - 2; i >= 0 && len(nodes) < 2; i-- {
-		if _, ok := stack[i].(*ast.ParenExpr); ok {
-			continue
-		}
-		nodes = append(nodes, stack[i])
-	}
-	if len(nodes) > 0 {
-		parent = nodes[0]
-	}
-	if len(nodes) > 1 {
-		grand = nodes[1]
-	}
-	return parent, grand
-}
-
-// pathSet is a set of outcomes over the executions flowing from a point.
-type pathSet uint8
-
-const (
-	fallthru pathSet = 1 << iota // control continues past the statement list
-	released                     // a Release (or deferred Release) happened
-	leaked                       // function exit without a Release
-	broke                        // left the nearest loop/switch via break
-	cont                         // ended the loop iteration via continue
-)
-
-// eval walks the post-acquire statements for one site.
-type eval struct {
-	info *types.Info
-	site acquireSite
-}
-
-// seek locates the acquire statement within list (possibly nested) and
-// returns the outcome set of all executions from just after it.
-func (ev *eval) seek(list []ast.Stmt) (bool, pathSet) {
-	for i, s := range list {
-		if s == ev.site.stmt {
-			return true, ev.checkStmts(list[i+1:])
-		}
-		if !containsNode(s, ev.site.stmt) {
-			continue
-		}
-		found, st := ev.seekStmt(s)
-		if !found {
-			continue
-		}
-		if st&fallthru != 0 {
-			st = (st &^ fallthru) | ev.checkStmts(list[i+1:])
-		}
-		return true, st
-	}
-	return false, 0
-}
-
-func (ev *eval) seekStmt(s ast.Stmt) (bool, pathSet) {
-	switch s := s.(type) {
-	case *ast.BlockStmt:
-		return ev.seek(s.List)
-	case *ast.LabeledStmt:
-		return ev.seekStmt(s.Stmt)
-	case *ast.IfStmt:
-		if s.Init == ev.site.stmt {
-			// if r, _, ok := pool.TryAcquire(); ok { ... }
-			return true, ev.checkStmt(&ast.IfStmt{Cond: s.Cond, Body: s.Body, Else: s.Else})
-		}
-		if containsNode(s.Body, ev.site.stmt) {
-			return ev.seek(s.Body.List)
-		}
-		if s.Else != nil && containsNode(s.Else, ev.site.stmt) {
-			return ev.seekStmt(s.Else)
-		}
-		return false, 0
-	case *ast.ForStmt:
-		return ev.seekLoop(s.Body)
-	case *ast.RangeStmt:
-		return ev.seekLoop(s.Body)
-	case *ast.SwitchStmt:
-		return ev.seekCases(s.Body)
-	case *ast.TypeSwitchStmt:
-		return ev.seekCases(s.Body)
-	case *ast.SelectStmt:
-		return ev.seekCases(s.Body)
-	}
-	return false, 0
-}
-
-// seekLoop maps iteration outcomes to the loop boundary for an acquire
-// inside the loop body: any way the iteration ends without a release —
-// falling through to the next iteration, continue, or break (the runner
-// is scoped to the iteration) — abandons that iteration's runner.
-func (ev *eval) seekLoop(body *ast.BlockStmt) (bool, pathSet) {
-	found, st := ev.seek(body.List)
-	if !found {
-		return false, 0
-	}
-	out := st & (released | leaked)
-	if st&(fallthru|cont|broke) != 0 {
-		out |= leaked
-	}
-	return true, out
-}
-
-// seekCases finds the case body holding the acquire; break exits the
-// switch/select, so it becomes fallthru at this level.
-func (ev *eval) seekCases(body *ast.BlockStmt) (bool, pathSet) {
-	for _, clause := range body.List {
-		stmts := clauseBody(clause)
-		if stmts == nil || !containsClause(stmts, ev.site.stmt) {
-			continue
-		}
-		found, st := ev.seek(stmts)
-		if !found {
-			continue
-		}
-		if st&broke != 0 {
-			st = (st &^ broke) | fallthru
-		}
-		return true, st
-	}
-	return false, 0
-}
-
-// checkStmts computes the outcome set of a statement list: outcomes that
-// stop a path (release, exit, break, continue) accumulate; only fallthru
-// paths flow into the next statement.
-func (ev *eval) checkStmts(list []ast.Stmt) pathSet {
-	if len(list) == 0 {
-		return fallthru
-	}
-	st := ev.checkStmt(list[0])
-	out := st &^ fallthru
-	if st&fallthru != 0 {
-		out |= ev.checkStmts(list[1:])
-	}
-	return out
-}
-
-func (ev *eval) checkStmt(s ast.Stmt) pathSet {
-	switch s := s.(type) {
-	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok && isReleaseCall(ev.info, call, ev.site.runner) {
-			return released
-		}
-		return fallthru
-	case *ast.DeferStmt:
-		if isReleaseCall(ev.info, s.Call, ev.site.runner) {
-			return released
-		}
-		return fallthru
-	case *ast.ReturnStmt:
-		return leaked
-	case *ast.BranchStmt:
-		switch s.Tok {
-		case token.BREAK:
-			return broke
-		case token.CONTINUE:
-			return cont
-		case token.GOTO:
-			return leaked // cannot track the jump target
-		}
-		return fallthru
-	case *ast.BlockStmt:
-		return ev.checkStmts(s.List)
-	case *ast.LabeledStmt:
-		return ev.checkStmt(s.Stmt)
-	case *ast.IfStmt:
-		return ev.checkIf(s)
-	case *ast.ForStmt:
-		body := ev.checkStmts(s.Body.List)
-		out := body & (leaked | released)
-		// The loop is left unreleased when it can run zero times or an
-		// iteration path exits it without a release.
-		if s.Cond != nil || body&(fallthru|cont|broke) != 0 {
-			out |= fallthru
-		}
-		if out == 0 {
-			out = fallthru
-		}
-		return out
-	case *ast.RangeStmt:
-		body := ev.checkStmts(s.Body.List)
-		return (body & (leaked | released)) | fallthru
-	case *ast.SwitchStmt:
-		return ev.checkCases(s.Body, hasDefaultCase(s.Body))
-	case *ast.TypeSwitchStmt:
-		return ev.checkCases(s.Body, hasDefaultCase(s.Body))
-	case *ast.SelectStmt:
-		// A select with no default still executes exactly one case.
-		return ev.checkCases(s.Body, true)
-	}
-	return fallthru
-}
-
-// checkIf evaluates an if-statement after the acquire. The acquire's own
-// status guard splits success from failure: failure paths carry no runner
-// and are dropped from the outcome set entirely.
-func (ev *eval) checkIf(s *ast.IfStmt) pathSet {
-	switch ev.guardKind(s.Cond) {
-	case guardFailure:
-		if s.Else != nil {
-			return ev.checkStmt(s.Else) // success lives in the else arm
-		}
-		return fallthru // success continues after the if
-	case guardSuccess:
-		return ev.checkStmts(s.Body.List)
-	}
-	out := ev.checkStmts(s.Body.List)
-	if s.Else != nil {
-		out |= ev.checkStmt(s.Else)
-	} else {
-		out |= fallthru
-	}
-	return out
-}
-
-func (ev *eval) checkCases(body *ast.BlockStmt, exhaustive bool) pathSet {
-	var out pathSet
-	seen := false
-	for _, clause := range body.List {
-		stmts := clauseBody(clause)
-		if stmts == nil {
-			continue
-		}
-		seen = true
-		cs := ev.checkStmts(stmts)
-		if cs&broke != 0 {
-			cs = (cs &^ broke) | fallthru // break exits the switch
-		}
-		out |= cs
-	}
-	if !exhaustive || !seen {
-		out |= fallthru
-	}
-	return out
-}
-
-type guardKind int
-
-const (
-	guardNone guardKind = iota
-	guardFailure
-	guardSuccess
-)
-
-// guardKind classifies an if condition relative to the acquire's status
-// variable: `err != nil` / `!ok` guard the failure path, `err == nil` /
-// `ok` the success path.
-func (ev *eval) guardKind(cond ast.Expr) guardKind {
-	obj := ev.site.status
-	if obj == nil {
-		return guardNone
-	}
-	switch c := ast.Unparen(cond).(type) {
-	case *ast.BinaryExpr:
-		var other ast.Expr
-		if id, ok := ast.Unparen(c.X).(*ast.Ident); ok && ev.info.Uses[id] == obj {
-			other = c.Y
-		} else if id, ok := ast.Unparen(c.Y).(*ast.Ident); ok && ev.info.Uses[id] == obj {
-			other = c.X
-		} else {
-			return guardNone
-		}
-		if !isNilIdent(ev.info, other) {
-			return guardNone
-		}
-		switch c.Op {
-		case token.NEQ:
-			return guardFailure // err != nil
-		case token.EQL:
-			return guardSuccess // err == nil
-		}
-		return guardNone
-	case *ast.UnaryExpr:
-		if c.Op == token.NOT {
-			if id, ok := ast.Unparen(c.X).(*ast.Ident); ok && ev.info.Uses[id] == obj {
-				return guardFailure // !ok
-			}
-		}
-	case *ast.Ident:
-		if ev.info.Uses[c] == obj {
-			return guardSuccess // ok
-		}
-	}
-	return guardNone
-}
-
-func isNilIdent(info *types.Info, e ast.Expr) bool {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	_, isNil := info.Uses[id].(*types.Nil)
-	return isNil
-}
-
-func clauseBody(clause ast.Stmt) []ast.Stmt {
-	switch c := clause.(type) {
-	case *ast.CaseClause:
-		return c.Body
-	case *ast.CommClause:
-		return c.Body
-	}
-	return nil
-}
-
-func containsNode(outer ast.Node, inner ast.Stmt) bool {
-	return outer.Pos() <= inner.Pos() && inner.End() <= outer.End()
-}
-
-func containsClause(stmts []ast.Stmt, inner ast.Stmt) bool {
-	for _, s := range stmts {
-		if containsNode(s, inner) {
-			return true
-		}
-	}
-	return false
-}
-
-func hasDefaultCase(body *ast.BlockStmt) bool {
-	for _, clause := range body.List {
-		if c, ok := clause.(*ast.CaseClause); ok && c.List == nil {
 			return true
 		}
 	}

@@ -6,7 +6,8 @@
 // red only if the leak happens to be on the exercised path. The analyzer
 // turns the invariant into a vet failure at the unexercised ones too.
 //
-// The analysis mirrors poolrelease's ownership-aware path walk:
+// The analysis is poolrelease's ownership-aware path walk (lintutil.Leaks)
+// with a span as the resource and no failure branch:
 //
 //   - A span that *escapes* the function — returned, stored into a
 //     variable/struct/map/channel, captured by a closure, or passed to any
@@ -14,10 +15,8 @@
 //     stores segment spans on segmentExec and ends them in releaseSeg, the
 //     single choke point every lifecycle path goes through.
 //
-//   - Otherwise the span is locally owned, and a path walk requires an End
-//     (directly or via defer) on every path from the StartSpan to function
-//     exit. Each path's outcome is tracked as a set — a branch that leaves
-//     via continue/break does not get credit for an End later in the block.
+//   - Otherwise the span is locally owned, and an End (directly or via
+//     defer) is required on every path from the StartSpan to function exit.
 //
 //   - A span assigned to the blank identifier, or a StartSpan used as a
 //     bare expression statement, can never be ended and is always reported.
@@ -31,7 +30,6 @@ package spanend
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 
 	"graphsurge/internal/lint/analysis"
@@ -45,67 +43,40 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {
-	for _, file := range pass.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				if n.Body != nil {
-					analyzeBody(pass, n.Body)
-				}
-			case *ast.FuncLit:
-				analyzeBody(pass, n.Body)
-			}
-			return true
-		})
-	}
+	lintutil.EachFuncBody(pass.Files, func(body *ast.BlockStmt) { analyzeBody(pass, body) })
 	return nil, nil
-}
-
-// startSite is one StartSpan call bound to a local span variable.
-type startSite struct {
-	stmt ast.Stmt // the assignment statement
-	call *ast.CallExpr
-	span types.Object // the span variable (Lhs[1])
 }
 
 // analyzeBody checks every StartSpan lexically inside body but outside any
 // nested function literal (literals are analyzed as their own bodies).
 func analyzeBody(pass *analysis.Pass, body *ast.BlockStmt) {
-	var sites []startSite
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.ExprStmt:
-			if call, ok := n.X.(*ast.CallExpr); ok && isStartSpan(pass.TypesInfo, call) {
-				pass.Reportf(call.Pos(), "result of obs.StartSpan is discarded — the span can never be ended")
-			}
-		case *ast.AssignStmt:
-			if len(n.Rhs) != 1 {
-				return true
-			}
-			call, ok := n.Rhs[0].(*ast.CallExpr)
-			if !ok || !isStartSpan(pass.TypesInfo, call) || len(n.Lhs) != 2 {
-				return true
-			}
-			site := startSite{stmt: n, call: call, span: identObj(pass.TypesInfo, n.Lhs[1])}
-			if site.span == nil {
-				pass.Reportf(call.Pos(), "span from obs.StartSpan assigned to the blank identifier — the span can never be ended")
-				return true
-			}
-			sites = append(sites, site)
+	info := pass.TypesInfo
+	isStart := func(call *ast.CallExpr) bool { return isStartSpan(info, call) }
+	type site struct {
+		call  *ast.CallExpr
+		owned lintutil.Owned
+	}
+	var sites []site
+	lintutil.EachAcquire(body, isStart, func(call *ast.CallExpr) {
+		pass.Reportf(call.Pos(), "result of obs.StartSpan is discarded — the span can never be ended")
+	}, func(n *ast.AssignStmt, call *ast.CallExpr) {
+		if len(n.Lhs) != 2 {
+			return
 		}
-		return true
+		span := lintutil.IdentObj(info, n.Lhs[1])
+		if span == nil {
+			pass.Reportf(call.Pos(), "span from obs.StartSpan assigned to the blank identifier — the span can never be ended")
+			return
+		}
+		sites = append(sites, site{call, lintutil.Owned{
+			Stmt:      n,
+			Obj:       span,
+			IsRelease: func(c *ast.CallExpr) bool { return isEndCall(info, c, span) },
+		}})
 	})
-
-	for _, site := range sites {
-		if escapes(pass.TypesInfo, body, site) {
-			continue
-		}
-		ev := &eval{info: pass.TypesInfo, site: site}
-		found, st := ev.seek(body.List)
-		if found && st&^ended != 0 {
-			pass.Reportf(site.call.Pos(),
+	for _, s := range sites {
+		if lintutil.Leaks(info, body, s.owned) {
+			pass.Reportf(s.call.Pos(),
 				"span started with obs.StartSpan is not ended on every path — add a defer span.End() or end on each exit")
 		}
 	}
@@ -124,17 +95,6 @@ func isStartSpan(info *types.Info, call *ast.CallExpr) bool {
 	return lintutil.PkgHasSuffix(fn.Pkg(), "obs")
 }
 
-func identObj(info *types.Info, e ast.Expr) types.Object {
-	id, ok := e.(*ast.Ident)
-	if !ok || id.Name == "_" {
-		return nil
-	}
-	if obj := info.Defs[id]; obj != nil {
-		return obj
-	}
-	return info.Uses[id]
-}
-
 // isEndCall reports whether call is span.End() on the site's span variable.
 func isEndCall(info *types.Info, call *ast.CallExpr, span types.Object) bool {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
@@ -147,322 +107,4 @@ func isEndCall(info *types.Info, call *ast.CallExpr, span types.Object) bool {
 	}
 	id, ok := ast.Unparen(sel.X).(*ast.Ident)
 	return ok && info.Uses[id] == span
-}
-
-// escapes reports whether the span's ownership can leave the function: any
-// use of the span identifier other than method calls on it, comparisons, or
-// reassignment. Unknown contexts count as escapes, biasing toward silence
-// over false leak reports — exactly poolrelease's posture.
-func escapes(info *types.Info, body *ast.BlockStmt, site startSite) bool {
-	esc := false
-	var stack []ast.Node
-	ast.Inspect(body, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		stack = append(stack, n)
-		if esc {
-			return true
-		}
-		id, ok := n.(*ast.Ident)
-		if !ok || info.Uses[id] != site.span {
-			return true
-		}
-		if useEscapes(stack, id) {
-			esc = true
-		}
-		return true
-	})
-	return esc
-}
-
-// useEscapes classifies one use of the span identifier. stack holds the
-// ancestors of id, innermost last (id itself on top).
-func useEscapes(stack []ast.Node, id *ast.Ident) bool {
-	// A reference from inside a function literal outlives this frame.
-	for _, anc := range stack[:len(stack)-1] {
-		if _, ok := anc.(*ast.FuncLit); ok {
-			return true
-		}
-	}
-	parent, grand := ancestors(stack)
-	switch p := parent.(type) {
-	case *ast.SelectorExpr:
-		// span.End() / span.SetAttr(a) are uses; span.End as a method value
-		// escapes.
-		if call, ok := grand.(*ast.CallExpr); ok && ast.Unparen(call.Fun) == p {
-			return false
-		}
-		return true
-	case *ast.CallExpr:
-		// The span as an argument transfers ownership to the callee —
-		// releaseSeg-style choke points end spans for their callers.
-		return true
-	case *ast.AssignStmt:
-		for _, lhs := range p.Lhs {
-			if ast.Unparen(lhs) == id {
-				return false // reassignment of the span variable itself
-			}
-		}
-		return true // span on the right-hand side is stored somewhere
-	case *ast.BinaryExpr:
-		return false // comparison (span == nil)
-	case *ast.SwitchStmt, *ast.CaseClause:
-		return false
-	}
-	return true
-}
-
-// ancestors returns id's parent and grandparent nodes, looking through
-// parentheses.
-func ancestors(stack []ast.Node) (parent, grand ast.Node) {
-	nodes := make([]ast.Node, 0, 2)
-	for i := len(stack) - 2; i >= 0 && len(nodes) < 2; i-- {
-		if _, ok := stack[i].(*ast.ParenExpr); ok {
-			continue
-		}
-		nodes = append(nodes, stack[i])
-	}
-	if len(nodes) > 0 {
-		parent = nodes[0]
-	}
-	if len(nodes) > 1 {
-		grand = nodes[1]
-	}
-	return parent, grand
-}
-
-// pathSet is a set of outcomes over the executions flowing from a point.
-type pathSet uint8
-
-const (
-	fallthru pathSet = 1 << iota // control continues past the statement list
-	ended                        // an End (or deferred End) happened
-	leaked                       // function exit without an End
-	broke                        // left the nearest loop/switch via break
-	cont                         // ended the loop iteration via continue
-)
-
-// eval walks the post-StartSpan statements for one site.
-type eval struct {
-	info *types.Info
-	site startSite
-}
-
-// seek locates the StartSpan statement within list (possibly nested) and
-// returns the outcome set of all executions from just after it.
-func (ev *eval) seek(list []ast.Stmt) (bool, pathSet) {
-	for i, s := range list {
-		if s == ev.site.stmt {
-			return true, ev.checkStmts(list[i+1:])
-		}
-		if !containsNode(s, ev.site.stmt) {
-			continue
-		}
-		found, st := ev.seekStmt(s)
-		if !found {
-			continue
-		}
-		if st&fallthru != 0 {
-			st = (st &^ fallthru) | ev.checkStmts(list[i+1:])
-		}
-		return true, st
-	}
-	return false, 0
-}
-
-func (ev *eval) seekStmt(s ast.Stmt) (bool, pathSet) {
-	switch s := s.(type) {
-	case *ast.BlockStmt:
-		return ev.seek(s.List)
-	case *ast.LabeledStmt:
-		return ev.seekStmt(s.Stmt)
-	case *ast.IfStmt:
-		if s.Init == ev.site.stmt {
-			return true, ev.checkStmt(&ast.IfStmt{Cond: s.Cond, Body: s.Body, Else: s.Else})
-		}
-		if containsNode(s.Body, ev.site.stmt) {
-			return ev.seek(s.Body.List)
-		}
-		if s.Else != nil && containsNode(s.Else, ev.site.stmt) {
-			return ev.seekStmt(s.Else)
-		}
-		return false, 0
-	case *ast.ForStmt:
-		return ev.seekLoop(s.Body)
-	case *ast.RangeStmt:
-		return ev.seekLoop(s.Body)
-	case *ast.SwitchStmt:
-		return ev.seekCases(s.Body)
-	case *ast.TypeSwitchStmt:
-		return ev.seekCases(s.Body)
-	case *ast.SelectStmt:
-		return ev.seekCases(s.Body)
-	}
-	return false, 0
-}
-
-// seekLoop maps iteration outcomes to the loop boundary for a StartSpan
-// inside the loop body: any way the iteration ends without an End — falling
-// through to the next iteration, continue, or break (the span is scoped to
-// the iteration) — abandons that iteration's span.
-func (ev *eval) seekLoop(body *ast.BlockStmt) (bool, pathSet) {
-	found, st := ev.seek(body.List)
-	if !found {
-		return false, 0
-	}
-	out := st & (ended | leaked)
-	if st&(fallthru|cont|broke) != 0 {
-		out |= leaked
-	}
-	return true, out
-}
-
-// seekCases finds the case body holding the StartSpan; break exits the
-// switch/select, so it becomes fallthru at this level.
-func (ev *eval) seekCases(body *ast.BlockStmt) (bool, pathSet) {
-	for _, clause := range body.List {
-		stmts := clauseBody(clause)
-		if stmts == nil || !containsClause(stmts, ev.site.stmt) {
-			continue
-		}
-		found, st := ev.seek(stmts)
-		if !found {
-			continue
-		}
-		if st&broke != 0 {
-			st = (st &^ broke) | fallthru
-		}
-		return true, st
-	}
-	return false, 0
-}
-
-// checkStmts computes the outcome set of a statement list: outcomes that
-// stop a path (End, exit, break, continue) accumulate; only fallthru paths
-// flow into the next statement.
-func (ev *eval) checkStmts(list []ast.Stmt) pathSet {
-	if len(list) == 0 {
-		return fallthru
-	}
-	st := ev.checkStmt(list[0])
-	out := st &^ fallthru
-	if st&fallthru != 0 {
-		out |= ev.checkStmts(list[1:])
-	}
-	return out
-}
-
-func (ev *eval) checkStmt(s ast.Stmt) pathSet {
-	switch s := s.(type) {
-	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok && isEndCall(ev.info, call, ev.site.span) {
-			return ended
-		}
-		return fallthru
-	case *ast.DeferStmt:
-		if isEndCall(ev.info, s.Call, ev.site.span) {
-			return ended
-		}
-		return fallthru
-	case *ast.ReturnStmt:
-		return leaked
-	case *ast.BranchStmt:
-		switch s.Tok {
-		case token.BREAK:
-			return broke
-		case token.CONTINUE:
-			return cont
-		case token.GOTO:
-			return leaked // cannot track the jump target
-		}
-		return fallthru
-	case *ast.BlockStmt:
-		return ev.checkStmts(s.List)
-	case *ast.LabeledStmt:
-		return ev.checkStmt(s.Stmt)
-	case *ast.IfStmt:
-		out := ev.checkStmts(s.Body.List)
-		if s.Else != nil {
-			out |= ev.checkStmt(s.Else)
-		} else {
-			out |= fallthru
-		}
-		return out
-	case *ast.ForStmt:
-		body := ev.checkStmts(s.Body.List)
-		out := body & (leaked | ended)
-		if s.Cond != nil || body&(fallthru|cont|broke) != 0 {
-			out |= fallthru
-		}
-		if out == 0 {
-			out = fallthru
-		}
-		return out
-	case *ast.RangeStmt:
-		body := ev.checkStmts(s.Body.List)
-		return (body & (leaked | ended)) | fallthru
-	case *ast.SwitchStmt:
-		return ev.checkCases(s.Body, hasDefaultCase(s.Body))
-	case *ast.TypeSwitchStmt:
-		return ev.checkCases(s.Body, hasDefaultCase(s.Body))
-	case *ast.SelectStmt:
-		// A select with no default still executes exactly one case.
-		return ev.checkCases(s.Body, true)
-	}
-	return fallthru
-}
-
-func (ev *eval) checkCases(body *ast.BlockStmt, exhaustive bool) pathSet {
-	var out pathSet
-	seen := false
-	for _, clause := range body.List {
-		stmts := clauseBody(clause)
-		if stmts == nil {
-			continue
-		}
-		seen = true
-		cs := ev.checkStmts(stmts)
-		if cs&broke != 0 {
-			cs = (cs &^ broke) | fallthru // break exits the switch
-		}
-		out |= cs
-	}
-	if !exhaustive || !seen {
-		out |= fallthru
-	}
-	return out
-}
-
-func clauseBody(clause ast.Stmt) []ast.Stmt {
-	switch c := clause.(type) {
-	case *ast.CaseClause:
-		return c.Body
-	case *ast.CommClause:
-		return c.Body
-	}
-	return nil
-}
-
-func containsNode(outer ast.Node, inner ast.Stmt) bool {
-	return outer.Pos() <= inner.Pos() && inner.End() <= outer.End()
-}
-
-func containsClause(stmts []ast.Stmt, inner ast.Stmt) bool {
-	for _, s := range stmts {
-		if containsNode(s, inner) {
-			return true
-		}
-	}
-	return false
-}
-
-func hasDefaultCase(body *ast.BlockStmt) bool {
-	for _, clause := range body.List {
-		if c, ok := clause.(*ast.CaseClause); ok && c.List == nil {
-			return true
-		}
-	}
-	return false
 }

@@ -183,36 +183,6 @@ func LPTOrder(costs []float64) []int {
 	return order
 }
 
-// AssignLPT distributes segments across bins by multi-bin Longest Processing
-// Time: segments are considered in descending predicted cost and each goes
-// to the currently least-loaded bin. It returns the per-bin segment index
-// lists (each ascending, i.e. collection order within a bin) and the per-bin
-// predicted loads. LPT's classic 4/3-OPT makespan bound is exactly the
-// guarantee a cross-machine dispatcher wants from a static assignment; ties
-// break toward the lower bin index, keeping the assignment deterministic.
-// bins < 1 is treated as 1.
-func AssignLPT(costs []float64, bins int) (assign [][]int, loads []float64) {
-	if bins < 1 {
-		bins = 1
-	}
-	assign = make([][]int, bins)
-	loads = make([]float64, bins)
-	for _, si := range LPTOrder(costs) {
-		best := 0
-		for b := 1; b < bins; b++ {
-			if loads[b] < loads[best] {
-				best = b
-			}
-		}
-		assign[best] = append(assign[best], si)
-		loads[best] += costs[si]
-	}
-	for _, idxs := range assign {
-		sort.Ints(idxs)
-	}
-	return assign, loads
-}
-
 // PredictSplit simulates the optimizer's upcoming decisions with its
 // current models and returns the index ≥ from of the next view it is
 // expected to run from scratch — the predicted next split point. Inside a

@@ -170,64 +170,3 @@ func TestPredictSplitMidScratchBatch(t *testing.T) {
 		t.Fatalf("bootstrap view predicted as split: %d", p)
 	}
 }
-
-// TestAssignLPT pins the multi-bin assignment: every segment lands in
-// exactly one bin, within-bin order is collection order, the heaviest
-// segment goes to a bin of its own when bins allow, and the assignment is
-// deterministic.
-func TestAssignLPT(t *testing.T) {
-	costs := []float64{1, 10, 2, 3, 1, 1}
-	assign, loads := AssignLPT(costs, 3)
-	if len(assign) != 3 || len(loads) != 3 {
-		t.Fatalf("got %d bins, %d loads", len(assign), len(loads))
-	}
-	seen := make([]bool, len(costs))
-	for b, idxs := range assign {
-		var load float64
-		for i, si := range idxs {
-			if seen[si] {
-				t.Fatalf("segment %d assigned twice", si)
-			}
-			seen[si] = true
-			if i > 0 && idxs[i-1] >= si {
-				t.Fatalf("bin %d not in collection order: %v", b, idxs)
-			}
-			load += costs[si]
-		}
-		if load != loads[b] {
-			t.Fatalf("bin %d load %v, reported %v", b, load, loads[b])
-		}
-	}
-	for si, ok := range seen {
-		if !ok {
-			t.Fatalf("segment %d unassigned", si)
-		}
-	}
-	// LPT places the dominant segment alone: its bin's load is exactly 10.
-	for b, idxs := range assign {
-		if len(idxs) == 1 && idxs[0] == 1 {
-			if loads[b] != 10 {
-				t.Fatalf("dominant bin load %v", loads[b])
-			}
-			return
-		}
-	}
-	t.Fatalf("dominant segment shares a bin: %v", assign)
-}
-
-// TestAssignLPTEdges: more bins than segments leaves bins empty rather than
-// failing; bins < 1 degrades to a single bin holding everything.
-func TestAssignLPTEdges(t *testing.T) {
-	assign, _ := AssignLPT([]float64{5}, 4)
-	n := 0
-	for _, idxs := range assign {
-		n += len(idxs)
-	}
-	if n != 1 {
-		t.Fatalf("%d assignments for 1 segment", n)
-	}
-	assign, loads := AssignLPT([]float64{1, 2}, 0)
-	if len(assign) != 1 || len(assign[0]) != 2 || loads[0] != 3 {
-		t.Fatalf("bins=0: %v %v", assign, loads)
-	}
-}
