@@ -7,6 +7,7 @@ import (
 
 	"graphsurge/internal/analytics"
 	"graphsurge/internal/datagen"
+	"graphsurge/internal/gvdl"
 	"graphsurge/internal/splitting"
 	"graphsurge/internal/view"
 )
@@ -25,6 +26,17 @@ func newTestEngine(t *testing.T) *Engine {
 	return e
 }
 
+// mustView returns the named filtered view: a collection of exactly one view,
+// whose Stream.Adds[0] is the edge list.
+func mustView(t *testing.T, e *Engine, name string) *view.Collection {
+	t.Helper()
+	col, err := e.lookupView(name)
+	if err != nil {
+		t.Fatalf("view %s: %v", name, err)
+	}
+	return col
+}
+
 func TestExecuteFilteredViewAndViewOverView(t *testing.T) {
 	e := newTestEngine(t)
 	out, err := e.ExecuteContext(context.Background(), `create view early on so edges where ts < 50
@@ -35,22 +47,19 @@ create view early-short on early edges where duration <= 10`)
 	if len(out) != 2 {
 		t.Fatalf("out = %v", out)
 	}
-	early, ok := e.View("early")
-	if !ok {
-		t.Fatal("view early missing")
+	early := mustView(t, e, "early").Stream.Adds[0]
+	short := mustView(t, e, "early-short").Stream.Adds[0]
+	if len(short) >= len(early) || len(short) == 0 {
+		t.Fatalf("early=%d early-short=%d", len(early), len(short))
 	}
-	short, ok := e.View("early-short")
-	if !ok {
-		t.Fatal("view early-short missing")
-	}
-	if short.NumEdges() >= early.NumEdges() || short.NumEdges() == 0 {
-		t.Fatalf("early=%d early-short=%d", early.NumEdges(), short.NumEdges())
+	if vc := out[1].(gvdl.ViewCreated); vc.Name != "early-short" || vc.Edges != len(short) {
+		t.Fatalf("statement result %+v, view has %d edges", vc, len(short))
 	}
 	// Every edge of the nested view satisfies both predicates.
 	g, _ := e.Graph("so")
 	tsCol, _ := g.EdgeProps.ColumnIndex("ts")
 	durCol, _ := g.EdgeProps.ColumnIndex("duration")
-	for _, idx := range short.Edges {
+	for _, idx := range short {
 		if g.EdgeProps.Cols[tsCol].Ints[idx] >= 50 || g.EdgeProps.Cols[durCol].Ints[idx] > 10 {
 			t.Fatalf("edge %d violates nested predicates", idx)
 		}
@@ -211,15 +220,15 @@ func TestRunView(t *testing.T) {
 	if _, err := e.ExecuteContext(context.Background(), "create view early on so edges where ts < 50"); err != nil {
 		t.Fatal(err)
 	}
-	fv, _ := e.View("early")
-	results, dur, err := RunView(context.Background(), fv, analytics.Degree{}, 1, "")
+	fv := mustView(t, e, "early")
+	res, err := RunView(context.Background(), fv, analytics.Degree{}, 1, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) == 0 || dur <= 0 {
-		t.Fatal("no results")
+	if len(res.Results) == 0 || res.Duration <= 0 || res.View != "early" || res.Edges != len(fv.Stream.Adds[0]) {
+		t.Fatalf("view run %+v", res)
 	}
-	if _, _, err := RunView(context.Background(), fv, analytics.Degree{}, 1, "nope"); err == nil {
+	if _, err := RunView(context.Background(), fv, analytics.Degree{}, 1, "nope"); err == nil {
 		t.Fatal("expected weight property error")
 	}
 }

@@ -52,6 +52,11 @@ type Options struct {
 // graph store only on ErrNotFound, never on a load failure).
 var ErrNotFound = errors.New("not found")
 
+// ErrNotView reports a name used where a single filtered view is required —
+// an "on" target, a RunViewRequest — that resolves to a collection of more
+// (or fewer) than one view.
+var ErrNotView = errors.New("not a single view")
+
 // ErrClosing reports a run rejected because Engine.Close is draining: Close
 // waits for in-flight runs to finish before tearing the pools down, and a
 // run arriving during that wait is refused rather than racing the teardown.
@@ -64,8 +69,11 @@ type Engine struct {
 	opts  Options
 	store *graph.Store
 
+	// mu guards the catalog maps and nothing else; it is never held across
+	// another lock (DESIGN.md "Artifacts" has the lock order). collections is
+	// the one catalog of edge-subset artifacts: a filtered view is a
+	// collection whose Stream.NumViews() is 1.
 	mu          sync.RWMutex
-	views       map[string]*view.Filtered
 	collections map[string]*view.Collection
 	aggViews    map[string]*aggregate.View
 	// aggStmts retains each aggregate view's defining statement so the view
@@ -73,12 +81,11 @@ type Engine struct {
 	// memory-only; the statement is their only recoverable definition).
 	aggStmts map[string]*gvdl.CreateAggView
 
-	poolMu sync.Mutex
-	pools  map[poolKey]*poolEntry
-
-	// incMu guards the warm replica list (replica.go); per-replica locks
-	// serialize runs over one replica.
-	incMu    sync.Mutex
+	// warmMu guards both LRU-bounded warm stores: the runner pool map and the
+	// warm replica list (replica.go); per-replica locks serialize runs over
+	// one replica.
+	warmMu   sync.Mutex
+	pools    map[poolKey]*poolEntry
 	replicas []*replica
 
 	// runMu guards the active-run count, the closing flag and the mutating
@@ -190,7 +197,6 @@ func NewEngine(opts Options) (*Engine, error) {
 	e := &Engine{
 		opts:        opts,
 		store:       st,
-		views:       make(map[string]*view.Filtered),
 		collections: make(map[string]*view.Collection),
 		aggViews:    make(map[string]*aggregate.View),
 		aggStmts:    make(map[string]*gvdl.CreateAggView),
@@ -285,8 +291,8 @@ func (e *Engine) runnerPool(comp analytics.Computation, workers, parallelism int
 		return analytics.NewPool(comp, workers, parallelism), nil
 	}
 	key := poolKey{name: comp.Name(), ident: compIdentity(comp), workers: workers}
-	e.poolMu.Lock()
-	defer e.poolMu.Unlock()
+	e.warmMu.Lock()
+	defer e.warmMu.Unlock()
 	now := time.Now()
 	if e.opts.PoolIdleTTL > 0 {
 		for _, en := range e.pools {
@@ -334,8 +340,8 @@ func (e *Engine) runnerPool(comp analytics.Computation, workers, parallelism int
 // releases land in the evicted pools, which are collected once those runs
 // finish.
 func (e *Engine) EvictPools(computation string) {
-	e.poolMu.Lock()
-	defer e.poolMu.Unlock()
+	e.warmMu.Lock()
+	defer e.warmMu.Unlock()
 	for key, en := range e.pools {
 		if key.name == computation {
 			en.pool.DropIdle()
@@ -356,15 +362,13 @@ func (e *Engine) Close() error {
 	for e.active > 0 || e.mutating {
 		e.runDone.Wait()
 	}
-	e.poolMu.Lock()
+	e.warmMu.Lock()
 	for key, en := range e.pools {
 		en.pool.DropIdle()
 		delete(e.pools, key)
 	}
-	e.poolMu.Unlock()
-	e.incMu.Lock()
 	e.replicas = nil
-	e.incMu.Unlock()
+	e.warmMu.Unlock()
 	e.closing = false
 	e.runMu.Unlock()
 	return nil
@@ -390,8 +394,8 @@ type PoolStat struct {
 // pool sizing (cmd/graphsurge prints it after runs). The call also sweeps
 // the idle-TTL policy, so a stats poller doubles as the lazy clock.
 func (e *Engine) PoolStats() []PoolStat {
-	e.poolMu.Lock()
-	defer e.poolMu.Unlock()
+	e.warmMu.Lock()
+	defer e.warmMu.Unlock()
 	now := time.Now()
 	stats := make([]PoolStat, 0, len(e.pools))
 	for key, en := range e.pools {
@@ -440,10 +444,14 @@ func (e *Engine) AddGraph(g *graph.Graph) error { return e.store.Add(g) }
 // benchmarks, embedding callers that materialize outside GVDL). It is
 // persisted like a GVDL-created collection when the engine has a data
 // directory.
-func (e *Engine) AddCollection(col *view.Collection) error {
-	// Persist first: a failed save must not leave a phantom collection
-	// registered in memory that the caller was told failed and that would
-	// silently vanish on restart.
+func (e *Engine) AddCollection(col *view.Collection) error { return e.register(col) }
+
+// register is the one way an edge-subset artifact enters the catalog:
+// persist, then publish, then retire the warm replicas accumulated under the
+// name. Persist first: a failed save must not leave a phantom collection
+// registered in memory that the caller was told failed and that would
+// silently vanish on restart.
+func (e *Engine) register(col *view.Collection) error {
 	if e.opts.DataDir != "" {
 		if err := view.SaveCollection(e.opts.DataDir, col); err != nil {
 			return err
@@ -459,59 +467,14 @@ func (e *Engine) AddCollection(col *view.Collection) error {
 // Graph looks up a base graph.
 func (e *Engine) Graph(name string) (*graph.Graph, error) { return e.store.Graph(name) }
 
-// LookupView returns the materialized filtered view with the given name,
-// falling back to the view store on disk when the engine has a data
-// directory. A name that resolves to nothing returns an error wrapping
-// ErrNotFound; a view that exists on disk but fails to load — corrupt gob,
-// out-of-range edge indices, missing base graph — returns the load error
-// itself, so corruption is never silently indistinguishable from absence.
-func (e *Engine) LookupView(name string) (*view.Filtered, error) {
-	e.mu.RLock()
-	v, ok := e.views[name]
-	e.mu.RUnlock()
-	if ok {
-		return v, nil
-	}
-	if e.opts.DataDir == "" {
-		return nil, fmt.Errorf("core: no view named %q: %w", name, ErrNotFound)
-	}
-	loaded, err := view.LoadFiltered(e.opts.DataDir, name, e.store.Graph)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil, fmt.Errorf("core: no view named %q: %w", name, ErrNotFound)
-		}
-		if errors.Is(err, view.ErrInvalidName) {
-			// A name the store refuses can never be a stored view: absence,
-			// not failure — resolveTarget may still find a graph by it.
-			return nil, fmt.Errorf("core: %v: %w", err, ErrNotFound)
-		}
-		return nil, fmt.Errorf("core: loading view %q from the view store: %w", name, err)
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if v, ok := e.views[name]; ok {
-		// A concurrent miss won the load race; keep the cached object so
-		// every caller shares one view instance instead of the last loader
-		// clobbering the rest.
-		return v, nil
-	}
-	e.views[name] = loaded
-	return loaded, nil
-}
-
-// View looks up a materialized filtered view, falling back to the view
-// store on disk when the engine has a data directory. It is the boolean
-// convenience over LookupView; callers that must distinguish a missing view
-// from a failed disk load use LookupView directly.
-func (e *Engine) View(name string) (*view.Filtered, bool) {
-	v, err := e.LookupView(name)
-	return v, err == nil
-}
-
-// LookupCollection returns the materialized view collection with the given
-// name, falling back to the view store on disk when the engine has a data
-// directory. Error semantics match LookupView: ErrNotFound for absence, the
-// underlying load error for a collection that exists but cannot be loaded.
+// LookupCollection returns the materialized collection — or filtered view,
+// a collection of one — with the given name, falling back to the view store
+// on disk when the engine has a data directory. A name that resolves to
+// nothing returns an error wrapping ErrNotFound; a collection that exists on
+// disk but fails to load — corrupt gob, out-of-range edge indices, missing
+// base graph, a leftover file of the retired single-view format — returns
+// the load error itself, so corruption is never silently indistinguishable
+// from absence.
 func (e *Engine) LookupCollection(name string) (*view.Collection, error) {
 	e.mu.RLock()
 	c, ok := e.collections[name]
@@ -528,6 +491,8 @@ func (e *Engine) LookupCollection(name string) (*view.Collection, error) {
 			return nil, fmt.Errorf("core: no collection named %q: %w", name, ErrNotFound)
 		}
 		if errors.Is(err, view.ErrInvalidName) {
+			// A name the store refuses can never be a stored collection:
+			// absence, not failure — resolveTarget may still find a graph by it.
 			return nil, fmt.Errorf("core: %v: %w", err, ErrNotFound)
 		}
 		return nil, fmt.Errorf("core: loading collection %q from the view store: %w", name, err)
@@ -535,10 +500,26 @@ func (e *Engine) LookupCollection(name string) (*view.Collection, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if c, ok := e.collections[name]; ok {
+		// A concurrent miss won the load race; keep the cached object so
+		// every caller shares one instance instead of the last loader
+		// clobbering the rest.
 		return c, nil
 	}
 	e.collections[name] = loaded
 	return loaded, nil
+}
+
+// lookupView resolves a name that must denote a single filtered view: a
+// collection of exactly one view. A multi-view collection is ErrNotView.
+func (e *Engine) lookupView(name string) (*view.Collection, error) {
+	col, err := e.LookupCollection(name)
+	if err != nil {
+		return nil, err
+	}
+	if col.Stream == nil || col.Stream.NumViews() != 1 {
+		return nil, fmt.Errorf("core: %q is a view collection: %w", name, ErrNotView)
+	}
+	return col, nil
 }
 
 // Collection looks up a materialized view collection, falling back to the
@@ -557,36 +538,36 @@ func (e *Engine) AggView(name string) (*aggregate.View, bool) {
 }
 
 // resolveTarget resolves a statement's "on" clause to a base graph plus an
-// optional edge restriction (when the target is itself a filtered view —
-// GVDL supports views over views). Resolution goes through LookupView, so a
-// view persisted by an earlier engine over the same data directory is a
-// valid target after a restart; a view-store load failure is surfaced
-// rather than misreported as "neither a graph nor a view".
-func (e *Engine) resolveTarget(name string) (*graph.Graph, *view.Filtered, error) {
-	fv, err := e.LookupView(name)
+// optional parent view (GVDL supports views over views). Resolution goes
+// through LookupCollection, so a view persisted by an earlier engine over the
+// same data directory is a valid target after a restart; a view-store load
+// failure is surfaced rather than misreported as "neither a graph nor a
+// view", and so is a multi-view collection no graph shares the name of.
+func (e *Engine) resolveTarget(name string) (*graph.Graph, *view.Collection, error) {
+	parent, err := e.lookupView(name)
 	if err == nil {
-		return fv.Base, fv, nil
+		return parent.Graph, parent, nil
 	}
-	if !errors.Is(err, ErrNotFound) {
+	notView := errors.Is(err, ErrNotView)
+	if !notView && !errors.Is(err, ErrNotFound) {
 		return nil, nil, err
 	}
 	g, gerr := e.store.Graph(name)
-	if gerr != nil {
-		return nil, nil, fmt.Errorf("core: target %q is neither a graph nor a view", name)
+	if gerr == nil {
+		return g, nil, nil
 	}
-	return g, nil, nil
+	if notView {
+		return nil, nil, err
+	}
+	return nil, nil, fmt.Errorf("core: target %q is neither a graph nor a view", name)
 }
 
-// restrictPredicate limits a compiled predicate to a view's edge subset.
-func restrictPredicate(p gvdl.EdgePredicate, fv *view.Filtered, numEdges int) gvdl.EdgePredicate {
-	if fv == nil {
+// restrictPredicate limits a compiled predicate to a parent view's members.
+func restrictPredicate(p gvdl.EdgePredicate, parent *view.Collection) gvdl.EdgePredicate {
+	if parent == nil {
 		return p
 	}
-	member := view.NewBitset(numEdges)
-	for _, idx := range fv.Edges {
-		member.Set(int(idx))
-	}
-	return func(i int) bool { return member.Get(i) && p(i) }
+	return func(i int) bool { return parent.Contains(uint32(i)) && p(i) }
 }
 
 // ExecuteContext parses and runs GVDL statements, materializing the views
@@ -628,73 +609,21 @@ func (e *Engine) executeStmt(stmt gvdl.Statement) (gvdl.Result, error) {
 	defer e.endRun()
 	switch s := stmt.(type) {
 	case *gvdl.CreateView:
-		g, fv, err := e.resolveTarget(s.On)
+		col, err := e.materialize(s.Name, s.On, []string{s.Name}, []gvdl.Expr{s.Where})
 		if err != nil {
 			return nil, err
 		}
-		pred, err := gvdl.CompileEdgePredicate(g, s.Where)
-		if err != nil {
-			return nil, fmt.Errorf("view %s: %w", s.Name, err)
-		}
-		pred = restrictPredicate(pred, fv, g.NumEdges())
-		mv := &view.Filtered{Name: s.Name, Base: g, PredSrc: s.Where.String(), Version: g.Version}
-		if fv != nil {
-			mv.On = s.On
-		}
-		for i := 0; i < g.NumEdges(); i++ {
-			if g.EdgeAlive(i) && pred(i) {
-				mv.Edges = append(mv.Edges, uint32(i))
-			}
-		}
-		e.mu.Lock()
-		e.views[s.Name] = mv
-		e.mu.Unlock()
-		if e.opts.DataDir != "" {
-			if err := view.SaveFiltered(e.opts.DataDir, mv); err != nil {
-				return nil, err
-			}
-		}
-		return gvdl.ViewCreated{Name: s.Name, Edges: mv.NumEdges()}, nil
+		return gvdl.ViewCreated{Name: s.Name, Edges: len(col.Stream.Adds[0])}, nil
 
 	case *gvdl.CreateCollection:
-		g, fv, err := e.resolveTarget(s.On)
-		if err != nil {
-			return nil, err
-		}
 		names := make([]string, len(s.Views))
-		preds := make([]gvdl.EdgePredicate, len(s.Views))
+		exprs := make([]gvdl.Expr, len(s.Views))
 		for i, v := range s.Views {
-			p, err := gvdl.CompileEdgePredicate(g, v.Pred)
-			if err != nil {
-				return nil, fmt.Errorf("collection %s, view %s: %w", s.Name, v.Name, err)
-			}
-			names[i], preds[i] = v.Name, restrictPredicate(p, fv, g.NumEdges())
+			names[i], exprs[i] = v.Name, v.Pred
 		}
-		col, err := view.MaterializeFromPredicates(s.Name, g, names, preds, view.Options{
-			Workers: e.opts.Workers,
-			Mode:    e.opts.Ordering,
-		})
+		col, err := e.materialize(s.Name, s.On, names, exprs)
 		if err != nil {
 			return nil, err
-		}
-		srcs := make([]string, len(s.Views))
-		for i, v := range s.Views {
-			srcs[i] = v.Pred.String()
-		}
-		col.PredSrcs = srcs
-		if fv != nil {
-			col.On = s.On
-		}
-		e.mu.Lock()
-		e.collections[s.Name] = col
-		e.mu.Unlock()
-		// A re-created collection invalidates any incremental replica state
-		// accumulated under its name.
-		e.dropIncStates(s.Name)
-		if e.opts.DataDir != "" {
-			if err := view.SaveCollection(e.opts.DataDir, col); err != nil {
-				return nil, err
-			}
 		}
 		return gvdl.CollectionCreated{
 			Name:    s.Name,
@@ -704,11 +633,11 @@ func (e *Engine) executeStmt(stmt gvdl.Statement) (gvdl.Result, error) {
 		}, nil
 
 	case *gvdl.CreateAggView:
-		g, fv, err := e.resolveTarget(s.On)
+		g, parent, err := e.resolveTarget(s.On)
 		if err != nil {
 			return nil, err
 		}
-		if fv != nil {
+		if parent != nil {
 			return nil, fmt.Errorf("aggregate view %s: aggregate views over filtered views are not supported; target a base graph", s.Name)
 		}
 		av, err := aggregate.Evaluate(g, s, e.opts.Workers)
@@ -726,4 +655,36 @@ func (e *Engine) executeStmt(stmt gvdl.Statement) (gvdl.Result, error) {
 		}, nil
 	}
 	return nil, fmt.Errorf("core: unknown statement type %T", stmt)
+}
+
+// materialize evaluates a create statement's predicates over its target —
+// one for `create view`, one per view for `create view collection` — and
+// registers the resulting collection, retaining the predicate sources and
+// the parent view's name for incremental maintenance.
+func (e *Engine) materialize(name, on string, names []string, exprs []gvdl.Expr) (*view.Collection, error) {
+	g, parent, err := e.resolveTarget(on)
+	if err != nil {
+		return nil, err
+	}
+	preds := make([]gvdl.EdgePredicate, len(exprs))
+	srcs := make([]string, len(exprs))
+	for i, x := range exprs {
+		p, err := gvdl.CompileEdgePredicate(g, x)
+		if err != nil {
+			return nil, fmt.Errorf("%s: predicate of view %s: %w", name, names[i], err)
+		}
+		preds[i], srcs[i] = restrictPredicate(p, parent), x.String()
+	}
+	col, err := view.MaterializeFromPredicates(name, g, names, preds, view.Options{
+		Workers: e.opts.Workers,
+		Mode:    e.opts.Ordering,
+	})
+	if err != nil {
+		return nil, err
+	}
+	col.PredSrcs = srcs
+	if parent != nil {
+		col.On = on
+	}
+	return col, e.register(col)
 }

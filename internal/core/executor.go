@@ -425,24 +425,35 @@ func runCollection(ctx context.Context, col *view.Collection, comp analytics.Com
 	return res, nil
 }
 
-// RunView executes a computation once over an individual filtered view and
-// returns its results and runtime. ctx is checked before the dataflow is
-// built; a single view's step is one uninterruptible unit of work.
-func RunView(ctx context.Context, fv *view.Filtered, comp analytics.Computation, workers int, weightProp string) (map[analytics.VertexValue]int64, time.Duration, error) {
+// RunView executes a computation once over an individual filtered view — a
+// one-view collection — and returns its results and runtime. It is the
+// independent from-scratch reference collection runs are checked against: it
+// builds a private dataflow and steps the view's edge list directly, through
+// none of the segment pipeline. ctx is checked before the dataflow is built;
+// a single view's step is one uninterruptible unit of work.
+func RunView(ctx context.Context, col *view.Collection, comp analytics.Computation, workers int, weightProp string) (*ViewRunResult, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if workers < 1 {
 		workers = 1
 	}
-	wc, err := fv.Base.WeightColumn(weightProp)
+	wc, err := col.Graph.WeightColumn(weightProp)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	runner, err := analytics.NewRunner(comp, workers)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	dur := runner.StepBatch(edgeBatcher(fv.Base, wc)(fv.Edges), nil)
-	return runner.Results(), dur, nil
+	edges := col.Stream.Adds[0]
+	dur := runner.StepBatch(edgeBatcher(col.Graph, wc)(edges), nil)
+	return &ViewRunResult{
+		Computation: comp.Name(),
+		View:        col.Name,
+		Edges:       len(edges),
+		Duration:    dur,
+		Results:     runner.Results(),
+		work:        runner.WorkCounts(),
+	}, nil
 }

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"graphsurge/internal/analytics"
@@ -37,7 +39,7 @@ func TestCollectionFinalViewMatchesIndividualView(t *testing.T) {
 create view final-alone on pc edges where src.year <= 2010 and dst.year <= 2010`); err != nil {
 		t.Fatal(err)
 	}
-	fv, _ := e.View("final-alone")
+	fv := mustView(t, e, "final-alone")
 
 	comps := []analytics.Computation{
 		analytics.WCC{},
@@ -55,11 +57,11 @@ create view final-alone on pc edges where src.year <= 2010 and dst.year <= 2010`
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, _, err := RunView(context.Background(), fv, comp, 2, "w")
+			ref, err := RunView(context.Background(), fv, comp, 2, "w")
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := res.FinalResults()
+			got, want := res.FinalResults(), ref.Results
 			if len(got) != len(want) {
 				t.Fatalf("collection end state has %d results, individual view %d", len(got), len(want))
 			}
@@ -95,13 +97,9 @@ create view collection c on so [a: ts < 20], [b: ts < 40]`); err != nil {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fv, ok := e2.View("early")
-	if !ok {
-		t.Fatal("persisted view not found by fresh engine")
-	}
-	orig, _ := e1.View("early")
-	if fv.NumEdges() != orig.NumEdges() {
-		t.Fatalf("persisted view has %d edges, want %d", fv.NumEdges(), orig.NumEdges())
+	fv, orig := mustView(t, e2, "early"), mustView(t, e1, "early")
+	if !reflect.DeepEqual(fv.Stream.Adds[0], orig.Stream.Adds[0]) || len(orig.Stream.Adds[0]) == 0 {
+		t.Fatalf("persisted view has %d edges, want %d", len(fv.Stream.Adds[0]), len(orig.Stream.Adds[0]))
 	}
 	col, ok := e2.Collection("c")
 	if !ok {
@@ -119,8 +117,8 @@ create view collection c on so [a: ts < 20], [b: ts < 40]`); err != nil {
 	if len(res.FinalResults()) != len(origRes.FinalResults()) {
 		t.Fatal("results differ across persistence round trip")
 	}
-	if _, ok := e2.View("nope"); ok {
-		t.Fatal("phantom view")
+	if _, err := e2.lookupView("nope"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("phantom view: %v", err)
 	}
 	if _, ok := e2.Collection("nope"); ok {
 		t.Fatal("phantom collection")
@@ -151,17 +149,15 @@ func TestOrderInvariance(t *testing.T) {
 		// have comparable final results, so compare against a fresh
 		// individual run of that view instead.
 		last := col.Order[len(col.Order)-1]
-		fv := &view.Filtered{Name: names[last], Base: g}
-		for idx := 0; idx < g.NumEdges(); idx++ {
-			if preds[last](idx) {
-				fv.Edges = append(fv.Edges, uint32(idx))
-			}
-		}
-		single, _, err := RunView(context.Background(), fv, analytics.WCC{}, 1, "")
+		fv, err := view.MaterializeFromPredicates(names[last], g, names[last:last+1], preds[last:last+1], view.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := res.FinalResults()
+		ref, err := RunView(context.Background(), fv, analytics.WCC{}, 1, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, single := res.FinalResults(), ref.Results
 		if len(got) != len(single) {
 			t.Fatalf("mode %d: %d vs %d results", i, len(got), len(single))
 		}

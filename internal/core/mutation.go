@@ -16,9 +16,9 @@ import (
 
 // This file is the engine's dynamic-graph path: Engine.ApplyMutation applies
 // one transactional mutation batch to a base graph and incrementally
-// maintains every materialized artifact over it — filtered views and
-// collections re-evaluate their predicates only over the touched edges
-// (view.MaintainFiltered/MaintainCollection), aggregate views re-evaluate
+// maintains every materialized artifact over it — collections (filtered views
+// among them, as collections of one) re-evaluate their predicates only over
+// the touched edges (view.MaintainCollection), aggregate views re-evaluate
 // from their retained statements, and each maintained collection's
 // final-view membership delta is queued on the warm replicas that finished
 // on it (replica.go). Mutations are serialized against runs by the engine's
@@ -110,11 +110,11 @@ func (e *Engine) ApplyMutation(graphName string, mb *graph.MutationBatch) (*Muta
 	}, nil
 }
 
-// loadAllArtifacts loads every persisted view and collection in the data
-// directory into the engine catalog (idempotent: already-cached names are
-// kept). Load failures — corruption, missing base graphs, staleness from a
-// mutation the view layer never saw — abort, since maintenance must see the
-// complete artifact set to keep it consistent.
+// loadAllArtifacts loads every persisted collection in the data directory
+// into the engine catalog (idempotent: already-cached names are kept). Load
+// failures — corruption, missing base graphs, staleness from a mutation the
+// view layer never saw — abort, since maintenance must see the complete
+// artifact set to keep it consistent.
 func (e *Engine) loadAllArtifacts() error {
 	if e.opts.DataDir == "" {
 		return nil
@@ -127,14 +127,8 @@ func (e *Engine) loadAllArtifacts() error {
 		return err
 	}
 	for _, ent := range ents {
-		name := ent.Name()
-		switch {
-		case strings.HasSuffix(name, ".view.gob"):
-			if _, err := e.LookupView(strings.TrimSuffix(name, ".view.gob")); err != nil {
-				return err
-			}
-		case strings.HasSuffix(name, ".collection.gob"):
-			if _, err := e.LookupCollection(strings.TrimSuffix(name, ".collection.gob")); err != nil {
+		if name, ok := strings.CutSuffix(ent.Name(), ".collection.gob"); ok {
+			if _, err := e.LookupCollection(name); err != nil {
 				return err
 			}
 		}
@@ -142,100 +136,59 @@ func (e *Engine) loadAllArtifacts() error {
 	return nil
 }
 
+// maintItem is one collection in a maintenance plan, its predicates parsed
+// (and compiled once against the pre-mutation graph purely to validate
+// them), so the post-commit patching phase cannot fail on malformed sources.
+type maintItem struct {
+	col    *view.Collection
+	parent *view.Collection // the view col is declared over; nil for a graph
+	depth  int              // length of the On chain down to the graph
+	exprs  []gvdl.Expr
+}
+
 // maintPlan is the pre-commit maintenance plan for one mutation: every
-// artifact over the target graph, with predicates parsed (and compiled once
-// against the pre-mutation graph purely to validate them), so the
-// post-commit patching phase cannot fail on malformed sources.
+// artifact over the target graph, collections topologically ordered —
+// parent views before the views and collections declared over them.
 type maintPlan struct {
-	views     []*view.Filtered // topologically ordered: parents before children
-	viewExprs []gvdl.Expr
-	cols      []*view.Collection
-	colExprs  [][]gvdl.Expr
-	aggs      []*gvdl.CreateAggView
+	cols []maintItem
+	aggs []*gvdl.CreateAggView
 }
 
 // planMaintenance collects the artifacts over g and validates that each is
 // maintainable. It fails with ErrNotMaintainable — before anything commits
-// — when an artifact lacks predicate sources or its parent view is missing.
+// — when a collection lacks predicate sources or its parent view is missing.
 func (e *Engine) planMaintenance(g *graph.Graph) (*maintPlan, error) {
+	p := &maintPlan{}
 	e.mu.RLock()
-	byName := make(map[string]*view.Filtered)
-	for _, v := range e.views {
-		if v.Base == g {
-			byName[v.Name] = v
-		}
-	}
-	var cols []*view.Collection
+	byName := make(map[string]*view.Collection)
 	for _, c := range e.collections {
 		if c.Graph == g {
-			cols = append(cols, c)
+			byName[c.Name] = c
 		}
 	}
-	var aggs []*gvdl.CreateAggView
 	for name := range e.aggViews {
 		if s, ok := e.aggStmts[name]; ok && s.On == g.Name {
-			aggs = append(aggs, s)
+			p.aggs = append(p.aggs, s)
 		}
 	}
 	e.mu.RUnlock()
 
-	p := &maintPlan{aggs: aggs}
-
-	// Views, parents before children (the On chain), names breaking ties for
-	// deterministic maintenance and persistence order.
-	depth := func(v *view.Filtered) (int, error) {
-		d := 0
-		for v.On != "" {
-			parent, ok := byName[v.On]
-			if !ok {
-				return 0, fmt.Errorf("core: view %q is defined over view %q, which is not materialized: %w",
-					v.Name, v.On, ErrNotMaintainable)
-			}
-			v, d = parent, d+1
-		}
-		return d, nil
-	}
-	for _, v := range byName {
-		p.views = append(p.views, v)
-	}
-	sort.Slice(p.views, func(i, j int) bool { return p.views[i].Name < p.views[j].Name })
-	depths := make(map[string]int, len(p.views))
-	for _, v := range p.views {
-		d, err := depth(v)
-		if err != nil {
-			return nil, err
-		}
-		depths[v.Name] = d
-	}
-	sort.SliceStable(p.views, func(i, j int) bool { return depths[p.views[i].Name] < depths[p.views[j].Name] })
-
-	for _, v := range p.views {
-		if v.PredSrc == "" {
-			return nil, fmt.Errorf("core: view %q over graph %s has no retained predicate source: %w",
-				v.Name, g.Name, ErrNotMaintainable)
-		}
-		expr, err := gvdl.ParsePredicate(v.PredSrc)
-		if err != nil {
-			return nil, fmt.Errorf("core: view %q predicate source: %w", v.Name, err)
-		}
-		if _, err := gvdl.CompileEdgePredicate(g, expr); err != nil {
-			return nil, fmt.Errorf("core: view %q predicate source: %w", v.Name, err)
-		}
-		p.viewExprs = append(p.viewExprs, expr)
-	}
-
-	sort.Slice(cols, func(i, j int) bool { return cols[i].Name < cols[j].Name })
-	for _, c := range cols {
+	for _, c := range byName {
 		k := c.Stream.NumViews()
-		if len(c.PredSrcs) != k {
+		if k == 0 || len(c.PredSrcs) != k {
 			return nil, fmt.Errorf("core: collection %q over graph %s has no retained predicate sources: %w",
 				c.Name, g.Name, ErrNotMaintainable)
 		}
-		if c.On != "" {
-			if _, ok := byName[c.On]; !ok {
-				return nil, fmt.Errorf("core: collection %q is defined over view %q, which is not materialized: %w",
-					c.Name, c.On, ErrNotMaintainable)
+		depth := 0
+		for cur := c; cur.On != ""; depth++ {
+			parent, ok := byName[cur.On]
+			// depth > len(byName): a re-created ancestor closed the chain
+			// into a cycle.
+			if !ok || parent.Stream.NumViews() != 1 || depth > len(byName) {
+				return nil, fmt.Errorf("core: %q is defined over view %q, which is not a materialized view: %w",
+					cur.Name, cur.On, ErrNotMaintainable)
 			}
+			cur = parent
 		}
 		exprs := make([]gvdl.Expr, k)
 		for ci, src := range c.PredSrcs {
@@ -248,9 +201,17 @@ func (e *Engine) planMaintenance(g *graph.Graph) (*maintPlan, error) {
 			}
 			exprs[ci] = expr
 		}
-		p.cols = append(p.cols, c)
-		p.colExprs = append(p.colExprs, exprs)
+		p.cols = append(p.cols, maintItem{col: c, parent: byName[c.On], depth: depth, exprs: exprs})
 	}
+	// Parents before children, names breaking ties for deterministic
+	// maintenance and persistence order.
+	sort.Slice(p.cols, func(i, j int) bool {
+		a, b := p.cols[i], p.cols[j]
+		if a.depth != b.depth {
+			return a.depth < b.depth
+		}
+		return a.col.Name < b.col.Name
+	})
 	sort.Slice(p.aggs, func(i, j int) bool { return p.aggs[i].Name < p.aggs[j].Name })
 	return p, nil
 }
@@ -262,41 +223,17 @@ func (e *Engine) planMaintenance(g *graph.Graph) (*maintPlan, error) {
 // indices. Compilation was validated pre-commit, so it cannot fail now.
 func (e *Engine) runMaintenance(g *graph.Graph, p *maintPlan, a graph.Applied) (int, error) {
 	maintained := 0
-	byName := make(map[string]*view.Filtered, len(p.views))
-	for i, v := range p.views {
-		pred, err := gvdl.CompileEdgePredicate(g, p.viewExprs[i])
-		if err != nil {
-			return maintained, fmt.Errorf("recompiling view %q: %w", v.Name, err)
-		}
-		if v.On != "" {
-			// The parent is earlier in topo order, already patched; composing
-			// with its membership keeps views-over-views consistent.
-			parent := byName[v.On]
-			inner := pred
-			pred = func(i int) bool { return parent.Contains(uint32(i)) && inner(i) }
-		}
-		view.MaintainFiltered(v, pred, a)
-		byName[v.Name] = v
-		if e.opts.DataDir != "" {
-			if err := view.SaveFiltered(e.opts.DataDir, v); err != nil {
-				return maintained, fmt.Errorf("persisting view %q: %w", v.Name, err)
-			}
-		}
-		maintained++
-	}
-	for i, c := range p.cols {
-		preds := make([]gvdl.EdgePredicate, len(p.colExprs[i]))
-		for ci, expr := range p.colExprs[i] {
+	for _, it := range p.cols {
+		c := it.col
+		preds := make([]gvdl.EdgePredicate, len(it.exprs))
+		for ci, expr := range it.exprs {
 			pred, err := gvdl.CompileEdgePredicate(g, expr)
 			if err != nil {
 				return maintained, fmt.Errorf("recompiling collection %q view %d: %w", c.Name, ci, err)
 			}
-			if c.On != "" {
-				parent := byName[c.On]
-				inner := pred
-				pred = func(i int) bool { return parent.Contains(uint32(i)) && inner(i) }
-			}
-			preds[ci] = pred
+			// The parent is earlier in topo order, already patched; composing
+			// with its membership keeps views-over-views consistent.
+			preds[ci] = restrictPredicate(pred, it.parent)
 		}
 		deltas, err := view.MaintainCollection(c, preds, a)
 		if err != nil {
@@ -332,8 +269,8 @@ func (e *Engine) runMaintenance(g *graph.Graph, p *maintPlan, a graph.Applied) (
 func (e *Engine) applyStmt(s *gvdl.ApplyMutation) (gvdl.Result, error) {
 	g, err := e.store.Graph(s.On)
 	if err != nil {
-		if _, verr := e.LookupView(s.On); verr == nil {
-			return nil, fmt.Errorf("core: apply targets a base graph; %q is a filtered view", s.On)
+		if _, verr := e.LookupCollection(s.On); verr == nil {
+			return nil, fmt.Errorf("core: apply targets a base graph; %q is a materialized view", s.On)
 		}
 		return nil, err
 	}

@@ -101,8 +101,7 @@ create view collection hist on so [w1: ts < 20], [w2: ts < 40], [w3: ts < 60], [
 
 	// Views: maintained membership equals brute-force predicate evaluation
 	// over the mutated graph's live edges.
-	recent, _ := e.View("recent")
-	short, _ := e.View("recent-short")
+	recent, short := mustView(t, e, "recent"), mustView(t, e, "recent-short")
 	if recent.Version != 1 || short.Version != 1 {
 		t.Fatalf("view versions %d, %d", recent.Version, short.Version)
 	}
@@ -225,9 +224,8 @@ create view collection days on dyn [d3: ts < 3], [d6: ts < 6], [d9: ts < 9]`); e
 	}); err != nil {
 		t.Fatal(err)
 	}
-	v1, _ := e1.View("fresh")
 	c1, _ := e1.Collection("days")
-	wantEdges := append([]uint32(nil), v1.Edges...)
+	wantEdges := append([]uint32(nil), mustView(t, e1, "fresh").Stream.Adds[0]...)
 	wantMembers := streamMembership(c1)
 	if err := e1.Close(); err != nil {
 		t.Fatal(err)
@@ -244,17 +242,9 @@ create view collection days on dyn [d3: ts < 3], [d6: ts < 6], [d9: ts < 9]`); e
 	if g2.Version != 1 || g2.NumEdges() != g.NumEdges() {
 		t.Fatalf("replayed graph: version %d, %d edges", g2.Version, g2.NumEdges())
 	}
-	v2, err := e2.LookupView("fresh")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v2.Version != 1 || len(v2.Edges) != len(wantEdges) {
-		t.Fatalf("reloaded view: version %d, %d edges, want %d", v2.Version, len(v2.Edges), len(wantEdges))
-	}
-	for i := range wantEdges {
-		if v2.Edges[i] != wantEdges[i] {
-			t.Fatalf("reloaded view edge %d = %d, want %d", i, v2.Edges[i], wantEdges[i])
-		}
+	v2 := mustView(t, e2, "fresh")
+	if v2.Version != 1 || !reflect.DeepEqual(v2.Stream.Adds[0], wantEdges) {
+		t.Fatalf("reloaded view: version %d, %d edges, want %d", v2.Version, len(v2.Stream.Adds[0]), len(wantEdges))
 	}
 	c2, err := e2.LookupCollection("days")
 	if err != nil {

@@ -51,10 +51,10 @@ type replicaDelta struct {
 }
 
 // replica is one warm runner and the identity of what it has absorbed. The
-// engine's incMu guards col and lastUse, so the store routes, ages and drops
+// engine's warmMu guards col and lastUse, so the store routes, ages and drops
 // replicas without waiting on one; mu guards the rest and serializes runs
-// over the replica. Lock order is incMu, then mu, and nothing blocks on mu
-// while holding incMu.
+// over the replica. Lock order is warmMu, then mu, and nothing blocks on mu
+// while holding warmMu.
 type replica struct {
 	key replicaKey
 	// col is the collection of the replica's latest run, its owner: col's
@@ -102,7 +102,7 @@ func (st *replica) warmFor(col *view.Collection, chain []uint64) bool {
 // suffix); else a new empty one, evicting the least recently used at the
 // bound. A replica busy with another collection's run is left alone.
 func (e *Engine) acquire(key replicaKey, col *view.Collection, chain []uint64) *replica {
-	e.incMu.Lock()
+	e.warmMu.Lock()
 	var st *replica
 	for _, r := range e.replicas {
 		if r.key == key && r.col == col {
@@ -141,7 +141,7 @@ func (e *Engine) acquire(key replicaKey, col *view.Collection, chain []uint64) *
 		e.replicas = append(e.replicas, st)
 	}
 	st.col, st.lastUse = col, time.Now()
-	e.incMu.Unlock()
+	e.warmMu.Unlock()
 	if owned {
 		st.mu.Lock()
 	}
@@ -156,8 +156,8 @@ func (e *Engine) acquire(key replicaKey, col *view.Collection, chain []uint64) *
 // its version no longer reaches the graph's, so its next run rebuilds cold.
 func (e *Engine) queueDelta(c *view.Collection, d view.ViewDelta, version uint64) {
 	sizes := c.Stream.ViewSizes()
-	e.incMu.Lock()
-	defer e.incMu.Unlock()
+	e.warmMu.Lock()
+	defer e.warmMu.Unlock()
 	e.replicas = slices.DeleteFunc(e.replicas, func(st *replica) bool {
 		return st.col == c && !st.queue(c, d, version, sizes[len(sizes)-1])
 	})
@@ -192,8 +192,8 @@ func (st *replica) queue(c *view.Collection, d view.ViewDelta, version uint64, f
 // name — re-creating a collection retires the state accumulated under it. A
 // run in flight on a dropped replica finishes on it undisturbed.
 func (e *Engine) dropIncStates(collection string) {
-	e.incMu.Lock()
-	defer e.incMu.Unlock()
+	e.warmMu.Lock()
+	defer e.warmMu.Unlock()
 	e.replicas = slices.DeleteFunc(e.replicas, func(st *replica) bool {
 		return st.col.Name == collection
 	})

@@ -34,8 +34,8 @@ func daysEngine(t *testing.T) (*Engine, *view.Collection, *view.Collection) {
 // theReplica returns the engine's only replica.
 func theReplica(t *testing.T, e *Engine) *replica {
 	t.Helper()
-	e.incMu.Lock()
-	defer e.incMu.Unlock()
+	e.warmMu.Lock()
+	defer e.warmMu.Unlock()
 	if len(e.replicas) != 1 {
 		t.Fatalf("engine holds %d replicas, want 1", len(e.replicas))
 	}

@@ -365,13 +365,13 @@ func TestConcurrentViewLoadSharesOneObject(t *testing.T) {
 		t.Fatal(err)
 	}
 	const loaders = 8
-	views := make([]*view.Filtered, loaders)
+	views := make([]*view.Collection, loaders)
 	var wg sync.WaitGroup
 	for i := 0; i < loaders; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			views[i], _ = e2.View("half")
+			views[i], _ = e2.Collection("half")
 		}(i)
 	}
 	wg.Wait()
@@ -417,13 +417,20 @@ func TestViewOverPersistedViewAfterRestart(t *testing.T) {
 	if len(out) != 1 {
 		t.Fatalf("%d statements executed", len(out))
 	}
-	derived, ok := e2.View("early-short")
-	if !ok {
-		t.Fatal("derived view not materialized")
+	derived, base := mustView(t, e2, "early-short"), mustView(t, e2, "early")
+	if base.EBM != nil {
+		t.Fatal("a view loaded from disk carries no EBM: this test is the binary-search membership path")
 	}
-	base, _ := e2.View("early")
-	if derived.NumEdges() == 0 || derived.NumEdges() > base.NumEdges() {
-		t.Fatalf("derived view has %d edges, base %d", derived.NumEdges(), base.NumEdges())
+	if n := len(derived.Stream.Adds[0]); n == 0 || n > len(base.Stream.Adds[0]) {
+		t.Fatalf("derived view has %d edges, base %d", n, len(base.Stream.Adds[0]))
+	}
+	if derived.On != "early" {
+		t.Fatalf("derived view records parent %q", derived.On)
+	}
+	for _, idx := range derived.Stream.Adds[0] {
+		if !base.Contains(idx) {
+			t.Fatalf("derived view holds edge %d, which its parent does not", idx)
+		}
 	}
 	// Collections over persisted views restart too.
 	if _, err := e2.ExecuteContext(context.Background(), "create view collection cc on early [a: duration <= 5], [b: duration <= 30]"); err != nil {
@@ -450,28 +457,18 @@ func TestCorruptViewStoreErrorsAreDistinct(t *testing.T) {
 	if err := e.AddGraph(g); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFile(dir+"/broken.view.gob", []byte("not a gob stream")); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeFile(dir+"/broken.collection.gob", []byte("also not a gob")); err != nil {
+	if err := writeFile(dir+"/broken.collection.gob", []byte("not a gob stream")); err != nil {
 		t.Fatal(err)
 	}
 
-	_, err = e.LookupView("broken")
+	_, err = e.LookupCollection("broken")
 	if err == nil {
 		t.Fatal("corrupt view loaded")
 	}
 	if errors.Is(err, ErrNotFound) {
 		t.Fatalf("corrupt view reported as not-found: %v", err)
 	}
-	_, err = e.LookupCollection("broken")
-	if err == nil || errors.Is(err, ErrNotFound) {
-		t.Fatalf("corrupt collection error: %v", err)
-	}
 	// Absence is still ErrNotFound.
-	if _, err := e.LookupView("missing"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("missing view error: %v", err)
-	}
 	if _, err := e.LookupCollection("missing"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("missing collection error: %v", err)
 	}
@@ -482,7 +479,10 @@ func TestCorruptViewStoreErrorsAreDistinct(t *testing.T) {
 	} else if errors.Is(err, ErrNotFound) {
 		t.Fatalf("corrupt target misreported: %v", err)
 	}
-	// RunCollection reports the distinct error too.
+	// A view run and a collection run report the distinct error too.
+	if _, err := e.NewSession().Do(context.Background(), &RunViewRequest{View: "broken", Algorithm: analytics.Spec{Algorithm: "wcc"}}); err == nil || errors.Is(err, ErrNotFound) {
+		t.Fatalf("RunViewRequest on corrupt view: %v", err)
+	}
 	if _, err := e.RunCollection(context.Background(), "broken", analytics.WCC{}, RunOptions{}); err == nil || errors.Is(err, ErrNotFound) {
 		t.Fatalf("RunCollection on corrupt collection: %v", err)
 	}
@@ -490,7 +490,7 @@ func TestCorruptViewStoreErrorsAreDistinct(t *testing.T) {
 
 func writeFile(path string, data []byte) error { return os.WriteFile(path, data, 0o644) }
 
-// TestSlashyGraphNameStillResolves pins the review fix on LookupView's
+// TestSlashyGraphNameStillResolves pins the review fix on LookupCollection's
 // error classification: a *graph* whose name the view store refuses (path
 // separators) must still resolve as a statement target on an engine with a
 // data directory — an invalid view name means "no such view", never a load
@@ -518,7 +518,7 @@ func TestSlashyGraphNameStillResolves(t *testing.T) {
 	if fv != nil || resolved != g {
 		t.Fatalf("resolved %v, %v", resolved, fv)
 	}
-	if _, err := e.LookupView("../escape"); !errors.Is(err, ErrNotFound) {
+	if _, err := e.LookupCollection("../escape"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("invalid view name not classified as absence: %v", err)
 	}
 }

@@ -118,6 +118,8 @@ type ViewRunResult struct {
 	Duration    time.Duration `json:"duration"`
 
 	Results map[analytics.VertexValue]int64 `json:"-"`
+
+	work []int64 // per-worker work counters of the run's dataflow
 }
 
 func (*ViewRunResult) isResponse() {}
@@ -238,15 +240,19 @@ func (s *Session) Do(ctx context.Context, req Request) (Response, error) {
 		if err != nil {
 			return nil, err
 		}
-		fv, err := s.eng.LookupView(r.View)
+		col, err := s.eng.lookupView(r.View)
 		if err != nil {
 			return nil, err
 		}
-		// Under the run barrier: view maintenance rewrites fv.Edges in place.
-		res := &ViewRunResult{Computation: comp.Name(), View: r.View}
+		workers := r.Workers
+		if workers == 0 {
+			workers = s.eng.opts.Workers
+		}
+		// Under the run barrier: view maintenance rewrites the edge list in
+		// place.
+		var res *ViewRunResult
 		err = s.eng.Admit(func() (err error) {
-			res.Edges = fv.NumEdges()
-			res.Results, res.Duration, err = RunView(ctx, fv, comp, r.Workers, r.WeightProp)
+			res, err = RunView(ctx, col, comp, workers, r.WeightProp)
 			return err
 		})
 		if err != nil {

@@ -1,9 +1,9 @@
 // Incremental view maintenance: when a base graph absorbs a mutation
-// batch, every materialized view and collection re-evaluates its
-// predicates only over the touched edges — the tombstoned indices and the
-// appended index range — patching the EBM columns and editing the
-// difference stream in place instead of rematerializing (the dynamic-graph
-// follow-on to the paper; see DESIGN.md "Dynamic graphs").
+// batch, every materialized collection — a filtered view is a collection of
+// one — re-evaluates its predicates only over the touched edges (the
+// tombstoned indices and the appended index range), patching the EBM columns
+// and editing the difference stream in place instead of rematerializing (the
+// dynamic-graph follow-on to the paper; see DESIGN.md "Dynamic graphs").
 //
 // The edit discipline rests on two invariants of the mutation layer:
 // deleted edges keep their (stable) indices as tombstones, so their stream
@@ -31,33 +31,6 @@ type ViewDelta struct {
 
 // Empty reports a no-op delta.
 func (d ViewDelta) Empty() bool { return len(d.Adds) == 0 && len(d.Dels) == 0 }
-
-// MaintainFiltered patches a filtered view in place for one applied
-// mutation: deleted edges leave, inserted edges satisfying the (freshly
-// recompiled, parent-composed) predicate enter. Untouched edges keep their
-// membership — predicates depend only on edge properties, which are
-// immutable for existing rows.
-func MaintainFiltered(f *Filtered, pred gvdl.EdgePredicate, a graph.Applied) ViewDelta {
-	delta := ViewDelta{Name: f.Name}
-	var rem []uint32
-	for _, d := range a.Deleted {
-		if f.Contains(d) {
-			rem = append(rem, d)
-		}
-	}
-	if len(rem) > 0 {
-		f.Edges = removeSorted(f.Edges, rem)
-		delta.Dels = rem
-	}
-	for i := a.PrevEdges; i < a.PrevEdges+a.Inserted; i++ {
-		if pred(i) {
-			f.Edges = append(f.Edges, uint32(i))
-			delta.Adds = append(delta.Adds, uint32(i))
-		}
-	}
-	f.Version = a.Version
-	return delta
-}
 
 // MaintainCollection patches a materialized collection in place for one
 // applied mutation and returns each ordered view's membership delta.

@@ -86,39 +86,49 @@ func wPred(g *graph.Graph, bound int64) gvdl.EdgePredicate {
 	return func(i int) bool { return g.EdgeProps.Cols[0].Ints[i] < bound }
 }
 
-func TestMaintainFiltered(t *testing.T) {
-	g := chainGraph(10) // w = edge index
-	stmt, err := gvdl.Parse("create view small on chain edges where w < 5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := MaterializeView(g, stmt.(*gvdl.CreateView))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Insert one member (w=3) and one non-member (w=9); delete one member
-	// (edge 2) and one non-member (edge 7).
-	a := mutateChain(t, g, []int64{3, 9}, []int{2, 7})
-	delta := MaintainFiltered(f, wPred(g, 5), a)
-
-	if f.Version != a.Version {
-		t.Fatalf("view version %d, want %d", f.Version, a.Version)
-	}
-	for i := 0; i < g.NumEdges(); i++ {
-		want := g.EdgeAlive(i) && g.EdgeProps.Cols[0].Ints[i] < 5
-		if f.Contains(uint32(i)) != want {
-			t.Fatalf("edge %d membership %v, want %v", i, !want, want)
+// TestMaintainView is delete-then-insert maintenance of a filtered view — a
+// one-view collection — with its EBM column in memory and, as after a
+// restart, without it.
+func TestMaintainView(t *testing.T) {
+	for _, inMemory := range []bool{true, false} {
+		g := chainGraph(10) // w = edge index
+		f, err := materializeStmt(g, "create view small on chain edges where w < 5", Options{})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !reflect.DeepEqual(delta.Adds, []uint32{uint32(a.PrevEdges)}) {
-		t.Fatalf("delta adds %v", delta.Adds)
-	}
-	if !reflect.DeepEqual(delta.Dels, []uint32{2}) {
-		t.Fatalf("delta dels %v", delta.Dels)
-	}
-	if delta.Empty() {
-		t.Fatal("non-empty delta reports empty")
+		if !inMemory {
+			f.EBM = nil
+		}
+
+		// Insert one member (w=3) and one non-member (w=9); delete one member
+		// (edge 2) and one non-member (edge 7).
+		a := mutateChain(t, g, []int64{3, 9}, []int{2, 7})
+		preds := []gvdl.EdgePredicate{wPred(g, 5)}
+		deltas, err := MaintainCollection(f, preds, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		delta := deltas[0]
+
+		if f.Version != a.Version {
+			t.Fatalf("view version %d, want %d", f.Version, a.Version)
+		}
+		for i := 0; i < g.NumEdges(); i++ {
+			want := g.EdgeAlive(i) && g.EdgeProps.Cols[0].Ints[i] < 5
+			if f.Contains(uint32(i)) != want {
+				t.Fatalf("in-memory EBM %v: edge %d membership %v, want %v", inMemory, i, !want, want)
+			}
+		}
+		if !reflect.DeepEqual(delta.Adds, []uint32{uint32(a.PrevEdges)}) {
+			t.Fatalf("delta adds %v", delta.Adds)
+		}
+		if !reflect.DeepEqual(delta.Dels, []uint32{2}) {
+			t.Fatalf("delta dels %v", delta.Dels)
+		}
+		if delta.Name != "small" || delta.Empty() {
+			t.Fatalf("delta %+v", delta)
+		}
+		maintainedEqualsFresh(t, g, f, preds, []string{"small"})
 	}
 }
 

@@ -13,9 +13,9 @@ import (
 
 // The paper's View Store persists materialized views alongside the graph
 // store ("The output of the program is materialized as a stream in the View
-// Store"). Filtered views and collections serialize compactly: a view is its
-// base graph's name plus edge indices; a collection is its name, order and
-// difference stream.
+// Store"). There is one file format, <name>.collection.gob: a collection's
+// name, order and difference stream. A filtered view is stored as the
+// one-view collection it is.
 
 // ErrInvalidName marks a view/collection name the store refuses to join
 // into a path. Callers with a fallback (the engine's target resolution
@@ -42,73 +42,6 @@ func validName(name string) error {
 		return fmt.Errorf("view: %w %q: must be non-empty and contain no path separators", ErrInvalidName, name)
 	}
 	return nil
-}
-
-// filteredGob is the on-disk form of a Filtered view. PredSrc, On and
-// Version ride along for incremental maintenance; pre-mutation files decode
-// them to zero values (not maintainable, version 0), which still load
-// cleanly against a never-mutated base graph.
-type filteredGob struct {
-	Name    string
-	Base    string
-	Edges   []uint32
-	PredSrc string
-	On      string
-	Version uint64
-}
-
-// SaveFiltered persists a filtered view under dir.
-func SaveFiltered(dir string, f *Filtered) error {
-	if err := validName(f.Name); err != nil {
-		return err
-	}
-	if f.Base == nil || f.Base.Name == "" {
-		return fmt.Errorf("view: cannot persist view %q without a named base graph", f.Name)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	file, err := os.Create(filepath.Join(dir, f.Name+".view.gob"))
-	if err != nil {
-		return err
-	}
-	defer file.Close()
-	return gob.NewEncoder(file).Encode(filteredGob{
-		Name: f.Name, Base: f.Base.Name, Edges: f.Edges,
-		PredSrc: f.PredSrc, On: f.On, Version: f.Version,
-	})
-}
-
-// LoadFiltered loads a persisted filtered view, resolving its base graph
-// through lookup (typically graph.Store.Graph).
-func LoadFiltered(dir, name string, lookup func(string) (*graph.Graph, error)) (*Filtered, error) {
-	if err := validName(name); err != nil {
-		return nil, err
-	}
-	file, err := os.Open(filepath.Join(dir, name+".view.gob"))
-	if err != nil {
-		return nil, err
-	}
-	defer file.Close()
-	var fg filteredGob
-	if err := gob.NewDecoder(file).Decode(&fg); err != nil {
-		return nil, fmt.Errorf("view: loading %q: %w", name, err)
-	}
-	base, err := lookup(fg.Base)
-	if err != nil {
-		return nil, fmt.Errorf("view %q: %w", name, err)
-	}
-	if fg.Version != base.Version {
-		return nil, fmt.Errorf("view %q: %w: reflects graph %s at version %d, graph is at %d",
-			name, ErrStale, base.Name, fg.Version, base.Version)
-	}
-	f := &Filtered{Name: fg.Name, Base: base, Edges: fg.Edges, PredSrc: fg.PredSrc, On: fg.On, Version: fg.Version}
-	for _, e := range f.Edges {
-		if int(e) >= base.NumEdges() {
-			return nil, fmt.Errorf("view %q: edge index %d out of range for graph %s", name, e, base.Name)
-		}
-	}
-	return f, nil
 }
 
 // collectionGob is the on-disk form of a materialized collection: the
@@ -166,6 +99,14 @@ func LoadCollection(dir, name string, lookup func(string) (*graph.Graph, error))
 	}
 	file, err := os.Open(filepath.Join(dir, name+".collection.gob"))
 	if err != nil {
+		if errors.Is(err, os.ErrNotExist) {
+			// A leftover of the retired single-view file format is a load
+			// failure, never absence: the name was defined and must not
+			// silently vanish.
+			if _, lerr := os.Stat(filepath.Join(dir, name+".view.gob")); lerr == nil {
+				return nil, fmt.Errorf("view %q: stored in the retired single-view file format; re-create the view", name)
+			}
+		}
 		return nil, err
 	}
 	defer file.Close()
@@ -184,6 +125,15 @@ func LoadCollection(dir, name string, lookup func(string) (*graph.Graph, error))
 	if cg.Version != base.Version {
 		return nil, fmt.Errorf("collection %q: %w: reflects graph %s at version %d, graph is at %d",
 			name, ErrStale, base.Name, cg.Version, base.Version)
+	}
+	for _, sets := range [][][]uint32{cg.Adds, cg.Dels} {
+		for _, set := range sets {
+			for _, e := range set {
+				if int(e) >= base.NumEdges() {
+					return nil, fmt.Errorf("collection %q: edge index %d out of range for graph %s", name, e, base.Name)
+				}
+			}
+		}
 	}
 	return &Collection{
 		Name:     cg.Name,

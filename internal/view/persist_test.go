@@ -1,19 +1,28 @@
 package view
 
 import (
+	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"graphsurge/internal/graph"
-	"graphsurge/internal/gvdl"
 )
 
-func TestFilteredPersistence(t *testing.T) {
+// oneView wraps an edge list as a filtered view: a collection of one view.
+func oneView(name string, g *graph.Graph, edges []uint32) *Collection {
+	return NewCollection(name, g, &DiffStream{Names: []string{name}, Adds: [][]uint32{edges}, Dels: [][]uint32{nil}})
+}
+
+func TestViewPersistence(t *testing.T) {
 	dir := t.TempDir()
 	g := chainGraph(50)
-	f := &Filtered{Name: "small", Base: g, Edges: []uint32{1, 3, 5}}
-	if err := SaveFiltered(dir, f); err != nil {
+	f := oneView("small", g, []uint32{1, 3, 5})
+	f.PredSrcs, f.On = []string{"w < 6"}, "parent"
+	if err := SaveCollection(dir, f); err != nil {
 		t.Fatal(err)
 	}
 	lookup := func(name string) (*graph.Graph, error) {
@@ -22,38 +31,76 @@ func TestFilteredPersistence(t *testing.T) {
 		}
 		return g, nil
 	}
-	got, err := LoadFiltered(dir, "small", lookup)
+	got, err := LoadCollection(dir, "small", lookup)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Name != "small" || got.NumEdges() != 3 || got.Edges[1] != 3 {
+	if got.Name != "small" || got.Stream.NumViews() != 1 || !reflect.DeepEqual(got.Stream.Adds[0], []uint32{1, 3, 5}) {
 		t.Fatalf("round trip: %+v", got)
 	}
-	if _, err := LoadFiltered(dir, "missing", lookup); err == nil {
-		t.Fatal("expected error for missing file")
+	if !reflect.DeepEqual(got.PredSrcs, f.PredSrcs) || got.On != "parent" || got.Version != g.Version {
+		t.Fatalf("maintenance metadata lost: %+v", got)
+	}
+	if !got.Contains(3) || got.Contains(4) {
+		t.Fatal("membership of a loaded view")
+	}
+	if _, err := LoadCollection(dir, "missing", lookup); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("missing file: %v", err)
 	}
 	// Unnamed base rejected on save.
-	if err := SaveFiltered(dir, &Filtered{Name: "bad", Base: &graph.Graph{}}); err == nil {
+	if err := SaveCollection(dir, oneView("bad", &graph.Graph{}, nil)); err == nil {
 		t.Fatal("expected error for unnamed base")
 	}
-	// Out-of-range edge index detected on load.
-	bad := &Filtered{Name: "oob", Base: g, Edges: []uint32{9999}}
-	if err := SaveFiltered(dir, bad); err != nil {
+	// Out-of-range edge index detected on load, in an add or a delete set.
+	bad := oneView("oob", g, []uint32{9999})
+	if err := SaveCollection(dir, bad); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadFiltered(dir, "oob", lookup); err == nil {
+	if _, err := LoadCollection(dir, "oob", lookup); err == nil {
 		t.Fatal("expected out-of-range error")
+	}
+	bad.Stream.Adds[0], bad.Stream.Dels[0] = []uint32{1}, []uint32{50}
+	if err := SaveCollection(dir, bad); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadCollection(dir, "oob", lookup); err == nil {
+		t.Fatal("expected out-of-range error for a delete set")
+	}
+	// A view persisted at one graph version fails closed once the graph has
+	// moved on without it.
+	g.Version++
+	if _, err := LoadCollection(dir, "small", lookup); !errors.Is(err, ErrStale) {
+		t.Fatalf("stale view: %v", err)
+	}
+}
+
+// TestLegacyViewFileFailsClosed: a leftover file of the retired single-view
+// format is a load error that tells the operator what to do — never absence,
+// which would let the name silently resolve to something else.
+func TestLegacyViewFileFailsClosed(t *testing.T) {
+	dir := t.TempDir()
+	g := chainGraph(10)
+	lookup := func(string) (*graph.Graph, error) { return g, nil }
+	if err := os.WriteFile(filepath.Join(dir, `old.view.gob`), []byte("whatever it held"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := LoadCollection(dir, "old", lookup)
+	if err == nil || errors.Is(err, os.ErrNotExist) || !strings.Contains(err.Error(), "re-create the view") {
+		t.Fatalf("leftover legacy view file: %v", err)
+	}
+	// Re-creating the view under the same name clears it.
+	if err := SaveCollection(dir, oneView("old", g, []uint32{2})); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadCollection(dir, "old", lookup); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestCollectionPersistence(t *testing.T) {
 	dir := t.TempDir()
 	g := chainGraph(100)
-	stmt, err := gvdl.Parse("create view collection c on chain [a: w < 40], [b: w < 80]")
-	if err != nil {
-		t.Fatal(err)
-	}
-	col, err := Materialize(g, stmt.(*gvdl.CreateCollection), Options{})
+	col, err := materializeStmt(g, "create view collection c on chain [a: w < 40], [b: w < 80]", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,39 +137,34 @@ func TestPersistNameValidation(t *testing.T) {
 	lookup := func(string) (*graph.Graph, error) { return g, nil }
 	bad := []string{"", ".", "..", "../escape", "a/b", `a\b`, "/abs", `..\win`}
 	for _, name := range bad {
-		if err := SaveFiltered(dir, &Filtered{Name: name, Base: g}); err == nil {
-			t.Fatalf("SaveFiltered accepted %q", name)
-		}
-		if _, err := LoadFiltered(dir, name, lookup); err == nil {
-			t.Fatalf("LoadFiltered accepted %q", name)
+		if err := SaveCollection(dir, oneView(name, g, nil)); !errors.Is(err, ErrInvalidName) {
+			t.Fatalf("SaveCollection accepted view %q: %v", name, err)
 		}
 		if err := SaveCollection(dir, &Collection{Name: name, Graph: g, Stream: &DiffStream{}}); err == nil {
 			t.Fatalf("SaveCollection accepted %q", name)
 		}
-		if _, err := LoadCollection(dir, name, lookup); err == nil {
-			t.Fatalf("LoadCollection accepted %q", name)
+		if _, err := LoadCollection(dir, name, lookup); !errors.Is(err, ErrInvalidName) {
+			t.Fatalf("LoadCollection accepted %q: %v", name, err)
 		}
 	}
 	// A traversal name must not read files outside the data directory even
 	// when a matching file exists there.
 	outside := t.TempDir()
-	f := &Filtered{Name: "x", Base: g, Edges: []uint32{1}}
-	if err := SaveFiltered(outside, f); err != nil {
+	if err := SaveCollection(outside, oneView("x", g, []uint32{1})); err != nil {
 		t.Fatal(err)
 	}
 	rel, err := filepath.Rel(dir, filepath.Join(outside, "x"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadFiltered(dir, rel, lookup); err == nil {
+	if _, err := LoadCollection(dir, rel, lookup); err == nil {
 		t.Fatal("traversal name read a view outside the data directory")
 	}
 	// Ordinary names (including dots inside) still round-trip.
-	ok := &Filtered{Name: "v1.2-ok", Base: g, Edges: []uint32{0}}
-	if err := SaveFiltered(dir, ok); err != nil {
+	if err := SaveCollection(dir, oneView("v1.2-ok", g, []uint32{0})); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := LoadFiltered(dir, "v1.2-ok", lookup); err != nil || got.NumEdges() != 1 {
+	if got, err := LoadCollection(dir, "v1.2-ok", lookup); err != nil || len(got.Stream.Adds[0]) != 1 {
 		t.Fatalf("round trip of dotted name: %v, %+v", err, got)
 	}
 }

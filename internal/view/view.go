@@ -1,7 +1,8 @@
-// Package view implements Graphsurge's view and view-collection executors:
-// materializing individual filtered views, building Edge Boolean Matrices
-// (EBM), ordering collections, and computing the edge difference streams that
-// drive differential execution (paper §3.1-§3.2).
+// Package view implements Graphsurge's view-collection executor: building
+// Edge Boolean Matrices (EBM), ordering collections, and computing the edge
+// difference streams that drive differential execution (paper §3.1-§3.2). An
+// individual filtered view is a collection of one view: its first difference
+// set is its edge list.
 package view
 
 import (
@@ -17,60 +18,6 @@ import (
 	"graphsurge/internal/gvdl"
 	"graphsurge/internal/ordering"
 )
-
-// Filtered is a materialized individual filtered view: the subset of a base
-// graph's edges satisfying a predicate.
-type Filtered struct {
-	Name  string
-	Base  *graph.Graph
-	Edges []uint32 // indices into the base graph's edge arrays, ascending
-
-	// PredSrc is the view's predicate in re-parseable GVDL source form,
-	// retained so the view can be incrementally maintained when its base
-	// graph mutates (predicates are compiled closures over the graph's
-	// column slices and must be recompiled after appends). Empty for
-	// programmatic views, which are not maintainable.
-	PredSrc string
-	// On names the parent filtered view when this is a view over a view;
-	// empty when the view filters the base graph directly.
-	On string
-	// Version is the base graph version this materialization reflects.
-	Version uint64
-}
-
-// NumEdges returns the view's edge count.
-func (f *Filtered) NumEdges() int { return len(f.Edges) }
-
-// Contains reports whether base edge index e is in the view (binary search
-// over the ascending edge list).
-func (f *Filtered) Contains(e uint32) bool {
-	lo, hi := 0, len(f.Edges)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if f.Edges[mid] < e {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(f.Edges) && f.Edges[lo] == e
-}
-
-// MaterializeView evaluates a filtered-view statement against its base
-// graph. Tombstoned edges are never members.
-func MaterializeView(g *graph.Graph, stmt *gvdl.CreateView) (*Filtered, error) {
-	pred, err := gvdl.CompileEdgePredicate(g, stmt.Where)
-	if err != nil {
-		return nil, fmt.Errorf("view %s: %w", stmt.Name, err)
-	}
-	f := &Filtered{Name: stmt.Name, Base: g, PredSrc: stmt.Where.String(), Version: g.Version}
-	for i := 0; i < g.NumEdges(); i++ {
-		if g.EdgeAlive(i) && pred(i) {
-			f.Edges = append(f.Edges, uint32(i))
-		}
-	}
-	return f, nil
-}
 
 // EBM is the Edge Boolean Matrix of a collection: column j records which
 // edges of the base graph satisfy view j's predicate (paper §3.2, step 1).
@@ -345,7 +292,9 @@ type Timings struct {
 func (t Timings) Total() time.Duration { return t.EBM + t.Ordering + t.Diffs }
 
 // Collection is a fully materialized view collection ready for differential
-// execution.
+// execution. A filtered view is a collection of one view (`create view`
+// produces exactly that): Stream.NumViews() == 1 and Stream.Adds[0] is its
+// ascending edge list.
 type Collection struct {
 	Name    string
 	Graph   *graph.Graph
@@ -359,11 +308,22 @@ type Collection struct {
 	// incremental maintenance. Nil for programmatic collections, which are
 	// not maintainable.
 	PredSrcs []string
-	// On names the parent filtered view when the collection was declared
-	// over a view; empty when it filters the base graph directly.
+	// On names the parent view — a one-view collection — when the collection
+	// was declared over a view; empty when it filters the base graph directly.
 	On string
 	// Version is the base graph version this materialization reflects.
 	Version uint64
+}
+
+// Contains reports whether base edge index e is a member of a one-view
+// collection's view — what a view or collection declared over it restricts
+// to: the EBM column when in memory, binary search over the edge list when
+// the collection was loaded from disk.
+func (c *Collection) Contains(e uint32) bool {
+	if c.EBM != nil {
+		return c.EBM.Cols[0].Get(int(e))
+	}
+	return containsSorted(c.Stream.Adds[0], e)
 }
 
 // NewCollection wraps a pre-computed difference stream as a materialized
@@ -378,38 +338,14 @@ func NewCollection(name string, g *graph.Graph, stream *DiffStream) *Collection 
 	return &Collection{Name: name, Graph: g, Order: order, Stream: stream, Version: g.Version}
 }
 
-// Materialize runs the three-step pipeline of §3.2: EBM computation,
-// collection ordering, difference stream computation.
-func Materialize(g *graph.Graph, stmt *gvdl.CreateCollection, opts Options) (*Collection, error) {
-	names := make([]string, len(stmt.Views))
-	preds := make([]gvdl.EdgePredicate, len(stmt.Views))
-	srcs := make([]string, len(stmt.Views))
-	for i, v := range stmt.Views {
-		p, err := gvdl.CompileEdgePredicate(g, v.Pred)
-		if err != nil {
-			return nil, fmt.Errorf("collection %s, view %s: %w", stmt.Name, v.Name, err)
-		}
-		names[i], preds[i] = v.Name, p
-		srcs[i] = v.Pred.String()
-	}
-	c, err := materialize(stmt.Name, g, names, preds, opts)
-	if err != nil {
-		return nil, err
-	}
-	c.PredSrcs = srcs
-	return c, nil
-}
-
-// MaterializeFromPredicates materializes a collection from pre-compiled
-// predicates, for programmatic callers (experiments, tests).
+// MaterializeFromPredicates runs the three-step pipeline of §3.2 — EBM
+// computation, collection ordering, difference stream computation — over
+// compiled predicates: the one materializer, for GVDL statements (the engine
+// compiles and retains their sources) and programmatic callers alike.
 func MaterializeFromPredicates(name string, g *graph.Graph, names []string, preds []gvdl.EdgePredicate, opts Options) (*Collection, error) {
 	if len(names) != len(preds) {
 		return nil, fmt.Errorf("collection %s: %d names but %d predicates", name, len(names), len(preds))
 	}
-	return materialize(name, g, names, preds, opts)
-}
-
-func materialize(name string, g *graph.Graph, names []string, preds []gvdl.EdgePredicate, opts Options) (*Collection, error) {
 	if len(preds) == 0 {
 		return nil, fmt.Errorf("collection %s: no views", name)
 	}

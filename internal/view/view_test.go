@@ -3,6 +3,7 @@ package view
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -22,6 +23,42 @@ func chainGraph(n int) *graph.Graph {
 		ep.Cols[0].Ints = append(ep.Cols[0].Ints, int64(i))
 	}
 	return g
+}
+
+// materializeStmt materializes a GVDL create statement the way the engine
+// does: compile each predicate, run the one materializer, retain the
+// sources. `create view` yields a collection of one view named after it.
+func materializeStmt(g *graph.Graph, src string, opts Options) (*Collection, error) {
+	stmt, err := gvdl.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	var name string
+	var names []string
+	var exprs []gvdl.Expr
+	switch s := stmt.(type) {
+	case *gvdl.CreateView:
+		name, names, exprs = s.Name, []string{s.Name}, []gvdl.Expr{s.Where}
+	case *gvdl.CreateCollection:
+		name = s.Name
+		for _, v := range s.Views {
+			names, exprs = append(names, v.Name), append(exprs, v.Pred)
+		}
+	}
+	preds := make([]gvdl.EdgePredicate, len(exprs))
+	srcs := make([]string, len(exprs))
+	for i, x := range exprs {
+		if preds[i], err = gvdl.CompileEdgePredicate(g, x); err != nil {
+			return nil, err
+		}
+		srcs[i] = x.String()
+	}
+	c, err := MaterializeFromPredicates(name, g, names, preds, opts)
+	if err != nil {
+		return nil, err
+	}
+	c.PredSrcs = srcs
+	return c, nil
 }
 
 func TestBitset(t *testing.T) {
@@ -46,22 +83,30 @@ func TestBitset(t *testing.T) {
 	}
 }
 
+// TestMaterializeView: a filtered view is a collection of one view whose
+// first difference set is its ascending edge list, with membership answered
+// by the EBM column in memory and by binary search once it is gone (a
+// collection loaded from disk).
 func TestMaterializeView(t *testing.T) {
 	g := chainGraph(10)
-	stmt, err := gvdl.Parse("create view small on chain edges where w < 3")
+	f, err := materializeStmt(g, "create view small on chain edges where w < 3", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := MaterializeView(g, stmt.(*gvdl.CreateView))
-	if err != nil {
-		t.Fatal(err)
+	if f.Stream.NumViews() != 1 || f.Stream.Names[0] != "small" || len(f.Stream.Dels[0]) != 0 {
+		t.Fatalf("view stream: names %v, dels %v", f.Stream.Names, f.Stream.Dels)
 	}
-	if f.NumEdges() != 3 {
-		t.Fatalf("view has %d edges", f.NumEdges())
+	if !reflect.DeepEqual(f.Stream.Adds[0], []uint32{0, 1, 2}) {
+		t.Fatalf("edges %v", f.Stream.Adds[0])
 	}
-	for i, e := range f.Edges {
-		if int(e) != i {
-			t.Fatalf("edges %v", f.Edges)
+	for _, inMemory := range []bool{true, false} {
+		if !inMemory {
+			f.EBM = nil
+		}
+		for i := 0; i < g.NumEdges(); i++ {
+			if f.Contains(uint32(i)) != (i < 3) {
+				t.Fatalf("in-memory EBM %v: edge %d membership %v", inMemory, i, i >= 3)
+			}
 		}
 	}
 }
@@ -256,11 +301,7 @@ func TestMaterializeEndToEnd(t *testing.T) {
 [a: w < 30],
 [b: w < 60],
 [c: w < 90]`
-	stmt, err := gvdl.Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	col, err := Materialize(g, stmt.(*gvdl.CreateCollection), Options{Workers: 2, Mode: OrderAsWritten})
+	col, err := materializeStmt(g, src, Options{Workers: 2, Mode: OrderAsWritten})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +321,7 @@ func TestMaterializeEndToEnd(t *testing.T) {
 
 	// Optimized and random orders keep per-view contents identical.
 	for _, mode := range []OrderingMode{OrderOptimized, OrderRandom} {
-		c2, err := Materialize(g, stmt.(*gvdl.CreateCollection), Options{Mode: mode, Seed: 42})
+		c2, err := materializeStmt(g, src, Options{Mode: mode, Seed: 42})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -298,11 +339,7 @@ func TestMaterializeEndToEnd(t *testing.T) {
 
 func TestMaterializeErrors(t *testing.T) {
 	g := chainGraph(5)
-	stmt, err := gvdl.Parse("create view collection c on chain [a: nope = 1]")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Materialize(g, stmt.(*gvdl.CreateCollection), Options{}); err == nil {
+	if _, err := materializeStmt(g, "create view collection c on chain [a: nope = 1]", Options{}); err == nil {
 		t.Fatal("expected error for unknown property")
 	}
 	if _, err := MaterializeFromPredicates("c", g, []string{"a"}, nil, Options{}); err == nil {
