@@ -1,3 +1,3 @@
 module graphsurge
 
-go 1.22
+go 1.24

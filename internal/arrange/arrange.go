@@ -1,24 +1,26 @@
 // Package arrange implements columnar arrangements: immutable, sorted,
-// columnar batches of (key, value, time, diff) tuples with k-way merging,
-// lazy compaction, binary-search lookup, and O(1) copy-on-write snapshot
-// sharing. It is the Go equivalent of Differential Dataflow's arrangement
-// substrate (the paper's §5 "shared arrangements"), replacing the map-of-
-// slices traces the engine used before: a trace is a small stack of
+// columnar batches of (key, value, time, diff) tuples with a streaming
+// clamp-merge, directory lookup, and O(1) copy-on-write snapshot sharing.
+// It is the Go equivalent of Differential Dataflow's arrangement substrate
+// (the paper's §5 "shared arrangements"): a trace is a small stack of
 // immutable batches plus a bounded mutable stage, so dropping all state is
 // a pointer release rather than a map walk, and snapshotting is a slice
 // copy of batch references rather than a deep copy of tuples.
 //
 // Keys and values are arbitrary comparable types; batches order tuples by
-// (maphash(key), time, maphash(value)). The hash order is not meaningful
-// across processes, but it is stable within a trace, groups equal keys into
-// contiguous runs for binary-search lookup, and makes equal (key, value,
-// time) tuples adjacent so merges can consolidate diffs lazily. Hash
-// collisions only cost a short equality-checked scan within the run.
+// (maphash(key), time, maphash(value)). A tuple is hashed once, when it
+// enters the trace. The hash order is not meaningful across processes, but
+// it is stable within a trace, groups equal keys into contiguous runs, and
+// makes equal (key, value, time) tuples adjacent so merges consolidate
+// diffs as they emit. Hash collisions only cost a short equality-checked
+// scan within the run.
 package arrange
 
 import (
+	"cmp"
 	"hash/maphash"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"graphsurge/internal/timestamp"
 )
@@ -28,18 +30,10 @@ import (
 // cost of snapshotting a trace (the stage is the only part copied).
 const stageThreshold = 256
 
-// tuple is one staged (key, value, time, diff) update, not yet columnar.
-type tuple[K comparable, V comparable] struct {
-	k K
-	v V
-	t timestamp.Time
-	d int64
-}
-
-// Batch is an immutable sorted columnar batch. Tuples are stored as
-// parallel columns ordered by (hks, times lex, hvs); equal keys form one
-// contiguous run located by binary search on hks. Batches are shared by
-// reference between a trace and its snapshots and must never be mutated.
+// Batch is a columnar run of tuples. A sealed batch is immutable and ordered
+// by (hks, times lex, hvs); equal keys form one contiguous run found through
+// dir. Sealed batches are shared by reference between a trace and its
+// snapshots. A trace's stage is a Batch in arrival order, without dir.
 type Batch[K comparable, V comparable] struct {
 	hks   []uint64 // maphash of keys, the primary sort key
 	keys  []K
@@ -47,226 +41,136 @@ type Batch[K comparable, V comparable] struct {
 	hvs   []uint64 // maphash of vals, the tie-break within (hk, time)
 	times []timestamp.Time
 	diffs []int64
+
+	dir    []uint32 // dir[p] is the first row whose hk>>shift is at least p
+	shift  uint8
+	shared bool // a Snapshot references the batch: its columns are never recycled
 }
 
 // Len returns the number of tuples in the batch.
 func (b *Batch[K, V]) Len() int { return len(b.keys) }
 
-// keyRun returns the half-open index range of tuples whose key hash is hk.
-func (b *Batch[K, V]) keyRun(hk uint64) (int, int) {
-	lo := sort.Search(len(b.hks), func(i int) bool { return b.hks[i] >= hk })
-	hi := lo
-	for hi < len(b.hks) && b.hks[hi] == hk {
-		hi++
-	}
-	return lo, hi
-}
-
-// needsClamp reports whether any tuple's time has Outer < outer.
-func (b *Batch[K, V]) needsClamp(outer uint32) bool {
-	for _, t := range b.times {
-		if t.Outer < outer {
-			return true
+// seek returns the first row whose key hash is at least hk: one directory
+// probe (hashes are uniform, so a bucket holds a handful of rows), then a
+// binary search inside the bucket.
+func (b *Batch[K, V]) seek(hk uint64) int {
+	p := hk >> b.shift
+	lo, hi := int(b.dir[p]), int(b.dir[p+1])
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); b.hks[m] < hk {
+			lo = m + 1
+		} else {
+			hi = m
 		}
 	}
-	return false
+	return lo
 }
 
-// lexLess orders tuples by (hk, time lex, hv) — the batch sort order.
-func lexLess(hk1 uint64, t1 timestamp.Time, hv1 uint64, hk2 uint64, t2 timestamp.Time, hv2 uint64) bool {
-	if hk1 != hk2 {
-		return hk1 < hk2
-	}
-	if t1 != t2 {
-		return t1.LexLess(t2)
-	}
-	return hv1 < hv2
-}
-
-// buildBatch sorts, clamps (to outer when clamp is set), and consolidates
-// staged tuples into an immutable batch. Equal (key, value, time) tuples
-// merge their diffs; zero diffs are dropped. Returns nil when everything
-// cancels.
-func buildBatch[K comparable, V comparable](kseed, vseed maphash.Seed, ts []tuple[K, V], outer uint32, clamp bool) *Batch[K, V] {
-	if len(ts) == 0 {
-		return nil
-	}
-	b := &Batch[K, V]{
-		hks:   make([]uint64, len(ts)),
-		keys:  make([]K, len(ts)),
-		vals:  make([]V, len(ts)),
-		hvs:   make([]uint64, len(ts)),
-		times: make([]timestamp.Time, len(ts)),
-		diffs: make([]int64, len(ts)),
-	}
-	for i, e := range ts {
-		t := e.t
-		if clamp && t.Outer < outer {
-			t.Outer = outer
+// index builds the directory of a freshly written batch: one bucket per
+// eight rows or so, keyed by the top bits of the key hash.
+func (b *Batch[K, V]) index() {
+	n := b.Len()
+	width := max(bits.Len(uint(n))-3, 0)
+	b.shift = uint8(64 - width)
+	b.dir = grow(b.dir, 1<<width+1)[:1<<width+1]
+	i := 0
+	for p := range b.dir {
+		for i < n && b.hks[i]>>b.shift < uint64(p) {
+			i++
 		}
-		b.hks[i] = maphash.Comparable(kseed, e.k)
-		b.keys[i] = e.k
-		b.vals[i] = e.v
-		b.hvs[i] = maphash.Comparable(vseed, e.v)
-		b.times[i] = t
-		b.diffs[i] = e.d
+		b.dir[p] = uint32(i)
 	}
-	sort.Sort(batchSorter[K, V]{b})
-	return consolidateSorted(b)
 }
 
-// batchSorter sorts a batch's columns in place by (hk, time, hv).
-type batchSorter[K comparable, V comparable] struct {
-	b *Batch[K, V]
+// grow returns s emptied, with room for n elements. A replacement is at
+// least a quarter larger than what it replaces, so a column set recycled for
+// a slowly growing trace is reallocated a logarithmic number of times.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, max(n, cap(s)+cap(s)/4))
+	}
+	return s[:0]
 }
 
-func (s batchSorter[K, V]) Len() int { return len(s.b.keys) }
-func (s batchSorter[K, V]) Less(i, j int) bool {
-	b := s.b
-	return lexLess(b.hks[i], b.times[i], b.hvs[i], b.hks[j], b.times[j], b.hvs[j])
-}
-func (s batchSorter[K, V]) Swap(i, j int) {
-	b := s.b
-	b.hks[i], b.hks[j] = b.hks[j], b.hks[i]
-	b.keys[i], b.keys[j] = b.keys[j], b.keys[i]
-	b.vals[i], b.vals[j] = b.vals[j], b.vals[i]
-	b.hvs[i], b.hvs[j] = b.hvs[j], b.hvs[i]
-	b.times[i], b.times[j] = b.times[j], b.times[i]
-	b.diffs[i], b.diffs[j] = b.diffs[j], b.diffs[i]
-}
-
-// consolidateSorted merges equal (key, value, time) tuples of an already
-// sorted batch in place and drops zero diffs. Equal tuples share
-// (hk, time, hv), so they sit in one contiguous run; within a run, true
-// equality is re-checked (hash collisions), costing a short quadratic scan
-// over runs that are almost always length one. Returns nil when empty.
-func consolidateSorted[K comparable, V comparable](b *Batch[K, V]) *Batch[K, V] {
-	n := len(b.keys)
-	m := 0 // write cursor: b[:m] is consolidated
-	for i := 0; i < n; {
-		j := i + 1
-		for j < n && b.hks[j] == b.hks[i] && b.times[j] == b.times[i] && b.hvs[j] == b.hvs[i] {
-			j++
-		}
-		// Merge equal (key, value) tuples within the run [i, j).
-		runStart := m
-		for p := i; p < j; p++ {
-			merged := false
-			for q := runStart; q < m; q++ {
-				if b.keys[q] == b.keys[p] && b.vals[q] == b.vals[p] {
-					b.diffs[q] += b.diffs[p]
-					merged = true
-					break
-				}
-			}
-			if !merged {
-				b.hks[m] = b.hks[p]
-				b.keys[m] = b.keys[p]
-				b.vals[m] = b.vals[p]
-				b.hvs[m] = b.hvs[p]
-				b.times[m] = b.times[p]
-				b.diffs[m] = b.diffs[p]
-				m++
-			}
-		}
-		// Drop zeroed entries of the run, keeping b[:m] dense.
-		w := runStart
-		for q := runStart; q < m; q++ {
-			if b.diffs[q] != 0 {
-				b.hks[w] = b.hks[q]
-				b.keys[w] = b.keys[q]
-				b.vals[w] = b.vals[q]
-				b.hvs[w] = b.hvs[q]
-				b.times[w] = b.times[q]
-				b.diffs[w] = b.diffs[q]
-				w++
-			}
-		}
-		m = w
-		i = j
-	}
-	if m == 0 {
-		return nil
-	}
-	b.hks = b.hks[:m]
-	b.keys = b.keys[:m]
-	b.vals = b.vals[:m]
-	b.hvs = b.hvs[:m]
-	b.times = b.times[:m]
-	b.diffs = b.diffs[:m]
+// blank empties b's columns, keeping or growing their capacity to n rows.
+func (b *Batch[K, V]) blank(n int) *Batch[K, V] {
+	b.hks, b.keys, b.vals = grow(b.hks, n), grow(b.keys, n), grow(b.vals, n)
+	b.hvs, b.times, b.diffs = grow(b.hvs, n), grow(b.times, n), grow(b.diffs, n)
 	return b
 }
 
-// mergeBatches k-way merges sorted batches into one, clamping times below
-// outer (when clamp is set) and consolidating equal tuples — the lazy
-// compaction step: diffs that cancel once their times are clamped to the
-// frontier disappear here, at merge time, instead of eagerly per update.
-// Inputs are never mutated (they may be shared with snapshots); a batch
-// that needs clamping is rebuilt first, since clamping reorders tuples.
-// Returns nil when everything cancels.
-func mergeBatches[K comparable, V comparable](kseed, vseed maphash.Seed, in []*Batch[K, V], outer uint32, clamp bool) *Batch[K, V] {
-	srcs := make([]*Batch[K, V], 0, len(in))
-	total := 0
-	for _, b := range in {
-		if b == nil || b.Len() == 0 {
-			continue
-		}
-		if clamp && b.needsClamp(outer) {
-			// Rebuild through the staging path: clamp, re-sort, consolidate.
-			ts := make([]tuple[K, V], b.Len())
-			for i := range b.keys {
-				ts[i] = tuple[K, V]{b.keys[i], b.vals[i], b.times[i], b.diffs[i]}
+func (b *Batch[K, V]) push(hk uint64, k K, v V, hv uint64, t timestamp.Time, d int64) {
+	b.hks = append(b.hks, hk)
+	b.keys = append(b.keys, k)
+	b.vals = append(b.vals, v)
+	b.hvs = append(b.hvs, hv)
+	b.times = append(b.times, t)
+	b.diffs = append(b.diffs, d)
+}
+
+// appendRows copies rows [lo, hi) of src column by column, clamping their
+// times to outer. The caller guarantees clamping leaves the rows in order.
+func (b *Batch[K, V]) appendRows(src *Batch[K, V], lo, hi int, outer uint32) {
+	at := len(b.times)
+	b.hks = append(b.hks, src.hks[lo:hi]...)
+	b.keys = append(b.keys, src.keys[lo:hi]...)
+	b.vals = append(b.vals, src.vals[lo:hi]...)
+	b.hvs = append(b.hvs, src.hvs[lo:hi]...)
+	b.times = append(b.times, src.times[lo:hi]...)
+	b.diffs = append(b.diffs, src.diffs[lo:hi]...)
+	for i := at; i < len(b.times); i++ {
+		b.times[i].Outer = max(b.times[i].Outer, outer)
+	}
+}
+
+// add appends one row, or folds it into an equal (key, value, time) row
+// among those just appended: rows arrive in batch order, so equal rows share
+// (hk, time, hv) and sit adjacent, up to hash collisions, which the equality
+// check steps over. A row whose diffs sum to zero is removed.
+func (b *Batch[K, V]) add(hk uint64, k K, v V, hv uint64, t timestamp.Time, d int64) {
+	for q := b.Len() - 1; q >= 0 && b.hvs[q] == hv && b.times[q] == t && b.hks[q] == hk; q-- {
+		if b.keys[q] == k && b.vals[q] == v {
+			if b.diffs[q] += d; b.diffs[q] == 0 {
+				b.hks, b.keys, b.vals = slices.Delete(b.hks, q, q+1), slices.Delete(b.keys, q, q+1), slices.Delete(b.vals, q, q+1)
+				b.hvs, b.times, b.diffs = slices.Delete(b.hvs, q, q+1), slices.Delete(b.times, q, q+1), slices.Delete(b.diffs, q, q+1)
 			}
-			b = buildBatch(kseed, vseed, ts, outer, true)
-			if b == nil {
-				continue
-			}
+			return
 		}
-		srcs = append(srcs, b)
-		total += b.Len()
 	}
-	if len(srcs) == 0 {
-		return nil
+	b.push(hk, k, v, hv, t, d)
+}
+
+// rowKey is a row's place within its key-run, its time already clamped.
+type rowKey struct {
+	t  timestamp.Time
+	hv uint64
+}
+
+func (a rowKey) less(b rowKey) bool {
+	if c := compareTimes(a.t, b.t); c != 0 {
+		return c < 0
 	}
-	if len(srcs) == 1 {
-		return srcs[0]
+	return a.hv < b.hv
+}
+
+// key returns row j's place within its key-run once clamped to outer.
+func (b *Batch[K, V]) key(j int, outer uint32) rowKey {
+	return rowKey{timestamp.Time{Outer: max(b.times[j].Outer, outer), Inner: b.times[j].Inner}, b.hvs[j]}
+}
+
+// segment is rows [lo, hi) of source src: a stretch of one key-run that
+// stays in batch order when its times are clamped. head is row lo's place.
+type segment struct {
+	src, lo, hi int
+	head        rowKey
+}
+
+// compareTimes orders times lexicographically, the order batches use.
+func compareTimes(a, b timestamp.Time) int {
+	if c := cmp.Compare(a.Outer, b.Outer); c != 0 {
+		return c
 	}
-	out := &Batch[K, V]{
-		hks:   make([]uint64, 0, total),
-		keys:  make([]K, 0, total),
-		vals:  make([]V, 0, total),
-		hvs:   make([]uint64, 0, total),
-		times: make([]timestamp.Time, 0, total),
-		diffs: make([]int64, 0, total),
-	}
-	cur := make([]int, len(srcs)) // per-source cursor
-	for {
-		// Pick the source with the smallest (hk, time, hv) head. The source
-		// count is O(log n) thanks to the geometric batch invariant, so a
-		// linear min scan beats heap bookkeeping.
-		best := -1
-		for s, b := range srcs {
-			i := cur[s]
-			if i >= b.Len() {
-				continue
-			}
-			if best < 0 || lexLess(b.hks[i], b.times[i], b.hvs[i], srcs[best].hks[cur[best]], srcs[best].times[cur[best]], srcs[best].hvs[cur[best]]) {
-				best = s
-			}
-		}
-		if best < 0 {
-			break
-		}
-		b, i := srcs[best], cur[best]
-		cur[best]++
-		out.hks = append(out.hks, b.hks[i])
-		out.keys = append(out.keys, b.keys[i])
-		out.vals = append(out.vals, b.vals[i])
-		out.hvs = append(out.hvs, b.hvs[i])
-		out.times = append(out.times, b.times[i])
-		out.diffs = append(out.diffs, b.diffs[i])
-	}
-	return consolidateSorted(out)
+	return cmp.Compare(a.Inner, b.Inner)
 }
 
 // Trace is an arranged multiset history: per-key (value, time, diff)
@@ -274,84 +178,118 @@ func mergeBatches[K comparable, V comparable](kseed, vseed maphash.Seed, in []*B
 // mutable stage of recent appends. A trace belongs to one worker; Append,
 // Key, Advance, Reset and Snapshot must not race with each other.
 type Trace[K comparable, V comparable] struct {
-	kseed, vseed maphash.Seed
-	batches      []*Batch[K, V] // oldest first; geometric sizes
-	stage        []tuple[K, V]  // recent appends, at most stageThreshold
-	frontier     uint32         // 1 + the outer coordinate merges clamp to; 0 = none
+	seed     maphash.Seed
+	batches  []*Batch[K, V] // oldest first; geometric sizes
+	stage    Batch[K, V]    // recent appends, at most stageThreshold
+	frontier uint32         // 1 + the outer coordinate merges clamp to; 0 = none
+
+	// spare is the column set the next whole-stack merge writes into. It is
+	// refilled from that merge's largest unshared source, so the canonical
+	// batch and the spare swap roles at every Advance.
+	spare *Batch[K, V]
+	order []uint32  // scratch for sealStage: the stage's rows in batch order
+	cur   []int     // scratch for merge: per-source cursor
+	segs  []segment // scratch for merge: the pieces of one key hash's runs
 }
 
 // NewTrace creates an empty trace.
 func NewTrace[K comparable, V comparable]() *Trace[K, V] {
-	return &Trace[K, V]{kseed: maphash.MakeSeed(), vseed: maphash.MakeSeed()}
+	return &Trace[K, V]{seed: maphash.MakeSeed()}
 }
+
+// NewPeer creates an empty trace that hashes keys exactly as peer does, so
+// one Hash serves KeyHashed and AppendHashed on both (a reduce's input and
+// output, a join's two sides).
+func NewPeer[K comparable, V comparable, W comparable](peer *Trace[K, W]) *Trace[K, V] {
+	return &Trace[K, V]{seed: peer.seed}
+}
+
+// Hash returns k's hash in this trace and its peers.
+func (tr *Trace[K, V]) Hash(k K) uint64 { return maphash.Comparable(tr.seed, k) }
 
 // Append records one update. When the stage fills, it is sealed into an
 // immutable batch and the batch stack re-established geometrically (each
 // batch at least twice the combined size of everything newer), which keeps
 // the stack logarithmic and amortizes merge work.
 func (tr *Trace[K, V]) Append(k K, v V, t timestamp.Time, d int64) {
+	tr.AppendHashed(tr.Hash(k), k, v, t, d)
+}
+
+// AppendHashed is Append for a caller that already holds hk = Hash(k).
+func (tr *Trace[K, V]) AppendHashed(hk uint64, k K, v V, t timestamp.Time, d int64) {
 	if d == 0 {
 		return
 	}
-	tr.stage = append(tr.stage, tuple[K, V]{k, v, t, d})
-	if len(tr.stage) >= stageThreshold {
+	tr.stage.push(hk, k, v, maphash.Comparable(tr.seed, v), t, d)
+	if tr.stage.Len() >= stageThreshold {
 		tr.seal()
 	}
 }
 
 // Advance moves the compaction frontier: times with Outer < outer clamp to
 // outer. The first call per frontier move compacts the trace to canonical
-// form — stage sealed, all batches k-way merged, clamped, consolidated —
+// form — stage sealed, all batches merged, clamped, consolidated into one —
 // so the tuple count a subsequent Key visit reports depends only on the
 // accumulated multiset, not on seal/merge history. That layout-independence
 // is what keeps the engine's work counters deterministic across execution
 // plans (a local run and a sharded run of the same views must report
-// identical work). Repeat calls at the same frontier are O(1).
+// identical work). The pass is one streaming merge into the spare column
+// set: proportional to the trace, but allocation-free once the spare has
+// grown to the trace's size. Repeat calls at the same frontier are O(1).
 func (tr *Trace[K, V]) Advance(outer uint32) {
 	if outer+1 <= tr.frontier {
 		return
 	}
 	tr.frontier = outer + 1
-	tr.compact()
+	tr.sealStage()
+	if len(tr.batches) > 0 {
+		tr.mergeFrom(0)
+	}
 }
 
-// compact folds the stage and every batch into one canonical batch at the
-// current frontier. Amortized like the old per-key clamp-on-touch traces:
-// once per frontier move, proportional to live trace size.
-func (tr *Trace[K, V]) compact() {
-	outer, clamp := tr.clampOuter()
-	if len(tr.stage) > 0 {
-		b := buildBatch(tr.kseed, tr.vseed, tr.stage, outer, clamp)
-		tr.stage = tr.stage[:0]
-		if b != nil {
-			tr.batches = append(tr.batches, b)
-		}
-	}
-	if len(tr.batches) == 0 || (len(tr.batches) == 1 && !(clamp && tr.batches[0].needsClamp(outer))) {
+// clampOuter is the outer coordinate times clamp to; before any Advance it
+// is 0, which clamps nothing.
+func (tr *Trace[K, V]) clampOuter() uint32 { return max(tr.frontier, 1) - 1 }
+
+// sealStage sorts, clamps and consolidates the stage into a new batch on
+// top of the stack (none when everything cancels) and empties the stage.
+func (tr *Trace[K, V]) sealStage() {
+	st, outer := &tr.stage, tr.clampOuter()
+	if st.Len() == 0 {
 		return
 	}
-	merged := mergeBatches(tr.kseed, tr.vseed, tr.batches, outer, clamp)
-	nb := make([]*Batch[K, V], 0, 1)
-	if merged != nil {
-		nb = append(nb, merged)
+	order := tr.order[:0]
+	for i := range st.times {
+		st.times[i].Outer = max(st.times[i].Outer, outer)
+		order = append(order, uint32(i))
 	}
-	tr.batches = nb
-}
-
-// seal flushes the stage into a batch and restores the geometric invariant.
-func (tr *Trace[K, V]) seal() {
-	outer, clamp := tr.clampOuter()
-	b := buildBatch(tr.kseed, tr.vseed, tr.stage, outer, clamp)
-	tr.stage = tr.stage[:0]
-	if b != nil {
+	slices.SortFunc(order, func(i, j uint32) int {
+		if c := cmp.Compare(st.hks[i], st.hks[j]); c != 0 {
+			return c
+		}
+		if c := compareTimes(st.times[i], st.times[j]); c != 0 {
+			return c
+		}
+		return cmp.Compare(st.hvs[i], st.hvs[j])
+	})
+	b := new(Batch[K, V]).blank(len(order))
+	for _, i := range order {
+		b.add(st.hks[i], st.keys[i], st.vals[i], st.hvs[i], st.times[i], st.diffs[i])
+	}
+	tr.order = order
+	st.blank(0)
+	if b.Len() > 0 {
+		b.index()
 		tr.batches = append(tr.batches, b)
 	}
-	// Merge the maximal tail run violating the geometric invariant in one
-	// k-way pass.
-	for len(tr.batches) >= 2 {
-		n := len(tr.batches)
-		total := tr.batches[n-1].Len()
-		j := n - 1
+}
+
+// seal flushes the stage into a batch and restores the geometric invariant,
+// merging the maximal tail run that violates it in one pass.
+func (tr *Trace[K, V]) seal() {
+	tr.sealStage()
+	for n := len(tr.batches); n >= 2; n = len(tr.batches) {
+		total, j := tr.batches[n-1].Len(), n-1
 		for j > 0 && tr.batches[j-1].Len() < 2*total {
 			total += tr.batches[j-1].Len()
 			j--
@@ -359,45 +297,173 @@ func (tr *Trace[K, V]) seal() {
 		if j == n-1 {
 			return
 		}
-		merged := mergeBatches(tr.kseed, tr.vseed, tr.batches[j:], outer, clamp)
-		// Rebuild the stack in a fresh slice: truncating and re-appending in
-		// place would scribble over a backing array a Snapshot may share.
-		nb := make([]*Batch[K, V], 0, j+1)
-		nb = append(nb, tr.batches[:j]...)
-		if merged != nil {
-			nb = append(nb, merged)
-		}
-		tr.batches = nb
+		tr.mergeFrom(j)
 	}
 }
 
-func (tr *Trace[K, V]) clampOuter() (uint32, bool) {
-	if tr.frontier == 0 {
-		return 0, false
+// mergeFrom replaces batches[j:] with their merge. The stack is rebuilt in
+// a fresh slice: truncating and re-appending in place would scribble over a
+// backing array a Snapshot may share. A merge of the whole stack writes into
+// the spare and leaves its largest source behind as the next spare; a source
+// a Snapshot references is never recycled.
+func (tr *Trace[K, V]) mergeFrom(j int) {
+	srcs := tr.batches[j:]
+	out := new(Batch[K, V])
+	if j == 0 && tr.spare != nil {
+		out, tr.spare = tr.spare, nil
 	}
-	return tr.frontier - 1, true
+	tr.merge(srcs, out)
+	nb := append(make([]*Batch[K, V], 0, j+1), tr.batches[:j]...)
+	if out.Len() > 0 {
+		out.index()
+		nb = append(nb, out)
+		out = nil
+	}
+	if j == 0 {
+		tr.spare = out
+		for _, b := range srcs {
+			if !b.shared && (tr.spare == nil || cap(b.hks) > cap(tr.spare.hks)) {
+				tr.spare = b
+			}
+		}
+	}
+	tr.batches = nb
+}
+
+// merge writes the clamped, consolidated merge of the sorted batches srcs
+// into out, without touching srcs. Clamping Outer < outer to outer can only
+// reorder, or make equal, tuples inside one key-run, and only when the run
+// holds two distinct Outer values at or below outer. So the merge walks the
+// sources key hash by key hash: a stretch of hashes that only one source
+// holds, free of such runs, moves by column copy; a hash two sources share,
+// or a run clamping disturbs, is cut into pieces clamping leaves in order,
+// and the pieces are merged row by row, consolidating as they emit.
+func (tr *Trace[K, V]) merge(srcs []*Batch[K, V], out *Batch[K, V]) {
+	outer, total := tr.clampOuter(), 0
+	cur := append(tr.cur[:0], make([]int, len(srcs))...)
+	for _, b := range srcs {
+		total += b.Len()
+	}
+	out.blank(total)
+	for {
+		// a holds the smallest head hash h; other is the smallest head hash
+		// among the remaining sources, when there is one.
+		a, alone := -1, true
+		var h, other uint64
+		for s, b := range srcs {
+			if cur[s] == b.Len() {
+				continue
+			}
+			switch x := b.hks[cur[s]]; {
+			case a < 0:
+				a, h = s, x
+			case x < h:
+				a, h, other, alone = s, x, h, false
+			case alone || x < other:
+				other, alone = x, false
+			}
+		}
+		if a < 0 {
+			break
+		}
+		if alone || h < other {
+			b, i := srcs[a], cur[a]
+			j, disturbed := i+1, false
+			for ; j < b.Len() && (alone || b.hks[j] < other); j++ {
+				if o := b.times[j].Outer; o != b.times[j-1].Outer && o <= outer && b.hks[j] == b.hks[j-1] {
+					for h, disturbed = b.hks[j], true; j > i && b.hks[j-1] == h; j-- {
+					}
+					break
+				}
+			}
+			out.appendRows(b, i, j, outer)
+			if cur[a] = j; !disturbed {
+				continue
+			}
+		}
+		// Cut h's runs where clamping breaks their order, then merge the
+		// pieces on their clamped times.
+		segs := tr.segs[:0]
+		for s, b := range srcs {
+			i := cur[s]
+			if i == b.Len() || b.hks[i] != h {
+				continue
+			}
+			segs = append(segs, segment{src: s, lo: i, head: b.key(i, outer)})
+			for i++; i < b.Len() && b.hks[i] == h; i++ {
+				if o := b.times[i].Outer; o != b.times[i-1].Outer && o <= outer {
+					segs[len(segs)-1].hi = i
+					segs = append(segs, segment{src: s, lo: i, head: b.key(i, outer)})
+				}
+			}
+			segs[len(segs)-1].hi, cur[s] = i, i
+		}
+		for {
+			// best holds the smallest head row; bound is the smallest head
+			// among the other pieces, when there is one.
+			best, bounded := -1, false
+			var head, bound rowKey
+			for x := range segs {
+				g := &segs[x]
+				switch {
+				case g.lo == g.hi:
+				case best < 0:
+					best, head = x, g.head
+				case g.head.less(head):
+					best, head, bound, bounded = x, g.head, head, true
+				case !bounded || g.head.less(bound):
+					bound, bounded = g.head, true
+				}
+			}
+			if best < 0 {
+				break
+			}
+			// The head may meet its equal among the rows already out; the
+			// rows behind it that stay below bound meet nothing, and move
+			// by column copy (most of a hub key's run).
+			g := &segs[best]
+			b, j := srcs[g.src], g.lo+1
+			out.add(h, b.keys[g.lo], b.vals[g.lo], head.hv, head.t, b.diffs[g.lo])
+			for ; j < g.hi; j++ {
+				if g.head = b.key(j, outer); bounded && !g.head.less(bound) {
+					break
+				}
+			}
+			if j > g.lo+1 {
+				out.appendRows(b, g.lo+1, j, outer)
+			}
+			g.lo = j
+		}
+		tr.segs = segs
+	}
+	tr.cur = cur
 }
 
 // Key visits every (value, time, diff) tuple recorded for k — batch entries
-// through binary search, stage entries by linear scan — and returns the
-// number of tuples visited. Batch times may already be clamped to the
-// compaction frontier; stage times are raw. Both are equivalent to callers,
-// which only Join or Leq-filter against times at or above the frontier.
+// through the directory, stage entries by a scan of the staged hashes — and
+// returns the number of tuples visited. Batch times may already be clamped
+// to the compaction frontier; stage times are raw. Both are equivalent to
+// callers, which only Join or Leq-filter against times at or above the
+// frontier.
 func (tr *Trace[K, V]) Key(k K, yield func(v V, t timestamp.Time, d int64)) int {
+	return tr.KeyHashed(tr.Hash(k), k, yield)
+}
+
+// KeyHashed is Key for a caller that already holds hk = Hash(k).
+func (tr *Trace[K, V]) KeyHashed(hk uint64, k K, yield func(v V, t timestamp.Time, d int64)) int {
 	n := 0
-	hk := maphash.Comparable(tr.kseed, k)
 	for _, b := range tr.batches {
-		lo, hi := b.keyRun(hk)
-		for i := lo; i < hi; i++ {
+		for i := b.seek(hk); i < b.Len() && b.hks[i] == hk; i++ {
 			if b.keys[i] == k {
 				yield(b.vals[i], b.times[i], b.diffs[i])
 				n++
 			}
 		}
 	}
-	for _, e := range tr.stage {
-		if e.k == k {
-			yield(e.v, e.t, e.d)
+	st := &tr.stage
+	for i, h := range st.hks {
+		if h == hk && st.keys[i] == k {
+			yield(st.vals[i], st.times[i], st.diffs[i])
 			n++
 		}
 	}
@@ -406,7 +472,7 @@ func (tr *Trace[K, V]) Key(k K, yield func(v V, t timestamp.Time, d int64)) int 
 
 // Len returns the total number of tuples held (after any consolidation).
 func (tr *Trace[K, V]) Len() int {
-	n := len(tr.stage)
+	n := tr.stage.Len()
 	for _, b := range tr.batches {
 		n += b.Len()
 	}
@@ -416,10 +482,11 @@ func (tr *Trace[K, V]) Len() int {
 // Reset drops all state by releasing the batch stack by reference — O(1)
 // in accumulated history, the whole point of batching: no map walk, no
 // per-key work, the old batches go to the GC as a handful of slice
-// headers. The stage (bounded by stageThreshold) is truncated in place.
+// headers. The stage (bounded by stageThreshold) is truncated in place, and
+// the spare column set, if any, stays for the next run's merges.
 func (tr *Trace[K, V]) Reset() {
 	tr.batches = nil
-	tr.stage = tr.stage[:0]
+	tr.stage.blank(0)
 	tr.frontier = 0
 }
 
@@ -427,15 +494,20 @@ func (tr *Trace[K, V]) Reset() {
 // immutable batches are shared by reference (O(1) regardless of history
 // size) and only the bounded stage is copied. Appends, merges, and resets
 // on either trace never disturb the other — sealing builds new batches
-// rather than mutating shared ones.
+// rather than mutating shared ones, and a batch marked shared here is never
+// recycled as a merge target by either trace.
 func (tr *Trace[K, V]) Snapshot() *Trace[K, V] {
+	for _, b := range tr.batches {
+		if !b.shared { // no write when set: another snapshot's owner may be reading it
+			b.shared = true
+		}
+	}
 	cp := &Trace[K, V]{
-		kseed:    tr.kseed,
-		vseed:    tr.vseed,
+		seed:     tr.seed,
 		batches:  tr.batches[:len(tr.batches):len(tr.batches)],
-		stage:    append([]tuple[K, V](nil), tr.stage...),
 		frontier: tr.frontier,
 	}
+	cp.stage.blank(tr.stage.Len()).appendRows(&tr.stage, 0, tr.stage.Len(), 0)
 	return cp
 }
 

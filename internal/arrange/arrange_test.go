@@ -1,7 +1,11 @@
 package arrange
 
 import (
+	"hash/maphash"
 	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"graphsurge/internal/timestamp"
@@ -71,7 +75,7 @@ func TestGeometricMerge(t *testing.T) {
 	for i := 0; i < n; i++ {
 		tr.Append(i, i, timestamp.Time{Outer: uint32(i % 5)}, 1)
 	}
-	if tr.Len() != n-len(tr.stage)+len(tr.stage) || tr.Len() != n {
+	if tr.Len() != n {
 		t.Fatalf("lost tuples: Len=%d want %d", tr.Len(), n)
 	}
 	if tr.Batches() > 8 {
@@ -297,5 +301,469 @@ func TestQueueOrderAndTake(t *testing.T) {
 	q.Reset()
 	if _, ok := q.Min(); ok || q.Len() != 0 {
 		t.Fatal("reset left buckets")
+	}
+}
+
+// ---- reference implementation -------------------------------------------
+//
+// refTrace is the arrangement as it was before the streaming clamp-merge:
+// row-form staging, a whole-batch re-hash and sort.Sort for every batch that
+// needs clamping, a k-way merge and a separate consolidation pass. It is the
+// definition of the canonical form; TestCanonicalFormOracle holds Trace to it
+// column for column.
+
+type refTuple struct {
+	k, v int
+	t    timestamp.Time
+	d    int64
+}
+
+// refBatch is a sorted batch as six parallel columns.
+type refBatch struct {
+	hks   []uint64
+	keys  []int
+	vals  []int
+	hvs   []uint64
+	times []timestamp.Time
+	diffs []int64
+}
+
+func (b *refBatch) Len() int { return len(b.keys) }
+
+func (b *refBatch) push(hk uint64, k, v int, hv uint64, t timestamp.Time, d int64) {
+	b.hks = append(b.hks, hk)
+	b.keys = append(b.keys, k)
+	b.vals = append(b.vals, v)
+	b.hvs = append(b.hvs, hv)
+	b.times = append(b.times, t)
+	b.diffs = append(b.diffs, d)
+}
+
+func (b *refBatch) rows() []row {
+	out := make([]row, b.Len())
+	for i := range out {
+		out[i] = row{b.hks[i], b.hvs[i], b.keys[i], b.vals[i], b.times[i], b.diffs[i]}
+	}
+	return out
+}
+
+type refTrace struct {
+	seed     maphash.Seed
+	batches  []*refBatch
+	stage    []refTuple
+	frontier uint32
+}
+
+func refLess(hk1 uint64, t1 timestamp.Time, hv1 uint64, hk2 uint64, t2 timestamp.Time, hv2 uint64) bool {
+	if hk1 != hk2 {
+		return hk1 < hk2
+	}
+	if t1 != t2 {
+		return t1.LexLess(t2)
+	}
+	return hv1 < hv2
+}
+
+type batchSorter struct{ b *refBatch }
+
+func (s batchSorter) Len() int { return len(s.b.keys) }
+func (s batchSorter) Less(i, j int) bool {
+	b := s.b
+	return refLess(b.hks[i], b.times[i], b.hvs[i], b.hks[j], b.times[j], b.hvs[j])
+}
+func (s batchSorter) Swap(i, j int) {
+	b := s.b
+	b.hks[i], b.hks[j] = b.hks[j], b.hks[i]
+	b.keys[i], b.keys[j] = b.keys[j], b.keys[i]
+	b.vals[i], b.vals[j] = b.vals[j], b.vals[i]
+	b.hvs[i], b.hvs[j] = b.hvs[j], b.hvs[i]
+	b.times[i], b.times[j] = b.times[j], b.times[i]
+	b.diffs[i], b.diffs[j] = b.diffs[j], b.diffs[i]
+}
+
+func refBuildBatch(seed maphash.Seed, ts []refTuple, outer uint32, clamp bool) *refBatch {
+	if len(ts) == 0 {
+		return nil
+	}
+	b := &refBatch{}
+	for _, e := range ts {
+		t := e.t
+		if clamp && t.Outer < outer {
+			t.Outer = outer
+		}
+		b.push(maphash.Comparable(seed, e.k), e.k, e.v, maphash.Comparable(seed, e.v), t, e.d)
+	}
+	sort.Sort(batchSorter{b})
+	return refConsolidateSorted(b)
+}
+
+func refConsolidateSorted(b *refBatch) *refBatch {
+	n := len(b.keys)
+	m := 0
+	move := func(w, q int) {
+		b.hks[w], b.keys[w], b.vals[w] = b.hks[q], b.keys[q], b.vals[q]
+		b.hvs[w], b.times[w], b.diffs[w] = b.hvs[q], b.times[q], b.diffs[q]
+	}
+	for i := 0; i < n; {
+		j := i + 1
+		for j < n && b.hks[j] == b.hks[i] && b.times[j] == b.times[i] && b.hvs[j] == b.hvs[i] {
+			j++
+		}
+		runStart := m
+		for p := i; p < j; p++ {
+			merged := false
+			for q := runStart; q < m; q++ {
+				if b.keys[q] == b.keys[p] && b.vals[q] == b.vals[p] {
+					b.diffs[q] += b.diffs[p]
+					merged = true
+					break
+				}
+			}
+			if !merged {
+				move(m, p)
+				m++
+			}
+		}
+		w := runStart
+		for q := runStart; q < m; q++ {
+			if b.diffs[q] != 0 {
+				move(w, q)
+				w++
+			}
+		}
+		m = w
+		i = j
+	}
+	if m == 0 {
+		return nil
+	}
+	b.hks, b.keys, b.vals = b.hks[:m], b.keys[:m], b.vals[:m]
+	b.hvs, b.times, b.diffs = b.hvs[:m], b.times[:m], b.diffs[:m]
+	return b
+}
+
+func refNeedsClamp(b *refBatch, outer uint32) bool {
+	for _, t := range b.times {
+		if t.Outer < outer {
+			return true
+		}
+	}
+	return false
+}
+
+func refMergeBatches(seed maphash.Seed, in []*refBatch, outer uint32, clamp bool) *refBatch {
+	var srcs []*refBatch
+	for _, b := range in {
+		if b == nil || b.Len() == 0 {
+			continue
+		}
+		if clamp && refNeedsClamp(b, outer) {
+			// Rebuild through the staging path: clamp, re-sort, consolidate.
+			ts := make([]refTuple, b.Len())
+			for i := range b.keys {
+				ts[i] = refTuple{b.keys[i], b.vals[i], b.times[i], b.diffs[i]}
+			}
+			if b = refBuildBatch(seed, ts, outer, true); b == nil {
+				continue
+			}
+		}
+		srcs = append(srcs, b)
+	}
+	if len(srcs) == 0 {
+		return nil
+	}
+	if len(srcs) == 1 {
+		return srcs[0]
+	}
+	out := &refBatch{}
+	cur := make([]int, len(srcs))
+	for {
+		best := -1
+		for s, b := range srcs {
+			i := cur[s]
+			if i >= b.Len() {
+				continue
+			}
+			if best < 0 || refLess(b.hks[i], b.times[i], b.hvs[i], srcs[best].hks[cur[best]], srcs[best].times[cur[best]], srcs[best].hvs[cur[best]]) {
+				best = s
+			}
+		}
+		if best < 0 {
+			break
+		}
+		b, i := srcs[best], cur[best]
+		cur[best]++
+		out.push(b.hks[i], b.keys[i], b.vals[i], b.hvs[i], b.times[i], b.diffs[i])
+	}
+	return refConsolidateSorted(out)
+}
+
+func (tr *refTrace) clampOuter() (uint32, bool) {
+	if tr.frontier == 0 {
+		return 0, false
+	}
+	return tr.frontier - 1, true
+}
+
+func (tr *refTrace) Append(k, v int, t timestamp.Time, d int64) {
+	if d == 0 {
+		return
+	}
+	tr.stage = append(tr.stage, refTuple{k, v, t, d})
+	if len(tr.stage) >= stageThreshold {
+		tr.seal()
+	}
+}
+
+func (tr *refTrace) Advance(outer uint32) {
+	if outer+1 <= tr.frontier {
+		return
+	}
+	tr.frontier = outer + 1
+	tr.compact()
+}
+
+func (tr *refTrace) compact() {
+	outer, clamp := tr.clampOuter()
+	if len(tr.stage) > 0 {
+		b := refBuildBatch(tr.seed, tr.stage, outer, clamp)
+		tr.stage = tr.stage[:0]
+		if b != nil {
+			tr.batches = append(tr.batches, b)
+		}
+	}
+	if len(tr.batches) == 0 || (len(tr.batches) == 1 && !(clamp && refNeedsClamp(tr.batches[0], outer))) {
+		return
+	}
+	merged := refMergeBatches(tr.seed, tr.batches, outer, clamp)
+	tr.batches = nil
+	if merged != nil {
+		tr.batches = []*refBatch{merged}
+	}
+}
+
+func (tr *refTrace) seal() {
+	outer, clamp := tr.clampOuter()
+	b := refBuildBatch(tr.seed, tr.stage, outer, clamp)
+	tr.stage = tr.stage[:0]
+	if b != nil {
+		tr.batches = append(tr.batches, b)
+	}
+	for len(tr.batches) >= 2 {
+		n := len(tr.batches)
+		total := tr.batches[n-1].Len()
+		j := n - 1
+		for j > 0 && tr.batches[j-1].Len() < 2*total {
+			total += tr.batches[j-1].Len()
+			j--
+		}
+		if j == n-1 {
+			return
+		}
+		merged := refMergeBatches(tr.seed, tr.batches[j:], outer, clamp)
+		nb := append([]*refBatch(nil), tr.batches[:j]...)
+		if merged != nil {
+			nb = append(nb, merged)
+		}
+		tr.batches = nb
+	}
+}
+
+// Key counts the tuples recorded for k the way the old lookup did: every
+// matching row of every batch plus every matching staged tuple.
+func (tr *refTrace) Key(k int) int {
+	n := 0
+	hk := maphash.Comparable(tr.seed, k)
+	for _, b := range tr.batches {
+		lo := sort.Search(len(b.hks), func(i int) bool { return b.hks[i] >= hk })
+		for i := lo; i < len(b.hks) && b.hks[i] == hk; i++ {
+			if b.keys[i] == k {
+				n++
+			}
+		}
+	}
+	for _, e := range tr.stage {
+		if e.k == k {
+			n++
+		}
+	}
+	return n
+}
+
+func (tr *refTrace) Reset() { tr.batches, tr.stage, tr.frontier = nil, tr.stage[:0], 0 }
+
+// ---- the trace against the reference -------------------------------------
+
+type row struct {
+	hk, hv uint64
+	k, v   int
+	t      timestamp.Time
+	d      int64
+}
+
+func rows(b *Batch[int, int]) []row {
+	out := make([]row, b.Len())
+	for i := range out {
+		out[i] = row{b.hks[i], b.hvs[i], b.keys[i], b.vals[i], b.times[i], b.diffs[i]}
+	}
+	return out
+}
+
+// dump deep-copies a trace's content: one row list per batch, then the stage.
+func dump(tr *Trace[int, int]) [][]row {
+	var out [][]row
+	for _, b := range tr.batches {
+		out = append(out, rows(b))
+	}
+	return append(out, rows(&tr.stage))
+}
+
+// sameAsRef fails unless tr holds exactly the reference's batches, column
+// for column, the same staged tuples in the same order, and reports the same
+// Key count for every key.
+func sameAsRef(t *testing.T, where string, tr *Trace[int, int], ref *refTrace, keys int) {
+	t.Helper()
+	if len(tr.batches) != len(ref.batches) {
+		t.Fatalf("%s: %d batches, reference has %d", where, len(tr.batches), len(ref.batches))
+	}
+	for i, b := range tr.batches {
+		if got, want := rows(b), ref.batches[i].rows(); !slices.Equal(got, want) {
+			t.Fatalf("%s: batch %d differs from the reference (%d vs %d rows)", where, i, len(got), len(want))
+		}
+	}
+	if tr.stage.Len() != len(ref.stage) {
+		t.Fatalf("%s: stage holds %d tuples, reference %d", where, tr.stage.Len(), len(ref.stage))
+	}
+	for i, e := range ref.stage {
+		st := &tr.stage
+		if st.keys[i] != e.k || st.vals[i] != e.v || st.times[i] != e.t || st.diffs[i] != e.d {
+			t.Fatalf("%s: staged tuple %d differs from the reference", where, i)
+		}
+	}
+	for k := 0; k < keys; k++ {
+		if got, want := tr.Key(k, func(int, timestamp.Time, int64) {}), ref.Key(k); got != want {
+			t.Fatalf("%s: Key(%d) visits %d tuples, reference %d", where, k, got, want)
+		}
+	}
+}
+
+// TestCanonicalFormOracle drives the trace and the reference through seeded
+// random streams that mix Outer values inside one batch, skip versions on
+// Advance, append views larger than half the history (a seal then merges
+// into the canonical batch before the next Advance), cancel everything down
+// to an empty trace, reset and reuse the spare — and holds snapshots taken
+// before and after an Advance across two further Advances, which is when a
+// wrongly recycled column set would be scribbled on.
+func TestCanonicalFormOracle(t *testing.T) {
+	for seed := int64(1); seed <= 10; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		tr := NewTrace[int, int]()
+		ref := &refTrace{seed: tr.seed}
+		keys := 3 + r.Intn(300)
+		var log []refTuple // every tuple appended since the last reset
+		app := func(k, v int, ts timestamp.Time, d int64) {
+			tr.Append(k, v, ts, d)
+			ref.Append(k, v, ts, d)
+			log = append(log, refTuple{k, v, ts, d})
+		}
+		type held struct {
+			snap *Trace[int, int]
+			want [][]row
+			due  int
+		}
+		var snaps []held
+		hold := func(view int) {
+			s := tr.Snapshot()
+			snaps = append(snaps, held{s, dump(s), view + 2})
+		}
+		frontier := uint32(0)
+		advance := func(where string, by uint32) {
+			frontier += by
+			tr.Advance(frontier)
+			ref.Advance(frontier)
+			sameAsRef(t, where, tr, ref, keys)
+			if tr.Batches() > 1 || tr.stage.Len() != 0 {
+				t.Fatalf("%s: not canonical after Advance: %d batches, %d staged", where, tr.Batches(), tr.stage.Len())
+			}
+		}
+		for view := 0; view < 40; view++ {
+			n := r.Intn(120)
+			if r.Intn(4) == 0 {
+				n = tr.Len()/2 + 1 + r.Intn(2*stageThreshold)
+			}
+			for i := 0; i < n; i++ {
+				ts := timestamp.Time{Outer: frontier + uint32(r.Intn(3)), Inner: uint32(r.Intn(4))}
+				app(r.Intn(keys), r.Intn(4), ts, int64(r.Intn(5)-2))
+			}
+			sameAsRef(t, "after appends", tr, ref, keys)
+			if view%3 == 0 {
+				hold(view)
+			}
+			advance("after Advance", 1+uint32(r.Intn(3)))
+			if view%3 == 1 {
+				hold(view)
+			}
+			switch view {
+			case 17:
+				// Retract everything at the frontier: once the history is
+				// clamped up to it, every tuple meets its negation.
+				advance("before retraction", 3)
+				for _, e := range log[:len(log):len(log)] {
+					app(e.k, e.v, timestamp.Time{Outer: frontier, Inner: e.t.Inner}, -e.d)
+				}
+				advance("after retraction", 1)
+				if tr.Len() != 0 || tr.Batches() != 0 {
+					t.Fatalf("seed %d: retraction left %d tuples in %d batches", seed, tr.Len(), tr.Batches())
+				}
+			case 29:
+				tr.Reset()
+				ref.Reset()
+				log, frontier = nil, 0
+				if tr.Len() != 0 || tr.Batches() != 0 {
+					t.Fatalf("seed %d: reset left state", seed)
+				}
+			}
+			for _, h := range snaps {
+				if view >= h.due && !reflect.DeepEqual(dump(h.snap), h.want) {
+					t.Fatalf("seed %d view %d: a snapshot taken at view %d changed under the original's merges", seed, view, h.due-2)
+				}
+			}
+		}
+	}
+}
+
+// TestSpareRecycling pins the ping-pong: once warm, each Advance writes the
+// canonical batch into the previous one's columns, and a snapshot's batch
+// stays out of the rotation.
+func TestSpareRecycling(t *testing.T) {
+	tr := NewTrace[int, int]()
+	view := func(v uint32) *Batch[int, int] {
+		for i := 0; i < 50; i++ {
+			tr.Append(i, int(v), timestamp.Outer(v), 1)
+		}
+		tr.Advance(v)
+		return tr.batches[0]
+	}
+	a, b := view(0), view(1)
+	if c := view(2); &c.hks[0] != &a.hks[:1][0] {
+		t.Fatal("third canonical batch does not reuse the first one's columns")
+	}
+	if tr.spare != b {
+		t.Fatal("the outgoing canonical batch did not become the spare")
+	}
+	snap := tr.Snapshot() // pins the current canonical batch (a's columns)
+	want := dump(snap)
+	view(3)
+	if tr.spare == a {
+		t.Fatal("a snapshot's batch was taken as the spare")
+	}
+	view(4)
+	view(5)
+	if !reflect.DeepEqual(dump(snap), want) {
+		t.Fatal("snapshot changed")
+	}
+	tr.Reset()
+	if tr.spare == nil || tr.Len() != 0 {
+		t.Fatal("Reset should drop the history and keep the spare")
 	}
 }

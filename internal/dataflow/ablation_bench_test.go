@@ -33,34 +33,13 @@ func buildWCCBench(workers int) (*Scope, *Input[edge]) {
 // accumulate one generation of times per version and every reconsideration
 // pays for the full history.
 func BenchmarkCompactionAblation(b *testing.B) {
-	run := func(b *testing.B, compact bool) {
-		for i := 0; i < b.N; i++ {
-			s, in := buildWCCBench(1)
-			r := rand.New(rand.NewSource(7))
-			var ups []Update[edge]
-			for j := 0; j < 4000; j++ {
-				ups = append(ups, Update[edge]{edge{uint32(r.Intn(800)), uint32(r.Intn(800))}, 1})
+	for _, compact := range []bool{true, false} {
+		b.Run(map[bool]string{true: "with-compaction", false: "no-compaction"}[compact], func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				runCompactionWCC(compact)
 			}
-			in.SendAt(0, ups)
-			s.Drain()
-			if compact {
-				s.Compact(0)
-			}
-			for v := uint32(1); v <= 40; v++ {
-				var delta []Update[edge]
-				for j := 0; j < 20; j++ {
-					delta = append(delta, Update[edge]{edge{uint32(r.Intn(800)), uint32(r.Intn(800))}, 1})
-				}
-				in.SendAt(v, delta)
-				s.Drain()
-				if compact {
-					s.Compact(v)
-				}
-			}
-		}
+		})
 	}
-	b.Run("with-compaction", func(b *testing.B) { run(b, true) })
-	b.Run("no-compaction", func(b *testing.B) { run(b, false) })
 }
 
 // BenchmarkWorkerScaling measures one differential WCC version drain at
@@ -93,4 +72,42 @@ func negateUps(ups []Update[edge]) []Update[edge] {
 		out[i] = Update[edge]{u.Rec, -u.D}
 	}
 	return out
+}
+
+// runCompactionWCC is the seeded 40-version WCC pipeline both the ablation
+// benchmark and TestWorkCountPinned run.
+func runCompactionWCC(compact bool) *Scope {
+	s, in := buildWCCBench(1)
+	r := rand.New(rand.NewSource(7))
+	var ups []Update[edge]
+	for j := 0; j < 4000; j++ {
+		ups = append(ups, Update[edge]{edge{uint32(r.Intn(800)), uint32(r.Intn(800))}, 1})
+	}
+	in.SendAt(0, ups)
+	s.Drain()
+	if compact {
+		s.Compact(0)
+	}
+	for v := uint32(1); v <= 40; v++ {
+		var delta []Update[edge]
+		for j := 0; j < 20; j++ {
+			delta = append(delta, Update[edge]{edge{uint32(r.Intn(800)), uint32(r.Intn(800))}, 1})
+		}
+		in.SendAt(v, delta)
+		s.Drain()
+		if compact {
+			s.Compact(v)
+		}
+	}
+	return s
+}
+
+// TestWorkCountPinned holds the engine's work counter to the literal it had
+// before arrangement maintenance was rebuilt: how a trace is merged must not
+// change how many tuples a Key visit reports. One worker, because each Scope
+// draws a fresh partition seed and multi-worker splits differ run to run.
+func TestWorkCountPinned(t *testing.T) {
+	if got := runCompactionWCC(true).WorkCounts(); len(got) != 1 || got[0] != 1499146 {
+		t.Fatalf("work counts %v, want [1499146]", got)
+	}
 }

@@ -12,10 +12,13 @@ import (
 // pairing against the stored history of the other side.
 //
 // Each side's history is an arrangement (internal/arrange): sorted columnar
-// batches plus a bounded stage, per worker. Lookups binary-search the
-// batches; compaction happens lazily when batches merge, clamping times
-// below the scope's frontier exactly as the old per-key traces did — batch
-// entries may therefore be clamped while stage entries are raw, which is
+// batches plus a bounded stage, per worker; the two sides are peers, so a
+// delta's key is hashed once for the lookup on one side and the append on
+// the other. The first run after the scope's frontier moves folds each side
+// into one canonical batch clamped to the frontier — one pass over the
+// trace into its spare column set, allocation-free once warm — and batches
+// sealed later in the version clamp as they are written. Batch entries may
+// therefore be clamped while stage entries are raw, which is
 // indistinguishable to the join since it only Joins against times at or
 // above the frontier.
 type joinNode[K comparable, A comparable, B comparable, O comparable] struct {
@@ -28,6 +31,7 @@ type joinNode[K comparable, A comparable, B comparable, O comparable] struct {
 
 	left  []*arrange.Trace[K, A] // per-worker arrangements
 	right []*arrange.Trace[K, B]
+	ob    [][]Delta[O] // per-worker output scratch, reused across runs
 }
 
 // JoinMap joins two keyed streams, emitting f(k, a, b) for every matching
@@ -45,10 +49,11 @@ func JoinMap[K comparable, A comparable, B comparable, O comparable](
 		pr:    newPendings[KV[K, B]](s.workers),
 		left:  make([]*arrange.Trace[K, A], s.workers),
 		right: make([]*arrange.Trace[K, B], s.workers),
+		ob:    make([][]Delta[O], s.workers),
 	}
 	for w := 0; w < s.workers; w++ {
 		n.left[w] = arrange.NewTrace[K, A]()
-		n.right[w] = arrange.NewTrace[K, B]()
+		n.right[w] = arrange.NewPeer[K, B](n.left[w])
 	}
 	l.subscribe(keyedSubscriber(s, n.pl))
 	r.subscribe(keyedSubscriber(s, n.pr))
@@ -83,45 +88,44 @@ func (n *joinNode[K, A, B, O]) run(w int, t timestamp.Time) {
 		left.Advance(outer)
 		right.Advance(outer)
 	}
-	var ob []Delta[O]
+	ob := n.ob[w][:0] // subscribers copy what they keep
 	pairs := 0
 	// New left deltas pair against the stored right history (which does not
 	// yet include this round's right batch).
 	for _, d := range lb {
 		k, dd := d.Rec.K, d.D
-		av := d.Rec.V
-		pairs += right.Key(k, func(v B, et timestamp.Time, ed int64) {
+		av, hk := d.Rec.V, right.Hash(k)
+		pairs += right.KeyHashed(hk, k, func(v B, et timestamp.Time, ed int64) {
 			ob = append(ob, Delta[O]{n.f(k, av, v), t.Join(et), dd * ed})
 		})
-	}
-	for _, d := range lb {
-		left.Append(d.Rec.K, d.Rec.V, t, d.D)
+		left.AppendHashed(hk, k, av, t, dd)
 	}
 	// New right deltas pair against the full left history, including this
 	// round's left batch, so each (δL, δR) pair is counted exactly once.
 	for _, d := range rb {
 		k, dd := d.Rec.K, d.D
-		bv := d.Rec.V
-		pairs += left.Key(k, func(v A, et timestamp.Time, ed int64) {
+		bv, hk := d.Rec.V, left.Hash(k)
+		pairs += left.KeyHashed(hk, k, func(v A, et timestamp.Time, ed int64) {
 			ob = append(ob, Delta[O]{n.f(k, v, bv), t.Join(et), ed * dd})
 		})
+		right.AppendHashed(hk, k, bv, t, dd)
 	}
-	for _, d := range rb {
-		right.Append(d.Rec.K, d.Rec.V, t, d.D)
-	}
+	n.ob[w] = ob
 	n.s.addWork(w, len(lb)+len(rb)+pairs)
 	n.out.emit(w, Consolidate(ob))
 }
 
 // reset drops both sides' arrangements by releasing their batch stacks by
 // reference — O(1) per worker regardless of accumulated trace size, without
-// even the map re-allocation the old per-key traces paid.
+// even the map re-allocation the old per-key traces paid. Each trace keeps
+// at most its spare column set; the output scratch goes with the history.
 func (n *joinNode[K, A, B, O]) reset() {
 	n.pl.reset()
 	n.pr.reset()
 	for w := range n.left {
 		n.left[w].Reset()
 		n.right[w].Reset()
+		n.ob[w] = nil
 	}
 }
 

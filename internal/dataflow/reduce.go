@@ -62,12 +62,14 @@ next:
 }
 
 // reduceShard is one worker's share of a reduce's state: columnar input and
-// output arrangements plus the per-key time sets and the dirty schedule.
+// output arrangements (peers: one key hash serves both) plus the per-key
+// time sets and the dirty schedule.
 type reduceShard[K comparable, V comparable, O comparable] struct {
 	ins   *arrange.Trace[K, V]
 	outs  *arrange.Trace[K, O]
 	keys  map[K]*keyTimes
 	dirty map[timestamp.Time]map[K]struct{}
+	spill map[V]Diff // scratch: a hub key's accumulation, emptied after each use
 }
 
 // reduceNode groups a keyed stream by key and applies a per-key multiset
@@ -105,11 +107,13 @@ func Reduce[K comparable, V comparable, O comparable](
 		st:  make([]*reduceShard[K, V, O], s.workers),
 	}
 	for w := 0; w < s.workers; w++ {
+		ins := arrange.NewTrace[K, V]()
 		n.st[w] = &reduceShard[K, V, O]{
-			ins:   arrange.NewTrace[K, V](),
-			outs:  arrange.NewTrace[K, O](),
+			ins:   ins,
+			outs:  arrange.NewPeer[K, O](ins),
 			keys:  make(map[K]*keyTimes),
 			dirty: make(map[timestamp.Time]map[K]struct{}),
+			spill: make(map[V]Diff),
 		}
 	}
 	in.subscribe(keyedSubscriber(s, n.p))
@@ -228,7 +232,8 @@ func (n *reduceNode[K, V, O]) run(w int, t timestamp.Time) {
 
 	outer, compacting := n.s.compactionOuter()
 	if compacting && len(batch) > 0 {
-		// O(1): the arrangements clamp lazily, when their batches merge.
+		// The first call after a frontier move folds each trace into its
+		// spare column set, one allocation-free pass; the rest are O(1).
 		sh.ins.Advance(outer)
 		sh.outs.Advance(outer)
 	}
@@ -282,14 +287,15 @@ func (n *reduceNode[K, V, O]) run(w int, t timestamp.Time) {
 	var delta []VD[O]
 	for k := range dk {
 		// Accumulate input at t from the arrangement. Small histories merge
-		// by linear scan; large ones (hub vertices) spill to a map.
+		// by linear scan; large ones (hub vertices) spill to the shard's map,
+		// which is empty between keys and non-empty once a key has spilled.
 		vals = vals[:0]
-		var spill map[V]Diff
-		work += sh.ins.Key(k, func(v V, et timestamp.Time, ed int64) {
+		hk, spill := sh.ins.Hash(k), sh.spill
+		work += sh.ins.KeyHashed(hk, k, func(v V, et timestamp.Time, ed int64) {
 			if !et.Leq(t) {
 				return
 			}
-			if spill != nil {
+			if len(spill) > 0 {
 				spill[v] += ed
 				return
 			}
@@ -300,7 +306,6 @@ func (n *reduceNode[K, V, O]) run(w int, t timestamp.Time) {
 				}
 			}
 			if len(vals) >= 32 {
-				spill = make(map[V]Diff, 2*len(vals))
 				for _, vd := range vals {
 					spill[vd.V] += vd.D
 				}
@@ -309,13 +314,14 @@ func (n *reduceNode[K, V, O]) run(w int, t timestamp.Time) {
 			}
 			vals = append(vals, VD[V]{v, ed})
 		})
-		if spill != nil {
+		if len(spill) > 0 {
 			vals = vals[:0]
 			for v, d := range spill {
 				if d != 0 {
 					vals = append(vals, VD[V]{v, d})
 				}
 			}
+			clear(spill)
 		} else {
 			m := 0
 			for _, vd := range vals {
@@ -334,14 +340,14 @@ func (n *reduceNode[K, V, O]) run(w int, t timestamp.Time) {
 				mergeVD(&delta, o, 1)
 			}
 		}
-		sh.outs.Key(k, func(v O, et timestamp.Time, ed int64) {
+		sh.outs.KeyHashed(hk, k, func(v O, et timestamp.Time, ed int64) {
 			if et.Leq(t) {
 				mergeVD(&delta, v, -ed)
 			}
 		})
 		for _, od := range delta {
 			if od.D != 0 {
-				sh.outs.Append(k, od.V, t, od.D)
+				sh.outs.AppendHashed(hk, k, od.V, t, od.D)
 				ob = append(ob, Delta[KV[K, O]]{KV[K, O]{k, od.V}, t, od.D})
 			}
 		}

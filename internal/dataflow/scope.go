@@ -51,8 +51,8 @@ type Scope struct {
 	// version are then incomplete.
 	IterCapHit atomic.Bool
 
-	// frontier is 1 + the last fully drained version; operator traces clamp
-	// historical times below it lazily, when a key is touched.
+	// frontier is 1 + the last fully drained version; each operator trace
+	// clamps its history up to it the next time the operator runs.
 	frontier atomic.Uint32
 
 	// onReset holds reset hooks of graph elements that are not scheduler
@@ -231,9 +231,14 @@ func (s *Scope) drainTime(t timestamp.Time) {
 // sizes proportional to the number of distinct iteration depths rather than
 // the number of views.
 //
-// Compaction is lazy: this call only advances the frontier; stateful
-// operators clamp and merge a key's history the next time the key is
-// touched, so quiescent keys cost nothing per version.
+// This call only advances the frontier. A stateful operator shard that
+// receives input in a later version then folds each of its traces, once per
+// frontier move, into one canonical batch clamped to the frontier: a single
+// streaming pass over the trace (column copies for keys the version did not
+// touch) written into the trace's spare column set, so it allocates nothing
+// once warm but does cost time proportional to the shard's state, not to the
+// version's difference set. Shards that receive no input do nothing.
+// ResetState drops the histories; each trace keeps at most that one spare.
 func (s *Scope) Compact(outer uint32) {
 	for {
 		cur := s.frontier.Load()
