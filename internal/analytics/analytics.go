@@ -138,27 +138,31 @@ func (inst *Instance) Step(adds, dels []graph.Triple) time.Duration {
 		len(dels), func(i int) graph.Triple { return dels[i] })
 }
 
-// StepBatch implements Runner over columnar batches; the update slice is
-// built directly from the shared columns.
+// StepBatch implements Runner over columnar batches; the input's batch is
+// filled directly from the shared columns.
 func (inst *Instance) StepBatch(adds, dels *graph.EdgeBatch) time.Duration {
 	return inst.step(adds.Len(), adds.Triple, dels.Len(), dels.Triple)
 }
 
 func (inst *Instance) step(na int, addAt func(int) graph.Triple, nd int, delAt func(int) graph.Triple) time.Duration {
 	start := time.Now()
-	ups := make([]dataflow.Update[graph.Triple], 0, na+nd)
-	for i := 0; i < na; i++ {
-		ups = append(ups, dataflow.Update[graph.Triple]{Rec: addAt(i), D: 1})
-	}
-	for i := 0; i < nd; i++ {
-		ups = append(ups, dataflow.Update[graph.Triple]{Rec: delAt(i), D: -1})
-	}
 	v := inst.next
-	inst.input.SendAt(v, ups)
+	inst.input.Send(v, na+nd, edgeUpdates(na, addAt, delAt))
 	inst.scope.Drain()
 	inst.scope.Compact(v)
 	inst.next++
 	return time.Since(start)
+}
+
+// edgeUpdates is a view's difference set in the shape Input.Send reads: the
+// na additions (+1) followed by the deletions (−1).
+func edgeUpdates(na int, addAt, delAt func(int) graph.Triple) func(int) (graph.Triple, dataflow.Diff) {
+	return func(i int) (graph.Triple, dataflow.Diff) {
+		if i < na {
+			return addAt(i), 1
+		}
+		return delAt(i - na), -1
+	}
 }
 
 // Version returns the last version fed, or false if none has been.

@@ -173,7 +173,7 @@ func (r *sccRunner) step(na int, addAt func(int) graph.Triple, nd int, delAt fun
 	v := r.next
 	r.next++
 
-	edgeUps := make([]dataflow.Update[graph.Triple], 0, na+nd)
+	edgeUps := edgeUpdates(na, addAt, delAt)
 	var aliveDiff []dataflow.Update[uint64]
 	bump := func(n uint64, by int64) {
 		old := r.nodeDeg[n]
@@ -193,20 +193,18 @@ func (r *sccRunner) step(na int, addAt func(int) graph.Triple, nd int, delAt fun
 	}
 	for i := 0; i < na; i++ {
 		t := addAt(i)
-		edgeUps = append(edgeUps, dataflow.Update[graph.Triple]{Rec: t, D: 1})
 		bump(t.Src, 1)
 		bump(t.Dst, 1)
 	}
 	for i := 0; i < nd; i++ {
 		t := delAt(i)
-		edgeUps = append(edgeUps, dataflow.Update[graph.Triple]{Rec: t, D: -1})
 		bump(t.Src, -1)
 		bump(t.Dst, -1)
 	}
 
 	merged := make(map[VertexValue]int64)
 	for p, st := range r.stages {
-		st.edgeIn.SendAt(v, edgeUps)
+		st.edgeIn.Send(v, na+nd, edgeUps)
 		st.aliveIn.SendAt(v, aliveDiff)
 		st.scope.Drain()
 		st.scope.Compact(v)
@@ -257,8 +255,8 @@ func (r *sccRunner) step(na int, addAt func(int) graph.Triple, nd int, delAt fun
 	return time.Since(start)
 }
 
-// Reset implements Resettable: every stage's dataflow resets in place (the
-// stage inputs rewind through the scopes' reset hooks) and the runner's
+// Reset implements Resettable: every stage's dataflow resets in place (each
+// scope's version cursor rewinds with it) and the runner's
 // inter-stage bookkeeping — degree counts, alive sets, confirmed
 // assignments, merged output-diff counts — is dropped for fresh maps. The
 // pool can therefore recycle staged SCC runners exactly like

@@ -183,10 +183,13 @@ type Trace[K comparable, V comparable] struct {
 	stage    Batch[K, V]    // recent appends, at most stageThreshold
 	frontier uint32         // 1 + the outer coordinate merges clamp to; 0 = none
 
-	// spare is the column set the next whole-stack merge writes into. It is
-	// refilled from that merge's largest unshared source, so the canonical
-	// batch and the spare swap roles at every Advance.
-	spare *Batch[K, V]
+	// free holds the column sets of merged-away and reset batches, never a
+	// shared one, oldest first; seals and merges write into them before
+	// allocating, so the canonical batch and its predecessor swap roles at
+	// every Advance and a reset trace reuses what its last run grew. Nothing
+	// has used the first idle of them since the last turn.
+	free  []*Batch[K, V]
+	idle  int
 	order []uint32  // scratch for sealStage: the stage's rows in batch order
 	cur   []int     // scratch for merge: per-source cursor
 	segs  []segment // scratch for merge: the pieces of one key hash's runs
@@ -233,14 +236,15 @@ func (tr *Trace[K, V]) AppendHashed(hk uint64, k K, v V, t timestamp.Time, d int
 // accumulated multiset, not on seal/merge history. That layout-independence
 // is what keeps the engine's work counters deterministic across execution
 // plans (a local run and a sharded run of the same views must report
-// identical work). The pass is one streaming merge into the spare column
-// set: proportional to the trace, but allocation-free once the spare has
-// grown to the trace's size. Repeat calls at the same frontier are O(1).
+// identical work). The pass is one streaming merge into a column set off the
+// free list: proportional to the trace, but allocation-free once two sets of
+// the trace's size exist. Repeat calls at the same frontier are O(1).
 func (tr *Trace[K, V]) Advance(outer uint32) {
 	if outer+1 <= tr.frontier {
 		return
 	}
 	tr.frontier = outer + 1
+	tr.turn()
 	tr.sealStage()
 	if len(tr.batches) > 0 {
 		tr.mergeFrom(0)
@@ -272,7 +276,7 @@ func (tr *Trace[K, V]) sealStage() {
 		}
 		return cmp.Compare(st.hvs[i], st.hvs[j])
 	})
-	b := new(Batch[K, V]).blank(len(order))
+	b := tr.fresh(len(order), false)
 	for _, i := range order {
 		b.add(st.hks[i], st.keys[i], st.vals[i], st.hvs[i], st.times[i], st.diffs[i])
 	}
@@ -281,7 +285,61 @@ func (tr *Trace[K, V]) sealStage() {
 	if b.Len() > 0 {
 		b.index()
 		tr.batches = append(tr.batches, b)
+	} else {
+		tr.recycle(b)
 	}
+}
+
+// fresh returns an empty batch with room for n rows (a stage's worth at
+// least) in the free column set fit picks, else in a new one.
+func (tr *Trace[K, V]) fresh(n int, whole bool) *Batch[K, V] {
+	n = max(n, stageThreshold)
+	pick := tr.fit(n, whole)
+	if pick < 0 {
+		return new(Batch[K, V]).blank(n)
+	}
+	if pick < tr.idle {
+		tr.idle--
+	}
+	b := tr.free[pick]
+	tr.free = slices.Delete(tr.free, pick, pick+1)
+	return b.blank(n)
+}
+
+// fit returns the index of the free column set to write n rows into, or -1.
+// A seal or a partial merge takes the smallest set with room for n rows and
+// no more than 2n: a reset trace's next run finds what its last one grew, and
+// a stack's batches sit in sets their own size. A whole-stack merge takes the
+// smallest set with room, however large (a trace that restarts small starts
+// in the set it ended in), else the largest there is, for grow to replace:
+// the one batch outgrows its two sets a logarithmic number of times and
+// leaves neither behind.
+func (tr *Trace[K, V]) fit(n int, whole bool) int {
+	pick, pc := -1, 0
+	for i, b := range tr.free {
+		switch c := cap(b.hks); {
+		case c >= n && (whole || c <= 2*n) && (pc < n || c < pc):
+			pick, pc = i, c // a closer fit
+		case c < n && whole && pc < n && c > pc:
+			pick, pc = i, c // no fit so far: the largest
+		}
+	}
+	return pick
+}
+
+// recycle offers b's column set to the free list.
+func (tr *Trace[K, V]) recycle(b *Batch[K, V]) {
+	if !b.shared {
+		tr.free = append(tr.free, b)
+	}
+}
+
+// turn marks a frontier move or a reset and releases the free column sets
+// nothing has used since the last one: the list only holds what the trace
+// had in use, merge outputs included, since the turn before last.
+func (tr *Trace[K, V]) turn() {
+	tr.free = slices.Delete(tr.free, 0, tr.idle)
+	tr.idle = len(tr.free)
 }
 
 // seal flushes the stage into a batch and restores the geometric invariant,
@@ -303,29 +361,24 @@ func (tr *Trace[K, V]) seal() {
 
 // mergeFrom replaces batches[j:] with their merge. The stack is rebuilt in
 // a fresh slice: truncating and re-appending in place would scribble over a
-// backing array a Snapshot may share. A merge of the whole stack writes into
-// the spare and leaves its largest source behind as the next spare; a source
-// a Snapshot references is never recycled.
+// backing array a Snapshot may share. The merge writes into a recycled
+// column set and leaves its unshared sources behind for the next ones.
 func (tr *Trace[K, V]) mergeFrom(j int) {
-	srcs := tr.batches[j:]
-	out := new(Batch[K, V])
-	if j == 0 && tr.spare != nil {
-		out, tr.spare = tr.spare, nil
+	srcs, total := tr.batches[j:], 0
+	for _, b := range srcs {
+		total += b.Len()
 	}
+	out := tr.fresh(total, j == 0)
 	tr.merge(srcs, out)
 	nb := append(make([]*Batch[K, V], 0, j+1), tr.batches[:j]...)
 	if out.Len() > 0 {
 		out.index()
 		nb = append(nb, out)
-		out = nil
+	} else {
+		tr.recycle(out)
 	}
-	if j == 0 {
-		tr.spare = out
-		for _, b := range srcs {
-			if !b.shared && (tr.spare == nil || cap(b.hks) > cap(tr.spare.hks)) {
-				tr.spare = b
-			}
-		}
+	for _, b := range srcs {
+		tr.recycle(b)
 	}
 	tr.batches = nb
 }
@@ -339,12 +392,8 @@ func (tr *Trace[K, V]) mergeFrom(j int) {
 // or a run clamping disturbs, is cut into pieces clamping leaves in order,
 // and the pieces are merged row by row, consolidating as they emit.
 func (tr *Trace[K, V]) merge(srcs []*Batch[K, V], out *Batch[K, V]) {
-	outer, total := tr.clampOuter(), 0
+	outer := tr.clampOuter()
 	cur := append(tr.cur[:0], make([]int, len(srcs))...)
-	for _, b := range srcs {
-		total += b.Len()
-	}
-	out.blank(total)
 	for {
 		// a holds the smallest head hash h; other is the smallest head hash
 		// among the remaining sources, when there is one.
@@ -481,10 +530,14 @@ func (tr *Trace[K, V]) Len() int {
 
 // Reset drops all state by releasing the batch stack by reference — O(1)
 // in accumulated history, the whole point of batching: no map walk, no
-// per-key work, the old batches go to the GC as a handful of slice
-// headers. The stage (bounded by stageThreshold) is truncated in place, and
-// the spare column set, if any, stays for the next run's merges.
+// per-key work, a handful of batch pointers move to the free list (or, when
+// a Snapshot shares them, to the GC) for the next run's seals and merges.
+// The stage (bounded by stageThreshold) is truncated in place.
 func (tr *Trace[K, V]) Reset() {
+	tr.turn()
+	for _, b := range tr.batches {
+		tr.recycle(b)
+	}
 	tr.batches = nil
 	tr.stage.blank(0)
 	tr.frontier = 0

@@ -4,6 +4,7 @@ import (
 	"hash/maphash"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -271,21 +272,18 @@ func TestQueueOrderAndTake(t *testing.T) {
 	ta := timestamp.Time{Outer: 1, Inner: 0}
 	tb := timestamp.Time{Outer: 0, Inner: 2}
 	tc := timestamp.Time{Outer: 0, Inner: 1}
-	q.Push("a", ta, 1)
-	q.Push("b", tb, 2)
-	q.Push("c", tc, 3)
-	q.Push("b2", tb, -1)
-	if q.Len() != 4 {
-		t.Fatalf("Len=%d want 4", q.Len())
-	}
+	q.Push(ta, []string{"a"}, []int64{1})
+	q.Push(tb, []string{"b"}, []int64{2})
+	q.Push(tc, []string{"c"}, []int64{3})
+	q.Push(tb, []string{"b2", "b3"}, []int64{-1, 4})
 	if m, ok := q.Min(); !ok || m != tc {
 		t.Fatalf("Min=%v,%v want %v", m, ok, tc)
 	}
 	if !q.Has(tb) || q.Has(timestamp.Time{Outer: 9}) {
 		t.Fatal("Has wrong")
 	}
-	recs, diffs := q.Take(tb)
-	if len(recs) != 2 || recs[0] != "b" || recs[1] != "b2" || diffs[0] != 2 || diffs[1] != -1 {
+	recs, diffs := q.Take(tb, nil, nil)
+	if len(recs) != 3 || recs[0] != "b" || recs[1] != "b2" || recs[2] != "b3" || diffs[0] != 2 || diffs[1] != -1 || diffs[2] != 4 {
 		t.Fatalf("Take(tb) = %v %v", recs, diffs)
 	}
 	if q.Has(tb) {
@@ -294,13 +292,35 @@ func TestQueueOrderAndTake(t *testing.T) {
 	if m, _ := q.Min(); m != tc {
 		t.Fatalf("Min after take = %v", m)
 	}
-	q.Push("zero", ta, 0)
-	if q.Len() != 2 {
-		t.Fatalf("zero diff buffered: Len=%d", q.Len())
+	// An absent time hands the caller's columns back, emptied.
+	if r, d := q.Take(tb, recs, diffs); len(r) != 0 || len(d) != 0 || cap(r) != cap(recs) {
+		t.Fatalf("Take of an absent bucket = %v %v", r, d)
 	}
+	// The caller's previous columns come back as the next new bucket's.
+	spent := &recs[0]
+	recs, diffs = q.Take(tc, recs, diffs)
+	if len(recs) != 1 || recs[0] != "c" || diffs[0] != 3 {
+		t.Fatalf("Take(tc) = %v %v", recs, diffs)
+	}
+	q.Push(tb, []string{"again"}, []int64{1})
+	if got, _ := q.Take(tb, nil, nil); &got[0] != spent {
+		t.Fatal("a new bucket did not start in the spent column set")
+	}
+	q.Push(ta, []string{"x", "y"}, []int64{1, 1})
 	q.Reset()
-	if _, ok := q.Min(); ok || q.Len() != 0 {
+	if _, ok := q.Min(); ok || q.Has(ta) {
 		t.Fatal("reset left buckets")
+	}
+	if r, _ := q.Take(ta, nil, nil); len(r) != 0 {
+		t.Fatalf("reset left rows: %v", r)
+	}
+	q.Push(ta, []string{"z"}, []int64{1})
+	if r, _ := q.Take(ta, nil, nil); len(r) != 1 || r[0] != "z" {
+		t.Fatalf("a bucket in a reset queue holds %v", r)
+	}
+	q.Release()
+	if len(q.recs) != 0 {
+		t.Fatalf("Release kept %d spent column sets", len(q.recs))
 	}
 }
 
@@ -732,9 +752,19 @@ func TestCanonicalFormOracle(t *testing.T) {
 	}
 }
 
+// onFreeList reports whether b waits on tr's free list.
+func onFreeList(tr *Trace[int, int], b *Batch[int, int]) bool {
+	for _, f := range tr.free {
+		if f == b {
+			return true
+		}
+	}
+	return false
+}
+
 // TestSpareRecycling pins the ping-pong: once warm, each Advance writes the
-// canonical batch into the previous one's columns, and a snapshot's batch
-// stays out of the rotation.
+// canonical batch into the columns of the one before the last, and a
+// snapshot's batch stays out of the rotation.
 func TestSpareRecycling(t *testing.T) {
 	tr := NewTrace[int, int]()
 	view := func(v uint32) *Batch[int, int] {
@@ -744,26 +774,131 @@ func TestSpareRecycling(t *testing.T) {
 		tr.Advance(v)
 		return tr.batches[0]
 	}
-	a, b := view(0), view(1)
-	if c := view(2); &c.hks[0] != &a.hks[:1][0] {
-		t.Fatal("third canonical batch does not reuse the first one's columns")
+	// Three stage-sized column sets rotate: the sealed stage,
+	// the canonical batch and its predecessor.
+	warm := map[*uint64]bool{}
+	for v := uint32(0); v < 3; v++ {
+		warm[&view(v).hks[0]] = true
 	}
-	if tr.spare != b {
-		t.Fatal("the outgoing canonical batch did not become the spare")
+	a := view(3)
+	if !warm[&a.hks[0]] {
+		t.Fatal("a warm Advance wrote the canonical batch into new columns")
 	}
-	snap := tr.Snapshot() // pins the current canonical batch (a's columns)
+	snap := tr.Snapshot() // pins the current canonical batch
 	want := dump(snap)
-	view(3)
-	if tr.spare == a {
-		t.Fatal("a snapshot's batch was taken as the spare")
+	if b := view(4); onFreeList(tr, a) || &b.hks[0] == &a.hks[0] {
+		t.Fatal("a snapshot's batch was recycled")
 	}
-	view(4)
 	view(5)
 	if !reflect.DeepEqual(dump(snap), want) {
 		t.Fatal("snapshot changed")
 	}
+	// A column set nothing uses between two turns is released: the free list
+	// holds only what the last two views used.
+	for v := uint32(6); v < 12; v++ {
+		view(v)
+	}
+	if len(tr.free) > 3 {
+		t.Fatalf("free list kept %d column sets across idle turns", len(tr.free))
+	}
+	live := tr.batches[0]
 	tr.Reset()
-	if tr.spare == nil || tr.Len() != 0 {
-		t.Fatal("Reset should drop the history and keep the spare")
+	if !onFreeList(tr, live) || tr.Len() != 0 {
+		t.Fatal("Reset should drop the history and keep its columns")
+	}
+}
+
+// TestFitPicks covers each arm of the free-list pick. A seal or partial merge
+// takes the smallest set with room for n rows in no more than 2n, else none
+// (a new set is allocated beside); a whole-stack merge takes the smallest set
+// with room, however large, else the largest, and fresh replaces its columns
+// instead of leaving it behind.
+func TestFitPicks(t *testing.T) {
+	tr := NewTrace[int, int]()
+	for _, c := range []int{600, 300, 5000} {
+		tr.free = append(tr.free, new(Batch[int, int]).blank(c))
+	}
+	for _, c := range []struct {
+		n     int
+		whole bool
+		want  int // capacity of the set picked, 0 for none
+	}{
+		// A seal or partial merge: the smallest set with room, up to twice the rows.
+		{256, false, 300}, {301, false, 600}, {2500, false, 5000},
+		{601, false, 0}, {1000, false, 0}, // 5000 is more than twice the rows
+		{5001, false, 0}, // nothing has room, and no partial merge regrows a set
+		// A whole-stack merge: the smallest set with room, however large.
+		{256, true, 300}, {601, true, 5000}, {1000, true, 5000},
+		{5001, true, 5000}, // nothing has room: the largest
+	} {
+		got := 0
+		if i := tr.fit(c.n, c.whole); i >= 0 {
+			got = cap(tr.free[i].hks)
+		}
+		if got != c.want {
+			t.Errorf("fit(%d, whole %v) picked capacity %d, want %d", c.n, c.whole, got, c.want)
+		}
+	}
+	if i := NewTrace[int, int]().fit(256, true); i != -1 {
+		t.Errorf("an empty free list offered set %d", i)
+	}
+	largest := tr.free[2]
+	if b := tr.fresh(6000, true); b != largest || cap(b.hks) < 6250 || len(tr.free) != 2 || onFreeList(tr, b) {
+		t.Errorf("an outgrown whole-stack merge should take the largest set over, a quarter larger: got capacity %d, %d sets left", cap(b.hks), len(tr.free))
+	}
+	if b := tr.fresh(1000, false); cap(b.hks) != 1000 || len(tr.free) != 2 {
+		t.Errorf("a partial merge nothing fits should allocate beside the list: got capacity %d, %d sets left", cap(b.hks), len(tr.free))
+	}
+}
+
+// TestResetRecyclesColumns pins the scratch path: a trace that is reset and
+// refilled the way a pooled replica's next view refills it seals and merges
+// into the column sets its last run grew, allocating next to nothing, never
+// writes into a batch a snapshot shares, and holds no more free capacity than
+// it once held live.
+func TestResetRecyclesColumns(t *testing.T) {
+	tr := NewTrace[int, int]()
+	const rows = 20_000
+	run := func() {
+		r := rand.New(rand.NewSource(3))
+		for i := 0; i < rows; i++ {
+			k := r.Intn(rows / 8)
+			tr.Append(k, i, timestamp.Time{Inner: uint32(r.Intn(4))}, 1)
+			if i%5 == 0 { // a retraction, so seals and merges consolidate
+				tr.Append(k, i, timestamp.Time{Inner: uint32(r.Intn(4))}, -1)
+			}
+		}
+	}
+	measure := func() uint64 {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		run()
+		runtime.ReadMemStats(&m1)
+		return m1.TotalAlloc - m0.TotalAlloc
+	}
+	cold := measure()
+	tr.Reset()
+	for i := 0; i < 3; i++ { // warm: the free list settles
+		run()
+		tr.Reset()
+	}
+	warm := measure()
+	t.Logf("bytes allocated by a %d-row run: %d cold, %d after reset", rows, cold, warm)
+	// What is left is the batch stack's slice, rebuilt by every merge.
+	if warm > 16<<10 || warm > cold/100 {
+		t.Fatalf("a reset trace's rerun allocated %d bytes (cold run: %d)", warm, cold)
+	}
+
+	snap := tr.Snapshot()
+	want, pinned := dump(snap), append([]*Batch[int, int](nil), tr.batches...)
+	tr.Reset()
+	for _, b := range pinned {
+		if onFreeList(tr, b) {
+			t.Fatal("Reset recycled a batch a snapshot shares")
+		}
+	}
+	run()
+	if !reflect.DeepEqual(dump(snap), want) {
+		t.Fatal("a rerun wrote into a snapshot's batch")
 	}
 }

@@ -8,8 +8,14 @@ import (
 
 // Queue is a columnar time-bucketed delta buffer: per distinct timestamp,
 // parallel record and diff columns. Buckets are kept sorted by lexicographic
-// time, so the minimum pending time is O(1) instead of a map scan, and the
-// whole queue resets by releasing the column slices by reference.
+// time, so the minimum pending time is O(1) instead of a map scan.
+//
+// Column sets are recycled: recs and diffs hold the buckets' columns in
+// their first len(times) entries and spent, emptied column sets after them.
+// A new bucket starts in a spent set, Take swaps a bucket's set for the
+// caller's previous one, and Reset turns every bucket into a spent set, so
+// the queue holds as many sets as it had buckets (plus the caller's) at
+// once, each at its high-water capacity, until Release.
 //
 // A Queue is not self-synchronizing; callers shard one queue per worker and
 // guard cross-worker pushes with their own lock (see dataflow's pendings).
@@ -26,45 +32,49 @@ func (q *Queue[R]) bucket(t timestamp.Time) (int, bool) {
 	return i, i < len(q.times) && q.times[i] == t
 }
 
-// Push appends one (record, diff) to t's bucket, creating it in time order
-// if absent. Zero diffs are dropped.
-func (q *Queue[R]) Push(r R, t timestamp.Time, d int64) {
-	if d == 0 {
-		return
-	}
+// Push appends the rows of two parallel columns to t's bucket, creating it
+// in time order if absent. The columns are copied, not kept.
+func (q *Queue[R]) Push(t timestamp.Time, recs []R, diffs []int64) {
 	i, ok := q.bucket(t)
 	if !ok {
-		q.times = append(q.times, timestamp.Time{})
-		copy(q.times[i+1:], q.times[i:])
-		q.times[i] = t
-		q.recs = append(q.recs, nil)
-		copy(q.recs[i+1:], q.recs[i:])
-		q.recs[i] = nil
-		q.diffs = append(q.diffs, nil)
-		copy(q.diffs[i+1:], q.diffs[i:])
-		q.diffs[i] = nil
+		n := len(q.times)
+		if len(q.recs) == n {
+			q.recs, q.diffs = append(q.recs, nil), append(q.diffs, nil)
+		}
+		fr, fd := q.recs[n], q.diffs[n] // a spent set, shifted over below
+		q.times = append(q.times, t)
+		copy(q.times[i+1:], q.times[i:n])
+		copy(q.recs[i+1:n+1], q.recs[i:n])
+		copy(q.diffs[i+1:n+1], q.diffs[i:n])
+		q.times[i], q.recs[i], q.diffs[i] = t, fr, fd
 	}
-	q.recs[i] = append(q.recs[i], r)
-	q.diffs[i] = append(q.diffs[i], d)
+	q.recs[i] = append(q.recs[i], recs...)
+	q.diffs[i] = append(q.diffs[i], diffs...)
 }
 
-// Take removes and returns t's record and diff columns (nil when absent).
-func (q *Queue[R]) Take(t timestamp.Time) ([]R, []int64) {
+// Take removes t's bucket and returns its columns, keeping the caller's
+// previous columns (recs, diffs: their contents are dropped) as a spent set.
+// When t has no bucket the caller gets its own columns back, emptied.
+func (q *Queue[R]) Take(t timestamp.Time, recs []R, diffs []int64) ([]R, []int64) {
 	i, ok := q.bucket(t)
 	if !ok {
-		return nil, nil
+		return recs[:0], diffs[:0]
 	}
-	recs, diffs := q.recs[i], q.diffs[i]
-	last := len(q.times) - 1
+	r, d := q.recs[i], q.diffs[i]
+	n := len(q.times) - 1
 	copy(q.times[i:], q.times[i+1:])
-	q.times = q.times[:last]
-	copy(q.recs[i:], q.recs[i+1:])
-	q.recs[last] = nil // release the shifted-out column reference
-	q.recs = q.recs[:last]
-	copy(q.diffs[i:], q.diffs[i+1:])
-	q.diffs[last] = nil
-	q.diffs = q.diffs[:last]
-	return recs, diffs
+	copy(q.recs[i:n], q.recs[i+1:n+1])
+	copy(q.diffs[i:n], q.diffs[i+1:n+1])
+	q.times, q.recs[n], q.diffs[n] = q.times[:n], recs[:0], diffs[:0]
+	return r, d
+}
+
+// Release drops the spent column sets.
+func (q *Queue[R]) Release() {
+	n := len(q.times)
+	clear(q.recs[n:])
+	clear(q.diffs[n:])
+	q.recs, q.diffs = q.recs[:n], q.diffs[:n]
 }
 
 // Has reports whether any delta is buffered at exactly t.
@@ -81,19 +91,11 @@ func (q *Queue[R]) Min() (timestamp.Time, bool) {
 	return q.times[0], true
 }
 
-// Len returns the total number of buffered deltas.
-func (q *Queue[R]) Len() int {
-	n := 0
-	for _, rs := range q.recs {
-		n += len(rs)
-	}
-	return n
-}
-
-// Reset drops all buckets by releasing the columns by reference — O(1) in
-// buffered history, with the old columns left to the GC.
+// Reset drops all buckets, emptying their columns in place for reuse: O(1)
+// per bucket, independent of how many deltas were buffered.
 func (q *Queue[R]) Reset() {
-	q.times = nil
-	q.recs = nil
-	q.diffs = nil
+	q.times = q.times[:0]
+	for i := range q.recs {
+		q.recs[i], q.diffs[i] = q.recs[i][:0], q.diffs[i][:0]
+	}
 }

@@ -22,13 +22,13 @@ func NewCapture[R comparable](in *Collection[R]) *Capture[R] {
 	s := in.s
 	c := &Capture[R]{
 		s:  s,
-		p:  newPendings[R](s.workers),
+		p:  newPendings[R](s),
 		st: make([]map[uint32]map[R]Diff, s.workers),
 	}
 	for w := 0; w < s.workers; w++ {
 		c.st[w] = make(map[uint32]map[R]Diff)
 	}
-	in.subscribe(localSubscriber(c.p))
+	in.subscribe(c.p.push)
 	s.addNode(c)
 	return c
 }
@@ -36,8 +36,8 @@ func NewCapture[R comparable](in *Collection[R]) *Capture[R] {
 func (c *Capture[R]) name() string { return "capture" }
 
 func (c *Capture[R]) run(w int, t timestamp.Time) {
-	batch := c.p.take(w, t)
-	if len(batch) == 0 {
+	b := c.p.take(w, t)
+	if len(b.recs) == 0 {
 		return
 	}
 	byv := c.st[w][t.Outer]
@@ -45,12 +45,12 @@ func (c *Capture[R]) run(w int, t timestamp.Time) {
 		byv = make(map[R]Diff)
 		c.st[w][t.Outer] = byv
 	}
-	for _, d := range batch {
-		nd := byv[d.Rec] + d.D
+	for i, r := range b.recs {
+		nd := byv[r] + b.diffs[i]
 		if nd == 0 {
-			delete(byv, d.Rec)
+			delete(byv, r)
 		} else {
-			byv[d.Rec] = nd
+			byv[r] = nd
 		}
 	}
 }
@@ -88,19 +88,10 @@ func (c *Capture[R]) VersionDiff(v uint32) map[R]Diff {
 // DiffCount returns the number of records whose multiplicity changed at
 // version v (the size of the output difference set, the paper's |δ output|).
 func (c *Capture[R]) DiffCount(v uint32) int {
-	n := 0
-	seen := make(map[R]Diff)
-	for w := range c.st {
-		for r, d := range c.st[w][v] {
-			seen[r] += d
-		}
+	if len(c.st) == 1 {
+		return len(c.st[0][v]) // run deletes entries that cancel
 	}
-	for _, d := range seen {
-		if d != 0 {
-			n++
-		}
-	}
-	return n
+	return len(c.VersionDiff(v))
 }
 
 // At returns the accumulated result multiset at version v: the sum of all
@@ -121,21 +112,6 @@ func (c *Capture[R]) At(v uint32) map[R]Diff {
 				}
 			}
 		}
-	}
-	return out
-}
-
-// Versions returns all versions with a nonempty difference set.
-func (c *Capture[R]) Versions() []uint32 {
-	seen := make(map[uint32]struct{})
-	for w := range c.st {
-		for ver := range c.st[w] {
-			seen[ver] = struct{}{}
-		}
-	}
-	out := make([]uint32, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
 	}
 	return out
 }

@@ -6,7 +6,7 @@ package dataflow
 // subscribe to a collection and receive every delta batch emitted into it.
 type Collection[R comparable] struct {
 	s    *Scope
-	subs []func(w int, batch []Delta[R])
+	subs []func(w int, b *batch[R])
 }
 
 func newCollection[R comparable](s *Scope) *Collection[R] {
@@ -18,42 +18,44 @@ func (c *Collection[R]) Scope() *Scope { return c.s }
 
 // subscribe registers a receiver. Must happen during graph construction,
 // before any data flows.
-func (c *Collection[R]) subscribe(f func(w int, batch []Delta[R])) {
+func (c *Collection[R]) subscribe(f func(w int, b *batch[R])) {
 	c.subs = append(c.subs, f)
 }
 
-// emit fans a batch out to all subscribers. Called by the producing operator
-// on worker w; subscribers either transform-and-forward (fused linear
-// operators) or enqueue into a node's pending shards.
-func (c *Collection[R]) emit(w int, batch []Delta[R]) {
-	if len(batch) == 0 {
+// emit lends a batch to all subscribers. Called by the producing operator on
+// worker w; subscribers either transform-and-forward (fused linear
+// operators) or copy it into a node's pending shards (pendings.push).
+func (c *Collection[R]) emit(w int, b *batch[R]) {
+	if len(b.recs) == 0 {
 		return
 	}
 	for _, f := range c.subs {
-		f(w, batch)
+		f(w, b)
 	}
 }
 
 // keyedSubscriber returns a receiver that routes each delta to the worker
-// owning its key and pushes it into p.
-func keyedSubscriber[K comparable, V comparable](s *Scope, p *pendings[KV[K, V]]) func(int, []Delta[KV[K, V]]) {
+// owning its key and pushes it into p. Worker w splits a batch into parts[w],
+// its own recycled scratch, one batch per target worker.
+func keyedSubscriber[K comparable, V comparable](s *Scope, p *pendings[KV[K, V]]) func(int, *batch[KV[K, V]]) {
 	if s.workers == 1 {
-		return func(_ int, batch []Delta[KV[K, V]]) { p.push(0, batch) }
+		return p.push
 	}
-	return func(_ int, batch []Delta[KV[K, V]]) {
-		parts := make([][]Delta[KV[K, V]], s.workers)
-		for _, d := range batch {
-			tw := partition(s, d.Rec.K)
-			parts[tw] = append(parts[tw], d)
+	parts := make([][]batch[KV[K, V]], s.workers)
+	for w := range parts {
+		parts[w] = make([]batch[KV[K, V]], s.workers)
+		s.recycles(func() { clear(parts[w]) })
+	}
+	return func(w int, b *batch[KV[K, V]]) {
+		ps := parts[w]
+		for tw := range ps {
+			ps[tw].reset(b.t, len(b.recs)/len(ps))
 		}
-		for tw, pb := range parts {
-			p.push(tw, pb)
+		for i, kv := range b.recs {
+			ps[partition(s, kv.K)].add(kv, b.diffs[i])
+		}
+		for tw := range ps {
+			p.push(tw, &ps[tw])
 		}
 	}
-}
-
-// localSubscriber returns a receiver that keeps deltas on the worker that
-// produced them.
-func localSubscriber[R comparable](p *pendings[R]) func(int, []Delta[R]) {
-	return func(w int, batch []Delta[R]) { p.push(w, batch) }
 }

@@ -28,6 +28,8 @@
 package dataflow
 
 import (
+	"math/bits"
+
 	"graphsurge/internal/timestamp"
 )
 
@@ -36,7 +38,8 @@ import (
 type Diff = int64
 
 // Delta is one update to a stream: record r changed by multiplicity D at
-// logical time T.
+// logical time T. Operators exchange columnar batches; Delta is the row form
+// Inspect shows its callback.
 type Delta[R comparable] struct {
 	Rec R
 	T   timestamp.Time
@@ -63,54 +66,111 @@ type VD[V comparable] struct {
 	D Diff
 }
 
-type deltaKey[R comparable] struct {
-	rec R
-	t   timestamp.Time
+// batch is the unit of exchange between operators: parallel record and diff
+// columns that share one logical time. A pending bucket is one, so deltas
+// stay columnar from the operator that emits them to the trace that stores
+// them. A batch passed to a subscriber is borrowed for the duration of the
+// emit call: the producer reuses its columns afterwards, so a subscriber
+// copies what it keeps and never writes to it.
+type batch[R comparable] struct {
+	recs  []R
+	diffs []Diff
+	t     timestamp.Time
 }
 
-// Consolidate sums the diffs of equal (record, time) pairs and drops zeros.
-// The result order is unspecified. Small batches merge in place without
-// allocating.
-func Consolidate[R comparable](batch []Delta[R]) []Delta[R] {
-	if len(batch) <= 1 {
-		if len(batch) == 1 && batch[0].D == 0 {
-			return nil
-		}
-		return batch
+// reset empties b for reuse at time t, with room for the n rows the caller
+// expects. Its columns keep their capacity: Scope.release says for how long.
+func (b *batch[R]) reset(t timestamp.Time, n int) *batch[R] {
+	if cap(b.recs) < n {
+		b.recs, b.diffs = make([]R, 0, n), make([]Diff, 0, n)
 	}
-	if len(batch) <= 32 {
-		out := batch[:0]
-		n := 0
-	next:
-		for _, d := range batch[0:] {
-			for i := 0; i < n; i++ {
-				if out[i].Rec == d.Rec && out[i].T == d.T {
-					out[i].D += d.D
-					continue next
+	b.recs, b.diffs, b.t = b.recs[:0], b.diffs[:0], t
+	return b
+}
+
+func (b *batch[R]) add(r R, d Diff) {
+	b.recs = append(b.recs, r)
+	b.diffs = append(b.diffs, d)
+}
+
+// consolidate sums the diffs of equal records in place and drops zeros,
+// keeping first-arrival order. Small batches fold by linear scan; larger ones
+// through idx, an open-addressing index of first occurrences recycled across
+// calls: equality is all consolidation needs, so nothing is sorted and, once
+// idx has grown, nothing allocated.
+func (b *batch[R]) consolidate(hash func(R) uint64, idx *[]uint32) {
+	n := len(b.recs)
+	if n > 32 {
+		width := bits.Len(uint(2 * n))
+		size := 1 << width
+		if cap(*idx) < size {
+			*idx = make([]uint32, size)
+		}
+		tab := (*idx)[:size]
+		clear(tab)
+		for i, r := range b.recs {
+			// The home slot is the hash's top bits: the partitioner took its
+			// residue, so a shard's records agree on the low ones.
+			for p := hash(r) >> (64 - width); ; p++ {
+				slot := &tab[p&uint64(size-1)]
+				if *slot == 0 {
+					*slot = uint32(i + 1)
+					break
+				}
+				if j := *slot - 1; b.recs[j] == r {
+					b.diffs[j] += b.diffs[i]
+					b.diffs[i] = 0
+					break
 				}
 			}
-			out = out[:n+1]
-			out[n] = d
-			n++
 		}
-		m := 0
-		for i := 0; i < n; i++ {
-			if out[i].D != 0 {
-				out[m] = out[i]
-				m++
+	} else {
+		for i := 1; i < n; i++ {
+			for j := 0; j < i; j++ {
+				if b.recs[j] == b.recs[i] {
+					b.diffs[j] += b.diffs[i]
+					b.diffs[i] = 0
+					break
+				}
 			}
 		}
-		return out[:m]
 	}
-	acc := make(map[deltaKey[R]]Diff, len(batch))
-	for _, d := range batch {
-		acc[deltaKey[R]{d.Rec, d.T}] += d.D
-	}
-	out := batch[:0]
-	for k, d := range acc {
+	m := 0
+	for i, d := range b.diffs {
 		if d != 0 {
-			out = append(out, Delta[R]{k.rec, k.t, d})
+			b.recs[m], b.diffs[m] = b.recs[i], d
+			m++
 		}
 	}
-	return out
+	b.recs, b.diffs = b.recs[:m], b.diffs[:m]
+}
+
+// timeBatches is one worker's recycled output scratch for an operator whose
+// output times vary within a run (a join emits at t.Join(et)): one batch per
+// distinct time, in order of first use.
+type timeBatches[R comparable] struct {
+	bs []batch[R]
+	n  int // batches in use by the current run
+}
+
+// at returns the batch collecting output at time t.
+func (o *timeBatches[R]) at(t timestamp.Time) *batch[R] {
+	for i := o.n - 1; i >= 0; i-- {
+		if o.bs[i].t == t {
+			return &o.bs[i]
+		}
+	}
+	if o.n == len(o.bs) {
+		o.bs = append(o.bs, batch[R]{})
+	}
+	o.n++
+	return o.bs[o.n-1].reset(t, 0)
+}
+
+// flush emits the run's batches into c and marks them free.
+func (o *timeBatches[R]) flush(w int, c *Collection[R]) {
+	for i := range o.bs[:o.n] {
+		c.emit(w, &o.bs[i])
+	}
+	o.n = 0
 }

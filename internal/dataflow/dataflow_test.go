@@ -2,8 +2,6 @@ package dataflow
 
 import (
 	"testing"
-
-	"graphsurge/internal/timestamp"
 )
 
 // collect turns a capture's cumulative state at version v into a plain map.
@@ -12,16 +10,10 @@ func resultAt[R comparable](c *Capture[R], v uint32) map[R]Diff {
 }
 
 func TestConsolidate(t *testing.T) {
-	t0 := timestamp.Outer(0)
-	t1 := timestamp.Outer(1)
-	in := []Delta[int]{{1, t0, 1}, {1, t0, 2}, {2, t0, 1}, {2, t0, -1}, {1, t1, 5}}
-	out := Consolidate(in)
-	got := make(map[deltaKey[int]]Diff)
-	for _, d := range out {
-		got[deltaKey[int]{d.Rec, d.T}] += d.D
-	}
-	if len(out) != 2 || got[deltaKey[int]{1, t0}] != 3 || got[deltaKey[int]{1, t1}] != 5 {
-		t.Fatalf("Consolidate = %v", out)
+	b := &batch[int]{recs: []int{1, 1, 2, 2, 3}, diffs: []Diff{1, 2, 1, -1, 0}}
+	b.consolidate(func(r int) uint64 { return uint64(r) }, new([]uint32))
+	if len(b.recs) != 1 || b.recs[0] != 1 || len(b.diffs) != 1 || b.diffs[0] != 3 {
+		t.Fatalf("consolidate = %v %v", b.recs, b.diffs)
 	}
 }
 
@@ -238,7 +230,9 @@ func TestIterateReachability(t *testing.T) {
 			}
 			ei.SendAt(uint32(v), ups)
 			s.Drain()
-			s.checkQuiescent()
+			if pt, ok := s.minPendingTime(); ok {
+				t.Fatalf("scope not quiescent after Drain: pending work at %v", pt)
+			}
 
 			got := resultAt(c, uint32(v))
 			want := reachOracle(cur, 1)

@@ -1,0 +1,105 @@
+package dataflow
+
+import (
+	"math/rand"
+	"runtime"
+	"testing"
+)
+
+// exchangeHop wires one hop of every kind of exchange — a fused Map, a join's
+// two keyed inputs and output, a reduce's keyed input and output — over
+// nodes vertices, each labelled with itself, and returns a function that runs
+// one round of size fresh edges. A view round is a pooled replica's next
+// scratch view: reset, labels and edges at version 0. A version round is one
+// more version of a differential run: the edges in, the last version's out,
+// so arrangement state stays bounded.
+func exchangeHop(nodes, size int, view bool) (round func(v uint32)) {
+	s := NewScope(1)
+	ei, ecol := NewInput[edge](s)
+	li, lcol := NewInput[KV[uint32, uint32]](s)
+	keyed := Map(ecol, func(e edge) KV[uint32, uint32] { return KV[uint32, uint32]{e.src, e.dst} })
+	msgs := JoinMap(lcol, keyed, func(_ uint32, lab uint32, dst uint32) KV[uint32, uint32] {
+		return KV[uint32, uint32]{dst, lab}
+	})
+	ReduceMin(msgs)
+
+	labels := make([]Update[KV[uint32, uint32]], nodes)
+	for i := range labels {
+		labels[i] = Update[KV[uint32, uint32]]{KV[uint32, uint32]{uint32(i), uint32(i)}, 1}
+	}
+	r := rand.New(rand.NewSource(11))
+	ups := make([]Update[edge], 2*size)
+	return func(v uint32) {
+		for i := 0; i < size; i++ {
+			ups[size+i] = Update[edge]{ups[i].Rec, -ups[i].D}
+			ups[i] = Update[edge]{edge{uint32(r.Intn(nodes)), uint32(r.Intn(nodes))}, 1}
+		}
+		if view {
+			s.ResetState()
+			v = 0
+		}
+		if v == 0 {
+			li.SendAt(0, labels)
+			ei.SendAt(0, ups[:size]) // nothing to take out yet
+		} else {
+			ei.SendAt(v, ups)
+		}
+		s.Drain()
+		s.Compact(v)
+	}
+}
+
+// warmRounds runs a few rounds to warm an exchangeHop (traces canonical,
+// queues and scratch grown), then n more, and returns the bytes allocated per
+// input delta of those.
+func warmRounds(round func(v uint32), deltas, n int) float64 {
+	v := uint32(0)
+	for ; v < 6; v++ {
+		round(v)
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for ; v < uint32(6+n); v++ {
+		round(v)
+	}
+	runtime.ReadMemStats(&m1)
+	return float64(m1.TotalAlloc-m0.TotalAlloc) / float64(n*deltas)
+}
+
+// TestExchangeSteadyStateAllocs pins the bytes a delta costs on its way
+// through a warm Map → JoinMap → ReduceMin round. Between the views of a
+// reset scope every column is recycled, and what is left is the reduce's
+// scheduling state (per-key time sets, a dirty-key set per time). A
+// differential run lets its exchange columns go with each version
+// (Scope.release), so there a delta costs each hop one column sized up front
+// where the size is known and an amortized append where it is not (a join's
+// and a reduce's output). The row-form exchange spent over 700 bytes on
+// either: a copy, a map entry and a queue slot per delta per hop.
+func TestExchangeSteadyStateAllocs(t *testing.T) {
+	const nodes, size = 2000, 4000
+	perView := warmRounds(exchangeHop(nodes, size, true), size, 20)
+	perVersion := warmRounds(exchangeHop(nodes, size, false), 2*size, 20)
+	t.Logf("bytes allocated per input delta: %.1f in a view round, %.1f in a version round", perView, perVersion)
+	if perView > 120 || perVersion > 260 {
+		t.Fatalf("a warm exchange round allocates %.1f B per delta between views (want at most 120), %.1f B between versions (want at most 260)", perView, perVersion)
+	}
+}
+
+// BenchmarkExchangeHop is one warm round through map → join → reduce, as a
+// reset scope's next view and as a differential run's next version.
+func BenchmarkExchangeHop(b *testing.B) {
+	for _, view := range []bool{true, false} {
+		b.Run(map[bool]string{true: "view", false: "version"}[view], func(b *testing.B) {
+			round := exchangeHop(2000, 4000, view)
+			v := uint32(0)
+			for ; v < 6; v++ {
+				round(v)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				round(v + uint32(i))
+			}
+		})
+	}
+}

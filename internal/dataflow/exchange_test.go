@@ -1,0 +1,172 @@
+package dataflow
+
+import (
+	"fmt"
+	"hash/maphash"
+	"math/rand"
+	"testing"
+
+	"graphsurge/internal/timestamp"
+)
+
+// refConsolidate is the consolidation the engine ran on row batches before
+// deltas went columnar — a quadratic merge up to 32 rows, a map above — kept
+// as the oracle batch.consolidate is held to.
+func refConsolidate[R comparable](rows []Delta[R]) []Delta[R] {
+	type recTime struct {
+		rec R
+		t   timestamp.Time
+	}
+	if len(rows) <= 32 {
+		out := rows[:0]
+		n := 0
+	next:
+		for _, d := range rows[0:] {
+			for i := 0; i < n; i++ {
+				if out[i].Rec == d.Rec && out[i].T == d.T {
+					out[i].D += d.D
+					continue next
+				}
+			}
+			out = out[:n+1]
+			out[n] = d
+			n++
+		}
+		m := 0
+		for i := 0; i < n; i++ {
+			if out[i].D != 0 {
+				out[m] = out[i]
+				m++
+			}
+		}
+		return out[:m]
+	}
+	acc := make(map[recTime]Diff, len(rows))
+	for _, d := range rows {
+		acc[recTime{d.Rec, d.T}] += d.D
+	}
+	out := rows[:0]
+	for k, d := range acc {
+		if d != 0 {
+			out = append(out, Delta[R]{k.rec, k.t, d})
+		}
+	}
+	return out
+}
+
+// TestConsolidateMatchesOracle drives the in-place columnar consolidation and
+// the old row one through the same seeded batches — both sides of the
+// 32-row switch, every record distinct, every record equal, full
+// cancellation, and hashes forced equal or nearly so — and compares the
+// multisets. It also holds the new one to what the old never promised:
+// survivors keep first-arrival order.
+func TestConsolidateMatchesOracle(t *testing.T) {
+	seed := maphash.MakeSeed()
+	hashes := map[string]func(int) uint64{
+		"maphash":  func(r int) uint64 { return maphash.Comparable(seed, r) },
+		"equal":    func(int) uint64 { return 42 },
+		"four":     func(r int) uint64 { return uint64(r) % 4 },
+		"identity": func(r int) uint64 { return uint64(r) },
+	}
+	var idx []uint32 // shared across cases, as a shard's scratch is across takes
+	at := timestamp.Time{Outer: 3, Inner: 1}
+	for name, hash := range hashes {
+		for _, n := range []int{0, 1, 2, 7, 31, 32, 33, 34, 64, 257, 1500} {
+			for _, keys := range []int{1, 5, n/2 + 1, 10*n + 1} {
+				for _, cancel := range []bool{false, true} {
+					r := rand.New(rand.NewSource(int64(n*31 + keys)))
+					b := &batch[int]{t: at}
+					for len(b.recs) < n {
+						rec, d := r.Intn(keys), Diff(r.Intn(5)-2)
+						b.add(rec, d)
+						if cancel && len(b.recs) < n {
+							b.add(rec, -d)
+						}
+					}
+					if cancel && n%2 == 1 {
+						b.diffs[n-1] = 0 // the unpaired last row
+					}
+					rows := make([]Delta[int], len(b.recs))
+					var arrival []int
+					for i, rec := range b.recs {
+						rows[i] = Delta[int]{rec, at, b.diffs[i]}
+						arrival = append(arrival, rec)
+					}
+					want := map[int]Diff{}
+					for _, d := range refConsolidate(rows) {
+						want[d.Rec] += d.D
+					}
+					b.consolidate(hash, &idx)
+					where := fmt.Sprintf("hash %s, %d rows over %d keys, cancel %v", name, n, keys, cancel)
+					if len(b.recs) != len(want) || len(b.diffs) != len(want) {
+						t.Fatalf("%s: %d records, %d diffs, want %d", where, len(b.recs), len(b.diffs), len(want))
+					}
+					if cancel && len(want) != 0 {
+						t.Fatalf("%s: oracle kept %v of a fully cancelling batch", where, want)
+					}
+					pos := 0
+					for i, rec := range b.recs {
+						if b.diffs[i] == 0 || b.diffs[i] != want[rec] {
+							t.Fatalf("%s: record %d has diff %d, want %d", where, rec, b.diffs[i], want[rec])
+						}
+						delete(want, rec) // a second occurrence then fails the line above
+						for arrival[pos] != rec {
+							pos++ // panics past the end if survivors are out of arrival order
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestExchangeColumnsRelease pins how long recycled exchange columns live
+// (Scope.release): through version 0 and across ResetState, so a reset
+// scope's next whole view refills them; gone as the scope enters version 1,
+// and from then on whenever a version ends, so neither a whole view's columns
+// nor a version's stay pinned under a scope that moved on or went idle.
+func TestExchangeColumnsRelease(t *testing.T) {
+	s := NewScope(1)
+	in, col := NewInput[int](s)
+	c := NewCapture(Map(col, func(r int) int { return r + 1 }))
+	view := make([]Update[int], 1000)
+	for i := range view {
+		view[i] = Update[int]{i, 1}
+	}
+	// held is the capacity of the input's scratch and of the capture's
+	// pending buffer (the batch it last took); the Map's scratch sits between.
+	held := func() (int, int) { return cap(in.parts[0].recs), cap(c.p.sh[0].cur.recs) }
+	step := func(v uint32, ups []Update[int]) {
+		in.SendAt(v, ups)
+		s.Drain()
+		s.Compact(v)
+	}
+
+	step(0, view)
+	if i, p := held(); i < len(view) || p < len(view) {
+		t.Fatalf("after version 0 the columns are %d and %d rows, want a view's %d kept", i, p, len(view))
+	}
+	s.ResetState()
+	step(0, view)
+	if i, p := held(); i < len(view) || p < len(view) {
+		t.Fatalf("a reset scope's columns are %d and %d rows, want a view's %d kept", i, p, len(view))
+	}
+	released := 0
+	s.recycles(func() { released++ })
+	in.SendAt(1, view[:10])
+	if i, _ := held(); released != 1 || i >= len(view) {
+		t.Fatalf("entering version 1 released %d times and left the input %d rows, want the view's columns gone", released, i)
+	}
+	s.Drain()
+	s.Compact(1)
+	if i, p := held(); released != 2 || i != 0 || p != 0 {
+		t.Fatalf("the end of version 1 released %d times in all and left %d and %d rows, want none", released, i, p)
+	}
+	step(2, view[:10])
+	if released != 3 { // entering a version past the first has nothing to release
+		t.Fatalf("version 2 released %d times in all, want 3", released)
+	}
+	if got := c.At(2); len(got) != len(view) || got[1] != 3 {
+		t.Fatalf("results changed with the columns: %d records, record 1 ×%d", len(got), got[1])
+	}
+}

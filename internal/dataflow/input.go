@@ -1,64 +1,49 @@
 package dataflow
 
-import (
-	"hash/maphash"
-
-	"graphsurge/internal/timestamp"
-)
+import "graphsurge/internal/timestamp"
 
 // Input is a handle for feeding updates into a dataflow graph. Each call to
 // SendAt introduces the updates at time (version, 0); the driver then calls
 // Scope.Drain to process them. Versions must be fed in nondecreasing order —
 // the engine's lexicographic scheduler relies on it.
 type Input[R comparable] struct {
-	s    *Scope
-	col  *Collection[R]
-	last uint32
-	fed  bool
+	s     *Scope
+	col   *Collection[R]
+	parts []batch[R] // per-worker scratch the updates are written into
 }
 
 // NewInput creates an input and the collection carrying its updates.
 func NewInput[R comparable](s *Scope) (*Input[R], *Collection[R]) {
 	col := newCollection[R](s)
-	in := &Input[R]{s: s, col: col}
-	// Inputs are not scheduler nodes, so Scope.ResetState rewinds their
-	// version cursor through a hook.
-	s.addResetHook(func() { in.last, in.fed = 0, false })
+	in := &Input[R]{s: s, col: col, parts: make([]batch[R], s.workers)}
+	s.recycles(func() { clear(in.parts) })
 	return in, col
 }
 
 // Collection returns the stream fed by this input.
 func (in *Input[R]) Collection() *Collection[R] { return in.col }
 
-// SendAt introduces updates at version v. Updates are spread across workers
-// by record hash so stateless operator chains run in parallel; keyed
-// operators re-route by key regardless.
+// Send introduces n updates at version v, the i-th being at(i), written
+// straight into the input's recycled per-worker batches. Updates are spread
+// across workers by record hash so stateless operator chains run in
+// parallel; keyed operators re-route by key regardless.
+func (in *Input[R]) Send(v uint32, n int, at func(i int) (R, Diff)) {
+	in.s.enter(v)
+	for w := range in.parts {
+		in.parts[w].reset(timestamp.Outer(v), n/len(in.parts))
+	}
+	for i := 0; i < n; i++ {
+		r, d := at(i)
+		in.parts[partition(in.s, r)].add(r, d)
+	}
+	for w := range in.parts {
+		in.col.emit(w, &in.parts[w])
+	}
+}
+
+// SendAt introduces a slice of updates at version v.
 func (in *Input[R]) SendAt(v uint32, ups []Update[R]) {
-	if in.fed && v < in.last {
-		panic("dataflow: input versions must be fed in nondecreasing order")
-	}
-	in.last, in.fed = v, true
-	if len(ups) == 0 {
-		return
-	}
-	t := timestamp.Outer(v)
-	w := in.s.workers
-	if w == 1 {
-		batch := make([]Delta[R], 0, len(ups))
-		for _, u := range ups {
-			batch = append(batch, Delta[R]{u.Rec, t, u.D})
-		}
-		in.col.emit(0, batch)
-		return
-	}
-	parts := make([][]Delta[R], w)
-	for _, u := range ups {
-		tw := int(maphash.Comparable(in.s.seed, u.Rec) % uint64(w))
-		parts[tw] = append(parts[tw], Delta[R]{u.Rec, t, u.D})
-	}
-	for tw, pb := range parts {
-		in.col.emit(tw, pb)
-	}
+	in.Send(v, len(ups), func(i int) (R, Diff) { return ups[i].Rec, ups[i].D })
 }
 
 // SendOne introduces a single update at version v.

@@ -21,8 +21,8 @@ type delayNode[R comparable] struct {
 func (n *delayNode[R]) name() string { return "delay" }
 
 func (n *delayNode[R]) run(w int, t timestamp.Time) {
-	batch := n.p.take(w, t)
-	if len(batch) == 0 {
+	b := n.p.take(w, t)
+	if len(b.recs) == 0 {
 		return
 	}
 	limit := n.cut
@@ -35,10 +35,8 @@ func (n *delayNode[R]) run(w int, t timestamp.Time) {
 	} else if t.Inner+1 > limit {
 		return
 	}
-	for i := range batch {
-		batch[i].T = batch[i].T.Step()
-	}
-	n.target.emit(w, batch)
+	b.t = t.Step()
+	n.target.emit(w, b)
 }
 
 // reset drops any buffered feedback deltas; the loop's wiring (and its
@@ -89,21 +87,15 @@ func IterateN[R comparable](initial *Collection[R], n uint32, body func(*Collect
 func iterate[R comparable](initial *Collection[R], cut uint32, body func(*Collection[R]) *Collection[R]) *Collection[R] {
 	s := initial.s
 	x := newCollection[R](s)
-	delay := &delayNode[R]{s: s, target: x, p: newPendings[R](s.workers), cut: cut}
+	delay := &delayNode[R]{s: s, target: x, p: newPendings[R](s), cut: cut}
 	s.addNode(delay)
 
 	// X receives I directly...
-	initial.subscribe(func(w int, batch []Delta[R]) { x.emit(w, batch) })
+	initial.subscribe(x.emit)
 	// ...and −I through the delay,
-	initial.subscribe(func(w int, batch []Delta[R]) {
-		nb := make([]Delta[R], len(batch))
-		for i, d := range batch {
-			nb[i] = Delta[R]{d.Rec, d.T, -d.D}
-		}
-		delay.p.push(w, nb)
-	})
+	Negate(initial).subscribe(delay.p.push)
 	// ...and +N through the delay.
 	n := body(x)
-	n.subscribe(func(w int, batch []Delta[R]) { delay.p.push(w, batch) })
+	n.subscribe(delay.p.push)
 	return n
 }

@@ -16,7 +16,7 @@ import (
 // delta's key is hashed once for the lookup on one side and the append on
 // the other. The first run after the scope's frontier moves folds each side
 // into one canonical batch clamped to the frontier — one pass over the
-// trace into its spare column set, allocation-free once warm — and batches
+// trace into a recycled column set, allocation-free once warm — and batches
 // sealed later in the version clamp as they are written. Batch entries may
 // therefore be clamped while stage entries are raw, which is
 // indistinguishable to the join since it only Joins against times at or
@@ -31,7 +31,7 @@ type joinNode[K comparable, A comparable, B comparable, O comparable] struct {
 
 	left  []*arrange.Trace[K, A] // per-worker arrangements
 	right []*arrange.Trace[K, B]
-	ob    [][]Delta[O] // per-worker output scratch, reused across runs
+	ob    []timeBatches[O] // per-worker output scratch, reused across runs
 }
 
 // JoinMap joins two keyed streams, emitting f(k, a, b) for every matching
@@ -45,11 +45,11 @@ func JoinMap[K comparable, A comparable, B comparable, O comparable](
 		s:     s,
 		out:   newCollection[O](s),
 		f:     f,
-		pl:    newPendings[KV[K, A]](s.workers),
-		pr:    newPendings[KV[K, B]](s.workers),
+		pl:    newPendings[KV[K, A]](s),
+		pr:    newPendings[KV[K, B]](s),
 		left:  make([]*arrange.Trace[K, A], s.workers),
 		right: make([]*arrange.Trace[K, B], s.workers),
-		ob:    make([][]Delta[O], s.workers),
+		ob:    make([]timeBatches[O], s.workers),
 	}
 	for w := 0; w < s.workers; w++ {
 		n.left[w] = arrange.NewTrace[K, A]()
@@ -57,6 +57,7 @@ func JoinMap[K comparable, A comparable, B comparable, O comparable](
 	}
 	l.subscribe(keyedSubscriber(s, n.pl))
 	r.subscribe(keyedSubscriber(s, n.pr))
+	s.recycles(func() { clear(n.ob) })
 	s.addNode(n)
 	return n.out
 }
@@ -78,9 +79,8 @@ func Antijoin[K comparable, V comparable](l *Collection[KV[K, V]], r *Collection
 func (n *joinNode[K, A, B, O]) name() string { return "join" }
 
 func (n *joinNode[K, A, B, O]) run(w int, t timestamp.Time) {
-	lb := n.pl.take(w, t)
-	rb := n.pr.take(w, t)
-	if len(lb) == 0 && len(rb) == 0 {
+	lb, rb := n.pl.take(w, t), n.pr.take(w, t)
+	if len(lb.recs) == 0 && len(rb.recs) == 0 {
 		return
 	}
 	left, right := n.left[w], n.right[w]
@@ -88,44 +88,50 @@ func (n *joinNode[K, A, B, O]) run(w int, t timestamp.Time) {
 		left.Advance(outer)
 		right.Advance(outer)
 	}
-	ob := n.ob[w][:0] // subscribers copy what they keep
+	// Output is grouped by its time t.Join(et), nearly always t itself, and
+	// lent to the subscribers batch by batch.
+	ob := &n.ob[w]
+	cur := ob.at(t)
 	pairs := 0
 	// New left deltas pair against the stored right history (which does not
 	// yet include this round's right batch).
-	for _, d := range lb {
-		k, dd := d.Rec.K, d.D
-		av, hk := d.Rec.V, right.Hash(k)
+	for i, kv := range lb.recs {
+		k, av, dd := kv.K, kv.V, lb.diffs[i]
+		hk := right.Hash(k)
 		pairs += right.KeyHashed(hk, k, func(v B, et timestamp.Time, ed int64) {
-			ob = append(ob, Delta[O]{n.f(k, av, v), t.Join(et), dd * ed})
+			if jt := t.Join(et); jt != cur.t {
+				cur = ob.at(jt)
+			}
+			cur.add(n.f(k, av, v), dd*ed)
 		})
 		left.AppendHashed(hk, k, av, t, dd)
 	}
 	// New right deltas pair against the full left history, including this
 	// round's left batch, so each (δL, δR) pair is counted exactly once.
-	for _, d := range rb {
-		k, dd := d.Rec.K, d.D
-		bv, hk := d.Rec.V, left.Hash(k)
+	for i, kv := range rb.recs {
+		k, bv, dd := kv.K, kv.V, rb.diffs[i]
+		hk := left.Hash(k)
 		pairs += left.KeyHashed(hk, k, func(v A, et timestamp.Time, ed int64) {
-			ob = append(ob, Delta[O]{n.f(k, v, bv), t.Join(et), ed * dd})
+			if jt := t.Join(et); jt != cur.t {
+				cur = ob.at(jt)
+			}
+			cur.add(n.f(k, v, bv), ed*dd)
 		})
 		right.AppendHashed(hk, k, bv, t, dd)
 	}
-	n.ob[w] = ob
-	n.s.addWork(w, len(lb)+len(rb)+pairs)
-	n.out.emit(w, Consolidate(ob))
+	n.s.addWork(w, len(lb.recs)+len(rb.recs)+pairs)
+	ob.flush(w, n.out)
 }
 
 // reset drops both sides' arrangements by releasing their batch stacks by
-// reference — O(1) per worker regardless of accumulated trace size, without
-// even the map re-allocation the old per-key traces paid. Each trace keeps
-// at most its spare column set; the output scratch goes with the history.
+// reference — O(1) per worker regardless of accumulated trace size. Each
+// trace keeps its recycled column sets, and the output scratch stays too.
 func (n *joinNode[K, A, B, O]) reset() {
 	n.pl.reset()
 	n.pr.reset()
 	for w := range n.left {
 		n.left[w].Reset()
 		n.right[w].Reset()
-		n.ob[w] = nil
 	}
 }
 
@@ -136,16 +142,8 @@ func (n *joinNode[K, A, B, O]) hasPending(w int, t timestamp.Time) bool {
 func (n *joinNode[K, A, B, O]) minPending(w int) (timestamp.Time, bool) {
 	lt, lok := n.pl.min(w)
 	rt, rok := n.pr.min(w)
-	switch {
-	case lok && rok:
-		if lt.LexLess(rt) {
-			return lt, true
-		}
-		return rt, true
-	case lok:
-		return lt, true
-	case rok:
-		return rt, true
+	if !lok || (rok && rt.LexLess(lt)) {
+		return rt, rok
 	}
-	return timestamp.Time{}, false
+	return lt, true
 }

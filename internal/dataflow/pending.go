@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"hash/maphash"
 	"sync"
 
 	"graphsurge/internal/arrange"
@@ -9,72 +10,89 @@ import (
 
 // pendings buffers undelivered deltas for one operator input, sharded per
 // worker and grouped by timestamp. Producers on any worker may push into any
-// shard (guarded by a per-shard mutex); only the owning worker drains it.
-// Each shard is a columnar arrange.Queue: buckets keep their records and
-// diffs as parallel columns sorted by time, so min is O(1) instead of a map
-// scan and reset releases the columns by reference.
+// shard (guarded by the shard's mutex); only the owning worker drains it.
+// Each shard is a columnar arrange.Queue whose buckets are batches: push
+// copies a borrowed batch in with two bulk appends, take hands a bucket's
+// columns to the operator and returns the previous ones to the queue.
 type pendings[R comparable] struct {
-	mu []sync.Mutex
-	q  []arrange.Queue[R]
+	hash func(R) uint64 // consolidation's record hash
+	sh   []pendingShard[R]
 }
 
-func newPendings[R comparable](workers int) *pendings[R] {
-	return &pendings[R]{
-		mu: make([]sync.Mutex, workers),
-		q:  make([]arrange.Queue[R], workers),
+type pendingShard[R comparable] struct {
+	mu  sync.Mutex
+	q   arrange.Queue[R]
+	cur batch[R] // the batch last taken, the operator's until its next take
+	idx []uint32 // consolidation scratch, touched only by the owning worker
+}
+
+func newPendings[R comparable](s *Scope) *pendings[R] {
+	p := &pendings[R]{
+		hash: func(r R) uint64 { return maphash.Comparable(s.seed, r) },
+		sh:   make([]pendingShard[R], s.workers),
+	}
+	s.recycles(p.release)
+	return p
+}
+
+// release lets every shard's recycled columns go.
+func (p *pendings[R]) release() {
+	for w := range p.sh {
+		sh := &p.sh[w]
+		sh.mu.Lock()
+		sh.cur.recs, sh.cur.diffs, sh.idx = nil, nil, nil
+		sh.q.Release()
+		sh.mu.Unlock()
 	}
 }
 
-// push appends a batch to worker w's shard, grouping by each delta's time.
-// Zero diffs are dropped (inside Queue.Push).
-func (p *pendings[R]) push(w int, batch []Delta[R]) {
-	if len(batch) == 0 {
+// push copies a batch into its time's bucket on worker w's shard.
+func (p *pendings[R]) push(w int, b *batch[R]) {
+	if len(b.recs) == 0 {
 		return
 	}
-	p.mu[w].Lock()
-	for _, d := range batch {
-		p.q[w].Push(d.Rec, d.T, d.D)
-	}
-	p.mu[w].Unlock()
+	sh := &p.sh[w]
+	sh.mu.Lock()
+	sh.q.Push(b.t, b.recs, b.diffs)
+	sh.mu.Unlock()
 }
 
-// take removes and returns the consolidated batch at time t on worker w.
-func (p *pendings[R]) take(w int, t timestamp.Time) []Delta[R] {
-	p.mu[w].Lock()
-	recs, diffs := p.q[w].Take(t)
-	p.mu[w].Unlock()
-	if len(recs) == 0 {
-		return nil
-	}
-	b := make([]Delta[R], len(recs))
-	for i, r := range recs {
-		b[i] = Delta[R]{r, t, diffs[i]}
-	}
-	return Consolidate(b)
+// take removes and returns the batch at time t on worker w, consolidated
+// once, completely (empty when absent or when everything cancels). The batch
+// stays valid until the next take on the same shard.
+func (p *pendings[R]) take(w int, t timestamp.Time) *batch[R] {
+	sh := &p.sh[w]
+	b := &sh.cur
+	sh.mu.Lock()
+	b.recs, b.diffs = sh.q.Take(t, b.recs, b.diffs)
+	sh.mu.Unlock()
+	b.t = t
+	b.consolidate(p.hash, &sh.idx)
+	return b
 }
 
 func (p *pendings[R]) has(w int, t timestamp.Time) bool {
-	p.mu[w].Lock()
-	ok := p.q[w].Has(t)
-	p.mu[w].Unlock()
-	return ok
+	sh := &p.sh[w]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.q.Has(t)
 }
 
-// reset drops all buffered deltas on every shard by releasing the queue
-// columns by reference — O(1) per shard regardless of how much a shard ever
-// buffered, with the old columns left to the GC.
+// reset drops all buffered deltas on every shard. The emptied columns stay
+// with the queue for the next run's buckets.
 func (p *pendings[R]) reset() {
-	for w := range p.q {
-		p.mu[w].Lock()
-		p.q[w].Reset()
-		p.mu[w].Unlock()
+	for w := range p.sh {
+		sh := &p.sh[w]
+		sh.mu.Lock()
+		sh.q.Reset()
+		sh.mu.Unlock()
 	}
 }
 
 // min returns the lexicographically smallest pending time on worker w.
 func (p *pendings[R]) min(w int) (timestamp.Time, bool) {
-	p.mu[w].Lock()
-	t, ok := p.q[w].Min()
-	p.mu[w].Unlock()
-	return t, ok
+	sh := &p.sh[w]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.q.Min()
 }

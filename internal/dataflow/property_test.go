@@ -10,55 +10,8 @@ import (
 	"graphsurge/internal/timestamp"
 )
 
-// TestConsolidateMatchesMap checks the small-batch in-place consolidation
-// path against the map-based definition.
-func TestConsolidateMatchesMap(t *testing.T) {
-	f := func(seed int64, size uint8) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := int(size) % 40 // exercises both the quadratic and map paths
-		batch := make([]Delta[int], 0, n)
-		for i := 0; i < n; i++ {
-			batch = append(batch, Delta[int]{
-				Rec: r.Intn(5),
-				T:   timestamp.Time{Outer: uint32(r.Intn(2)), Inner: uint32(r.Intn(2))},
-				D:   int64(r.Intn(5) - 2),
-			})
-		}
-		want := make(map[deltaKey[int]]Diff)
-		for _, d := range batch {
-			want[deltaKey[int]{d.Rec, d.T}] += d.D
-		}
-		got := Consolidate(append([]Delta[int](nil), batch...))
-		acc := make(map[deltaKey[int]]Diff)
-		for _, d := range got {
-			if d.D == 0 {
-				return false // zeros must be dropped
-			}
-			if _, dup := acc[deltaKey[int]{d.Rec, d.T}]; dup {
-				return false // keys must be unique
-			}
-			acc[deltaKey[int]{d.Rec, d.T}] = d.D
-		}
-		for k, d := range want {
-			if d != acc[k] {
-				return false
-			}
-			delete(acc, k)
-		}
-		for _, d := range acc {
-			if d != 0 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestConsolidateVTDMatchesMap checks the trace consolidation fast path the
-// same way.
+// TestConsolidateVTDMatchesMap checks the reference trace's consolidation
+// fast path against the map-based definition.
 func TestConsolidateVTDMatchesMap(t *testing.T) {
 	f := func(seed int64, size uint8) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -199,9 +152,11 @@ func TestWorkerCountInvariance(t *testing.T) {
 	var versions [][]Update[edge]
 	cur := map[edge]bool{}
 	for v := 0; v < 4; v++ {
+		// Well over 32 rows a version, so every worker's batches take the
+		// indexed consolidation path and cross-worker pushes carry many rows.
 		var ups []Update[edge]
-		for i := 0; i < 15; i++ {
-			e := edge{uint32(r.Intn(12)), uint32(r.Intn(12))}
+		for i := 0; i < 400; i++ {
+			e := edge{uint32(r.Intn(150)), uint32(r.Intn(150))}
 			if cur[e] {
 				cur[e] = false
 				ups = append(ups, Update[edge]{e, -1})
@@ -214,7 +169,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 	}
 
 	var reference map[KV[uint32, uint32]]Diff
-	for _, workers := range []int{1, 2, 5} {
+	for _, workers := range []int{1, 2, 3} {
 		in, c, s := build(workers)
 		for v, ups := range versions {
 			in.SendAt(uint32(v), ups)
@@ -312,7 +267,7 @@ func TestConcatAllAndInspect(t *testing.T) {
 	}
 }
 
-func TestCaptureVersionsAndDiffCounts(t *testing.T) {
+func TestCaptureDiffCounts(t *testing.T) {
 	s := NewScope(2)
 	in, col := NewInput[int](s)
 	c := NewCapture(col)
@@ -320,10 +275,6 @@ func TestCaptureVersionsAndDiffCounts(t *testing.T) {
 	s.Drain()
 	in.SendAt(2, []Update[int]{{1, -1}})
 	s.Drain()
-	vs := c.Versions()
-	if len(vs) != 2 {
-		t.Fatalf("versions %v", vs)
-	}
 	if c.DiffCount(0) != 2 || c.DiffCount(2) != 1 || c.DiffCount(1) != 0 {
 		t.Fatalf("diff counts %d %d %d", c.DiffCount(0), c.DiffCount(1), c.DiffCount(2))
 	}
@@ -335,15 +286,14 @@ func TestCaptureVersionsAndDiffCounts(t *testing.T) {
 
 // TestPendingsBasics exercises the shard buffer directly.
 func TestPendingsBasics(t *testing.T) {
-	p := newPendings[int](2)
+	p := newPendings[int](NewScope(2))
 	t0 := timestamp.Outer(0)
 	t1 := timestamp.Time{Outer: 0, Inner: 3}
-	p.push(0, []Delta[int]{{1, t0, 1}, {1, t0, 1}, {2, t1, 0}})
-	if !p.has(0, t0) {
+	p.push(0, &batch[int]{recs: []int{1, 1}, diffs: []Diff{1, 1}, t: t0})
+	p.push(0, &batch[int]{recs: []int{2, 2}, diffs: []Diff{0, 0}, t: t1})
+	p.push(0, &batch[int]{t: timestamp.Outer(7)})
+	if !p.has(0, t0) || p.has(0, timestamp.Outer(7)) {
 		t.Fatal("has")
-	}
-	if p.has(0, t1) {
-		t.Fatal("zero diffs must be dropped")
 	}
 	if p.has(1, t0) {
 		t.Fatal("wrong worker")
@@ -353,8 +303,11 @@ func TestPendingsBasics(t *testing.T) {
 		t.Fatalf("min %v %v", mt, ok)
 	}
 	b := p.take(0, t0)
-	if len(b) != 1 || b[0].D != 2 {
+	if len(b.recs) != 1 || b.recs[0] != 1 || b.diffs[0] != 2 || b.t != t0 {
 		t.Fatalf("take %v", b)
+	}
+	if b := p.take(0, t1); len(b.recs) != 0 {
+		t.Fatalf("zero diffs must be dropped at take: %v", b)
 	}
 	if _, ok := p.min(0); ok {
 		t.Fatal("min after take")

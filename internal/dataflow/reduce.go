@@ -69,7 +69,8 @@ type reduceShard[K comparable, V comparable, O comparable] struct {
 	outs  *arrange.Trace[K, O]
 	keys  map[K]*keyTimes
 	dirty map[timestamp.Time]map[K]struct{}
-	spill map[V]Diff // scratch: a hub key's accumulation, emptied after each use
+	spill map[V]Diff      // scratch: a hub key's accumulation, emptied after each use
+	ob    batch[KV[K, O]] // output scratch, lent to the subscribers at the end of each run
 }
 
 // reduceNode groups a keyed stream by key and applies a per-key multiset
@@ -103,7 +104,7 @@ func Reduce[K comparable, V comparable, O comparable](
 		out: newCollection[KV[K, O]](s),
 		f:   f,
 		nm:  name,
-		p:   newPendings[KV[K, V]](s.workers),
+		p:   newPendings[KV[K, V]](s),
 		st:  make([]*reduceShard[K, V, O], s.workers),
 	}
 	for w := 0; w < s.workers; w++ {
@@ -115,6 +116,7 @@ func Reduce[K comparable, V comparable, O comparable](
 			dirty: make(map[timestamp.Time]map[K]struct{}),
 			spill: make(map[V]Diff),
 		}
+		s.recycles(func() { n.st[w].ob = batch[KV[K, O]]{} })
 	}
 	in.subscribe(keyedSubscriber(s, n.p))
 	s.addNode(n)
@@ -227,21 +229,21 @@ func (n *reduceNode[K, V, O]) name() string { return "reduce:" + n.nm }
 
 func (n *reduceNode[K, V, O]) run(w int, t timestamp.Time) {
 	sh := n.st[w]
-	batch := n.p.take(w, t)
-	work := len(batch)
+	b := n.p.take(w, t)
+	work := len(b.recs)
 
 	outer, compacting := n.s.compactionOuter()
-	if compacting && len(batch) > 0 {
-		// The first call after a frontier move folds each trace into its
-		// spare column set, one allocation-free pass; the rest are O(1).
+	if compacting && work > 0 {
+		// The first call after a frontier move folds each trace into a
+		// recycled column set, one allocation-free pass; the rest are O(1).
 		sh.ins.Advance(outer)
 		sh.outs.Advance(outer)
 	}
 
 	// Ingest new input deltas and schedule the join closure of t with each
 	// touched key's known times.
-	for _, d := range batch {
-		k := d.Rec.K
+	for i, kv := range b.recs {
+		k := kv.K
 		kt := sh.keys[k]
 		if kt == nil {
 			kt = &keyTimes{}
@@ -250,7 +252,7 @@ func (n *reduceNode[K, V, O]) run(w int, t timestamp.Time) {
 		if compacting {
 			kt.advance(outer)
 		}
-		sh.ins.Append(k, d.Rec.V, t, d.D)
+		sh.ins.Append(k, kv.V, t, b.diffs[i])
 		if kt.hasTime(t) {
 			// Time already known; it is either this run (scheduled below) or
 			// already scheduled.
@@ -282,7 +284,7 @@ func (n *reduceNode[K, V, O]) run(w int, t timestamp.Time) {
 		return
 	}
 	delete(sh.dirty, t)
-	var ob []Delta[KV[K, O]]
+	ob := sh.ob.reset(t, 0)
 	var vals []VD[V]
 	var delta []VD[O]
 	for k := range dk {
@@ -348,7 +350,7 @@ func (n *reduceNode[K, V, O]) run(w int, t timestamp.Time) {
 		for _, od := range delta {
 			if od.D != 0 {
 				sh.outs.AppendHashed(hk, k, od.V, t, od.D)
-				ob = append(ob, Delta[KV[K, O]]{KV[K, O]{k, od.V}, t, od.D})
+				ob.add(KV[K, O]{k, od.V}, od.D)
 			}
 		}
 	}

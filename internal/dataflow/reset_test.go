@@ -78,8 +78,8 @@ func TestScopeResetStateEquivalence(t *testing.T) {
 					t.Fatalf("work counters survived reset: %v", s.WorkCounts())
 				}
 			}
-			if len(c.Versions()) != 0 {
-				t.Fatalf("capture history survived reset: %v", c.Versions())
+			if at := c.At(^uint32(0)); len(at) != 0 {
+				t.Fatalf("capture history survived reset: %v", at)
 			}
 			resetDiffs, resetAt := run(s, in, c)
 

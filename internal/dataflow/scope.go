@@ -1,7 +1,6 @@
 package dataflow
 
 import (
-	"fmt"
 	"hash/maphash"
 	"sync"
 	"sync/atomic"
@@ -27,8 +26,8 @@ type node interface {
 	// reset drops all operator state — traces, pending deltas, dirty sets —
 	// without touching the dataflow wiring, returning the node to its
 	// just-built condition. Implementations swap state maps for fresh ones
-	// (O(1) per shard) rather than clearing in place. Only called while the
-	// scope is quiescent.
+	// (O(1) per shard) rather than clearing in place, and keep emptied
+	// column sets for the next run. Only called while the scope is quiescent.
 	reset()
 	// name identifies the operator for diagnostics.
 	name() string
@@ -55,9 +54,10 @@ type Scope struct {
 	// clamps its history up to it the next time the operator runs.
 	frontier atomic.Uint32
 
-	// onReset holds reset hooks of graph elements that are not scheduler
-	// nodes (inputs); ResetState invokes them after resetting every node.
-	onReset []func()
+	// version is the last one an input fed; recycled holds what lets each
+	// holder of recycled exchange columns go of them. See release.
+	version  uint32
+	recycled []func()
 
 	work []paddedCounter // per-worker records processed, for scaling proxies
 }
@@ -85,18 +85,42 @@ func (s *Scope) Workers() int { return s.workers }
 
 func (s *Scope) addNode(n node) { s.nodes = append(s.nodes, n) }
 
-// addResetHook registers a reset function for a non-node graph element (an
-// input handle). Must be called during graph construction.
-func (s *Scope) addResetHook(f func()) { s.onReset = append(s.onReset, f) }
+// recycles registers what lets a holder's recycled exchange columns (input,
+// fused-operator and operator output scratch, pending buffers) go.
+func (s *Scope) recycles(release func()) { s.recycled = append(s.recycled, release) }
+
+// release lets every recycled exchange column go. Columns are recycled within
+// a version, and from version 0 across ResetState into the next version 0 (a
+// reset scope runs whole views, each about the size of the last). A scope
+// that moves on instead releases them as it enters version 1 (enter) and from
+// then on whenever a version ends (Compact), so what a whole view grew is not
+// pinned under the difference sets that follow, nor these under an idle scope.
+func (s *Scope) release() {
+	for _, f := range s.recycled {
+		f()
+	}
+}
+
+// enter is called by an input about to feed version v.
+func (s *Scope) enter(v uint32) {
+	if v < s.version {
+		panic("dataflow: input versions must be fed in nondecreasing order")
+	}
+	if s.version == 0 && v > 0 {
+		s.release()
+	}
+	s.version = v
+}
 
 // ResetState returns the scope to its just-built condition in place: every
-// stateful operator drops its traces and pending work, inputs forget their
-// version cursor, the compaction frontier rewinds, the iteration-cap flag
-// and work counters zero. The dataflow graph itself — nodes, subscriptions,
-// fused closures, worker shards — is untouched, so a reset scope re-executes
-// from scratch without paying graph construction again; the cost is a few
-// map allocations per operator, independent of how much state the previous
-// run accumulated.
+// stateful operator drops its traces and pending work, the version cursor and
+// the compaction frontier rewind, the iteration-cap flag and work counters
+// zero. The dataflow graph itself — nodes, subscriptions, fused closures,
+// worker shards, and the emptied column sets of queues, traces and output
+// scratch — is untouched, so a reset scope re-executes from scratch without
+// paying graph construction or column growth again; the cost is a few map
+// allocations per operator, independent of how much state the previous run
+// accumulated.
 //
 // Must be called from the driver goroutine while the scope is quiescent
 // (after Drain); resetting with work in flight would discard deltas
@@ -105,10 +129,8 @@ func (s *Scope) ResetState() {
 	for _, n := range s.nodes {
 		n.reset()
 	}
-	for _, f := range s.onReset {
-		f()
-	}
 	s.frontier.Store(0)
+	s.version = 0
 	s.IterCapHit.Store(false)
 	s.ResetWork()
 }
@@ -168,43 +190,35 @@ func (s *Scope) Drain() {
 	}
 }
 
+// round runs worker w's nodes until none of them has work left at t.
+func (s *Scope) round(w int, t timestamp.Time) {
+	for progress := true; progress; {
+		progress = false
+		for _, n := range s.nodes {
+			if n.hasPending(w, t) {
+				n.run(w, t)
+				progress = true
+			}
+		}
+	}
+}
+
 // drainTime runs rounds of worker-parallel processing at exactly time t until
 // no node on any worker has pending work at t. Cross-worker deliveries made
 // during a round are observed in the next round (the post-barrier check).
 func (s *Scope) drainTime(t timestamp.Time) {
 	if s.workers == 1 {
-		for {
-			progress := false
-			for _, n := range s.nodes {
-				if n.hasPending(0, t) {
-					n.run(0, t)
-					progress = true
-				}
-			}
-			if !progress {
-				return
-			}
-		}
+		s.round(0, t)
+		return
 	}
 	for {
 		var wg sync.WaitGroup
 		for w := 0; w < s.workers; w++ {
 			wg.Add(1)
-			go func(w int) {
+			go func() {
 				defer wg.Done()
-				for {
-					progress := false
-					for _, n := range s.nodes {
-						if n.hasPending(w, t) {
-							n.run(w, t)
-							progress = true
-						}
-					}
-					if !progress {
-						return
-					}
-				}
-			}(w)
+				s.round(w, t)
+			}()
 		}
 		wg.Wait()
 		still := false
@@ -231,15 +245,20 @@ func (s *Scope) drainTime(t timestamp.Time) {
 // sizes proportional to the number of distinct iteration depths rather than
 // the number of views.
 //
-// This call only advances the frontier. A stateful operator shard that
+// Past version 0 the call also releases the exchange columns (see release);
+// otherwise it only advances the frontier. A stateful operator shard that
 // receives input in a later version then folds each of its traces, once per
 // frontier move, into one canonical batch clamped to the frontier: a single
 // streaming pass over the trace (column copies for keys the version did not
-// touch) written into the trace's spare column set, so it allocates nothing
-// once warm but does cost time proportional to the shard's state, not to the
-// version's difference set. Shards that receive no input do nothing.
-// ResetState drops the histories; each trace keeps at most that one spare.
+// touch) written into a column set off the trace's free list, so it
+// allocates nothing once warm but does cost time proportional to the shard's
+// state, not to the version's difference set. Shards that receive no input
+// do nothing. ResetState drops the histories and keeps their column sets for
+// the next run.
 func (s *Scope) Compact(outer uint32) {
+	if outer > 0 {
+		s.release()
+	}
 	for {
 		cur := s.frontier.Load()
 		if outer+1 <= cur || s.frontier.CompareAndSwap(cur, outer+1) {
@@ -256,11 +275,4 @@ func (s *Scope) compactionOuter() (uint32, bool) {
 		return 0, false
 	}
 	return f - 1, true
-}
-
-// checkQuiescent panics if any pending work remains; used by tests.
-func (s *Scope) checkQuiescent() {
-	if t, ok := s.minPendingTime(); ok {
-		panic(fmt.Sprintf("dataflow: scope not quiescent, pending work at %v", t))
-	}
 }
