@@ -362,52 +362,60 @@ func BenchmarkLPTSkew(b *testing.B) {
 	}
 }
 
-// BenchmarkSpeculativeAdaptive measures speculative segment start on a
-// split-every-batch collection (disjoint views) at Parallelism=4: with
-// -speculate the predicted next segment seeds on an idle replica while the
-// paced planner walks the current batch, converting idle time into overlap.
-// Reported: wall ns/op plus spec-hits / spec-misses / splits for
-// BENCH.json. FinalResults/MaxWork determinism across the flag is pinned by
-// TestSegmentParallelDeterminism.
-func BenchmarkSpeculativeAdaptive(b *testing.B) {
+// BenchmarkParallelAdaptive measures the adaptive planner at Parallelism 1
+// and 4 on two shapes over one graph, at ℓ = 2 and at the default ℓ the CLI
+// and server run with. On disjoint windows differential execution never
+// pays and the optimizer splits, so at Parallelism 4 the predicted next
+// segment seeds on an idle replica while the paced planner walks the
+// current one. On expanding windows sharing wins, nothing splits, and
+// speculation must cost nothing. Reported: wall ns/op plus splits /
+// spec-hits / spec-misses per run. Results equal to Parallelism 1 are
+// pinned by TestParallelAdaptiveSplits and TestParallelAdaptiveKeepsDiffing.
+func BenchmarkParallelAdaptive(b *testing.B) {
 	const k, perView = 16, 2_000
 	g := datagen.Temporal(datagen.TemporalConfig{Nodes: 2_500, Edges: k * perView, Days: 64, Seed: 23})
-	g.Name = "specadapt"
-	names := make([]string, k)
-	adds := make([][]uint32, k)
-	dels := make([][]uint32, k)
-	for v := 0; v < k; v++ {
-		names[v] = fmt.Sprintf("s%d", v)
-		for e := v * perView; e < (v+1)*perView; e++ {
-			adds[v] = append(adds[v], uint32(e))
-			if v > 0 {
-				dels[v] = append(dels[v], uint32(e-perView))
+	g.Name = "paradapt"
+	for _, shape := range []string{"disjoint", "expanding"} {
+		names := make([]string, k)
+		adds := make([][]uint32, k)
+		dels := make([][]uint32, k)
+		for v := 0; v < k; v++ {
+			names[v] = fmt.Sprintf("w%d", v)
+			for e := v * perView; e < (v+1)*perView; e++ {
+				adds[v] = append(adds[v], uint32(e))
+			}
+			if v > 0 && shape == "disjoint" {
+				dels[v] = adds[v-1]
 			}
 		}
-	}
-	col := view.NewCollection("spec-col", g, &view.DiffStream{Names: names, Adds: adds, Dels: dels})
-
-	for _, speculate := range []bool{false, true} {
-		b.Run(fmt.Sprintf("speculate=%v", speculate), func(b *testing.B) {
-			var hits, misses, splits int
-			for i := 0; i < b.N; i++ {
-				res, err := core.RunCollectionContext(context.Background(), col, analytics.WCC{}, core.RunOptions{
-					Mode:        core.Adaptive,
-					Parallelism: 4,
-					BatchSize:   2,
-					Speculate:   speculate,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				hits += res.SpecHits
-				misses += res.SpecMisses
-				splits += res.Splits
+		col := view.NewCollection(shape+"-col", g, &view.DiffStream{Names: names, Adds: adds, Dels: dels})
+		for _, batch := range []int{2, 0} {
+			ell := "default"
+			if batch > 0 {
+				ell = fmt.Sprint(batch)
 			}
-			b.ReportMetric(float64(hits)/float64(b.N), "spec-hits")
-			b.ReportMetric(float64(misses)/float64(b.N), "spec-misses")
-			b.ReportMetric(float64(splits)/float64(b.N), "splits")
-		})
+			for _, par := range []int{1, 4} {
+				b.Run(fmt.Sprintf("%s/batch=%s/parallelism=%d", shape, ell, par), func(b *testing.B) {
+					var hits, misses, splits int
+					for i := 0; i < b.N; i++ {
+						res, err := core.RunCollectionContext(context.Background(), col, analytics.WCC{}, core.RunOptions{
+							Mode:        core.Adaptive,
+							Parallelism: par,
+							BatchSize:   batch,
+						})
+						if err != nil {
+							b.Fatal(err)
+						}
+						hits += res.SpecHits
+						misses += res.SpecMisses
+						splits += res.Splits
+					}
+					b.ReportMetric(float64(splits)/float64(b.N), "splits")
+					b.ReportMetric(float64(hits)/float64(b.N), "spec-hits")
+					b.ReportMetric(float64(misses)/float64(b.N), "spec-misses")
+				})
+			}
+		}
 	}
 }
 

@@ -88,7 +88,7 @@ func usage() {
   graphsurge query -data DIR [-ordering optimize] 'GVDL statements...'
   graphsurge run   -data DIR (-collection NAME | -view NAME) -algorithm ALG [-gvdl STMTS]
                    [-mode diff|scratch|adaptive] [-workers N] [-parallel N] [-weight PROP]
-                   [-schedule fifo|lpt] [-speculate] [-incremental] [-source ID] [-ordering optimize]
+                   [-schedule fifo|lpt] [-incremental] [-source ID] [-ordering optimize]
                    [-cluster HOST:PORT,...] [-trace] [-progress]
                    [-profile cpu|heap] [-profile-out FILE]
   graphsurge mutate -data DIR -graph NAME -json FILE
@@ -102,16 +102,15 @@ func usage() {
 algorithms: wcc, bfs, sssp, pagerank, scc, degree
 -parallel runs up to N independent collection segments concurrently, each on
 its own dataflow replica (scratch mode: every view; adaptive mode: as the
-optimizer declares split points); 0 uses the engine default of 1. Results
+optimizer declares split points, the predicted next one seeded ahead of the
+decision on an idle replica); 0 uses the engine default of 1. Results
 are identical at any setting. Replicas are pooled per (algorithm, workers)
 and recycled via in-place reset, so repeated runs skip dataflow
 construction; per-segment replica setup and drain times are printed
 alongside the per-view lines, followed by per-pool replica statistics.
 -schedule lpt dispatches a static plan's segments longest-predicted-first
-(the cost-model scheduler; fifo keeps collection order). -speculate lets an
-adaptive run seed the predicted next split point's segment on an idle
-replica ahead of the decision, committing on a hit and discarding on a
-miss; hit/miss counts are printed. Neither flag changes results.
+(the cost-model scheduler; fifo keeps collection order) without changing
+results.
 -cluster shards a static-plan run (diff or scratch) across the listed
 worker processes: segments are dispatched in -schedule order to whichever
 worker slot is free, shipped as self-contained shards, and merged in
@@ -522,7 +521,6 @@ func cmdRun(args []string) error {
 	workers := fs.Int("workers", 0, "dataflow workers per replica (0 = this engine's default locally, each worker's own -workers on a cluster run)")
 	parallel := fs.Int("parallel", 0, "independent collection segments executed concurrently (0 = engine default)")
 	schedName := fs.String("schedule", "fifo", "static-plan segment dispatch order: fifo | lpt")
-	speculate := fs.Bool("speculate", false, "adaptive mode: seed the predicted next split point's segment on an idle replica")
 	incremental := fs.Bool("incremental", false, "run on the warm incremental replica (first run absorbs the collection; later runs execute only pending mutation deltas)")
 	clusterAddrs := fs.String("cluster", "", "comma-separated worker addresses to shard a static-plan run across")
 	weight := fs.String("weight", "", "integer edge property used as weight")
@@ -589,7 +587,6 @@ func cmdRun(args []string) error {
 			Parallelism: *parallel,
 			WeightProp:  *weight,
 			Schedule:    policy,
-			Speculate:   *speculate,
 			Incremental: *incremental,
 		},
 	}
@@ -627,9 +624,7 @@ func cmdRun(args []string) error {
 	}
 	res := resp.(*core.RunResult)
 	core.WriteRunSummary(out, res)
-	if *speculate {
-		core.WriteSpeculation(out, res)
-	}
+	core.WriteSpeculation(out, res)
 	if coord != nil {
 		coord.WriteStats(out)
 	}

@@ -68,7 +68,7 @@ func TestCommandsEndToEnd(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// Cost-model scheduling and speculation flags.
+	// Cost-model scheduling, and an adaptive run that speculates.
 	if err := cmdRun([]string{
 		"-data", data,
 		"-collection", "c",
@@ -85,7 +85,6 @@ func TestCommandsEndToEnd(t *testing.T) {
 		"-algorithm", "wcc",
 		"-mode", "adaptive",
 		"-parallel", "2",
-		"-speculate",
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -288,7 +288,7 @@ func (e *Engine) runnerPool(comp analytics.Computation, workers, parallelism int
 		// replica can never be recycled into a different computation (and a
 		// private estimator, since costs learned for one closure could
 		// describe a semantically different one).
-		return analytics.NewPool(comp, workers, parallelism), nil
+		return analytics.NewPool(comp, workers, parallelism), &schedule.Estimator{}
 	}
 	key := poolKey{name: comp.Name(), ident: compIdentity(comp), workers: workers}
 	e.warmMu.Lock()

@@ -59,9 +59,9 @@ func (m *ExecMode) UnmarshalText(text []byte) error {
 
 // RunOptions configures a computation run over a collection. The exported
 // fields are plain values with JSON names, so the struct doubles as the wire
-// options of a Session RunRequest (internal/server); the non-serializable
-// hooks (Estimator, OnSegment) are local-caller extensions excluded from the
-// wire form.
+// options of a Session RunRequest (internal/server); the one
+// non-serializable hook, OnSegment, is a local-caller extension excluded
+// from the wire form.
 type RunOptions struct {
 	Mode ExecMode `json:"mode"`
 	// Workers overrides the engine default when > 0.
@@ -83,8 +83,9 @@ type RunOptions struct {
 	// appends to the stream prefix it has absorbed, and rebuilds cold when it
 	// can prove neither. RunResult.Incremental and CachedPrefix report which
 	// happened; stats and work counters cover only what was stepped. Only
-	// Engine runs support it; Mode, Parallelism, Schedule and Speculate are
-	// ignored — an incremental run is a single replica stepping diffs.
+	// Engine runs support it; Mode, Parallelism and Schedule are ignored —
+	// an incremental run is a single replica stepping diffs, so it neither
+	// splits nor speculates.
 	Incremental bool `json:"incremental,omitempty"`
 	// BatchSize overrides the adaptive optimizer's ℓ (default 10).
 	BatchSize int `json:"batchSize,omitempty"`
@@ -94,22 +95,6 @@ type RunOptions struct {
 	// Results are identical either way — only scheduling changes. Adaptive
 	// mode plans online and ignores it.
 	Schedule schedule.Policy `json:"schedule,omitempty"`
-	// Speculate enables speculative segment start in Adaptive mode with
-	// Parallelism > 1: while the planner is still deciding, the predicted
-	// next split point's segment is seeded on an idle replica, committed if
-	// the prediction hits and discarded (the replica is released and reset)
-	// if it misses. It also paces the planner to at most one view ahead of
-	// execution so decisions — and therefore predictions — come from warm
-	// models; split points may shift versus the unpaced planner, which is
-	// already true run-to-run. Results are unaffected; only replica idle
-	// time and split placement are.
-	Speculate bool `json:"speculate,omitempty"`
-	// Estimator, when non-nil, is the cost model LPT scheduling consults and
-	// every run's per-view observations warm. Engine.RunCollection supplies
-	// one persisted per (computation, workers) so later static runs are
-	// scheduled with learned costs; nil gives the run a private, initially
-	// cold estimator that falls back to view/diff sizes.
-	Estimator *schedule.Estimator `json:"-"`
 	// OnSegment, when set, is invoked once per completed segment with its
 	// stats, as the segment finishes — from the executor goroutine that
 	// finished it, concurrently with other segments and before the run
@@ -135,8 +120,8 @@ type ViewStats struct {
 // covered, the time spent acquiring its replica (building or resetting the
 // dataflow, plus the seed membership scan), the wall-clock time the replica
 // spent stepping the segment's views, and whether the segment was opened by
-// a committed speculation (its seed view ran before the planner declared the
-// split; see RunOptions.Speculate).
+// a committed speculation (its seed view ran on an idle replica before the
+// adaptive planner declared the split).
 type SegmentStats struct {
 	Start       int           `json:"start"`
 	End         int           `json:"end"`
@@ -169,8 +154,9 @@ type RunResult struct {
 	Splits int           `json:"splits"` // number of from-scratch runs after view 0
 	// SpecHits counts speculatively seeded segments the planner committed
 	// (the prediction named the split point the optimizer then declared);
-	// SpecMisses counts seeded segments it discarded. Both are zero unless
-	// RunOptions.Speculate was set on an adaptive run with Parallelism > 1.
+	// SpecMisses counts seeded segments it discarded. Both are zero outside
+	// adaptive runs with Parallelism > 1, the only ones with an idle replica
+	// to speculate on.
 	SpecHits   int `json:"specHits,omitempty"`
 	SpecMisses int `json:"specMisses,omitempty"`
 	// Incremental reports that the run reused a warm replica
@@ -244,10 +230,9 @@ func (r *RunResult) IterCapHit() bool { return r.iterCap }
 // Workers and Parallelism default to the engine's Options when unset, the
 // run draws its dataflow replicas from the engine's warm runner pool for
 // (computation, workers), so repeated and concurrent calls amortize dataflow
-// construction (see DESIGN.md on the engine pool lifecycle), and — unless
-// the caller supplied its own — the run is scheduled with the engine's
-// persistent cost estimator for that key, so LPT dispatch orders segments
-// by costs learned from earlier runs.
+// construction (see DESIGN.md on the engine pool lifecycle), and the run is
+// scheduled with the engine's persistent cost estimator for that key, so LPT
+// dispatch orders segments by costs learned from earlier runs.
 //
 // ctx cancels the run: segment dispatch stops, replicas waiting for pool
 // slots abandon the wait, and every already-acquired replica returns to the
@@ -313,10 +298,7 @@ func (e *Engine) RunSharded(ctx context.Context, col *view.Collection, comp anal
 		res, err = e.runIncremental(ctx, col, comp, opts)
 	} else {
 		pool, est := e.runnerPool(comp, opts.Workers, opts.Parallelism)
-		if opts.Estimator == nil {
-			opts.Estimator = est
-		}
-		res, err = runCollection(ctx, col, comp, opts, pool, remote)
+		res, err = runCollection(ctx, col, comp, opts, pool, est, remote)
 	}
 	span.End()
 	obs.M.RunsInflight.Add(-1)
@@ -360,15 +342,17 @@ func normalizeRunOptions(opts *RunOptions) {
 // Engine.RunCollection.
 func RunCollectionContext(ctx context.Context, col *view.Collection, comp analytics.Computation, opts RunOptions) (*RunResult, error) {
 	normalizeRunOptions(&opts)
-	return runCollection(ctx, col, comp, opts, analytics.NewPool(comp, opts.Workers, opts.Parallelism), remoteSlots{})
+	return runCollection(ctx, col, comp, opts, analytics.NewPool(comp, opts.Workers, opts.Parallelism), &schedule.Estimator{}, remoteSlots{})
 }
 
-// runCollection is the shared executor body. The replica pool may be private
-// to this run (RunCollectionContext) or engine-owned and shared with
-// concurrent runs; either way a per-run admission limiter caps this run's
-// concurrently live replicas at opts.Parallelism, and every replica returns
-// to the pool as its segment completes.
-func runCollection(ctx context.Context, col *view.Collection, comp analytics.Computation, opts RunOptions, shared *analytics.Pool, remote remoteSlots) (*RunResult, error) {
+// runCollection is the shared executor body. The replica pool and the cost
+// estimator may be private to this run (RunCollectionContext) or
+// engine-owned and shared with concurrent runs; either way a per-run
+// admission limiter caps this run's concurrently live replicas at
+// opts.Parallelism, every replica returns to the pool as its segment
+// completes, and every executed view warms est, the model LPT dispatch
+// consults.
+func runCollection(ctx context.Context, col *view.Collection, comp analytics.Computation, opts RunOptions, shared *analytics.Pool, est *schedule.Estimator, remote remoteSlots) (*RunResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -380,10 +364,6 @@ func runCollection(ctx context.Context, col *view.Collection, comp analytics.Com
 	stream := col.Stream
 	k := stream.NumViews()
 
-	est := opts.Estimator
-	if est == nil {
-		est = &schedule.Estimator{}
-	}
 	cr := &collectionRun{
 		name:     col.Name,
 		stream:   stream,

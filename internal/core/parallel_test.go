@@ -64,21 +64,20 @@ func randomCollection(t testing.TB, k int, seed int64) *view.Collection {
 // check: for WCC and PageRank on a seeded random collection, FinalResults
 // and the per-view ViewSize/DiffSize stats must be byte-identical across
 // Parallelism ∈ {1, 4} × workers ∈ {1, 4}, in all three execution modes —
-// and across the scheduler dimensions: LPT vs FIFO dispatch for static
-// plans, speculation on and off for adaptive runs. Scheduling and
-// speculation may only move work, never change it.
+// and across LPT vs FIFO dispatch for static plans. Adaptive runs at
+// Parallelism 4 speculate and at 1 do not. Scheduling and speculation may
+// only move work, never change it.
 func TestSegmentParallelDeterminism(t *testing.T) {
 	col := randomCollection(t, 8, 42)
 	comps := []analytics.Computation{analytics.WCC{}, analytics.PageRank{}}
 	type variant struct {
-		mode      ExecMode
-		sched     schedule.Policy
-		speculate bool
+		mode  ExecMode
+		sched schedule.Policy
 	}
 	variants := []variant{
 		{mode: DiffOnly}, {mode: DiffOnly, sched: schedule.LPT},
 		{mode: Scratch}, {mode: Scratch, sched: schedule.LPT},
-		{mode: Adaptive}, {mode: Adaptive, speculate: true},
+		{mode: Adaptive},
 	}
 
 	for _, comp := range comps {
@@ -86,15 +85,14 @@ func TestSegmentParallelDeterminism(t *testing.T) {
 		for _, v := range variants {
 			for _, par := range []int{1, 4} {
 				for _, workers := range []int{1, 4} {
-					name := fmt.Sprintf("%s/%s/sched=%s/spec=%v/p=%d/w=%d",
-						comp.Name(), v.mode, v.sched, v.speculate, par, workers)
+					name := fmt.Sprintf("%s/%s/sched=%s/p=%d/w=%d",
+						comp.Name(), v.mode, v.sched, par, workers)
 					res, err := RunCollectionContext(context.Background(), col, comp, RunOptions{
 						Mode:        v.mode,
 						Workers:     workers,
 						Parallelism: par,
 						BatchSize:   2,
 						Schedule:    v.sched,
-						Speculate:   v.speculate,
 					})
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)

@@ -73,9 +73,12 @@ func WriteRunSummary(w io.Writer, res *RunResult) {
 	w.Write(buf.Bytes())
 }
 
-// WriteSpeculation renders the speculation hit/miss line.
+// WriteSpeculation renders the speculation hit/miss line of a run that
+// speculated, and nothing for one that did not.
 func WriteSpeculation(w io.Writer, res *RunResult) {
-	fmt.Fprintf(w, "speculation: %d hits, %d misses\n", res.SpecHits, res.SpecMisses)
+	if res.SpecHits+res.SpecMisses > 0 {
+		fmt.Fprintf(w, "speculation: %d hits, %d misses\n", res.SpecHits, res.SpecMisses)
+	}
 }
 
 // WritePoolStats renders per-pool replica statistics, one line per pool in

@@ -88,6 +88,17 @@ func TestWriteRunSummaryFormat(t *testing.T) {
 	}
 }
 
+// TestWriteSpeculationOnlyWhenSpeculated: the hit/miss line appears for a
+// run that speculated and not for one that had no idle replica to.
+func TestWriteSpeculationOnlyWhenSpeculated(t *testing.T) {
+	var none, some strings.Builder
+	WriteSpeculation(&none, &RunResult{})
+	WriteSpeculation(&some, &RunResult{SpecMisses: 1})
+	if none.String() != "" || some.String() != "speculation: 0 hits, 1 misses\n" {
+		t.Fatalf("rendered %q and %q", none.String(), some.String())
+	}
+}
+
 // TestLockedWriterBlockAtomicity pins the interleaving contract the CLI's
 // -progress mode depends on: with every renderer routed through one
 // LockedWriter, concurrent multi-line blocks (run summaries, pool stats)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -197,6 +198,84 @@ func TestEngineEstimatorWarmsAcrossRuns(t *testing.T) {
 	}
 }
 
+// expandingCollection builds a k-view collection of growing windows: view 0
+// holds base edges and every later view adds step more, so each diff is a
+// small fraction of its view and differential execution reliably pays.
+func expandingCollection(t testing.TB, k, base, step int) *view.Collection {
+	t.Helper()
+	g := datagen.Temporal(datagen.TemporalConfig{Nodes: 400, Edges: base + (k-1)*step, Days: 50, Seed: 19})
+	g.Name = "exp"
+	names := make([]string, k)
+	adds := make([][]uint32, k)
+	for v := 0; v < k; v++ {
+		names[v] = fmt.Sprintf("e%d", v)
+		lo, hi := base+(v-1)*step, base+v*step
+		if v == 0 {
+			lo, hi = 0, base
+		}
+		for e := lo; e < hi; e++ {
+			adds[v] = append(adds[v], uint32(e))
+		}
+	}
+	return view.NewCollection("exp-col", g, &view.DiffStream{Names: names, Adds: adds, Dels: make([][]uint32, k)})
+}
+
+// TestParallelAdaptiveSplits: the parallel adaptive planner decides from
+// observed costs as the inline one does — at the default ℓ as at a small
+// one — so on a collection where differential execution never pays it
+// splits at every parallelism, and its results equal Parallelism 1's.
+func TestParallelAdaptiveSplits(t *testing.T) {
+	col := disjointCollection(t, 12, 400)
+	for _, batch := range []int{0, 2} {
+		opts := RunOptions{Mode: Adaptive, Parallelism: 1, BatchSize: batch}
+		base, err := RunCollectionContext(context.Background(), col, analytics.WCC{}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, par := range []int{2, 4} {
+			opts.Parallelism = par
+			res, err := RunCollectionContext(context.Background(), col, analytics.WCC{}, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Splits == 0 {
+				t.Fatalf("ℓ=%d p=%d: no split on a collection differential execution never pays for (p=1: %d)", batch, par, base.Splits)
+			}
+			if !reflect.DeepEqual(res.FinalResults(), base.FinalResults()) {
+				t.Fatalf("ℓ=%d p=%d: results differ from Parallelism 1", batch, par)
+			}
+		}
+	}
+}
+
+// TestParallelAdaptiveKeepsDiffing: where differential execution pays, the
+// parallel planner must not split either. Its first modeled decision, at
+// view 2, covers the whole first batch of ℓ = 10 views; made from the
+// scratch observation alone, before view 1's diff is observed, it would run
+// all of them from scratch.
+func TestParallelAdaptiveKeepsDiffing(t *testing.T) {
+	col := expandingCollection(t, 12, 3000, 150)
+	base, err := RunCollectionContext(context.Background(), col, analytics.WCC{}, RunOptions{Mode: Adaptive, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.Splits != 0 {
+		t.Fatalf("p=1 split %d times on expanding windows", base.Splits)
+	}
+	for _, par := range []int{2, 4} {
+		res, err := RunCollectionContext(context.Background(), col, analytics.WCC{}, RunOptions{Mode: Adaptive, Parallelism: par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Splits != 0 || res.SpecHits+res.SpecMisses != 0 {
+			t.Fatalf("p=%d: %d splits, %d+%d speculations on expanding windows", par, res.Splits, res.SpecHits, res.SpecMisses)
+		}
+		if !reflect.DeepEqual(res.FinalResults(), base.FinalResults()) {
+			t.Fatalf("p=%d: results differ from Parallelism 1", par)
+		}
+	}
+}
+
 // TestSpeculativeAdaptive drives the speculation lifecycle on a collection
 // that splits at every batch boundary: results must match the sequential
 // baseline exactly, committed speculations must be marked on their
@@ -209,7 +288,7 @@ func TestSpeculativeAdaptive(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := RunCollectionContext(context.Background(), col, analytics.WCC{}, RunOptions{
-		Mode: Adaptive, Parallelism: 4, BatchSize: 2, Speculate: true,
+		Mode: Adaptive, Parallelism: 4, BatchSize: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -298,7 +377,7 @@ func TestDispatchAcquireFailure(t *testing.T) {
 		pool := analytics.NewPool(comp, 1, 2)
 		_, err := runCollection(context.Background(), col, comp, RunOptions{
 			Mode: Scratch, Workers: 1, Parallelism: 2, Schedule: policy,
-		}, pool, remoteSlots{})
+		}, pool, &schedule.Estimator{}, remoteSlots{})
 		if err == nil {
 			t.Fatalf("%v: expected injected failure, got nil", policy)
 		}
@@ -311,27 +390,21 @@ func TestDispatchAcquireFailure(t *testing.T) {
 
 // TestRunAdaptiveAcquireFailure: an Acquire failure at an adaptive split
 // exercises the fail drain — already-dispatched segments finish, the error
-// surfaces, and neither slots nor goroutines leak. The inline case
-// (Parallelism=1) guarantees splits because every decision sees all
-// observations; the parallel case uses speculation's paced planner for the
-// same reason, and additionally drains async segments and resolves the
-// outstanding speculation on the way out. (An unpaced parallel planner
-// decides with cold models and never splits, so it cannot reach a failing
-// acquire — there is nothing to test there.)
+// surfaces, and neither slots nor goroutines leak. Both planners reach a
+// split because every decision sees the observations of all views but at
+// most the one in flight; the parallel one additionally drains async
+// segments and resolves the outstanding speculation on the way out.
 func TestRunAdaptiveAcquireFailure(t *testing.T) {
 	col := disjointCollection(t, 8, 300)
-	for _, c := range []struct {
-		par       int
-		speculate bool
-	}{{1, false}, {2, true}} {
-		name := fmt.Sprintf("p=%d/speculate=%v", c.par, c.speculate)
+	for _, par := range []int{1, 2} {
+		name := fmt.Sprintf("p=%d", par)
 		base := runtime.NumGoroutine()
 		builds := int32(1)
 		comp := failComp{builds: &builds}
-		pool := analytics.NewPool(comp, 1, c.par)
+		pool := analytics.NewPool(comp, 1, par)
 		_, err := runCollection(context.Background(), col, comp, RunOptions{
-			Mode: Adaptive, Workers: 1, Parallelism: c.par, BatchSize: 2, Speculate: c.speculate,
-		}, pool, remoteSlots{})
+			Mode: Adaptive, Workers: 1, Parallelism: par, BatchSize: 2,
+		}, pool, &schedule.Estimator{}, remoteSlots{})
 		if err == nil {
 			t.Fatalf("%s: no error despite acquire failures at splits", name)
 		}

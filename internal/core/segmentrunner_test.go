@@ -100,6 +100,7 @@ func TestSegmentPipelineEquivalence(t *testing.T) {
 		opts    RunOptions
 		workers int  // in-process workers lent to the run as remote slots
 		kill    bool // the first worker dies after one shard
+		spec    bool // the run must launch speculative segment starts
 	}{
 		{name: "local p=1", modes: static, opts: RunOptions{Parallelism: 1}},
 		{name: "local p=3 fifo", modes: static, opts: RunOptions{Parallelism: 3}},
@@ -109,7 +110,9 @@ func TestSegmentPipelineEquivalence(t *testing.T) {
 		{name: "worker killed mid-run", modes: []ExecMode{Scratch}, opts: RunOptions{Parallelism: 2}, workers: 2, kill: true},
 		{name: "adaptive p=1", modes: []ExecMode{Adaptive}, opts: RunOptions{Parallelism: 1, BatchSize: 2}},
 		{name: "adaptive p=3", modes: []ExecMode{Adaptive}, opts: RunOptions{Parallelism: 3, BatchSize: 2}},
-		{name: "adaptive p=3 speculate", modes: []ExecMode{Adaptive}, opts: RunOptions{Parallelism: 3, BatchSize: 2, Speculate: true}},
+		// A decision at every view: each one resolves the outstanding
+		// speculation, so hits and misses both get exercised.
+		{name: "adaptive p=3 speculate", modes: []ExecMode{Adaptive}, opts: RunOptions{Parallelism: 3, BatchSize: 1}, spec: true},
 	}
 	for _, c := range cases {
 		for _, mode := range c.modes {
@@ -175,6 +178,20 @@ func TestSegmentPipelineEquivalence(t *testing.T) {
 					}
 					if st.Duration <= 0 {
 						t.Fatalf("view %d has no measured duration", i)
+					}
+				}
+				if c.spec {
+					specSegs := 0
+					for _, seg := range res.Segments {
+						if seg.Speculative {
+							specSegs++
+						}
+					}
+					if specSegs != res.SpecHits {
+						t.Fatalf("%d speculative segments but %d hits", specSegs, res.SpecHits)
+					}
+					if res.SpecHits+res.SpecMisses == 0 {
+						t.Fatalf("no speculation launched with idle replicas (splits: %d)", res.Splits)
 					}
 				}
 				if mode != Adaptive {

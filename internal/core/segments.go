@@ -424,6 +424,11 @@ type viewJob struct {
 	seed *graph.EdgeBatch // non-nil exactly on the segment's first view
 }
 
+// barrier is a no-op job: sending it on a segment's unbuffered queue returns
+// only once the consumer has finished every view queued before it, so their
+// observations are in the models.
+var barrier = viewJob{t: -1}
+
 // runJob executes one planned view on the segment's replica.
 func (cr *collectionRun) runJob(s *segmentExec, j viewJob) {
 	began := time.Now()
@@ -437,7 +442,7 @@ func (cr *collectionRun) runJob(s *segmentExec, j viewJob) {
 // it), but no further dataflow steps start.
 func (cr *collectionRun) consume(ctx context.Context, s *segmentExec) {
 	for j := range s.jobs {
-		if ctx.Err() != nil {
+		if j == barrier || ctx.Err() != nil {
 			continue
 		}
 		cr.runJob(s, j)
@@ -455,18 +460,18 @@ type speculation struct {
 }
 
 // speculate predicts the planner's next split point from the optimizer's
-// current models and, when this run has an idle replica slot, seeds that
-// segment on it ahead of the decision: the replica is acquired, the seed
-// built on a fork of the scan (the parent scan cannot rewind if the
-// prediction misses short), and the predicted view stepped from scratch.
-// The segment is independent dataflow state, so the work is correct
-// whether or not the planner later declares the split — a hit converts
-// replica idle time into overlap, a miss releases the replica (its state
-// is discarded by the pool's reset on the next acquire). Returns nil when
-// no split is predicted.
-func (cr *collectionRun) speculate(ctx context.Context, opt *splitting.Optimizer, mu *sync.Mutex, pool *runPool, scan *seedScan, from, k int, diffs []int) *speculation {
+// current models (Optimizer.NextSplit) and, when this run has an idle
+// replica slot, seeds that segment on it ahead of the decision: the replica
+// is acquired, the seed built on a fork of the scan (the parent scan cannot
+// rewind if the prediction misses short), and the predicted view stepped
+// from scratch. The segment is independent dataflow state, so the work is
+// correct whether or not the planner later declares the split — a hit
+// converts replica idle time into overlap, a miss releases the replica (its
+// state is discarded by the pool's reset on the next acquire). Returns nil
+// when no split is predicted.
+func (cr *collectionRun) speculate(ctx context.Context, opt *splitting.Optimizer, mu *sync.Mutex, pool *runPool, scan *seedScan, from int, diffs []int) *speculation {
 	mu.Lock()
-	p, ok := schedule.PredictSplit(opt, from, k, cr.sizes, diffs)
+	p, ok := opt.NextSplit(from, cr.sizes, diffs)
 	mu.Unlock()
 	if !ok {
 		return nil
@@ -502,18 +507,19 @@ func (cr *collectionRun) speculate(ctx context.Context, opt *splitting.Optimizer
 // With Parallelism=1 each view executes inline before the next decision, so
 // every decision sees all prior observations — exactly the sequential
 // executor's behavior. With Parallelism>1 the open segment's views are
-// executed by a dedicated goroutine consuming a queue: when a split closes a
-// segment, its tail can still be draining while the next segment seeds on a
-// fresh replica, overlapping independent sub-collections. Decisions then use
-// whatever observations have arrived (the models are merely less warm, never
-// wrong), so split points — but not results — may vary with timing, just as
-// they already vary with machine load sequentially.
-//
-// With Speculate additionally set, an idle replica is seeded with the
-// predicted next split point's segment while the planner is still deciding
-// (see speculate); a speculative seed view's outcome and model observations
-// are recorded only if its segment commits, so a miss leaves the run's
-// results, ViewStats and work aggregates exactly as if it never happened.
+// executed by a dedicated goroutine consuming an unbuffered queue: the
+// planner stays at most one view ahead of execution, so every decision sees
+// the observations of all views but the one in flight — except the first
+// modeled one, view 2's, which waits for view 1 to finish so that it sees
+// both bootstrap observations as the inline planner does — and when a split
+// closes a segment its tail can still be draining while the next segment
+// seeds on a fresh replica. Whenever the run has an idle replica slot the
+// predicted next split point's segment is seeded on it while the planner is
+// still deciding (see speculate); a speculative seed view's outcome and
+// model observations are recorded only if its segment commits, so a miss
+// leaves the run's results, ViewStats and work aggregates exactly as if it
+// never happened. Split points — never results — may vary with timing, as
+// they already do run to run sequentially.
 func (cr *collectionRun) runAdaptive(ctx context.Context, opts RunOptions, pool *runPool, scan *seedScan) (splitting.Plan, error) {
 	k := cr.stream.NumViews()
 	opt := &splitting.Optimizer{BatchSize: opts.BatchSize}
@@ -538,11 +544,7 @@ func (cr *collectionRun) runAdaptive(ctx context.Context, opts RunOptions, pool 
 	// Inline is this run's parallelism, not the pool's capacity: a shared
 	// engine pool may be larger than this run is allowed to use.
 	inline := opts.Parallelism == 1
-	speculating := opts.Speculate && !inline
-	var diffs []int
-	if speculating {
-		diffs = diffSizes(cr.stream)
-	}
+	diffs := diffSizes(cr.stream)
 	var segs []*segmentExec // asynchronously executing segments, in order
 	var cur *segmentExec
 	var spec *speculation
@@ -637,17 +639,7 @@ func (cr *collectionRun) runAdaptive(ctx context.Context, opts RunOptions, pool 
 				}
 			}
 			if !inline {
-				// Speculative mode paces the planner: an unbuffered queue
-				// keeps it at most one view ahead of execution, so decisions
-				// see near-sequential observations — the "pending decision"
-				// whose replica idle time speculation converts into overlap.
-				// Without speculation the queue is deep and the planner runs
-				// ahead, deciding with whatever observations have arrived.
-				bufCap := k - t
-				if speculating {
-					bufCap = 0
-				}
-				cur.jobs = make(chan viewJob, bufCap)
+				cur.jobs = make(chan viewJob)
 				cur.done = make(chan struct{})
 				segs = append(segs, cur)
 				go cr.consume(ctx, cur)
@@ -664,8 +656,21 @@ func (cr *collectionRun) runAdaptive(ctx context.Context, opts RunOptions, pool 
 				cur.jobs <- j
 			}
 		}
-		if speculating && spec == nil && pool.Free() > 0 {
-			spec = cr.speculate(ctx, opt, &mu, pool, scan, t+1, k, diffs)
+		// No modeled choice — view 2's decision or a split prediction — is
+		// made before both models hold an observation: from the scratch
+		// model alone peekMode picks scratch, and Decide would apply it to
+		// the whole first batch of ℓ views. So the parallel planner waits
+		// once, for view 1's diff observation.
+		if t == 0 {
+			continue
+		}
+		if t == 1 && !inline {
+			cur.jobs <- barrier
+		}
+		// The open segment holds a slot, so at Parallelism=1 none is ever
+		// free and the inline path never speculates.
+		if spec == nil && pool.Free() > 0 {
+			spec = cr.speculate(ctx, opt, &mu, pool, scan, t+1, diffs)
 		}
 	}
 	if cur == nil {

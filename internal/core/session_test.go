@@ -13,6 +13,7 @@ import (
 	"graphsurge/internal/dataflow"
 	"graphsurge/internal/graph"
 	"graphsurge/internal/gvdl"
+	"graphsurge/internal/schedule"
 )
 
 // TestSessionDoTypedRequests drives every request type through one Session
@@ -198,7 +199,7 @@ func TestCancelMidRunReturnsReplicas(t *testing.T) {
 		opts RunOptions
 	}{
 		{"static", RunOptions{Mode: Scratch, Workers: 1, Parallelism: 2}},
-		{"adaptive", RunOptions{Mode: Adaptive, Workers: 1, Parallelism: 2, Speculate: true}},
+		{"adaptive", RunOptions{Mode: Adaptive, Workers: 1, Parallelism: 2}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			comp := newGatedComp()
@@ -207,7 +208,7 @@ func TestCancelMidRunReturnsReplicas(t *testing.T) {
 			defer cancel()
 			errCh := make(chan error, 1)
 			go func() {
-				_, err := runCollection(ctx, col, comp, tc.opts, pool, remoteSlots{})
+				_, err := runCollection(ctx, col, comp, tc.opts, pool, &schedule.Estimator{}, remoteSlots{})
 				errCh <- err
 			}()
 			<-comp.started

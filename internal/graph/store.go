@@ -6,6 +6,8 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -24,11 +26,12 @@ var ErrCorruptGraph = errors.New("graph: corrupt persisted graph")
 // files). A Store with an empty directory is memory-only.
 //
 // Mutations persist as a journal next to the snapshot: each applied
-// MutationBatch appends one length-prefixed gob frame to <name>.mutations.gob,
+// MutationBatch appends one checksummed gob frame to <name>.mutations.gob,
 // and load replays the journal over the snapshot, so restarts recover the
 // exact post-mutation graph (same version, same edge indices) without
 // rewriting the snapshot on every batch. Re-adding a graph writes a fresh
-// snapshot and truncates its journal.
+// snapshot (through WriteFileAtomic, so a crash leaves the old one or the
+// new one) and truncates its journal.
 type Store struct {
 	mu     sync.RWMutex
 	dir    string
@@ -82,24 +85,45 @@ func (s *Store) Graph(name string) (*Graph, error) {
 		return g, nil
 	}
 	if s.dir != "" {
-		g, err := s.load(name)
+		// Load without the lock, so a cold load of a large graph stalls
+		// neither lookups of loaded graphs nor mutations of other ones.
+		g, fix, err := s.load(name)
 		switch {
 		case err == nil:
-			s.mu.Lock()
-			// A concurrent load may have won the race; keep the registered one
-			// so every caller shares a single *Graph.
-			if prev, ok := s.graphs[name]; ok {
-				g = prev
-			} else {
-				s.graphs[name] = g
-			}
-			s.mu.Unlock()
-			return g, nil
+			return s.register(name, g, fix)
 		case !errors.Is(err, os.ErrNotExist):
 			return nil, err
 		}
 	}
 	return nil, fmt.Errorf("graph: no graph named %q", name)
+}
+
+// register publishes a graph loaded from disk, first rewriting its journal
+// to fix when the load found it needs a repair (non-nil fix). Both happen
+// under the lock: the repair must not race an append to the same journal,
+// and every caller shares the one *Graph registered here — if another
+// loader registered the name first, its graph is returned and this one is
+// discarded unrepaired.
+func (s *Store) register(name string, g *Graph, fix []byte) (*Graph, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if prev, ok := s.graphs[name]; ok {
+		return prev, nil
+	}
+	if fix != nil {
+		jp, err := s.journalPath(name)
+		if err == nil {
+			err = WriteFileAtomic(jp, func(w io.Writer) error {
+				_, err := w.Write(fix)
+				return err
+			})
+		}
+		if err != nil {
+			return nil, fmt.Errorf("graph: repairing journal for %q: %w", name, err)
+		}
+	}
+	s.graphs[name] = g
+	return g, nil
 }
 
 // ApplyMutation validates a batch against a named graph, journals it, and
@@ -170,12 +194,7 @@ func (s *Store) persist(g *Graph) error {
 	if err != nil {
 		return err
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := gob.NewEncoder(f).Encode(g); err != nil {
+	if err := WriteFileAtomic(path, func(w io.Writer) error { return gob.NewEncoder(w).Encode(g) }); err != nil {
 		return fmt.Errorf("graph: persisting %q: %w", g.Name, err)
 	}
 	// A fresh snapshot is a new journal epoch: drop any frames from the
@@ -190,9 +209,120 @@ func (s *Store) persist(g *Graph) error {
 	return nil
 }
 
-// appendJournal writes one mutation frame: uvarint payload length followed
-// by the gob-encoded batch. Length prefixes make truncation detectable on
-// replay instead of silently decoding garbage.
+// WriteFileAtomic replaces path with what write produces: the bytes go to a
+// temporary file in the same directory, renamed over path only once write
+// and Close succeed, so a crash or failure mid-write leaves the previous file
+// (or none), never a torn one. The temporary name ends in ".tmp", never in a
+// suffix a directory scan enumerates (".collection.gob"), so one a crash
+// leaves behind is ignored. Nothing is fsynced: the replacement is atomic,
+// not yet durable.
+func WriteFileAtomic(path string, write func(io.Writer) error) error {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
+	if err != nil {
+		return err
+	}
+	err = f.Chmod(0o644) // CreateTemp's 0600 would narrow what os.Create made
+	if err == nil {
+		err = write(f)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
+}
+
+// The journal format: journalMagic, then one frame per mutation batch — a
+// frameHeader-byte header (payload length, the payload's CRC-32, and a CRC-32
+// of those eight bytes, so a damaged length is caught before it is trusted
+// to find the next frame) followed by the gob-encoded batch. The magic's
+// first byte is zero, which never opens a journal of the earlier headerless
+// format (a uvarint payload length, never zero, then the payload): such
+// journals still replay, without checksums, and the load that replays one
+// rewrites it in the current format.
+const (
+	journalMagic = "\x00gsj1"
+	frameHeader  = 12
+)
+
+// errTornTail marks a damaged frame with nothing but zeros after it: the
+// normal result of a crash during an append, recovered by cutting the frame
+// off.
+var errTornTail = errors.New("torn final frame")
+
+// appendFrame appends one journal frame carrying payload to buf.
+func appendFrame(buf, payload []byte) []byte {
+	var h [frameHeader]byte
+	binary.LittleEndian.PutUint32(h[0:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(h[4:], crc32.ChecksumIEEE(payload))
+	binary.LittleEndian.PutUint32(h[8:], crc32.ChecksumIEEE(h[:8]))
+	return append(append(buf, h[:]...), payload...)
+}
+
+// readFrame returns the payload of the frame at data[off:] and the offset
+// after it. A frame cut short by the end of data is errTornTail, and so is a
+// frame failing a checksum with nothing but zero bytes after the part that
+// failed — what a crash leaves when the file's new length persisted before
+// its data. No frame hides in zeros (a header's own checksum is never zero
+// over zeros), so nothing committed is lost. Any other damage is corruption.
+func readFrame(data []byte, off int) ([]byte, int, error) {
+	rest := data[off:]
+	if len(rest) < frameHeader {
+		return nil, 0, errTornTail
+	}
+	h := rest[:frameHeader]
+	if crc32.ChecksumIEEE(h[:8]) != binary.LittleEndian.Uint32(h[8:]) {
+		if zeros(rest[frameHeader:]) {
+			return nil, 0, errTornTail
+		}
+		return nil, 0, errors.New("frame header checksum mismatch")
+	}
+	n := int(binary.LittleEndian.Uint32(h[0:]))
+	if n > len(rest)-frameHeader {
+		return nil, 0, errTornTail
+	}
+	end := off + frameHeader + n
+	payload := data[off+frameHeader : end]
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(h[4:]) {
+		if zeros(data[end:]) {
+			return nil, 0, errTornTail
+		}
+		return nil, 0, errors.New("frame checksum mismatch")
+	}
+	return payload, end, nil
+}
+
+// zeros reports whether every byte of b is zero.
+func zeros(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// readLegacyFrame reads a frame of the headerless format: a uvarint payload
+// length, then the payload. With no checksum to tell a torn tail from
+// damage, every short frame is corruption.
+func readLegacyFrame(data []byte, off int) ([]byte, int, error) {
+	n, k := binary.Uvarint(data[off:])
+	if k <= 0 || n > uint64(len(data)-off-k) {
+		return nil, 0, errors.New("truncated frame")
+	}
+	start := off + k
+	return data[start : start+int(n)], start + int(n), nil
+}
+
+// appendJournal writes one mutation frame, opening a new journal with
+// journalMagic. Every journal it appends to is in the current format: a
+// snapshot write removes the old journal, and the load that registers a
+// graph rewrites a headerless one.
 func (s *Store) appendJournal(name string, mb *MutationBatch) error {
 	jp, err := s.journalPath(name)
 	if err != nil {
@@ -202,13 +332,19 @@ func (s *Store) appendJournal(name string, mb *MutationBatch) error {
 	if err := gob.NewEncoder(&payload).Encode(mb); err != nil {
 		return fmt.Errorf("graph: journaling mutation for %q: %w", name, err)
 	}
-	frame := binary.AppendUvarint(nil, uint64(payload.Len()))
-	frame = append(frame, payload.Bytes()...)
 	f, err := os.OpenFile(jp, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(frame); err != nil {
+	fi, err := f.Stat()
+	if err == nil {
+		var frame []byte
+		if fi.Size() == 0 {
+			frame = []byte(journalMagic)
+		}
+		_, err = f.Write(appendFrame(frame, payload.Bytes()))
+	}
+	if err != nil {
 		f.Close()
 		return fmt.Errorf("graph: journaling mutation for %q: %w", name, err)
 	}
@@ -216,62 +352,90 @@ func (s *Store) appendJournal(name string, mb *MutationBatch) error {
 }
 
 // load reads a snapshot, replays its mutation journal, and validates the
-// result. Every integrity failure — undecodable snapshot, truncated or
-// invalid journal frame, a replayed graph that fails Validate — fails
-// closed with ErrCorruptGraph.
-func (s *Store) load(name string) (*Graph, error) {
+// result, returning with it the bytes the journal must be rewritten to when
+// it needs a repair (nil when it does not; see replayJournal). Every
+// integrity failure — undecodable snapshot, corrupt or invalid journal
+// frame, a replayed graph that fails Validate — fails closed with
+// ErrCorruptGraph.
+func (s *Store) load(name string) (*Graph, []byte, error) {
 	path, err := s.path(name)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer f.Close()
 	var g Graph
 	if err := gob.NewDecoder(f).Decode(&g); err != nil {
-		return nil, fmt.Errorf("%w: %q: %v", ErrCorruptGraph, name, err)
+		return nil, nil, fmt.Errorf("%w: %q: %v", ErrCorruptGraph, name, err)
 	}
-	if err := s.replayJournal(name, &g); err != nil {
-		return nil, err
+	fix, err := s.replayJournal(name, &g)
+	if err != nil {
+		return nil, nil, err
 	}
 	if err := g.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %q: %v", ErrCorruptGraph, name, err)
+		return nil, nil, fmt.Errorf("%w: %q: %v", ErrCorruptGraph, name, err)
 	}
-	return &g, nil
+	return &g, fix, nil
 }
 
 // replayJournal applies every journal frame to a freshly loaded snapshot.
-// A missing journal means no mutations since the snapshot.
-func (s *Store) replayJournal(name string, g *Graph) error {
+// A missing journal means no mutations since the snapshot. A torn final
+// frame — what a crash during an append leaves — is dropped, and the graph
+// loads at the version of the last whole frame; any other damage fails
+// closed. The journal itself is left untouched: when it needs a repair — a
+// torn tail to cut off, or a headerless journal to bring to the current
+// format — the bytes it must hold are returned for the caller to write.
+func (s *Store) replayJournal(name string, g *Graph) ([]byte, error) {
 	jp, err := s.journalPath(name)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	data, err := os.ReadFile(jp)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
-			return nil
+			return nil, nil
 		}
-		return err
+		return nil, err
 	}
-	frame := 0
-	for len(data) > 0 {
-		n, k := binary.Uvarint(data)
-		if k <= 0 || n > uint64(len(data)-k) {
-			return fmt.Errorf("%w: %q: truncated mutation journal at frame %d", ErrCorruptGraph, name, frame)
+	read, off := readFrame, len(journalMagic)
+	legacy := len(data) > 0 && data[0] != journalMagic[0]
+	switch {
+	case len(data) == 0:
+		return nil, nil
+	case legacy:
+		read, off = readLegacyFrame, 0
+	case len(data) < off && journalMagic[:len(data)] == string(data):
+		// A crash cut the header of a new journal: nothing was committed.
+		return []byte(journalMagic), nil
+	case !bytes.HasPrefix(data, []byte(journalMagic)):
+		return nil, fmt.Errorf("%w: %q: unknown mutation journal header", ErrCorruptGraph, name)
+	}
+	var fix []byte // a legacy journal's current-format copy
+	if legacy {
+		fix = []byte(journalMagic)
+	}
+	for frame := 0; off < len(data); frame++ {
+		payload, next, err := read(data, off)
+		if errors.Is(err, errTornTail) {
+			return data[:off], nil
 		}
-		data = data[k:]
+		if err != nil {
+			return nil, fmt.Errorf("%w: %q: mutation journal frame %d: %v", ErrCorruptGraph, name, frame, err)
+		}
 		var mb MutationBatch
-		if err := gob.NewDecoder(bytes.NewReader(data[:n])).Decode(&mb); err != nil {
-			return fmt.Errorf("%w: %q: undecodable mutation journal frame %d: %v", ErrCorruptGraph, name, frame, err)
+		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&mb); err != nil {
+			return nil, fmt.Errorf("%w: %q: undecodable mutation journal frame %d: %v", ErrCorruptGraph, name, frame, err)
 		}
-		data = data[n:]
 		if _, err := g.ApplyMutation(&mb); err != nil {
-			return fmt.Errorf("%w: %q: replaying mutation journal frame %d: %v", ErrCorruptGraph, name, frame, err)
+			return nil, fmt.Errorf("%w: %q: replaying mutation journal frame %d: %v", ErrCorruptGraph, name, frame, err)
 		}
-		frame++
+		if legacy {
+			fix = appendFrame(fix, payload)
+		}
+		off = next
 	}
-	return nil
+	return fix, nil
 }

@@ -1,20 +1,13 @@
 // Package schedule is Graphsurge's cost-model segment scheduler. The
 // splitting optimizer (paper §5) fits online linear models of scratch and
 // differential cost to pick each view's execution mode; this package turns
-// the same predictions into *scheduling* decisions:
-//
-//   - LPT ordering for static plans: predict each segment's cost (scratch
-//     model on its seed size plus diff model on its successors' diff sizes,
-//     falling back to the raw sizes while the models are cold) and dispatch
-//     segments longest-predicted-first onto the replica pool. For skewed
-//     collections this tightens the makespan the same way Longest Processing
-//     Time tightens any list schedule — the largest segment can no longer
-//     land last and serialize the tail.
-//
-//   - Split-point prediction for adaptive mode: simulate the optimizer's
-//     upcoming batch decisions with its current models to name the view it
-//     is most likely to run from scratch next, so an idle replica can seed
-//     that segment speculatively while the planner is still deciding.
+// the same predictions into LPT ordering for static plans: predict each
+// segment's cost (scratch model on its seed size plus diff model on its
+// successors' diff sizes, falling back to the raw sizes while the models are
+// cold) and dispatch segments longest-predicted-first onto the replica pool.
+// For skewed collections this tightens the makespan the same way Longest
+// Processing Time tightens any list schedule — the largest segment can no
+// longer land last and serialize the tail.
 //
 // The Estimator here is deliberately separate from the adaptive optimizer's
 // per-run models: an engine keeps one Estimator per (computation, workers)
@@ -181,39 +174,4 @@ func LPTOrder(costs []float64) []int {
 	}
 	sort.SliceStable(order, func(a, b int) bool { return costs[order[a]] > costs[order[b]] })
 	return order
-}
-
-// PredictSplit simulates the optimizer's upcoming decisions with its
-// current models and returns the index ≥ from of the next view it is
-// expected to run from scratch — the predicted next split point. Inside a
-// scratch batch every remaining view runs from scratch (the planner opens
-// a segment at each), so the prediction is simply the next view; otherwise
-// fresh decisions happen only at batch boundaries (NextDecision, then
-// every Batch views) and those are the candidate split points. ok is false
-// when no split is predicted before the collection's k views end. The
-// prediction is a snapshot: observations arriving between now and the real
-// decision shift the models, which is exactly why callers treat a
-// speculatively seeded segment as discardable.
-func PredictSplit(opt *splitting.Optimizer, from, k int, viewSizes, diffSizes []int) (int, bool) {
-	b := opt.NextDecision()
-	if from >= 2 && from < b && from < k && opt.BatchMode() == splitting.ModeScratch {
-		// Mid-batch with a cached scratch decision: view `from` itself will
-		// split (from ≥ 2 excludes the fixed scratch/diff bootstrap views).
-		return from, true
-	}
-	if b < 2 {
-		// Bootstrap decisions (views 0 and 1) are fixed scratch/diff; the
-		// first modeled decision is at view 2.
-		b = 2
-	}
-	step := opt.Batch()
-	for ; b < k; b += step {
-		if b < from {
-			continue
-		}
-		if opt.PeekMode(viewSizes[b], diffSizes[b]) == splitting.ModeScratch {
-			return b, true
-		}
-	}
-	return 0, false
 }

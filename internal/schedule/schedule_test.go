@@ -95,12 +95,13 @@ func TestPlanCosts(t *testing.T) {
 	}
 }
 
-// TestPredictSplit: the simulation walks only batch boundaries and returns
-// the first one whose models prefer scratch — agreeing with what Decide
-// does when the real decision arrives with unchanged models.
+// TestPredictSplit: the split point speculative segment starts seed from
+// (Optimizer.NextSplit) skips the views inside a diff batch and returns the
+// first batch boundary whose models prefer scratch — agreeing with what
+// Decide does when the real decisions arrive with unchanged models.
 func TestPredictSplit(t *testing.T) {
 	opt := &splitting.Optimizer{BatchSize: 2}
-	// Bootstrap views 0 and 1 so NextDecision lands at 2.
+	// Bootstrap views 0 and 1 so the next fresh decision lands at 2.
 	opt.Decide(0, 100, 100)
 	opt.Decide(1, 100, 10)
 	// Diff is cheap for small diffs, terrible for large ones; scratch flat.
@@ -109,13 +110,14 @@ func TestPredictSplit(t *testing.T) {
 	opt.ObserveDiff(20, 4*time.Millisecond)
 
 	// Views 2..7: diffs stay small until view 6, which is a huge diff the
-	// model prices above a scratch run.
+	// model prices above a scratch run. View 5's diff is huge too, but it
+	// sits inside the batch view 4 opened, so it inherits diff.
 	viewSizes := []int{100, 100, 100, 100, 100, 100, 100, 100}
-	diffSizes := []int{100, 10, 10, 12, 11, 13, 500, 12}
+	diffSizes := []int{100, 10, 10, 12, 11, 900, 500, 12}
 
-	p, ok := PredictSplit(opt, 2, len(viewSizes), viewSizes, diffSizes)
+	p, ok := opt.NextSplit(2, viewSizes, diffSizes)
 	if !ok || p != 6 {
-		t.Fatalf("PredictSplit = %d, %v, want 6 (the first batch boundary whose diff is priced above scratch)", p, ok)
+		t.Fatalf("NextSplit = %d, %v, want 6 (the first batch boundary whose diff is priced above scratch)", p, ok)
 	}
 	// The real decisions, fed the same sizes with unchanged models, agree:
 	// views 2..5 run differentially, view 6 opens a scratch batch (and view
@@ -129,11 +131,11 @@ func TestPredictSplit(t *testing.T) {
 
 	// View 7 sits inside the scratch batch Decide(6) opened, so it splits
 	// too and the prediction says so.
-	if p, ok := PredictSplit(opt, 7, 8, viewSizes, diffSizes); !ok || p != 7 {
-		t.Fatalf("PredictSplit(7) = %d, %v; view 7 is in the scratch batch", p, ok)
+	if p, ok := opt.NextSplit(7, viewSizes, diffSizes); !ok || p != 7 {
+		t.Fatalf("NextSplit(7) = %d, %v; view 7 is in the scratch batch", p, ok)
 	}
 	// Past the collection there is nothing to predict.
-	if _, ok := PredictSplit(opt, 8, 8, viewSizes, diffSizes); ok {
+	if _, ok := opt.NextSplit(8, viewSizes, diffSizes); ok {
 		t.Fatal("split predicted past the collection end")
 	}
 }
@@ -157,16 +159,16 @@ func TestPredictSplitMidScratchBatch(t *testing.T) {
 	}
 	// From view 3, still inside the batch: predict 3, not boundary 6.
 	for from := 3; from < 6; from++ {
-		p, ok := PredictSplit(opt, from, len(sizes), sizes, diffs)
+		p, ok := opt.NextSplit(from, sizes, diffs)
 		if !ok || p != from {
-			t.Fatalf("PredictSplit(from=%d) = %d, %v; want the next view of the scratch batch", from, p, ok)
+			t.Fatalf("NextSplit(from=%d) = %d, %v; want the next view of the scratch batch", from, p, ok)
 		}
 	}
-	// Bootstrap guard: a scratch batch mode never predicts the bootstrap
+	// Bootstrap guard: a scratch bootstrap mode never predicts the bootstrap
 	// diff view.
 	fresh := &splitting.Optimizer{BatchSize: 4}
-	fresh.Decide(0, 100, 100) // mode now scratch, decided=1
-	if p, ok := PredictSplit(fresh, 1, len(sizes), sizes, diffs); ok && p < 2 {
+	fresh.Decide(0, 100, 100) // mode now scratch, one view decided
+	if p, ok := fresh.NextSplit(1, sizes, diffs); ok && p < 2 {
 		t.Fatalf("bootstrap view predicted as split: %d", p)
 	}
 }

@@ -231,6 +231,8 @@ func TestServeRequestValidation(t *testing.T) {
 		"empty":     `{}`,
 		"ambiguous": `{"poolStats":{},"statements":{"src":"x"}}`,
 		"unknown":   `{"bogus":{}}`,
+		// Speculation is the engine's choice, no longer a run option.
+		"speculate": `{"run":{"collection":"cc","algorithm":{"algorithm":"wcc"},"options":{"mode":"adaptive","parallelism":2,"speculate":true}}}`,
 	} {
 		resp := postJSON(t, ts.URL, body)
 		var e struct {
@@ -242,6 +244,9 @@ func TestServeRequestValidation(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest || e.Error == "" {
 			t.Fatalf("%s: status %d error %q", name, resp.StatusCode, e.Error)
+		}
+		if name == "speculate" && !strings.Contains(e.Error, `unknown field "speculate"`) {
+			t.Fatalf("speculate: error %q does not name the unknown field", e.Error)
 		}
 	}
 

@@ -91,9 +91,6 @@ func NewPlanner(opt *Optimizer) *Planner {
 	return &Planner{opt: opt}
 }
 
-// Optimizer returns the wrapped optimizer, the sink for runtime observations.
-func (p *Planner) Optimizer() *Optimizer { return p.opt }
-
 // Extend decides the mode of the next undecided view given its full size and
 // difference-set size, appends it to the plan, and reports whether the
 // decision opened a new segment (view 0 always does; later views do exactly

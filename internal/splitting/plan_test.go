@@ -65,7 +65,8 @@ func TestPlanFromModes(t *testing.T) {
 // optimizer's bootstrap and a model-declared split, checking that segments
 // open exactly at split points and cover the view range in order.
 func TestPlannerBootstrap(t *testing.T) {
-	pl := NewPlanner(&Optimizer{BatchSize: 2})
+	opt := &Optimizer{BatchSize: 2}
+	pl := NewPlanner(opt)
 
 	mode, split := pl.Extend(100, 100)
 	if mode != ModeScratch || !split {
@@ -78,8 +79,8 @@ func TestPlannerBootstrap(t *testing.T) {
 
 	// Make differential execution look terrible and scratch cheap, so the
 	// next batch decision declares a split.
-	pl.Optimizer().ObserveScratch(100, 1*time.Millisecond)
-	pl.Optimizer().ObserveDiff(10, 10*time.Second)
+	opt.ObserveScratch(100, 1*time.Millisecond)
+	opt.ObserveDiff(10, 10*time.Second)
 	mode, split = pl.Extend(100, 10)
 	if mode != ModeScratch || !split {
 		t.Fatalf("view 2: %v %v", mode, split)

@@ -105,29 +105,9 @@ func (o *Optimizer) ObserveDiff(size int, d time.Duration) {
 	o.diff.Observe(float64(size), d.Seconds())
 }
 
-// Models exposes the fitted models (observability, tests).
-func (o *Optimizer) Models() (scratch, diff *Model) { return &o.scratch, &o.diff }
-
-// PredictScratch estimates the from-scratch runtime of a view with
-// |GV| = size from the fitted scratch model. ok is false while the model is
-// cold (no observations yet).
-func (o *Optimizer) PredictScratch(size int) (time.Duration, bool) {
-	y, ok := o.scratch.Predict(float64(size))
-	return time.Duration(y * float64(time.Second)), ok
-}
-
-// PredictDiff estimates the differential runtime of a view with |δC| = size
-// from the fitted diff model. ok is false while the model is cold.
-func (o *Optimizer) PredictDiff(size int) (time.Duration, bool) {
-	y, ok := o.diff.Predict(float64(size))
-	return time.Duration(y * float64(time.Second)), ok
-}
-
-// PeekMode returns the mode the current models would choose for a view with
-// the given sizes, without advancing the optimizer's decision state. Decide
-// uses the same comparison; PeekMode is the read-only form schedulers use to
-// anticipate upcoming decisions (speculative segment start).
-func (o *Optimizer) PeekMode(viewSize, diffSize int) Mode {
+// peekMode returns the mode the current models would choose for a view with
+// the given sizes, without advancing the decision state.
+func (o *Optimizer) peekMode(viewSize, diffSize int) Mode {
 	st, sok := o.scratch.Predict(float64(viewSize))
 	dt, dok := o.diff.Predict(float64(diffSize))
 	switch {
@@ -142,19 +122,6 @@ func (o *Optimizer) PeekMode(viewSize, diffSize int) Mode {
 		return ModeDiff
 	}
 }
-
-// NextDecision returns the index of the next view at which the optimizer
-// will make a fresh decision rather than reuse the current batch's mode.
-// During bootstrap (before view 2) it reports the bootstrap position.
-func (o *Optimizer) NextDecision() int { return o.decided }
-
-// BatchMode returns the mode views before NextDecision inherit — the
-// current batch's cached decision. Meaningful once the bootstrap views have
-// been decided.
-func (o *Optimizer) BatchMode() Mode { return o.mode }
-
-// Batch returns the effective decision batch size ℓ.
-func (o *Optimizer) Batch() int { return o.batch() }
 
 func (o *Optimizer) batch() int {
 	if o.BatchSize > 0 {
@@ -179,7 +146,23 @@ func (o *Optimizer) Decide(i, viewSize, diffSize int) Mode {
 	if i < o.decided {
 		return o.mode
 	}
-	o.mode = o.PeekMode(viewSize, diffSize)
+	o.mode = o.peekMode(viewSize, diffSize)
 	o.decided = i + o.batch()
 	return o.mode
+}
+
+// NextSplit predicts the next split point: the first view t ≥ from that
+// Decide, continuing from the optimizer's current state with its current
+// models, would run from scratch. ok is false when no such view comes before
+// the collection's end. It runs Decide on a copy, so the optimizer is
+// unchanged; observations arriving before the real decisions can still move
+// them, which is why a prediction is only ever acted on speculatively.
+func (o *Optimizer) NextSplit(from int, viewSizes, diffSizes []int) (t int, ok bool) {
+	sim := *o
+	for t = from; t < len(viewSizes); t++ {
+		if sim.Decide(t, viewSizes[t], diffSizes[t]) == ModeScratch {
+			return t, true
+		}
+	}
+	return 0, false
 }

@@ -2,6 +2,7 @@ package splitting
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -164,24 +165,29 @@ func TestDefaultBatchSize(t *testing.T) {
 	}
 }
 
-// TestPredictionAPI pins the scheduler-facing prediction surface: PredictScratch/
-// PredictDiff mirror the fitted models, PeekMode matches what Decide would
-// choose without advancing the decision state, and NextDecision/Batch expose
-// the batch boundaries speculation simulates.
+// TestPredictionAPI pins the prediction surface speculation reads: the
+// models predict nothing while cold, peekMode falls back exactly as Decide
+// does and agrees with it at a fresh decision point, and neither peekMode
+// nor NextSplit advances the decision state.
 func TestPredictionAPI(t *testing.T) {
 	o := &Optimizer{BatchSize: 3}
-	if _, ok := o.PredictScratch(100); ok {
+	if _, ok := o.scratch.Predict(100); ok {
 		t.Fatal("cold scratch model predicted")
 	}
-	if _, ok := o.PredictDiff(100); ok {
+	if _, ok := o.diff.Predict(100); ok {
 		t.Fatal("cold diff model predicted")
 	}
-	if o.Batch() != 3 {
-		t.Fatalf("Batch() = %d", o.Batch())
+	if o.batch() != 3 {
+		t.Fatalf("batch() = %d", o.batch())
 	}
-	// Cold models: PeekMode must fall back exactly as Decide does (diff).
-	if o.PeekMode(100, 10) != ModeDiff {
-		t.Fatal("cold PeekMode != ModeDiff")
+	// Cold models: peekMode must fall back exactly as Decide does (diff).
+	if o.peekMode(100, 10) != ModeDiff {
+		t.Fatal("cold peekMode != ModeDiff")
+	}
+	// Cold models never predict a split past the bootstrap.
+	sizes, diffs := []int{300, 300, 300, 300, 300, 300}, []int{300, 50, 50, 50, 50, 50}
+	if p, ok := o.NextSplit(1, sizes, diffs); ok {
+		t.Fatalf("cold NextSplit(1) = %d", p)
 	}
 
 	// Scratch costs 1ms per unit size, diff 10ms per unit: scratch wins.
@@ -190,34 +196,80 @@ func TestPredictionAPI(t *testing.T) {
 	o.ObserveDiff(10, 100*time.Millisecond)
 	o.ObserveDiff(20, 200*time.Millisecond)
 
-	st, ok := o.PredictScratch(300)
-	if !ok || st < 250*time.Millisecond || st > 350*time.Millisecond {
-		t.Fatalf("PredictScratch(300) = %v, %v", st, ok)
+	st, ok := o.scratch.Predict(300)
+	if !ok || st < 0.25 || st > 0.35 {
+		t.Fatalf("scratch.Predict(300) = %v, %v", st, ok)
 	}
-	dt, ok := o.PredictDiff(50)
-	if !ok || dt < 400*time.Millisecond || dt > 600*time.Millisecond {
-		t.Fatalf("PredictDiff(50) = %v, %v", dt, ok)
+	dt, ok := o.diff.Predict(50)
+	if !ok || dt < 0.4 || dt > 0.6 {
+		t.Fatalf("diff.Predict(50) = %v, %v", dt, ok)
 	}
 
-	// PeekMode must agree with Decide at a fresh decision point, and must
-	// not advance the decision state the way Decide does.
-	peek := o.PeekMode(300, 50)
+	// peekMode must agree with Decide at a fresh decision point, and neither
+	// it nor NextSplit may advance the decision state the way Decide does.
+	peek := o.peekMode(300, 50)
 	o.Decide(0, 0, 0) // bootstrap
 	o.Decide(1, 0, 0)
-	before := o.NextDecision()
+	before := o.decided
 	if before != 2 {
-		t.Fatalf("NextDecision after bootstrap = %d", before)
+		t.Fatalf("decided after bootstrap = %d", before)
 	}
-	if again := o.PeekMode(300, 50); again != peek {
-		t.Fatalf("PeekMode unstable: %v then %v", peek, again)
+	if again := o.peekMode(300, 50); again != peek {
+		t.Fatalf("peekMode unstable: %v then %v", peek, again)
 	}
-	if o.NextDecision() != before {
-		t.Fatal("PeekMode advanced the decision state")
+	if p, ok := o.NextSplit(2, sizes, diffs); !ok || p != 2 {
+		t.Fatalf("NextSplit(2) = %d, %v; the models price view 2 as scratch", p, ok)
+	}
+	if o.decided != before {
+		t.Fatal("peekMode or NextSplit advanced the decision state")
 	}
 	if got := o.Decide(2, 300, 50); got != peek {
-		t.Fatalf("Decide(2) = %v, PeekMode said %v", got, peek)
+		t.Fatalf("Decide(2) = %v, peekMode said %v", got, peek)
 	}
-	if o.NextDecision() != 2+o.Batch() {
-		t.Fatalf("NextDecision after Decide = %d", o.NextDecision())
+	if o.decided != 2+o.batch() {
+		t.Fatalf("decided after Decide = %d", o.decided)
+	}
+}
+
+// TestNextSplitMatchesDecide is NextSplit's property test. From any state a
+// planner can reach — views [0, from) decided in order, random observations
+// between them, any ℓ — the prediction equals the first view an explicit
+// continuation of Decide calls runs from scratch, and predicting leaves the
+// optimizer exactly as it was.
+func TestNextSplitMatchesDecide(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 2000; trial++ {
+		k := 1 + r.Intn(24)
+		views, diffs := make([]int, k), make([]int, k)
+		for i := range views {
+			views[i], diffs[i] = 1+r.Intn(1000), r.Intn(1000)
+		}
+		o := &Optimizer{BatchSize: r.Intn(5)} // 0 is the default ℓ
+		from := r.Intn(k + 1)
+		for i := 0; i < from; i++ {
+			o.Decide(i, views[i], diffs[i])
+			if r.Intn(2) == 0 {
+				o.ObserveScratch(1+r.Intn(1000), time.Duration(r.Intn(1e6)))
+			}
+			if r.Intn(2) == 0 {
+				o.ObserveDiff(r.Intn(1000), time.Duration(r.Intn(1e6)))
+			}
+		}
+		before := *o
+		got, ok := o.NextSplit(from, views, diffs)
+		if *o != before {
+			t.Fatalf("trial %d: NextSplit changed the optimizer: %+v -> %+v", trial, before, *o)
+		}
+		want, wantOK := 0, false
+		for i := from; i < k; i++ {
+			if o.Decide(i, views[i], diffs[i]) == ModeScratch {
+				want, wantOK = i, true
+				break
+			}
+		}
+		if got != want || ok != wantOK {
+			t.Fatalf("trial %d (k=%d from=%d ℓ=%d): NextSplit = %d, %v; Decide splits at %d, %v",
+				trial, k, from, before.BatchSize, got, ok, want, wantOK)
+		}
 	}
 }

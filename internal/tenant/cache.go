@@ -30,18 +30,17 @@ type cacheKey struct {
 }
 
 // normalizeKeyOptions projects RunOptions onto its cache-relevant fields.
-// The hooks (OnSegment, Estimator) are observability/scheduling extensions
-// that never change a result — json.Marshal already excludes them (both are
-// `json:"-"`), and they are nil-ed here so the exclusion is explicit rather
-// than incidental. Workers and Parallelism clamp to the engine's floor of 1
-// exactly as core's normalizeRunOptions does, so the zero value and an
-// explicit 1 share an equivalence class. Every remaining field stays in the
+// The OnSegment hook is an observability extension that never changes a
+// result — json.Marshal already excludes it (it is `json:"-"`), and it is
+// nil-ed here so the exclusion is explicit rather than incidental. Workers
+// and Parallelism clamp to the engine's floor of 1 exactly as core's
+// normalizeRunOptions does, so the zero value and an explicit 1 share an
+// equivalence class. Every remaining field stays in the
 // key: Mode and Parallelism don't change FinalResults, but they do change
 // the per-view stats a caller sees, and a cache must return what the
 // request asked for.
 func normalizeKeyOptions(o core.RunOptions) core.RunOptions {
 	o.OnSegment = nil
-	o.Estimator = nil
 	if o.Workers < 1 {
 		o.Workers = 1
 	}

@@ -234,15 +234,14 @@ func TestMutationInvalidation(t *testing.T) {
 	}
 }
 
-// TestKeyEquivalence pins the cache-key normalization bugfix: observability
-// and scheduling hooks (OnSegment, Estimator) and defaulted Workers /
-// Parallelism never fragment the cache, while semantic fields (Mode,
-// WeightProp, algorithm) always split it.
+// TestKeyEquivalence pins the cache-key normalization bugfix: the
+// observability hook (OnSegment) and defaulted Workers / Parallelism never
+// fragment the cache, while semantic fields (Mode, WeightProp, algorithm)
+// always split it.
 func TestKeyEquivalence(t *testing.T) {
 	base := optionsKey(core.RunOptions{})
 	same := []core.RunOptions{
 		{OnSegment: func(core.SegmentStats) {}},
-		{Estimator: &schedule.Estimator{}},
 		{Workers: 1},
 		{Parallelism: 1},
 		{Workers: 1, Parallelism: 1, OnSegment: func(core.SegmentStats) {}},
@@ -260,7 +259,6 @@ func TestKeyEquivalence(t *testing.T) {
 		{Incremental: true},
 		{BatchSize: 5},
 		{Schedule: schedule.LPT},
-		{Speculate: true},
 	}
 	for i, o := range diff {
 		if k := optionsKey(o); k == base {

@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -62,7 +63,7 @@ type collectionGob struct {
 
 // SaveCollection persists a materialized collection's difference stream
 // (the EBM is not retained — it is only needed for ordering, which has
-// already happened).
+// already happened), replacing any earlier file of the name atomically.
 func SaveCollection(dir string, c *Collection) error {
 	if err := validName(c.Name); err != nil {
 		return err
@@ -73,12 +74,7 @@ func SaveCollection(dir string, c *Collection) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	file, err := os.Create(filepath.Join(dir, c.Name+".collection.gob"))
-	if err != nil {
-		return err
-	}
-	defer file.Close()
-	return gob.NewEncoder(file).Encode(collectionGob{
+	cg := collectionGob{
 		Name:     c.Name,
 		Base:     c.Graph.Name,
 		Order:    c.Order,
@@ -89,6 +85,9 @@ func SaveCollection(dir string, c *Collection) error {
 		PredSrcs: c.PredSrcs,
 		On:       c.On,
 		Version:  c.Version,
+	}
+	return graph.WriteFileAtomic(filepath.Join(dir, c.Name+".collection.gob"), func(w io.Writer) error {
+		return gob.NewEncoder(w).Encode(cg)
 	})
 }
 
