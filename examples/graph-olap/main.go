@@ -14,6 +14,7 @@ import (
 	"log"
 	"sort"
 
+	"graphsurge/internal/aggregate"
 	"graphsurge/internal/core"
 	"graphsurge/internal/datagen"
 )
@@ -38,16 +39,20 @@ func main() {
 	// The City-Calls-City pattern from Listing 4: city super-nodes with
 	// member counts, super-edges with total interaction weight.
 	sess := engine.NewSession()
-	statements := func(src string) {
+	create := func(name, def string) *aggregate.View {
+		src := "create view " + name + " on social " + def
 		if _, err := sess.Do(context.Background(), &core.StatementsRequest{Src: src}); err != nil {
 			log.Fatal(err)
 		}
+		av, err := engine.AggView(name)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return av
 	}
-	statements(`
-create view City-To-City on social
+	av := create("City-To-City", `
 nodes group by city aggregate members: count(*)
 edges aggregate total-w: sum(w), strongest: max(affinity)`)
-	av, _ := engine.AggView("City-To-City")
 	fmt.Printf("City-To-City: %d super-nodes, %d super-edges\n", len(av.SuperNodes), len(av.SuperEdges))
 
 	type flow struct {
@@ -71,13 +76,11 @@ edges aggregate total-w: sum(w), strongest: max(affinity)`)
 	// An explicit predicate grouping, like the NY-Dr-LA-Lawyer triangle of
 	// Listing 4: compare the high-affinity core against everyone else in
 	// two chosen cities.
-	statements(`
-create view Core-Vs-Rest on social
+	av2 := create("Core-Vs-Rest", `
 nodes group by [
 (city = 0),
 (city = 1)]
 aggregate count(*)`)
-	av2, _ := engine.AggView("Core-Vs-Rest")
 	fmt.Printf("\nCore-Vs-Rest: %d groups (users outside both cities are dropped)\n", len(av2.SuperNodes))
 	for _, sn := range av2.SuperNodes {
 		fmt.Printf("  group %q: %d users\n", sn.Key, sn.Size)

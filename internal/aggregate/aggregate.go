@@ -3,16 +3,18 @@
 // the values of a set of node properties or by membership in an ordered list
 // of predicates, original edges are rolled up into super-edges between the
 // groups, and aggregate properties (count, sum, min, max, avg) are computed
-// on both. Evaluation runs as a dataflow over the engine at a single version,
-// matching the paper's Timely-based aggregation operators.
+// on both. Evaluation is a plain hash group-by: one pass over the nodes folds
+// per-group accumulators and one pass over the live edges folds accumulators
+// per (group(src), group(dst)) pair, so evaluating a view — at creation, at
+// reload and after every mutation of its base graph — costs O(|V|+|E|).
 package aggregate
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
-	"graphsurge/internal/dataflow"
 	"graphsurge/internal/graph"
 	"graphsurge/internal/gvdl"
 )
@@ -32,17 +34,18 @@ type SuperEdge struct {
 	Aggs     []int64
 }
 
-// View is a materialized aggregate view.
+// View is a materialized aggregate view and the statement defining it, its
+// one persisted form: re-evaluating the statement reproduces the view.
 type View struct {
-	Name       string
-	NodeAggs   []gvdl.Aggregation
-	EdgeAggs   []gvdl.Aggregation
+	Stmt       *gvdl.CreateAggView
 	SuperNodes []SuperNode
 	SuperEdges []SuperEdge
 }
 
-// Evaluate computes an aggregate view over a graph.
-func Evaluate(g *graph.Graph, stmt *gvdl.CreateAggView, workers int) (*View, error) {
+// Evaluate computes an aggregate view over a graph. A non-nil member limits
+// the edge pass to the edges it admits (the parent's members when the
+// statement targets a filtered view); nodes are grouped over the whole graph.
+func Evaluate(g *graph.Graph, stmt *gvdl.CreateAggView, member gvdl.EdgePredicate) (*View, error) {
 	groups, keys, err := groupNodes(g, stmt)
 	if err != nil {
 		return nil, err
@@ -56,104 +59,100 @@ func Evaluate(g *graph.Graph, stmt *gvdl.CreateAggView, workers int) (*View, err
 		return nil, err
 	}
 
-	v := &View{Name: stmt.Name, NodeAggs: stmt.NodeAggs, EdgeAggs: stmt.EdgeAggs}
-
-	// Dataflow: one pass for node aggregates keyed by group, one for edge
-	// aggregates keyed by (group(src), group(dst)).
-	s := dataflow.NewScope(workers)
-	type nodeRec struct {
-		Group uint64
-		Node  uint64
-	}
-	type edgeRec struct {
-		Src, Dst uint64 // groups
-		Edge     uint64 // edge index
-	}
-	nIn, nCol := dataflow.NewInput[nodeRec](s)
-	eIn, eCol := dataflow.NewInput[edgeRec](s)
-
-	nKeyed := dataflow.Map(nCol, func(r nodeRec) dataflow.KV[uint64, uint64] {
-		return dataflow.KV[uint64, uint64]{K: r.Group, V: r.Node}
-	})
-	nAgg := dataflow.Reduce(nKeyed, "node-aggs", func(gid uint64, vals []dataflow.VD[uint64]) []aggRow {
-		return []aggRow{aggregateRows(vals, stmt.NodeAggs, nodeCols)}
-	})
-	nCap := dataflow.NewCapture(nAgg)
-
-	type gpair struct{ S, D uint64 }
-	eKeyed := dataflow.Map(eCol, func(r edgeRec) dataflow.KV[gpair, uint64] {
-		return dataflow.KV[gpair, uint64]{K: gpair{r.Src, r.Dst}, V: r.Edge}
-	})
-	eAgg := dataflow.Reduce(eKeyed, "edge-aggs", func(k gpair, vals []dataflow.VD[uint64]) []aggRow {
-		return []aggRow{aggregateRows(vals, stmt.EdgeAggs, edgeCols)}
-	})
-	eCap := dataflow.NewCapture(eAgg)
-
-	var nUps []dataflow.Update[nodeRec]
-	for n := 0; n < g.NumNodes; n++ {
-		if gid := groups[n]; gid >= 0 {
-			nUps = append(nUps, dataflow.Update[nodeRec]{Rec: nodeRec{Group: uint64(gid), Node: uint64(n)}, D: 1})
+	v := &View{Stmt: stmt}
+	nodes := make([]fold, len(keys))
+	for n, gid := range groups {
+		if gid >= 0 {
+			nodes[gid].add(n, stmt.NodeAggs, nodeCols)
 		}
 	}
-	nIn.SendAt(0, nUps)
-	var eUps []dataflow.Update[edgeRec]
+	for gid := range nodes {
+		if f := &nodes[gid]; f.count > 0 {
+			v.SuperNodes = append(v.SuperNodes,
+				SuperNode{ID: uint64(gid), Key: keys[gid], Size: f.count, Aggs: f.values(stmt.NodeAggs)})
+		}
+	}
+
+	edges := make(map[[2]int32]*fold)
 	for i := 0; i < g.NumEdges(); i++ {
-		if !g.EdgeAlive(i) {
+		if !g.EdgeAlive(i) || member != nil && !member(i) {
 			continue
 		}
-		gs, gd := groups[g.Srcs[i]], groups[g.Dsts[i]]
-		if gs >= 0 && gd >= 0 {
-			eUps = append(eUps, dataflow.Update[edgeRec]{Rec: edgeRec{Src: uint64(gs), Dst: uint64(gd), Edge: uint64(i)}, D: 1})
+		k := [2]int32{groups[g.Srcs[i]], groups[g.Dsts[i]]}
+		if k[0] < 0 || k[1] < 0 {
+			continue
 		}
+		f := edges[k]
+		if f == nil {
+			f = &fold{}
+			edges[k] = f
+		}
+		f.add(i, stmt.EdgeAggs, edgeCols)
 	}
-	eIn.SendAt(0, eUps)
-	s.Drain()
-
-	for kv := range nCap.At(0) {
-		v.SuperNodes = append(v.SuperNodes, SuperNode{
-			ID:   kv.K,
-			Key:  keys[kv.K],
-			Size: kv.V.Count,
-			Aggs: kv.V.Values(),
-		})
-	}
-	sort.Slice(v.SuperNodes, func(i, j int) bool { return v.SuperNodes[i].ID < v.SuperNodes[j].ID })
-	for kv := range eCap.At(0) {
+	for k, f := range edges {
 		v.SuperEdges = append(v.SuperEdges, SuperEdge{
-			Src:   kv.K.S,
-			Dst:   kv.K.D,
-			Count: kv.V.Count,
-			Aggs:  kv.V.Values(),
+			Src:   uint64(k[0]),
+			Dst:   uint64(k[1]),
+			Count: f.count,
+			Aggs:  f.values(stmt.EdgeAggs),
 		})
 	}
-	sort.Slice(v.SuperEdges, func(i, j int) bool {
-		if v.SuperEdges[i].Src != v.SuperEdges[j].Src {
-			return v.SuperEdges[i].Src < v.SuperEdges[j].Src
-		}
-		return v.SuperEdges[i].Dst < v.SuperEdges[j].Dst
+	slices.SortFunc(v.SuperEdges, func(a, b SuperEdge) int {
+		return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
 	})
 	return v, nil
 }
 
-// aggRow is the fixed-size aggregate output of one group (comparable so it
-// can flow through the engine).
-type aggRow struct {
-	Count int64
-	N     int
-	A     [4]int64 // up to 4 aggregations per clause
+// fold accumulates one group: its row count and, per aggregation, the
+// running sum (sum, avg), minimum or maximum of the aggregated column.
+type fold struct {
+	count int64
+	acc   []int64
 }
 
-// Values returns the aggregation results as a slice.
-func (r aggRow) Values() []int64 { return append([]int64(nil), r.A[:r.N]...) }
+// add folds row (a node or edge index) into the group.
+func (f *fold) add(row int, aggs []gvdl.Aggregation, cols []*graph.Column) {
+	if f.count == 0 {
+		f.acc = make([]int64, len(aggs))
+	}
+	f.count++
+	for i, a := range aggs {
+		if cols[i] == nil {
+			continue
+		}
+		switch x := cols[i].Ints[row]; a.Func {
+		case gvdl.AggSum, gvdl.AggAvg:
+			f.acc[i] += x
+		case gvdl.AggMin:
+			if f.count == 1 || x < f.acc[i] {
+				f.acc[i] = x
+			}
+		case gvdl.AggMax:
+			if f.count == 1 || x > f.acc[i] {
+				f.acc[i] = x
+			}
+		}
+	}
+}
 
-// MaxAggs is the maximum number of aggregations per aggregate clause.
-const MaxAggs = 4
+// values finalizes the group's results (nil for no aggregations).
+func (f *fold) values(aggs []gvdl.Aggregation) []int64 {
+	if len(aggs) == 0 {
+		return nil
+	}
+	for i, a := range aggs {
+		switch a.Func {
+		case gvdl.AggCount:
+			f.acc[i] = f.count
+		case gvdl.AggAvg:
+			f.acc[i] /= f.count
+		}
+	}
+	return f.acc
+}
 
 // aggColumns resolves aggregation property references to integer columns.
 func aggColumns(g *graph.Graph, pt *graph.PropTable, aggs []gvdl.Aggregation, what string) ([]*graph.Column, error) {
-	if len(aggs) > MaxAggs {
-		return nil, fmt.Errorf("aggregate view: at most %d aggregations per clause, got %d", MaxAggs, len(aggs))
-	}
 	cols := make([]*graph.Column, len(aggs))
 	for i, a := range aggs {
 		if a.Prop == "" {
@@ -175,61 +174,11 @@ func aggColumns(g *graph.Graph, pt *graph.PropTable, aggs []gvdl.Aggregation, wh
 	return cols, nil
 }
 
-// aggregateRows folds the rows (node or edge indices) of one group.
-func aggregateRows(vals []dataflow.VD[uint64], aggs []gvdl.Aggregation, cols []*graph.Column) aggRow {
-	row := aggRow{N: len(aggs)}
-	type acc struct {
-		sum, min, max, n int64
-		seen             bool
-	}
-	accs := make([]acc, len(aggs))
-	for _, vd := range vals {
-		if vd.D <= 0 {
-			continue
-		}
-		row.Count += vd.D
-		for i, a := range aggs {
-			if cols[i] == nil {
-				continue
-			}
-			x := cols[i].Ints[vd.V]
-			ac := &accs[i]
-			ac.sum += x * vd.D
-			ac.n += vd.D
-			if !ac.seen || x < ac.min {
-				ac.min = x
-			}
-			if !ac.seen || x > ac.max {
-				ac.max = x
-			}
-			ac.seen = true
-			_ = a
-		}
-	}
-	for i, a := range aggs {
-		switch a.Func {
-		case gvdl.AggCount:
-			row.A[i] = row.Count
-		case gvdl.AggSum:
-			row.A[i] = accs[i].sum
-		case gvdl.AggMin:
-			row.A[i] = accs[i].min
-		case gvdl.AggMax:
-			row.A[i] = accs[i].max
-		case gvdl.AggAvg:
-			if accs[i].n > 0 {
-				row.A[i] = accs[i].sum / accs[i].n
-			}
-		}
-	}
-	return row
-}
-
 // groupNodes assigns every node to a super-node group, or -1 when dropped.
-// Returns the mapping and per-group display keys.
-func groupNodes(g *graph.Graph, stmt *gvdl.CreateAggView) ([]int32, map[uint64]string, error) {
+// Returns the mapping and the display key of each group, indexed by group.
+func groupNodes(g *graph.Graph, stmt *gvdl.CreateAggView) ([]int32, []string, error) {
 	groups := make([]int32, g.NumNodes)
-	keys := make(map[uint64]string)
+	var keys []string
 
 	if len(stmt.Grouping.Predicates) > 0 {
 		preds := make([]gvdl.NodePredicate, len(stmt.Grouping.Predicates))
@@ -239,7 +188,7 @@ func groupNodes(g *graph.Graph, stmt *gvdl.CreateAggView) ([]int32, map[uint64]s
 				return nil, nil, fmt.Errorf("aggregate view %s: %w", stmt.Name, err)
 			}
 			preds[i] = p
-			keys[uint64(i)] = e.String()
+			keys = append(keys, e.String())
 		}
 		for n := 0; n < g.NumNodes; n++ {
 			groups[n] = -1
@@ -271,9 +220,9 @@ func groupNodes(g *graph.Graph, stmt *gvdl.CreateAggView) ([]int32, map[uint64]s
 		key := strings.Join(parts, "|")
 		gid, ok := ids[key]
 		if !ok {
-			gid = int32(len(ids))
+			gid = int32(len(keys))
 			ids[key] = gid
-			keys[uint64(gid)] = key
+			keys = append(keys, key)
 		}
 		groups[n] = gid
 	}

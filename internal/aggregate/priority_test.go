@@ -14,7 +14,7 @@ nodes group by [
 (city = 'LA'),
 (profession = 'Lawyer')]
 aggregate count(*)`)
-	v, err := Evaluate(g, stmt, 1)
+	v, err := Evaluate(g, stmt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestEmptyGroups(t *testing.T) {
 	stmt := mustParseAgg(t, `create view none on Calls
 nodes group by [(city = 'Atlantis')]
 aggregate count(*)`)
-	v, err := Evaluate(g, stmt, 1)
+	v, err := Evaluate(g, stmt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestMultiPropertyGrouping(t *testing.T) {
 	g := callsGraph()
 	stmt := mustParseAgg(t, `create view cp on Calls
 nodes group by city, profession aggregate count(*)`)
-	v, err := Evaluate(g, stmt, 1)
+	v, err := Evaluate(g, stmt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

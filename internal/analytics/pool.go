@@ -46,13 +46,6 @@ func (inst *Instance) Reset() error {
 // concurrent callers.
 //
 // All methods are safe for concurrent use.
-// idleReplica is a warm replica waiting for reuse, stamped with the time it
-// went idle so the TTL policy can age it out.
-type idleReplica struct {
-	r     Runner
-	since time.Time
-}
-
 type Pool struct {
 	comp    Computation
 	workers int
@@ -61,14 +54,10 @@ type Pool struct {
 	cond *sync.Cond
 	size int
 	live int
-	idle []idleReplica // append order = idle-since order: oldest first
+	idle []Runner // warm replicas waiting for reuse
 
-	maxIdle int           // idle-replica high-water mark; 0 = unlimited
-	idleTTL time.Duration // idle age dropped by Prune; 0 = no TTL
-
-	built   int // runners constructed from scratch
-	reused  int // acquisitions served by resetting an idle runner
-	dropped int // idle replicas discarded by the sizing policy
+	built  int // runners constructed from scratch
+	reused int // acquisitions served by resetting an idle runner
 }
 
 // NewPool creates a pool of up to size replicas (minimum 1), each built with
@@ -127,57 +116,6 @@ func (p *Pool) Counts() (built, reused int) {
 	return p.built, p.reused
 }
 
-// Dropped returns how many idle replicas the sizing policy has discarded
-// (high-water mark on Release plus TTL expiry in Prune).
-func (p *Pool) Dropped() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.dropped
-}
-
-// SetPolicy bounds the warm-replica cache. maxIdle caps how many idle
-// replicas are retained — a Release beyond the high-water mark drops the
-// replica instead of caching it (0 = unlimited). ttl is the idle age beyond
-// which Prune discards a replica (0 = no TTL). The clock is lazy: the owner
-// passes now into Prune on its own access paths (the engine sweeps its pools
-// on pool lookup and stats export), so no background goroutine is needed —
-// an untouched engine holds its replicas, which is fine because nothing is
-// competing for the memory until the next call arrives.
-func (p *Pool) SetPolicy(maxIdle int, ttl time.Duration) {
-	p.mu.Lock()
-	p.maxIdle = maxIdle
-	p.idleTTL = ttl
-	p.mu.Unlock()
-}
-
-// Prune drops idle replicas that have been idle longer than the TTL at the
-// given time, returning how many were dropped. Acquired slots are
-// untouched. With no TTL configured it is a no-op.
-func (p *Pool) Prune(now time.Time) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.idleTTL <= 0 {
-		return 0
-	}
-	// idle is ordered oldest-first, so expired replicas form a prefix.
-	cut := 0
-	for cut < len(p.idle) && now.Sub(p.idle[cut].since) > p.idleTTL {
-		cut++
-	}
-	if cut > 0 {
-		n := copy(p.idle, p.idle[cut:])
-		// Zero the vacated tail: the whole point of the TTL is releasing
-		// replica memory on an idle engine, and the backing array would
-		// otherwise keep every dropped runner reachable indefinitely.
-		for i := n; i < len(p.idle); i++ {
-			p.idle[i] = idleReplica{}
-		}
-		p.idle = p.idle[:n]
-		p.dropped += cut
-	}
-	return cut
-}
-
 // DropIdle discards all warm replicas, keeping acquired slots valid. An
 // engine evicting a pool uses it to release runner memory immediately
 // rather than waiting for the pool itself to be collected.
@@ -219,8 +157,7 @@ func (p *Pool) Acquire(ctx context.Context) (Runner, time.Duration, error) {
 		p.cond.Wait()
 	}
 	p.live++
-	// Pop the most recently released replica: hottest caches, and the
-	// oldest replicas stay at the front where the TTL prune finds them.
+	// Pop the most recently released replica: hottest caches.
 	r := p.popIdle()
 	p.mu.Unlock()
 
@@ -281,32 +218,26 @@ func (p *Pool) TryAcquire() (Runner, time.Duration, bool) {
 }
 
 // popIdle takes the most recently released warm replica, if any, zeroing
-// the vacated slot so the backing array never pins a runner the policy
-// later drops. Caller holds p.mu.
+// the vacated slot so the backing array never pins a runner DropIdle later
+// lets go of. Caller holds p.mu.
 func (p *Pool) popIdle() Runner {
 	n := len(p.idle)
 	if n == 0 {
 		return nil
 	}
-	r := p.idle[n-1].r
-	p.idle[n-1] = idleReplica{}
+	r := p.idle[n-1]
+	p.idle[n-1] = nil
 	p.idle = p.idle[:n-1]
 	return r
 }
 
 // Release returns the runner's slot to the pool. Resettable runners are kept
-// warm for reuse by a later Acquire unless the idle high-water mark is
-// reached; others are dropped. The caller must be done reading the runner —
-// the next Acquire resets it.
+// warm for reuse by a later Acquire; others are dropped. The caller must be
+// done reading the runner — the next Acquire resets it.
 func (p *Pool) Release(r Runner) {
 	p.mu.Lock()
 	if _, ok := r.(Resettable); ok {
-		if p.maxIdle > 0 && len(p.idle) >= p.maxIdle {
-			p.dropped++
-			obs.M.PoolDropped.Inc()
-		} else {
-			p.idle = append(p.idle, idleReplica{r: r, since: time.Now()})
-		}
+		p.idle = append(p.idle, r)
 	}
 	p.live--
 	p.cond.Signal()

@@ -195,79 +195,6 @@ func TestPoolDropIdle(t *testing.T) {
 	p.Release(r2)
 }
 
-// TestPoolIdleHighWaterMark pins the sizing policy's Release path: beyond
-// maxIdle warm replicas, released runners are dropped instead of cached.
-func TestPoolIdleHighWaterMark(t *testing.T) {
-	p := NewPool(WCC{}, 1, 4)
-	p.SetPolicy(2, 0)
-	var rs []Runner
-	for i := 0; i < 4; i++ {
-		r, _, err := p.Acquire(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		rs = append(rs, r)
-	}
-	for _, r := range rs {
-		p.Release(r)
-	}
-	if p.Idle() != 2 {
-		t.Fatalf("%d idle, high-water mark 2", p.Idle())
-	}
-	if p.Dropped() != 2 {
-		t.Fatalf("%d dropped, want 2", p.Dropped())
-	}
-	if p.Live() != 0 {
-		t.Fatalf("%d live", p.Live())
-	}
-	// The retained replicas still serve acquisitions via reset.
-	r, _, err := p.Acquire(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, reused := p.Counts(); reused != 1 {
-		t.Fatalf("reused %d, want 1", reused)
-	}
-	p.Release(r)
-}
-
-// TestPoolIdleTTL pins the lazy-clock TTL: Prune drops replicas idle longer
-// than the TTL at the passed time and keeps younger ones, without touching
-// acquired slots.
-func TestPoolIdleTTL(t *testing.T) {
-	p := NewPool(WCC{}, 1, 3)
-	p.SetPolicy(0, time.Minute)
-	r1, _, _ := p.Acquire(context.Background())
-	r2, _, _ := p.Acquire(context.Background())
-	held, _, err := p.Acquire(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Release(r1)
-	p.Release(r2)
-	if n := p.Prune(time.Now()); n != 0 {
-		t.Fatalf("fresh replicas pruned: %d", n)
-	}
-	if n := p.Prune(time.Now().Add(2 * time.Minute)); n != 2 {
-		t.Fatalf("expired prune dropped %d, want 2", n)
-	}
-	if p.Idle() != 0 || p.Dropped() != 2 {
-		t.Fatalf("idle=%d dropped=%d after prune", p.Idle(), p.Dropped())
-	}
-	if p.Live() != 1 {
-		t.Fatalf("acquired slot touched by prune: live=%d", p.Live())
-	}
-	p.Release(held)
-	// No TTL configured: Prune is a no-op.
-	p.SetPolicy(0, 0)
-	if n := p.Prune(time.Now().Add(time.Hour)); n != 0 {
-		t.Fatalf("prune without TTL dropped %d", n)
-	}
-	if p.Idle() != 1 {
-		t.Fatalf("idle=%d", p.Idle())
-	}
-}
-
 // TestPoolTryAcquireNonBlocking: TryAcquire must refuse immediately while
 // all slots are live — it is what keeps speculative work from queuing
 // behind other runs — and succeed once a slot frees.
@@ -299,32 +226,4 @@ func TestPoolTryAcquireNonBlocking(t *testing.T) {
 		t.Fatalf("reused %d, want the warm replica recycled", reused)
 	}
 	p.Release(r2)
-}
-
-// TestPoolPruneReleasesBackingReferences: pruned entries must be zeroed in
-// the backing array, or the dropped replicas' dataflow memory stays
-// reachable — defeating the TTL's purpose.
-func TestPoolPruneReleasesBackingReferences(t *testing.T) {
-	p := NewPool(WCC{}, 1, 3)
-	p.SetPolicy(0, time.Minute)
-	var rs []Runner
-	for i := 0; i < 3; i++ {
-		r, _, err := p.Acquire(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		rs = append(rs, r)
-	}
-	for _, r := range rs {
-		p.Release(r)
-	}
-	if n := p.Prune(time.Now().Add(2 * time.Minute)); n != 3 {
-		t.Fatalf("pruned %d, want 3", n)
-	}
-	backing := p.idle[:cap(p.idle)]
-	for i, e := range backing {
-		if e.r != nil || !e.since.IsZero() {
-			t.Fatalf("backing slot %d still pins a pruned replica: %+v", i, e)
-		}
-	}
 }

@@ -123,9 +123,9 @@ edges aggregate total-w: sum(w)`)
 	if len(out) != 1 {
 		t.Fatal("statement count")
 	}
-	av, ok := e.AggView("cities")
-	if !ok {
-		t.Fatal("aggregate view missing")
+	av, err := e.AggView("cities")
+	if err != nil {
+		t.Fatal(err)
 	}
 	if len(av.SuperNodes) != 16 {
 		t.Fatalf("%d super nodes", len(av.SuperNodes))

@@ -37,19 +37,12 @@ type Options struct {
 	Parallelism int
 	// Ordering is the default collection-ordering mode for ExecuteContext.
 	Ordering view.OrderingMode
-	// PoolMaxIdle is the per-pool idle-replica high-water mark: a replica
-	// released beyond it is dropped instead of cached (0 = unlimited).
-	PoolMaxIdle int
-	// PoolIdleTTL drops warm replicas idle longer than this; the clock is
-	// lazy — pools are swept on engine pool access (runnerPool, PoolStats),
-	// no background goroutine (0 = no TTL).
-	PoolIdleTTL time.Duration
 }
 
-// ErrNotFound reports that a name resolved to no view or collection, as
-// opposed to one that exists but failed to load from the view store —
-// callers branch on it with errors.Is (resolveTarget falls back to the
-// graph store only on ErrNotFound, never on a load failure).
+// ErrNotFound reports that a name resolved to no view, collection or
+// aggregate view, as opposed to one that exists but failed to load from the
+// view store — callers branch on it with errors.Is (resolveTarget falls back
+// to the graph store only on ErrNotFound, never on a load failure).
 var ErrNotFound = errors.New("not found")
 
 // ErrNotView reports a name used where a single filtered view is required —
@@ -72,14 +65,11 @@ type Engine struct {
 	// mu guards the catalog maps and nothing else; it is never held across
 	// another lock (DESIGN.md "Artifacts" has the lock order). collections is
 	// the one catalog of edge-subset artifacts: a filtered view is a
-	// collection whose Stream.NumViews() is 1.
+	// collection whose Stream.NumViews() is 1. aggViews holds the aggregate
+	// views, each carrying the statement it is re-evaluated from.
 	mu          sync.RWMutex
 	collections map[string]*view.Collection
 	aggViews    map[string]*aggregate.View
-	// aggStmts retains each aggregate view's defining statement so the view
-	// can be re-evaluated when its base graph mutates (aggregate views are
-	// memory-only; the statement is their only recoverable definition).
-	aggStmts map[string]*gvdl.CreateAggView
 
 	// warmMu guards both LRU-bounded warm stores: the runner pool map and the
 	// warm replica list (replica.go); per-replica locks serialize runs over
@@ -199,7 +189,6 @@ func NewEngine(opts Options) (*Engine, error) {
 		store:       st,
 		collections: make(map[string]*view.Collection),
 		aggViews:    make(map[string]*aggregate.View),
-		aggStmts:    make(map[string]*gvdl.CreateAggView),
 		pools:       make(map[poolKey]*poolEntry),
 		traces:      obs.NewTraceStore(0),
 	}
@@ -280,8 +269,7 @@ func (e *Engine) Options() Options { return e.opts }
 // run additionally self-limits to its own Parallelism, and released
 // replicas are recycled across calls via in-place reset. The estimator
 // persists alongside the pool so later runs' LPT scheduling uses costs
-// learned from earlier ones. Every lookup also lazily sweeps the idle-TTL
-// policy across all pools — the engine's clock is its own call traffic.
+// learned from earlier ones.
 func (e *Engine) runnerPool(comp analytics.Computation, workers, parallelism int) (*analytics.Pool, *schedule.Estimator) {
 	if !identifiableComp(comp) {
 		// No faithful identity to key on: give the run a private pool so a
@@ -293,12 +281,6 @@ func (e *Engine) runnerPool(comp analytics.Computation, workers, parallelism int
 	key := poolKey{name: comp.Name(), ident: compIdentity(comp), workers: workers}
 	e.warmMu.Lock()
 	defer e.warmMu.Unlock()
-	now := time.Now()
-	if e.opts.PoolIdleTTL > 0 {
-		for _, en := range e.pools {
-			en.pool.Prune(now)
-		}
-	}
 	en := e.pools[key]
 	if en != nil && compIdentity(en.pool.Computation()) != key.ident {
 		// The cached computation object was mutated after submission (a
@@ -323,14 +305,12 @@ func (e *Engine) runnerPool(comp analytics.Computation, workers, parallelism int
 			e.pools[victim].pool.DropIdle()
 			delete(e.pools, victim)
 		}
-		p := analytics.NewPool(comp, workers, parallelism)
-		p.SetPolicy(e.opts.PoolMaxIdle, e.opts.PoolIdleTTL)
-		en = &poolEntry{pool: p, est: &schedule.Estimator{}}
+		en = &poolEntry{pool: analytics.NewPool(comp, workers, parallelism), est: &schedule.Estimator{}}
 		e.pools[key] = en
 	} else {
 		en.pool.Grow(parallelism)
 	}
-	en.lastUse = now
+	en.lastUse = time.Now()
 	return en.pool, en.est
 }
 
@@ -376,7 +356,7 @@ func (e *Engine) Close() error {
 
 // PoolStat is one warm runner pool's externally visible state: identity,
 // capacity and occupancy, and the lifetime effectiveness counters
-// (built/reused acquisitions, policy-dropped idle replicas).
+// (built/reused acquisitions).
 type PoolStat struct {
 	Computation string `json:"computation"` // computation name
 	Ident       string `json:"ident"`       // full identity (name plus parameters)
@@ -386,23 +366,17 @@ type PoolStat struct {
 	Idle        int    `json:"idle"`
 	Built       int    `json:"built"`
 	Reused      int    `json:"reused"`
-	Dropped     int    `json:"dropped"`
 }
 
 // PoolStats reports every warm runner pool's state, sorted by computation
 // identity then workers for deterministic output — the metrics export for
-// pool sizing (cmd/graphsurge prints it after runs). The call also sweeps
-// the idle-TTL policy, so a stats poller doubles as the lazy clock.
+// pool sizing (cmd/graphsurge prints it after runs).
 func (e *Engine) PoolStats() []PoolStat {
 	e.warmMu.Lock()
 	defer e.warmMu.Unlock()
-	now := time.Now()
 	stats := make([]PoolStat, 0, len(e.pools))
 	for key, en := range e.pools {
 		p := en.pool
-		if e.opts.PoolIdleTTL > 0 {
-			p.Prune(now)
-		}
 		built, reused := p.Counts()
 		stats = append(stats, PoolStat{
 			Computation: key.name,
@@ -413,7 +387,6 @@ func (e *Engine) PoolStats() []PoolStat {
 			Idle:        p.Idle(),
 			Built:       built,
 			Reused:      reused,
-			Dropped:     p.Dropped(),
 		})
 	}
 	sort.Slice(stats, func(i, j int) bool {
@@ -468,44 +441,44 @@ func (e *Engine) register(col *view.Collection) error {
 func (e *Engine) Graph(name string) (*graph.Graph, error) { return e.store.Graph(name) }
 
 // LookupCollection returns the materialized collection — or filtered view,
-// a collection of one — with the given name, falling back to the view store
-// on disk when the engine has a data directory. A name that resolves to
-// nothing returns an error wrapping ErrNotFound; a collection that exists on
-// disk but fails to load — corrupt gob, out-of-range edge indices, missing
-// base graph, a leftover file of the retired single-view format — returns
-// the load error itself, so corruption is never silently indistinguishable
-// from absence.
+// a collection of one — with the given name, read through from the view
+// store. Corrupt gob, out-of-range edge indices, a missing base graph and a
+// leftover file of the retired single-view format are load errors.
 func (e *Engine) LookupCollection(name string) (*view.Collection, error) {
+	return readThrough(e, e.collections, "collection", name, func() (*view.Collection, error) {
+		return view.LoadCollection(e.opts.DataDir, name, e.store.Graph)
+	})
+}
+
+// readThrough is the catalog's one lookup path: a cataloged artifact is
+// returned as is, else load reads it from the data directory and the first
+// loader's result is cataloged. No file, or a name the store refuses (a graph
+// may still have it), is ErrNotFound; any other load failure is returned as
+// itself, so corruption is never mistaken for absence.
+func readThrough[T any](e *Engine, catalog map[string]T, kind, name string, load func() (T, error)) (T, error) {
 	e.mu.RLock()
-	c, ok := e.collections[name]
+	v, ok := catalog[name]
 	e.mu.RUnlock()
 	if ok {
-		return c, nil
+		return v, nil
 	}
+	var zero T
 	if e.opts.DataDir == "" {
-		return nil, fmt.Errorf("core: no collection named %q: %w", name, ErrNotFound)
+		return zero, fmt.Errorf("core: no %s named %q: %w", kind, name, ErrNotFound)
 	}
-	loaded, err := view.LoadCollection(e.opts.DataDir, name, e.store.Graph)
+	loaded, err := load()
+	if errors.Is(err, os.ErrNotExist) || errors.Is(err, view.ErrInvalidName) {
+		return zero, fmt.Errorf("core: no %s named %q: %w", kind, name, ErrNotFound)
+	}
 	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil, fmt.Errorf("core: no collection named %q: %w", name, ErrNotFound)
-		}
-		if errors.Is(err, view.ErrInvalidName) {
-			// A name the store refuses can never be a stored collection:
-			// absence, not failure — resolveTarget may still find a graph by it.
-			return nil, fmt.Errorf("core: %v: %w", err, ErrNotFound)
-		}
-		return nil, fmt.Errorf("core: loading collection %q from the view store: %w", name, err)
+		return zero, fmt.Errorf("core: loading %s %q from the view store: %w", kind, name, err)
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if c, ok := e.collections[name]; ok {
-		// A concurrent miss won the load race; keep the cached object so
-		// every caller shares one instance instead of the last loader
-		// clobbering the rest.
-		return c, nil
+	if v, ok := catalog[name]; ok {
+		return v, nil
 	}
-	e.collections[name] = loaded
+	catalog[name] = loaded
 	return loaded, nil
 }
 
@@ -529,12 +502,36 @@ func (e *Engine) Collection(name string) (*view.Collection, bool) {
 	return c, err == nil
 }
 
-// AggView looks up a materialized aggregate view.
-func (e *Engine) AggView(name string) (*aggregate.View, bool) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	v, ok := e.aggViews[name]
-	return v, ok
+// AggView returns the aggregate view with the given name, read through like
+// LookupCollection: a stored view is its statement, evaluated against its
+// target as it is now, under the run barrier so no mutation lands between
+// that evaluation and cataloging the result.
+func (e *Engine) AggView(name string) (*aggregate.View, error) {
+	if err := e.beginRun(); err != nil {
+		return nil, err
+	}
+	defer e.endRun()
+	return readThrough(e, e.aggViews, "aggregate view", name, func() (*aggregate.View, error) {
+		stmt, err := view.LoadAggregate(e.opts.DataDir, name)
+		if err != nil {
+			return nil, err
+		}
+		return e.evalAgg(stmt)
+	})
+}
+
+// evalAgg evaluates an aggregate view's statement against its resolved
+// target: over a filtered view, only the view's member edges roll up.
+func (e *Engine) evalAgg(stmt *gvdl.CreateAggView) (*aggregate.View, error) {
+	g, parent, err := e.resolveTarget(stmt.On)
+	if err != nil {
+		return nil, err
+	}
+	var member gvdl.EdgePredicate
+	if parent != nil {
+		member = func(i int) bool { return parent.Contains(uint32(i)) }
+	}
+	return aggregate.Evaluate(g, stmt, member)
 }
 
 // resolveTarget resolves a statement's "on" clause to a base graph plus an
@@ -633,20 +630,17 @@ func (e *Engine) executeStmt(stmt gvdl.Statement) (gvdl.Result, error) {
 		}, nil
 
 	case *gvdl.CreateAggView:
-		g, parent, err := e.resolveTarget(s.On)
+		av, err := e.evalAgg(s)
 		if err != nil {
 			return nil, err
 		}
-		if parent != nil {
-			return nil, fmt.Errorf("aggregate view %s: aggregate views over filtered views are not supported; target a base graph", s.Name)
-		}
-		av, err := aggregate.Evaluate(g, s, e.opts.Workers)
-		if err != nil {
-			return nil, err
+		if e.opts.DataDir != "" {
+			if err := view.SaveAggregate(e.opts.DataDir, s); err != nil {
+				return nil, err
+			}
 		}
 		e.mu.Lock()
 		e.aggViews[s.Name] = av
-		e.aggStmts[s.Name] = s
 		e.mu.Unlock()
 		return gvdl.AggViewCreated{
 			Name:       s.Name,

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strings"
 
-	"graphsurge/internal/aggregate"
 	"graphsurge/internal/graph"
 	"graphsurge/internal/gvdl"
 	"graphsurge/internal/view"
@@ -18,8 +17,9 @@ import (
 // one transactional mutation batch to a base graph and incrementally
 // maintains every materialized artifact over it — collections (filtered views
 // among them, as collections of one) re-evaluate their predicates only over
-// the touched edges (view.MaintainCollection), aggregate views re-evaluate
-// from their retained statements, and each maintained collection's
+// the touched edges (view.MaintainCollection), aggregate views are evaluated
+// again in full once the collections are patched (their stored form is the
+// statement, which does not change), and each maintained collection's
 // final-view membership delta is queued on the warm replicas that finished
 // on it (replica.go). Mutations are serialized against runs by the engine's
 // run barrier: a mutation waits for in-flight runs to drain and blocks new
@@ -148,7 +148,8 @@ type maintItem struct {
 
 // maintPlan is the pre-commit maintenance plan for one mutation: every
 // artifact over the target graph, collections topologically ordered —
-// parent views before the views and collections declared over them.
+// parent views before the views and collections declared over them — and
+// the cataloged aggregate views whose target resolves to the graph.
 type maintPlan struct {
 	cols []maintItem
 	aggs []*gvdl.CreateAggView
@@ -166,12 +167,18 @@ func (e *Engine) planMaintenance(g *graph.Graph) (*maintPlan, error) {
 			byName[c.Name] = c
 		}
 	}
-	for name := range e.aggViews {
-		if s, ok := e.aggStmts[name]; ok && s.On == g.Name {
+	var aggs []*gvdl.CreateAggView
+	for _, av := range e.aggViews {
+		aggs = append(aggs, av.Stmt)
+	}
+	e.mu.RUnlock()
+	for _, s := range aggs {
+		if base, _, err := e.resolveTarget(s.On); err != nil {
+			return nil, fmt.Errorf("core: aggregate view %q: %w", s.Name, err)
+		} else if base == g {
 			p.aggs = append(p.aggs, s)
 		}
 	}
-	e.mu.RUnlock()
 
 	for _, c := range byName {
 		k := c.Stream.NumViews()
@@ -250,7 +257,7 @@ func (e *Engine) runMaintenance(g *graph.Graph, p *maintPlan, a graph.Applied) (
 		maintained++
 	}
 	for _, stmt := range p.aggs {
-		av, err := aggregate.Evaluate(g, stmt, e.opts.Workers)
+		av, err := e.evalAgg(stmt)
 		if err != nil {
 			return maintained, fmt.Errorf("re-evaluating aggregate view %q: %w", stmt.Name, err)
 		}

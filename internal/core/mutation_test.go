@@ -158,9 +158,9 @@ edges aggregate total-w: sum(w)`); err != nil {
 		t.Fatal(err)
 	}
 	superEdgeCount := func() int64 {
-		av, ok := e.AggView("cities")
-		if !ok {
-			t.Fatal("aggregate view missing")
+		av, err := e.AggView("cities")
+		if err != nil {
+			t.Fatal(err)
 		}
 		var n int64
 		for _, se := range av.SuperEdges {

@@ -86,8 +86,8 @@ func WriteSpeculation(w io.Writer, res *RunResult) {
 func WritePoolStats(w io.Writer, stats []PoolStat) {
 	var buf bytes.Buffer
 	for _, ps := range stats {
-		fmt.Fprintf(&buf, "pool %s/w=%d: capacity=%d live=%d idle=%d built=%d reused=%d dropped=%d\n",
-			ps.Computation, ps.Workers, ps.Capacity, ps.Live, ps.Idle, ps.Built, ps.Reused, ps.Dropped)
+		fmt.Fprintf(&buf, "pool %s/w=%d: capacity=%d live=%d idle=%d built=%d reused=%d\n",
+			ps.Computation, ps.Workers, ps.Capacity, ps.Live, ps.Idle, ps.Built, ps.Reused)
 	}
 	w.Write(buf.Bytes())
 }

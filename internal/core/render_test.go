@@ -131,7 +131,7 @@ func TestLockedWriterBlockAtomicity(t *testing.T) {
 	poolsFor := func(i int) []PoolStat {
 		return []PoolStat{
 			{Computation: "wcc", Workers: i, Capacity: 2, Live: 1, Idle: 1, Built: 3, Reused: 5},
-			{Computation: "prank", Workers: i, Capacity: 2, Live: 2, Built: 2, Reused: 1, Dropped: 1},
+			{Computation: "prank", Workers: i, Capacity: 2, Live: 2, Built: 2, Reused: 1},
 		}
 	}
 	progressFor := func(i int) SegmentStats {

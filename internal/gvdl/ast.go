@@ -10,8 +10,6 @@ import (
 // Statement is a parsed GVDL statement.
 type Statement interface {
 	stmt()
-	// Target returns the graph or view the statement operates on.
-	Target() string
 	String() string
 }
 
@@ -23,8 +21,7 @@ type CreateView struct {
 	Where Expr
 }
 
-func (*CreateView) stmt()            {}
-func (s *CreateView) Target() string { return s.On }
+func (*CreateView) stmt() {}
 func (s *CreateView) String() string {
 	return fmt.Sprintf("create view %s on %s edges where %s", s.Name, s.On, s.Where)
 }
@@ -43,8 +40,7 @@ type CreateCollection struct {
 	Views []NamedPredicate
 }
 
-func (*CreateCollection) stmt()            {}
-func (s *CreateCollection) Target() string { return s.On }
+func (*CreateCollection) stmt() {}
 func (s *CreateCollection) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "create view collection %s on %s", s.Name, s.On)
@@ -65,9 +61,15 @@ type PropLit struct {
 
 func (p PropLit) String() string {
 	if p.Val.Type == graph.TypeString {
-		return fmt.Sprintf("%s = '%s'", p.Name, p.Val.S)
+		return p.Name + " = " + quote(p.Val.S)
 	}
 	return fmt.Sprintf("%s = %s", p.Name, p.Val)
+}
+
+// quote renders a string literal the lexer reads back as s: backslashes and
+// single quotes are escaped.
+func quote(s string) string {
+	return "'" + strings.NewReplacer(`\`, `\\`, `'`, `\'`).Replace(s) + "'"
 }
 
 // EdgeLit is one edge literal in an apply statement: internal node IDs
@@ -105,8 +107,7 @@ type ApplyMutation struct {
 	Deletes []EdgeLit // property lists unused
 }
 
-func (*ApplyMutation) stmt()            {}
-func (s *ApplyMutation) Target() string { return s.On }
+func (*ApplyMutation) stmt() {}
 func (s *ApplyMutation) String() string {
 	var sb strings.Builder
 	sb.WriteString("apply")
@@ -194,8 +195,7 @@ type CreateAggView struct {
 	EdgeAggs []Aggregation
 }
 
-func (*CreateAggView) stmt()            {}
-func (s *CreateAggView) Target() string { return s.On }
+func (*CreateAggView) stmt() {}
 func (s *CreateAggView) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "create view %s on %s nodes group by ", s.Name, s.On)
@@ -326,7 +326,7 @@ func (o Operand) String() string {
 	switch o.Kind {
 	case OperandLit:
 		if o.Lit.Type == graph.TypeString {
-			return "'" + o.Lit.S + "'"
+			return quote(o.Lit.S)
 		}
 		return o.Lit.String()
 	case OperandEdgeProp:

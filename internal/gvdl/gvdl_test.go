@@ -89,8 +89,8 @@ edges aggregate total-duration: sum(duration)`
 		a2.EdgeAggs[0].Func != AggSum || a2.EdgeAggs[0].Prop != "duration" {
 		t.Fatalf("aggs %+v %+v", a2.NodeAggs, a2.EdgeAggs)
 	}
-	if a2.Target() != "Calls" {
-		t.Fatal("Target")
+	if a2.On != "Calls" {
+		t.Fatal("On")
 	}
 }
 

@@ -226,7 +226,6 @@ var M = struct {
 	SegmentDrain      *Histogram
 	PoolBuilt         *Counter
 	PoolReused        *Counter
-	PoolDropped       *Counter
 	IncrementalWarm   *Counter
 	IncrementalCold   *Counter
 	EstimatorError    *Histogram
@@ -251,7 +250,6 @@ var M = struct {
 	SegmentDrain:      Default.NewHistogram("graphsurge_segment_drain_seconds", "Dataflow drain latency per segment.", LatencyBuckets),
 	PoolBuilt:         Default.NewCounter("graphsurge_pool_built_total", "Replica runners built from scratch."),
 	PoolReused:        Default.NewCounter("graphsurge_pool_reused_total", "Replica runners reused from a warm pool."),
-	PoolDropped:       Default.NewCounter("graphsurge_pool_dropped_total", "Replica runners dropped by pool policy."),
 	IncrementalWarm:   Default.NewCounter("graphsurge_incremental_warm_total", "Incremental re-runs served by a warm replica (hit)."),
 	IncrementalCold:   Default.NewCounter("graphsurge_incremental_cold_total", "Incremental runs that built their replica cold (miss)."),
 	EstimatorError:    Default.NewHistogram("graphsurge_estimator_relative_error", "Relative error |predicted-actual|/actual of segment cost predictions.", ErrorBuckets),

@@ -10,13 +10,15 @@ import (
 	"strings"
 
 	"graphsurge/internal/graph"
+	"graphsurge/internal/gvdl"
 )
 
 // The paper's View Store persists materialized views alongside the graph
 // store ("The output of the program is materialized as a stream in the View
-// Store"). There is one file format, <name>.collection.gob: a collection's
-// name, order and difference stream. A filtered view is stored as the
-// one-view collection it is.
+// Store"). A collection is stored as <name>.collection.gob: its name, order
+// and difference stream. A filtered view is stored as the one-view
+// collection it is. An aggregate view is stored as its defining GVDL
+// statement, <name>.aggregate.gvdl, which is re-evaluated on load.
 
 // ErrInvalidName marks a view/collection name the store refuses to join
 // into a path. Callers with a fallback (the engine's target resolution
@@ -89,6 +91,41 @@ func SaveCollection(dir string, c *Collection) error {
 	return graph.WriteFileAtomic(filepath.Join(dir, c.Name+".collection.gob"), func(w io.Writer) error {
 		return gob.NewEncoder(w).Encode(cg)
 	})
+}
+
+// SaveAggregate persists an aggregate view as its statement's String() form,
+// replacing any earlier file atomically. It records no graph version: the
+// statement is evaluated on load, so the file cannot go stale.
+func SaveAggregate(dir string, stmt *gvdl.CreateAggView) error {
+	if err := validName(stmt.Name); err != nil {
+		return err
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	return graph.WriteFileAtomic(filepath.Join(dir, stmt.Name+".aggregate.gvdl"), func(w io.Writer) error {
+		_, err := io.WriteString(w, stmt.String()+"\n")
+		return err
+	})
+}
+
+// LoadAggregate reads back a persisted aggregate view's statement.
+func LoadAggregate(dir, name string) (*gvdl.CreateAggView, error) {
+	if err := validName(name); err != nil {
+		return nil, err
+	}
+	src, err := os.ReadFile(filepath.Join(dir, name+".aggregate.gvdl"))
+	if err != nil {
+		return nil, err
+	}
+	s, err := gvdl.Parse(string(src))
+	if stmt, ok := s.(*gvdl.CreateAggView); ok && stmt.Name == name {
+		return stmt, nil
+	}
+	if err == nil {
+		err = fmt.Errorf("file holds %q", s)
+	}
+	return nil, fmt.Errorf("view: aggregate view %q is corrupt: %w", name, err)
 }
 
 // LoadCollection loads a persisted collection.
