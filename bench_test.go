@@ -219,13 +219,13 @@ func BenchmarkSegmentParallel(b *testing.B) {
 	dayCol, _ := g.EdgeProps.ColumnIndex("ts")
 	days := g.EdgeProps.Cols[dayCol].Ints
 	names := make([]string, 8)
-	preds := make([]gvdl.EdgePredicate, 8)
+	preds := make([]gvdl.Expr, 8)
 	for i := range preds {
 		lim := int64((i + 1) * 8) // nested windows: views of growing size
 		names[i] = fmt.Sprintf("w%d", i)
-		preds[i] = func(e int) bool { return days[e] < lim }
+		preds[i] = gvdl.Func(func(e int) bool { return days[e] < lim })
 	}
-	col, err := view.MaterializeFromPredicates("seg-col", g, names, preds, view.Options{Workers: 1})
+	col, err := view.MaterializeFromPredicates("seg-col", g, names, preds, nil, view.Options{Workers: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -489,50 +489,6 @@ func BenchmarkEngineWCCStep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		lo := (i * 8) % (len(all) - 8)
 		runner.Step(all[lo:lo+8], all[lo:lo+8]) // re-add after remove keeps state bounded
-	}
-}
-
-// BenchmarkEBM measures Edge Boolean Matrix construction throughput
-// (edge-predicate evaluations per second) for a 16-view collection.
-func BenchmarkEBM(b *testing.B) {
-	g := datagen.Temporal(datagen.TemporalConfig{Nodes: 5_000, Edges: 100_000, Days: 100, Seed: 6})
-	stmt, err := gvdl.Parse("create view v on g edges where ts < 50 and duration <= 30")
-	if err != nil {
-		b.Fatal(err)
-	}
-	pred, err := gvdl.CompileEdgePredicate(g, stmt.(*gvdl.CreateView).Where)
-	if err != nil {
-		b.Fatal(err)
-	}
-	names := make([]string, 16)
-	preds := make([]gvdl.EdgePredicate, 16)
-	for i := range preds {
-		names[i], preds[i] = "v", pred
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		view.BuildEBM(g, names, preds, 1)
-	}
-	b.ReportMetric(float64(16*g.NumEdges()), "preds/op")
-}
-
-// BenchmarkOrdering measures the collection ordering optimizer on a
-// 64-view, 100k-edge EBM (Hamming distances + Christofides + 2-opt).
-func BenchmarkOrdering(b *testing.B) {
-	g := datagen.Temporal(datagen.TemporalConfig{Nodes: 5_000, Edges: 100_000, Days: 128, Seed: 6})
-	dayCol, _ := g.EdgeProps.ColumnIndex("ts")
-	days := g.EdgeProps.Cols[dayCol].Ints
-	names := make([]string, 64)
-	preds := make([]gvdl.EdgePredicate, 64)
-	for i := range preds {
-		lim := int64((i*37)%128 + 1) // shuffled thresholds
-		names[i] = "v"
-		preds[i] = func(e int) bool { return days[e] < lim }
-	}
-	m := view.BuildEBM(g, names, preds, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		view.OptimizeOrder(m)
 	}
 }
 

@@ -40,20 +40,20 @@ func main() {
 	// One view per failure scenario: corridors a and b are lesioned — every
 	// line touching them is removed.
 	var names []string
-	var preds []gvdl.EdgePredicate
+	var preds []gvdl.Expr
 	for a := 0; a < 8; a++ {
 		for b := a + 1; b < 8; b++ {
 			a, b := int64(a), int64(b)
 			names = append(names, fmt.Sprintf("fail-%d-%d", a, b))
-			preds = append(preds, func(i int) bool {
+			preds = append(preds, gvdl.Func(func(i int) bool {
 				cs, cd := comm[g.Srcs[i]], comm[g.Dsts[i]]
 				return cs != a && cs != b && cd != a && cd != b
-			})
+			}))
 		}
 	}
 
 	for _, mode := range []view.OrderingMode{view.OrderAsWritten, view.OrderOptimized} {
-		col, err := view.MaterializeFromPredicates("scenarios", g, names, preds, view.Options{
+		col, err := view.MaterializeFromPredicates("scenarios", g, names, preds, nil, view.Options{
 			Workers: 2,
 			Mode:    mode,
 		})

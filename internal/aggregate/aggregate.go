@@ -43,9 +43,9 @@ type View struct {
 }
 
 // Evaluate computes an aggregate view over a graph. A non-nil member limits
-// the edge pass to the edges it admits (the parent's members when the
-// statement targets a filtered view); nodes are grouped over the whole graph.
-func Evaluate(g *graph.Graph, stmt *gvdl.CreateAggView, member gvdl.EdgePredicate) (*View, error) {
+// the edge pass to its edges (the parent's members when the statement
+// targets a filtered view); nodes are grouped over the whole graph.
+func Evaluate(g *graph.Graph, stmt *gvdl.CreateAggView, member *graph.Bitset) (*View, error) {
 	groups, keys, err := groupNodes(g, stmt)
 	if err != nil {
 		return nil, err
@@ -75,7 +75,7 @@ func Evaluate(g *graph.Graph, stmt *gvdl.CreateAggView, member gvdl.EdgePredicat
 
 	edges := make(map[[2]int32]*fold)
 	for i := 0; i < g.NumEdges(); i++ {
-		if !g.EdgeAlive(i) || member != nil && !member(i) {
+		if !g.EdgeAlive(i) || member != nil && !member.Get(i) {
 			continue
 		}
 		k := [2]int32{groups[g.Srcs[i]], groups[g.Dsts[i]]}
@@ -181,19 +181,20 @@ func groupNodes(g *graph.Graph, stmt *gvdl.CreateAggView) ([]int32, []string, er
 	var keys []string
 
 	if len(stmt.Grouping.Predicates) > 0 {
-		preds := make([]gvdl.NodePredicate, len(stmt.Grouping.Predicates))
+		prog := gvdl.NewNodeSet(g)
+		sets := make([]*graph.Bitset, len(stmt.Grouping.Predicates))
 		for i, e := range stmt.Grouping.Predicates {
-			p, err := gvdl.CompileNodePredicate(g, e)
-			if err != nil {
+			if err := prog.Add(e); err != nil {
 				return nil, nil, fmt.Errorf("aggregate view %s: %w", stmt.Name, err)
 			}
-			preds[i] = p
+			sets[i] = graph.NewBitset(g.NumNodes)
 			keys = append(keys, e.String())
 		}
-		for n := 0; n < g.NumNodes; n++ {
+		prog.Eval(0, g.NumNodes, nil, nil, sets)
+		for n := range groups {
 			groups[n] = -1
-			for i, p := range preds {
-				if p(n) {
+			for i, m := range sets {
+				if m.Get(n) {
 					groups[n] = int32(i)
 					break
 				}

@@ -22,16 +22,16 @@ func mixedCollection(b *testing.B) *view.Collection {
 	// Three disjoint eras, each expanded in four steps: expansions are
 	// similar, era boundaries are natural split points (like Caut).
 	var names []string
-	var preds []gvdl.EdgePredicate
+	var preds []gvdl.Expr
 	for era := 0; era < 3; era++ {
 		lo := int64(era * 66)
 		for step := 1; step <= 4; step++ {
 			hi := lo + int64(step*16)
 			names = append(names, fmt.Sprintf("e%d-%d", era, step))
-			preds = append(preds, func(i int) bool { return days[i] >= lo && days[i] < hi })
+			preds = append(preds, gvdl.Func(func(i int) bool { return days[i] >= lo && days[i] < hi }))
 		}
 	}
-	col, err := view.MaterializeFromPredicates("mixed", g, names, preds, view.Options{})
+	col, err := view.MaterializeFromPredicates("mixed", g, names, preds, nil, view.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -144,11 +144,11 @@ create view hagg on heavy nodes group by city aggregate count(*) edges aggregate
 	check := func(stage string) {
 		t.Helper()
 		g, _ := e.Graph("tw")
-		heavy := mustView(t, e, "heavy")
+		heavy := mustView(t, e, "heavy").Members()
 		ref := *g
 		ref.DeadWords, ref.NumDead = make([]uint64, (g.NumEdges()+63)/64), 0
 		for i := 0; i < g.NumEdges(); i++ {
-			if !heavy.Contains(uint32(i)) {
+			if !heavy.Get(i) {
 				ref.DeadWords[i/64] |= 1 << (uint(i) & 63)
 				ref.NumDead++
 			}
@@ -163,7 +163,7 @@ create view hagg on heavy nodes group by city aggregate count(*) edges aggregate
 		for _, se := range got.SuperEdges {
 			rolled += se.Count
 		}
-		if members := len(heavy.Stream.Adds[0]); rolled != int64(members) || members >= g.LiveEdges() {
+		if members := heavy.Count(); rolled != int64(members) || members >= g.LiveEdges() {
 			t.Fatalf("%s: %d edges rolled up; the view has %d of %d live edges", stage, rolled, members, g.LiveEdges())
 		}
 	}

@@ -130,11 +130,11 @@ create view collection over on mid [a: duration <= 10], [b: duration <= 40]`); e
 		}
 		// The collection declared over the view stays inside it.
 		over, _ := e.Collection("over")
-		mid := mustView(t, e, "mid")
+		mid := mustView(t, e, "mid").Members()
 		for pos, members := range streamMembership(over) {
 			bound := []int64{10, 40}[over.Order[pos]]
 			for i := 0; i < g.NumEdges(); i++ {
-				want := mid.Contains(uint32(i)) && g.EdgeProps.Cols[durCol].Ints[i] <= bound
+				want := mid.Get(i) && g.EdgeProps.Cols[durCol].Ints[i] <= bound
 				if members[uint32(i)] != want {
 					t.Fatalf("%s: collection over view, position %d edge %d membership %v, want %v", stage, pos, i, !want, want)
 				}

@@ -527,11 +527,7 @@ func (e *Engine) evalAgg(stmt *gvdl.CreateAggView) (*aggregate.View, error) {
 	if err != nil {
 		return nil, err
 	}
-	var member gvdl.EdgePredicate
-	if parent != nil {
-		member = func(i int) bool { return parent.Contains(uint32(i)) }
-	}
-	return aggregate.Evaluate(g, stmt, member)
+	return aggregate.Evaluate(g, stmt, parent.Members())
 }
 
 // resolveTarget resolves a statement's "on" clause to a base graph plus an
@@ -557,14 +553,6 @@ func (e *Engine) resolveTarget(name string) (*graph.Graph, *view.Collection, err
 		return nil, nil, err
 	}
 	return nil, nil, fmt.Errorf("core: target %q is neither a graph nor a view", name)
-}
-
-// restrictPredicate limits a compiled predicate to a parent view's members.
-func restrictPredicate(p gvdl.EdgePredicate, parent *view.Collection) gvdl.EdgePredicate {
-	if parent == nil {
-		return p
-	}
-	return func(i int) bool { return parent.Contains(uint32(i)) && p(i) }
 }
 
 // ExecuteContext parses and runs GVDL statements, materializing the views
@@ -660,16 +648,11 @@ func (e *Engine) materialize(name, on string, names []string, exprs []gvdl.Expr)
 	if err != nil {
 		return nil, err
 	}
-	preds := make([]gvdl.EdgePredicate, len(exprs))
 	srcs := make([]string, len(exprs))
 	for i, x := range exprs {
-		p, err := gvdl.CompileEdgePredicate(g, x)
-		if err != nil {
-			return nil, fmt.Errorf("%s: predicate of view %s: %w", name, names[i], err)
-		}
-		preds[i], srcs[i] = restrictPredicate(p, parent), x.String()
+		srcs[i] = x.String()
 	}
-	col, err := view.MaterializeFromPredicates(name, g, names, preds, view.Options{
+	col, err := view.MaterializeFromPredicates(name, g, names, exprs, parent, view.Options{
 		Workers: e.opts.Workers,
 		Mode:    e.opts.Ordering,
 	})

@@ -136,7 +136,7 @@ func TestOrderInvariance(t *testing.T) {
 
 	var want map[analytics.VertexValue]int64
 	for i, mode := range []view.OrderingMode{view.OrderAsWritten, view.OrderOptimized, view.OrderRandom} {
-		col, err := view.MaterializeFromPredicates("c", g, names, preds, view.Options{Mode: mode, Seed: 7})
+		col, err := view.MaterializeFromPredicates("c", g, names, preds, nil, view.Options{Mode: mode, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +149,7 @@ func TestOrderInvariance(t *testing.T) {
 		// have comparable final results, so compare against a fresh
 		// individual run of that view instead.
 		last := col.Order[len(col.Order)-1]
-		fv, err := view.MaterializeFromPredicates(names[last], g, names[last:last+1], preds[last:last+1], view.Options{})
+		fv, err := view.MaterializeFromPredicates(names[last], g, names[last:last+1], preds[last:last+1], nil, view.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,17 +171,17 @@ func TestOrderInvariance(t *testing.T) {
 }
 
 // communityViews builds one "remove community i" predicate per community.
-func communityViews(g *graph.Graph, k int) ([]string, []gvdl.EdgePredicate) {
+func communityViews(g *graph.Graph, k int) ([]string, []gvdl.Expr) {
 	ci, _ := g.NodeProps.ColumnIndex("community")
 	comm := g.NodeProps.Cols[ci].Ints
 	names := make([]string, k)
-	preds := make([]gvdl.EdgePredicate, k)
+	preds := make([]gvdl.Expr, k)
 	for i := 0; i < k; i++ {
 		c := int64(i)
 		names[i] = fmt.Sprintf("rm%d", i)
-		preds[i] = func(e int) bool {
+		preds[i] = gvdl.Func(func(e int) bool {
 			return comm[g.Srcs[e]] != c && comm[g.Dsts[e]] != c
-		}
+		})
 	}
 	return names, preds
 }

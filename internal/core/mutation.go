@@ -198,12 +198,13 @@ func (e *Engine) planMaintenance(g *graph.Graph) (*maintPlan, error) {
 			cur = parent
 		}
 		exprs := make([]gvdl.Expr, k)
+		prog := gvdl.NewEdgeSet(g)
 		for ci, src := range c.PredSrcs {
 			expr, err := gvdl.ParsePredicate(src)
-			if err != nil {
-				return nil, fmt.Errorf("core: collection %q view %d predicate source: %w", c.Name, ci, err)
+			if err == nil {
+				err = prog.Add(expr)
 			}
-			if _, err := gvdl.CompileEdgePredicate(g, expr); err != nil {
+			if err != nil {
 				return nil, fmt.Errorf("core: collection %q view %d predicate source: %w", c.Name, ci, err)
 			}
 			exprs[ci] = expr
@@ -224,25 +225,17 @@ func (e *Engine) planMaintenance(g *graph.Graph) (*maintPlan, error) {
 }
 
 // runMaintenance patches every planned artifact for one committed batch.
-// Predicates are recompiled here, against the post-mutation graph: compiled
-// predicates close over the graph's column slice headers, which appends
-// reallocate, so pre-mutation closures must never be evaluated at inserted
-// indices. Compilation was validated pre-commit, so it cannot fail now.
+// view.MaintainCollection compiles the predicates against the post-mutation
+// graph: a compiled program reads the graph's column slice headers, which
+// appends reallocate. Compilation was validated pre-commit, so it cannot
+// fail now.
 func (e *Engine) runMaintenance(g *graph.Graph, p *maintPlan, a graph.Applied) (int, error) {
 	maintained := 0
 	for _, it := range p.cols {
 		c := it.col
-		preds := make([]gvdl.EdgePredicate, len(it.exprs))
-		for ci, expr := range it.exprs {
-			pred, err := gvdl.CompileEdgePredicate(g, expr)
-			if err != nil {
-				return maintained, fmt.Errorf("recompiling collection %q view %d: %w", c.Name, ci, err)
-			}
-			// The parent is earlier in topo order, already patched; composing
-			// with its membership keeps views-over-views consistent.
-			preds[ci] = restrictPredicate(pred, it.parent)
-		}
-		deltas, err := view.MaintainCollection(c, preds, a)
+		// The parent is earlier in topo order, already patched; masking by
+		// its membership keeps views-over-views consistent.
+		deltas, err := view.MaintainCollection(c, it.exprs, it.parent, a)
 		if err != nil {
 			return maintained, fmt.Errorf("maintaining collection %q: %w", c.Name, err)
 		}

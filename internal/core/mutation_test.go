@@ -102,16 +102,17 @@ create view collection hist on so [w1: ts < 20], [w2: ts < 40], [w3: ts < 60], [
 	// Views: maintained membership equals brute-force predicate evaluation
 	// over the mutated graph's live edges.
 	recent, short := mustView(t, e, "recent"), mustView(t, e, "recent-short")
+	recentIn, shortIn := recent.Members(), short.Members()
 	if recent.Version != 1 || short.Version != 1 {
 		t.Fatalf("view versions %d, %d", recent.Version, short.Version)
 	}
 	for i := 0; i < g.NumEdges(); i++ {
 		wantRecent := g.EdgeAlive(i) && ts(i) >= 50
 		wantShort := wantRecent && dur(i) <= 10
-		if recent.Contains(uint32(i)) != wantRecent {
+		if recentIn.Get(i) != wantRecent {
 			t.Fatalf("edge %d: recent membership %v, want %v", i, !wantRecent, wantRecent)
 		}
-		if short.Contains(uint32(i)) != wantShort {
+		if shortIn.Get(i) != wantShort {
 			t.Fatalf("edge %d: recent-short membership %v, want %v", i, !wantShort, wantShort)
 		}
 	}
@@ -304,11 +305,7 @@ create view collection days on dyn [d3: ts < 3], [d6: ts < 6], [d9: ts < 9]`); e
 func TestMutationNotMaintainableFailsClosed(t *testing.T) {
 	e := newTestEngine(t)
 	g, _ := e.Graph("so")
-	pred, err := gvdl.CompileEdgePredicate(g, mustParsePred(t, "ts < 50"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	col, err := view.MaterializeFromPredicates("prog", g, []string{"a"}, []gvdl.EdgePredicate{pred}, view.Options{Workers: 1})
+	col, err := view.MaterializeFromPredicates("prog", g, []string{"a"}, []gvdl.Expr{mustParsePred(t, "ts < 50")}, nil, view.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

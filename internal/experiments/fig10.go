@@ -49,19 +49,15 @@ func Fig10(ctx context.Context, cfg Config) ([]Fig10Row, error) {
 				fmt.Sprintf("src.%s = dst.%s and affinity >= %d", level, level, aff))
 		}
 	}
-	preds := make([]gvdl.EdgePredicate, len(predSrcs))
+	preds := make([]gvdl.Expr, len(predSrcs))
 	for i, src := range predSrcs {
-		stmt, err := gvdl.Parse("create view v on tw edges where " + src)
-		if err != nil {
-			return nil, err
-		}
-		p, err := gvdl.CompileEdgePredicate(g, stmt.(*gvdl.CreateView).Where)
+		p, err := gvdl.ParsePredicate(src)
 		if err != nil {
 			return nil, err
 		}
 		preds[i] = p
 	}
-	col, err := view.MaterializeFromPredicates("social-9", g, names, preds,
+	col, err := view.MaterializeFromPredicates("social-9", g, names, preds, nil,
 		view.Options{Workers: cfg.workers()})
 	if err != nil {
 		return nil, err

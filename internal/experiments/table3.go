@@ -43,19 +43,15 @@ func citationCollections(cfg Config) (*graph.Graph, []*view.Collection, error) {
 
 	mk := func(name string, specs [][2]string) (*view.Collection, error) {
 		names := make([]string, len(specs))
-		preds := make([]gvdl.EdgePredicate, len(specs))
+		preds := make([]gvdl.Expr, len(specs))
 		for i, s := range specs {
-			stmt, err := gvdl.Parse("create view v on pc edges where " + s[1])
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", name, s[0], err)
-			}
-			p, err := gvdl.CompileEdgePredicate(g, stmt.(*gvdl.CreateView).Where)
+			p, err := gvdl.ParsePredicate(s[1])
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", name, s[0], err)
 			}
 			names[i], preds[i] = s[0], p
 		}
-		return view.MaterializeFromPredicates(name, g, names, preds, view.Options{Workers: cfg.workers()})
+		return view.MaterializeFromPredicates(name, g, names, preds, nil, view.Options{Workers: cfg.workers()})
 	}
 
 	yearWindow := func(from, to int) string {

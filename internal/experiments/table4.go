@@ -57,12 +57,12 @@ func combinations(n, k int) [][]int {
 // perturbationPredicates builds one predicate per k-subset of the top-N
 // communities: the view removes every edge with an endpoint in the subset
 // (the paper's §7.4 contingency-analysis workload).
-func perturbationPredicates(g *graph.Graph, n, k int) ([]string, []gvdl.EdgePredicate) {
+func perturbationPredicates(g *graph.Graph, n, k int) ([]string, []gvdl.Expr) {
 	ci, _ := g.NodeProps.ColumnIndex("community")
 	comm := g.NodeProps.Cols[ci].Ints
 	srcs, dsts := g.Srcs, g.Dsts
 	var names []string
-	var preds []gvdl.EdgePredicate
+	var preds []gvdl.Expr
 	for _, subset := range combinations(n, k) {
 		var mask uint32
 		name := ""
@@ -72,9 +72,9 @@ func perturbationPredicates(g *graph.Graph, n, k int) ([]string, []gvdl.EdgePred
 		}
 		m := mask
 		names = append(names, "rm"+name)
-		preds = append(preds, func(i int) bool {
+		preds = append(preds, gvdl.Func(func(i int) bool {
 			return m&(1<<uint(comm[srcs[i]])) == 0 && m&(1<<uint(comm[dsts[i]])) == 0
-		})
+		}))
 	}
 	return names, preds
 }
@@ -121,7 +121,7 @@ func buildCommunityDataset(cfg Config, name string, nodes int, seed int64) (*com
 				opts.Seed = int64(oi)
 			}
 			col, err := view.MaterializeFromPredicates(
-				fmt.Sprintf("%s-%s-%s", name, sp.cname, oname), g, names, preds, opts)
+				fmt.Sprintf("%s-%s-%s", name, sp.cname, oname), g, names, preds, nil, opts)
 			if err != nil {
 				return nil, err
 			}

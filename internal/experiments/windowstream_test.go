@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"graphsurge/internal/datagen"
+	"graphsurge/internal/gvdl"
 )
 
 // TestWindowStreamMatchesDirectSelection: accumulating the window diff
@@ -69,7 +70,7 @@ func TestPerturbationPredicatesRemoveCommunities(t *testing.T) {
 	comm := g.NodeProps.Cols[ci].Ints
 	// First subset is {0,1}: no surviving edge touches them.
 	for i := 0; i < g.NumEdges(); i++ {
-		if !preds[0](i) {
+		if !preds[0].(gvdl.Func)(i) {
 			continue
 		}
 		cs, cd := comm[g.Srcs[i]], comm[g.Dsts[i]]
@@ -81,7 +82,7 @@ func TestPerturbationPredicatesRemoveCommunities(t *testing.T) {
 	for vi, p := range preds {
 		kept := 0
 		for i := 0; i < g.NumEdges(); i++ {
-			if p(i) {
+			if p.(gvdl.Func)(i) {
 				kept++
 			}
 		}

@@ -1,9 +1,10 @@
-package view
+package graph
 
 import "math/bits"
 
-// Bitset is a fixed-length bit vector; one column of the edge boolean
-// matrix.
+// Bitset is a fixed-length bit vector over row indices: one column of a
+// collection's edge boolean matrix, one compiled predicate's rows, or a row
+// mask.
 type Bitset struct {
 	n     int
 	words []uint64
@@ -14,8 +15,9 @@ func NewBitset(n int) *Bitset {
 	return &Bitset{n: n, words: make([]uint64, (n+63)/64)}
 }
 
-// Len returns the number of bits.
-func (b *Bitset) Len() int { return b.n }
+// Words returns the backing words for word-wise callers: bit i is bit i%64
+// of word i/64. Bits past the bitset's length must stay zero.
+func (b *Bitset) Words() []uint64 { return b.words }
 
 // Set sets bit i.
 func (b *Bitset) Set(i int) { b.words[i>>6] |= 1 << (uint(i) & 63) }
@@ -32,10 +34,7 @@ func (b *Bitset) Grow(n int) {
 	if n <= b.n {
 		return
 	}
-	words := (n + 63) / 64
-	for len(b.words) < words {
-		b.words = append(b.words, 0)
-	}
+	b.words = append(b.words, make([]uint64, (n+63)/64-len(b.words))...)
 	b.n = n
 }
 

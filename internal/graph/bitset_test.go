@@ -1,0 +1,29 @@
+package graph
+
+import "testing"
+
+func TestBitset(t *testing.T) {
+	b := NewBitset(130)
+	b.Set(0)
+	b.Set(64)
+	b.Set(129)
+	if !b.Get(0) || !b.Get(64) || !b.Get(129) || b.Get(1) {
+		t.Fatal("get/set")
+	}
+	if b.Count() != 3 {
+		t.Fatalf("count = %d", b.Count())
+	}
+	o := NewBitset(130)
+	o.Set(0)
+	o.Set(100)
+	if d := b.HammingDistance(o); d != 3 {
+		t.Fatalf("hamming = %d", d)
+	}
+	if len(b.Words()) != 3 || b.Words()[1] != 1 {
+		t.Fatal("words")
+	}
+	b.Grow(200)
+	if len(b.Words()) != 4 || !b.Get(129) || b.Get(199) {
+		t.Fatal("grow")
+	}
+}

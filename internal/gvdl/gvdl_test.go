@@ -199,17 +199,24 @@ func testGraph() *graph.Graph {
 	return g
 }
 
-func mustPred(t *testing.T, g *graph.Graph, pred string) EdgePredicate {
+// evalEdgeSet compiles the predicates into one edge program and returns
+// each one's bitset over all of g's edges.
+func evalEdgeSet(t *testing.T, g *graph.Graph, preds ...string) []*graph.Bitset {
 	t.Helper()
-	s, err := Parse("create view v on g edges where " + pred)
-	if err != nil {
-		t.Fatal(err)
+	p := NewEdgeSet(g)
+	out := make([]*graph.Bitset, len(preds))
+	for i, pred := range preds {
+		e, err := ParsePredicate(pred)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Add(e); err != nil {
+			t.Fatalf("%q: %v", pred, err)
+		}
+		out[i] = graph.NewBitset(g.NumEdges())
 	}
-	f, err := CompileEdgePredicate(g, s.(*CreateView).Where)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return f
+	p.Eval(0, g.NumEdges(), nil, nil, out)
+	return out
 }
 
 func TestCompileEdgePredicate(t *testing.T) {
@@ -230,12 +237,18 @@ func TestCompileEdgePredicate(t *testing.T) {
 		{"duration != 15", []bool{true, false, true}},
 		{"year >= 2019", []bool{true, true, false}},
 		{"src.city < dst.city", []bool{true, false, false}},
+		{"2015 > year", []bool{false, false, true}},
 	}
-	for _, c := range cases {
-		f := mustPred(t, g, c.pred)
+	preds := make([]string, len(cases))
+	for i, c := range cases {
+		preds[i] = c.pred
+	}
+	// One program over every case: the repeated comparisons share atoms.
+	got := evalEdgeSet(t, g, preds...)
+	for ci, c := range cases {
 		for i, want := range c.want {
-			if got := f(i); got != want {
-				t.Errorf("%q edge %d: got %v want %v", c.pred, i, got, want)
+			if got[ci].Get(i) != want {
+				t.Errorf("%q edge %d: got %v want %v", c.pred, i, !want, want)
 			}
 		}
 	}
@@ -248,19 +261,25 @@ func TestCompileNodePredicate(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := s.(*CreateAggView)
-	f, err := CompileNodePredicate(g, a.Grouping.Predicates[0])
-	if err != nil {
-		t.Fatal(err)
+	p := NewNodeSet(g)
+	out := make([]*graph.Bitset, len(a.Grouping.Predicates))
+	for i, e := range a.Grouping.Predicates {
+		if err := p.Add(e); err != nil {
+			t.Fatal(err)
+		}
+		out[i] = graph.NewBitset(g.NumNodes)
 	}
-	want := []bool{true, false, true}
-	for i, w := range want {
-		if f(i) != w {
-			t.Errorf("node %d: got %v want %v", i, f(i), w)
+	p.Eval(0, g.NumNodes, nil, nil, out)
+	for gi, want := range [][]bool{{true, false, true}, {false, true, false}} {
+		for i, w := range want {
+			if out[gi].Get(i) != w {
+				t.Errorf("group %d node %d: got %v want %v", gi, i, !w, w)
+			}
 		}
 	}
 	// src./dst. illegal in node context.
 	s2, _ := Parse("create view v on g edges where src.city = 'LA'")
-	if _, err := CompileNodePredicate(g, s2.(*CreateView).Where); err == nil {
+	if err := NewNodeSet(g).Add(s2.(*CreateView).Where); err == nil {
 		t.Fatal("expected error for src. in node predicate")
 	}
 }
@@ -279,7 +298,7 @@ func TestCompileErrors(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse %q: %v", pred, err)
 		}
-		if _, err := CompileEdgePredicate(g, s.(*CreateView).Where); err == nil {
+		if err := NewEdgeSet(g).Add(s.(*CreateView).Where); err == nil {
 			t.Fatalf("expected compile error for %q", pred)
 		}
 	}

@@ -12,13 +12,13 @@ import (
 func windowEBM(k, edges int) *EBM {
 	g := chainGraph(edges)
 	names := make([]string, k)
-	preds := make([]gvdl.EdgePredicate, k)
+	preds := make([]gvdl.Expr, k)
 	for i := 0; i < k; i++ {
 		limit := ((i*7)%k + 1) * edges / k
 		names[i] = fmt.Sprintf("v%d", i)
-		preds[i] = func(e int) bool { return e < limit }
+		preds[i] = gvdl.Func(func(e int) bool { return e < limit })
 	}
-	return BuildEBM(g, names, preds, 1)
+	return funcEBM(g, names, preds, 1)
 }
 
 // TestOptimizeOrderDeterministic: identical EBMs yield identical orders —

@@ -1,7 +1,8 @@
 // Incremental view maintenance: when a base graph absorbs a mutation
 // batch, every materialized collection — a filtered view is a collection of
 // one — re-evaluates its predicates only over the touched edges (the
-// tombstoned indices and the appended index range), patching the EBM columns
+// tombstoned indices and the appended index range, over which its compiled
+// program runs as it does at creation), patching the EBM columns
 // and editing the difference stream in place instead of rematerializing (the
 // dynamic-graph follow-on to the paper; see DESIGN.md "Dynamic graphs").
 //
@@ -33,26 +34,32 @@ type ViewDelta struct {
 func (d ViewDelta) Empty() bool { return len(d.Adds) == 0 && len(d.Dels) == 0 }
 
 // MaintainCollection patches a materialized collection in place for one
-// applied mutation and returns each ordered view's membership delta.
-// preds holds one freshly recompiled predicate per EBM column (pre-order
-// view index), already composed with the parent view's patched membership
-// when the collection is declared over a view.
+// applied mutation and returns each ordered view's membership delta. preds
+// holds each view's predicate (pre-order view index), compiled here against
+// the mutated graph; parent is the view the collection is declared over,
+// already patched (nil for the base graph).
 //
-// Only touched edges are visited: a deleted edge's old row is read from
-// the EBM when it is in memory, or reconstructed by walking its
-// transitions in the difference stream when the collection was loaded from
-// disk (the EBM is not persisted); an inserted edge's new row is the
-// predicates evaluated at its index. The stream is then edited — stale
-// transition entries removed, new ones appended — and the EBM grown and
-// patched, leaving exactly the state a from-scratch rematerialization
-// would have produced.
-func MaintainCollection(c *Collection, preds []gvdl.EdgePredicate, a graph.Applied) ([]ViewDelta, error) {
+// Only touched edges are visited: a deleted edge's old row is read from the
+// EBM when it is in memory, or reconstructed by walking its transitions in
+// the difference stream when the collection was loaded from disk (the EBM is
+// not persisted); the inserted edges' rows are the program evaluated over
+// the appended range, as creation evaluates it over every edge. The stream
+// is then edited — stale transition entries removed, new ones appended — and
+// the EBM grown and patched, leaving exactly the state a from-scratch
+// rematerialization would have produced.
+func MaintainCollection(c *Collection, preds []gvdl.Expr, parent *Collection, a graph.Applied) ([]ViewDelta, error) {
 	if c.Stream == nil {
 		return nil, fmt.Errorf("view: collection %s has no difference stream", c.Name)
 	}
 	k := c.Stream.NumViews()
 	if len(preds) != k {
 		return nil, fmt.Errorf("view: collection %s has %d views, got %d predicates", c.Name, k, len(preds))
+	}
+	prog := gvdl.NewEdgeSet(c.Graph)
+	for ci, p := range preds {
+		if err := prog.Add(p); err != nil {
+			return nil, fmt.Errorf("view: collection %s view %d: %w", c.Name, ci, err)
+		}
 	}
 	c.Stream.chain.Store(nil) // the edits below change what it fingerprints
 	deltas := make([]ViewDelta, k)
@@ -88,21 +95,24 @@ func MaintainCollection(c *Collection, preds []gvdl.EdgePredicate, a graph.Appli
 	}
 
 	newN := a.PrevEdges + a.Inserted
-	if c.EBM != nil {
-		for _, col := range c.EBM.Cols {
-			col.Grow(newN)
+	cols := make([]*graph.Bitset, k) // the EBM's, or scratch ones
+	for ci := range cols {
+		if cols[ci] = graph.NewBitset(0); c.EBM != nil {
+			cols[ci] = c.EBM.Cols[ci]
 		}
-		c.EBM.NumEdges = newN
+		cols[ci].Grow(newN)
 		for _, e := range a.Deleted {
-			for _, ci := range c.Order {
-				c.EBM.Cols[ci].Clear(int(e))
-			}
+			cols[ci].Clear(int(e))
 		}
 	}
+	if c.EBM != nil {
+		c.EBM.NumEdges = newN
+	}
+	prog.Eval(a.PrevEdges, newN, parent.Members(), c.Graph.DeadWords, cols)
 	for i := a.PrevEdges; i < newN; i++ {
 		prev := false
 		for t, ci := range c.Order {
-			mem := preds[ci](i)
+			mem := cols[ci].Get(i)
 			if mem && !prev {
 				c.Stream.Adds[t] = append(c.Stream.Adds[t], uint32(i))
 			} else if !mem && prev {
@@ -110,9 +120,6 @@ func MaintainCollection(c *Collection, preds []gvdl.EdgePredicate, a graph.Appli
 			}
 			if mem {
 				deltas[t].Adds = append(deltas[t].Adds, uint32(i))
-				if c.EBM != nil {
-					c.EBM.Cols[ci].Set(i)
-				}
 			}
 			prev = mem
 		}

@@ -15,28 +15,28 @@ func TestOptimizeOrderDegenerate(t *testing.T) {
 	if got := OptimizeOrder(&EBM{}); len(got) != 0 {
 		t.Fatalf("empty EBM order = %v", got)
 	}
-	one := &EBM{NumEdges: 10, Names: []string{"a"}, Cols: []*Bitset{NewBitset(10)}}
+	one := &EBM{NumEdges: 10, Names: []string{"a"}, Cols: []*graph.Bitset{graph.NewBitset(10)}}
 	one.Cols[0].Set(3)
 	if got := OptimizeOrder(one); !reflect.DeepEqual(got, []int{0}) {
 		t.Fatalf("single-view order = %v", got)
 	}
 	empty := &EBM{NumEdges: 10, Names: []string{"a", "b", "c"},
-		Cols: []*Bitset{NewBitset(10), NewBitset(10), NewBitset(10)}}
+		Cols: []*graph.Bitset{graph.NewBitset(10), graph.NewBitset(10), graph.NewBitset(10)}}
 	if got := OptimizeOrder(empty); !reflect.DeepEqual(got, []int{0, 1, 2}) {
 		t.Fatalf("all-empty order = %v", got)
 	}
 }
 
-// TestMaterializeDiffsDegenerate pins the diff materializer's fast paths: a
+// TestMaterializeDiffsDegenerate pins the diff materializer's edge cases: a
 // single-view collection's stream is the view's members as one add set, and
-// all-empty views produce an all-empty stream — neither walks edge rows.
+// all-empty views produce an all-empty stream.
 func TestMaterializeDiffsDegenerate(t *testing.T) {
 	d := MaterializeDiffs(&EBM{}, nil)
 	if d.NumViews() != 0 {
 		t.Fatalf("empty stream has %d views", d.NumViews())
 	}
 
-	one := &EBM{NumEdges: 8, Names: []string{"a"}, Cols: []*Bitset{NewBitset(8)}}
+	one := &EBM{NumEdges: 8, Names: []string{"a"}, Cols: []*graph.Bitset{graph.NewBitset(8)}}
 	one.Cols[0].Set(1)
 	one.Cols[0].Set(5)
 	d = MaterializeDiffs(one, []int{0})
@@ -47,7 +47,7 @@ func TestMaterializeDiffsDegenerate(t *testing.T) {
 		t.Fatalf("single-view stream: names %v, sizes %v", d.Names, d.ViewSizes())
 	}
 
-	empty := &EBM{NumEdges: 8, Names: []string{"a", "b"}, Cols: []*Bitset{NewBitset(8), NewBitset(8)}}
+	empty := &EBM{NumEdges: 8, Names: []string{"a", "b"}, Cols: []*graph.Bitset{graph.NewBitset(8), graph.NewBitset(8)}}
 	d = MaterializeDiffs(empty, []int{1, 0})
 	if d.NumViews() != 2 || d.TotalDiffs() != 0 {
 		t.Fatalf("all-empty stream: %d views, %d diffs", d.NumViews(), d.TotalDiffs())
@@ -82,8 +82,8 @@ func mutateChain(t *testing.T, g *graph.Graph, insW []int64, delIdx []int) graph
 
 // wPred returns a predicate on the chain graph's "w" property that reads the
 // column at call time, so it stays valid across appends.
-func wPred(g *graph.Graph, bound int64) gvdl.EdgePredicate {
-	return func(i int) bool { return g.EdgeProps.Cols[0].Ints[i] < bound }
+func wPred(g *graph.Graph, bound int64) gvdl.Expr {
+	return gvdl.Func(func(i int) bool { return g.EdgeProps.Cols[0].Ints[i] < bound })
 }
 
 // TestMaintainView is delete-then-insert maintenance of a filtered view — a
@@ -103,8 +103,8 @@ func TestMaintainView(t *testing.T) {
 		// Insert one member (w=3) and one non-member (w=9); delete one member
 		// (edge 2) and one non-member (edge 7).
 		a := mutateChain(t, g, []int64{3, 9}, []int{2, 7})
-		preds := []gvdl.EdgePredicate{wPred(g, 5)}
-		deltas, err := MaintainCollection(f, preds, a)
+		preds := []gvdl.Expr{wPred(g, 5)}
+		deltas, err := MaintainCollection(f, preds, nil, a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +115,7 @@ func TestMaintainView(t *testing.T) {
 		}
 		for i := 0; i < g.NumEdges(); i++ {
 			want := g.EdgeAlive(i) && g.EdgeProps.Cols[0].Ints[i] < 5
-			if f.Contains(uint32(i)) != want {
+			if f.Members().Get(i) != want {
 				t.Fatalf("in-memory EBM %v: edge %d membership %v, want %v", inMemory, i, !want, want)
 			}
 		}
@@ -135,9 +135,9 @@ func TestMaintainView(t *testing.T) {
 // maintainedEqualsFresh checks a maintained collection's stream (and EBM,
 // when present) against a from-scratch materialization of the same
 // predicates over the mutated graph.
-func maintainedEqualsFresh(t *testing.T, g *graph.Graph, c *Collection, preds []gvdl.EdgePredicate, names []string) {
+func maintainedEqualsFresh(t *testing.T, g *graph.Graph, c *Collection, preds []gvdl.Expr, names []string) {
 	t.Helper()
-	fresh, err := MaterializeFromPredicates("fresh", g, names, preds, Options{Workers: 1})
+	fresh, err := MaterializeFromPredicates("fresh", g, names, preds, nil, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,14 +166,14 @@ func maintainedEqualsFresh(t *testing.T, g *graph.Graph, c *Collection, preds []
 func TestMaintainCollectionWithEBM(t *testing.T) {
 	g := chainGraph(12)
 	names := []string{"a", "b", "c"}
-	preds := []gvdl.EdgePredicate{wPred(g, 3), wPred(g, 6), wPred(g, 9)}
-	c, err := MaterializeFromPredicates("roll", g, names, preds, Options{Workers: 1})
+	preds := []gvdl.Expr{wPred(g, 3), wPred(g, 6), wPred(g, 9)}
+	c, err := MaterializeFromPredicates("roll", g, names, preds, nil, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	a := mutateChain(t, g, []int64{1, 7, 40}, []int{0, 5, 10})
-	deltas, err := MaintainCollection(c, preds, a)
+	deltas, err := MaintainCollection(c, preds, nil, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,8 +193,8 @@ func TestMaintainCollectionWithEBM(t *testing.T) {
 func TestMaintainCollectionStreamWalk(t *testing.T) {
 	g := chainGraph(12)
 	names := []string{"a", "b", "c"}
-	preds := []gvdl.EdgePredicate{wPred(g, 3), wPred(g, 6), wPred(g, 9)}
-	c, err := MaterializeFromPredicates("roll", g, names, preds, Options{Workers: 1})
+	preds := []gvdl.Expr{wPred(g, 3), wPred(g, 6), wPred(g, 9)}
+	c, err := MaterializeFromPredicates("roll", g, names, preds, nil, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestMaintainCollectionStreamWalk(t *testing.T) {
 	c.EBM = nil
 
 	a := mutateChain(t, g, []int64{2, 8}, []int{1, 4, 7})
-	if _, err := MaintainCollection(c, preds, a); err != nil {
+	if _, err := MaintainCollection(c, preds, nil, a); err != nil {
 		t.Fatal(err)
 	}
 	if c.EBM != nil {
@@ -213,7 +213,7 @@ func TestMaintainCollectionStreamWalk(t *testing.T) {
 
 	// A second batch over the already-maintained stream still converges.
 	a = mutateChain(t, g, []int64{5}, []int{int(a.PrevEdges)})
-	if _, err := MaintainCollection(c, preds, a); err != nil {
+	if _, err := MaintainCollection(c, preds, nil, a); err != nil {
 		t.Fatal(err)
 	}
 	maintainedEqualsFresh(t, g, c, preds, names)
@@ -221,17 +221,17 @@ func TestMaintainCollectionStreamWalk(t *testing.T) {
 
 func TestMaintainCollectionErrors(t *testing.T) {
 	g := chainGraph(5)
-	preds := []gvdl.EdgePredicate{wPred(g, 3)}
-	c, err := MaterializeFromPredicates("one", g, []string{"a"}, preds, Options{Workers: 1})
+	preds := []gvdl.Expr{wPred(g, 3)}
+	c, err := MaterializeFromPredicates("one", g, []string{"a"}, preds, nil, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := mutateChain(t, g, []int64{1}, nil)
-	if _, err := MaintainCollection(c, nil, a); err == nil {
+	if _, err := MaintainCollection(c, nil, nil, a); err == nil {
 		t.Fatal("predicate count mismatch accepted")
 	}
 	c.Stream = nil
-	if _, err := MaintainCollection(c, preds, a); err == nil {
+	if _, err := MaintainCollection(c, preds, nil, a); err == nil {
 		t.Fatal("nil stream accepted")
 	}
 }

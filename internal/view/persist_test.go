@@ -41,7 +41,7 @@ func TestViewPersistence(t *testing.T) {
 	if !reflect.DeepEqual(got.PredSrcs, f.PredSrcs) || got.On != "parent" || got.Version != g.Version {
 		t.Fatalf("maintenance metadata lost: %+v", got)
 	}
-	if !got.Contains(3) || got.Contains(4) {
+	if m := got.Members(); !m.Get(3) || m.Get(4) {
 		t.Fatal("membership of a loaded view")
 	}
 	if _, err := LoadCollection(dir, "missing", lookup); !errors.Is(err, os.ErrNotExist) {

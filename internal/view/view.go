@@ -2,12 +2,14 @@
 // Edge Boolean Matrices (EBM), ordering collections, and computing the edge
 // difference streams that drive differential execution (paper §3.1-§3.2). An
 // individual filtered view is a collection of one view: its first difference
-// set is its edge list.
+// set is its edge list. Columns come from one compiled gvdl.Program, over
+// every edge at creation and over appended edges in maintenance.
 package view
 
 import (
 	"fmt"
 	"hash/fnv"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -24,51 +26,34 @@ import (
 type EBM struct {
 	NumEdges int
 	Names    []string
-	Cols     []*Bitset
+	Cols     []*graph.Bitset
 }
 
 // NumViews returns the number of columns.
 func (m *EBM) NumViews() int { return len(m.Cols) }
 
-// BuildEBM evaluates every view predicate over every edge, in parallel
-// across edge ranges — the embarrassingly parallel step 1 of collection
-// materialization.
-func BuildEBM(g *graph.Graph, names []string, preds []gvdl.EdgePredicate, workers int) *EBM {
+// buildEBM evaluates a compiled predicate program over every edge, in
+// parallel across word-aligned ranges (step 1 of materialization), masking
+// out tombstoned edges and edges outside the parent view.
+func buildEBM(g *graph.Graph, names []string, prog *gvdl.Program, parent *Collection, workers int) *EBM {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	m := &EBM{NumEdges: g.NumEdges(), Names: names}
-	for range preds {
-		m.Cols = append(m.Cols, NewBitset(g.NumEdges()))
-	}
 	nE := g.NumEdges()
-	if workers > nE {
-		workers = 1
+	m := &EBM{NumEdges: nE, Names: names, Cols: make([]*graph.Bitset, len(names))}
+	for j := range m.Cols {
+		m.Cols[j] = graph.NewBitset(nE)
 	}
+	keep := parent.Members()
 	var wg sync.WaitGroup
-	// Round chunks up to a multiple of 64 so no two workers touch the same
-	// bitset word.
+	// Chunks of whole words, so no two workers touch the same bitset word.
 	chunk := ((nE+workers-1)/workers + 63) &^ 63
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, nE)
-		if lo >= hi {
-			continue
-		}
+	for lo := 0; lo < nE; lo += chunk {
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func() {
 			defer wg.Done()
-			for j, p := range preds {
-				col := m.Cols[j]
-				// Word-aligned ranges per worker make concurrent writes to
-				// distinct words safe. Tombstoned edges are never members.
-				for i := lo; i < hi; i++ {
-					if g.EdgeAlive(i) && p(i) {
-						col.Set(i)
-					}
-				}
-			}
-		}(lo, hi)
+			prog.Eval(lo, min(lo+chunk, nE), keep, g.DeadWords, m.Cols)
+		}()
 	}
 	wg.Wait()
 	return m
@@ -152,14 +137,9 @@ func (d *DiffStream) ViewSizes() []int {
 	return out
 }
 
-// MaterializeDiffs walks each edge's row of the EBM in the given column
-// order and emits ±1 transitions, yielding the difference stream. Per-edge
-// work is independent (embarrassingly parallel).
-//
-// Degenerate collections short-circuit: a single-view collection's stream
-// is just that view's members as the first add set (no transitions to
-// walk), and a collection whose views are all empty has an all-empty
-// stream — both skip the per-edge row walk entirely.
+// MaterializeDiffs computes the difference stream of the EBM's columns in
+// the given order: view t's adds are its column minus the previous view's,
+// its dels the previous column minus its own, both word-wise.
 func MaterializeDiffs(m *EBM, order []int) *DiffStream {
 	k := len(order)
 	d := &DiffStream{
@@ -167,45 +147,33 @@ func MaterializeDiffs(m *EBM, order []int) *DiffStream {
 		Adds:  make([][]uint32, k),
 		Dels:  make([][]uint32, k),
 	}
+	prev := graph.NewBitset(m.NumEdges).Words() // the empty view before the first
 	for t, c := range order {
+		cur := m.Cols[c].Words()
 		d.Names[t] = m.Names[c]
-	}
-	if k == 0 {
-		return d
-	}
-	if k == 1 {
-		col := m.Cols[order[0]]
-		d.Adds[0] = make([]uint32, 0, col.Count())
-		for i := 0; i < m.NumEdges; i++ {
-			if col.Get(i) {
-				d.Adds[0] = append(d.Adds[0], uint32(i))
-			}
-		}
-		return d
-	}
-	allEmpty := true
-	for _, c := range order {
-		if m.Cols[c].Count() != 0 {
-			allEmpty = false
-			break
-		}
-	}
-	if allEmpty {
-		return d
-	}
-	for i := 0; i < m.NumEdges; i++ {
-		prev := false
-		for t, c := range order {
-			cur := m.Cols[c].Get(i)
-			if cur && !prev {
-				d.Adds[t] = append(d.Adds[t], uint32(i))
-			} else if !cur && prev {
-				d.Dels[t] = append(d.Dels[t], uint32(i))
-			}
-			prev = cur
-		}
+		d.Adds[t], d.Dels[t] = andNot(cur, prev), andNot(prev, cur)
+		prev = cur
 	}
 	return d
+}
+
+// andNot returns the ascending indices of the bits set in a and not in b
+// (nil for none), counted first to allocate the slice at its exact size.
+func andNot(a, b []uint64) []uint32 {
+	n := 0
+	for i, w := range a {
+		n += bits.OnesCount64(w &^ b[i])
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]uint32, 0, n)
+	for i, w := range a {
+		for w &^= b[i]; w != 0; w &= w - 1 {
+			out = append(out, uint32(i<<6|bits.TrailingZeros64(w)))
+		}
+	}
+	return out
 }
 
 // OptimizeOrder runs the collection ordering optimizer (Algorithm 1): pad a
@@ -315,15 +283,21 @@ type Collection struct {
 	Version uint64
 }
 
-// Contains reports whether base edge index e is a member of a one-view
-// collection's view — what a view or collection declared over it restricts
-// to: the EBM column when in memory, binary search over the edge list when
-// the collection was loaded from disk.
-func (c *Collection) Contains(e uint32) bool {
-	if c.EBM != nil {
-		return c.EBM.Cols[0].Get(int(e))
+// Members returns a one-view collection's view as a read-only bitset over
+// the base graph's edges — the EBM column, or rebuilt from the edge list when
+// loaded from disk — and nil for a nil collection.
+func (c *Collection) Members() *graph.Bitset {
+	switch {
+	case c == nil:
+		return nil
+	case c.EBM != nil:
+		return c.EBM.Cols[0]
 	}
-	return containsSorted(c.Stream.Adds[0], e)
+	b := graph.NewBitset(c.Graph.NumEdges())
+	for _, e := range c.Stream.Adds[0] {
+		b.Set(int(e))
+	}
+	return b
 }
 
 // NewCollection wraps a pre-computed difference stream as a materialized
@@ -340,19 +314,26 @@ func NewCollection(name string, g *graph.Graph, stream *DiffStream) *Collection 
 
 // MaterializeFromPredicates runs the three-step pipeline of §3.2 — EBM
 // computation, collection ordering, difference stream computation — over
-// compiled predicates: the one materializer, for GVDL statements (the engine
-// compiles and retains their sources) and programmatic callers alike.
-func MaterializeFromPredicates(name string, g *graph.Graph, names []string, preds []gvdl.EdgePredicate, opts Options) (*Collection, error) {
+// predicates compiled into one program: the one materializer, for GVDL
+// statements and programmatic gvdl.Func predicates alike. Over a parent view
+// (nil for the base graph) only the parent's members can be members.
+func MaterializeFromPredicates(name string, g *graph.Graph, names []string, preds []gvdl.Expr, parent *Collection, opts Options) (*Collection, error) {
 	if len(names) != len(preds) {
 		return nil, fmt.Errorf("collection %s: %d names but %d predicates", name, len(names), len(preds))
 	}
 	if len(preds) == 0 {
 		return nil, fmt.Errorf("collection %s: no views", name)
 	}
+	prog := gvdl.NewEdgeSet(g)
+	for i, p := range preds {
+		if err := prog.Add(p); err != nil {
+			return nil, fmt.Errorf("%s: predicate of view %s: %w", name, names[i], err)
+		}
+	}
 	c := &Collection{Name: name, Graph: g, Version: g.Version}
 
 	start := time.Now()
-	c.EBM = BuildEBM(g, names, preds, opts.Workers)
+	c.EBM = buildEBM(g, names, prog, parent, opts.Workers)
 	c.Timings.EBM = time.Since(start)
 
 	start = time.Now()

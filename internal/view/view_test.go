@@ -45,15 +45,11 @@ func materializeStmt(g *graph.Graph, src string, opts Options) (*Collection, err
 			names, exprs = append(names, v.Name), append(exprs, v.Pred)
 		}
 	}
-	preds := make([]gvdl.EdgePredicate, len(exprs))
 	srcs := make([]string, len(exprs))
 	for i, x := range exprs {
-		if preds[i], err = gvdl.CompileEdgePredicate(g, x); err != nil {
-			return nil, err
-		}
 		srcs[i] = x.String()
 	}
-	c, err := MaterializeFromPredicates(name, g, names, preds, opts)
+	c, err := MaterializeFromPredicates(name, g, names, exprs, nil, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -61,26 +57,15 @@ func materializeStmt(g *graph.Graph, src string, opts Options) (*Collection, err
 	return c, nil
 }
 
-func TestBitset(t *testing.T) {
-	b := NewBitset(130)
-	b.Set(0)
-	b.Set(64)
-	b.Set(129)
-	if !b.Get(0) || !b.Get(64) || !b.Get(129) || b.Get(1) {
-		t.Fatal("get/set")
+// funcEBM builds the EBM of programmatic predicates over g.
+func funcEBM(g *graph.Graph, names []string, preds []gvdl.Expr, workers int) *EBM {
+	prog := gvdl.NewEdgeSet(g)
+	for _, p := range preds {
+		if err := prog.Add(p); err != nil {
+			panic(err)
+		}
 	}
-	if b.Count() != 3 {
-		t.Fatalf("count = %d", b.Count())
-	}
-	o := NewBitset(130)
-	o.Set(0)
-	o.Set(100)
-	if d := b.HammingDistance(o); d != 3 {
-		t.Fatalf("hamming = %d", d)
-	}
-	if b.Len() != 130 {
-		t.Fatal("len")
-	}
+	return buildEBM(g, names, prog, nil, workers)
 }
 
 // TestMaterializeView: a filtered view is a collection of one view whose
@@ -104,7 +89,7 @@ func TestMaterializeView(t *testing.T) {
 			f.EBM = nil
 		}
 		for i := 0; i < g.NumEdges(); i++ {
-			if f.Contains(uint32(i)) != (i < 3) {
+			if f.Members().Get(i) != (i < 3) {
 				t.Fatalf("in-memory EBM %v: edge %d membership %v", inMemory, i, i >= 3)
 			}
 		}
@@ -114,14 +99,13 @@ func TestMaterializeView(t *testing.T) {
 func TestBuildEBMParallelMatchesSerial(t *testing.T) {
 	g := chainGraph(1000)
 	var names []string
-	var preds []gvdl.EdgePredicate
+	var preds []gvdl.Expr
 	for j := 0; j < 7; j++ {
-		j := j
 		names = append(names, fmt.Sprintf("v%d", j))
-		preds = append(preds, func(i int) bool { return i%(j+2) == 0 })
+		preds = append(preds, gvdl.Func(func(i int) bool { return i%(j+2) == 0 }))
 	}
-	serial := BuildEBM(g, names, preds, 1)
-	parallel := BuildEBM(g, names, preds, 4)
+	serial := funcEBM(g, names, preds, 1)
+	parallel := funcEBM(g, names, preds, 4)
 	for j := range preds {
 		if serial.Cols[j].Count() != parallel.Cols[j].Count() {
 			t.Fatalf("column %d differs: %d vs %d", j, serial.Cols[j].Count(), parallel.Cols[j].Count())
@@ -165,7 +149,7 @@ func TestMaterializeDiffsRoundTrip(t *testing.T) {
 		m := &EBM{NumEdges: nEdges}
 		for j := 0; j < k; j++ {
 			m.Names = append(m.Names, fmt.Sprintf("v%d", j))
-			col := NewBitset(nEdges)
+			col := graph.NewBitset(nEdges)
 			for i := 0; i < nEdges; i++ {
 				if r.Intn(2) == 1 {
 					col.Set(i)
@@ -267,14 +251,14 @@ func TestOptimizeOrderBeatsRandomOnStructuredCollections(t *testing.T) {
 	g := chainGraph(280)
 	k := 7
 	names := make([]string, k)
-	preds := make([]gvdl.EdgePredicate, k)
+	preds := make([]gvdl.Expr, k)
 	perm := rand.New(rand.NewSource(5)).Perm(k)
 	for pos, width := range perm {
 		limit := (width + 1) * 40
 		names[pos] = fmt.Sprintf("w%d", limit)
-		preds[pos] = func(i int) bool { return i < limit }
+		preds[pos] = gvdl.Func(func(i int) bool { return i < limit })
 	}
-	m := BuildEBM(g, names, preds, 1)
+	m := funcEBM(g, names, preds, 1)
 
 	asWritten := make([]int, k)
 	for i := range asWritten {
@@ -342,10 +326,10 @@ func TestMaterializeErrors(t *testing.T) {
 	if _, err := materializeStmt(g, "create view collection c on chain [a: nope = 1]", Options{}); err == nil {
 		t.Fatal("expected error for unknown property")
 	}
-	if _, err := MaterializeFromPredicates("c", g, []string{"a"}, nil, Options{}); err == nil {
+	if _, err := MaterializeFromPredicates("c", g, []string{"a"}, nil, nil, Options{}); err == nil {
 		t.Fatal("expected error for mismatched lengths")
 	}
-	if _, err := MaterializeFromPredicates("c", g, nil, nil, Options{}); err == nil {
+	if _, err := MaterializeFromPredicates("c", g, nil, nil, nil, Options{}); err == nil {
 		t.Fatal("expected error for empty collection")
 	}
 }
