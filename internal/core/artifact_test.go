@@ -177,8 +177,8 @@ create view collection over on mid [a: duration <= 10], [b: duration <= 40]`); e
 	}
 	e = open()
 	check("reopened", e, false)
-	if mid := mustView(t, e, "mid"); mid.EBM != nil {
-		t.Fatal("a view loaded from disk carries no EBM: the next batch must maintain by stream walk")
+	if mid := mustView(t, e, "mid"); mid.EBM == nil {
+		t.Fatal("a view loaded from disk has no EBM: the next batch cannot read its old rows")
 	}
 	mutate(e)
 	check("reopened and mutated", e, true)

@@ -118,10 +118,10 @@ type ViewStats struct {
 
 // SegmentStats records one segment's execution: the half-open view range it
 // covered, the time spent acquiring its replica (building or resetting the
-// dataflow, plus the seed membership scan), the wall-clock time the replica
-// spent stepping the segment's views, and whether the segment was opened by
-// a committed speculation (its seed view ran on an idle replica before the
-// adaptive planner declared the split).
+// dataflow, plus building the seed from its EBM column), the wall-clock time
+// the replica spent stepping the segment's views, and whether the segment
+// was opened by a committed speculation (its seed view ran on an idle
+// replica before the adaptive planner declared the split).
 type SegmentStats struct {
 	Start       int           `json:"start"`
 	End         int           `json:"end"`
@@ -365,22 +365,20 @@ func runCollection(ctx context.Context, col *view.Collection, comp analytics.Com
 	k := stream.NumViews()
 
 	cr := &collectionRun{
-		name:     col.Name,
-		stream:   stream,
+		col:      col,
 		sizes:    stream.ViewSizes(),
 		cols:     edgeBatcher(g, wc),
 		observe:  feed(est),
 		progress: opts.OnSegment,
 	}
 	pool := newRunPool(shared, opts.Parallelism)
-	scan := newSeedScan(stream, g.NumEdges(), cr.sizes)
 	wallStart := time.Now()
 
 	var plan splitting.Plan
 	if opts.Mode == Adaptive {
 		// Adaptive mode plans online, interleaved with execution — its
 		// planning cost is inside the run span, not a separate plan span.
-		plan, err = cr.runAdaptive(ctx, opts, pool, scan)
+		plan, err = cr.runAdaptive(ctx, opts, pool)
 	} else {
 		_, planSpan := obs.StartSpan(ctx, "plan",
 			obs.String("schedule", opts.Schedule.String()),
@@ -390,9 +388,8 @@ func runCollection(ctx context.Context, col *view.Collection, comp analytics.Com
 		if opts.Schedule == schedule.LPT {
 			order = schedule.LPTOrder(est.PlanCosts(plan, cr.sizes, diffSizes(stream)))
 		}
-		seeds := newSeedCache(scan, plan, cr.cols)
 		planSpan.End()
-		err = cr.dispatch(ctx, plan, order, seeds, pool, opts.Parallelism, remote)
+		err = cr.dispatch(ctx, plan, order, pool, opts.Parallelism, remote)
 	}
 	if err != nil {
 		return nil, err

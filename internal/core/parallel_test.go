@@ -4,10 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"graphsurge/internal/analytics"
 	"graphsurge/internal/datagen"
+	"graphsurge/internal/graph"
+	"graphsurge/internal/gvdl"
 	"graphsurge/internal/schedule"
 	"graphsurge/internal/view"
 )
@@ -137,25 +140,70 @@ func TestSegmentParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestSeedScanOpeningView pins the opening-view fast path: the seed of view
-// 0 is the first difference set itself (no full-graph scan), even when the
-// view was already folded into the membership array, and later seeds replay
-// the stream correctly.
+// indexBatch materializes an edge-index list with indexes doubling as
+// sources, so the batch's Srcs column mirrors the index list.
+func indexBatch(idxs []uint32) *graph.EdgeBatch {
+	return graph.MakeEdgeBatch(len(idxs), func(i int) graph.Triple { return graph.Triple{Src: uint64(idxs[i])} })
+}
+
+// TestSeedScanOpeningView: the seed of the opening view is exactly its
+// first difference set, and a later view's seed is the stream folded up to
+// it — both read from the view's EBM column, with no scan to advance first.
 func TestSeedScanOpeningView(t *testing.T) {
-	stream := &view.DiffStream{
+	g := datagen.Temporal(datagen.TemporalConfig{Nodes: 10, Edges: 8, Days: 5, Seed: 1})
+	col := view.NewCollection("open", g, &view.DiffStream{
 		Names: []string{"a", "b"},
 		Adds:  [][]uint32{{1, 3, 5}, {2}},
 		Dels:  [][]uint32{nil, {3}},
+	})
+	cr := &collectionRun{col: col, cols: indexBatch}
+	for v, want := range [][]uint64{{1, 3, 5}, {1, 2, 5}} {
+		if got, _ := cr.seed(v); !slices.Equal(got.Srcs, want) {
+			t.Fatalf("seed at view %d: %v, want %v", v, got.Srcs, want)
+		}
 	}
-	ss := newSeedScan(stream, 8, stream.ViewSizes())
-	ss.advance(0) // the seed cache folds untimed before scanning
-	seed := ss.at(0)
-	if len(seed) != 3 || &seed[0] != &stream.Adds[0][0] {
-		t.Fatalf("opening seed not aliased to Adds[0]: %v", seed)
+}
+
+// TestSeedCacheOutOfOrderDispatch: a segment's seed is a walk of its view's
+// EBM column, so views are seeded in any order — LPT dispatch and
+// speculation need no seed cache. Every view's seed, requested in a shuffled
+// order, equals a forward fold of the stream, on a random collection in
+// stream order and on a GVDL-path one whose columns are randomly ordered.
+func TestSeedCacheOutOfOrderDispatch(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	rnd := randomCollection(t, 8, 5)
+	preds := make([]gvdl.Expr, 6)
+	names := make([]string, len(preds))
+	for j := range preds {
+		names[j] = fmt.Sprintf("m%d", j)
+		preds[j] = gvdl.Func(func(i int) bool { return i%(j+2) != 0 })
 	}
-	next := ss.at(1)
-	if len(next) != 3 || next[0] != 1 || next[1] != 2 || next[2] != 5 {
-		t.Fatalf("seed at view 1: %v", next)
+	shuffled, err := view.MaterializeFromPredicates("mod", rnd.Graph, names, preds, nil, view.Options{Mode: view.OrderRandom, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, col := range []*view.Collection{rnd, shuffled} {
+		cr := &collectionRun{col: col, cols: indexBatch}
+		member := make([]bool, col.Graph.NumEdges())
+		want := make([][]uint64, col.Stream.NumViews())
+		for v := range want {
+			for _, e := range col.Stream.Adds[v] {
+				member[e] = true
+			}
+			for _, e := range col.Stream.Dels[v] {
+				member[e] = false
+			}
+			for e, in := range member {
+				if in {
+					want[v] = append(want[v], uint64(e))
+				}
+			}
+		}
+		for _, v := range r.Perm(len(want)) {
+			if got, _ := cr.seed(v); !slices.Equal(got.Srcs, want[v]) {
+				t.Fatalf("%s: seed of view %d has %d edges, the stream fold %d", col.Name, v, got.Len(), len(want[v]))
+			}
+		}
 	}
 }
 

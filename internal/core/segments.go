@@ -90,9 +90,8 @@ type viewStep struct {
 // planning, committed speculation — reduces to "a segment produced a
 // SegmentOutcome", and MergeSegmentOutcomes assembles the result from them.
 type collectionRun struct {
-	name   string
-	stream *view.DiffStream
-	sizes  []int
+	col   *view.Collection
+	sizes []int
 	// cols is the run's single edge-index → columnar-batch conversion point
 	// (see edgeBatcher).
 	cols func(idxs []uint32) *graph.EdgeBatch
@@ -129,13 +128,14 @@ func feed(est *schedule.Estimator) func(ViewStats, bool) {
 // sets, materialized here — per view, as the segment reaches it, so a long
 // segment never holds more than one view's batches.
 func (cr *collectionRun) view(t int, mode splitting.Mode, seed *graph.EdgeBatch) viewStep {
+	stream := cr.col.Stream
 	v := viewStep{
-		meta: ViewStats{Index: t, Name: cr.stream.Names[t], Mode: mode, ViewSize: cr.sizes[t], DiffSize: cr.stream.DiffSize(t)},
+		meta: ViewStats{Index: t, Name: stream.Names[t], Mode: mode, ViewSize: cr.sizes[t], DiffSize: stream.DiffSize(t)},
 		seed: seed != nil,
 		adds: seed,
 	}
 	if seed == nil {
-		v.adds, v.dels = cr.cols(cr.stream.Adds[t]), cr.cols(cr.stream.Dels[t])
+		v.adds, v.dels = cr.cols(stream.Adds[t]), cr.cols(stream.Dels[t])
 	}
 	return v
 }
@@ -261,7 +261,7 @@ func releaseSeg(pool *runPool, s *segmentExec) {
 }
 
 // segment is the unit of static dispatch: a plan segment and the seed the
-// forward builder made for it, with the time that took.
+// builder made for it, with the time that took.
 type segment struct {
 	splitting.Segment
 	seed  *graph.EdgeBatch
@@ -281,12 +281,11 @@ type remoteSlots struct {
 }
 
 // dispatch executes a static plan: a work-conserving list schedule of its
-// segments, in the given order, over slots. One builder goroutine pulls
-// seeds from the forward scan (seeds.take) in dispatch order and offers each
-// segment on an unbuffered queue, so it stays exactly one seed ahead of the
-// slots: a slot that frees up finds its next seed already built, and at most
-// slots+1 seeds are live. A slot is either a local pool replica or a remote
-// SegmentRunner:
+// segments, in the given order, over slots. One builder goroutine builds
+// seeds (cr.seed) in dispatch order and offers each segment on an unbuffered
+// queue, so it stays exactly one seed ahead of the slots: a slot that frees
+// up finds its next seed already built, and at most slots+1 seeds are live.
+// A slot is either a local pool replica or a remote SegmentRunner:
 //
 //   - A remote slot takes fresh segments, materializes each as a
 //     self-contained SegmentSpec and ships it. A slot whose runner fails
@@ -306,7 +305,7 @@ type remoteSlots struct {
 // its remote call, and releases every replica; aborted segments record no
 // outcome — the run is returning an error, so partial results are never
 // read.
-func (cr *collectionRun) dispatch(ctx context.Context, plan splitting.Plan, order []int, seeds *seedCache, pool *runPool, local int, remote remoteSlots) error {
+func (cr *collectionRun) dispatch(ctx context.Context, plan splitting.Plan, order []int, pool *runPool, local int, remote remoteSlots) error {
 	ctx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
 	view := func(seg *segment) func(int) viewStep {
@@ -326,7 +325,7 @@ func (cr *collectionRun) dispatch(ctx context.Context, plan splitting.Plan, orde
 		defer close(fresh)
 		for _, si := range order {
 			seg := &segment{Segment: plan.Segments[si]}
-			seg.seed, seg.build = seeds.take(seg.Start)
+			seg.seed, seg.build = cr.seed(seg.Start)
 			select {
 			case fresh <- seg:
 			case <-ctx.Done():
@@ -343,7 +342,7 @@ func (cr *collectionRun) dispatch(ctx context.Context, plan splitting.Plan, orde
 		go func(r SegmentRunner) {
 			defer remotes.Done()
 			for seg := range fresh {
-				out, err := r.RunSegment(ctx, remote.spec(cr.name, seg, view(seg)))
+				out, err := r.RunSegment(ctx, remote.spec(cr.col.Name, seg, view(seg)))
 				if err != nil {
 					retry <- seg
 					return
@@ -462,14 +461,13 @@ type speculation struct {
 // speculate predicts the planner's next split point from the optimizer's
 // current models (Optimizer.NextSplit) and, when this run has an idle
 // replica slot, seeds that segment on it ahead of the decision: the replica
-// is acquired, the seed built on a fork of the scan (the parent scan cannot
-// rewind if the prediction misses short), and the predicted view stepped
-// from scratch. The segment is independent dataflow state, so the work is
-// correct whether or not the planner later declares the split — a hit
-// converts replica idle time into overlap, a miss releases the replica (its
-// state is discarded by the pool's reset on the next acquire). Returns nil
-// when no split is predicted.
-func (cr *collectionRun) speculate(ctx context.Context, opt *splitting.Optimizer, mu *sync.Mutex, pool *runPool, scan *seedScan, from int, diffs []int) *speculation {
+// is acquired, the seed built, and the predicted view stepped from scratch.
+// The segment is independent dataflow state, so the work is correct whether
+// or not the planner later declares the split — a hit converts replica idle
+// time into overlap, a miss releases the replica (its state is discarded by
+// the pool's reset on the next acquire). Returns nil when no split is
+// predicted.
+func (cr *collectionRun) speculate(ctx context.Context, opt *splitting.Optimizer, mu *sync.Mutex, pool *runPool, from int, diffs []int) *speculation {
 	mu.Lock()
 	p, ok := opt.NextSplit(from, cr.sizes, diffs)
 	mu.Unlock()
@@ -477,7 +475,6 @@ func (cr *collectionRun) speculate(ctx context.Context, opt *splitting.Optimizer
 		return nil
 	}
 	sp := &speculation{t: p, done: make(chan struct{})}
-	fork := scan.fork() // fork on the planner goroutine: the scan is not concurrency-safe
 	go func() {
 		defer close(sp.done)
 		r, setup, ok := pool.TryAcquire()
@@ -487,10 +484,8 @@ func (cr *collectionRun) speculate(ctx context.Context, opt *splitting.Optimizer
 		_, span := obs.StartSpan(ctx, "segment",
 			obs.Int("start", p), obs.String("speculative", "true"))
 		began := time.Now()
-		fork.advance(p)
-		scanStart := time.Now()
-		seed := cr.cols(fork.at(p))
-		s := &segmentExec{r: r, start: p, setup: setup + time.Since(scanStart), spec: true, span: span}
+		seed, build := cr.seed(p)
+		s := &segmentExec{r: r, start: p, setup: setup + build, spec: true, span: span}
 		// The cost models see the seed view only if its segment commits.
 		s.step(cr.view(p, splitting.ModeScratch, seed), nil)
 		s.drain = time.Since(began)
@@ -520,11 +515,10 @@ func (cr *collectionRun) speculate(ctx context.Context, opt *splitting.Optimizer
 // leaves the run's results, ViewStats and work aggregates exactly as if it
 // never happened. Split points — never results — may vary with timing, as
 // they already do run to run sequentially.
-func (cr *collectionRun) runAdaptive(ctx context.Context, opts RunOptions, pool *runPool, scan *seedScan) (splitting.Plan, error) {
-	k := cr.stream.NumViews()
+func (cr *collectionRun) runAdaptive(ctx context.Context, opts RunOptions, pool *runPool) (splitting.Plan, error) {
+	k := cr.col.Stream.NumViews()
 	opt := &splitting.Optimizer{BatchSize: opts.BatchSize}
 	planner := splitting.NewPlanner(opt)
-	seeds := newSeedCache(scan, splitting.Plan{}, cr.cols)
 
 	// One mutex serializes planner decisions against observations arriving
 	// from segment goroutines; the optimizer is not safe for concurrent use.
@@ -544,7 +538,7 @@ func (cr *collectionRun) runAdaptive(ctx context.Context, opts RunOptions, pool 
 	// Inline is this run's parallelism, not the pool's capacity: a shared
 	// engine pool may be larger than this run is allowed to use.
 	inline := opts.Parallelism == 1
-	diffs := diffSizes(cr.stream)
+	diffs := diffSizes(cr.col.Stream)
 	var segs []*segmentExec // asynchronously executing segments, in order
 	var cur *segmentExec
 	var spec *speculation
@@ -600,7 +594,7 @@ func (cr *collectionRun) runAdaptive(ctx context.Context, opts RunOptions, pool 
 			return plan, err
 		}
 		mu.Lock()
-		mode, split := planner.Extend(cr.sizes[t], cr.stream.DiffSize(t))
+		mode, split := planner.Extend(cr.sizes[t], diffs[t])
 		mu.Unlock()
 		var seed *graph.EdgeBatch
 		committed := false
@@ -632,7 +626,7 @@ func (cr *collectionRun) runAdaptive(ctx context.Context, opts RunOptions, pool 
 				committed = true
 			} else {
 				var build time.Duration
-				seed, build = seeds.take(t)
+				seed, build = cr.seed(t)
 				var err error
 				if cur, err = openSegment(ctx, pool, t, build); err != nil {
 					return drain(err)
@@ -670,7 +664,7 @@ func (cr *collectionRun) runAdaptive(ctx context.Context, opts RunOptions, pool 
 		// The open segment holds a slot, so at Parallelism=1 none is ever
 		// free and the inline path never speculates.
 		if spec == nil && pool.Free() > 0 {
-			spec = cr.speculate(ctx, opt, &mu, pool, scan, t+1, diffs)
+			spec = cr.speculate(ctx, opt, &mu, pool, t+1, diffs)
 		}
 	}
 	if cur == nil {

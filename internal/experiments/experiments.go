@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"text/tabwriter"
 	"time"
 
@@ -164,6 +165,9 @@ func randomViewSequence(pool int, start, k, add, rem int, seed int64) *view.Diff
 			dels = append(dels, e)
 			absentList = append(absentList, e)
 		}
+		// Difference sets are ascending; the picks above are in random order.
+		slices.Sort(adds)
+		slices.Sort(dels)
 		b.view(fmt.Sprintf("v%d", t), adds, dels)
 	}
 	return b.stream()

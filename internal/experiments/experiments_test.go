@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -161,6 +162,9 @@ func TestRandomViewSequenceConsistent(t *testing.T) {
 	}
 	present := map[uint32]bool{}
 	for t2 := 0; t2 < 10; t2++ {
+		if !slices.IsSorted(s.Adds[t2]) || !slices.IsSorted(s.Dels[t2]) {
+			t.Fatalf("view %d: difference sets not ascending", t2)
+		}
 		for _, e := range s.Adds[t2] {
 			if present[e] {
 				t.Fatalf("view %d: double add of %d", t2, e)

@@ -47,6 +47,36 @@ func (b *Bitset) Count() int {
 	return c
 }
 
+// AndNot returns the ascending indices of the bits set in b and not in o (nil
+// for none), counted first to allocate the slice at its exact size. A nil o
+// clears nothing, so b.AndNot(nil) lists b's members.
+func (b *Bitset) AndNot(o *Bitset) []uint32 {
+	var ow []uint64
+	if o != nil {
+		ow = o.words
+	}
+	n := 0
+	for i, w := range b.words {
+		if i < len(ow) {
+			w &^= ow[i]
+		}
+		n += bits.OnesCount64(w)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]uint32, 0, n)
+	for i, w := range b.words {
+		if i < len(ow) {
+			w &^= ow[i]
+		}
+		for ; w != 0; w &= w - 1 {
+			out = append(out, uint32(i<<6|bits.TrailingZeros64(w)))
+		}
+	}
+	return out
+}
+
 // HammingDistance returns the number of positions where b and o differ.
 // Both bitsets must have the same length.
 func (b *Bitset) HammingDistance(o *Bitset) int {

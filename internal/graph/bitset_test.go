@@ -1,6 +1,9 @@
 package graph
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestBitset(t *testing.T) {
 	b := NewBitset(130)
@@ -22,8 +25,21 @@ func TestBitset(t *testing.T) {
 	if len(b.Words()) != 3 || b.Words()[1] != 1 {
 		t.Fatal("words")
 	}
+	if got := b.AndNot(o); !slices.Equal(got, []uint32{64, 129}) {
+		t.Fatalf("and-not = %v", got)
+	}
+	if got := b.AndNot(nil); !slices.Equal(got, []uint32{0, 64, 129}) {
+		t.Fatalf("members = %v", got)
+	}
+	if got := o.AndNot(o); got != nil {
+		t.Fatalf("self and-not = %v", got)
+	}
 	b.Grow(200)
 	if len(b.Words()) != 4 || !b.Get(129) || b.Get(199) {
 		t.Fatal("grow")
+	}
+	b.Set(199)
+	if got := b.AndNot(o); !slices.Equal(got, []uint32{64, 129, 199}) {
+		t.Fatalf("and-not of a shorter bitset = %v", got)
 	}
 }

@@ -7,10 +7,10 @@
 // dynamic-graph follow-on to the paper; see DESIGN.md "Dynamic graphs").
 //
 // The edit discipline rests on two invariants of the mutation layer:
-// deleted edges keep their (stable) indices as tombstones, so their stream
-// entries can be located and removed by binary search; inserted edges take
-// indices strictly greater than every pre-existing one, so their entries
-// append to the tail of each sorted add/del set without merging.
+// deleted edges keep their (stable) indices as tombstones, so their old EBM
+// rows name the stream entries to remove; inserted edges take indices
+// strictly greater than every pre-existing one, so their entries append to
+// the tail of each sorted add/del set without merging.
 package view
 
 import (
@@ -40,13 +40,11 @@ func (d ViewDelta) Empty() bool { return len(d.Adds) == 0 && len(d.Dels) == 0 }
 // already patched (nil for the base graph).
 //
 // Only touched edges are visited: a deleted edge's old row is read from the
-// EBM when it is in memory, or reconstructed by walking its transitions in
-// the difference stream when the collection was loaded from disk (the EBM is
-// not persisted); the inserted edges' rows are the program evaluated over
-// the appended range, as creation evaluates it over every edge. The stream
-// is then edited — stale transition entries removed, new ones appended — and
-// the EBM grown and patched, leaving exactly the state a from-scratch
-// rematerialization would have produced.
+// EBM; the inserted edges' rows are the program evaluated over the appended
+// range, as creation evaluates it over every edge. The stream is then edited
+// — stale transition entries removed, new ones appended — and the EBM grown
+// and patched, leaving exactly the state a from-scratch rematerialization
+// would have produced.
 func MaintainCollection(c *Collection, preds []gvdl.Expr, parent *Collection, a graph.Applied) ([]ViewDelta, error) {
 	if c.Stream == nil {
 		return nil, fmt.Errorf("view: collection %s has no difference stream", c.Name)
@@ -69,11 +67,11 @@ func MaintainCollection(c *Collection, preds []gvdl.Expr, parent *Collection, a 
 	remAdds := make([][]uint32, k)
 	remDels := make([][]uint32, k)
 
-	oldRow := make([]bool, k)
+	cols := c.EBM.Cols
 	for _, e := range a.Deleted {
-		c.oldMembership(e, oldRow)
 		prev := false
-		for t, mem := range oldRow {
+		for t, ci := range c.Order {
+			mem := cols[ci].Get(int(e))
 			if mem && !prev {
 				remAdds[t] = append(remAdds[t], e)
 			} else if !mem && prev {
@@ -95,19 +93,13 @@ func MaintainCollection(c *Collection, preds []gvdl.Expr, parent *Collection, a 
 	}
 
 	newN := a.PrevEdges + a.Inserted
-	cols := make([]*graph.Bitset, k) // the EBM's, or scratch ones
-	for ci := range cols {
-		if cols[ci] = graph.NewBitset(0); c.EBM != nil {
-			cols[ci] = c.EBM.Cols[ci]
-		}
-		cols[ci].Grow(newN)
+	for _, col := range cols {
+		col.Grow(newN)
 		for _, e := range a.Deleted {
-			cols[ci].Clear(int(e))
+			col.Clear(int(e))
 		}
 	}
-	if c.EBM != nil {
-		c.EBM.NumEdges = newN
-	}
+	c.EBM.NumEdges = newN
 	prog.Eval(a.PrevEdges, newN, parent.Members(), c.Graph.DeadWords, cols)
 	for i := a.PrevEdges; i < newN; i++ {
 		prev := false
@@ -126,41 +118,6 @@ func MaintainCollection(c *Collection, preds []gvdl.Expr, parent *Collection, a 
 	}
 	c.Version = a.Version
 	return deltas, nil
-}
-
-// oldMembership fills row with edge e's pre-mutation membership per ordered
-// view position, reading the EBM when present and otherwise replaying the
-// edge's add/del transitions along the stream order.
-func (c *Collection) oldMembership(e uint32, row []bool) {
-	if c.EBM != nil {
-		for t, ci := range c.Order {
-			row[t] = c.EBM.Cols[ci].Get(int(e))
-		}
-		return
-	}
-	mem := false
-	for t := range row {
-		if containsSorted(c.Stream.Adds[t], e) {
-			mem = true
-		} else if containsSorted(c.Stream.Dels[t], e) {
-			mem = false
-		}
-		row[t] = mem
-	}
-}
-
-// containsSorted reports membership of v in an ascending slice.
-func containsSorted(s []uint32, v uint32) bool {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(s) && s[lo] == v
 }
 
 // removeSorted filters the ascending entries of rem out of the ascending

@@ -87,17 +87,16 @@ func wPred(g *graph.Graph, bound int64) gvdl.Expr {
 }
 
 // TestMaintainView is delete-then-insert maintenance of a filtered view — a
-// one-view collection — with its EBM column in memory and, as after a
-// restart, without it.
+// one-view collection — as created and, as after a restart, reloaded.
 func TestMaintainView(t *testing.T) {
-	for _, inMemory := range []bool{true, false} {
+	for _, reloaded := range []bool{false, true} {
 		g := chainGraph(10) // w = edge index
 		f, err := materializeStmt(g, "create view small on chain edges where w < 5", Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !inMemory {
-			f.EBM = nil
+		if reloaded {
+			f = reload(t, f)
 		}
 
 		// Insert one member (w=3) and one non-member (w=9); delete one member
@@ -116,7 +115,7 @@ func TestMaintainView(t *testing.T) {
 		for i := 0; i < g.NumEdges(); i++ {
 			want := g.EdgeAlive(i) && g.EdgeProps.Cols[0].Ints[i] < 5
 			if f.Members().Get(i) != want {
-				t.Fatalf("in-memory EBM %v: edge %d membership %v, want %v", inMemory, i, !want, want)
+				t.Fatalf("reloaded %v: edge %d membership %v, want %v", reloaded, i, !want, want)
 			}
 		}
 		if !reflect.DeepEqual(delta.Adds, []uint32{uint32(a.PrevEdges)}) {
@@ -132,32 +131,31 @@ func TestMaintainView(t *testing.T) {
 	}
 }
 
-// maintainedEqualsFresh checks a maintained collection's stream (and EBM,
-// when present) against a from-scratch materialization of the same
-// predicates over the mutated graph.
+// maintainedEqualsFresh checks a maintained collection's stream and EBM
+// against a from-scratch materialization of the same predicates over the
+// mutated graph, in the maintained collection's order.
 func maintainedEqualsFresh(t *testing.T, g *graph.Graph, c *Collection, preds []gvdl.Expr, names []string) {
 	t.Helper()
 	fresh, err := MaterializeFromPredicates("fresh", g, names, preds, nil, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := MaterializeDiffs(fresh.EBM, c.Order)
 	for v := 0; v < c.Stream.NumViews(); v++ {
-		if !reflect.DeepEqual(c.Stream.Adds[v], fresh.Stream.Adds[v]) && !(len(c.Stream.Adds[v]) == 0 && len(fresh.Stream.Adds[v]) == 0) {
-			t.Fatalf("view %d adds: maintained %v, fresh %v", v, c.Stream.Adds[v], fresh.Stream.Adds[v])
+		if !reflect.DeepEqual(c.Stream.Adds[v], want.Adds[v]) && !(len(c.Stream.Adds[v]) == 0 && len(want.Adds[v]) == 0) {
+			t.Fatalf("view %d adds: maintained %v, fresh %v", v, c.Stream.Adds[v], want.Adds[v])
 		}
-		if !reflect.DeepEqual(c.Stream.Dels[v], fresh.Stream.Dels[v]) && !(len(c.Stream.Dels[v]) == 0 && len(fresh.Stream.Dels[v]) == 0) {
-			t.Fatalf("view %d dels: maintained %v, fresh %v", v, c.Stream.Dels[v], fresh.Stream.Dels[v])
+		if !reflect.DeepEqual(c.Stream.Dels[v], want.Dels[v]) && !(len(c.Stream.Dels[v]) == 0 && len(want.Dels[v]) == 0) {
+			t.Fatalf("view %d dels: maintained %v, fresh %v", v, c.Stream.Dels[v], want.Dels[v])
 		}
 	}
-	if c.EBM != nil {
-		if c.EBM.NumEdges != g.NumEdges() {
-			t.Fatalf("EBM covers %d edges, graph has %d", c.EBM.NumEdges, g.NumEdges())
-		}
-		for ci := range c.EBM.Cols {
-			for i := 0; i < g.NumEdges(); i++ {
-				if c.EBM.Cols[ci].Get(i) != fresh.EBM.Cols[ci].Get(i) {
-					t.Fatalf("EBM col %d edge %d differs from fresh", ci, i)
-				}
+	if c.EBM.NumEdges != g.NumEdges() {
+		t.Fatalf("EBM covers %d edges, graph has %d", c.EBM.NumEdges, g.NumEdges())
+	}
+	for ci := range c.EBM.Cols {
+		for i := 0; i < g.NumEdges(); i++ {
+			if c.EBM.Cols[ci].Get(i) != fresh.EBM.Cols[ci].Get(i) {
+				t.Fatalf("EBM col %d edge %d differs from fresh", ci, i)
 			}
 		}
 	}
@@ -190,24 +188,21 @@ func TestMaintainCollectionWithEBM(t *testing.T) {
 	maintainedEqualsFresh(t, g, c, preds, names)
 }
 
-func TestMaintainCollectionStreamWalk(t *testing.T) {
+// TestMaintainReloadedCollection: a collection loaded from disk maintains
+// from the EBM its load rebuilt, through consecutive batches.
+func TestMaintainReloadedCollection(t *testing.T) {
 	g := chainGraph(12)
 	names := []string{"a", "b", "c"}
 	preds := []gvdl.Expr{wPred(g, 3), wPred(g, 6), wPred(g, 9)}
-	c, err := MaterializeFromPredicates("roll", g, names, preds, nil, Options{Workers: 1})
+	c, err := MaterializeFromPredicates("roll", g, names, preds, nil, Options{Workers: 1, Mode: OrderRandom, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A collection loaded from disk has no EBM: old membership reconstructs
-	// by walking each deleted edge's stream transitions.
-	c.EBM = nil
+	c = reload(t, c)
 
 	a := mutateChain(t, g, []int64{2, 8}, []int{1, 4, 7})
 	if _, err := MaintainCollection(c, preds, nil, a); err != nil {
 		t.Fatal(err)
-	}
-	if c.EBM != nil {
-		t.Fatal("maintenance resurrected the EBM")
 	}
 	maintainedEqualsFresh(t, g, c, preds, names)
 

@@ -63,9 +63,9 @@ type collectionGob struct {
 	Version  uint64
 }
 
-// SaveCollection persists a materialized collection's difference stream
-// (the EBM is not retained — it is only needed for ordering, which has
-// already happened), replacing any earlier file of the name atomically.
+// SaveCollection persists a materialized collection's difference stream,
+// replacing any earlier file of the name atomically. The EBM is not
+// persisted: LoadCollection derives it from the stream.
 func SaveCollection(dir string, c *Collection) error {
 	if err := validName(c.Name); err != nil {
 		return err
@@ -128,7 +128,8 @@ func LoadAggregate(dir, name string) (*gvdl.CreateAggView, error) {
 	return nil, fmt.Errorf("view: aggregate view %q is corrupt: %w", name, err)
 }
 
-// LoadCollection loads a persisted collection.
+// LoadCollection loads a persisted collection and rebuilds its EBM from the
+// stream. A file whose order or stream the rebuild rejects is corrupt.
 func LoadCollection(dir, name string, lookup func(string) (*graph.Graph, error)) (*Collection, error) {
 	if err := validName(name); err != nil {
 		return nil, err
@@ -154,24 +155,11 @@ func LoadCollection(dir, name string, lookup func(string) (*graph.Graph, error))
 	if err != nil {
 		return nil, fmt.Errorf("collection %q: %w", name, err)
 	}
-	if len(cg.Names) != cg.EBMs || len(cg.Adds) != cg.EBMs || len(cg.Dels) != cg.EBMs {
-		return nil, fmt.Errorf("view: collection %q is corrupt (%d/%d/%d views, want %d)",
-			name, len(cg.Names), len(cg.Adds), len(cg.Dels), cg.EBMs)
-	}
 	if cg.Version != base.Version {
 		return nil, fmt.Errorf("collection %q: %w: reflects graph %s at version %d, graph is at %d",
 			name, ErrStale, base.Name, cg.Version, base.Version)
 	}
-	for _, sets := range [][][]uint32{cg.Adds, cg.Dels} {
-		for _, set := range sets {
-			for _, e := range set {
-				if int(e) >= base.NumEdges() {
-					return nil, fmt.Errorf("collection %q: edge index %d out of range for graph %s", name, e, base.Name)
-				}
-			}
-		}
-	}
-	return &Collection{
+	c := &Collection{
 		Name:     cg.Name,
 		Graph:    base,
 		Order:    cg.Order,
@@ -179,5 +167,14 @@ func LoadCollection(dir, name string, lookup func(string) (*graph.Graph, error))
 		PredSrcs: cg.PredSrcs,
 		On:       cg.On,
 		Version:  cg.Version,
-	}, nil
+	}
+	if len(cg.Names) != cg.EBMs {
+		err = fmt.Errorf("%d view names, want %d", len(cg.Names), cg.EBMs)
+	} else {
+		c.EBM, err = rebuildEBM(base.NumEdges(), cg.Order, c.Stream)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("view: collection %q is corrupt: %w", name, err)
+	}
+	return c, nil
 }

@@ -4,12 +4,16 @@
 // individual filtered view is a collection of one view: its first difference
 // set is its edge list. Columns come from one compiled gvdl.Program, over
 // every edge at creation and over appended edges in maintenance.
+//
+// The EBM is a collection's one membership representation and every
+// collection keeps it: creation evaluates it, NewCollection and
+// LoadCollection rebuild it from the stream. Run seeds, maintenance's old
+// rows and a parent view's mask all read its columns.
 package view
 
 import (
 	"fmt"
 	"hash/fnv"
-	"math/bits"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -147,33 +151,69 @@ func MaterializeDiffs(m *EBM, order []int) *DiffStream {
 		Adds:  make([][]uint32, k),
 		Dels:  make([][]uint32, k),
 	}
-	prev := graph.NewBitset(m.NumEdges).Words() // the empty view before the first
+	prev := graph.NewBitset(m.NumEdges) // the empty view before the first
 	for t, c := range order {
-		cur := m.Cols[c].Words()
+		cur := m.Cols[c]
 		d.Names[t] = m.Names[c]
-		d.Adds[t], d.Dels[t] = andNot(cur, prev), andNot(prev, cur)
+		d.Adds[t], d.Dels[t] = cur.AndNot(prev), prev.AndNot(cur)
 		prev = cur
 	}
 	return d
 }
 
-// andNot returns the ascending indices of the bits set in a and not in b
-// (nil for none), counted first to allocate the slice at its exact size.
-func andNot(a, b []uint64) []uint32 {
-	n := 0
-	for i, w := range a {
-		n += bits.OnesCount64(w &^ b[i])
+// rebuildEBM derives the EBM a difference stream over numEdges edges was
+// materialized from, in one forward pass: column order[t] is view t−1's
+// column minus Dels[t] plus Adds[t]. It rejects every stream whose columns
+// would not re-derive it exactly through MaterializeDiffs — an order that is
+// not a permutation, a set out of range or not strictly ascending, an add of
+// a member or a del of a non-member (so any del in the opening view) — so
+// seeds read from the columns and diffs stepped from the stream agree.
+func rebuildEBM(numEdges int, order []int, s *DiffStream) (*EBM, error) {
+	k := s.NumViews()
+	if len(order) != k || len(s.Adds) != k || len(s.Dels) != k {
+		return nil, fmt.Errorf("%d views but %d order entries, %d add and %d del sets", k, len(order), len(s.Adds), len(s.Dels))
 	}
-	if n == 0 {
-		return nil
+	m := &EBM{NumEdges: numEdges, Names: make([]string, k), Cols: make([]*graph.Bitset, k)}
+	prev := graph.NewBitset(numEdges)
+	for t, c := range order {
+		if c < 0 || c >= k || m.Cols[c] != nil {
+			return nil, fmt.Errorf("order entry %d is %d: out of [0, %d) or repeated", t, c, k)
+		}
+		cur := graph.NewBitset(numEdges)
+		copy(cur.Words(), prev.Words())
+		if err := applyDiffSet(cur, prev, numEdges, s.Dels[t], false); err != nil {
+			return nil, fmt.Errorf("view %d dels: %w", t, err)
+		}
+		if err := applyDiffSet(cur, prev, numEdges, s.Adds[t], true); err != nil {
+			return nil, fmt.Errorf("view %d adds: %w", t, err)
+		}
+		m.Cols[c], m.Names[c] = cur, s.Names[t]
+		prev = cur
 	}
-	out := make([]uint32, 0, n)
-	for i, w := range a {
-		for w &^= b[i]; w != 0; w &= w - 1 {
-			out = append(out, uint32(i<<6|bits.TrailingZeros64(w)))
+	return m, nil
+}
+
+// applyDiffSet sets (add) or clears the bits of one ascending difference set
+// in cur, checking each entry against the previous view's column prev.
+func applyDiffSet(cur, prev *graph.Bitset, numEdges int, idxs []uint32, add bool) error {
+	for i, e := range idxs {
+		switch {
+		case int(e) >= numEdges:
+			return fmt.Errorf("edge index %d out of range for %d edges", e, numEdges)
+		case i > 0 && e <= idxs[i-1]:
+			return fmt.Errorf("not strictly ascending at edge %d", e)
+		case prev.Get(int(e)) == add:
+			if add {
+				return fmt.Errorf("edge %d is already a member", e)
+			}
+			return fmt.Errorf("edge %d is not a member", e)
+		case add:
+			cur.Set(int(e))
+		default:
+			cur.Clear(int(e))
 		}
 	}
-	return out
+	return nil
 }
 
 // OptimizeOrder runs the collection ordering optimizer (Algorithm 1): pad a
@@ -266,7 +306,7 @@ func (t Timings) Total() time.Duration { return t.EBM + t.Ordering + t.Diffs }
 type Collection struct {
 	Name    string
 	Graph   *graph.Graph
-	EBM     *EBM
+	EBM     *EBM  // never nil: column Order[t] is view t's membership
 	Order   []int // column order used
 	Stream  *DiffStream
 	Timings Timings
@@ -283,33 +323,31 @@ type Collection struct {
 	Version uint64
 }
 
-// Members returns a one-view collection's view as a read-only bitset over
-// the base graph's edges — the EBM column, or rebuilt from the edge list when
-// loaded from disk — and nil for a nil collection.
+// Members returns a one-view collection's view — its EBM column — as a
+// read-only bitset over the base graph's edges, and nil for a nil
+// collection.
 func (c *Collection) Members() *graph.Bitset {
-	switch {
-	case c == nil:
+	if c == nil {
 		return nil
-	case c.EBM != nil:
-		return c.EBM.Cols[0]
 	}
-	b := graph.NewBitset(c.Graph.NumEdges())
-	for _, e := range c.Stream.Adds[0] {
-		b.Set(int(e))
-	}
-	return b
+	return c.EBM.Cols[0]
 }
 
 // NewCollection wraps a pre-computed difference stream as a materialized
 // collection, for programmatic workloads (experiments, tests) that construct
 // view sequences directly instead of through GVDL predicates. The order is
-// the stream's own.
+// the stream's own, and the EBM is rebuilt from the stream; a stream that is
+// not a valid difference stream over g's edges (see rebuildEBM) panics.
 func NewCollection(name string, g *graph.Graph, stream *DiffStream) *Collection {
 	order := make([]int, stream.NumViews())
 	for i := range order {
 		order[i] = i
 	}
-	return &Collection{Name: name, Graph: g, Order: order, Stream: stream, Version: g.Version}
+	ebm, err := rebuildEBM(g.NumEdges(), order, stream)
+	if err != nil {
+		panic(fmt.Sprintf("view: NewCollection %s: %v", name, err))
+	}
+	return &Collection{Name: name, Graph: g, EBM: ebm, Order: order, Stream: stream, Version: g.Version}
 }
 
 // MaterializeFromPredicates runs the three-step pipeline of §3.2 — EBM

@@ -70,8 +70,7 @@ func funcEBM(g *graph.Graph, names []string, preds []gvdl.Expr, workers int) *EB
 
 // TestMaterializeView: a filtered view is a collection of one view whose
 // first difference set is its ascending edge list, with membership answered
-// by the EBM column in memory and by binary search once it is gone (a
-// collection loaded from disk).
+// by its EBM column, as created and as rebuilt on load.
 func TestMaterializeView(t *testing.T) {
 	g := chainGraph(10)
 	f, err := materializeStmt(g, "create view small on chain edges where w < 3", Options{})
@@ -84,16 +83,34 @@ func TestMaterializeView(t *testing.T) {
 	if !reflect.DeepEqual(f.Stream.Adds[0], []uint32{0, 1, 2}) {
 		t.Fatalf("edges %v", f.Stream.Adds[0])
 	}
-	for _, inMemory := range []bool{true, false} {
-		if !inMemory {
-			f.EBM = nil
+	for _, reloaded := range []bool{false, true} {
+		if reloaded {
+			f = reload(t, f)
 		}
 		for i := 0; i < g.NumEdges(); i++ {
 			if f.Members().Get(i) != (i < 3) {
-				t.Fatalf("in-memory EBM %v: edge %d membership %v", inMemory, i, i >= 3)
+				t.Fatalf("reloaded %v: edge %d membership %v", reloaded, i, i >= 3)
 			}
 		}
 	}
+	if (*Collection)(nil).Members() != nil {
+		t.Fatal("a nil collection has members")
+	}
+}
+
+// reload round-trips a collection through the view store, as a restart
+// does: the loaded collection's EBM is rebuilt from its stream.
+func reload(t *testing.T, c *Collection) *Collection {
+	t.Helper()
+	dir := t.TempDir()
+	if err := SaveCollection(dir, c); err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadCollection(dir, c.Name, func(string) (*graph.Graph, error) { return c.Graph, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
 }
 
 func TestBuildEBMParallelMatchesSerial(t *testing.T) {
@@ -165,6 +182,55 @@ func TestMaterializeDiffsRoundTrip(t *testing.T) {
 				if got[uint32(i)] != m.Cols[c].Get(i) {
 					return false
 				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRebuildEBMRoundTrip: rebuilding an EBM from the stream MaterializeDiffs
+// derives returns the same columns and names, for random columns in random
+// orders over an edge count that is not a multiple of 64, with tombstoned
+// edges that no column holds.
+func TestRebuildEBMRoundTrip(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		g := chainGraph(64*r.Intn(3) + 1 + r.Intn(63))
+		dead := []int{0}
+		for i := 1; i < g.NumEdges(); i++ {
+			if r.Intn(8) == 0 {
+				dead = append(dead, i)
+			}
+		}
+		mutateChain(t, g, nil, dead)
+		k := 1 + r.Intn(8)
+		names := make([]string, k)
+		preds := make([]gvdl.Expr, k)
+		for j := range preds {
+			names[j] = fmt.Sprintf("v%d", j)
+			in := make([]bool, g.NumEdges())
+			for i := range in {
+				in[i] = r.Intn(2) == 0
+			}
+			preds[j] = gvdl.Func(func(i int) bool { return in[i] })
+		}
+		c, err := MaterializeFromPredicates("rnd", g, names, preds, nil, Options{Mode: OrderRandom, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := rebuildEBM(g.NumEdges(), c.Order, c.Stream)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if !reflect.DeepEqual(got.Names, c.EBM.Names) || got.NumEdges != c.EBM.NumEdges {
+			return false
+		}
+		for j, col := range got.Cols {
+			if !reflect.DeepEqual(col.Words(), c.EBM.Cols[j].Words()) {
+				return false
 			}
 		}
 		return true
