@@ -50,12 +50,14 @@ type Batch[K comparable, V comparable] struct {
 // Len returns the number of tuples in the batch.
 func (b *Batch[K, V]) Len() int { return len(b.keys) }
 
-// seek returns the first row whose key hash is at least hk: one directory
-// probe (hashes are uniform, so a bucket holds a handful of rows), then a
-// binary search inside the bucket.
-func (b *Batch[K, V]) seek(hk uint64) int {
+// seek returns the first row at or after row from whose key hash is at least
+// hk, given that every row before from hashes below hk: one directory probe
+// (hashes are uniform, so a bucket holds a handful of rows), then a binary
+// search inside what is left of the bucket.
+func (b *Batch[K, V]) seek(hk uint64, from int) int {
 	p := hk >> b.shift
-	lo, hi := int(b.dir[p]), int(b.dir[p+1])
+	lo := max(int(b.dir[p]), from)
+	hi := max(int(b.dir[p+1]), lo)
 	for lo < hi {
 		if m := int(uint(lo+hi) >> 1); b.hks[m] < hk {
 			lo = m + 1
@@ -502,7 +504,7 @@ func (tr *Trace[K, V]) Key(k K, yield func(v V, t timestamp.Time, d int64)) int 
 func (tr *Trace[K, V]) KeyHashed(hk uint64, k K, yield func(v V, t timestamp.Time, d int64)) int {
 	n := 0
 	for _, b := range tr.batches {
-		for i := b.seek(hk); i < b.Len() && b.hks[i] == hk; i++ {
+		for i := b.seek(hk, 0); i < b.Len() && b.hks[i] == hk; i++ {
 			if b.keys[i] == k {
 				yield(b.vals[i], b.times[i], b.diffs[i])
 				n++
@@ -517,6 +519,80 @@ func (tr *Trace[K, V]) KeyHashed(hk uint64, k K, yield func(v V, t timestamp.Tim
 		}
 	}
 	return n
+}
+
+// Rows is a stretch of one key's rows as columns.
+type Rows[V comparable] struct {
+	Vals  []V
+	Hvs   []uint64 // the values' hashes
+	Times []timestamp.Time
+	Diffs []int64
+}
+
+// Cursor reads a trace's keys in ascending hash order: each sealed batch
+// through a row cursor that only moves forward, the stage through one
+// hash-sorted index of its rows built by Open. Its columns are recycled from
+// one Open to the next. The trace must not change while the cursor is in use.
+type Cursor[K comparable, V comparable] struct {
+	tr    *Trace[K, V]
+	pos   []int    // per sealed batch: no row before it hashes at or above the last key sought
+	order []uint32 // the stage's rows in hash order
+	sp    int      // the same cursor over order
+	runs  []Rows[V]
+	odd   Rows[V] // the last key's staged rows
+}
+
+// Open positions c before tr's first key.
+func (c *Cursor[K, V]) Open(tr *Trace[K, V]) {
+	st := &tr.stage
+	c.tr, c.sp = tr, 0
+	c.pos = append(c.pos[:0], make([]int, len(tr.batches))...)
+	c.order = c.order[:0]
+	for i := range st.hks {
+		c.order = append(c.order, uint32(i))
+	}
+	slices.SortFunc(c.order, func(i, j uint32) int { return cmp.Compare(st.hks[i], st.hks[j]) })
+}
+
+// Seek returns k's rows and how many there are, valid until the next Seek: a
+// batch's run in place (in pieces, should a colliding key interleave), the
+// staged rows gathered. hk = Hash(k) must be at least the hash of every key
+// sought since Open. Batch times may be clamped, stage times raw, as for Key.
+func (c *Cursor[K, V]) Seek(hk uint64, k K) ([]Rows[V], int) {
+	n := 0
+	c.runs = c.runs[:0]
+	for i, b := range c.tr.batches {
+		if p := c.pos[i]; p < b.Len() && b.hks[p] < hk {
+			c.pos[i] = b.seek(hk, p)
+		}
+		for r := c.pos[i]; r < b.Len() && b.hks[r] == hk; r++ {
+			e := r
+			for e < b.Len() && b.hks[e] == hk && b.keys[e] == k {
+				e++
+			}
+			if e > r {
+				c.runs, n, r = append(c.runs, Rows[V]{b.vals[r:e], b.hvs[r:e], b.times[r:e], b.diffs[r:e]}), n+e-r, e
+			}
+		}
+	}
+	st, o := &c.tr.stage, &c.odd
+	o.Vals, o.Hvs, o.Times, o.Diffs = o.Vals[:0], o.Hvs[:0], o.Times[:0], o.Diffs[:0]
+	for c.sp < len(c.order) && st.hks[c.order[c.sp]] < hk {
+		c.sp++
+	}
+	for _, r := range c.order[c.sp:] {
+		if st.hks[r] != hk {
+			break
+		}
+		if st.keys[r] == k {
+			o.Vals, o.Hvs = append(o.Vals, st.vals[r]), append(o.Hvs, st.hvs[r])
+			o.Times, o.Diffs = append(o.Times, st.times[r]), append(o.Diffs, st.diffs[r])
+		}
+	}
+	if len(o.Vals) > 0 {
+		c.runs = append(c.runs, *o)
+	}
+	return c.runs, n + len(o.Vals)
 }
 
 // Len returns the total number of tuples held (after any consolidation).

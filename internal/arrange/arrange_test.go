@@ -1,6 +1,7 @@
 package arrange
 
 import (
+	"cmp"
 	"hash/maphash"
 	"math/rand"
 	"reflect"
@@ -900,5 +901,91 @@ func TestResetRecyclesColumns(t *testing.T) {
 	run()
 	if !reflect.DeepEqual(dump(snap), want) {
 		t.Fatal("a rerun wrote into a snapshot's batch")
+	}
+}
+
+// TestCursorMatchesKey walks random traces — sealed, merged, advanced and
+// with a partly filled stage — with a Cursor over a sorted sample of keys,
+// repeats included, and holds each key's rows to what Key visits.
+func TestCursorMatchesKey(t *testing.T) {
+	type visit struct {
+		v, hv int64
+		t     timestamp.Time
+		d     int64
+	}
+	for seed := int64(0); seed < 20; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		tr := NewTrace[int, int]()
+		var c Cursor[int, int]
+		outer := uint32(0)
+		for step := 0; step < 1500; step++ {
+			tr.Append(r.Intn(60), r.Intn(9), timestamp.Time{Outer: outer + uint32(r.Intn(2)), Inner: uint32(r.Intn(4))}, int64(r.Intn(3)-1))
+			if r.Intn(300) == 0 {
+				outer++
+				tr.Advance(outer)
+			}
+			if step%97 != 0 {
+				continue
+			}
+			keys := make([]int, 30)
+			for i := range keys {
+				keys[i] = r.Intn(70)
+			}
+			slices.SortFunc(keys, func(a, b int) int { return cmp.Compare(tr.Hash(a), tr.Hash(b)) })
+			c.Open(tr)
+			for _, k := range keys {
+				var want []visit
+				n := tr.Key(k, func(v int, ts timestamp.Time, d int64) {
+					want = append(want, visit{int64(v), int64(maphash.Comparable(tr.seed, v)), ts, d})
+				})
+				runs, m := c.Seek(tr.Hash(k), k)
+				var got []visit
+				for _, run := range runs {
+					for i, v := range run.Vals {
+						got = append(got, visit{int64(v), int64(run.Hvs[i]), run.Times[i], run.Diffs[i]})
+					}
+				}
+				less := func(a, b visit) int {
+					return cmp.Or(cmp.Compare(a.v, b.v), cmp.Compare(a.t.Outer, b.t.Outer), cmp.Compare(a.t.Inner, b.t.Inner), cmp.Compare(a.d, b.d))
+				}
+				slices.SortFunc(got, less)
+				slices.SortFunc(want, less)
+				if m != n || !slices.Equal(got, want) {
+					t.Fatalf("seed %d step %d key %d: cursor %d rows %v, Key %d rows %v", seed, step, k, m, got, n, want)
+				}
+			}
+		}
+	}
+}
+
+// TestCursorCollidingKeys hands the cursor a batch where two keys share a
+// hash and interleave: each key gets its own rows, in pieces.
+func TestCursorCollidingKeys(t *testing.T) {
+	tr := NewTrace[int, int]()
+	b := new(Batch[int, int]).blank(4)
+	b.push(5, 1, 10, 0, timestamp.Time{}, 1)
+	b.push(5, 2, 20, 0, timestamp.Time{}, 1)
+	b.push(5, 1, 11, 0, timestamp.Time{Inner: 1}, 1)
+	b.push(9, 3, 30, 0, timestamp.Time{}, 1)
+	b.index()
+	tr.batches = []*Batch[int, int]{b}
+	var c Cursor[int, int]
+	c.Open(tr)
+	for _, want := range []struct{ k, n, pieces int }{{1, 2, 2}, {2, 1, 1}, {3, 1, 1}} {
+		hk := uint64(5)
+		if want.k == 3 {
+			hk = 9
+		}
+		runs, n := c.Seek(hk, want.k)
+		if n != want.n || len(runs) != want.pieces {
+			t.Fatalf("key %d: %d rows in %d pieces, want %d in %d", want.k, n, len(runs), want.n, want.pieces)
+		}
+		for _, run := range runs {
+			for _, v := range run.Vals {
+				if v/10 != want.k {
+					t.Fatalf("key %d got value %d", want.k, v)
+				}
+			}
+		}
 	}
 }

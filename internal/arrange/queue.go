@@ -15,7 +15,8 @@ import (
 // A new bucket starts in a spent set, Take swaps a bucket's set for the
 // caller's previous one, and Reset turns every bucket into a spent set, so
 // the queue holds as many sets as it had buckets (plus the caller's) at
-// once, each at its high-water capacity, until Release.
+// once, each at its high-water capacity, until Release. A queue of bare
+// records (a reduce's schedule of dirty keys) passes nil diffs throughout.
 //
 // A Queue is not self-synchronizing; callers shard one queue per worker and
 // guard cross-worker pushes with their own lock (see dataflow's pendings).

@@ -2,74 +2,126 @@ package dataflow
 
 import (
 	"cmp"
+	"math/bits"
+	"slices"
 
 	"graphsurge/internal/arrange"
 	"graphsurge/internal/timestamp"
 )
 
-// keyTimes is the per-key scheduling metadata of a reduce: the set of
-// distinct times at which the key has been (or is scheduled to be)
-// evaluated. The bulky input/output histories live in the shard's columnar
-// arrangements; only this small set stays per-key.
+// keyTimes is one key's slot: its time set, slab[off:off+n] with room for c;
+// 1 + the outer coordinate the set was last advanced to; and whether the key
+// is on the running time's due list.
 type keyTimes struct {
-	times []timestamp.Time
-	adv   uint32 // 1 + the outer coordinate the set was last advanced to
+	off, n, c, adv uint32
+	due            bool
 }
 
-func (kt *keyTimes) hasTime(t timestamp.Time) bool {
-	for _, s := range kt.times {
-		if s == t {
-			return true
+// keyIndex maps a shard's keys to their slots by open addressing on the top
+// bits of the key hash.
+type keyIndex[K comparable] struct {
+	tab   []uint32 // 1 + slot; 0 is empty
+	shift uint8
+	hks   []uint64 // per slot
+	keys  []K
+	kts   []keyTimes
+	slab  []timestamp.Time
+}
+
+// slot returns k's slot, adding an empty one the first time k is seen.
+func (ix *keyIndex[K]) slot(hk uint64, k K) uint32 {
+	if 4*len(ix.kts) >= 3*len(ix.tab) {
+		ix.tab = make([]uint32, max(2*len(ix.tab), 64))
+		ix.shift = uint8(65 - bits.Len(uint(len(ix.tab))))
+		for j, h := range ix.hks {
+			*ix.probe(h, func(uint32) bool { return false }) = uint32(j + 1)
 		}
 	}
-	return false
+	s := ix.probe(hk, func(j uint32) bool { return ix.hks[j] == hk && ix.keys[j] == k })
+	if *s == 0 {
+		*s = uint32(len(ix.kts) + 1)
+		ix.hks, ix.keys, ix.kts = append(ix.hks, hk), append(ix.keys, k), append(ix.kts, keyTimes{})
+	}
+	return *s - 1
 }
 
-// advance clamps known times below the frontier and deduplicates. Must not
-// run while the key has scheduled re-evaluations (a clamped time would
-// diverge from the dirty map), which cannot happen here: the frontier only
+// probe returns the table entry holding the slot is matches, else an empty one.
+func (ix *keyIndex[K]) probe(hk uint64, is func(slot uint32) bool) *uint32 {
+	for p := hk >> ix.shift; ; p++ {
+		if s := &ix.tab[p&uint64(len(ix.tab)-1)]; *s == 0 || is(*s-1) {
+			return s
+		}
+	}
+}
+
+// reset forgets every key, keeping the columns' capacity.
+func (ix *keyIndex[K]) reset() {
+	clear(ix.tab)
+	ix.hks, ix.keys, ix.kts, ix.slab = ix.hks[:0], ix.keys[:0], ix.kts[:0], ix.slab[:0]
+}
+
+func (ix *keyIndex[K]) times(kt *keyTimes) []timestamp.Time {
+	return ix.slab[kt.off : kt.off+kt.n]
+}
+
+// push adds t to kt's set. A full set moves to the slab's end with twice the
+// room, leaving its old room unused until reset.
+func (ix *keyIndex[K]) push(kt *keyTimes, t timestamp.Time) {
+	if kt.n == kt.c {
+		off := uint32(len(ix.slab))
+		ix.slab = append(ix.slab, ix.times(kt)...)
+		kt.off, kt.c = off, max(2*kt.c, 2)
+		ix.slab = append(ix.slab, make([]timestamp.Time, kt.c-kt.n)...)
+	}
+	ix.slab[kt.off+kt.n] = t
+	kt.n++
+}
+
+// advance clamps kt's times below the frontier and de-duplicates them. Must
+// not run while the key has scheduled re-evaluations (a clamped time would
+// diverge from the schedule), which cannot happen here: the frontier only
 // moves between versions, when the scope is quiescent, and every scheduled
 // time has Outer at or above the version being drained.
-func (kt *keyTimes) advance(outer uint32) {
+func (ix *keyIndex[K]) advance(kt *keyTimes, outer uint32) {
 	if kt.adv >= outer+1 {
 		return
 	}
 	kt.adv = outer + 1
-	clamped := false
-	for i := range kt.times {
-		if kt.times[i].Outer < outer {
-			kt.times[i].Outer = outer
-			clamped = true
-		}
+	ts := ix.times(kt)
+	for i := range ts {
+		ts[i].Outer = max(ts[i].Outer, outer)
 	}
-	if !clamped {
-		return
-	}
-	out := kt.times[:0]
-	n := 0
-next:
-	for _, t := range kt.times[0:] {
-		for i := 0; i < n; i++ {
-			if out[i] == t {
-				continue next
-			}
-		}
-		out = out[:n+1]
-		out[n] = t
-		n++
-	}
-	kt.times = out[:n]
+	slices.SortFunc(ts, func(a, b timestamp.Time) int {
+		return cmp.Or(cmp.Compare(a.Outer, b.Outer), cmp.Compare(a.Inner, b.Inner))
+	})
+	kt.n = uint32(len(slices.Compact(ts)))
 }
 
-// reduceShard is one worker's share of a reduce's state: columnar input and
-// output arrangements (peers: one key hash serves both) plus the per-key
-// time sets and the dirty schedule.
+// dirtyKey is a key scheduled for evaluation: its hash and its slot.
+type dirtyKey struct {
+	hk   uint64
+	slot uint32
+}
+
+// reduceShard is one worker's share of a reduce: the input and the output
+// history as columnar arrangements (peers: one key hash serves both), and per
+// key the times it has been, or is scheduled to be, evaluated at, with no
+// per-key heap object: a slot in a flat index, a stretch of a shared slab.
+// Keys due later wait in time-ordered (hash, slot) columns; a running time's
+// keys are sorted by hash once and walked by one forward cursor per trace.
 type reduceShard[K comparable, V comparable, O comparable] struct {
 	ins   *arrange.Trace[K, V]
 	outs  *arrange.Trace[K, O]
-	keys  map[K]*keyTimes
-	dirty map[timestamp.Time]map[K]struct{}
-	spill map[V]Diff      // scratch: a hub key's accumulation, emptied after each use
+	keys  keyIndex[K]
+	dirty arrange.Queue[dirtyKey] // keys scheduled at later times (no diffs)
+	due   []dirtyKey              // the keys to evaluate at the running time, each once
+	front []timestamp.Time        // the join closure's work list
+	ic    arrange.Cursor[K, V]
+	oc    arrange.Cursor[K, O]
+	vals  []VD[V]         // a key's consolidated input
+	idx   []uint32        // the fold's index, recycled across keys
+	delta []VD[O]         // a key's output correction
+	emit  func(O)         // the reducer's report: one more of O in delta
 	ob    batch[KV[K, O]] // output scratch, lent to the subscribers at the end of each run
 }
 
@@ -83,40 +135,47 @@ type reduceShard[K comparable, V comparable, O comparable] struct {
 type reduceNode[K comparable, V comparable, O comparable] struct {
 	s   *Scope
 	out *Collection[KV[K, O]]
-	f   func(K, []VD[V]) []O
 	nm  string
+	// f sees a key's consolidated values. A linear reducer (f nil) sees only
+	// n = Σ d and sum = Σ w(v)·d over them (sum is 0 when w is nil).
+	f   func(k K, vals []VD[V], emit func(O))
+	w   func(V) int64
+	lin func(n, sum int64, emit func(O))
 
 	p  *pendings[KV[K, V]]
 	st []*reduceShard[K, V, O]
 }
 
 // Reduce applies f to the consolidated multiset of values of each key. f
-// returns the output records for the key, each with multiplicity one; an
-// empty return means the key has no output. f must be deterministic and must
-// not retain vals. Reduce is the engine's equivalent of DD's reduce/group and
+// reports each output record, of multiplicity one, through emit; a key it
+// reports nothing for has no output. f must be deterministic and must not
+// retain vals. Reduce is the engine's equivalent of DD's reduce/group and
 // subsumes min, max, sum, count, distinct and threshold.
 func Reduce[K comparable, V comparable, O comparable](
-	in *Collection[KV[K, V]], name string, f func(k K, vals []VD[V]) []O,
+	in *Collection[KV[K, V]], name string, f func(k K, vals []VD[V], emit func(O)),
 ) *Collection[KV[K, O]] {
+	return newReduce(in, &reduceNode[K, V, O]{nm: name, f: f})
+}
+
+// reduceLinear is Reduce for a reducer of n = Σ d and sum = Σ w(v)·d over a
+// key's values, folded without grouping them. On a collection (no negative
+// multiplicities) a key without values is one with n = 0.
+func reduceLinear[K comparable, V comparable, O comparable](
+	in *Collection[KV[K, V]], name string, w func(V) int64, f func(n, sum int64, emit func(O)),
+) *Collection[KV[K, O]] {
+	return newReduce(in, &reduceNode[K, V, O]{nm: name, w: w, lin: f})
+}
+
+func newReduce[K comparable, V comparable, O comparable](in *Collection[KV[K, V]], n *reduceNode[K, V, O]) *Collection[KV[K, O]] {
 	s := in.s
-	n := &reduceNode[K, V, O]{
-		s:   s,
-		out: newCollection[KV[K, O]](s),
-		f:   f,
-		nm:  name,
-		p:   newPendings[KV[K, V]](s),
-		st:  make([]*reduceShard[K, V, O], s.workers),
-	}
-	for w := 0; w < s.workers; w++ {
+	n.s, n.out, n.p = s, newCollection[KV[K, O]](s), newPendings[KV[K, V]](s)
+	n.st = make([]*reduceShard[K, V, O], s.workers)
+	for w := range n.st {
 		ins := arrange.NewTrace[K, V]()
-		n.st[w] = &reduceShard[K, V, O]{
-			ins:   ins,
-			outs:  arrange.NewPeer[K, O](ins),
-			keys:  make(map[K]*keyTimes),
-			dirty: make(map[timestamp.Time]map[K]struct{}),
-			spill: make(map[V]Diff),
-		}
-		s.recycles(func() { n.st[w].ob = batch[KV[K, O]]{} })
+		sh := &reduceShard[K, V, O]{ins: ins, outs: arrange.NewPeer[K, O](ins)}
+		sh.emit = func(o O) { mergeVD(&sh.delta, o, 1) }
+		n.st[w] = sh
+		s.recycles(func() { sh.ob, sh.due, sh.dirty = batch[KV[K, O]]{}, nil, arrange.Queue[dirtyKey]{} })
 	}
 	in.subscribe(keyedSubscriber(s, n.p))
 	s.addNode(n)
@@ -127,69 +186,47 @@ func Reduce[K comparable, V comparable, O comparable](
 // multiplicity. The workhorse of label-propagation algorithms (WCC, BFS,
 // shortest paths): the paper's UnionMin operator.
 func ReduceMin[K comparable, V cmp.Ordered](in *Collection[KV[K, V]]) *Collection[KV[K, V]] {
-	return Reduce(in, "min", func(_ K, vals []VD[V]) []V {
-		var best V
-		found := false
-		for _, vd := range vals {
-			if vd.D <= 0 {
-				continue
-			}
-			if !found || vd.V < best {
-				best, found = vd.V, true
-			}
-		}
-		if !found {
-			return nil
-		}
-		return []V{best}
-	})
+	return Reduce(in, "min", func(_ K, vals []VD[V], emit func(V)) { pick(vals, -1, emit) })
 }
 
 // ReduceMax keeps, per key, the maximum value present with positive
 // multiplicity (used by the SCC coloring algorithm).
 func ReduceMax[K comparable, V cmp.Ordered](in *Collection[KV[K, V]]) *Collection[KV[K, V]] {
-	return Reduce(in, "max", func(_ K, vals []VD[V]) []V {
-		var best V
-		found := false
-		for _, vd := range vals {
-			if vd.D <= 0 {
-				continue
-			}
-			if !found || vd.V > best {
-				best, found = vd.V, true
-			}
-		}
-		if !found {
-			return nil
-		}
-		return []V{best}
-	})
+	return Reduce(in, "max", func(_ K, vals []VD[V], emit func(V)) { pick(vals, 1, emit) })
 }
 
-// ReduceSum emits, per key, the diff-weighted sum of the values (used by
-// PageRank to accumulate rank contributions).
-func ReduceSum[K comparable](in *Collection[KV[K, int64]]) *Collection[KV[K, int64]] {
-	return Reduce(in, "sum", func(_ K, vals []VD[int64]) []int64 {
-		var sum int64
-		for _, vd := range vals {
-			sum += vd.V * vd.D
+// pick emits the value present with positive multiplicity that comes first in
+// direction dir (-1: the least, 1: the greatest), if there is one.
+func pick[V cmp.Ordered](vals []VD[V], dir int, emit func(V)) {
+	var best V
+	found := false
+	for _, vd := range vals {
+		if vd.D > 0 && (!found || cmp.Compare(vd.V, best) == dir) {
+			best, found = vd.V, true
 		}
-		return []int64{sum}
+	}
+	if found {
+		emit(best)
+	}
+}
+
+// ReduceSum emits, per key present, the diff-weighted sum of the values (used
+// by PageRank to accumulate rank contributions).
+func ReduceSum[K comparable](in *Collection[KV[K, int64]]) *Collection[KV[K, int64]] {
+	return reduceLinear(in, "sum", func(v int64) int64 { return v }, func(n, sum int64, emit func(int64)) {
+		if n != 0 {
+			emit(sum)
+		}
 	})
 }
 
 // ReduceCount emits, per key, the total multiplicity of its values (e.g.
 // vertex out-degrees from an edge stream keyed by source).
 func ReduceCount[K comparable, V comparable](in *Collection[KV[K, V]]) *Collection[KV[K, int64]] {
-	return Reduce(in, "count", func(_ K, vals []VD[V]) []int64 {
-		var c int64
-		for _, vd := range vals {
-			c += vd.D
+	return reduceLinear(in, "count", nil, func(n, _ int64, emit func(int64)) {
+		if n != 0 {
+			emit(n)
 		}
-		if c == 0 {
-			return nil
-		}
-		return []int64{c}
 	})
 }
 
@@ -197,31 +234,16 @@ func ReduceCount[K comparable, V comparable](in *Collection[KV[K, V]]) *Collecti
 // positive multiplicity.
 func Distinct[R comparable](in *Collection[R]) *Collection[R] {
 	keyed := Map(in, func(r R) KV[R, struct{}] { return KV[R, struct{}]{r, struct{}{}} })
-	reduced := Reduce(keyed, "distinct", func(_ R, vals []VD[struct{}]) []struct{} {
-		var c Diff
-		for _, vd := range vals {
-			c += vd.D
-		}
-		if c > 0 {
-			return []struct{}{{}}
-		}
-		return nil
-	})
-	return Map(reduced, func(kv KV[R, struct{}]) R { return kv.K })
+	return Map(DistinctKeys(keyed), func(kv KV[R, struct{}]) R { return kv.K })
 }
 
 // DistinctKeys reduces a keyed stream to one (key, struct{}{}) record per key
 // present, the shape Semijoin expects for its filter side.
 func DistinctKeys[K comparable, V comparable](in *Collection[KV[K, V]]) *Collection[KV[K, struct{}]] {
-	return Reduce(in, "distinct-keys", func(_ K, vals []VD[V]) []struct{} {
-		var c Diff
-		for _, vd := range vals {
-			c += vd.D
+	return reduceLinear(in, "distinct", nil, func(n, _ int64, emit func(struct{})) {
+		if n > 0 {
+			emit(struct{}{})
 		}
-		if c > 0 {
-			return []struct{}{{}}
-		}
-		return nil
 	})
 }
 
@@ -240,122 +262,135 @@ func (n *reduceNode[K, V, O]) run(w int, t timestamp.Time) {
 		sh.outs.Advance(outer)
 	}
 
-	// Ingest new input deltas and schedule the join closure of t with each
-	// touched key's known times.
+	// The keys due at t are those earlier runs scheduled and those this run's
+	// input touches. Ingest the input, and schedule the join closure of t
+	// with each touched key's known times.
+	taken, _ := sh.dirty.Take(t, sh.due, nil)
+	sh.due = slices.Grow(taken[:0], len(taken)+min(len(b.recs), len(sh.keys.kts))) // room for the keys the input can touch
+	for _, d := range taken {
+		sh.mark(d)
+	}
 	for i, kv := range b.recs {
-		k := kv.K
-		kt := sh.keys[k]
-		if kt == nil {
-			kt = &keyTimes{}
-			sh.keys[k] = kt
-		}
-		if compacting {
-			kt.advance(outer)
-		}
-		sh.ins.Append(k, kv.V, t, b.diffs[i])
-		if kt.hasTime(t) {
-			// Time already known; it is either this run (scheduled below) or
-			// already scheduled.
-			sh.mark(t, k)
-			continue
-		}
-		// Compute the closure of {t} ∪ kt.times under Join.
-		frontier := []timestamp.Time{t}
-		for len(frontier) > 0 {
-			nt := frontier[len(frontier)-1]
-			frontier = frontier[:len(frontier)-1]
-			if kt.hasTime(nt) {
+		k, hk := kv.K, sh.ins.Hash(kv.K)
+		slot := sh.keys.slot(hk, k)
+		kt := &sh.keys.kts[slot]
+		sh.keys.advance(kt, outer)
+		sh.ins.AppendHashed(hk, k, kv.V, t, b.diffs[i])
+		dk := dirtyKey{hk, slot}
+		sh.mark(dk)
+		front := append(sh.front[:0], t)
+		for len(front) > 0 {
+			nt := front[len(front)-1]
+			front = front[:len(front)-1]
+			ts := sh.keys.times(kt)
+			if slices.Contains(ts, nt) {
 				continue
 			}
-			for _, s := range kt.times {
-				j := nt.Join(s)
-				if j != nt && j != s && !kt.hasTime(j) {
-					frontier = append(frontier, j)
+			for _, s := range ts {
+				if j := nt.Join(s); j != nt && j != s && !slices.Contains(ts, j) {
+					front = append(front, j)
 				}
 			}
-			kt.times = append(kt.times, nt)
-			sh.mark(nt, k)
+			sh.keys.push(kt, nt)
+			if nt != t {
+				sh.dirty.Push(nt, []dirtyKey{dk}, nil)
+			}
 		}
+		sh.front = front
 	}
 
-	// Re-evaluate every key dirty at exactly t.
-	dk := sh.dirty[t]
-	if dk == nil {
-		return
-	}
-	delete(sh.dirty, t)
+	// Re-evaluate every key due at t, in hash order.
+	slices.SortFunc(sh.due, func(a, b dirtyKey) int { return cmp.Compare(a.hk, b.hk) })
+	sh.ic.Open(sh.ins)
+	sh.oc.Open(sh.outs)
 	ob := sh.ob.reset(t, 0)
-	var vals []VD[V]
-	var delta []VD[O]
-	for k := range dk {
-		// Accumulate input at t from the arrangement. Small histories merge
-		// by linear scan; large ones (hub vertices) spill to the shard's map,
-		// which is empty between keys and non-empty once a key has spilled.
-		vals = vals[:0]
-		hk, spill := sh.ins.Hash(k), sh.spill
-		work += sh.ins.KeyHashed(hk, k, func(v V, et timestamp.Time, ed int64) {
-			if !et.Leq(t) {
-				return
+	for _, d := range sh.due {
+		k := sh.keys.keys[d.slot]
+		sh.keys.kts[d.slot].due = false
+		in, rows := sh.ic.Seek(d.hk, k)
+		work += rows
+		sh.delta = sh.delta[:0]
+		if n.f != nil {
+			if acc := sh.fold(t, in, rows); len(acc) > 0 {
+				n.f(k, acc, sh.emit)
 			}
-			if len(spill) > 0 {
-				spill[v] += ed
-				return
-			}
-			for i := range vals {
-				if vals[i].V == v {
-					vals[i].D += ed
-					return
-				}
-			}
-			if len(vals) >= 32 {
-				for _, vd := range vals {
-					spill[vd.V] += vd.D
-				}
-				spill[v] += ed
-				return
-			}
-			vals = append(vals, VD[V]{v, ed})
-		})
-		if len(spill) > 0 {
-			vals = vals[:0]
-			for v, d := range spill {
-				if d != 0 {
-					vals = append(vals, VD[V]{v, d})
-				}
-			}
-			clear(spill)
 		} else {
-			m := 0
-			for _, vd := range vals {
-				if vd.D != 0 {
-					vals[m] = vd
-					m++
+			var c, sum int64
+			for _, r := range in {
+				for i, dd := range r.Diffs {
+					if r.Times[i].Leq(t) {
+						c += dd
+						if n.w != nil {
+							sum += n.w(r.Vals[i]) * dd
+						}
+					}
 				}
 			}
-			vals = vals[:m]
+			n.lin(c, sum, sh.emit)
 		}
 		// Desired output minus accumulated emitted output; output sets are
 		// tiny (usually one record), so a linear merge suffices.
-		delta = delta[:0]
-		if len(vals) > 0 {
-			for _, o := range n.f(k, vals) {
-				mergeVD(&delta, o, 1)
+		out, _ := sh.oc.Seek(d.hk, k)
+		for _, r := range out {
+			for i, o := range r.Vals {
+				if r.Times[i].Leq(t) {
+					mergeVD(&sh.delta, o, -r.Diffs[i])
+				}
 			}
 		}
-		sh.outs.KeyHashed(hk, k, func(v O, et timestamp.Time, ed int64) {
-			if et.Leq(t) {
-				mergeVD(&delta, v, -ed)
-			}
-		})
-		for _, od := range delta {
+		for _, od := range sh.delta {
 			if od.D != 0 {
-				sh.outs.AppendHashed(hk, k, od.V, t, od.D)
 				ob.add(KV[K, O]{k, od.V}, od.D)
 			}
 		}
 	}
+	// The output history grows after the walk, so no seal moves rows under
+	// the open cursor.
+	for i, kv := range ob.recs {
+		sh.outs.Append(kv.K, kv.V, t, ob.diffs[i])
+	}
 	n.s.addWork(w, work)
 	n.out.emit(w, ob)
+}
+
+// mark puts d's key on the due list unless it is there already.
+func (sh *reduceShard[K, V, O]) mark(d dirtyKey) {
+	if kt := &sh.keys.kts[d.slot]; !kt.due {
+		kt.due = true
+		sh.due = append(sh.due, d)
+	}
+}
+
+// fold consolidates a key's rows at or before t by value into sh.vals and
+// returns the values whose diffs do not cancel. Values meet through sh.idx,
+// an open-addressing index on their stored hashes, recycled across keys
+// (batch.consolidate's idiom).
+func (sh *reduceShard[K, V, O]) fold(t timestamp.Time, in []arrange.Rows[V], rows int) []VD[V] {
+	width := bits.Len(uint(2 * rows))
+	if cap(sh.idx) < 1<<width {
+		sh.idx = make([]uint32, 1<<width)
+	}
+	tab, acc := sh.idx[:1<<width], sh.vals[:0]
+	clear(tab)
+	for _, r := range in {
+		for i, v := range r.Vals {
+			if !r.Times[i].Leq(t) {
+				continue
+			}
+			for p := r.Hvs[i] >> (64 - width); ; p++ {
+				if s := &tab[p&uint64(len(tab)-1)]; *s == 0 {
+					*s = uint32(len(acc) + 1)
+					acc = append(acc, VD[V]{v, r.Diffs[i]})
+					break
+				} else if j := *s - 1; acc[j].V == v {
+					acc[j].D += r.Diffs[i]
+					break
+				}
+			}
+		}
+	}
+	sh.vals = acc
+	return slices.DeleteFunc(acc, func(vd VD[V]) bool { return vd.D == 0 })
 }
 
 // mergeVD accumulates d into the entry for v, appending if absent.
@@ -369,43 +404,28 @@ func mergeVD[V comparable](list *[]VD[V], v V, d Diff) {
 	*list = append(*list, VD[V]{v, d})
 }
 
-func (sh *reduceShard[K, V, O]) mark(t timestamp.Time, k K) {
-	m := sh.dirty[t]
-	if m == nil {
-		m = make(map[K]struct{})
-		sh.dirty[t] = m
-	}
-	m[k] = struct{}{}
-}
-
 // reset drops every shard's arrangements by releasing their batch stacks by
-// reference, and swaps the small scheduling maps for fresh ones — O(1) per
-// shard regardless of how much state the previous run accumulated, with the
-// old state left to the GC.
+// reference, and truncates the key index, the slab and the schedule in place:
+// O(1) per shard in accumulated history apart from clearing the index table,
+// with every column kept for the next run.
 func (n *reduceNode[K, V, O]) reset() {
 	n.p.reset()
 	for _, sh := range n.st {
 		sh.ins.Reset()
 		sh.outs.Reset()
-		sh.keys = make(map[K]*keyTimes)
-		sh.dirty = make(map[timestamp.Time]map[K]struct{})
+		sh.keys.reset()
+		sh.dirty.Reset()
 	}
 }
 
 func (n *reduceNode[K, V, O]) hasPending(w int, t timestamp.Time) bool {
-	if n.p.has(w, t) {
-		return true
-	}
-	_, ok := n.st[w].dirty[t]
-	return ok
+	return n.p.has(w, t) || n.st[w].dirty.Has(t)
 }
 
 func (n *reduceNode[K, V, O]) minPending(w int) (timestamp.Time, bool) {
 	best, found := n.p.min(w)
-	for t := range n.st[w].dirty {
-		if !found || t.LexLess(best) {
-			best, found = t, true
-		}
+	if t, ok := n.st[w].dirty.Min(); ok && (!found || t.LexLess(best)) {
+		return t, true
 	}
 	return best, found
 }

@@ -23,11 +23,13 @@ type node interface {
 	hasPending(w int, t timestamp.Time) bool
 	// minPending returns worker w's lexicographically smallest pending time.
 	minPending(w int) (timestamp.Time, bool)
-	// reset drops all operator state — traces, pending deltas, dirty sets —
+	// reset drops all operator state — traces, pending deltas, schedules —
 	// without touching the dataflow wiring, returning the node to its
-	// just-built condition. Implementations swap state maps for fresh ones
-	// (O(1) per shard) rather than clearing in place, and keep emptied
-	// column sets for the next run. Only called while the scope is quiescent.
+	// just-built condition. Implementations release trace batches by
+	// reference and truncate their columns and indexes in place, keeping
+	// every emptied column for the next run; a reduce clears its key index
+	// table and a Capture swaps in fresh maps. Only called while the scope is
+	// quiescent.
 	reset()
 	// name identifies the operator for diagnostics.
 	name() string
@@ -116,11 +118,11 @@ func (s *Scope) enter(v uint32) {
 // stateful operator drops its traces and pending work, the version cursor and
 // the compaction frontier rewind, the iteration-cap flag and work counters
 // zero. The dataflow graph itself — nodes, subscriptions, fused closures,
-// worker shards, and the emptied column sets of queues, traces and output
-// scratch — is untouched, so a reset scope re-executes from scratch without
-// paying graph construction or column growth again; the cost is a few map
-// allocations per operator, independent of how much state the previous run
-// accumulated.
+// worker shards, and the emptied column sets of queues, traces, indexes and
+// output scratch — is untouched, so a reset scope re-executes from scratch
+// without paying graph construction or column growth again. Beyond a pointer
+// move per trace batch, the cost is a memclr of each reduce's key index table
+// (4 B a slot) and a Capture's fresh version maps.
 //
 // Must be called from the driver goroutine while the scope is quiescent
 // (after Drain); resetting with work in flight would discard deltas

@@ -191,15 +191,16 @@ func readEdges(g *Graph, r io.Reader, intern func(string) uint64, nodesDeclared 
 		if len(rec) != len(defs)+2 {
 			return fmt.Errorf("line %d: %d fields, want %d", line, len(rec), len(defs)+2)
 		}
+		src, dst := intern(rec[0]), intern(rec[1])
 		if nodesDeclared {
-			for _, cell := range rec[:2] {
-				if int(intern(cell)) >= known {
-					return fmt.Errorf("line %d: edge endpoint %q not in node file", line, cell)
+			for i, id := range [2]uint64{src, dst} {
+				if int(id) >= known {
+					return fmt.Errorf("line %d: edge endpoint %q not in node file", line, rec[i])
 				}
 			}
 		}
-		g.Srcs = append(g.Srcs, intern(rec[0]))
-		g.Dsts = append(g.Dsts, intern(rec[1]))
+		g.Srcs = append(g.Srcs, src)
+		g.Dsts = append(g.Dsts, dst)
 		for i, d := range defs {
 			v, err := parseValue(rec[i+2], d.Type)
 			if err != nil {

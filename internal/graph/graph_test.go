@@ -3,6 +3,7 @@ package graph
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -116,21 +117,27 @@ func TestLoadCSVErrors(t *testing.T) {
 	cases := []struct {
 		name         string
 		nodes, edges string
+		want         string // a substring of the error, when it matters
 	}{
-		{"bad node header", "nope,city\n", "src,dst\n"},
-		{"bad edge header", "id\nx\n", "source,dst\n"},
-		{"bad type", "id,age:float\nx,1\n", "src,dst\n"},
-		{"bad int", "id,age:int\nx,notanint\n", "src,dst\n"},
-		{"bad bool", "id,ok:bool\nx,maybe\n", "src,dst\n"},
-		{"missing endpoint", "id\na\n", "src,dst\na,zzz\n"},
-		{"wrong field count", "id,age:int\na,1,extra\n", "src,dst\n"},
+		{"bad node header", "nope,city\n", "src,dst\n", ""},
+		{"bad edge header", "id\nx\n", "source,dst\n", ""},
+		{"bad type", "id,age:float\nx,1\n", "src,dst\n", ""},
+		{"bad int", "id,age:int\nx,notanint\n", "src,dst\n", ""},
+		{"bad bool", "id,ok:bool\nx,maybe\n", "src,dst\n", ""},
+		{"missing endpoint", "id\na\n", "src,dst\na,zzz\n", `line 2: edge endpoint "zzz" not in node file`},
+		{"missing source", "id\na\nb\n", "src,dst\na,b\nyyy,a\n", `line 3: edge endpoint "yyy" not in node file`},
+		{"wrong field count", "id,age:int\na,1,extra\n", "src,dst\n", ""},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			np := writeFile(t, dir, "n_"+c.name+".csv", c.nodes)
 			ep := writeFile(t, dir, "e_"+c.name+".csv", c.edges)
-			if _, err := LoadCSV("g", np, ep); err == nil {
+			_, err := LoadCSV("g", np, ep)
+			if err == nil {
 				t.Fatalf("expected error for %s", c.name)
+			}
+			if !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("error %q does not name %q", err, c.want)
 			}
 		})
 	}
