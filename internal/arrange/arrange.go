@@ -13,7 +13,8 @@
 // it is stable within a trace, groups equal keys into contiguous runs, and
 // makes equal (key, value, time) tuples adjacent so merges consolidate
 // diffs as they emit. Hash collisions only cost a short equality-checked
-// scan within the run.
+// scan within the run. Uniform hashes also let a seal or a cursor order rows
+// by one counting pass over the top bits of their hashes (hashOrder).
 package arrange
 
 import (
@@ -175,6 +176,72 @@ func compareTimes(a, b timestamp.Time) int {
 	return cmp.Compare(a.Inner, b.Inner)
 }
 
+// tie orders rows i and j of one key hash by (time, hv), the order batches
+// use within a key-run.
+func (b *Batch[K, V]) tie(i, j uint32) int {
+	if c := compareTimes(b.times[i], b.times[j]); c != 0 {
+		return c
+	}
+	return cmp.Compare(b.hvs[i], b.hvs[j])
+}
+
+// hashOrder returns the indexes of hks's rows ordered by hash, and rows of
+// equal hash by tie (left unordered when tie is nil), in order's column; it
+// recycles order and count from one call to the next. One counting pass
+// scatters the rows into buckets on the top ⌈log₂(n+1)⌉ bits of their hash.
+// Hashes are uniform, so a bucket holds a row or two and is ordered by
+// insertion. All rows of one key share a hash, hence a bucket, which
+// slices.SortFunc orders past 32 rows: a hub key costs what a comparator sort
+// of it would.
+func hashOrder(hks []uint64, order, count []uint32, tie func(i, j uint32) int) ([]uint32, []uint32) {
+	width := bits.Len(uint(len(hks)))
+	shift := 64 - width // 64 when hks is empty: every hash lands in bucket 0
+	count = grow(count, 1<<width)[:1<<width]
+	clear(count)
+	for _, h := range hks {
+		count[h>>shift]++
+	}
+	sum := uint32(0)
+	for p, c := range count {
+		count[p], sum = sum, sum+c
+	}
+	order = grow(order, len(hks))[:len(hks)]
+	for i, h := range hks {
+		order[count[h>>shift]] = uint32(i)
+		count[h>>shift]++
+	}
+	lo := uint32(0)
+	for _, hi := range count { // count[p] now ends bucket p
+		if hi-lo > 1 {
+			sortBucket(hks, order[lo:hi], tie)
+		}
+		lo = hi
+	}
+	return order, count
+}
+
+// sortBucket orders one bucket of hashOrder's rows.
+func sortBucket(hks []uint64, run []uint32, tie func(i, j uint32) int) {
+	if len(run) > 32 {
+		slices.SortFunc(run, func(i, j uint32) int {
+			if c := cmp.Compare(hks[i], hks[j]); c != 0 || tie == nil {
+				return c
+			}
+			return tie(i, j)
+		})
+		return
+	}
+	for i := 1; i < len(run); i++ {
+		for j := i; j > 0; j-- {
+			a, b := run[j], run[j-1]
+			if ha, hb := hks[a], hks[b]; ha > hb || ha == hb && (tie == nil || tie(a, b) >= 0) {
+				break
+			}
+			run[j], run[j-1] = b, a
+		}
+	}
+}
+
 // Trace is an arranged multiset history: per-key (value, time, diff)
 // tuples held as a stack of immutable sorted batches plus a bounded
 // mutable stage of recent appends. A trace belongs to one worker; Append,
@@ -193,6 +260,7 @@ type Trace[K comparable, V comparable] struct {
 	free  []*Batch[K, V]
 	idle  int
 	order []uint32  // scratch for sealStage: the stage's rows in batch order
+	count []uint32  // scratch for sealStage: hashOrder's bucket bounds
 	cur   []int     // scratch for merge: per-source cursor
 	segs  []segment // scratch for merge: the pieces of one key hash's runs
 }
@@ -264,25 +332,14 @@ func (tr *Trace[K, V]) sealStage() {
 	if st.Len() == 0 {
 		return
 	}
-	order := tr.order[:0]
 	for i := range st.times {
 		st.times[i].Outer = max(st.times[i].Outer, outer)
-		order = append(order, uint32(i))
 	}
-	slices.SortFunc(order, func(i, j uint32) int {
-		if c := cmp.Compare(st.hks[i], st.hks[j]); c != 0 {
-			return c
-		}
-		if c := compareTimes(st.times[i], st.times[j]); c != 0 {
-			return c
-		}
-		return cmp.Compare(st.hvs[i], st.hvs[j])
-	})
-	b := tr.fresh(len(order), false)
-	for _, i := range order {
+	tr.order, tr.count = hashOrder(st.hks, tr.order, tr.count, st.tie)
+	b := tr.fresh(len(tr.order), false)
+	for _, i := range tr.order {
 		b.add(st.hks[i], st.keys[i], st.vals[i], st.hvs[i], st.times[i], st.diffs[i])
 	}
-	tr.order = order
 	st.blank(0)
 	if b.Len() > 0 {
 		b.index()
@@ -537,6 +594,7 @@ type Cursor[K comparable, V comparable] struct {
 	tr    *Trace[K, V]
 	pos   []int    // per sealed batch: no row before it hashes at or above the last key sought
 	order []uint32 // the stage's rows in hash order
+	count []uint32 // hashOrder's bucket bounds
 	sp    int      // the same cursor over order
 	runs  []Rows[V]
 	odd   Rows[V] // the last key's staged rows
@@ -547,11 +605,7 @@ func (c *Cursor[K, V]) Open(tr *Trace[K, V]) {
 	st := &tr.stage
 	c.tr, c.sp = tr, 0
 	c.pos = append(c.pos[:0], make([]int, len(tr.batches))...)
-	c.order = c.order[:0]
-	for i := range st.hks {
-		c.order = append(c.order, uint32(i))
-	}
-	slices.SortFunc(c.order, func(i, j uint32) int { return cmp.Compare(st.hks[i], st.hks[j]) })
+	c.order, c.count = hashOrder(st.hks, c.order, c.count, nil)
 }
 
 // Seek returns k's rows and how many there are, valid until the next Seek: a

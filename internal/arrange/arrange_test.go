@@ -1,7 +1,9 @@
 package arrange
 
 import (
+	"bytes"
 	"cmp"
+	"fmt"
 	"hash/maphash"
 	"math/rand"
 	"reflect"
@@ -988,4 +990,103 @@ func TestCursorCollidingKeys(t *testing.T) {
 			}
 		}
 	}
+}
+
+// compare is the comparator sort hashOrder replaced, kept as its oracle:
+// rows in (hk, time, hv) order, the order batches use.
+func (b *Batch[K, V]) compare(i, j uint32) int {
+	if c := cmp.Compare(b.hks[i], b.hks[j]); c != 0 {
+		return c
+	}
+	if c := compareTimes(b.times[i], b.times[j]); c != 0 {
+		return c
+	}
+	return cmp.Compare(b.hvs[i], b.hvs[j])
+}
+
+// checkHashOrder runs hashOrder over st's rows with the seal's tie-break and
+// with none, the cursor's, and holds each result to the comparator sort of
+// the same rows: a permutation of the rows whose sequence of (hash, time,
+// value hash), or of hashes, is the sorted one. Ties are unordered, so the
+// sequences compare tuples, not indexes.
+func checkHashOrder(t *testing.T, name string, st *Batch[int, int]) {
+	t.Helper()
+	byHash := func(i, j uint32) int { return cmp.Compare(st.hks[i], st.hks[j]) }
+	for _, c := range []struct {
+		arm      string
+		tie, cmp func(i, j uint32) int
+	}{{"seal", st.tie, st.compare}, {"cursor", nil, byHash}} {
+		got, _ := hashOrder(st.hks, nil, nil, c.tie)
+		want := make([]uint32, len(st.hks))
+		for i := range want {
+			want[i] = uint32(i)
+		}
+		slices.SortFunc(want, c.cmp)
+		if perm := slices.Sorted(slices.Values(got)); len(got) != len(want) || !slices.Equal(perm, slices.Sorted(slices.Values(want))) {
+			t.Fatalf("%s, %s order: %d rows are not a permutation of the %d", name, c.arm, len(got), len(want))
+		}
+		for p := range got {
+			if c.cmp(got[p], want[p]) != 0 {
+				t.Fatalf("%s, %s order: position %d holds row %d (hash %x, time %v, value hash %x), the comparator sort row %d (hash %x, time %v, value hash %x)",
+					name, c.arm, p, got[p], st.hks[got[p]], st.times[got[p]], st.hvs[got[p]], want[p], st.hks[want[p]], st.times[want[p]], st.hvs[want[p]])
+			}
+		}
+	}
+}
+
+// TestHashOrderMatchesComparator holds the seal's and the cursor's counting
+// sort to the comparator sort it replaces: stages of every size around the
+// insertion sort's limit and the seal's threshold, a hub key whose one bucket
+// takes the slices.SortFunc arm, hashes that share their top bits and differ
+// below them, and a stage whose hashes are all equal.
+func TestHashOrderMatchesComparator(t *testing.T) {
+	tr := NewTrace[int, int]()
+	r := rand.New(rand.NewSource(5))
+	stage := func(n, keys, hub int) *Batch[int, int] {
+		st := new(Batch[int, int]).blank(n)
+		for i := 0; i < n; i++ {
+			k := r.Intn(keys)
+			if i < hub {
+				k = -1
+			}
+			v := r.Intn(8)
+			st.push(tr.Hash(k), k, v, maphash.Comparable(tr.seed, v), timestamp.Time{Outer: uint32(r.Intn(3)), Inner: uint32(r.Intn(3))}, 1)
+		}
+		return st
+	}
+	for _, n := range []int{0, 1, 2, 31, 32, 33, 255, 256, 4096} {
+		checkHashOrder(t, fmt.Sprintf("%d rows over %d keys", n, n/2+1), stage(n, n/2+1, 0))
+		checkHashOrder(t, fmt.Sprintf("%d rows over 3 keys", n), stage(n, 3, 0))
+	}
+	checkHashOrder(t, "a hub key's 100 rows in 256", stage(256, 200, 100))
+	checkHashOrder(t, "a hub key's 33 rows in 33", stage(33, 1, 33))
+	for _, n := range []int{2, 31, 32, 33, 256, 4096} {
+		st := stage(n, n, 0)
+		for i := range st.hks { // a dozen top-bit prefixes, random bits below
+			st.hks[i] = uint64(r.Intn(12))<<60 | r.Uint64()>>8
+		}
+		checkHashOrder(t, fmt.Sprintf("%d rows on 12 top-bit prefixes", n), st)
+		for i := range st.hks {
+			st.hks[i] = 0x9e3779b97f4a7c15
+		}
+		checkHashOrder(t, fmt.Sprintf("%d rows on one hash", n), st)
+	}
+}
+
+// FuzzHashOrder holds hashOrder to the comparator sort on stages read from
+// the input, four bytes a row: the hash's top and bottom byte, so rows share
+// buckets and hashes at every stage size, then a time and a value hash.
+func FuzzHashOrder(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 2, 3, 4, 1, 2, 3, 4, 1, 2, 0, 4, 200, 0, 7, 1})
+	f.Add(bytes.Repeat([]byte{0x80, 1, 5, 9, 0x80, 2, 5, 9, 0x81, 1, 6, 2}, 40))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n := min(len(data)/4, 4096)
+		st := new(Batch[int, int]).blank(n)
+		for i := 0; i < n; i++ {
+			b := data[4*i : 4*i+4]
+			st.push(uint64(b[0])<<56|uint64(b[1]), i, i, uint64(b[3]), timestamp.Time{Outer: uint32(b[2] >> 4), Inner: uint32(b[2] & 15)}, 1)
+		}
+		checkHashOrder(t, fmt.Sprintf("%d fuzzed rows", n), st)
+	})
 }

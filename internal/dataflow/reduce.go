@@ -390,7 +390,13 @@ func (sh *reduceShard[K, V, O]) fold(t timestamp.Time, in []arrange.Rows[V], row
 		}
 	}
 	sh.vals = acc
-	return slices.DeleteFunc(acc, func(vd VD[V]) bool { return vd.D == 0 })
+	n := 0
+	for _, vd := range acc {
+		if vd.D != 0 {
+			acc[n], n = vd, n+1
+		}
+	}
+	return acc[:n]
 }
 
 // mergeVD accumulates d into the entry for v, appending if absent.
