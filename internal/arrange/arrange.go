@@ -13,8 +13,9 @@
 // it is stable within a trace, groups equal keys into contiguous runs, and
 // makes equal (key, value, time) tuples adjacent so merges consolidate
 // diffs as they emit. Hash collisions only cost a short equality-checked
-// scan within the run. Uniform hashes also let a seal or a cursor order rows
-// by one counting pass over the top bits of their hashes (hashOrder).
+// scan within the run. Uniform hashes also let the stage keep an index of
+// its rows on the top bits of their hashes as they arrive (stageIndex), which
+// lookups and cursors walk and a seal reads out in hash order.
 package arrange
 
 import (
@@ -27,9 +28,32 @@ import (
 )
 
 // stageThreshold is the number of staged tuples that triggers sealing into
-// an immutable batch. It bounds both the linear portion of lookups and the
-// cost of snapshotting a trace (the stage is the only part copied).
-const stageThreshold = 256
+// an immutable batch. It bounds the cost of snapshotting a trace (the stage
+// is the only part copied) and, with stageShift, the stage index's tables,
+// whose uint16 links hold 1 + a row's index: it must stay below 1<<16.
+const stageThreshold = 1024
+
+// stageShift keeps the top 11 bits of a key hash, the stage index's bucket:
+// about two buckets per staged row.
+const stageShift = 64 - 11
+
+// stageIndex lists the staged rows by bucket, each bucket's rows in arrival
+// order. A link is 1 + a row's index, so 0 ends a chain.
+type stageIndex struct {
+	head, tail [1 << (64 - stageShift)]uint16 // per bucket: its first and last row; head 0 when empty
+	next       [stageThreshold]uint16         // per row: the next row in its bucket
+}
+
+// link adds row i, of key hash hk, at the end of its bucket.
+func (x *stageIndex) link(hk uint64, i int) {
+	p, r := hk>>stageShift, uint16(i+1)
+	if x.next[i] = 0; x.head[p] == 0 {
+		x.head[p] = r
+	} else {
+		x.next[x.tail[p]-1] = r
+	}
+	x.tail[p] = r
+}
 
 // Batch is a columnar run of tuples. A sealed batch is immutable and ordered
 // by (hks, times lex, hvs); equal keys form one contiguous run found through
@@ -185,59 +209,26 @@ func (b *Batch[K, V]) tie(i, j uint32) int {
 	return cmp.Compare(b.hvs[i], b.hvs[j])
 }
 
-// hashOrder returns the indexes of hks's rows ordered by hash, and rows of
-// equal hash by tie (left unordered when tie is nil), in order's column; it
-// recycles order and count from one call to the next. One counting pass
-// scatters the rows into buckets on the top ⌈log₂(n+1)⌉ bits of their hash.
-// Hashes are uniform, so a bucket holds a row or two and is ordered by
-// insertion. All rows of one key share a hash, hence a bucket, which
-// slices.SortFunc orders past 32 rows: a hub key costs what a comparator sort
-// of it would.
-func hashOrder(hks []uint64, order, count []uint32, tie func(i, j uint32) int) ([]uint32, []uint32) {
-	width := bits.Len(uint(len(hks)))
-	shift := 64 - width // 64 when hks is empty: every hash lands in bucket 0
-	count = grow(count, 1<<width)[:1<<width]
-	clear(count)
-	for _, h := range hks {
-		count[h>>shift]++
-	}
-	sum := uint32(0)
-	for p, c := range count {
-		count[p], sum = sum, sum+c
-	}
-	order = grow(order, len(hks))[:len(hks)]
-	for i, h := range hks {
-		order[count[h>>shift]] = uint32(i)
-		count[h>>shift]++
-	}
-	lo := uint32(0)
-	for _, hi := range count { // count[p] now ends bucket p
-		if hi-lo > 1 {
-			sortBucket(hks, order[lo:hi], tie)
-		}
-		lo = hi
-	}
-	return order, count
-}
-
-// sortBucket orders one bucket of hashOrder's rows.
-func sortBucket(hks []uint64, run []uint32, tie func(i, j uint32) int) {
+// sortBucket orders one bucket of staged rows by (hash, time, value hash),
+// the order batches use: by insertion up to 32 rows, which is nearly every
+// bucket, and by slices.SortFunc past that, where a hub key's rows land.
+func (b *Batch[K, V]) sortBucket(run []uint32) {
 	if len(run) > 32 {
 		slices.SortFunc(run, func(i, j uint32) int {
-			if c := cmp.Compare(hks[i], hks[j]); c != 0 || tie == nil {
+			if c := cmp.Compare(b.hks[i], b.hks[j]); c != 0 {
 				return c
 			}
-			return tie(i, j)
+			return b.tie(i, j)
 		})
 		return
 	}
 	for i := 1; i < len(run); i++ {
 		for j := i; j > 0; j-- {
-			a, b := run[j], run[j-1]
-			if ha, hb := hks[a], hks[b]; ha > hb || ha == hb && (tie == nil || tie(a, b) >= 0) {
+			x, y := run[j], run[j-1]
+			if hx, hy := b.hks[x], b.hks[y]; hx > hy || hx == hy && b.tie(x, y) >= 0 {
 				break
 			}
-			run[j], run[j-1] = b, a
+			run[j], run[j-1] = y, x
 		}
 	}
 }
@@ -250,6 +241,7 @@ type Trace[K comparable, V comparable] struct {
 	seed     maphash.Seed
 	batches  []*Batch[K, V] // oldest first; geometric sizes
 	stage    Batch[K, V]    // recent appends, at most stageThreshold
+	idx      *stageIndex    // the stage's rows by key hash, made by the first append
 	frontier uint32         // 1 + the outer coordinate merges clamp to; 0 = none
 
 	// free holds the column sets of merged-away and reset batches, never a
@@ -259,8 +251,7 @@ type Trace[K comparable, V comparable] struct {
 	// has used the first idle of them since the last turn.
 	free  []*Batch[K, V]
 	idle  int
-	order []uint32  // scratch for sealStage: the stage's rows in batch order
-	count []uint32  // scratch for sealStage: hashOrder's bucket bounds
+	order []uint32  // scratch for sealStage: one bucket's rows
 	cur   []int     // scratch for merge: per-source cursor
 	segs  []segment // scratch for merge: the pieces of one key hash's runs
 }
@@ -293,6 +284,10 @@ func (tr *Trace[K, V]) AppendHashed(hk uint64, k K, v V, t timestamp.Time, d int
 	if d == 0 {
 		return
 	}
+	if tr.idx == nil {
+		tr.idx = new(stageIndex)
+	}
+	tr.idx.link(hk, tr.stage.Len())
 	tr.stage.push(hk, k, v, maphash.Comparable(tr.seed, v), t, d)
 	if tr.stage.Len() >= stageThreshold {
 		tr.seal()
@@ -325,21 +320,30 @@ func (tr *Trace[K, V]) Advance(outer uint32) {
 // is 0, which clamps nothing.
 func (tr *Trace[K, V]) clampOuter() uint32 { return max(tr.frontier, 1) - 1 }
 
-// sealStage sorts, clamps and consolidates the stage into a new batch on
-// top of the stack (none when everything cancels) and empties the stage.
+// sealStage clamps the stage and reads it out bucket by bucket of its index,
+// each bucket sorted, consolidating into a new batch on top of the stack
+// (none when everything cancels), and empties the stage and its index.
 func (tr *Trace[K, V]) sealStage() {
-	st, outer := &tr.stage, tr.clampOuter()
+	st, x, outer := &tr.stage, tr.idx, tr.clampOuter()
 	if st.Len() == 0 {
 		return
 	}
 	for i := range st.times {
 		st.times[i].Outer = max(st.times[i].Outer, outer)
 	}
-	tr.order, tr.count = hashOrder(st.hks, tr.order, tr.count, st.tie)
-	b := tr.fresh(len(tr.order), false)
-	for _, i := range tr.order {
-		b.add(st.hks[i], st.keys[i], st.vals[i], st.hvs[i], st.times[i], st.diffs[i])
+	b := tr.fresh(st.Len(), false)
+	for _, r := range x.head[:] {
+		run := tr.order[:0]
+		for ; r != 0; r = x.next[r-1] {
+			run = append(run, uint32(r-1))
+		}
+		st.sortBucket(run)
+		for _, i := range run {
+			b.add(st.hks[i], st.keys[i], st.vals[i], st.hvs[i], st.times[i], st.diffs[i])
+		}
+		tr.order = run
 	}
+	clear(x.head[:])
 	st.blank(0)
 	if b.Len() > 0 {
 		b.index()
@@ -548,11 +552,11 @@ func (tr *Trace[K, V]) merge(srcs []*Batch[K, V], out *Batch[K, V]) {
 }
 
 // Key visits every (value, time, diff) tuple recorded for k — batch entries
-// through the directory, stage entries by a scan of the staged hashes — and
-// returns the number of tuples visited. Batch times may already be clamped
-// to the compaction frontier; stage times are raw. Both are equivalent to
-// callers, which only Join or Leq-filter against times at or above the
-// frontier.
+// through the directory, stage entries through their bucket of the stage
+// index, in arrival order — and returns the number of tuples visited. Batch
+// times may already be clamped to the compaction frontier; stage times are
+// raw. Both are equivalent to callers, which only Join or Leq-filter against
+// times at or above the frontier.
 func (tr *Trace[K, V]) Key(k K, yield func(v V, t timestamp.Time, d int64)) int {
 	return tr.KeyHashed(tr.Hash(k), k, yield)
 }
@@ -568,11 +572,12 @@ func (tr *Trace[K, V]) KeyHashed(hk uint64, k K, yield func(v V, t timestamp.Tim
 			}
 		}
 	}
-	st := &tr.stage
-	for i, h := range st.hks {
-		if h == hk && st.keys[i] == k {
-			yield(st.vals[i], st.times[i], st.diffs[i])
-			n++
+	if st := &tr.stage; st.Len() > 0 {
+		for r := tr.idx.head[hk>>stageShift]; r != 0; r = tr.idx.next[r-1] {
+			if i := r - 1; st.hks[i] == hk && st.keys[i] == k {
+				yield(st.vals[i], st.times[i], st.diffs[i])
+				n++
+			}
 		}
 	}
 	return n
@@ -587,25 +592,20 @@ type Rows[V comparable] struct {
 }
 
 // Cursor reads a trace's keys in ascending hash order: each sealed batch
-// through a row cursor that only moves forward, the stage through one
-// hash-sorted index of its rows built by Open. Its columns are recycled from
-// one Open to the next. The trace must not change while the cursor is in use.
+// through a row cursor that only moves forward, the stage through its index,
+// as Key does. Its columns are recycled from one Open to the next. The trace
+// must not change while the cursor is in use.
 type Cursor[K comparable, V comparable] struct {
-	tr    *Trace[K, V]
-	pos   []int    // per sealed batch: no row before it hashes at or above the last key sought
-	order []uint32 // the stage's rows in hash order
-	count []uint32 // hashOrder's bucket bounds
-	sp    int      // the same cursor over order
-	runs  []Rows[V]
-	odd   Rows[V] // the last key's staged rows
+	tr   *Trace[K, V]
+	pos  []int // per sealed batch: no row before it hashes at or above the last key sought
+	runs []Rows[V]
+	odd  Rows[V] // the last key's staged rows
 }
 
 // Open positions c before tr's first key.
 func (c *Cursor[K, V]) Open(tr *Trace[K, V]) {
-	st := &tr.stage
-	c.tr, c.sp = tr, 0
+	c.tr = tr
 	c.pos = append(c.pos[:0], make([]int, len(tr.batches))...)
-	c.order, c.count = hashOrder(st.hks, c.order, c.count, nil)
 }
 
 // Seek returns k's rows and how many there are, valid until the next Seek: a
@@ -629,18 +629,14 @@ func (c *Cursor[K, V]) Seek(hk uint64, k K) ([]Rows[V], int) {
 			}
 		}
 	}
-	st, o := &c.tr.stage, &c.odd
+	st, x, o := &c.tr.stage, c.tr.idx, &c.odd
 	o.Vals, o.Hvs, o.Times, o.Diffs = o.Vals[:0], o.Hvs[:0], o.Times[:0], o.Diffs[:0]
-	for c.sp < len(c.order) && st.hks[c.order[c.sp]] < hk {
-		c.sp++
-	}
-	for _, r := range c.order[c.sp:] {
-		if st.hks[r] != hk {
-			break
-		}
-		if st.keys[r] == k {
-			o.Vals, o.Hvs = append(o.Vals, st.vals[r]), append(o.Hvs, st.hvs[r])
-			o.Times, o.Diffs = append(o.Times, st.times[r]), append(o.Diffs, st.diffs[r])
+	if st.Len() > 0 {
+		for r := x.head[hk>>stageShift]; r != 0; r = x.next[r-1] {
+			if i := r - 1; st.hks[i] == hk && st.keys[i] == k {
+				o.Vals, o.Hvs = append(o.Vals, st.vals[i]), append(o.Hvs, st.hvs[i])
+				o.Times, o.Diffs = append(o.Times, st.times[i]), append(o.Diffs, st.diffs[i])
+			}
 		}
 	}
 	if len(o.Vals) > 0 {
@@ -662,23 +658,28 @@ func (tr *Trace[K, V]) Len() int {
 // in accumulated history, the whole point of batching: no map walk, no
 // per-key work, a handful of batch pointers move to the free list (or, when
 // a Snapshot shares them, to the GC) for the next run's seals and merges.
-// The stage (bounded by stageThreshold) is truncated in place.
+// The stage (bounded by stageThreshold) is truncated in place and its index
+// cleared.
 func (tr *Trace[K, V]) Reset() {
 	tr.turn()
 	for _, b := range tr.batches {
 		tr.recycle(b)
 	}
 	tr.batches = nil
+	if tr.stage.Len() > 0 {
+		clear(tr.idx.head[:])
+	}
 	tr.stage.blank(0)
 	tr.frontier = 0
 }
 
 // Snapshot returns an independent copy-on-write view of the trace: the
 // immutable batches are shared by reference (O(1) regardless of history
-// size) and only the bounded stage is copied. Appends, merges, and resets
-// on either trace never disturb the other — sealing builds new batches
-// rather than mutating shared ones, and a batch marked shared here is never
-// recycled as a merge target by either trace.
+// size) and only the bounded stage is copied, into a stage with an index of
+// its own. Appends, merges, and resets on either trace never disturb the
+// other — sealing builds new batches rather than mutating shared ones, and a
+// batch marked shared here is never recycled as a merge target by either
+// trace.
 func (tr *Trace[K, V]) Snapshot() *Trace[K, V] {
 	for _, b := range tr.batches {
 		if !b.shared { // no write when set: another snapshot's owner may be reading it
@@ -691,6 +692,12 @@ func (tr *Trace[K, V]) Snapshot() *Trace[K, V] {
 		frontier: tr.frontier,
 	}
 	cp.stage.blank(tr.stage.Len()).appendRows(&tr.stage, 0, tr.stage.Len(), 0)
+	if cp.stage.Len() > 0 {
+		cp.idx = new(stageIndex)
+		for i, hk := range cp.stage.hks {
+			cp.idx.link(hk, i)
+		}
+	}
 	return cp
 }
 

@@ -815,10 +815,12 @@ func TestSpareRecycling(t *testing.T) {
 // takes the smallest set with room for n rows in no more than 2n, else none
 // (a new set is allocated beside); a whole-stack merge takes the smallest set
 // with room, however large, else the largest, and fresh replaces its columns
-// instead of leaving it behind.
+// instead of leaving it behind. Sizes are in units of u rows, a 256th of the
+// stage, so the smallest request is one stage's worth, fresh's floor.
 func TestFitPicks(t *testing.T) {
+	const u = stageThreshold / 256
 	tr := NewTrace[int, int]()
-	for _, c := range []int{600, 300, 5000} {
+	for _, c := range []int{600 * u, 300 * u, 5000 * u} {
 		tr.free = append(tr.free, new(Batch[int, int]).blank(c))
 	}
 	for _, c := range []struct {
@@ -827,12 +829,12 @@ func TestFitPicks(t *testing.T) {
 		want  int // capacity of the set picked, 0 for none
 	}{
 		// A seal or partial merge: the smallest set with room, up to twice the rows.
-		{256, false, 300}, {301, false, 600}, {2500, false, 5000},
-		{601, false, 0}, {1000, false, 0}, // 5000 is more than twice the rows
-		{5001, false, 0}, // nothing has room, and no partial merge regrows a set
+		{256 * u, false, 300 * u}, {301 * u, false, 600 * u}, {2500 * u, false, 5000 * u},
+		{601 * u, false, 0}, {1000 * u, false, 0}, // 5000u is more than twice the rows
+		{5001 * u, false, 0}, // nothing has room, and no partial merge regrows a set
 		// A whole-stack merge: the smallest set with room, however large.
-		{256, true, 300}, {601, true, 5000}, {1000, true, 5000},
-		{5001, true, 5000}, // nothing has room: the largest
+		{256 * u, true, 300 * u}, {601 * u, true, 5000 * u}, {1000 * u, true, 5000 * u},
+		{5001 * u, true, 5000 * u}, // nothing has room: the largest
 	} {
 		got := 0
 		if i := tr.fit(c.n, c.whole); i >= 0 {
@@ -842,14 +844,14 @@ func TestFitPicks(t *testing.T) {
 			t.Errorf("fit(%d, whole %v) picked capacity %d, want %d", c.n, c.whole, got, c.want)
 		}
 	}
-	if i := NewTrace[int, int]().fit(256, true); i != -1 {
+	if i := NewTrace[int, int]().fit(stageThreshold, true); i != -1 {
 		t.Errorf("an empty free list offered set %d", i)
 	}
 	largest := tr.free[2]
-	if b := tr.fresh(6000, true); b != largest || cap(b.hks) < 6250 || len(tr.free) != 2 || onFreeList(tr, b) {
+	if b := tr.fresh(6000*u, true); b != largest || cap(b.hks) < 6250*u || len(tr.free) != 2 || onFreeList(tr, b) {
 		t.Errorf("an outgrown whole-stack merge should take the largest set over, a quarter larger: got capacity %d, %d sets left", cap(b.hks), len(tr.free))
 	}
-	if b := tr.fresh(1000, false); cap(b.hks) != 1000 || len(tr.free) != 2 {
+	if b := tr.fresh(1000*u, false); cap(b.hks) != 1000*u || len(tr.free) != 2 {
 		t.Errorf("a partial merge nothing fits should allocate beside the list: got capacity %d, %d sets left", cap(b.hks), len(tr.free))
 	}
 }
@@ -906,57 +908,139 @@ func TestResetRecyclesColumns(t *testing.T) {
 	}
 }
 
-// TestCursorMatchesKey walks random traces — sealed, merged, advanced and
-// with a partly filled stage — with a Cursor over a sorted sample of keys,
-// repeats included, and holds each key's rows to what Key visits.
-func TestCursorMatchesKey(t *testing.T) {
-	type visit struct {
-		v, hv int64
-		t     timestamp.Time
-		d     int64
+// visit is one row a read of a key hands out.
+type visit struct {
+	v  int
+	hv uint64
+	t  timestamp.Time
+	d  int64
+}
+
+// scan is the brute-force read of key k the stage index must agree with:
+// every batch's rows in order, then every staged row, in arrival order.
+func scan(tr *Trace[int, int], hk uint64, k int) []visit {
+	var out []visit
+	for _, b := range append(slices.Clone(tr.batches), &tr.stage) {
+		for i := range b.hks {
+			if b.hks[i] == hk && b.keys[i] == k {
+				out = append(out, visit{b.vals[i], b.hvs[i], b.times[i], b.diffs[i]})
+			}
+		}
 	}
-	for seed := int64(0); seed < 20; seed++ {
+	return out
+}
+
+// checkReads holds Key and a Cursor opened on tr to scan over keys, sorted
+// here by hash, repeats included: the same rows in the same order.
+func checkReads(t *testing.T, where string, tr *Trace[int, int], c *Cursor[int, int], keys []int) {
+	t.Helper()
+	slices.SortFunc(keys, func(a, b int) int { return cmp.Compare(tr.Hash(a), tr.Hash(b)) })
+	c.Open(tr)
+	for _, k := range keys {
+		hk, want := tr.Hash(k), scan(tr, tr.Hash(k), k)
+		var byKey []visit
+		n := tr.Key(k, func(v int, ts timestamp.Time, d int64) {
+			byKey = append(byKey, visit{v, maphash.Comparable(tr.seed, v), ts, d})
+		})
+		runs, m := c.Seek(hk, k)
+		var byCursor []visit
+		for _, run := range runs {
+			for i, v := range run.Vals {
+				byCursor = append(byCursor, visit{v, run.Hvs[i], run.Times[i], run.Diffs[i]})
+			}
+		}
+		if n != len(want) || !slices.Equal(byKey, want) {
+			t.Fatalf("%s: key %d: Key visits %d rows %v, the scan finds %v", where, k, n, byKey, want)
+		}
+		if m != len(want) || !slices.Equal(byCursor, want) {
+			t.Fatalf("%s: key %d: the cursor hands out %d rows %v, the scan finds %v", where, k, m, byCursor, want)
+		}
+	}
+}
+
+// TestCursorMatchesKey holds Key and Cursor.Seek to a brute-force scan of
+// every batch row and every staged row on random traces: appends over a key
+// space wide enough that the stage index's buckets hold several keys, a hub
+// key, seals, Advance, Reset, and Snapshot, both traces read on after it.
+func TestCursorMatchesKey(t *testing.T) {
+	for seed := int64(0); seed < 12; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		tr := NewTrace[int, int]()
 		var c Cursor[int, int]
 		outer := uint32(0)
-		for step := 0; step < 1500; step++ {
-			tr.Append(r.Intn(60), r.Intn(9), timestamp.Time{Outer: outer + uint32(r.Intn(2)), Inner: uint32(r.Intn(4))}, int64(r.Intn(3)-1))
-			if r.Intn(300) == 0 {
+		sample := func() []int {
+			keys := make([]int, 40)
+			for i := range keys {
+				keys[i] = r.Intn(6000)
+			}
+			return append(keys, -1) // the hub
+		}
+		for step := 0; step < 6000; step++ {
+			k := r.Intn(6000)
+			if r.Intn(8) == 0 {
+				k = -1
+			}
+			tr.Append(k, r.Intn(9), timestamp.Time{Outer: outer + uint32(r.Intn(2)), Inner: uint32(r.Intn(4))}, int64(r.Intn(3)-1))
+			switch r.Intn(1000) {
+			case 0, 1, 2:
 				outer++
 				tr.Advance(outer)
-			}
-			if step%97 != 0 {
-				continue
-			}
-			keys := make([]int, 30)
-			for i := range keys {
-				keys[i] = r.Intn(70)
-			}
-			slices.SortFunc(keys, func(a, b int) int { return cmp.Compare(tr.Hash(a), tr.Hash(b)) })
-			c.Open(tr)
-			for _, k := range keys {
-				var want []visit
-				n := tr.Key(k, func(v int, ts timestamp.Time, d int64) {
-					want = append(want, visit{int64(v), int64(maphash.Comparable(tr.seed, v)), ts, d})
-				})
-				runs, m := c.Seek(tr.Hash(k), k)
-				var got []visit
-				for _, run := range runs {
-					for i, v := range run.Vals {
-						got = append(got, visit{int64(v), int64(run.Hvs[i]), run.Times[i], run.Diffs[i]})
-					}
+			case 3:
+				tr.Reset()
+				outer = 0
+			case 4:
+				snap := tr.Snapshot()
+				checkReads(t, fmt.Sprintf("seed %d step %d, snapshot", seed, step), snap, &c, sample())
+				for i := 0; i < 300; i++ {
+					snap.Append(r.Intn(6000), r.Intn(9), timestamp.Time{Outer: outer}, 1)
 				}
-				less := func(a, b visit) int {
-					return cmp.Or(cmp.Compare(a.v, b.v), cmp.Compare(a.t.Outer, b.t.Outer), cmp.Compare(a.t.Inner, b.t.Inner), cmp.Compare(a.d, b.d))
-				}
-				slices.SortFunc(got, less)
-				slices.SortFunc(want, less)
-				if m != n || !slices.Equal(got, want) {
-					t.Fatalf("seed %d step %d key %d: cursor %d rows %v, Key %d rows %v", seed, step, k, m, got, n, want)
-				}
+				checkReads(t, fmt.Sprintf("seed %d step %d, snapshot appended to", seed, step), snap, &c, sample())
+			}
+			if step%89 == 0 {
+				checkReads(t, fmt.Sprintf("seed %d step %d (%d staged)", seed, step, tr.stage.Len()), tr, &c, sample())
 			}
 		}
+	}
+}
+
+// TestSnapshotStageIndependence snapshots a trace with a half-full stage and
+// appends to each side keys the stage already holds, in the buckets of the
+// rows both share: neither side's Key nor Cursor may see the other's rows.
+func TestSnapshotStageIndependence(t *testing.T) {
+	tr := NewTrace[int, int]()
+	const keys = 40
+	for i := 0; i < 2*stageThreshold+stageThreshold/2; i++ {
+		tr.Append(i%keys, i, timestamp.Time{}, 1)
+	}
+	all := make([]int, keys)
+	for k := range all {
+		all[k] = k
+	}
+	contents := func(x *Trace[int, int]) map[int][]visit {
+		out := make(map[int][]visit)
+		for _, k := range all {
+			out[k] = scan(x, x.Hash(k), k)
+		}
+		return out
+	}
+	snap := tr.Snapshot()
+	before := contents(tr)
+	for i := 0; i < stageThreshold/4; i++ {
+		tr.Append(i%keys, -1-i, timestamp.Outer(1), 1)
+	}
+	var c Cursor[int, int]
+	checkReads(t, "snapshot after appends to the original", snap, &c, slices.Clone(all))
+	if !reflect.DeepEqual(contents(snap), before) {
+		t.Fatal("the original's appends changed the snapshot's rows")
+	}
+	mid := contents(tr)
+	for i := 0; i < stageThreshold/4; i++ {
+		snap.Append(i%keys, 1<<20+i, timestamp.Outer(2), 1)
+	}
+	checkReads(t, "original after appends to the snapshot", tr, &c, slices.Clone(all))
+	checkReads(t, "snapshot after its own appends", snap, &c, slices.Clone(all))
+	if !reflect.DeepEqual(contents(tr), mid) {
+		t.Fatal("the snapshot's appends changed the original's rows")
 	}
 }
 
@@ -992,8 +1076,8 @@ func TestCursorCollidingKeys(t *testing.T) {
 	}
 }
 
-// compare is the comparator sort hashOrder replaced, kept as its oracle:
-// rows in (hk, time, hv) order, the order batches use.
+// compare is the order a sealed batch must hold its rows in, kept as the
+// seal's oracle: (hk, time, hv).
 func (b *Batch[K, V]) compare(i, j uint32) int {
 	if c := cmp.Compare(b.hks[i], b.hks[j]); c != 0 {
 		return c
@@ -1004,89 +1088,122 @@ func (b *Batch[K, V]) compare(i, j uint32) int {
 	return cmp.Compare(b.hvs[i], b.hvs[j])
 }
 
-// checkHashOrder runs hashOrder over st's rows with the seal's tie-break and
-// with none, the cursor's, and holds each result to the comparator sort of
-// the same rows: a permutation of the rows whose sequence of (hash, time,
-// value hash), or of hashes, is the sorted one. Ties are unordered, so the
-// sequences compare tuples, not indexes.
-func checkHashOrder(t *testing.T, name string, st *Batch[int, int]) {
+// stageRow stages one row with a chosen key hash, as AppendHashed would.
+func stageRow(tr *Trace[int, int], hk uint64, k, v int, hv uint64, t timestamp.Time, d int64) {
+	if tr.idx == nil {
+		tr.idx = new(stageIndex)
+	}
+	tr.idx.link(hk, tr.stage.Len())
+	tr.stage.push(hk, k, v, hv, t, d)
+}
+
+// checkSeal seals tr's stage and holds the batch it writes to the staged
+// rows: in compare order, consolidated (no two rows of one key, value and
+// time, no zero diff), and the same multiset, diffs summed.
+func checkSeal(t *testing.T, name string, tr *Trace[int, int]) {
 	t.Helper()
-	byHash := func(i, j uint32) int { return cmp.Compare(st.hks[i], st.hks[j]) }
-	for _, c := range []struct {
-		arm      string
-		tie, cmp func(i, j uint32) int
-	}{{"seal", st.tie, st.compare}, {"cursor", nil, byHash}} {
-		got, _ := hashOrder(st.hks, nil, nil, c.tie)
-		want := make([]uint32, len(st.hks))
-		for i := range want {
-			want[i] = uint32(i)
-		}
-		slices.SortFunc(want, c.cmp)
-		if perm := slices.Sorted(slices.Values(got)); len(got) != len(want) || !slices.Equal(perm, slices.Sorted(slices.Values(want))) {
-			t.Fatalf("%s, %s order: %d rows are not a permutation of the %d", name, c.arm, len(got), len(want))
-		}
-		for p := range got {
-			if c.cmp(got[p], want[p]) != 0 {
-				t.Fatalf("%s, %s order: position %d holds row %d (hash %x, time %v, value hash %x), the comparator sort row %d (hash %x, time %v, value hash %x)",
-					name, c.arm, p, got[p], st.hks[got[p]], st.times[got[p]], st.hvs[got[p]], want[p], st.hks[want[p]], st.times[want[p]], st.hvs[want[p]])
+	type tuple struct {
+		hk, hv uint64
+		k, v   int
+		t      timestamp.Time
+	}
+	sum := func(b *Batch[int, int], out map[tuple]int64) {
+		for i := range b.hks {
+			e := tuple{b.hks[i], b.hvs[i], b.keys[i], b.vals[i], b.times[i]}
+			if out[e] += b.diffs[i]; out[e] == 0 {
+				delete(out, e)
 			}
 		}
 	}
+	want := make(map[tuple]int64)
+	sum(&tr.stage, want)
+	n, held := tr.stage.Len(), tr.Batches()
+	tr.sealStage()
+	if tr.stage.Len() != 0 {
+		t.Fatalf("%s: %d rows left staged", name, tr.stage.Len())
+	}
+	got := make(map[tuple]int64)
+	if tr.Batches() > held {
+		b := tr.batches[len(tr.batches)-1]
+		for p := 1; p < b.Len(); p++ {
+			if b.compare(uint32(p-1), uint32(p)) > 0 {
+				t.Fatalf("%s: rows %d and %d of the sealed batch are out of order (hash %x, time %v, value hash %x before hash %x, time %v, value hash %x)",
+					name, p-1, p, b.hks[p-1], b.times[p-1], b.hvs[p-1], b.hks[p], b.times[p], b.hvs[p])
+			}
+		}
+		sum(b, got)
+		if len(got) != b.Len() {
+			t.Fatalf("%s: the sealed batch's %d rows hold %d distinct tuples", name, b.Len(), len(got))
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: %d staged rows sealed into %d tuples, want %d", name, n, len(got), len(want))
+	}
 }
 
-// TestHashOrderMatchesComparator holds the seal's and the cursor's counting
-// sort to the comparator sort it replaces: stages of every size around the
-// insertion sort's limit and the seal's threshold, a hub key whose one bucket
-// takes the slices.SortFunc arm, hashes that share their top bits and differ
-// below them, and a stage whose hashes are all equal.
-func TestHashOrderMatchesComparator(t *testing.T) {
+// TestSealOrderMatchesComparator holds the seal's bucket-by-bucket read-out
+// to the comparator order: stages of every size around the insertion sort's
+// limit and up to the threshold, hub keys whose one bucket takes the
+// slices.SortFunc arm, hashes that share their top bits and differ below
+// them, a stage whose hashes are all equal, and a second stage sealed after
+// the first (the index cleared between them).
+func TestSealOrderMatchesComparator(t *testing.T) {
 	tr := NewTrace[int, int]()
 	r := rand.New(rand.NewSource(5))
-	stage := func(n, keys, hub int) *Batch[int, int] {
-		st := new(Batch[int, int]).blank(n)
+	stage := func(n, keys, hub int, hash func(k int) uint64) {
 		for i := 0; i < n; i++ {
 			k := r.Intn(keys)
 			if i < hub {
 				k = -1
 			}
 			v := r.Intn(8)
-			st.push(tr.Hash(k), k, v, maphash.Comparable(tr.seed, v), timestamp.Time{Outer: uint32(r.Intn(3)), Inner: uint32(r.Intn(3))}, 1)
+			d := int64(1)
+			if r.Intn(4) == 0 {
+				d = -1
+			}
+			stageRow(tr, hash(k), k, v, maphash.Comparable(tr.seed, v), timestamp.Time{Outer: uint32(r.Intn(3)), Inner: uint32(r.Intn(3))}, d)
 		}
-		return st
 	}
-	for _, n := range []int{0, 1, 2, 31, 32, 33, 255, 256, 4096} {
-		checkHashOrder(t, fmt.Sprintf("%d rows over %d keys", n, n/2+1), stage(n, n/2+1, 0))
-		checkHashOrder(t, fmt.Sprintf("%d rows over 3 keys", n), stage(n, 3, 0))
+	prefixes := func(k int) uint64 { // a dozen top-bit prefixes, fixed bits below
+		return uint64(k%12)<<60 | maphash.Comparable(tr.seed, k)>>8
 	}
-	checkHashOrder(t, "a hub key's 100 rows in 256", stage(256, 200, 100))
-	checkHashOrder(t, "a hub key's 33 rows in 33", stage(33, 1, 33))
-	for _, n := range []int{2, 31, 32, 33, 256, 4096} {
-		st := stage(n, n, 0)
-		for i := range st.hks { // a dozen top-bit prefixes, random bits below
-			st.hks[i] = uint64(r.Intn(12))<<60 | r.Uint64()>>8
-		}
-		checkHashOrder(t, fmt.Sprintf("%d rows on 12 top-bit prefixes", n), st)
-		for i := range st.hks {
-			st.hks[i] = 0x9e3779b97f4a7c15
-		}
-		checkHashOrder(t, fmt.Sprintf("%d rows on one hash", n), st)
+	one := func(int) uint64 { return 0x9e3779b97f4a7c15 }
+	for _, n := range []int{0, 1, 2, 31, 32, 33, 255, 256, stageThreshold - 1, stageThreshold} {
+		stage(n, n/2+1, 0, tr.Hash)
+		checkSeal(t, fmt.Sprintf("%d rows over %d keys", n, n/2+1), tr)
+		stage(n, 3, 0, tr.Hash)
+		checkSeal(t, fmt.Sprintf("%d rows over 3 keys", n), tr)
+		stage(n, n+1, 0, prefixes)
+		checkSeal(t, fmt.Sprintf("%d rows on 12 top-bit prefixes", n), tr)
+		stage(n, n+1, 0, one)
+		checkSeal(t, fmt.Sprintf("%d rows on one hash", n), tr)
 	}
+	stage(stageThreshold, 200, 100, tr.Hash)
+	checkSeal(t, fmt.Sprintf("a hub key's 100 rows in %d", stageThreshold), tr)
+	stage(33, 1, 33, tr.Hash)
+	checkSeal(t, "a hub key's 33 rows in 33", tr)
 }
 
-// FuzzHashOrder holds hashOrder to the comparator sort on stages read from
+// FuzzSealOrder holds the seal to the comparator order on stages read from
 // the input, four bytes a row: the hash's top and bottom byte, so rows share
-// buckets and hashes at every stage size, then a time and a value hash.
-func FuzzHashOrder(f *testing.F) {
+// buckets and hashes at every stage size, a time, and a value hash whose top
+// bit negates the diff. Keys and values follow their hashes, so equal rows
+// meet and fold.
+func FuzzSealOrder(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 1, 2, 3, 4, 1, 2, 0, 4, 200, 0, 7, 1})
-	f.Add(bytes.Repeat([]byte{0x80, 1, 5, 9, 0x80, 2, 5, 9, 0x81, 1, 6, 2}, 40))
+	f.Add(bytes.Repeat([]byte{0x80, 1, 5, 9, 0x80, 2, 5, 9, 0x81, 1, 6, 2, 0x80, 1, 5, 0x89}, 40))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		n := min(len(data)/4, 4096)
-		st := new(Batch[int, int]).blank(n)
+		tr := NewTrace[int, int]()
+		n := min(len(data)/4, stageThreshold)
 		for i := 0; i < n; i++ {
 			b := data[4*i : 4*i+4]
-			st.push(uint64(b[0])<<56|uint64(b[1]), i, i, uint64(b[3]), timestamp.Time{Outer: uint32(b[2] >> 4), Inner: uint32(b[2] & 15)}, 1)
+			hk, hv, d := uint64(b[0])<<56|uint64(b[1]), uint64(b[3]&0x7f), int64(1)
+			if b[3]&0x80 != 0 {
+				d = -1
+			}
+			stageRow(tr, hk, int(hk), int(hv), hv, timestamp.Time{Outer: uint32(b[2] >> 4), Inner: uint32(b[2] & 15)}, d)
 		}
-		checkHashOrder(t, fmt.Sprintf("%d fuzzed rows", n), st)
+		checkSeal(t, fmt.Sprintf("%d fuzzed rows", n), tr)
 	})
 }

@@ -1,10 +1,8 @@
 package arrange
 
 import (
-	"fmt"
 	"math/rand"
 	"runtime"
-	"slices"
 	"testing"
 
 	"graphsurge/internal/timestamp"
@@ -115,8 +113,8 @@ func BenchmarkKeyLookup(b *testing.B) {
 }
 
 // TestWarmSealAllocs checks that a warm seal allocates nothing: a trace that
-// keeps sealing full stages sorts each through recycled order and bucket
-// columns and writes it into a recycled column set.
+// keeps sealing full stages reads each out of its stage index through a
+// recycled bucket column and writes it into a recycled column set.
 func TestWarmSealAllocs(t *testing.T) {
 	tr := NewTrace[uint64, uint64]()
 	r := rand.New(rand.NewSource(2))
@@ -130,38 +128,5 @@ func TestWarmSealAllocs(t *testing.T) {
 	seal()
 	if n := testing.AllocsPerRun(100, seal); n != 0 {
 		t.Fatalf("a warm seal of %d rows allocated %.1f times", stageThreshold, n)
-	}
-}
-
-// BenchmarkHashOrder orders a stage of random keys, times and values the way
-// sealStage does, by hashOrder and by the comparator sort it replaced.
-func BenchmarkHashOrder(b *testing.B) {
-	for _, n := range []int{stageThreshold, 4096} {
-		tr, r := NewTrace[uint64, uint64](), rand.New(rand.NewSource(int64(n)))
-		st := new(Batch[uint64, uint64]).blank(n)
-		for i := 0; i < n; i++ {
-			k, v := uint64(r.Intn(n/2)), r.Uint64()
-			st.push(tr.Hash(k), k, v, tr.Hash(v), timestamp.Time{Inner: uint32(r.Intn(4))}, 1)
-		}
-		var order, count []uint32
-		perRow := func(b *testing.B) {
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
-		}
-		b.Run(fmt.Sprintf("n=%d/hashOrder", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				order, count = hashOrder(st.hks, order, count, st.tie)
-			}
-			perRow(b)
-		})
-		b.Run(fmt.Sprintf("n=%d/comparator", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				order = order[:0]
-				for j := range n {
-					order = append(order, uint32(j))
-				}
-				slices.SortFunc(order, st.compare)
-			}
-			perRow(b)
-		})
 	}
 }
