@@ -429,7 +429,7 @@ func BenchmarkParallelAdaptive(b *testing.B) {
 // must come out measurably cheaper; that gap, times the number of segments
 // and RunCollection calls an engine serves, is what the pool amortizes.
 // The staged SCC sub-benchmarks magnify the effect: a fresh build there
-// constructs one dataflow per phase.
+// constructs two dataflows, a trim and a coloring, per phase.
 func BenchmarkPoolReuse(b *testing.B) {
 	g := datagen.Social(datagen.SocialConfig{Nodes: 1_500, Edges: 12_000, Seed: 7})
 	seed := make([]graph.Triple, g.NumEdges())

@@ -11,6 +11,11 @@
 // (Bellman-Ford), PageRank, strongly connected components (the
 // doubly-iterative coloring algorithm) and multiple-pair shortest paths —
 // plus a non-iterative degree computation.
+//
+// Every algorithm but SCC is one dataflow run by an Instance. SCC's outer
+// loop is staged by its own Runner: each phase is a trim dataflow, which sets
+// aside the vertices on no cycle, and a coloring dataflow over what is left,
+// each in its own scope (see SCC).
 package analytics
 
 import (

@@ -99,32 +99,43 @@ func TestBFSDisconnectedSource(t *testing.T) {
 }
 
 func TestSCCInsufficientPhasesIsDetectable(t *testing.T) {
-	// A long chain of singleton SCCs needs one phase per color layer; with
-	// too few phases the runner must report unassigned vertices rather than
-	// wrong answers.
-	runner, err := NewRunner(&SCC{Phases: 2}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A chain of two-vertex cycles, each pointing at the one below it, needs
+	// one phase per cycle: every vertex lies on a cycle, so the trim sets
+	// none aside, and the top cycle's color floods the chain, so a phase
+	// confirms one cycle. With too few phases the runner must report
+	// unassigned vertices, and flag the run, rather than give wrong answers.
 	var edges []graph.Triple
-	for i := uint64(0); i < 10; i++ {
-		edges = append(edges, graph.Triple{Src: i + 1, Dst: i, W: 1}) // descending chain
-	}
-	runner.Step(edges, nil)
-	rem := runner.(*sccRunner).RemainingCount()
-	got := runner.Results()
-	if rem == 0 {
-		t.Fatal("expected unassigned vertices with 2 phases on a 11-chain")
-	}
-	// Everything assigned so far must match the oracle.
-	want := sccOracle(edges)
-	for vv, d := range got {
-		if d != 1 || want[vv.V] != vv.Val {
-			t.Fatalf("vertex %d = %d, oracle %d", vv.V, vv.Val, want[vv.V])
+	for i := uint64(0); i < 11; i++ {
+		a, b := 2*i, 2*i+1
+		edges = append(edges, graph.Triple{Src: a, Dst: b, W: 1}, graph.Triple{Src: b, Dst: a, W: 1})
+		if i > 0 {
+			edges = append(edges, graph.Triple{Src: a, Dst: a - 1, W: 1}) // Cᵢ → Cᵢ₋₁
 		}
 	}
-	if len(got)+rem != 11 {
-		t.Fatalf("assigned %d + remaining %d != 11", len(got), rem)
+	want := sccOracle(edges)
+	for _, tc := range []struct{ phases, remaining int }{{2, 18}, {11, 0}} {
+		runner, err := NewRunner(&SCC{Phases: tc.phases}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runner.Step(edges, nil)
+		rem := runner.(*sccRunner).RemainingCount()
+		if rem != tc.remaining {
+			t.Fatalf("%d phases: %d unassigned, want %d", tc.phases, rem, tc.remaining)
+		}
+		if got := runner.IterCapHit(); got != (rem > 0) {
+			t.Fatalf("%d phases: IterCapHit = %v with %d unassigned", tc.phases, got, rem)
+		}
+		// Everything assigned so far must match the oracle.
+		got := runner.Results()
+		for vv, d := range got {
+			if d != 1 || want[vv.V] != vv.Val {
+				t.Fatalf("vertex %d = %d, oracle %d", vv.V, vv.Val, want[vv.V])
+			}
+		}
+		if len(got)+rem != 22 {
+			t.Fatalf("assigned %d + remaining %d != 22", len(got), rem)
+		}
 	}
 }
 

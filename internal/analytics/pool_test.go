@@ -146,14 +146,20 @@ func TestPoolGrowUnblocksWaiters(t *testing.T) {
 }
 
 // TestPoolRecyclesStagedSCCRunner pins that the staged SCC runner is
-// Resettable, so Release keeps it warm instead of dropping it.
+// Resettable, so Release keeps it warm instead of dropping it, and that the
+// recycled runner answers a different graph from scratch. The two graphs
+// swap which vertices lie on a cycle: a trim scope that kept the first
+// graph's edges would keep 3 → 1 and put the path in the core, a core set
+// that survived would hide the path's singles, and singles that survived
+// would report 4 and 5 twice.
 func TestPoolRecyclesStagedSCCRunner(t *testing.T) {
 	p := NewPool(&SCC{Phases: 3}, 1, 1)
 	r1, _, err := p.Acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1.Step(poolTriples(), nil)
+	first := []graph.Triple{{Src: 1, Dst: 2, W: 1}, {Src: 2, Dst: 3, W: 1}, {Src: 3, Dst: 1, W: 1}, {Src: 4, Dst: 5, W: 1}, {Src: 5, Dst: 6, W: 1}}
+	r1.Step(first, nil)
 	p.Release(r1)
 	r2, _, err := p.Acquire(context.Background())
 	if err != nil {
@@ -167,6 +173,21 @@ func TestPoolRecyclesStagedSCCRunner(t *testing.T) {
 	}
 	if len(r2.Results()) != 0 {
 		t.Fatalf("recycled SCC runner kept results: %v", r2.Results())
+	}
+	second := []graph.Triple{{Src: 1, Dst: 2, W: 1}, {Src: 2, Dst: 3, W: 1}, {Src: 4, Dst: 5, W: 1}, {Src: 5, Dst: 4, W: 1}}
+	r2.Step(second, nil)
+	want := sccOracle(second)
+	got := r2.Results()
+	if len(got) != len(want) {
+		t.Fatalf("recycled SCC runner: %v, oracle %v", got, want)
+	}
+	for vv, d := range got {
+		if d != 1 || want[vv.V] != vv.Val {
+			t.Fatalf("recycled SCC runner: vertex %d = %d ×%d, oracle %d", vv.V, vv.Val, d, want[vv.V])
+		}
+	}
+	if r2.OutputDiffs(0) != len(want) {
+		t.Fatalf("recycled SCC runner: %d output diffs at version 0, want %d", r2.OutputDiffs(0), len(want))
 	}
 	p.Release(r2)
 }

@@ -15,18 +15,25 @@ import (
 // that reach the root by walking edges backwards — exactly the root's SCC;
 // (3) remove the confirmed SCCs and repeat on the remainder.
 //
+// Each round first trims (McLendon et al.; Hong et al., SC'13): a fixpoint
+// sets aside every alive vertex without both an out-edge and an in-edge
+// among the alive. Such a vertex lies on no cycle, so it is its own SCC,
+// colored with its own ID. Only the rest, the round's core, is colored, and
+// only the edges inside the core reach the next round. On sparse graphs most
+// vertices lie on no cycle, so the trim settles most of the answer.
+//
 // The engine supports one iteration dimension per dataflow, so the outer
-// loop is *staged*: each phase is its own differential dataflow, fed the
-// settled per-version output of the previous phase (the alive vertex set).
-// This is the engineering substitution for Differential Dataflow's nested
+// loop is *staged*: each phase is a trim and a coloring dataflow, each in its
+// own scope and fed the settled per-version output of the one before. This
+// is the engineering substitution for Differential Dataflow's nested
 // iterative scopes described in DESIGN.md: every phase remains fully
 // incremental across view versions, and phases never observe each other's
 // transient fixpoint states.
 //
 // The output value of a vertex is its SCC's coloring ID (the maximum vertex
-// ID in the component). Vertices still unassigned after Phases phases (very
-// long chains of SCCs) are reported by RemainingCount; raise Phases if it is
-// ever nonzero.
+// ID in the component). Vertices still unassigned after Phases phases (long
+// chains of cyclic SCCs) are reported by RemainingCount and make IterCapHit
+// true, so the incomplete answer is flagged; raise Phases if that happens.
 type SCC struct {
 	// Phases is the number of staged outer iterations; 0 means the default
 	// of 10.
@@ -48,20 +55,20 @@ func (c *SCC) NewRunner(workers int) (Runner, error) {
 	if phases == 0 {
 		phases = 10
 	}
-	r := &sccRunner{
-		stages:  make([]*sccStage, phases),
-		nodeDeg: make(map[uint64]int64),
-		alive:   make([]map[uint64]bool, phases+1),
-		done:    make([]map[uint64]uint64, phases),
+	r := &sccRunner{phases: make([]*sccPhase, phases)}
+	for p := range r.phases {
+		r.phases[p] = newSCCPhase(workers)
 	}
-	for p := 0; p < phases; p++ {
-		r.stages[p] = newSCCStage(workers)
-		r.alive[p] = make(map[uint64]bool)
-		r.done[p] = make(map[uint64]uint64)
-	}
-	r.alive[phases] = make(map[uint64]bool)
+	r.clear()
 	return r, nil
 }
+
+// sccEdge is an edge as (src, dst), or a (vertex, color) assignment;
+// sccVertex is a member of a vertex set.
+type (
+	sccEdge   = dataflow.KV[uint64, uint64]
+	sccVertex = dataflow.KV[uint64, struct{}]
+)
 
 // sccMatch pairs a candidate backward-propagated color with the vertex's
 // actual color.
@@ -71,91 +78,122 @@ type sccMatch struct {
 	Actual uint64
 }
 
-// sccStage is one phase's dataflow: inputs are the view's edges and the
-// phase's alive vertex set; output is the set of (vertex, color) assignments
-// confirmed in this phase.
-type sccStage struct {
-	scope   *dataflow.Scope
-	edgeIn  *dataflow.Input[graph.Triple]
-	aliveIn *dataflow.Input[uint64]
-	done    *dataflow.Capture[dataflow.KV[uint64, uint64]]
+// sccPhase is one outer round as two dataflows, each in its own scope (a
+// loop fed by another loop's retractions needs one; see Iterate). The trim
+// takes edges — a superset of those inside the alive set — and the phase's
+// alive set, and captures the core and the edges inside it. The coloring
+// takes those two and captures the (vertex, color) assignments it confirms.
+type sccPhase struct {
+	trim, color        *dataflow.Scope
+	edgeIn, coreEdgeIn *dataflow.Input[sccEdge]
+	aliveIn, coreIn    *dataflow.Input[uint64]
+	core               *dataflow.Capture[uint64]
+	coreEdges, done    *dataflow.Capture[sccEdge]
 }
 
-func newSCCStage(workers int) *sccStage {
-	s := dataflow.NewScope(workers)
-	edgeIn, edgesT := dataflow.NewInput[graph.Triple](s)
-	aliveIn, aliveCol := dataflow.NewInput[uint64](s)
+func newSCCPhase(workers int) *sccPhase {
+	ph := &sccPhase{trim: dataflow.NewScope(workers), color: dataflow.NewScope(workers)}
+	var edges *dataflow.Collection[sccEdge]
+	var alive, core *dataflow.Collection[uint64]
+	ph.edgeIn, edges = dataflow.NewInput[sccEdge](ph.trim)
+	ph.aliveIn, alive = dataflow.NewInput[uint64](ph.trim)
 
-	alive := dataflow.Map(aliveCol, func(v uint64) dataflow.KV[uint64, struct{}] {
-		return dataflow.KV[uint64, struct{}]{K: v}
-	})
-	allEdges := dataflow.Map(edgesT, func(t graph.Triple) dataflow.KV[uint64, uint64] {
-		return dataflow.KV[uint64, uint64]{K: t.Src, V: t.Dst}
-	})
-	// Keep only edges with both endpoints alive.
-	byDst := dataflow.JoinMap(allEdges, alive, func(src uint64, dst uint64, _ struct{}) dataflow.KV[uint64, uint64] {
-		return dataflow.KV[uint64, uint64]{K: dst, V: src}
-	})
-	edges := dataflow.JoinMap(byDst, alive, func(dst uint64, src uint64, _ struct{}) dataflow.KV[uint64, uint64] {
-		return dataflow.KV[uint64, uint64]{K: src, V: dst}
-	})
-	// Restriction may produce duplicate (src,dst) records for parallel
-	// edges; that only multiplies message multiplicities, which max/min
-	// reduces ignore.
+	// core = the greatest fixpoint of x ↦ {v ∈ x with an out-edge and an
+	// in-edge inside x}, from x = alive. The body keeps only edges inside
+	// x ⊆ alive, so the edges need no restriction to the alive set first.
+	var inside *dataflow.Collection[sccEdge]
+	trimmed := dataflow.Iterate(dataflow.Map(alive, func(v uint64) sccVertex { return sccVertex{K: v} }),
+		func(x *dataflow.Collection[sccVertex]) *dataflow.Collection[sccVertex] {
+			fromX := dataflow.JoinMap(edges, x, func(src uint64, dst uint64, _ struct{}) sccEdge {
+				return sccEdge{K: dst, V: src}
+			})
+			inside = dataflow.JoinMap(fromX, x, func(dst uint64, src uint64, _ struct{}) sccEdge {
+				return sccEdge{K: src, V: dst}
+			})
+			ends := dataflow.FlatMap(inside, func(e sccEdge, emit func(dataflow.KV[uint64, bool])) {
+				emit(dataflow.KV[uint64, bool]{K: e.K, V: true})  // an out-edge of e.K
+				emit(dataflow.KV[uint64, bool]{K: e.V, V: false}) // an in-edge of e.V
+			})
+			return dataflow.Reduce(ends, "trim", func(_ uint64, vals []dataflow.VD[bool], emit func(struct{})) {
+				var out, in bool
+				for _, vd := range vals {
+					out, in = out || vd.D > 0 && vd.V, in || vd.D > 0 && !vd.V
+				}
+				if out && in {
+					emit(struct{}{})
+				}
+			})
+		})
+	ph.core = dataflow.NewCapture(dataflow.Map(trimmed, func(kv sccVertex) uint64 { return kv.K }))
+	// Consolidated over iterations, the edges inside x are those inside the
+	// fixpoint.
+	ph.coreEdges = dataflow.NewCapture(inside)
 
-	seeds := dataflow.Map(alive, func(kv dataflow.KV[uint64, struct{}]) dataflow.KV[uint64, uint64] {
-		return dataflow.KV[uint64, uint64]{K: kv.K, V: kv.K}
-	})
+	ph.coreEdgeIn, edges = dataflow.NewInput[sccEdge](ph.color)
+	ph.coreIn, core = dataflow.NewInput[uint64](ph.color)
+	// Parallel edges arrive with multiplicity above one; that only
+	// multiplies message multiplicities, which max/min reduces ignore.
+	seeds := dataflow.Map(core, func(v uint64) sccEdge { return sccEdge{K: v, V: v} })
 	// Forward fixpoint: color(v) = max(v, colors of in-neighbors).
-	colors := dataflow.Iterate(seeds, func(x *dataflow.Collection[dataflow.KV[uint64, uint64]]) *dataflow.Collection[dataflow.KV[uint64, uint64]] {
-		msgs := dataflow.JoinMap(x, edges, func(_ uint64, color uint64, dst uint64) dataflow.KV[uint64, uint64] {
-			return dataflow.KV[uint64, uint64]{K: dst, V: color}
+	colors := dataflow.Iterate(seeds, func(x *dataflow.Collection[sccEdge]) *dataflow.Collection[sccEdge] {
+		msgs := dataflow.JoinMap(x, edges, func(_ uint64, color uint64, dst uint64) sccEdge {
+			return sccEdge{K: dst, V: color}
 		})
 		return dataflow.ReduceMax(dataflow.Concat(msgs, seeds))
 	})
 
-	roots := dataflow.Filter(colors, func(kv dataflow.KV[uint64, uint64]) bool { return kv.K == kv.V })
-	rev := dataflow.Map(edges, func(kv dataflow.KV[uint64, uint64]) dataflow.KV[uint64, uint64] {
-		return dataflow.KV[uint64, uint64]{K: kv.V, V: kv.K}
-	})
+	roots := dataflow.Filter(colors, func(kv sccEdge) bool { return kv.K == kv.V })
+	rev := dataflow.Map(edges, func(kv sccEdge) sccEdge { return sccEdge{K: kv.V, V: kv.K} })
 
 	// Backward fixpoint within the color class: done(v) iff v reaches its
 	// color root through same-colored vertices.
-	done := dataflow.Iterate(roots, func(x *dataflow.Collection[dataflow.KV[uint64, uint64]]) *dataflow.Collection[dataflow.KV[uint64, uint64]] {
-		msgs := dataflow.JoinMap(x, rev, func(_ uint64, color uint64, pred uint64) dataflow.KV[uint64, uint64] {
-			return dataflow.KV[uint64, uint64]{K: pred, V: color}
+	done := dataflow.Iterate(roots, func(x *dataflow.Collection[sccEdge]) *dataflow.Collection[sccEdge] {
+		msgs := dataflow.JoinMap(x, rev, func(_ uint64, color uint64, pred uint64) sccEdge {
+			return sccEdge{K: pred, V: color}
 		})
 		matched := dataflow.JoinMap(msgs, colors, func(n uint64, cand uint64, actual uint64) sccMatch {
 			return sccMatch{Node: n, Cand: cand, Actual: actual}
 		})
-		confirmed := dataflow.FlatMap(matched, func(m sccMatch, emit func(dataflow.KV[uint64, uint64])) {
+		confirmed := dataflow.FlatMap(matched, func(m sccMatch, emit func(sccEdge)) {
 			if m.Cand == m.Actual {
-				emit(dataflow.KV[uint64, uint64]{K: m.Node, V: m.Cand})
+				emit(sccEdge{K: m.Node, V: m.Cand})
 			}
 		})
 		return dataflow.ReduceMin(dataflow.Concat(confirmed, roots))
 	})
-
-	return &sccStage{
-		scope:   s,
-		edgeIn:  edgeIn,
-		aliveIn: aliveIn,
-		done:    dataflow.NewCapture(done),
-	}
+	ph.done = dataflow.NewCapture(done)
+	return ph
 }
 
-// sccRunner drives the staged phases and maintains the alive sets between
+// sccRunner drives the staged phases and maintains the vertex sets between
 // them.
 type sccRunner struct {
-	stages []*sccStage
+	phases []*sccPhase
 	next   uint32
 
 	nodeDeg map[uint64]int64    // edge-incidence count per vertex
 	alive   []map[uint64]bool   // alive[p] is phase p's input vertex set
+	core    []map[uint64]bool   // core[p] is what phase p's trim keeps
+	single  []map[uint64]bool   // single[p] = alive[p] − core[p], own SCCs
 	done    []map[uint64]uint64 // done[p] is phase p's confirmed assignment
 
 	// outputDiffs[v] is the merged output difference count per version.
 	outputDiffs map[uint32]int
+}
+
+// clear drops the inter-phase bookkeeping for fresh maps.
+func (r *sccRunner) clear() {
+	n := len(r.phases)
+	r.nodeDeg = make(map[uint64]int64)
+	r.alive, r.core, r.single = make([]map[uint64]bool, n+1), make([]map[uint64]bool, n), make([]map[uint64]bool, n)
+	r.done = make([]map[uint64]uint64, n)
+	for p := 0; p < n; p++ {
+		r.alive[p], r.core[p], r.single[p] = make(map[uint64]bool), make(map[uint64]bool), make(map[uint64]bool)
+		r.done[p] = make(map[uint64]uint64)
+	}
+	r.alive[n] = make(map[uint64]bool)
+	r.outputDiffs = nil
+	r.next = 0
 }
 
 func (r *sccRunner) Step(adds, dels []graph.Triple) time.Duration {
@@ -166,6 +204,29 @@ func (r *sccRunner) Step(adds, dels []graph.Triple) time.Duration {
 // StepBatch implements Runner over columnar batches.
 func (r *sccRunner) StepBatch(adds, dels *graph.EdgeBatch) time.Duration {
 	return r.step(adds.Len(), adds.Triple, dels.Len(), dels.Triple)
+}
+
+// updates lists a captured version difference set as input updates.
+func updates[R comparable](diff map[R]dataflow.Diff) []dataflow.Update[R] {
+	ups := make([]dataflow.Update[R], 0, len(diff))
+	for rec, d := range diff {
+		ups = append(ups, dataflow.Update[R]{Rec: rec, D: d})
+	}
+	return ups
+}
+
+// setTo makes n's membership in m in, and returns the change as a
+// difference: +1, −1 or 0.
+func setTo(m map[uint64]bool, n uint64, in bool) dataflow.Diff {
+	switch {
+	case in == m[n]:
+		return 0
+	case in:
+		m[n] = true
+		return 1
+	}
+	delete(m, n)
+	return -1
 }
 
 func (r *sccRunner) step(na int, addAt func(int) graph.Triple, nd int, delAt func(int) graph.Triple) time.Duration {
@@ -183,12 +244,8 @@ func (r *sccRunner) step(na int, addAt func(int) graph.Triple, nd int, delAt fun
 		} else {
 			r.nodeDeg[n] = nw
 		}
-		if old == 0 && nw > 0 {
-			aliveDiff = append(aliveDiff, dataflow.Update[uint64]{Rec: n, D: 1})
-			r.alive[0][n] = true
-		} else if old > 0 && nw == 0 {
-			aliveDiff = append(aliveDiff, dataflow.Update[uint64]{Rec: n, D: -1})
-			delete(r.alive[0], n)
+		if d := setTo(r.alive[0], n, nw > 0); d != 0 {
+			aliveDiff = append(aliveDiff, dataflow.Update[uint64]{Rec: n, D: d})
 		}
 	}
 	for i := 0; i < na; i++ {
@@ -203,19 +260,48 @@ func (r *sccRunner) step(na int, addAt func(int) graph.Triple, nd int, delAt fun
 	}
 
 	merged := make(map[VertexValue]int64)
-	for p, st := range r.stages {
-		st.edgeIn.Send(v, na+nd, edgeUps)
-		st.aliveIn.SendAt(v, aliveDiff)
-		st.scope.Drain()
-		st.scope.Compact(v)
+	var edgeDiff []dataflow.Update[sccEdge] // the previous phase's core edges
+	for p, ph := range r.phases {
+		// Trim. Phase 0 reads the view's edges; a later phase the edges
+		// inside the previous core, so a phase with nothing alive gets none.
+		if p == 0 {
+			ph.edgeIn.Send(v, na+nd, func(i int) (sccEdge, dataflow.Diff) {
+				t, d := edgeUps(i)
+				return sccEdge{K: t.Src, V: t.Dst}, d
+			})
+		} else {
+			ph.edgeIn.SendAt(v, edgeDiff)
+		}
+		ph.aliveIn.SendAt(v, aliveDiff)
+		ph.trim.Drain()
+		ph.trim.Compact(v)
+		coreDiff := updates(ph.core.VersionDiff(v))
+		edgeDiff = updates(ph.coreEdges.VersionDiff(v))
 
-		// Settle this phase's output and derive the next phase's alive set
-		// incrementally from the two difference sets.
-		doneDiff := st.done.VersionDiff(v)
-		candidates := make(map[uint64]struct{}, len(doneDiff)+len(aliveDiff))
+		// A vertex alive but outside the core is its own SCC: it enters the
+		// output as it leaves the core and is retracted as it rejoins.
+		aliveP, coreP := r.alive[p], r.core[p]
+		for _, u := range coreDiff {
+			setTo(coreP, u.Rec, u.D > 0)
+		}
+		for _, ups := range [2][]dataflow.Update[uint64]{aliveDiff, coreDiff} {
+			for _, u := range ups {
+				n := u.Rec
+				merged[VertexValue{V: n, Val: int64(n)}] += setTo(r.single[p], n, aliveP[n] && !coreP[n])
+			}
+		}
+
+		// Coloring, of the core along the edges inside it.
+		ph.coreEdgeIn.SendAt(v, edgeDiff)
+		ph.coreIn.SendAt(v, coreDiff)
+		ph.color.Drain()
+		ph.color.Compact(v)
+
+		// Settle this phase's output and derive the next phase's alive set,
+		// core − done, incrementally from the two difference sets.
+		doneDiff := ph.done.VersionDiff(v)
 		for kv, d := range doneDiff {
 			merged[VertexValue{V: kv.K, Val: int64(kv.V)}] += d
-			candidates[kv.K] = struct{}{}
 			if d > 0 {
 				r.done[p][kv.K] = kv.V
 			} else if cur, ok := r.done[p][kv.K]; ok && cur == kv.V {
@@ -224,21 +310,18 @@ func (r *sccRunner) step(na int, addAt func(int) graph.Triple, nd int, delAt fun
 				delete(r.done[p], kv.K)
 			}
 		}
-		for _, u := range aliveDiff {
-			candidates[u.Rec] = struct{}{}
-		}
-		aliveP, aliveNext := r.alive[p], r.alive[p+1]
 		var nextDiff []dataflow.Update[uint64]
-		for n := range candidates {
+		member := func(n uint64) {
 			_, isDone := r.done[p][n]
-			newMember := aliveP[n] && !isDone
-			if newMember && !aliveNext[n] {
-				aliveNext[n] = true
-				nextDiff = append(nextDiff, dataflow.Update[uint64]{Rec: n, D: 1})
-			} else if !newMember && aliveNext[n] {
-				delete(aliveNext, n)
-				nextDiff = append(nextDiff, dataflow.Update[uint64]{Rec: n, D: -1})
+			if d := setTo(r.alive[p+1], n, coreP[n] && !isDone); d != 0 {
+				nextDiff = append(nextDiff, dataflow.Update[uint64]{Rec: n, D: d})
 			}
+		}
+		for _, u := range coreDiff {
+			member(u.Rec)
+		}
+		for kv := range doneDiff {
+			member(kv.K)
 		}
 		aliveDiff = nextDiff
 	}
@@ -255,25 +338,26 @@ func (r *sccRunner) step(na int, addAt func(int) graph.Triple, nd int, delAt fun
 	return time.Since(start)
 }
 
-// Reset implements Resettable: every stage's dataflow resets in place (each
-// scope's version cursor rewinds with it) and the runner's
-// inter-stage bookkeeping — degree counts, alive sets, confirmed
-// assignments, merged output-diff counts — is dropped for fresh maps. The
-// pool can therefore recycle staged SCC runners exactly like
-// single-dataflow instances, instead of rebuilding one dataflow per phase.
+// scopes lists every phase's trim and coloring scope.
+func (r *sccRunner) scopes() []*dataflow.Scope {
+	out := make([]*dataflow.Scope, 0, 2*len(r.phases))
+	for _, ph := range r.phases {
+		out = append(out, ph.trim, ph.color)
+	}
+	return out
+}
+
+// Reset implements Resettable: every phase's two dataflows reset in place
+// (each scope's version cursor rewinds with it) and the runner's
+// inter-phase bookkeeping — degree counts, alive, core and single sets,
+// confirmed assignments, merged output-diff counts — is dropped for fresh
+// maps. The pool can therefore recycle staged SCC runners exactly like
+// single-dataflow instances, instead of rebuilding two dataflows per phase.
 func (r *sccRunner) Reset() error {
-	for _, st := range r.stages {
-		st.scope.ResetState()
+	for _, s := range r.scopes() {
+		s.ResetState()
 	}
-	r.nodeDeg = make(map[uint64]int64)
-	for p := range r.alive {
-		r.alive[p] = make(map[uint64]bool)
-	}
-	for p := range r.done {
-		r.done[p] = make(map[uint64]uint64)
-	}
-	r.outputDiffs = nil
-	r.next = 0
+	r.clear()
 	return nil
 }
 
@@ -288,17 +372,22 @@ func (r *sccRunner) OutputDiffs(v uint32) int { return r.outputDiffs[v] }
 
 func (r *sccRunner) Results() map[VertexValue]int64 {
 	out := make(map[VertexValue]int64)
-	for _, d := range r.done {
+	for p, d := range r.done {
 		for n, color := range d {
 			out[VertexValue{V: n, Val: int64(color)}] = 1
+		}
+		for n := range r.single[p] {
+			out[VertexValue{V: n, Val: int64(n)}] = 1
 		}
 	}
 	return out
 }
 
 func (r *sccRunner) DropOutputsBefore(v uint32) {
-	for _, st := range r.stages {
-		st.done.Drop(v)
+	for _, ph := range r.phases {
+		ph.core.Drop(v)
+		ph.coreEdges.Drop(v)
+		ph.done.Drop(v)
 	}
 	for ver := range r.outputDiffs {
 		if ver < v {
@@ -309,12 +398,12 @@ func (r *sccRunner) DropOutputsBefore(v uint32) {
 
 // RemainingCount returns the number of vertices not assigned to any SCC
 // after the last phase; nonzero means Phases is too small for this graph.
-func (r *sccRunner) RemainingCount() int { return len(r.alive[len(r.stages)]) }
+func (r *sccRunner) RemainingCount() int { return len(r.alive[len(r.phases)]) }
 
 func (r *sccRunner) WorkCounts() []int64 {
 	var out []int64
-	for _, st := range r.stages {
-		wc := st.scope.WorkCounts()
+	for _, s := range r.scopes() {
+		wc := s.WorkCounts()
 		if out == nil {
 			out = make([]int64, len(wc))
 		}
@@ -325,9 +414,14 @@ func (r *sccRunner) WorkCounts() []int64 {
 	return out
 }
 
+// IterCapHit reports a fixpoint that hit the iteration cap, and also phases
+// that ran out with vertices unassigned: either way the answer is incomplete.
 func (r *sccRunner) IterCapHit() bool {
-	for _, st := range r.stages {
-		if st.scope.IterCapHit.Load() {
+	if r.RemainingCount() > 0 {
+		return true
+	}
+	for _, s := range r.scopes() {
+		if s.IterCapHit.Load() {
 			return true
 		}
 	}

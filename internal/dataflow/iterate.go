@@ -58,10 +58,16 @@ func (n *delayNode[R]) minPending(w int) (timestamp.Time, bool) { return n.p.min
 // its (version, iteration) times; consolidating over iterations (as Capture
 // does) yields the per-version fixpoint.
 //
-// Several Iterate loops may be chained sequentially in one scope: they share
-// the iteration coordinate, which changes the schedule but not the quiescent
-// state, since differential operator equations hold at every time
-// regardless. Body must contain at least one stateful operator (Reduce),
+// Several Iterate loops may be chained in one scope, and then share the
+// iteration coordinate: a downstream loop reads an upstream loop's output at
+// inner time i as its own input at iteration i. That changes only the
+// schedule, not the quiescent state, when the downstream body cannot be
+// misled by what it saw early — SCC's colors → done chain (analytics/scc.go)
+// qualifies because its match against the current color cuts every stale
+// candidate. It does not hold in general: a trim loop chained ahead of SCC's
+// coloring loops in one scope did not terminate on some hash seeds. The rule:
+// a loop fed by another loop's output that retracts at inner times > 0 needs
+// its own scope. Body must contain at least one stateful operator (Reduce),
 // which every converging fixpoint needs anyway.
 func Iterate[R comparable](initial *Collection[R], body func(*Collection[R]) *Collection[R]) *Collection[R] {
 	return iterate(initial, 0, body)
