@@ -428,26 +428,38 @@ func BenchmarkParallelAdaptive(b *testing.B) {
 // regardless of how much the previous run accumulated. The reset variant
 // must come out measurably cheaper; that gap, times the number of segments
 // and RunCollection calls an engine serves, is what the pool amortizes.
-// The staged SCC sub-benchmarks magnify the effect: a fresh build there
-// constructs two dataflows, a trim and a coloring, per phase.
+// The staged SCC sub-benchmarks magnify the effect: a fresh SCC runner
+// builds its phases on its first step, two dataflows (a trim and a
+// coloring) per phase, so its rows time that first step as well, on a
+// chain of three two-vertex cycles, which needs three phases.
 func BenchmarkPoolReuse(b *testing.B) {
 	g := datagen.Social(datagen.SocialConfig{Nodes: 1_500, Edges: 12_000, Seed: 7})
 	seed := make([]graph.Triple, g.NumEdges())
 	for i := range seed {
 		seed[i] = g.Triple(i, -1)
 	}
+	chain := []graph.Triple{
+		{Src: 0, Dst: 1, W: 1}, {Src: 1, Dst: 0, W: 1},
+		{Src: 2, Dst: 3, W: 1}, {Src: 3, Dst: 2, W: 1}, {Src: 2, Dst: 1, W: 1},
+		{Src: 4, Dst: 5, W: 1}, {Src: 5, Dst: 4, W: 1}, {Src: 4, Dst: 3, W: 1},
+	}
 	for _, c := range []struct {
-		name string
-		comp analytics.Computation
+		name  string
+		comp  analytics.Computation
+		first []graph.Triple // a first step timed with the build or the reset
 	}{
-		{"wcc", analytics.WCC{}},
-		{"scc", &analytics.SCC{Phases: 3}},
+		{"wcc", analytics.WCC{}, nil},
+		{"scc", analytics.SCC{}, chain},
 	} {
 		b.Run(c.name+"/fresh-build", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := analytics.NewRunner(c.comp, 1); err != nil {
+				r, err := analytics.NewRunner(c.comp, 1)
+				if err != nil {
 					b.Fatal(err)
+				}
+				if c.first != nil {
+					r.Step(c.first, nil)
 				}
 			}
 		})
@@ -466,6 +478,9 @@ func BenchmarkPoolReuse(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if err := r.(analytics.Resettable).Reset(); err != nil {
 					b.Fatal(err)
+				}
+				if c.first != nil {
+					r.Step(c.first, nil)
 				}
 			}
 		})

@@ -15,7 +15,8 @@
 // Every algorithm but SCC is one dataflow run by an Instance. SCC's outer
 // loop is staged by its own Runner: each phase is a trim dataflow, which sets
 // aside the vertices on no cycle, and a coloring dataflow over what is left,
-// each in its own scope (see SCC).
+// each in its own scope, and the runner adds phases until every vertex is
+// assigned (see SCC).
 package analytics
 
 import (

@@ -98,43 +98,57 @@ func TestBFSDisconnectedSource(t *testing.T) {
 	}
 }
 
-func TestSCCInsufficientPhasesIsDetectable(t *testing.T) {
-	// A chain of two-vertex cycles, each pointing at the one below it, needs
-	// one phase per cycle: every vertex lies on a cycle, so the trim sets
-	// none aside, and the top cycle's color floods the chain, so a phase
-	// confirms one cycle. With too few phases the runner must report
-	// unassigned vertices, and flag the run, rather than give wrong answers.
-	var edges []graph.Triple
+// TestSCCChainIsComplete runs a chain of two-vertex cycles, each pointing at
+// the one below it. It needs one phase per cycle: every vertex lies on a
+// cycle, so the trim sets none aside, and the top cycle's color floods the
+// chain, so a phase confirms one cycle. The runner must build as many phases
+// as that takes, keep them exact as the links are cut (every cycle settles
+// in one phase) and restored, and never flag the answer.
+func TestSCCChainIsComplete(t *testing.T) {
+	var cycles, links []graph.Triple
 	for i := uint64(0); i < 11; i++ {
 		a, b := 2*i, 2*i+1
-		edges = append(edges, graph.Triple{Src: a, Dst: b, W: 1}, graph.Triple{Src: b, Dst: a, W: 1})
+		cycles = append(cycles, graph.Triple{Src: a, Dst: b, W: 1}, graph.Triple{Src: b, Dst: a, W: 1})
 		if i > 0 {
-			edges = append(edges, graph.Triple{Src: a, Dst: a - 1, W: 1}) // Cᵢ → Cᵢ₋₁
+			links = append(links, graph.Triple{Src: a, Dst: a - 1, W: 1}) // Cᵢ → Cᵢ₋₁
 		}
 	}
-	want := sccOracle(edges)
-	for _, tc := range []struct{ phases, remaining int }{{2, 18}, {11, 0}} {
-		runner, err := NewRunner(&SCC{Phases: tc.phases}, 1)
+	all := append(append([]graph.Triple(nil), cycles...), links...)
+	runner, err := NewRunner(SCC{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner.Step(all, nil)
+	prev := checkSCCVersion(t, runner, 0, all, nil)
+	runner.Step(nil, links)
+	prev = checkSCCVersion(t, runner, 1, cycles, prev)
+	runner.Step(links, nil)
+	checkSCCVersion(t, runner, 2, all, prev)
+}
+
+// TestSCCPhaseBornLate builds phase 1 at version 1, when 3 → 1 makes {1, 2}
+// reachable from the larger cycle {3, 4}. The new phase must start from all
+// of phase 0's core edges, 1 ↔ 2 included, not only those version 1 added:
+// without 1 ↔ 2 its trim would set 1 and 2 aside as singles.
+func TestSCCPhaseBornLate(t *testing.T) {
+	v0 := []graph.Triple{{Src: 1, Dst: 2, W: 1}, {Src: 2, Dst: 1, W: 1}}
+	v1 := []graph.Triple{{Src: 3, Dst: 4, W: 1}, {Src: 4, Dst: 3, W: 1}, {Src: 3, Dst: 1, W: 1}}
+	for _, workers := range []int{1, 3} {
+		runner, err := NewRunner(SCC{}, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		runner.Step(edges, nil)
-		rem := runner.(*sccRunner).RemainingCount()
-		if rem != tc.remaining {
-			t.Fatalf("%d phases: %d unassigned, want %d", tc.phases, rem, tc.remaining)
-		}
-		if got := runner.IterCapHit(); got != (rem > 0) {
-			t.Fatalf("%d phases: IterCapHit = %v with %d unassigned", tc.phases, got, rem)
-		}
-		// Everything assigned so far must match the oracle.
-		got := runner.Results()
-		for vv, d := range got {
-			if d != 1 || want[vv.V] != vv.Val {
-				t.Fatalf("vertex %d = %d, oracle %d", vv.V, vv.Val, want[vv.V])
+		runner.Step(v0, nil)
+		prev := checkSCCVersion(t, runner, 0, v0, nil)
+		runner.Step(v1, nil)
+		got := checkSCCVersion(t, runner, 1, append(append([]graph.Triple(nil), v0...), v1...), prev)
+		for _, vv := range []VertexValue{{V: 1, Val: 2}, {V: 2, Val: 2}, {V: 3, Val: 4}, {V: 4, Val: 4}} {
+			if !got[vv] {
+				t.Fatalf("workers=%d: %+v missing", workers, vv)
 			}
 		}
-		if len(got)+rem != 22 {
-			t.Fatalf("assigned %d + remaining %d != 22", len(got), rem)
+		if n := len(runner.(*sccRunner).phases); n != 2 {
+			t.Fatalf("workers=%d: %d phases built, want 2", workers, n)
 		}
 	}
 }
@@ -147,14 +161,11 @@ func TestSCCLargeCycles(t *testing.T) {
 		edges = append(edges, graph.Triple{Src: 100 + i, Dst: 100 + (i+1)%50, W: 1})
 	}
 	edges = append(edges, graph.Triple{Src: 0, Dst: 100, W: 1})
-	runner, err := NewRunner(&SCC{Phases: 4}, 2)
+	runner, err := NewRunner(SCC{}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	runner.Step(edges, nil)
-	if rem := runner.(*sccRunner).RemainingCount(); rem != 0 {
-		t.Fatalf("%d unassigned", rem)
-	}
 	got := runner.Results()
 	want := sccOracle(edges)
 	if len(got) != len(want) {

@@ -149,11 +149,11 @@ func TestPoolGrowUnblocksWaiters(t *testing.T) {
 // Resettable, so Release keeps it warm instead of dropping it, and that the
 // recycled runner answers a different graph from scratch. The two graphs
 // swap which vertices lie on a cycle: a trim scope that kept the first
-// graph's edges would keep 3 → 1 and put the path in the core, a core set
-// that survived would hide the path's singles, and singles that survived
-// would report 4 and 5 twice.
+// graph's edges would keep 3 → 1 and put the path in the core, degree counts
+// that survived would never mark the reused vertices alive, and an answer
+// that survived would still hold 6 and 4's old color.
 func TestPoolRecyclesStagedSCCRunner(t *testing.T) {
-	p := NewPool(&SCC{Phases: 3}, 1, 1)
+	p := NewPool(SCC{}, 1, 1)
 	r1, _, err := p.Acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)

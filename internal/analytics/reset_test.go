@@ -91,7 +91,7 @@ func TestResetEquivalence(t *testing.T) {
 		BFS{Source: 1},
 		SSSP{Source: 1},
 		PageRank{},
-		&SCC{Phases: 4},
+		SCC{},
 	}
 	seq := resetSeq()
 	for _, comp := range comps {

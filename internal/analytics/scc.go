@@ -1,6 +1,7 @@
 package analytics
 
 import (
+	"maps"
 	"time"
 
 	"graphsurge/internal/dataflow"
@@ -30,35 +31,28 @@ import (
 // incremental across view versions, and phases never observe each other's
 // transient fixpoint states.
 //
+// Phases are built as the graph needs them: a version that leaves vertices
+// unassigned after the last phase appends another. A phase with a non-empty
+// alive set settles at least one of them — the trim sets it aside, or it is
+// in the SCC of the core's largest vertex, which that vertex's color always
+// confirms — so every version ends with every vertex assigned.
+//
 // The output value of a vertex is its SCC's coloring ID (the maximum vertex
-// ID in the component). Vertices still unassigned after Phases phases (long
-// chains of cyclic SCCs) are reported by RemainingCount and make IterCapHit
-// true, so the incomplete answer is flagged; raise Phases if that happens.
-type SCC struct {
-	// Phases is the number of staged outer iterations; 0 means the default
-	// of 10.
-	Phases int
-}
+// ID in the component).
+type SCC struct{}
 
 // Name implements Computation and Program.
-func (*SCC) Name() string { return "scc" }
+func (SCC) Name() string { return "scc" }
 
 // Build implements Computation for interface completeness; SCC always runs
 // through its staged Runner.
-func (c *SCC) Build(b *Builder) {
+func (SCC) Build(b *Builder) {
 	panic("analytics: SCC must run through NewRunner, not a single Instance")
 }
 
 // NewRunner implements Program.
-func (c *SCC) NewRunner(workers int) (Runner, error) {
-	phases := c.Phases
-	if phases == 0 {
-		phases = 10
-	}
-	r := &sccRunner{phases: make([]*sccPhase, phases)}
-	for p := range r.phases {
-		r.phases[p] = newSCCPhase(workers)
-	}
+func (SCC) NewRunner(workers int) (Runner, error) {
+	r := &sccRunner{workers: workers}
 	r.clear()
 	return r, nil
 }
@@ -165,33 +159,24 @@ func newSCCPhase(workers int) *sccPhase {
 	return ph
 }
 
-// sccRunner drives the staged phases and maintains the vertex sets between
-// them.
+// sccRunner drives the staged phases and carries each phase's output into
+// the next.
 type sccRunner struct {
-	phases []*sccPhase
-	next   uint32
+	workers int
+	phases  []*sccPhase // built on demand and kept across Reset
+	next    uint32
 
-	nodeDeg map[uint64]int64    // edge-incidence count per vertex
-	alive   []map[uint64]bool   // alive[p] is phase p's input vertex set
-	core    []map[uint64]bool   // core[p] is what phase p's trim keeps
-	single  []map[uint64]bool   // single[p] = alive[p] − core[p], own SCCs
-	done    []map[uint64]uint64 // done[p] is phase p's confirmed assignment
+	nodeDeg map[uint64]int64      // edge-incidence count per vertex
+	answer  map[VertexValue]int64 // the accumulated output
 
 	// outputDiffs[v] is the merged output difference count per version.
 	outputDiffs map[uint32]int
 }
 
-// clear drops the inter-phase bookkeeping for fresh maps.
+// clear drops the runner's bookkeeping for fresh maps.
 func (r *sccRunner) clear() {
-	n := len(r.phases)
 	r.nodeDeg = make(map[uint64]int64)
-	r.alive, r.core, r.single = make([]map[uint64]bool, n+1), make([]map[uint64]bool, n), make([]map[uint64]bool, n)
-	r.done = make([]map[uint64]uint64, n)
-	for p := 0; p < n; p++ {
-		r.alive[p], r.core[p], r.single[p] = make(map[uint64]bool), make(map[uint64]bool), make(map[uint64]bool)
-		r.done[p] = make(map[uint64]uint64)
-	}
-	r.alive[n] = make(map[uint64]bool)
+	r.answer = make(map[VertexValue]int64)
 	r.outputDiffs = nil
 	r.next = 0
 }
@@ -215,20 +200,6 @@ func updates[R comparable](diff map[R]dataflow.Diff) []dataflow.Update[R] {
 	return ups
 }
 
-// setTo makes n's membership in m in, and returns the change as a
-// difference: +1, −1 or 0.
-func setTo(m map[uint64]bool, n uint64, in bool) dataflow.Diff {
-	switch {
-	case in == m[n]:
-		return 0
-	case in:
-		m[n] = true
-		return 1
-	}
-	delete(m, n)
-	return -1
-}
-
 func (r *sccRunner) step(na int, addAt func(int) graph.Triple, nd int, delAt func(int) graph.Triple) time.Duration {
 	start := time.Now()
 	v := r.next
@@ -244,8 +215,8 @@ func (r *sccRunner) step(na int, addAt func(int) graph.Triple, nd int, delAt fun
 		} else {
 			r.nodeDeg[n] = nw
 		}
-		if d := setTo(r.alive[0], n, nw > 0); d != 0 {
-			aliveDiff = append(aliveDiff, dataflow.Update[uint64]{Rec: n, D: d})
+		if (old > 0) != (nw > 0) {
+			aliveDiff = append(aliveDiff, dataflow.Update[uint64]{Rec: n, D: by})
 		}
 	}
 	for i := 0; i < na; i++ {
@@ -261,7 +232,18 @@ func (r *sccRunner) step(na int, addAt func(int) graph.Triple, nd int, delAt fun
 
 	merged := make(map[VertexValue]int64)
 	var edgeDiff []dataflow.Update[sccEdge] // the previous phase's core edges
-	for p, ph := range r.phases {
+	for p := 0; p < len(r.phases) || len(aliveDiff) > 0; p++ {
+		if p == len(r.phases) {
+			r.phases = append(r.phases, newSCCPhase(r.workers))
+			if p > 0 {
+				// A new phase has missed the previous phase's core edges
+				// of earlier versions: it starts from all of them, not
+				// from this version's difference. (Its alive set was
+				// empty until now, so aliveDiff is already all of it.)
+				edgeDiff = updates(r.phases[p-1].coreEdges.At(v))
+			}
+		}
+		ph := r.phases[p]
 		// Trim. Phase 0 reads the view's edges; a later phase the edges
 		// inside the previous core, so a phase with nothing alive gets none.
 		if p == 0 {
@@ -275,64 +257,47 @@ func (r *sccRunner) step(na int, addAt func(int) graph.Triple, nd int, delAt fun
 		ph.aliveIn.SendAt(v, aliveDiff)
 		ph.trim.Drain()
 		ph.trim.Compact(v)
-		coreDiff := updates(ph.core.VersionDiff(v))
+		coreDiff := ph.core.VersionDiff(v)
 		edgeDiff = updates(ph.coreEdges.VersionDiff(v))
 
-		// A vertex alive but outside the core is its own SCC: it enters the
-		// output as it leaves the core and is retracted as it rejoins.
-		aliveP, coreP := r.alive[p], r.core[p]
-		for _, u := range coreDiff {
-			setTo(coreP, u.Rec, u.D > 0)
+		// A vertex alive but outside the core is its own SCC. The core is a
+		// subset of the alive set, so the singles change by alive − core.
+		for _, u := range aliveDiff {
+			merged[VertexValue{V: u.Rec, Val: int64(u.Rec)}] += u.D
 		}
-		for _, ups := range [2][]dataflow.Update[uint64]{aliveDiff, coreDiff} {
-			for _, u := range ups {
-				n := u.Rec
-				merged[VertexValue{V: n, Val: int64(n)}] += setTo(r.single[p], n, aliveP[n] && !coreP[n])
-			}
+		for n, d := range coreDiff {
+			merged[VertexValue{V: n, Val: int64(n)}] -= d
 		}
 
 		// Coloring, of the core along the edges inside it.
 		ph.coreEdgeIn.SendAt(v, edgeDiff)
-		ph.coreIn.SendAt(v, coreDiff)
+		ph.coreIn.SendAt(v, updates(coreDiff))
 		ph.color.Drain()
 		ph.color.Compact(v)
 
-		// Settle this phase's output and derive the next phase's alive set,
-		// core − done, incrementally from the two difference sets.
-		doneDiff := ph.done.VersionDiff(v)
-		for kv, d := range doneDiff {
+		// The confirmed vertices are a subset of the core, and the next
+		// phase's alive set is core − done. A color change arrives as
+		// {+new, −old} and cancels here.
+		for kv, d := range ph.done.VersionDiff(v) {
 			merged[VertexValue{V: kv.K, Val: int64(kv.V)}] += d
-			if d > 0 {
-				r.done[p][kv.K] = kv.V
-			} else if cur, ok := r.done[p][kv.K]; ok && cur == kv.V {
-				// Only a retraction of the current color removes the entry;
-				// a color change arrives as {+new, -old} in map order.
-				delete(r.done[p], kv.K)
+			if coreDiff[kv.K] -= d; coreDiff[kv.K] == 0 {
+				delete(coreDiff, kv.K)
 			}
 		}
-		var nextDiff []dataflow.Update[uint64]
-		member := func(n uint64) {
-			_, isDone := r.done[p][n]
-			if d := setTo(r.alive[p+1], n, coreP[n] && !isDone); d != 0 {
-				nextDiff = append(nextDiff, dataflow.Update[uint64]{Rec: n, D: d})
-			}
+		aliveDiff = updates(coreDiff)
+	}
+	n := 0
+	for vv, d := range merged {
+		if d == 0 {
+			continue
 		}
-		for _, u := range coreDiff {
-			member(u.Rec)
+		n++
+		if r.answer[vv] += d; r.answer[vv] == 0 {
+			delete(r.answer, vv)
 		}
-		for kv := range doneDiff {
-			member(kv.K)
-		}
-		aliveDiff = nextDiff
 	}
 	if r.outputDiffs == nil {
 		r.outputDiffs = make(map[uint32]int)
-	}
-	n := 0
-	for _, d := range merged {
-		if d != 0 {
-			n++
-		}
 	}
 	r.outputDiffs[v] = n
 	return time.Since(start)
@@ -347,12 +312,12 @@ func (r *sccRunner) scopes() []*dataflow.Scope {
 	return out
 }
 
-// Reset implements Resettable: every phase's two dataflows reset in place
-// (each scope's version cursor rewinds with it) and the runner's
-// inter-phase bookkeeping — degree counts, alive, core and single sets,
-// confirmed assignments, merged output-diff counts — is dropped for fresh
-// maps. The pool can therefore recycle staged SCC runners exactly like
-// single-dataflow instances, instead of rebuilding two dataflows per phase.
+// Reset implements Resettable: every phase built so far keeps its two
+// dataflows and resets them in place (each scope's version cursor rewinds
+// with it), and the runner's bookkeeping — degree counts, the accumulated
+// answer, output-diff counts — is dropped for fresh maps. The pool can
+// therefore recycle staged SCC runners exactly like single-dataflow
+// instances, instead of rebuilding two dataflows per phase.
 func (r *sccRunner) Reset() error {
 	for _, s := range r.scopes() {
 		s.ResetState()
@@ -370,18 +335,7 @@ func (r *sccRunner) Version() (uint32, bool) {
 
 func (r *sccRunner) OutputDiffs(v uint32) int { return r.outputDiffs[v] }
 
-func (r *sccRunner) Results() map[VertexValue]int64 {
-	out := make(map[VertexValue]int64)
-	for p, d := range r.done {
-		for n, color := range d {
-			out[VertexValue{V: n, Val: int64(color)}] = 1
-		}
-		for n := range r.single[p] {
-			out[VertexValue{V: n, Val: int64(n)}] = 1
-		}
-	}
-	return out
-}
+func (r *sccRunner) Results() map[VertexValue]int64 { return maps.Clone(r.answer) }
 
 func (r *sccRunner) DropOutputsBefore(v uint32) {
 	for _, ph := range r.phases {
@@ -395,10 +349,6 @@ func (r *sccRunner) DropOutputsBefore(v uint32) {
 		}
 	}
 }
-
-// RemainingCount returns the number of vertices not assigned to any SCC
-// after the last phase; nonzero means Phases is too small for this graph.
-func (r *sccRunner) RemainingCount() int { return len(r.alive[len(r.phases)]) }
 
 func (r *sccRunner) WorkCounts() []int64 {
 	var out []int64
@@ -414,12 +364,8 @@ func (r *sccRunner) WorkCounts() []int64 {
 	return out
 }
 
-// IterCapHit reports a fixpoint that hit the iteration cap, and also phases
-// that ran out with vertices unassigned: either way the answer is incomplete.
+// IterCapHit reports a fixpoint in any phase that hit the iteration cap.
 func (r *sccRunner) IterCapHit() bool {
-	if r.RemainingCount() > 0 {
-		return true
-	}
 	for _, s := range r.scopes() {
 		if s.IterCapHit.Load() {
 			return true

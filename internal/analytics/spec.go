@@ -23,8 +23,6 @@ type Spec struct {
 	Source uint64 `json:"source,omitempty"`
 	// Iterations is PageRank's iteration count (0 = the default).
 	Iterations uint32 `json:"iterations,omitempty"`
-	// Phases is SCC's staged phase count (0 = the default).
-	Phases int `json:"phases,omitempty"`
 	// Pairs are MPSP's source-destination queries.
 	Pairs []Pair `json:"pairs,omitempty"`
 }
@@ -41,7 +39,7 @@ func (s Spec) Resolve() (Computation, error) {
 	case "pagerank", "pr":
 		return PageRank{Iterations: s.Iterations}, nil
 	case "scc":
-		return &SCC{Phases: s.Phases}, nil
+		return SCC{}, nil
 	case "degree":
 		return Degree{}, nil
 	case "mpsp":
@@ -64,8 +62,8 @@ func SpecOf(comp Computation) (Spec, bool) {
 		return Spec{Algorithm: "sssp", Source: c.Source}, true
 	case PageRank:
 		return Spec{Algorithm: "pagerank", Iterations: c.Iterations}, true
-	case *SCC:
-		return Spec{Algorithm: "scc", Phases: c.Phases}, true
+	case SCC:
+		return Spec{Algorithm: "scc"}, true
 	case Degree:
 		return Spec{Algorithm: "degree"}, true
 	case MPSP:

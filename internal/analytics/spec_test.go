@@ -15,7 +15,7 @@ func TestSpecRoundTrip(t *testing.T) {
 		BFS{Source: 7},
 		SSSP{Source: 9},
 		PageRank{Iterations: 4},
-		&SCC{Phases: 3},
+		SCC{},
 		MPSP{Pairs: []Pair{{Src: 1, Dst: 2}, {Src: 3, Dst: 4}}},
 	}
 	for _, comp := range comps {

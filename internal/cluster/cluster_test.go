@@ -143,7 +143,7 @@ func TestClusterMatchesLocal(t *testing.T) {
 
 	w1, w2 := startWorker(t, 1), startWorker(t, 1)
 	coord := newTestCoordinator(t, w1, w2)
-	clustered, err := coord.RunCollection(context.Background(), col, analytics.WCC{}, core.RunOptions{Mode: core.Scratch})
+	clustered, err := coord.RunOn(context.Background(), col, analytics.WCC{}, core.RunOptions{Mode: core.Scratch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestClusterMatchesLocal(t *testing.T) {
 
 	// A second run over the same cluster reuses worker pools and the warmed
 	// estimator; results stay identical.
-	again, err := coord.RunCollection(context.Background(), col, analytics.WCC{}, core.RunOptions{Mode: core.Scratch})
+	again, err := coord.RunOn(context.Background(), col, analytics.WCC{}, core.RunOptions{Mode: core.Scratch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestClusterMatchesLocal(t *testing.T) {
 	// A fully-local fallback run (adaptive plans online) must reset the
 	// distribution stats — Stats() reports the most recent run, never a
 	// stale sharded one.
-	if _, err := coord.RunCollection(context.Background(), col, analytics.WCC{}, core.RunOptions{Mode: core.Adaptive}); err != nil {
+	if _, err := coord.RunOn(context.Background(), col, analytics.WCC{}, core.RunOptions{Mode: core.Adaptive}); err != nil {
 		t.Fatal(err)
 	}
 	if stats := coord.Stats(); len(stats.Remote) != 0 || stats.Local != 0 || stats.Requeued != 0 {
@@ -201,7 +201,7 @@ func TestClusterWorkerAppliesOwnWorkers(t *testing.T) {
 	t.Cleanup(func() { srv.Close() })
 
 	coord := newTestCoordinator(t, srv)
-	if _, err := coord.RunCollection(context.Background(), col, analytics.WCC{}, core.RunOptions{Mode: core.Scratch}); err != nil {
+	if _, err := coord.RunOn(context.Background(), col, analytics.WCC{}, core.RunOptions{Mode: core.Scratch}); err != nil {
 		t.Fatal(err)
 	}
 	stats := wEng.PoolStats()
@@ -249,7 +249,7 @@ func TestClusterSurvivesWorkerKill(t *testing.T) {
 	var runErr error
 	go func() {
 		defer close(done)
-		clustered, runErr = coord.RunCollection(context.Background(), col, analytics.WCC{}, core.RunOptions{Mode: core.Scratch})
+		clustered, runErr = coord.RunOn(context.Background(), col, analytics.WCC{}, core.RunOptions{Mode: core.Scratch})
 	}()
 
 	<-entered      // the victim is mid-shard
@@ -300,7 +300,7 @@ func TestClusterJobDeadline(t *testing.T) {
 	}
 	defer coord.Close()
 
-	res, err := coord.RunCollection(context.Background(), col, analytics.WCC{}, core.RunOptions{Mode: core.Scratch})
+	res, err := coord.RunOn(context.Background(), col, analytics.WCC{}, core.RunOptions{Mode: core.Scratch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestClusterDegradesToLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	adaptive, err := coord.RunCollection(context.Background(), col, analytics.WCC{}, core.RunOptions{Mode: core.Adaptive})
+	adaptive, err := coord.RunOn(context.Background(), col, analytics.WCC{}, core.RunOptions{Mode: core.Adaptive})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +345,7 @@ func TestClusterDegradesToLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	custom, err := coord.RunCollection(context.Background(), col, customWCC{}, core.RunOptions{Mode: core.Scratch})
+	custom, err := coord.RunOn(context.Background(), col, customWCC{}, core.RunOptions{Mode: core.Scratch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +372,7 @@ func TestClusterRedialsDeadWorkers(t *testing.T) {
 	addr := w.Addr().String()
 	coord := newTestCoordinator(t, w)
 
-	if _, err := coord.RunCollection(context.Background(), col, analytics.WCC{}, core.RunOptions{Mode: core.Scratch}); err != nil {
+	if _, err := coord.RunOn(context.Background(), col, analytics.WCC{}, core.RunOptions{Mode: core.Scratch}); err != nil {
 		t.Fatal(err)
 	}
 	if stats := coord.Stats(); stats.Remote[addr] == 0 {
@@ -380,7 +380,7 @@ func TestClusterRedialsDeadWorkers(t *testing.T) {
 	}
 
 	w.Close()
-	if _, err := coord.RunCollection(context.Background(), col, analytics.WCC{}, core.RunOptions{Mode: core.Scratch}); err != nil {
+	if _, err := coord.RunOn(context.Background(), col, analytics.WCC{}, core.RunOptions{Mode: core.Scratch}); err != nil {
 		t.Fatal(err)
 	}
 	if ws := coord.Workers(); len(ws) != 1 || ws[0].Alive {
@@ -407,7 +407,7 @@ func TestClusterRedialsDeadWorkers(t *testing.T) {
 	srv2.Start(l)
 	t.Cleanup(func() { srv2.Close() })
 
-	res, err := coord.RunCollection(context.Background(), col, analytics.WCC{}, core.RunOptions{Mode: core.Scratch})
+	res, err := coord.RunOn(context.Background(), col, analytics.WCC{}, core.RunOptions{Mode: core.Scratch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,7 +459,7 @@ func TestClusterCancelMidRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := coord.RunCollection(ctx, col, analytics.WCC{}, core.RunOptions{Mode: core.Scratch})
+		_, err := coord.RunOn(ctx, col, analytics.WCC{}, core.RunOptions{Mode: core.Scratch})
 		errCh <- err
 	}()
 	<-entered // the worker is mid-shard
@@ -499,7 +499,7 @@ func TestClusterCancelMidRun(t *testing.T) {
 	}
 
 	// The same coordinator and worker serve the next run normally.
-	res, err := coord.RunCollection(context.Background(), col, analytics.WCC{}, core.RunOptions{Mode: core.Scratch})
+	res, err := coord.RunOn(context.Background(), col, analytics.WCC{}, core.RunOptions{Mode: core.Scratch})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -216,7 +216,7 @@ func (w *workerConn) runSegment(ctx context.Context, spec *core.SegmentSpec) (*c
 	return &reply.Outcome, client, nil
 }
 
-// RunStats describes how the last RunCollection was distributed —
+// RunStats describes how the last RunOn was distributed —
 // observability for operators and the integration tests' requeue assertions.
 type RunStats struct {
 	// Remote counts shards completed per worker address.
@@ -374,7 +374,7 @@ func (c *Coordinator) Workers() []WorkerInfo {
 	return out
 }
 
-// Stats returns how the most recent RunCollection was distributed. The
+// Stats returns how the most recent RunOn was distributed. The
 // returned value is a deep copy; callers may hold it across later runs.
 func (c *Coordinator) Stats() RunStats {
 	c.mu.Lock()
@@ -428,13 +428,6 @@ func (c *Coordinator) aliveWorkers() []*workerConn {
 	return out
 }
 
-// RunOn implements core.CollectionRunner, so a Session RunRequest can name
-// the coordinator as its runner and shard through the same typed API the
-// local engine serves.
-func (c *Coordinator) RunOn(ctx context.Context, col *view.Collection, comp analytics.Computation, ropts core.RunOptions) (*core.RunResult, error) {
-	return c.RunCollection(ctx, col, comp, ropts)
-}
-
 // shardSlot is one unit of a live worker's capacity lent to one run: the
 // core.SegmentRunner the engine's dispatcher ships shards through. It wraps
 // each call in the "shard" span — the wire boundary, whose context travels
@@ -482,10 +475,12 @@ func (s *shardSlot) RunSegment(ctx context.Context, spec *core.SegmentSpec) (*co
 	return out, nil
 }
 
-// RunCollection executes a computation over a collection across the cluster
-// and returns the same RunResult the local executor produces — it is the
-// local executor's run (core.Engine.RunSharded), given one extra slot per
-// unit of live worker capacity.
+// RunOn executes a computation over a collection across the cluster and
+// returns the same RunResult the local executor produces — it is the local
+// executor's run (core.Engine.RunSharded), given one extra slot per unit of
+// live worker capacity. It implements core.CollectionRunner, so a Session
+// RunRequest can name the coordinator as its runner and shard through the
+// same typed API the local engine serves.
 //
 // Workers that died in earlier runs are redialed on entry, so a restarted
 // worker process rejoins the cluster without re-registering. Runs that cannot
@@ -501,7 +496,7 @@ func (s *shardSlot) RunSegment(ctx context.Context, spec *core.SegmentSpec) (*co
 // those shards on their own engines and keep their replicas pooled; they are
 // not marked dead), and local shards stop at their next view boundary. A
 // canceled run returns ctx's error and no result.
-func (c *Coordinator) RunCollection(ctx context.Context, col *view.Collection, comp analytics.Computation, ropts core.RunOptions) (*core.RunResult, error) {
+func (c *Coordinator) RunOn(ctx context.Context, col *view.Collection, comp analytics.Computation, ropts core.RunOptions) (*core.RunResult, error) {
 	_, shardable := analytics.SpecOf(comp)
 	k := col.Stream.NumViews()
 	shardable = shardable && ropts.Mode != core.Adaptive && !ropts.Incremental && k != 0

@@ -24,7 +24,7 @@ func TestClusterTracePropagation(t *testing.T) {
 
 	tr := obs.NewTrace("trace-prop")
 	ctx := obs.WithTrace(context.Background(), tr)
-	if _, err := coord.RunCollection(ctx, col, analytics.WCC{}, core.RunOptions{Mode: core.Scratch}); err != nil {
+	if _, err := coord.RunOn(ctx, col, analytics.WCC{}, core.RunOptions{Mode: core.Scratch}); err != nil {
 		t.Fatal(err)
 	}
 	if n := tr.OpenSpans(); n != 0 {
@@ -71,7 +71,7 @@ func TestClusterUntracedRunShipsNoTrace(t *testing.T) {
 	col := skewedCollection(t, 4, 23)
 	w := startWorker(t, 1)
 	coord := newTestCoordinator(t, w)
-	if _, err := coord.RunCollection(context.Background(), col, analytics.WCC{}, core.RunOptions{Mode: core.Scratch}); err != nil {
+	if _, err := coord.RunOn(context.Background(), col, analytics.WCC{}, core.RunOptions{Mode: core.Scratch}); err != nil {
 		t.Fatal(err)
 	}
 	// Reach one worker directly with empty trace context: the reply must not
@@ -132,7 +132,7 @@ func TestClusterCancelClosesSpans(t *testing.T) {
 	defer cancel()
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := coord.RunCollection(ctx, col, analytics.WCC{}, core.RunOptions{Mode: core.Scratch})
+		_, err := coord.RunOn(ctx, col, analytics.WCC{}, core.RunOptions{Mode: core.Scratch})
 		errCh <- err
 	}()
 	<-entered // the worker is stalled mid-shard

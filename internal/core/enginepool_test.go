@@ -113,6 +113,17 @@ func (c ptrComp) Build(b *analytics.Builder) {
 	analytics.WCC{}.Build(b)
 }
 
+// paramComp is a pointer computation with a parameter, which the engine's
+// pool key includes.
+type paramComp struct {
+	Iterations uint32
+}
+
+func (*paramComp) Name() string { return "custom-param" }
+func (c *paramComp) Build(b *analytics.Builder) {
+	analytics.PageRank{Iterations: c.Iterations}.Build(b)
+}
+
 // TestUnidentifiableComputationNotPooled pins the keying guard: two
 // parameterizations of a func-carrying computation print identically, so
 // sharing a pool would silently recycle one's dataflow into the other. The
@@ -126,7 +137,7 @@ func TestUnidentifiableComputationNotPooled(t *testing.T) {
 	if identifiableComp(ptrComp{cfg: new(int64)}) {
 		t.Fatal("nested-pointer computation reported identifiable")
 	}
-	if !identifiableComp(analytics.BFS{Source: 1}) || !identifiableComp(&analytics.SCC{}) {
+	if !identifiableComp(analytics.BFS{Source: 1}) || !identifiableComp(analytics.SCC{}) || !identifiableComp(&paramComp{}) {
 		t.Fatal("built-in computation reported unidentifiable")
 	}
 	col := randomCollection(t, 3, 29)
@@ -346,24 +357,24 @@ func TestEngineParallelismDefault(t *testing.T) {
 func TestMutatedComputationDropsStalePool(t *testing.T) {
 	col := randomCollection(t, 3, 31)
 	e := engineWithCollection(t, Options{}, col)
-	c := &analytics.SCC{Phases: 3}
+	c := &paramComp{Iterations: 3}
 	if _, err := e.RunCollection(context.Background(), col.Name, c, RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	key := poolKey{name: c.Name(), ident: compIdentity(c), workers: 1}
 	stale := e.pools[key]
 	if stale == nil {
-		t.Fatal("no pool under the Phases:3 key")
+		t.Fatal("no pool under the Iterations:3 key")
 	}
-	c.Phases = 8 // mutate after submission: the cached object no longer matches its key
-	if _, err := e.RunCollection(context.Background(), col.Name, &analytics.SCC{Phases: 3}, RunOptions{}); err != nil {
+	c.Iterations = 8 // mutate after submission: the cached object no longer matches its key
+	if _, err := e.RunCollection(context.Background(), col.Name, &paramComp{Iterations: 3}, RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if e.pools[key] == stale {
 		t.Fatal("stale pool with mutated computation was reused")
 	}
-	if got := e.pools[key].pool.Computation().(*analytics.SCC).Phases; got != 3 {
-		t.Fatalf("rebuilt pool builds Phases=%d runners under the Phases:3 key", got)
+	if got := e.pools[key].pool.Computation().(*paramComp).Iterations; got != 3 {
+		t.Fatalf("rebuilt pool builds Iterations=%d runners under the Iterations:3 key", got)
 	}
 }
 

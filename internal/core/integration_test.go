@@ -46,7 +46,7 @@ create view final-alone on pc edges where src.year <= 2010 and dst.year <= 2010`
 		analytics.BFS{Source: 0},
 		analytics.SSSP{Source: 0},
 		analytics.PageRank{Iterations: 5},
-		&analytics.SCC{Phases: 8},
+		analytics.SCC{},
 		analytics.MPSP{Pairs: []analytics.Pair{{Src: 0, Dst: 99}, {Src: 1, Dst: 500}}},
 		analytics.Degree{},
 	}

@@ -34,7 +34,7 @@ func temporalAlgs() []temporalAlg {
 	return []temporalAlg{
 		{"WCC", func() analytics.Computation { return analytics.WCC{} }},
 		{"BFS", func() analytics.Computation { return analytics.BFS{Source: 0} }},
-		{"SCC", func() analytics.Computation { return &analytics.SCC{Phases: 6} }},
+		{"SCC", func() analytics.Computation { return analytics.SCC{} }},
 		{"PR", func() analytics.Computation { return analytics.PageRank{Iterations: 10} }},
 	}
 }

@@ -118,7 +118,7 @@ func Table3(ctx context.Context, cfg Config) ([]Table3Row, error) {
 	algs := []temporalAlg{
 		{"WCC", func() analytics.Computation { return analytics.WCC{} }},
 		{"BFS", func() analytics.Computation { return analytics.BFS{Source: 0} }},
-		{"SCC", func() analytics.Computation { return &analytics.SCC{Phases: 6} }},
+		{"SCC", func() analytics.Computation { return analytics.SCC{} }},
 		{"PR", func() analytics.Computation { return analytics.PageRank{Iterations: 10} }},
 	}
 	modes := []core.ExecMode{core.DiffOnly, core.Scratch, core.Adaptive}

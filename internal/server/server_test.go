@@ -233,6 +233,8 @@ func TestServeRequestValidation(t *testing.T) {
 		"unknown":   `{"bogus":{}}`,
 		// Speculation is the engine's choice, no longer a run option.
 		"speculate": `{"run":{"collection":"cc","algorithm":{"algorithm":"wcc"},"options":{"mode":"adaptive","parallelism":2,"speculate":true}}}`,
+		// SCC builds the phases it needs; there is no phase count to set.
+		"phases": `{"run":{"collection":"cc","algorithm":{"algorithm":"scc","phases":3}}}`,
 	} {
 		resp := postJSON(t, ts.URL, body)
 		var e struct {
@@ -245,8 +247,8 @@ func TestServeRequestValidation(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest || e.Error == "" {
 			t.Fatalf("%s: status %d error %q", name, resp.StatusCode, e.Error)
 		}
-		if name == "speculate" && !strings.Contains(e.Error, `unknown field "speculate"`) {
-			t.Fatalf("speculate: error %q does not name the unknown field", e.Error)
+		if (name == "speculate" || name == "phases") && !strings.Contains(e.Error, `unknown field "`+name+`"`) {
+			t.Fatalf("%s: error %q does not name the unknown field", name, e.Error)
 		}
 	}
 
