@@ -424,8 +424,8 @@ func BenchmarkParallelAdaptive(b *testing.B) {
 // into every split's duration). fresh-build constructs a runner's dataflow
 // from zero, as every Acquire on an empty pool must; pool-reset recycles
 // one runner that just finished a full-view run, resetting it in place —
-// no graph reconstruction, state dropped in O(operators) map swaps
-// regardless of how much the previous run accumulated. The reset variant
+// no graph reconstruction, state dropped in place, keeping every emptied
+// column and map for the next run. The reset variant
 // must come out measurably cheaper; that gap, times the number of segments
 // and RunCollection calls an engine serves, is what the pool amortizes.
 // The staged SCC sub-benchmarks magnify the effect: a fresh SCC runner
@@ -434,19 +434,16 @@ func BenchmarkParallelAdaptive(b *testing.B) {
 // chain of three two-vertex cycles, which needs three phases.
 func BenchmarkPoolReuse(b *testing.B) {
 	g := datagen.Social(datagen.SocialConfig{Nodes: 1_500, Edges: 12_000, Seed: 7})
-	seed := make([]graph.Triple, g.NumEdges())
-	for i := range seed {
-		seed[i] = g.Triple(i, -1)
-	}
-	chain := []graph.Triple{
+	seed := graph.MakeEdgeBatch(g.NumEdges(), func(i int) graph.Triple { return g.Triple(i, -1) })
+	chain := graph.NewEdgeBatch([]graph.Triple{
 		{Src: 0, Dst: 1, W: 1}, {Src: 1, Dst: 0, W: 1},
 		{Src: 2, Dst: 3, W: 1}, {Src: 3, Dst: 2, W: 1}, {Src: 2, Dst: 1, W: 1},
 		{Src: 4, Dst: 5, W: 1}, {Src: 5, Dst: 4, W: 1}, {Src: 4, Dst: 3, W: 1},
-	}
+	})
 	for _, c := range []struct {
 		name  string
 		comp  analytics.Computation
-		first []graph.Triple // a first step timed with the build or the reset
+		first *graph.EdgeBatch // a first step timed with the build or the reset
 	}{
 		{"wcc", analytics.WCC{}, nil},
 		{"scc", analytics.SCC{}, chain},
@@ -470,13 +467,12 @@ func BenchmarkPoolReuse(b *testing.B) {
 				b.Fatal(err)
 			}
 			// Warm the runner with a full-view run before the first timed
-			// reset; reset cost is O(operators) map swaps either way, so
-			// later iterations resetting an already-reset runner measure
-			// the same path.
+			// reset, so every iteration resets state that has grown to a
+			// full view's size.
 			r.Step(seed, nil)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := r.(analytics.Resettable).Reset(); err != nil {
+				if err := r.Reset(); err != nil {
 					b.Fatal(err)
 				}
 				if c.first != nil {
@@ -495,15 +491,13 @@ func BenchmarkEngineWCCStep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	all := make([]graph.Triple, g.NumEdges())
-	for i := range all {
-		all[i] = g.Triple(i, -1)
-	}
+	all := graph.MakeEdgeBatch(g.NumEdges(), func(i int) graph.Triple { return g.Triple(i, -1) })
 	runner.Step(all, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		lo := (i * 8) % (len(all) - 8)
-		runner.Step(all[lo:lo+8], all[lo:lo+8]) // re-add after remove keeps state bounded
+		lo := (i * 8) % (all.Len() - 8)
+		d := &graph.EdgeBatch{Srcs: all.Srcs[lo : lo+8], Dsts: all.Dsts[lo : lo+8], Ws: all.Ws[lo : lo+8]}
+		runner.Step(d, d) // re-add after remove keeps state bounded
 	}
 }
 

@@ -17,6 +17,10 @@
 // aside the vertices on no cycle, and a coloring dataflow over what is left,
 // each in its own scope, and the runner adds phases until every vertex is
 // assigned (see SCC).
+//
+// A Runner keeps the answer at the last version and that version's output
+// difference set, not their history, and resets in place so a Pool can
+// recycle it.
 package analytics
 
 import (
@@ -72,28 +76,24 @@ type Computation interface {
 // Runner executes a computation over the versions of a view collection. The
 // standard Runner is Instance (one dataflow); built-ins with chained
 // fixpoints (SCC) provide staged runners of several dataflows executed in
-// sequence per version.
+// sequence per version. A runner keeps the answer at the last version and
+// that version's output difference set, not their history.
 type Runner interface {
-	// Step advances to the next version with the given edge changes and
-	// runs to quiescence, returning the elapsed time.
-	Step(adds, dels []graph.Triple) time.Duration
-	// StepBatch is Step for columnar edge batches (nil batches are empty) —
-	// the executor's path, feeding the dataflow straight from shared columns
-	// without materializing intermediate []graph.Triple slices.
-	StepBatch(adds, dels *graph.EdgeBatch) time.Duration
-	// Version returns the last version fed, if any.
-	Version() (uint32, bool)
-	// OutputDiffs returns the output difference-set size at version v.
-	OutputDiffs(v uint32) int
+	// Step advances to the next version with the given edge changes (nil
+	// batches are empty) and runs to quiescence, returning the elapsed time.
+	Step(adds, dels *graph.EdgeBatch) time.Duration
+	// OutputDiffs returns the output difference-set size of the last step.
+	OutputDiffs() int
 	// Results returns the accumulated per-vertex results at the last
-	// version.
+	// version, in a map the caller owns.
 	Results() map[VertexValue]int64
-	// DropOutputsBefore bounds output history memory.
-	DropOutputsBefore(v uint32)
 	// WorkCounts returns per-worker work counters (scaling proxy).
 	WorkCounts() []int64
 	// IterCapHit reports whether any fixpoint hit the iteration safety cap.
 	IterCapHit() bool
+	// Reset returns the runner to its just-built condition in place, ready
+	// for a new from-scratch run at version 0 (see Pool).
+	Reset() error
 }
 
 // Program is implemented by computations that need a custom runner instead
@@ -136,24 +136,13 @@ func NewInstance(comp Computation, workers int) (*Instance, error) {
 }
 
 // Step advances the instance by one version, applying the given edge
-// additions and deletions, and runs the dataflow to quiescence. It returns
-// the elapsed wall-clock time (the per-view runtime the splitting optimizer
-// observes).
-func (inst *Instance) Step(adds, dels []graph.Triple) time.Duration {
-	return inst.step(len(adds), func(i int) graph.Triple { return adds[i] },
-		len(dels), func(i int) graph.Triple { return dels[i] })
-}
-
-// StepBatch implements Runner over columnar batches; the input's batch is
-// filled directly from the shared columns.
-func (inst *Instance) StepBatch(adds, dels *graph.EdgeBatch) time.Duration {
-	return inst.step(adds.Len(), adds.Triple, dels.Len(), dels.Triple)
-}
-
-func (inst *Instance) step(na int, addAt func(int) graph.Triple, nd int, delAt func(int) graph.Triple) time.Duration {
+// additions and deletions, and runs the dataflow to quiescence. The input's
+// batch is filled directly from the shared columns. It returns the elapsed
+// wall-clock time (the per-view runtime the splitting optimizer observes).
+func (inst *Instance) Step(adds, dels *graph.EdgeBatch) time.Duration {
 	start := time.Now()
 	v := inst.next
-	inst.input.Send(v, na+nd, edgeUpdates(na, addAt, delAt))
+	inst.input.Send(v, adds.Len()+dels.Len(), edgeUpdates(adds, dels))
 	inst.scope.Drain()
 	inst.scope.Compact(v)
 	inst.next++
@@ -161,39 +150,34 @@ func (inst *Instance) step(na int, addAt func(int) graph.Triple, nd int, delAt f
 }
 
 // edgeUpdates is a view's difference set in the shape Input.Send reads: the
-// na additions (+1) followed by the deletions (−1).
-func edgeUpdates(na int, addAt, delAt func(int) graph.Triple) func(int) (graph.Triple, dataflow.Diff) {
+// additions (+1) followed by the deletions (−1).
+func edgeUpdates(adds, dels *graph.EdgeBatch) func(int) (graph.Triple, dataflow.Diff) {
+	na := adds.Len()
 	return func(i int) (graph.Triple, dataflow.Diff) {
 		if i < na {
-			return addAt(i), 1
+			return adds.Triple(i), 1
 		}
-		return delAt(i - na), -1
+		return dels.Triple(i - na), -1
 	}
 }
 
-// Version returns the last version fed, or false if none has been.
-func (inst *Instance) Version() (uint32, bool) {
-	if inst.next == 0 {
-		return 0, false
-	}
-	return inst.next - 1, true
-}
-
-// OutputDiffs returns the size of the output difference set at version v.
-func (inst *Instance) OutputDiffs(v uint32) int { return inst.output.DiffCount(v) }
+// OutputDiffs returns the size of the output difference set of the last
+// step.
+func (inst *Instance) OutputDiffs() int { return inst.output.DiffCount() }
 
 // Results returns the accumulated per-vertex results at the last version.
-func (inst *Instance) Results() map[VertexValue]int64 {
-	v, ok := inst.Version()
-	if !ok {
-		return map[VertexValue]int64{}
-	}
-	return inst.output.At(v)
-}
+func (inst *Instance) Results() map[VertexValue]int64 { return inst.output.Result() }
 
-// DropOutputsBefore folds output history below version v, bounding memory on
-// long collections.
-func (inst *Instance) DropOutputsBefore(v uint32) { inst.output.Drop(v) }
+// Reset returns the instance to its just-built condition in place: every
+// operator's state, the captured answer, the input's version cursor, work
+// counters and the iteration-cap flag are cleared, while the dataflow graph
+// itself is reused. The instance then serves a new from-scratch run starting
+// at version 0.
+func (inst *Instance) Reset() error {
+	inst.scope.ResetState()
+	inst.next = 0
+	return nil
+}
 
 // WorkCounts implements Runner.
 func (inst *Instance) WorkCounts() []int64 { return inst.scope.WorkCounts() }

@@ -88,7 +88,7 @@ func runVersions(t *testing.T, comp Computation, workers int, seed int64, oracle
 	steps := []struct{ adds, dels int }{{40, 0}, {10, 6}, {0, 12}, {25, 10}, {5, 5}}
 	for i, s := range steps {
 		added, deleted := g.step(s.adds, s.dels)
-		inst.Step(added, deleted)
+		inst.Step(graph.NewEdgeBatch(added), graph.NewEdgeBatch(deleted))
 		if inst.Scope().IterCapHit.Load() {
 			t.Fatalf("version %d: iteration cap hit", i)
 		}
@@ -136,7 +136,7 @@ func TestSCCMatchesOracle(t *testing.T) {
 		steps := []struct{ adds, dels int }{{30, 0}, {8, 4}, {0, 10}, {15, 5}}
 		for i, s := range steps {
 			added, deleted := g.step(s.adds, s.dels)
-			runner.Step(added, deleted)
+			runner.Step(graph.NewEdgeBatch(added), graph.NewEdgeBatch(deleted))
 			if runner.IterCapHit() {
 				t.Fatalf("version %d: iteration cap hit", i)
 			}
@@ -150,7 +150,7 @@ func TestSCCMatchesOracle(t *testing.T) {
 					t.Fatalf("scc v%d (workers=%d): vertex %d = %d, oracle %d", i, workers, vv.V, vv.Val, want[vv.V])
 				}
 			}
-			if runner.OutputDiffs(uint32(i)) == 0 && len(added)+len(deleted) > 0 && i == 0 {
+			if runner.OutputDiffs() == 0 && len(added)+len(deleted) > 0 && i == 0 {
 				t.Fatal("no output diffs recorded")
 			}
 		}
@@ -176,7 +176,7 @@ func TestMPSPMatchesOracle(t *testing.T) {
 	steps := []struct{ adds, dels int }{{40, 0}, {10, 8}, {20, 10}}
 	for i, s := range steps {
 		added, deleted := g.step(s.adds, s.dels)
-		inst.Step(added, deleted)
+		inst.Step(graph.NewEdgeBatch(added), graph.NewEdgeBatch(deleted))
 		want := map[uint64]int64{}
 		for pi, p := range pairs {
 			d := spOracle(g.edges(), p.Src, true)
@@ -205,13 +205,13 @@ func TestScratchEqualsDifferential(t *testing.T) {
 		g := newEvolvingGraph(21, 24)
 		for _, s := range []struct{ adds, dels int }{{35, 0}, {12, 9}, {6, 14}} {
 			added, deleted := g.step(s.adds, s.dels)
-			diff.Step(added, deleted)
+			diff.Step(graph.NewEdgeBatch(added), graph.NewEdgeBatch(deleted))
 
 			scratch, err := NewInstance(mk(), 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			scratch.Step(g.edges(), nil)
+			scratch.Step(graph.NewEdgeBatch(g.edges()), nil)
 
 			dr, sr := diff.Results(), scratch.Results()
 			if len(dr) != len(sr) {
@@ -231,26 +231,23 @@ func TestInstanceBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := inst.Version(); ok {
-		t.Fatal("version before feeding")
-	}
-	if len(inst.Results()) != 0 {
+	if len(inst.Results()) != 0 || inst.OutputDiffs() != 0 {
 		t.Fatal("results before feeding")
 	}
-	d := inst.Step([]graph.Triple{{Src: 1, Dst: 2, W: 1}}, nil)
+	d := inst.Step(graph.NewEdgeBatch([]graph.Triple{{Src: 1, Dst: 2, W: 1}}), nil)
 	if d <= 0 {
 		t.Fatal("no duration")
 	}
-	v, ok := inst.Version()
-	if !ok || v != 0 {
-		t.Fatal("version after feeding")
+	if inst.OutputDiffs() != 2 {
+		t.Fatalf("output diffs = %d", inst.OutputDiffs())
 	}
-	if inst.OutputDiffs(0) != 2 {
-		t.Fatalf("output diffs = %d", inst.OutputDiffs(0))
+	// A step that changes nothing reports no difference, not the last one.
+	inst.Step(nil, nil)
+	if inst.OutputDiffs() != 0 {
+		t.Fatalf("output diffs of an empty step = %d", inst.OutputDiffs())
 	}
-	inst.DropOutputsBefore(0)
 	if len(inst.Results()) != 2 {
-		t.Fatal("results after drop")
+		t.Fatal("results after an empty step")
 	}
 }
 

@@ -19,12 +19,12 @@ func TestEmptyViewThenGrow(t *testing.T) {
 		if got := inst.Results(); len(got) != 0 {
 			t.Fatalf("%s: results on empty view: %v", comp.Name(), got)
 		}
-		inst.Step([]graph.Triple{{Src: 1, Dst: 2, W: 3}}, nil)
+		inst.Step(graph.NewEdgeBatch([]graph.Triple{{Src: 1, Dst: 2, W: 3}}), nil)
 		if got := inst.Results(); len(got) == 0 {
 			t.Fatalf("%s: no results after growth", comp.Name())
 		}
 		// Shrink back to empty.
-		inst.Step(nil, []graph.Triple{{Src: 1, Dst: 2, W: 3}})
+		inst.Step(nil, graph.NewEdgeBatch([]graph.Triple{{Src: 1, Dst: 2, W: 3}}))
 		if got := inst.Results(); len(got) != 0 {
 			t.Fatalf("%s: results after emptying: %v", comp.Name(), got)
 		}
@@ -42,7 +42,7 @@ func TestSelfLoopsAndParallelEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst.Step(edges, nil)
+	inst.Step(graph.NewEdgeBatch(edges), nil)
 	want := spOracle(edges, 1, true)
 	got := inst.Results()
 	if len(got) != len(want) {
@@ -61,15 +61,15 @@ func TestSelfLoopsAndParallelEdges(t *testing.T) {
 		t.Fatal(err)
 	}
 	dup := graph.Triple{Src: 5, Dst: 6, W: 1}
-	w.Step([]graph.Triple{dup, dup}, nil)
+	w.Step(graph.NewEdgeBatch([]graph.Triple{dup, dup}), nil)
 	if len(w.Results()) != 2 {
 		t.Fatalf("results %v", w.Results())
 	}
-	w.Step(nil, []graph.Triple{dup})
+	w.Step(nil, graph.NewEdgeBatch([]graph.Triple{dup}))
 	if got := w.Results(); len(got) != 2 || got[VertexValue{V: 6, Val: 5}] != 1 {
 		t.Fatalf("after removing one copy: %v", got)
 	}
-	w.Step(nil, []graph.Triple{dup})
+	w.Step(nil, graph.NewEdgeBatch([]graph.Triple{dup}))
 	if got := w.Results(); len(got) != 0 {
 		t.Fatalf("after removing both copies: %v", got)
 	}
@@ -80,12 +80,12 @@ func TestBFSDisconnectedSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst.Step([]graph.Triple{{Src: 1, Dst: 2, W: 1}}, nil)
+	inst.Step(graph.NewEdgeBatch([]graph.Triple{{Src: 1, Dst: 2, W: 1}}), nil)
 	if got := inst.Results(); len(got) != 0 {
 		t.Fatalf("unreachable source produced %v", got)
 	}
 	// Source appears later.
-	inst.Step([]graph.Triple{{Src: 99, Dst: 1, W: 1}}, nil)
+	inst.Step(graph.NewEdgeBatch([]graph.Triple{{Src: 99, Dst: 1, W: 1}}), nil)
 	want := map[uint64]int64{99: 0, 1: 1, 2: 2}
 	got := inst.Results()
 	if len(got) != len(want) {
@@ -118,11 +118,11 @@ func TestSCCChainIsComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner.Step(all, nil)
+	runner.Step(graph.NewEdgeBatch(all), nil)
 	prev := checkSCCVersion(t, runner, 0, all, nil)
-	runner.Step(nil, links)
+	runner.Step(nil, graph.NewEdgeBatch(links))
 	prev = checkSCCVersion(t, runner, 1, cycles, prev)
-	runner.Step(links, nil)
+	runner.Step(graph.NewEdgeBatch(links), nil)
 	checkSCCVersion(t, runner, 2, all, prev)
 }
 
@@ -138,9 +138,9 @@ func TestSCCPhaseBornLate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		runner.Step(v0, nil)
+		runner.Step(graph.NewEdgeBatch(v0), nil)
 		prev := checkSCCVersion(t, runner, 0, v0, nil)
-		runner.Step(v1, nil)
+		runner.Step(graph.NewEdgeBatch(v1), nil)
 		got := checkSCCVersion(t, runner, 1, append(append([]graph.Triple(nil), v0...), v1...), prev)
 		for _, vv := range []VertexValue{{V: 1, Val: 2}, {V: 2, Val: 2}, {V: 3, Val: 4}, {V: 4, Val: 4}} {
 			if !got[vv] {
@@ -165,7 +165,7 @@ func TestSCCLargeCycles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner.Step(edges, nil)
+	runner.Step(graph.NewEdgeBatch(edges), nil)
 	got := runner.Results()
 	want := sccOracle(edges)
 	if len(got) != len(want) {
@@ -184,7 +184,7 @@ func TestPageRankDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	edges := []graph.Triple{{Src: 1, Dst: 2, W: 1}, {Src: 2, Dst: 1, W: 1}}
-	inst.Step(edges, nil)
+	inst.Step(graph.NewEdgeBatch(edges), nil)
 	want := prOracle(edges, 10)
 	for vv := range inst.Results() {
 		if want[vv.V] != vv.Val {
@@ -199,7 +199,7 @@ func TestMPSPSamePairEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst.Step([]graph.Triple{{Src: 3, Dst: 4, W: 2}}, nil)
+	inst.Step(graph.NewEdgeBatch([]graph.Triple{{Src: 3, Dst: 4, W: 2}}), nil)
 	got := inst.Results()
 	if got[VertexValue{V: MPSPVertex(0, 3), Val: 0}] != 1 {
 		t.Fatalf("got %v", got)

@@ -19,7 +19,7 @@ func TestMPSPMultiWorker(t *testing.T) {
 		g := newEvolvingGraph(31, 18)
 		for i, s := range []struct{ adds, dels int }{{45, 0}, {12, 10}} {
 			added, deleted := g.step(s.adds, s.dels)
-			inst.Step(added, deleted)
+			inst.Step(graph.NewEdgeBatch(added), graph.NewEdgeBatch(deleted))
 			want := map[uint64]int64{}
 			for pi, p := range pairs {
 				if d, ok := spOracle(g.edges(), p.Src, true)[p.Dst]; ok {
@@ -70,8 +70,8 @@ func TestLargeRandomStress(t *testing.T) {
 				adds = append(adds, e)
 			}
 		}
-		wcc.Step(adds, dels)
-		sssp.Step(adds, dels)
+		wcc.Step(graph.NewEdgeBatch(adds), graph.NewEdgeBatch(dels))
+		sssp.Step(graph.NewEdgeBatch(adds), graph.NewEdgeBatch(dels))
 		if v%10 != 9 {
 			continue // full check every 10th version keeps the test fast
 		}

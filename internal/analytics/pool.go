@@ -8,42 +8,22 @@ import (
 	"graphsurge/internal/obs"
 )
 
-// Resettable is implemented by runners that can return themselves to their
-// just-built condition in place, ready for a new from-scratch execution. A
-// Pool recycles resettable runners across segments and across RunCollection
-// calls instead of dropping them; runners without Reset are simply rebuilt
-// on the next Acquire.
-//
-// Reset is in-place: it drops operator traces, pending work and output
-// history through dataflow.Scope.ResetState without reconstructing the
-// dataflow graph, so recycling a runner skips graph construction entirely —
-// the infrastructure-reuse optimization the paper's shared-dataflow design
-// motivates (§5). Because the graph (including the computation's fused
-// operator closures) is reused, Reset can only restore runners whose
-// Computation.Build wired stateless operator functions; state hidden in
-// closures survives a reset.
-type Resettable interface {
-	Reset() error
-}
-
-// Reset returns the instance to its just-built condition in place: every
-// operator's state, the output history, the input's version cursor, work
-// counters and the iteration-cap flag are cleared, while the dataflow graph
-// itself is reused. The instance then serves a new from-scratch run starting
-// at version 0.
-func (inst *Instance) Reset() error {
-	inst.scope.ResetState()
-	inst.next = 0
-	return nil
-}
-
 // Pool hands out up to its size in concurrently live runner replicas for one
 // computation. It is the admission control for segment-level parallelism —
 // Acquire blocks while all replica slots are busy, so at most `size`
 // dataflows are stepping at once — and the warm-replica cache for an engine:
-// released resettable runners are kept idle and recycled by later acquires,
-// amortizing dataflow construction across segments, RunCollection calls and
-// concurrent callers.
+// released runners are kept idle and recycled by later acquires, amortizing
+// dataflow construction across segments, RunCollection calls and concurrent
+// callers.
+//
+// Reuse is Runner.Reset, which is in place: it drops operator traces, pending
+// work and the captured answer through dataflow.Scope.ResetState without
+// reconstructing the dataflow graph, so recycling a runner skips graph
+// construction entirely — the infrastructure-reuse optimization the paper's
+// shared-dataflow design motivates (§5). Because the graph (including the
+// computation's fused operator closures) is reused, Reset can only restore
+// runners whose Computation.Build wired stateless operator functions; state
+// hidden in closures survives a reset.
 //
 // All methods are safe for concurrent use.
 type Pool struct {
@@ -171,14 +151,12 @@ func (p *Pool) Acquire(ctx context.Context) (Runner, time.Duration, error) {
 func (p *Pool) prepare(r Runner) (Runner, time.Duration, error) {
 	start := time.Now()
 	if r != nil {
-		if rs, ok := r.(Resettable); ok {
-			if err := rs.Reset(); err == nil {
-				p.mu.Lock()
-				p.reused++
-				p.mu.Unlock()
-				obs.M.PoolReused.Inc()
-				return r, time.Since(start), nil
-			}
+		if err := r.Reset(); err == nil {
+			p.mu.Lock()
+			p.reused++
+			p.mu.Unlock()
+			obs.M.PoolReused.Inc()
+			return r, time.Since(start), nil
 		}
 	}
 	r, err := NewRunner(p.comp, p.workers)
@@ -231,14 +209,12 @@ func (p *Pool) popIdle() Runner {
 	return r
 }
 
-// Release returns the runner's slot to the pool. Resettable runners are kept
-// warm for reuse by a later Acquire; others are dropped. The caller must be
-// done reading the runner — the next Acquire resets it.
+// Release returns the runner's slot to the pool and keeps the runner warm
+// for reuse by a later Acquire. The caller must be done reading the runner —
+// the next Acquire resets it.
 func (p *Pool) Release(r Runner) {
 	p.mu.Lock()
-	if _, ok := r.(Resettable); ok {
-		p.idle = append(p.idle, r)
-	}
+	p.idle = append(p.idle, r)
 	p.live--
 	p.cond.Signal()
 	p.mu.Unlock()

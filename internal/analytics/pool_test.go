@@ -22,7 +22,7 @@ func TestInstanceReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	scope := inst.Scope()
-	inst.Step(poolTriples(), nil)
+	inst.Step(graph.NewEdgeBatch(poolTriples()), nil)
 	if len(inst.Results()) != 5 {
 		t.Fatalf("results: %v", inst.Results())
 	}
@@ -34,20 +34,17 @@ func TestInstanceReset(t *testing.T) {
 	if inst.Scope() != scope {
 		t.Fatal("Reset rebuilt the dataflow instead of resetting in place")
 	}
-	if _, ok := inst.Version(); ok {
-		t.Fatal("reset instance still has a version")
-	}
-	if len(inst.Results()) != 0 {
-		t.Fatalf("reset instance has results: %v", inst.Results())
+	if len(inst.Results()) != 0 || inst.OutputDiffs() != 0 {
+		t.Fatalf("reset instance has results: %v, %d output diffs", inst.Results(), inst.OutputDiffs())
 	}
 	// A reset instance runs from scratch and reproduces the same answer.
-	inst.Step(poolTriples(), nil)
+	inst.Step(graph.NewEdgeBatch(poolTriples()), nil)
 	if len(inst.Results()) != 5 {
 		t.Fatalf("results after reset: %v", inst.Results())
 	}
 }
 
-func TestPoolReusesResettableRunners(t *testing.T) {
+func TestPoolReusesRunners(t *testing.T) {
 	p := NewPool(WCC{}, 1, 2)
 	if p.Size() != 2 {
 		t.Fatalf("size: %d", p.Size())
@@ -56,7 +53,7 @@ func TestPoolReusesResettableRunners(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1.Step(poolTriples(), nil)
+	r1.Step(graph.NewEdgeBatch(poolTriples()), nil)
 	p.Release(r1)
 	if p.Idle() != 1 {
 		t.Fatalf("idle after release: %d", p.Idle())
@@ -68,7 +65,7 @@ func TestPoolReusesResettableRunners(t *testing.T) {
 	if r1 != r2 {
 		t.Fatal("pool did not recycle the released runner")
 	}
-	if _, ok := r2.Version(); ok {
+	if len(r2.Results()) != 0 || r2.OutputDiffs() != 0 {
 		t.Fatal("recycled runner was not reset")
 	}
 	built, reused := p.Counts()
@@ -145,9 +142,8 @@ func TestPoolGrowUnblocksWaiters(t *testing.T) {
 	p.Release(r2)
 }
 
-// TestPoolRecyclesStagedSCCRunner pins that the staged SCC runner is
-// Resettable, so Release keeps it warm instead of dropping it, and that the
-// recycled runner answers a different graph from scratch. The two graphs
+// TestPoolRecyclesStagedSCCRunner pins that Release keeps the staged SCC
+// runner warm and Acquire resets it in place, and that the recycled runner answers a different graph from scratch. The two graphs
 // swap which vertices lie on a cycle: a trim scope that kept the first
 // graph's edges would keep 3 → 1 and put the path in the core, degree counts
 // that survived would never mark the reused vertices alive, and an answer
@@ -159,7 +155,7 @@ func TestPoolRecyclesStagedSCCRunner(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := []graph.Triple{{Src: 1, Dst: 2, W: 1}, {Src: 2, Dst: 3, W: 1}, {Src: 3, Dst: 1, W: 1}, {Src: 4, Dst: 5, W: 1}, {Src: 5, Dst: 6, W: 1}}
-	r1.Step(first, nil)
+	r1.Step(graph.NewEdgeBatch(first), nil)
 	p.Release(r1)
 	r2, _, err := p.Acquire(context.Background())
 	if err != nil {
@@ -168,14 +164,11 @@ func TestPoolRecyclesStagedSCCRunner(t *testing.T) {
 	if r1 != r2 {
 		t.Fatal("staged SCC runner was not recycled")
 	}
-	if _, ok := r2.Version(); ok {
-		t.Fatal("recycled SCC runner was not reset")
-	}
-	if len(r2.Results()) != 0 {
-		t.Fatalf("recycled SCC runner kept results: %v", r2.Results())
+	if len(r2.Results()) != 0 || r2.OutputDiffs() != 0 {
+		t.Fatalf("recycled SCC runner kept results: %v, %d output diffs", r2.Results(), r2.OutputDiffs())
 	}
 	second := []graph.Triple{{Src: 1, Dst: 2, W: 1}, {Src: 2, Dst: 3, W: 1}, {Src: 4, Dst: 5, W: 1}, {Src: 5, Dst: 4, W: 1}}
-	r2.Step(second, nil)
+	r2.Step(graph.NewEdgeBatch(second), nil)
 	want := sccOracle(second)
 	got := r2.Results()
 	if len(got) != len(want) {
@@ -186,8 +179,8 @@ func TestPoolRecyclesStagedSCCRunner(t *testing.T) {
 			t.Fatalf("recycled SCC runner: vertex %d = %d ×%d, oracle %d", vv.V, vv.Val, d, want[vv.V])
 		}
 	}
-	if r2.OutputDiffs(0) != len(want) {
-		t.Fatalf("recycled SCC runner: %d output diffs at version 0, want %d", r2.OutputDiffs(0), len(want))
+	if r2.OutputDiffs() != len(want) {
+		t.Fatalf("recycled SCC runner: %d output diffs at version 0, want %d", r2.OutputDiffs(), len(want))
 	}
 	p.Release(r2)
 }

@@ -73,8 +73,8 @@ func resetSeq() []viewDelta {
 func runSeq(r Runner, seq []viewDelta) ([]int, map[VertexValue]int64, bool) {
 	diffs := make([]int, len(seq))
 	for v, d := range seq {
-		r.Step(d.adds, d.dels)
-		diffs[v] = r.OutputDiffs(uint32(v))
+		r.Step(graph.NewEdgeBatch(d.adds), graph.NewEdgeBatch(d.dels))
+		diffs[v] = r.OutputDiffs()
 	}
 	return diffs, r.Results(), r.IterCapHit()
 }
@@ -108,23 +108,19 @@ func TestResetEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				// Dirty the runner with a different prefix, then reset.
-				reused.Step(seq[0].adds[:10], nil)
-				reused.Step(seq[1].adds, nil)
-				rs, ok := reused.(Resettable)
-				if !ok {
-					t.Fatalf("%T is not Resettable", reused)
-				}
-				if err := rs.Reset(); err != nil {
+				reused.Step(graph.NewEdgeBatch(seq[0].adds[:10]), nil)
+				reused.Step(graph.NewEdgeBatch(seq[1].adds), nil)
+				if err := reused.Reset(); err != nil {
 					t.Fatal(err)
 				}
-				if _, ok := reused.Version(); ok {
-					t.Fatal("reset runner still has a version")
+				if len(reused.Results()) != 0 || reused.OutputDiffs() != 0 {
+					t.Fatal("reset runner still has an answer")
 				}
 				gotDiffs, gotResults, gotCap := runSeq(reused, seq)
 
 				for v := range wantDiffs {
 					if gotDiffs[v] != wantDiffs[v] {
-						t.Fatalf("OutputDiffs(%d) = %d, fresh %d", v, gotDiffs[v], wantDiffs[v])
+						t.Fatalf("v%d: OutputDiffs = %d, fresh %d", v, gotDiffs[v], wantDiffs[v])
 					}
 				}
 				if gotCap != wantCap {

@@ -166,29 +166,17 @@ type sccRunner struct {
 	phases  []*sccPhase // built on demand and kept across Reset
 	next    uint32
 
-	nodeDeg map[uint64]int64      // edge-incidence count per vertex
-	answer  map[VertexValue]int64 // the accumulated output
-
-	// outputDiffs[v] is the merged output difference count per version.
-	outputDiffs map[uint32]int
+	nodeDeg     map[uint64]int64      // edge-incidence count per vertex
+	answer      map[VertexValue]int64 // the accumulated output
+	outputDiffs int                   // the last step's output difference count
 }
 
 // clear drops the runner's bookkeeping for fresh maps.
 func (r *sccRunner) clear() {
 	r.nodeDeg = make(map[uint64]int64)
 	r.answer = make(map[VertexValue]int64)
-	r.outputDiffs = nil
+	r.outputDiffs = 0
 	r.next = 0
-}
-
-func (r *sccRunner) Step(adds, dels []graph.Triple) time.Duration {
-	return r.step(len(adds), func(i int) graph.Triple { return adds[i] },
-		len(dels), func(i int) graph.Triple { return dels[i] })
-}
-
-// StepBatch implements Runner over columnar batches.
-func (r *sccRunner) StepBatch(adds, dels *graph.EdgeBatch) time.Duration {
-	return r.step(adds.Len(), adds.Triple, dels.Len(), dels.Triple)
 }
 
 // updates lists a captured version difference set as input updates.
@@ -200,12 +188,14 @@ func updates[R comparable](diff map[R]dataflow.Diff) []dataflow.Update[R] {
 	return ups
 }
 
-func (r *sccRunner) step(na int, addAt func(int) graph.Triple, nd int, delAt func(int) graph.Triple) time.Duration {
+// Step implements Runner.
+func (r *sccRunner) Step(adds, dels *graph.EdgeBatch) time.Duration {
 	start := time.Now()
 	v := r.next
 	r.next++
 
-	edgeUps := edgeUpdates(na, addAt, delAt)
+	na, nd := adds.Len(), dels.Len()
+	edgeUps := edgeUpdates(adds, dels)
 	var aliveDiff []dataflow.Update[uint64]
 	bump := func(n uint64, by int64) {
 		old := r.nodeDeg[n]
@@ -220,12 +210,12 @@ func (r *sccRunner) step(na int, addAt func(int) graph.Triple, nd int, delAt fun
 		}
 	}
 	for i := 0; i < na; i++ {
-		t := addAt(i)
+		t := adds.Triple(i)
 		bump(t.Src, 1)
 		bump(t.Dst, 1)
 	}
 	for i := 0; i < nd; i++ {
-		t := delAt(i)
+		t := dels.Triple(i)
 		bump(t.Src, -1)
 		bump(t.Dst, -1)
 	}
@@ -240,7 +230,7 @@ func (r *sccRunner) step(na int, addAt func(int) graph.Triple, nd int, delAt fun
 				// of earlier versions: it starts from all of them, not
 				// from this version's difference. (Its alive set was
 				// empty until now, so aliveDiff is already all of it.)
-				edgeDiff = updates(r.phases[p-1].coreEdges.At(v))
+				edgeDiff = updates(r.phases[p-1].coreEdges.Result())
 			}
 		}
 		ph := r.phases[p]
@@ -257,8 +247,8 @@ func (r *sccRunner) step(na int, addAt func(int) graph.Triple, nd int, delAt fun
 		ph.aliveIn.SendAt(v, aliveDiff)
 		ph.trim.Drain()
 		ph.trim.Compact(v)
-		coreDiff := ph.core.VersionDiff(v)
-		edgeDiff = updates(ph.coreEdges.VersionDiff(v))
+		coreDiff := ph.core.Diff()
+		edgeDiff = updates(ph.coreEdges.Diff())
 
 		// A vertex alive but outside the core is its own SCC. The core is a
 		// subset of the alive set, so the singles change by alive − core.
@@ -278,7 +268,7 @@ func (r *sccRunner) step(na int, addAt func(int) graph.Triple, nd int, delAt fun
 		// The confirmed vertices are a subset of the core, and the next
 		// phase's alive set is core − done. A color change arrives as
 		// {+new, −old} and cancels here.
-		for kv, d := range ph.done.VersionDiff(v) {
+		for kv, d := range ph.done.Diff() {
 			merged[VertexValue{V: kv.K, Val: int64(kv.V)}] += d
 			if coreDiff[kv.K] -= d; coreDiff[kv.K] == 0 {
 				delete(coreDiff, kv.K)
@@ -296,10 +286,7 @@ func (r *sccRunner) step(na int, addAt func(int) graph.Triple, nd int, delAt fun
 			delete(r.answer, vv)
 		}
 	}
-	if r.outputDiffs == nil {
-		r.outputDiffs = make(map[uint32]int)
-	}
-	r.outputDiffs[v] = n
+	r.outputDiffs = n
 	return time.Since(start)
 }
 
@@ -312,12 +299,12 @@ func (r *sccRunner) scopes() []*dataflow.Scope {
 	return out
 }
 
-// Reset implements Resettable: every phase built so far keeps its two
-// dataflows and resets them in place (each scope's version cursor rewinds
-// with it), and the runner's bookkeeping — degree counts, the accumulated
-// answer, output-diff counts — is dropped for fresh maps. The pool can
-// therefore recycle staged SCC runners exactly like single-dataflow
-// instances, instead of rebuilding two dataflows per phase.
+// Reset implements Runner: every phase built so far keeps its two dataflows
+// and resets them in place (each scope's version cursor rewinds with it),
+// and the runner's bookkeeping — degree counts, the accumulated answer, the
+// output-diff count — is dropped for fresh maps. The pool therefore recycles
+// staged SCC runners exactly like single-dataflow instances, instead of
+// rebuilding two dataflows per phase.
 func (r *sccRunner) Reset() error {
 	for _, s := range r.scopes() {
 		s.ResetState()
@@ -326,29 +313,9 @@ func (r *sccRunner) Reset() error {
 	return nil
 }
 
-func (r *sccRunner) Version() (uint32, bool) {
-	if r.next == 0 {
-		return 0, false
-	}
-	return r.next - 1, true
-}
-
-func (r *sccRunner) OutputDiffs(v uint32) int { return r.outputDiffs[v] }
+func (r *sccRunner) OutputDiffs() int { return r.outputDiffs }
 
 func (r *sccRunner) Results() map[VertexValue]int64 { return maps.Clone(r.answer) }
-
-func (r *sccRunner) DropOutputsBefore(v uint32) {
-	for _, ph := range r.phases {
-		ph.core.Drop(v)
-		ph.coreEdges.Drop(v)
-		ph.done.Drop(v)
-	}
-	for ver := range r.outputDiffs {
-		if ver < v {
-			delete(r.outputDiffs, ver)
-		}
-	}
-}
 
 func (r *sccRunner) WorkCounts() []int64 {
 	var out []int64

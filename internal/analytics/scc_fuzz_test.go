@@ -40,7 +40,7 @@ func checkSCCVersion(t *testing.T, runner Runner, v int, edges []graph.Triple, p
 			diffs++
 		}
 	}
-	if od := runner.OutputDiffs(uint32(v)); od != diffs {
+	if od := runner.OutputDiffs(); od != diffs {
 		t.Fatalf("v%d: OutputDiffs %d, oracle %d", v, od, diffs)
 	}
 	return want
@@ -133,7 +133,7 @@ func FuzzSCCMatchesOracle(f *testing.F) {
 				adds = append(adds, e)
 				edges = append(edges, e)
 			}
-			runner.Step(adds, dels)
+			runner.Step(graph.NewEdgeBatch(adds), graph.NewEdgeBatch(dels))
 
 			all := append(append([]graph.Triple(nil), edges...), fixed...)
 			for i, l := range links {

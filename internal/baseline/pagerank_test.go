@@ -83,9 +83,9 @@ func TestIncrementalPRMatchesDifferentialEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Update(all[:1000], nil)
-	inst.Step(all[:1000], nil)
+	inst.Step(graph.NewEdgeBatch(all[:1000]), nil)
 	p.Update(all[1000:], all[:50])
-	inst.Step(all[1000:], all[:50])
+	inst.Step(graph.NewEdgeBatch(all[1000:]), graph.NewEdgeBatch(all[:50]))
 
 	want := make(map[uint64]int64)
 	for vv, d := range inst.Results() {
@@ -133,12 +133,12 @@ func BenchmarkGraphBoltStylePR(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		inst.Step(base, nil)
+		inst.Step(graph.NewEdgeBatch(base), nil)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			e := deltas[i%len(deltas)]
-			inst.Step([]graph.Triple{e}, nil)
-			inst.Step(nil, []graph.Triple{e})
+			inst.Step(graph.NewEdgeBatch([]graph.Triple{e}), nil)
+			inst.Step(nil, graph.NewEdgeBatch([]graph.Triple{e}))
 		}
 	})
 }

@@ -424,7 +424,7 @@ func RunView(ctx context.Context, col *view.Collection, comp analytics.Computati
 		return nil, err
 	}
 	edges := col.Stream.Adds[0]
-	dur := runner.StepBatch(edgeBatcher(col.Graph, wc)(edges), nil)
+	dur := runner.Step(edgeBatcher(col.Graph, wc)(edges), nil)
 	return &ViewRunResult{
 		Computation: comp.Name(),
 		View:        col.Name,

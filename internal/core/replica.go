@@ -281,9 +281,8 @@ func (st *replica) extend(ctx context.Context, col *view.Collection, chain []uin
 			vs.Index, vs.Name = t, stream.Names[t]
 			vs.ViewSize, vs.DiffSize = sizes[t], stream.DiffSize(t)
 		}
-		vs.Duration = runner.StepBatch(adds, dels)
-		vs.OutputDiffs = runner.OutputDiffs(st.next)
-		runner.DropOutputsBefore(st.next)
+		vs.Duration = runner.Step(adds, dels)
+		vs.OutputDiffs = runner.OutputDiffs()
 		st.next++
 		if delta {
 			// The state now equals col's final view at the delta's version.
@@ -303,11 +302,6 @@ func (st *replica) extend(ctx context.Context, col *view.Collection, chain []uin
 	for i := range preWork {
 		work[i] -= preWork[i]
 	}
-	// The replica outlives the run, so the result must not alias its state.
-	final := make(map[analytics.VertexValue]int64)
-	for v, n := range runner.Results() {
-		final[v] = n
-	}
 	res := &RunResult{
 		Computation:  comp.Name(),
 		Collection:   col.Name,
@@ -316,7 +310,7 @@ func (st *replica) extend(ctx context.Context, col *view.Collection, chain []uin
 		Wall:         time.Since(wallStart),
 		Incremental:  warm,
 		CachedPrefix: prefix,
-		final:        final,
+		final:        runner.Results(),
 		work:         work,
 		iterCap:      runner.IterCapHit(),
 	}

@@ -177,9 +177,7 @@ type segmentExec struct {
 
 // step is the one place a view executes on a segment's replica — static
 // slots, worker-side shards, the adaptive consumer and speculation all come
-// through it. It steps the runner, completes the view's stats, folds output
-// history (the outcome snapshots what the result needs, and retained history
-// would only sit on a pooled replica until its next reset), and reports the
+// through it. It steps the runner, completes the view's stats and reports the
 // measured runtime to observe. A seed view that splits the collection is
 // timed together with the segment's setup cost, so a split pays for the
 // dataflow and seed it rebuilds; the collection's opening view times only
@@ -188,13 +186,11 @@ type segmentExec struct {
 func (s *segmentExec) step(v viewStep, observe func(ViewStats, bool)) {
 	st := v.meta
 	start := time.Now()
-	st.Duration = s.r.StepBatch(v.adds, v.dels)
+	st.Duration = s.r.Step(v.adds, v.dels)
 	if v.seed && st.Index > 0 {
 		st.Duration = s.setup + time.Since(start)
 	}
-	ver, _ := s.r.Version()
-	st.OutputDiffs = s.r.OutputDiffs(ver)
-	s.r.DropOutputsBefore(ver)
+	st.OutputDiffs = s.r.OutputDiffs()
 	s.stats = append(s.stats, st)
 	if observe != nil {
 		observe(st, v.seed)

@@ -1,33 +1,34 @@
 package dataflow
 
-import (
-	"graphsurge/internal/timestamp"
-)
+import "graphsurge/internal/timestamp"
 
-// Capture is a sink that accumulates a stream's deltas grouped by version
-// (the Outer time coordinate), consolidating over iterations. It answers two
-// questions the Graphsurge executor needs after each view: what changed at
-// this version (VersionDiff), and what is the full result now (At).
+// Capture is a sink that keeps a stream's result and its last difference
+// set, consolidating over iterations. It answers the two questions the
+// Graphsurge executor asks after each version: what changed at the version
+// just fed (Diff), and what is the full result now (Result). No older
+// version can be read back.
 //
 // Read methods must only be called while the scope is quiescent (after
 // Drain).
 type Capture[R comparable] struct {
 	s  *Scope
 	p  *pendings[R]
-	st []map[uint32]map[R]Diff // per worker, by version
+	ws []captured[R] // per worker
+}
+
+// captured is one worker's share of a capture: cur is the difference set of
+// version ver, the last that reached the worker, and acc everything before
+// it, folded into one multiset.
+type captured[R comparable] struct {
+	cur, acc map[R]Diff
+	ver      uint32
 }
 
 // NewCapture attaches a capture sink to a collection.
 func NewCapture[R comparable](in *Collection[R]) *Capture[R] {
 	s := in.s
-	c := &Capture[R]{
-		s:  s,
-		p:  newPendings[R](s),
-		st: make([]map[uint32]map[R]Diff, s.workers),
-	}
-	for w := 0; w < s.workers; w++ {
-		c.st[w] = make(map[uint32]map[R]Diff)
-	}
+	c := &Capture[R]{s: s, p: newPendings[R](s), ws: make([]captured[R], s.workers)}
+	c.reset()
 	in.subscribe(c.p.push)
 	s.addNode(c)
 	return c
@@ -40,27 +41,31 @@ func (c *Capture[R]) run(w int, t timestamp.Time) {
 	if len(b.recs) == 0 {
 		return
 	}
-	byv := c.st[w][t.Outer]
-	if byv == nil {
-		byv = make(map[R]Diff)
-		c.st[w][t.Outer] = byv
+	st := &c.ws[w]
+	if t.Outer != st.ver {
+		// A new version: the last one's differences join the result. Into
+		// an empty result the fold is a swap, so a whole view is never
+		// copied.
+		if len(st.acc) == 0 {
+			st.acc, st.cur = st.cur, st.acc
+		} else {
+			addInto(st.acc, st.cur)
+			clear(st.cur)
+		}
+		st.ver = t.Outer
 	}
 	for i, r := range b.recs {
-		nd := byv[r] + b.diffs[i]
-		if nd == 0 {
-			delete(byv, r)
-		} else {
-			byv[r] = nd
-		}
+		add(st.cur, r, b.diffs[i])
 	}
 }
 
-// reset discards the accumulated output history on every worker by swapping
-// in fresh version maps.
+// reset swaps in fresh maps on every worker. Clearing them in place would
+// keep the last run's capacity, which every later read and fold then scans
+// in full however small the runs that follow.
 func (c *Capture[R]) reset() {
 	c.p.reset()
-	for w := range c.st {
-		c.st[w] = make(map[uint32]map[R]Diff)
+	for w := range c.ws {
+		c.ws[w] = captured[R]{cur: make(map[R]Diff), acc: make(map[R]Diff)}
 	}
 }
 
@@ -68,80 +73,59 @@ func (c *Capture[R]) hasPending(w int, t timestamp.Time) bool { return c.p.has(w
 
 func (c *Capture[R]) minPending(w int) (timestamp.Time, bool) { return c.p.min(w) }
 
-// VersionDiff returns the consolidated output difference set of version v:
-// how the result multiset changed relative to version v−1.
-func (c *Capture[R]) VersionDiff(v uint32) map[R]Diff {
+// Diff returns the consolidated output difference set of the version the
+// scope was last fed: how the result changed relative to the version before.
+// The caller owns the map.
+func (c *Capture[R]) Diff() map[R]Diff {
 	out := make(map[R]Diff)
-	for w := range c.st {
-		for r, d := range c.st[w][v] {
-			nd := out[r] + d
-			if nd == 0 {
-				delete(out, r)
-			} else {
-				out[r] = nd
-			}
+	for w := range c.ws {
+		if c.ws[w].ver == c.s.version {
+			addInto(out, c.ws[w].cur)
 		}
 	}
 	return out
 }
 
-// DiffCount returns the number of records whose multiplicity changed at
-// version v (the size of the output difference set, the paper's |δ output|).
-func (c *Capture[R]) DiffCount(v uint32) int {
-	if len(c.st) == 1 {
-		return len(c.st[0][v]) // run deletes entries that cancel
+// DiffCount returns the number of records whose multiplicity changed at the
+// version the scope was last fed (the size of the output difference set, the
+// paper's |δ output|).
+func (c *Capture[R]) DiffCount() int {
+	if len(c.ws) == 1 {
+		if c.ws[0].ver != c.s.version {
+			return 0
+		}
+		return len(c.ws[0].cur) // run deletes entries that cancel
 	}
-	return len(c.VersionDiff(v))
+	return len(c.Diff())
 }
 
-// At returns the accumulated result multiset at version v: the sum of all
-// difference sets for versions ≤ v.
-func (c *Capture[R]) At(v uint32) map[R]Diff {
-	out := make(map[R]Diff)
-	for w := range c.st {
-		for ver, byv := range c.st[w] {
-			if ver > v {
-				continue
-			}
-			for r, d := range byv {
-				nd := out[r] + d
-				if nd == 0 {
-					delete(out, r)
-				} else {
-					out[r] = nd
-				}
-			}
-		}
+// Result returns the accumulated result multiset: every difference set fed
+// so far, summed. The caller owns the map.
+func (c *Capture[R]) Result() map[R]Diff {
+	n := 0
+	for w := range c.ws {
+		n += len(c.ws[w].acc) + len(c.ws[w].cur)
+	}
+	out := make(map[R]Diff, n)
+	for w := range c.ws {
+		addInto(out, c.ws[w].acc)
+		addInto(out, c.ws[w].cur)
 	}
 	return out
 }
 
-// Drop folds difference sets for versions < v into version v, bounding
-// memory during long collection runs. At(x) for x ≥ v and VersionDiff(x) for
-// x > v are unaffected; finer-grained history below v is lost.
-func (c *Capture[R]) Drop(v uint32) {
-	for w := range c.st {
-		var base map[R]Diff
-		for ver, byv := range c.st[w] {
-			if ver >= v {
-				continue
-			}
-			if base == nil {
-				base = c.st[w][v]
-				if base == nil {
-					base = make(map[R]Diff)
-					c.st[w][v] = base
-				}
-			}
-			for r, d := range byv {
-				nd := base[r] + d
-				if nd == 0 {
-					delete(base, r)
-				} else {
-					base[r] = nd
-				}
-			}
-			delete(c.st[w], ver)
-		}
+// add adds d to r's multiplicity in m, deleting r when it cancels.
+func add[R comparable](m map[R]Diff, r R, d Diff) {
+	if nd := m[r] + d; nd == 0 {
+		delete(m, r)
+	} else {
+		m[r] = nd
+	}
+}
+
+// addInto adds every multiplicity of src to dst.
+func addInto[R comparable](dst, src map[R]Diff) {
+	for r, d := range src {
+		add(dst, r, d)
 	}
 }

@@ -4,11 +4,6 @@ import (
 	"testing"
 )
 
-// collect turns a capture's cumulative state at version v into a plain map.
-func resultAt[R comparable](c *Capture[R], v uint32) map[R]Diff {
-	return c.At(v)
-}
-
 func TestConsolidate(t *testing.T) {
 	b := &batch[int]{recs: []int{1, 1, 2, 2, 3}, diffs: []Diff{1, 2, 1, -1, 0}}
 	b.consolidate(func(r int) uint64 { return uint64(r) }, new([]uint32))
@@ -28,7 +23,7 @@ func TestMapFilterConcatNegate(t *testing.T) {
 	in.SendAt(0, []Update[int]{{1, 1}, {2, 1}, {3, 1}})
 	s.Drain()
 	// doubled = {2,4,6}; evens = {4}; both = {2,4,6} - {4} = {2,6}
-	got := resultAt(cap1, 0)
+	got := cap1.Result()
 	want := map[int]Diff{2: 1, 6: 1}
 	if len(got) != len(want) || got[2] != 1 || got[6] != 1 {
 		t.Fatalf("got %v want %v", got, want)
@@ -46,7 +41,7 @@ func TestFlatMap(t *testing.T) {
 	c := NewCapture(out)
 	in.SendAt(0, []Update[int]{{2, 1}})
 	s.Drain()
-	got := resultAt(c, 0)
+	got := c.Result()
 	if len(got) != 2 || got[20] != 1 || got[21] != 1 {
 		t.Fatalf("got %v", got)
 	}
@@ -64,7 +59,7 @@ func TestJoinIncremental(t *testing.T) {
 	li.SendAt(0, []Update[KV[int, string]]{{KV[int, string]{1, "ab"}, 1}, {KV[int, string]{2, "x"}, 1}})
 	ri.SendAt(0, []Update[KV[int, int]]{{KV[int, int]{1, 10}, 1}})
 	s.Drain()
-	got := resultAt(c, 0)
+	got := c.Result()
 	if len(got) != 1 || got[KV[int, int]{1, 20}] != 1 {
 		t.Fatalf("v0: got %v", got)
 	}
@@ -73,11 +68,11 @@ func TestJoinIncremental(t *testing.T) {
 	li.SendAt(1, []Update[KV[int, string]]{{KV[int, string]{1, "ab"}, -1}})
 	ri.SendAt(1, []Update[KV[int, int]]{{KV[int, int]{2, 7}, 1}})
 	s.Drain()
-	got = resultAt(c, 1)
+	got = c.Result()
 	if len(got) != 1 || got[KV[int, int]{2, 7}] != 1 {
 		t.Fatalf("v1: got %v", got)
 	}
-	if n := c.DiffCount(1); n != 2 {
+	if n := c.DiffCount(); n != 2 {
 		t.Fatalf("v1 diff count = %d, want 2", n)
 	}
 }
@@ -92,7 +87,7 @@ func TestJoinMultiplicities(t *testing.T) {
 	li.SendAt(0, []Update[KV[int, int]]{{KV[int, int]{1, 1}, 2}})
 	ri.SendAt(0, []Update[KV[int, int]]{{KV[int, int]{1, 2}, 3}})
 	s.Drain()
-	if got := resultAt(c, 0); got[112] != 6 {
+	if got := c.Result(); got[112] != 6 {
 		t.Fatalf("multiplicity product: got %v", got)
 	}
 }
@@ -105,7 +100,7 @@ func TestReduceMinAcrossVersions(t *testing.T) {
 
 	in.SendAt(0, []Update[KV[int, int]]{{KV[int, int]{1, 5}, 1}, {KV[int, int]{1, 3}, 1}, {KV[int, int]{2, 9}, 1}})
 	s.Drain()
-	got := resultAt(c, 0)
+	got := c.Result()
 	if got[KV[int, int]{1, 3}] != 1 || got[KV[int, int]{2, 9}] != 1 || len(got) != 2 {
 		t.Fatalf("v0: got %v", got)
 	}
@@ -113,7 +108,7 @@ func TestReduceMinAcrossVersions(t *testing.T) {
 	// Remove the minimum of key 1: falls back to 5.
 	in.SendAt(1, []Update[KV[int, int]]{{KV[int, int]{1, 3}, -1}})
 	s.Drain()
-	got = resultAt(c, 1)
+	got = c.Result()
 	if got[KV[int, int]{1, 5}] != 1 || len(got) != 2 {
 		t.Fatalf("v1: got %v", got)
 	}
@@ -121,7 +116,7 @@ func TestReduceMinAcrossVersions(t *testing.T) {
 	// Remove all of key 2: no output for it.
 	in.SendAt(2, []Update[KV[int, int]]{{KV[int, int]{2, 9}, -1}})
 	s.Drain()
-	got = resultAt(c, 2)
+	got = c.Result()
 	if len(got) != 1 || got[KV[int, int]{1, 5}] != 1 {
 		t.Fatalf("v2: got %v", got)
 	}
@@ -137,19 +132,19 @@ func TestReduceCountAndSum(t *testing.T) {
 
 	in.SendAt(0, []Update[KV[int, int64]]{{KV[int, int64]{1, 10}, 1}, {KV[int, int64]{1, 20}, 2}})
 	s.Drain()
-	if got := resultAt(cc, 0); got[KV[int, int64]{1, 3}] != 1 {
+	if got := cc.Result(); got[KV[int, int64]{1, 3}] != 1 {
 		t.Fatalf("count: got %v", got)
 	}
-	if got := resultAt(cs, 0); got[KV[int, int64]{1, 50}] != 1 {
+	if got := cs.Result(); got[KV[int, int64]{1, 50}] != 1 {
 		t.Fatalf("sum: got %v", got)
 	}
 
 	in.SendAt(1, []Update[KV[int, int64]]{{KV[int, int64]{1, 20}, -1}})
 	s.Drain()
-	if got := resultAt(cc, 1); got[KV[int, int64]{1, 2}] != 1 {
+	if got := cc.Result(); got[KV[int, int64]{1, 2}] != 1 {
 		t.Fatalf("count v1: got %v", got)
 	}
-	if got := resultAt(cs, 1); got[KV[int, int64]{1, 30}] != 1 {
+	if got := cs.Result(); got[KV[int, int64]{1, 30}] != 1 {
 		t.Fatalf("sum v1: got %v", got)
 	}
 }
@@ -161,13 +156,13 @@ func TestDistinct(t *testing.T) {
 	c := NewCapture(d)
 	in.SendAt(0, []Update[int]{{7, 3}, {8, 1}})
 	s.Drain()
-	got := resultAt(c, 0)
+	got := c.Result()
 	if got[7] != 1 || got[8] != 1 || len(got) != 2 {
 		t.Fatalf("got %v", got)
 	}
 	in.SendAt(1, []Update[int]{{7, -3}})
 	s.Drain()
-	got = resultAt(c, 1)
+	got = c.Result()
 	if len(got) != 1 || got[8] != 1 {
 		t.Fatalf("v1: got %v", got)
 	}
@@ -234,7 +229,7 @@ func TestIterateReachability(t *testing.T) {
 				t.Fatalf("scope not quiescent after Drain: pending work at %v", pt)
 			}
 
-			got := resultAt(c, uint32(v))
+			got := c.Result()
 			want := reachOracle(cur, 1)
 			if len(got) != len(want) {
 				t.Fatalf("workers=%d v%d: got %v want %v", workers, v, got, want)
@@ -267,7 +262,7 @@ func TestIterateN(t *testing.T) {
 		c := NewCapture(out)
 		in.SendOne(0, 1, 1)
 		s.Drain()
-		got := resultAt(c, 0)
+		got := c.Result()
 		want := 1 << n
 		if len(got) != 1 || got[want] != 1 {
 			t.Fatalf("n=%d: got %v want {%d:1}", n, got, want)
@@ -300,25 +295,8 @@ func TestCompactPreservesResults(t *testing.T) {
 	s.Compact(1)
 	in.SendAt(2, []Update[KV[int, int]]{{KV[int, int]{1, 2}, -1}})
 	s.Drain()
-	got := resultAt(c, 2)
+	got := c.Result()
 	if len(got) != 1 || got[KV[int, int]{1, 5}] != 1 {
-		t.Fatalf("got %v", got)
-	}
-}
-
-func TestCaptureDrop(t *testing.T) {
-	s := NewScope(1)
-	in, col := NewInput[int](s)
-	c := NewCapture(col)
-	in.SendOne(0, 1, 1)
-	s.Drain()
-	in.SendOne(1, 2, 1)
-	s.Drain()
-	in.SendOne(2, 1, -1)
-	s.Drain()
-	c.Drop(2)
-	got := c.At(2)
-	if len(got) != 1 || got[2] != 1 {
 		t.Fatalf("got %v", got)
 	}
 }

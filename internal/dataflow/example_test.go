@@ -34,7 +34,7 @@ func ExampleIterate() {
 
 	report := func(v uint32) {
 		var vs []int
-		for r := range out.At(v) {
+		for r := range out.Result() {
 			vs = append(vs, int(r))
 		}
 		sort.Ints(vs)

@@ -166,7 +166,7 @@ func TestExchangeColumnsRelease(t *testing.T) {
 	if released != 3 { // entering a version past the first has nothing to release
 		t.Fatalf("version 2 released %d times in all, want 3", released)
 	}
-	if got := c.At(2); len(got) != len(view) || got[1] != 3 {
+	if got := c.Result(); len(got) != len(view) || got[1] != 3 {
 		t.Fatalf("results changed with the columns: %d records, record 1 ×%d", len(got), got[1])
 	}
 }

@@ -94,7 +94,7 @@ func TestReduceSumRandomSequences(t *testing.T) {
 			}
 			in.SendAt(v, ups)
 			s.Drain()
-			got := c.At(v)
+			got := c.Result()
 			want := oracleGroupSum(cur)
 			keysWithRecords := map[int]bool{}
 			for kv := range cur {
@@ -176,7 +176,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 			s.Drain()
 			s.Compact(uint32(v))
 		}
-		got := c.At(uint32(len(versions) - 1))
+		got := c.Result()
 		if reference == nil {
 			reference = got
 			continue
@@ -202,7 +202,7 @@ func TestSemijoinAndDistinctKeys(t *testing.T) {
 	li.SendAt(0, []Update[KV[int, string]]{{KV[int, string]{1, "a"}, 1}, {KV[int, string]{2, "b"}, 1}})
 	ri.SendAt(0, []Update[KV[int, int]]{{KV[int, int]{1, 10}, 1}, {KV[int, int]{1, 20}, 1}})
 	s.Drain()
-	got := c.At(0)
+	got := c.Result()
 	if len(got) != 1 || got[KV[int, string]{1, "a"}] != 1 {
 		t.Fatalf("got %v", got)
 	}
@@ -210,12 +210,12 @@ func TestSemijoinAndDistinctKeys(t *testing.T) {
 	// removing both retracts it.
 	ri.SendAt(1, []Update[KV[int, int]]{{KV[int, int]{1, 10}, -1}})
 	s.Drain()
-	if got := c.At(1); got[KV[int, string]{1, "a"}] != 1 {
+	if got := c.Result(); got[KV[int, string]{1, "a"}] != 1 {
 		t.Fatalf("v1: got %v", got)
 	}
 	ri.SendAt(2, []Update[KV[int, int]]{{KV[int, int]{1, 20}, -1}})
 	s.Drain()
-	if got := c.At(2); len(got) != 0 {
+	if got := c.Result(); len(got) != 0 {
 		t.Fatalf("v2: got %v", got)
 	}
 }
@@ -230,19 +230,19 @@ func TestAntijoin(t *testing.T) {
 	li.SendAt(0, []Update[KV[int, string]]{{KV[int, string]{1, "a"}, 1}, {KV[int, string]{2, "b"}, 1}})
 	ri.SendAt(0, []Update[KV[int, int]]{{KV[int, int]{1, 10}, 1}})
 	s.Drain()
-	if got := c.At(0); len(got) != 1 || got[KV[int, string]{2, "b"}] != 1 {
+	if got := c.Result(); len(got) != 1 || got[KV[int, string]{2, "b"}] != 1 {
 		t.Fatalf("v0: %v", got)
 	}
 	// Key 1 leaves the filter set: its record reappears.
 	ri.SendAt(1, []Update[KV[int, int]]{{KV[int, int]{1, 10}, -1}})
 	s.Drain()
-	if got := c.At(1); len(got) != 2 {
+	if got := c.Result(); len(got) != 2 {
 		t.Fatalf("v1: %v", got)
 	}
 	// Key 2 enters the filter set: its record disappears.
 	ri.SendAt(2, []Update[KV[int, int]]{{KV[int, int]{2, 5}, 1}})
 	s.Drain()
-	if got := c.At(2); len(got) != 1 || got[KV[int, string]{1, "a"}] != 1 {
+	if got := c.Result(); len(got) != 1 || got[KV[int, string]{1, "a"}] != 1 {
 		t.Fatalf("v2: %v", got)
 	}
 }
@@ -259,28 +259,11 @@ func TestConcatAllAndInspect(t *testing.T) {
 	b.SendOne(0, 2, 1)
 	cIn.SendOne(0, 3, 1)
 	s.Drain()
-	if got := cap1.At(0); len(got) != 3 {
+	if got := cap1.Result(); len(got) != 3 {
 		t.Fatalf("got %v", got)
 	}
 	if seen != 3 {
 		t.Fatalf("inspect saw %d deltas", seen)
-	}
-}
-
-func TestCaptureDiffCounts(t *testing.T) {
-	s := NewScope(2)
-	in, col := NewInput[int](s)
-	c := NewCapture(col)
-	in.SendAt(0, []Update[int]{{1, 1}, {2, 1}})
-	s.Drain()
-	in.SendAt(2, []Update[int]{{1, -1}})
-	s.Drain()
-	if c.DiffCount(0) != 2 || c.DiffCount(2) != 1 || c.DiffCount(1) != 0 {
-		t.Fatalf("diff counts %d %d %d", c.DiffCount(0), c.DiffCount(1), c.DiffCount(2))
-	}
-	vd := c.VersionDiff(2)
-	if vd[1] != -1 || len(vd) != 1 {
-		t.Fatalf("version diff %v", vd)
 	}
 }
 
@@ -321,7 +304,7 @@ func TestIterateNZero(t *testing.T) {
 	c := NewCapture(out)
 	in.SendOne(0, 7, 1)
 	s.Drain()
-	if got := c.At(0); got[7] != 1 {
+	if got := c.Result(); got[7] != 1 {
 		t.Fatalf("got %v", got)
 	}
 }
@@ -559,7 +542,7 @@ func TestNegativeAndZeroDiffHandling(t *testing.T) {
 	s.Drain()
 	in.SendAt(1, []Update[KV[int, int]]{{KV[int, int]{1, 5}, -2}})
 	s.Drain()
-	if got := c.At(1); len(got) != 0 {
+	if got := c.Result(); len(got) != 0 {
 		t.Fatalf("got %v", got)
 	}
 }

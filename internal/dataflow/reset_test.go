@@ -50,8 +50,9 @@ func resetTestEdges(v int) []Update[KV[int, int]] {
 
 // TestScopeResetStateEquivalence checks the core reset contract: after
 // ResetState, re-feeding the same version sequence through the same scope
-// produces byte-identical capture history to both the first pass and a
-// freshly built scope — across single- and multi-worker configurations.
+// produces the same per-version difference sets and result as both the
+// first pass and a freshly built scope — across single- and multi-worker
+// configurations.
 func TestScopeResetStateEquivalence(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -61,9 +62,9 @@ func TestScopeResetStateEquivalence(t *testing.T) {
 					in.SendAt(uint32(v), resetTestEdges(v))
 					s.Drain()
 					s.Compact(uint32(v))
-					diffs[v] = c.VersionDiff(uint32(v))
+					diffs[v] = c.Diff()
 				}
-				return diffs, c.At(2)
+				return diffs, c.Result()
 			}
 
 			s, in, c := labelGraph(workers)
@@ -78,8 +79,8 @@ func TestScopeResetStateEquivalence(t *testing.T) {
 					t.Fatalf("work counters survived reset: %v", s.WorkCounts())
 				}
 			}
-			if at := c.At(^uint32(0)); len(at) != 0 {
-				t.Fatalf("capture history survived reset: %v", at)
+			if res, n := c.Result(), c.DiffCount(); len(res) != 0 || n != 0 {
+				t.Fatalf("capture survived reset: result %v, %d diffs", res, n)
 			}
 			resetDiffs, resetAt := run(s, in, c)
 
@@ -114,7 +115,7 @@ func TestResetStateMidSequence(t *testing.T) {
 	s.ResetState()
 	in.SendAt(0, resetTestEdges(0)) // would panic if the input cursor survived
 	s.Drain()
-	if n := c.DiffCount(0); n == 0 {
+	if n := c.DiffCount(); n == 0 {
 		t.Fatal("no output at version 0 after reset")
 	}
 }

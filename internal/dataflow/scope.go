@@ -122,7 +122,7 @@ func (s *Scope) enter(v uint32) {
 // output scratch — is untouched, so a reset scope re-executes from scratch
 // without paying graph construction or column growth again. Beyond a pointer
 // move per trace batch, the cost is a memclr of each reduce's key index table
-// (4 B a slot) and a Capture's fresh version maps.
+// (4 B a slot) and a Capture's two fresh maps per worker.
 //
 // Must be called from the driver goroutine while the scope is quiescent
 // (after Drain); resetting with work in flight would discard deltas
