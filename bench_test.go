@@ -30,8 +30,8 @@ import (
 	"graphsurge/internal/graph"
 	"graphsurge/internal/gvdl"
 	"graphsurge/internal/obs"
-	"graphsurge/internal/schedule"
 	"graphsurge/internal/server"
+	"graphsurge/internal/splitting"
 	"graphsurge/internal/tenant"
 	"graphsurge/internal/view"
 )
@@ -285,16 +285,16 @@ func projectedSpeedupOrdered(stats []core.ViewStats, p int, order []int) float64
 	return float64(total) / float64(makespan)
 }
 
-// BenchmarkLPTSkew measures the cost-model scheduler on the shape it
-// exists for: a scratch-mode collection with one view ~10x the rest
-// (straggler last in collection order) on 4 replicas. Under FIFO the
+// BenchmarkLPTSkew measures LPT dispatch on the shape it exists for: a
+// scratch-mode collection with one view ~10x the rest (straggler last in
+// collection order) on 4 replicas. Under FIFO the
 // straggler is dispatched last and serializes the tail; LPT dispatches it
 // first. On multicore hardware the wall-time (ns/op) gap between the
 // sub-benchmarks is the real improvement; single-core hosts cannot improve
 // wall clock, so each run also reports proj-speedup — the measured per-view
 // runtimes list-scheduled onto the replica count in the dispatch order the
 // policy produced (the makespan improvement once cores are available) —
-// plus the engine pool's built/reused counters for BENCH.json.
+// plus the engine pool's built/reused counters.
 func BenchmarkLPTSkew(b *testing.B) {
 	const k, par = 10, 4
 	small := 1_500
@@ -320,7 +320,7 @@ func BenchmarkLPTSkew(b *testing.B) {
 	}
 	col := view.NewCollection("lptskew-col", g, &view.DiffStream{Names: names, Adds: adds, Dels: dels})
 
-	for _, policy := range []schedule.Policy{schedule.FIFO, schedule.LPT} {
+	for _, policy := range []splitting.Policy{splitting.FIFO, splitting.LPT} {
 		b.Run("policy="+policy.String(), func(b *testing.B) {
 			e, err := core.NewEngine(core.Options{Parallelism: par})
 			if err != nil {
@@ -341,16 +341,15 @@ func BenchmarkLPTSkew(b *testing.B) {
 					b.Fatal(err)
 				}
 				// Project the policy's dispatch order onto the replica
-				// count: FIFO is collection order; LPT sorts by measured
-				// duration (what a warm cost model converges to).
+				// count: FIFO is collection order; LPT is the order
+				// dispatch used, largest segment first (a scratch segment
+				// carries no difference sets).
 				order := make([]int, len(res.Stats))
 				for j := range order {
 					order[j] = j
 				}
-				if policy == schedule.LPT {
-					sort.Slice(order, func(a, c int) bool {
-						return res.Stats[order[a]].Duration > res.Stats[order[c]].Duration
-					})
+				if policy == splitting.LPT {
+					order = splitting.LPTOrder(splitting.PlanScratch(k), col.Stream.ViewSizes(), make([]int, k))
 				}
 				b.ReportMetric(projectedSpeedupOrdered(res.Stats, par, order), "proj-speedup")
 			}

@@ -45,8 +45,8 @@ import (
 	"graphsurge/internal/core"
 	"graphsurge/internal/datagen"
 	"graphsurge/internal/obs"
-	"graphsurge/internal/schedule"
 	"graphsurge/internal/server"
+	"graphsurge/internal/splitting"
 	"graphsurge/internal/tenant"
 	"graphsurge/internal/view"
 )
@@ -108,9 +108,9 @@ are identical at any setting. Replicas are pooled per (algorithm, workers)
 and recycled via in-place reset, so repeated runs skip dataflow
 construction; per-segment replica setup and drain times are printed
 alongside the per-view lines, followed by per-pool replica statistics.
--schedule lpt dispatches a static plan's segments longest-predicted-first
-(the cost-model scheduler; fifo keeps collection order) without changing
-results.
+-schedule lpt dispatches a static plan's segments largest first (by seed
+view size plus difference sizes; fifo keeps collection order) without
+changing results.
 -cluster shards a static-plan run (diff or scratch) across the listed
 worker processes: segments are dispatched in -schedule order to whichever
 worker slot is free, shipped as self-contained shards, and merged in
@@ -574,7 +574,7 @@ func cmdRun(args []string) error {
 	if err := mode.UnmarshalText([]byte(*modeName)); err != nil {
 		return err
 	}
-	policy, err := schedule.ParsePolicy(*schedName)
+	policy, err := splitting.ParsePolicy(*schedName)
 	if err != nil {
 		return err
 	}

@@ -68,7 +68,7 @@ func TestCommandsEndToEnd(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// Cost-model scheduling, and an adaptive run that speculates.
+	// Largest-first dispatch, and an adaptive run that speculates.
 	if err := cmdRun([]string{
 		"-data", data,
 		"-collection", "c",

@@ -302,8 +302,11 @@ func (tr *Trace[K, V]) AppendHashed(hk uint64, k K, v V, t timestamp.Time, d int
 // is what keeps the engine's work counters deterministic across execution
 // plans (a local run and a sharded run of the same views must report
 // identical work). The pass is one streaming merge into a column set off the
-// free list: proportional to the trace, but allocation-free once two sets of
-// the trace's size exist. Repeat calls at the same frontier are O(1).
+// free list, proportional to the trace. It allocates no columns only when fit
+// finds a free set with room for the whole trace; when none has room — the
+// trace outgrew its sets, or turn released them — fresh allocates one
+// (Batch.blank), so a trace that keeps growing allocates at every frontier
+// move. Repeat calls at the same frontier are O(1).
 func (tr *Trace[K, V]) Advance(outer uint32) {
 	if outer+1 <= tr.frontier {
 		return

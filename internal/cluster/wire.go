@@ -1,9 +1,10 @@
 // Package cluster shards a view-collection run across processes: a
 // Coordinator splits a static plan into self-contained segment shards
 // (internal/core's SegmentSpec — seed and difference sets as columnar
-// graph.EdgeBatch payloads, so workers hold no graph or view state), assigns them to
-// registered workers with the cost-model scheduler's multi-bin LPT, ships
-// them over net/rpc, and merges the returned outcomes in collection order
+// graph.EdgeBatch payloads, so workers hold no graph or view state), hands
+// them to whichever registered worker slot is free, in the run's dispatch
+// order (collection order, or largest first under LPT), ships them over
+// net/rpc, and merges the returned outcomes in collection order
 // exactly as the local executor does. Workers are thin: a worker process
 // wraps an Engine whose warm runner pools amortize dataflow construction
 // across jobs, exactly as they do across local runs.

@@ -15,7 +15,7 @@ import (
 
 // service is the RPC surface a worker exposes. It is deliberately thin:
 // decode the shard, hand it to the engine, return the outcome. All warm
-// state (runner pools, estimators) lives in the engine, shared across jobs.
+// state (the runner pools) lives in the engine, shared across jobs.
 type service struct {
 	eng      *core.Engine
 	capacity int

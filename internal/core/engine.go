@@ -21,7 +21,6 @@ import (
 	"graphsurge/internal/graph"
 	"graphsurge/internal/gvdl"
 	"graphsurge/internal/obs"
-	"graphsurge/internal/schedule"
 	"graphsurge/internal/view"
 )
 
@@ -96,12 +95,10 @@ type Engine struct {
 	runSeq atomic.Uint64
 }
 
-// poolEntry is one warm-pool map slot: the pool, its scheduling estimator,
-// and the last time a run acquired through it — the recency the LRU
-// eviction below orders by.
+// poolEntry is one warm-pool map slot: the pool and the last time a run
+// acquired through it — the recency the LRU eviction below orders by.
 type poolEntry struct {
 	pool    *analytics.Pool
-	est     *schedule.Estimator
 	lastUse time.Time
 }
 
@@ -261,22 +258,18 @@ func (e *Engine) endRun() {
 // Options returns the engine's effective configuration (defaults applied).
 func (e *Engine) Options() Options { return e.opts }
 
-// runnerPool returns the engine's warm runner pool and scheduling cost
-// estimator for (computation, workers), creating them on first use and
-// growing the pool's replica capacity to at least parallelism. Pools are
-// shared by concurrent RunCollection calls: the pool is the global
-// admission control (at most capacity replicas live across all runs), each
-// run additionally self-limits to its own Parallelism, and released
-// replicas are recycled across calls via in-place reset. The estimator
-// persists alongside the pool so later runs' LPT scheduling uses costs
-// learned from earlier ones.
-func (e *Engine) runnerPool(comp analytics.Computation, workers, parallelism int) (*analytics.Pool, *schedule.Estimator) {
+// runnerPool returns the engine's warm runner pool for (computation,
+// workers), creating it on first use and growing its replica capacity to at
+// least parallelism. Pools are shared by concurrent RunCollection calls: the
+// pool is the global admission control (at most capacity replicas live
+// across all runs), each run additionally self-limits to its own
+// Parallelism, and released replicas are recycled across calls via in-place
+// reset.
+func (e *Engine) runnerPool(comp analytics.Computation, workers, parallelism int) *analytics.Pool {
 	if !identifiableComp(comp) {
 		// No faithful identity to key on: give the run a private pool so a
-		// replica can never be recycled into a different computation (and a
-		// private estimator, since costs learned for one closure could
-		// describe a semantically different one).
-		return analytics.NewPool(comp, workers, parallelism), &schedule.Estimator{}
+		// replica can never be recycled into a different computation.
+		return analytics.NewPool(comp, workers, parallelism)
 	}
 	key := poolKey{name: comp.Name(), ident: compIdentity(comp), workers: workers}
 	e.warmMu.Lock()
@@ -305,13 +298,13 @@ func (e *Engine) runnerPool(comp analytics.Computation, workers, parallelism int
 			e.pools[victim].pool.DropIdle()
 			delete(e.pools, victim)
 		}
-		en = &poolEntry{pool: analytics.NewPool(comp, workers, parallelism), est: &schedule.Estimator{}}
+		en = &poolEntry{pool: analytics.NewPool(comp, workers, parallelism)}
 		e.pools[key] = en
 	} else {
 		en.pool.Grow(parallelism)
 	}
 	en.lastUse = time.Now()
-	return en.pool, en.est
+	return en.pool
 }
 
 // EvictPools drops every warm runner pool whose computation has the given

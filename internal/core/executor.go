@@ -7,7 +7,6 @@ import (
 
 	"graphsurge/internal/analytics"
 	"graphsurge/internal/obs"
-	"graphsurge/internal/schedule"
 	"graphsurge/internal/splitting"
 	"graphsurge/internal/view"
 )
@@ -89,12 +88,12 @@ type RunOptions struct {
 	Incremental bool `json:"incremental,omitempty"`
 	// BatchSize overrides the adaptive optimizer's ℓ (default 10).
 	BatchSize int `json:"batchSize,omitempty"`
-	// Schedule selects the dispatch order of a static plan's segments (see
-	// internal/schedule): FIFO preserves collection order; LPT dispatches
-	// longest-predicted-first, tightening the makespan on skewed collections.
-	// Results are identical either way — only scheduling changes. Adaptive
-	// mode plans online and ignores it.
-	Schedule schedule.Policy `json:"schedule,omitempty"`
+	// Schedule selects the dispatch order of a static plan's segments:
+	// FIFO preserves collection order; LPT dispatches the largest segment
+	// first by size (splitting.LPTOrder), tightening the makespan on skewed
+	// collections. Results are identical either way — only scheduling
+	// changes. Adaptive mode plans online and ignores it.
+	Schedule splitting.Policy `json:"schedule,omitempty"`
 	// OnSegment, when set, is invoked once per completed segment with its
 	// stats, as the segment finishes — from the executor goroutine that
 	// finished it, concurrently with other segments and before the run
@@ -114,6 +113,9 @@ type ViewStats struct {
 	ViewSize    int            `json:"viewSize"`    // |GV|
 	DiffSize    int            `json:"diffSize"`    // |δC|
 	OutputDiffs int            `json:"outputDiffs"` // output difference-set size
+	// Work is the dataflow work the view's step did, summed over workers:
+	// the cost the adaptive optimizer learns from.
+	Work int64 `json:"work"`
 }
 
 // SegmentStats records one segment's execution: the half-open view range it
@@ -230,9 +232,7 @@ func (r *RunResult) IterCapHit() bool { return r.iterCap }
 // Workers and Parallelism default to the engine's Options when unset, the
 // run draws its dataflow replicas from the engine's warm runner pool for
 // (computation, workers), so repeated and concurrent calls amortize dataflow
-// construction (see DESIGN.md on the engine pool lifecycle), and the run is
-// scheduled with the engine's persistent cost estimator for that key, so LPT
-// dispatch orders segments by costs learned from earlier runs.
+// construction (see DESIGN.md on the engine pool lifecycle).
 //
 // ctx cancels the run: segment dispatch stops, replicas waiting for pool
 // slots abandon the wait, and every already-acquired replica returns to the
@@ -248,7 +248,7 @@ func (e *Engine) RunCollection(ctx context.Context, collection string, comp anal
 }
 
 // RunOn executes a computation over a materialized collection value with the
-// engine's pools, estimators and option defaults — RunCollection without the
+// engine's pools and option defaults — RunCollection without the
 // catalog lookup, for embedding callers holding a collection that was never
 // registered. Cancellation semantics match RunCollection.
 func (e *Engine) RunOn(ctx context.Context, col *view.Collection, comp analytics.Computation, opts RunOptions) (*RunResult, error) {
@@ -261,11 +261,11 @@ func (e *Engine) RunOn(ctx context.Context, col *view.Collection, comp analytics
 // run's own Parallelism local replicas, which execute whatever a failed
 // runner hands back (see collectionRun.dispatch). Everything else — the
 // run/mutation barrier, which covers the whole sharded run, the root span,
-// the run counters, scheduling order, estimator feedback, progress hook and
-// result assembly — is the local run's. Runs whose segments cannot be
-// shipped ignore the slots and execute locally: adaptive mode plans online
-// against live observations, incremental runs step a warm replica, and a
-// computation without a wire spec cannot cross a process boundary.
+// the run counters, scheduling order, progress hook and result assembly —
+// is the local run's. Runs whose segments cannot be shipped ignore the slots
+// and execute locally: adaptive mode plans online against live
+// observations, incremental runs step a warm replica, and a computation
+// without a wire spec cannot cross a process boundary.
 func (e *Engine) RunSharded(ctx context.Context, col *view.Collection, comp analytics.Computation, opts RunOptions, slots []SegmentRunner) (*RunResult, error) {
 	if err := e.beginRun(); err != nil {
 		return nil, err
@@ -297,8 +297,7 @@ func (e *Engine) RunSharded(ctx context.Context, col *view.Collection, comp anal
 		// accumulated state an incremental run exists to reuse.
 		res, err = e.runIncremental(ctx, col, comp, opts)
 	} else {
-		pool, est := e.runnerPool(comp, opts.Workers, opts.Parallelism)
-		res, err = runCollection(ctx, col, comp, opts, pool, est, remote)
+		res, err = runCollection(ctx, col, comp, opts, e.runnerPool(comp, opts.Workers, opts.Parallelism), remote)
 	}
 	span.End()
 	obs.M.RunsInflight.Add(-1)
@@ -342,17 +341,15 @@ func normalizeRunOptions(opts *RunOptions) {
 // Engine.RunCollection.
 func RunCollectionContext(ctx context.Context, col *view.Collection, comp analytics.Computation, opts RunOptions) (*RunResult, error) {
 	normalizeRunOptions(&opts)
-	return runCollection(ctx, col, comp, opts, analytics.NewPool(comp, opts.Workers, opts.Parallelism), &schedule.Estimator{}, remoteSlots{})
+	return runCollection(ctx, col, comp, opts, analytics.NewPool(comp, opts.Workers, opts.Parallelism), remoteSlots{})
 }
 
-// runCollection is the shared executor body. The replica pool and the cost
-// estimator may be private to this run (RunCollectionContext) or
-// engine-owned and shared with concurrent runs; either way a per-run
-// admission limiter caps this run's concurrently live replicas at
-// opts.Parallelism, every replica returns to the pool as its segment
-// completes, and every executed view warms est, the model LPT dispatch
-// consults.
-func runCollection(ctx context.Context, col *view.Collection, comp analytics.Computation, opts RunOptions, shared *analytics.Pool, est *schedule.Estimator, remote remoteSlots) (*RunResult, error) {
+// runCollection is the shared executor body. The replica pool may be private
+// to this run (RunCollectionContext) or engine-owned and shared with
+// concurrent runs; either way a per-run admission limiter caps this run's
+// concurrently live replicas at opts.Parallelism, and every replica returns
+// to the pool as its segment completes.
+func runCollection(ctx context.Context, col *view.Collection, comp analytics.Computation, opts RunOptions, shared *analytics.Pool, remote remoteSlots) (*RunResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -368,7 +365,6 @@ func runCollection(ctx context.Context, col *view.Collection, comp analytics.Com
 		col:      col,
 		sizes:    stream.ViewSizes(),
 		cols:     edgeBatcher(g, wc),
-		observe:  feed(est),
 		progress: opts.OnSegment,
 	}
 	pool := newRunPool(shared, opts.Parallelism)
@@ -385,8 +381,8 @@ func runCollection(ctx context.Context, col *view.Collection, comp analytics.Com
 			obs.Int("views", k))
 		plan = staticPlan(opts.Mode, k)
 		order := fifoOrder(len(plan.Segments))
-		if opts.Schedule == schedule.LPT {
-			order = schedule.LPTOrder(est.PlanCosts(plan, cr.sizes, diffSizes(stream)))
+		if opts.Schedule == splitting.LPT {
+			order = splitting.LPTOrder(plan, cr.sizes, diffSizes(stream))
 		}
 		planSpan.End()
 		err = cr.dispatch(ctx, plan, order, pool, opts.Parallelism, remote)

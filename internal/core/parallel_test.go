@@ -11,7 +11,7 @@ import (
 	"graphsurge/internal/datagen"
 	"graphsurge/internal/graph"
 	"graphsurge/internal/gvdl"
-	"graphsurge/internal/schedule"
+	"graphsurge/internal/splitting"
 	"graphsurge/internal/view"
 )
 
@@ -75,11 +75,11 @@ func TestSegmentParallelDeterminism(t *testing.T) {
 	comps := []analytics.Computation{analytics.WCC{}, analytics.PageRank{}}
 	type variant struct {
 		mode  ExecMode
-		sched schedule.Policy
+		sched splitting.Policy
 	}
 	variants := []variant{
-		{mode: DiffOnly}, {mode: DiffOnly, sched: schedule.LPT},
-		{mode: Scratch}, {mode: Scratch, sched: schedule.LPT},
+		{mode: DiffOnly}, {mode: DiffOnly, sched: splitting.LPT},
+		{mode: Scratch}, {mode: Scratch, sched: splitting.LPT},
 		{mode: Adaptive},
 	}
 

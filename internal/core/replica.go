@@ -261,6 +261,7 @@ func (st *replica) extend(ctx context.Context, col *view.Collection, chain []uin
 	prefix := st.pos
 	runner := st.runner
 	preWork := append([]int64(nil), runner.WorkCounts()...)
+	done := totalWork(preWork)
 	stats := make([]ViewStats, 0, len(st.pending)+k-st.pos)
 	wallStart := time.Now()
 	for len(st.pending) > 0 || st.pos < k {
@@ -283,6 +284,8 @@ func (st *replica) extend(ctx context.Context, col *view.Collection, chain []uin
 		}
 		vs.Duration = runner.Step(adds, dels)
 		vs.OutputDiffs = runner.OutputDiffs()
+		work := totalWork(runner.WorkCounts())
+		vs.Work, done = work-done, work
 		st.next++
 		if delta {
 			// The state now equals col's final view at the delta's version.

@@ -14,7 +14,7 @@ import (
 
 	"graphsurge/internal/analytics"
 	"graphsurge/internal/datagen"
-	"graphsurge/internal/schedule"
+	"graphsurge/internal/splitting"
 	"graphsurge/internal/view"
 )
 
@@ -53,7 +53,7 @@ func TestLPTDeterminism(t *testing.T) {
 	}
 	for _, par := range []int{1, 4} {
 		res, err := RunCollectionContext(context.Background(), col, analytics.WCC{}, RunOptions{
-			Mode: Scratch, Parallelism: par, Schedule: schedule.LPT,
+			Mode: Scratch, Parallelism: par, Schedule: splitting.LPT,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -123,41 +123,6 @@ func v1(v int) int {
 	return v - 1
 }
 
-// TestEngineEstimatorWarmsAcrossRuns: the engine persists a cost estimator
-// per (computation, workers); after one run its models are warm, so a later
-// run's LPT ordering is driven by predicted seconds, not the size fallback.
-func TestEngineEstimatorWarmsAcrossRuns(t *testing.T) {
-	col := skewedCollection(t, 6, 43)
-	e := engineWithCollection(t, Options{}, col)
-	if _, err := e.RunCollection(context.Background(), col.Name, analytics.WCC{}, RunOptions{Mode: Scratch}); err != nil {
-		t.Fatal(err)
-	}
-	var est *schedule.Estimator
-	for _, en := range e.pools {
-		est = en.est
-	}
-	if est == nil {
-		t.Fatal("no estimator persisted")
-	}
-	s, _ := est.Observations()
-	if s != col.Stream.NumViews() {
-		t.Fatalf("estimator saw %d scratch observations, want %d", s, col.Stream.NumViews())
-	}
-	if _, modeled := est.SegmentCost(100, nil); !modeled {
-		t.Fatal("estimator still cold after a full run")
-	}
-	// A second LPT run consumes the warm estimator and stays correct.
-	res, err := e.RunCollection(context.Background(), col.Name, analytics.WCC{}, RunOptions{
-		Mode: Scratch, Parallelism: 4, Schedule: schedule.LPT,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.FinalResults()) == 0 {
-		t.Fatal("no results from warm-estimator LPT run")
-	}
-}
-
 // expandingCollection builds a k-view collection of growing windows: view 0
 // holds base edges and every later view adds step more, so each diff is a
 // small fraction of its view and differential execution reliably pays.
@@ -204,6 +169,41 @@ func TestParallelAdaptiveSplits(t *testing.T) {
 			if !reflect.DeepEqual(res.FinalResults(), base.FinalResults()) {
 				t.Fatalf("ℓ=%d p=%d: results differ from Parallelism 1", batch, par)
 			}
+		}
+	}
+}
+
+// TestAdaptivePlanIsReplayable: the optimizer learns from dataflow work, so
+// with one dataflow worker and Parallelism 1 an adaptive plan is a function
+// of the collection — a cold private pool and an engine pool whose replicas
+// an earlier run left warm choose every view's mode alike, at a small ℓ and
+// the default one. (With more workers, scope partitioning draws a fresh hash
+// seed per dataflow and work moves by a few percent.)
+func TestAdaptivePlanIsReplayable(t *testing.T) {
+	ctx := context.Background()
+	for _, col := range []*view.Collection{disjointCollection(t, 12, 400), expandingCollection(t, 12, 3000, 150)} {
+		e := engineWithCollection(t, Options{}, col)
+		for _, batch := range []int{0, 2} {
+			opts := RunOptions{Mode: Adaptive, Workers: 1, Parallelism: 1, BatchSize: batch}
+			cold, err := RunCollectionContext(ctx, col, analytics.WCC{}, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for run := 0; run < 2; run++ {
+				warm, err := e.RunCollection(ctx, col.Name, analytics.WCC{}, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, st := range warm.Stats {
+					if want := cold.Stats[i]; st.Mode != want.Mode || st.Work != want.Work {
+						t.Fatalf("%s ℓ=%d run %d view %d: %v with %d work on the engine pool, %v with %d on a cold pool",
+							col.Name, batch, run, i, st.Mode, st.Work, want.Mode, want.Work)
+					}
+				}
+			}
+		}
+		if ps := e.PoolStats(); len(ps) != 1 || ps[0].Reused == 0 {
+			t.Fatalf("%s: the engine runs recycled no replica: %+v", col.Name, ps)
 		}
 	}
 }
@@ -330,14 +330,14 @@ func settleGoroutines(t *testing.T, base int) {
 // and leak no goroutine — in FIFO and LPT dispatch order.
 func TestDispatchAcquireFailure(t *testing.T) {
 	col := randomCollection(t, 6, 23)
-	for _, policy := range []schedule.Policy{schedule.FIFO, schedule.LPT} {
+	for _, policy := range []splitting.Policy{splitting.FIFO, splitting.LPT} {
 		base := runtime.NumGoroutine()
 		builds := int32(2)
 		comp := failComp{builds: &builds}
 		pool := analytics.NewPool(comp, 1, 2)
 		_, err := runCollection(context.Background(), col, comp, RunOptions{
 			Mode: Scratch, Workers: 1, Parallelism: 2, Schedule: policy,
-		}, pool, &schedule.Estimator{}, remoteSlots{})
+		}, pool, remoteSlots{})
 		if err == nil {
 			t.Fatalf("%v: expected injected failure, got nil", policy)
 		}
@@ -364,7 +364,7 @@ func TestRunAdaptiveAcquireFailure(t *testing.T) {
 		pool := analytics.NewPool(comp, 1, par)
 		_, err := runCollection(context.Background(), col, comp, RunOptions{
 			Mode: Adaptive, Workers: 1, Parallelism: par, BatchSize: 2,
-		}, pool, &schedule.Estimator{}, remoteSlots{})
+		}, pool, remoteSlots{})
 		if err == nil {
 			t.Fatalf("%s: no error despite acquire failures at splits", name)
 		}

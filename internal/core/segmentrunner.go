@@ -120,8 +120,7 @@ type SegmentRunner interface {
 // RunSegment executes one shard on this engine, drawing the replica from the
 // engine's warm runner pool for (computation, workers) — a worker process
 // serving many jobs for the same computation recycles its dataflows across
-// them exactly as repeated local runs do — and warming that key's cost
-// estimator with the views it steps. Workers defaults to the engine's option
+// them exactly as repeated local runs do. Workers defaults to the engine's option
 // when the spec leaves it unset; the pool is grown to the engine's
 // Parallelism so that many concurrent RunSegment calls (a coordinator keeps
 // a worker's slots busy) each get their own replica. A canceled ctx aborts
@@ -145,14 +144,14 @@ func (e *Engine) RunSegment(ctx context.Context, spec *SegmentSpec) (*SegmentOut
 	if workers < 1 {
 		workers = e.opts.Workers
 	}
-	pool, est := e.runnerPool(comp, workers, e.opts.Parallelism)
+	pool := e.runnerPool(comp, workers, e.opts.Parallelism)
 	r, setup, err := pool.Acquire(ctx)
 	if err != nil {
 		return nil, err
 	}
 	defer pool.Release(r)
 	s := &segmentExec{r: r, start: spec.Start, setup: setup}
-	return s.run(ctx, spec.End, true, feed(est), spec.view)
+	return s.run(ctx, spec.End, true, spec.view)
 }
 
 // MergeSegmentOutcomes assembles a run's RunResult from its segments'

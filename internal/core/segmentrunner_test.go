@@ -10,7 +10,6 @@ import (
 
 	"graphsurge/internal/analytics"
 	"graphsurge/internal/graph"
-	"graphsurge/internal/schedule"
 	"graphsurge/internal/splitting"
 )
 
@@ -70,8 +69,8 @@ func (w *tapRunner) RunSegment(ctx context.Context, spec *SegmentSpec) (*Segment
 // dispatch orders, in-process workers, a worker dying mid-run, the adaptive
 // planner inline, overlapped and speculating — and holds each result against
 // the sequential runs: same final results, same per-view identity and output
-// sizes, segments tiling the collection exactly once, and for static plans
-// the same aggregated work.
+// sizes, segments tiling the collection exactly once, per-view work summing
+// to the run's work counters, and for static plans the same aggregated work.
 func TestSegmentPipelineEquivalence(t *testing.T) {
 	ctx := context.Background()
 	col := disjointCollection(t, 10, 300)
@@ -104,9 +103,9 @@ func TestSegmentPipelineEquivalence(t *testing.T) {
 	}{
 		{name: "local p=1", modes: static, opts: RunOptions{Parallelism: 1}},
 		{name: "local p=3 fifo", modes: static, opts: RunOptions{Parallelism: 3}},
-		{name: "local p=3 lpt", modes: static, opts: RunOptions{Parallelism: 3, Schedule: schedule.LPT}},
+		{name: "local p=3 lpt", modes: static, opts: RunOptions{Parallelism: 3, Schedule: splitting.LPT}},
 		{name: "two workers", modes: static, opts: RunOptions{Parallelism: 2}, workers: 2},
-		{name: "two workers lpt", modes: static, opts: RunOptions{Schedule: schedule.LPT}, workers: 2},
+		{name: "two workers lpt", modes: static, opts: RunOptions{Schedule: splitting.LPT}, workers: 2},
 		{name: "worker killed mid-run", modes: []ExecMode{Scratch}, opts: RunOptions{Parallelism: 2}, workers: 2, kill: true},
 		{name: "adaptive p=1", modes: []ExecMode{Adaptive}, opts: RunOptions{Parallelism: 1, BatchSize: 2}},
 		{name: "adaptive p=3", modes: []ExecMode{Adaptive}, opts: RunOptions{Parallelism: 3, BatchSize: 2}},
@@ -179,6 +178,15 @@ func TestSegmentPipelineEquivalence(t *testing.T) {
 					if st.Duration <= 0 {
 						t.Fatalf("view %d has no measured duration", i)
 					}
+				}
+				// Every unit of work a replica counted lands on exactly one
+				// view: the optimizer's observations add up to the run.
+				var viewWork int64
+				for _, st := range res.Stats {
+					viewWork += st.Work
+				}
+				if runWork := totalWork(res.work); viewWork != runWork || runWork == 0 {
+					t.Fatalf("views account for %d work, the run's counters for %d", viewWork, runWork)
 				}
 				if c.spec {
 					specSegs := 0

@@ -8,7 +8,6 @@ import (
 	"graphsurge/internal/analytics"
 	"graphsurge/internal/graph"
 	"graphsurge/internal/obs"
-	"graphsurge/internal/schedule"
 	"graphsurge/internal/splitting"
 	"graphsurge/internal/view"
 )
@@ -85,7 +84,8 @@ type viewStep struct {
 }
 
 // collectionRun is the shared context of one RunCollection call: read-only
-// inputs, the cost-model hook, and the outcomes completed segments publish.
+// inputs, the adaptive optimizer's hook, and the outcomes completed segments
+// publish.
 // Every strategy — static dispatch on local and remote slots, adaptive
 // planning, committed speculation — reduces to "a segment produced a
 // SegmentOutcome", and MergeSegmentOutcomes assembles the result from them.
@@ -96,9 +96,9 @@ type collectionRun struct {
 	// (see edgeBatcher).
 	cols func(idxs []uint32) *graph.EdgeBatch
 
-	// observe receives every executed view's measured runtime for the run's
-	// cost models: the scheduling estimator (LPT ordering of later runs) and,
-	// in adaptive mode, the optimizer. Safe to call from segment goroutines.
+	// observe feeds an adaptive run's optimizer each executed view's stats;
+	// runAdaptive sets it, and static runs leave it nil. Safe to call from
+	// segment goroutines.
 	observe func(st ViewStats, seed bool)
 
 	// progress, when set (RunOptions.OnSegment), receives each segment's
@@ -110,17 +110,6 @@ type collectionRun struct {
 
 	// Speculation tallies; only the adaptive planner goroutine touches them.
 	specHits, specMisses int
-}
-
-// feed returns the observe hook that warms a scheduling estimator.
-func feed(est *schedule.Estimator) func(ViewStats, bool) {
-	return func(st ViewStats, seed bool) {
-		if seed {
-			est.ObserveScratch(st.ViewSize, st.Duration)
-		} else {
-			est.ObserveDiff(st.DiffSize, st.Duration)
-		}
-	}
 }
 
 // view returns view t of the run's stream as a step. A segment's opening
@@ -163,6 +152,7 @@ type segmentExec struct {
 	drain time.Duration // wall time spent on the segment's views
 	spec  bool          // opened by a committed speculation
 	stats []ViewStats
+	work  int64 // the replica's total work after the last step
 
 	jobs chan viewJob
 	done chan struct{}
@@ -177,13 +167,13 @@ type segmentExec struct {
 
 // step is the one place a view executes on a segment's replica — static
 // slots, worker-side shards, the adaptive consumer and speculation all come
-// through it. It steps the runner, completes the view's stats and reports the
-// measured runtime to observe. A seed view that splits the collection is
-// timed together with the segment's setup cost, so a split pays for the
-// dataflow and seed it rebuilds; the collection's opening view times only
-// the step. A nil observe defers the report to the caller (a speculative
-// seed is observed only if it commits).
-func (s *segmentExec) step(v viewStep, observe func(ViewStats, bool)) {
+// through it. It steps the runner and completes the view's stats, among them
+// Work: the growth of the replica's work counters, which an acquired replica
+// starts at zero. Work is the adaptive optimizer's cost; Duration is
+// reported only. A seed view that splits the collection reports its
+// segment's setup with its step, so a split shows the dataflow and seed it
+// rebuilds; the collection's opening view reports only the step.
+func (s *segmentExec) step(v viewStep) ViewStats {
 	st := v.meta
 	start := time.Now()
 	st.Duration = s.r.Step(v.adds, v.dels)
@@ -191,23 +181,32 @@ func (s *segmentExec) step(v viewStep, observe func(ViewStats, bool)) {
 		st.Duration = s.setup + time.Since(start)
 	}
 	st.OutputDiffs = s.r.OutputDiffs()
+	work := totalWork(s.r.WorkCounts())
+	st.Work, s.work = work-s.work, work
 	s.stats = append(s.stats, st)
-	if observe != nil {
-		observe(st, v.seed)
+	return st
+}
+
+// totalWork sums per-worker work counters.
+func totalWork(counts []int64) int64 {
+	var n int64
+	for _, c := range counts {
+		n += c
 	}
+	return n
 }
 
 // run steps views [s.start, end) in order and returns the segment's outcome.
 // Cancellation is honored at view boundaries (a differential step cannot be
 // interrupted mid-fixpoint); a canceled segment returns ctx's error and no
 // outcome.
-func (s *segmentExec) run(ctx context.Context, end int, final bool, observe func(ViewStats, bool), view func(t int) viewStep) (*SegmentOutcome, error) {
+func (s *segmentExec) run(ctx context.Context, end int, final bool, view func(t int) viewStep) (*SegmentOutcome, error) {
 	began := time.Now()
 	for t := s.start; t < end; t++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		s.step(view(t), observe)
+		s.step(view(t))
 	}
 	s.drain = time.Since(began)
 	return s.outcome(end, final), nil
@@ -343,9 +342,6 @@ func (cr *collectionRun) dispatch(ctx context.Context, plan splitting.Plan, orde
 					retry <- seg
 					return
 				}
-				for i, st := range out.Stats {
-					cr.observe(st, i == 0)
-				}
 				cr.record(out)
 			}
 		}(r)
@@ -368,7 +364,7 @@ func (cr *collectionRun) dispatch(ctx context.Context, plan splitting.Plan, orde
 						cancel(err)
 						return
 					}
-					out, err := s.run(ctx, seg.End, seg.End == plan.NumViews(), cr.observe, view(seg))
+					out, err := s.run(ctx, seg.End, seg.End == plan.NumViews(), view(seg))
 					releaseSeg(pool, s)
 					if err != nil {
 						cancel(err)
@@ -424,11 +420,13 @@ type viewJob struct {
 // observations are in the models.
 var barrier = viewJob{t: -1}
 
-// runJob executes one planned view on the segment's replica.
+// runJob executes one planned view on the segment's replica and feeds its
+// stats to the optimizer.
 func (cr *collectionRun) runJob(s *segmentExec, j viewJob) {
 	began := time.Now()
-	s.step(cr.view(j.t, j.mode, j.seed), cr.observe)
+	st := s.step(cr.view(j.t, j.mode, j.seed))
 	s.drain += time.Since(began)
+	cr.observe(st, j.seed != nil)
 }
 
 // consume drains the segment's queued views in order and signals completion.
@@ -482,8 +480,8 @@ func (cr *collectionRun) speculate(ctx context.Context, opt *splitting.Optimizer
 		began := time.Now()
 		seed, build := cr.seed(p)
 		s := &segmentExec{r: r, start: p, setup: setup + build, spec: true, span: span}
-		// The cost models see the seed view only if its segment commits.
-		s.step(cr.view(p, splitting.ModeScratch, seed), nil)
+		// The optimizer sees the seed view only if its segment commits.
+		s.step(cr.view(p, splitting.ModeScratch, seed))
 		s.drain = time.Since(began)
 		sp.s = s
 	}()
@@ -509,8 +507,11 @@ func (cr *collectionRun) speculate(ctx context.Context, opt *splitting.Optimizer
 // still deciding (see speculate); a speculative seed view's outcome and
 // model observations are recorded only if its segment commits, so a miss
 // leaves the run's results, ViewStats and work aggregates exactly as if it
-// never happened. Split points — never results — may vary with timing, as
-// they already do run to run sequentially.
+// never happened. The optimizer learns from work, not time, so at
+// Parallelism=1 with one dataflow worker the plan is the same on every run;
+// at Parallelism>1 which view is still in flight at a decision depends on
+// timing, so split points — never results — may differ from the inline
+// plan's.
 func (cr *collectionRun) runAdaptive(ctx context.Context, opts RunOptions, pool *runPool) (splitting.Plan, error) {
 	k := cr.col.Stream.NumViews()
 	opt := &splitting.Optimizer{BatchSize: opts.BatchSize}
@@ -519,15 +520,13 @@ func (cr *collectionRun) runAdaptive(ctx context.Context, opts RunOptions, pool 
 	// One mutex serializes planner decisions against observations arriving
 	// from segment goroutines; the optimizer is not safe for concurrent use.
 	var mu sync.Mutex
-	warm := cr.observe
 	cr.observe = func(st ViewStats, seed bool) {
-		warm(st, seed)
 		mu.Lock()
 		defer mu.Unlock()
 		if seed {
-			opt.ObserveScratch(st.ViewSize, st.Duration)
+			opt.ObserveScratch(st.ViewSize, st.Work)
 		} else {
-			opt.ObserveDiff(st.DiffSize, st.Duration)
+			opt.ObserveDiff(st.DiffSize, st.Work)
 		}
 	}
 

@@ -13,7 +13,6 @@ import (
 	"graphsurge/internal/dataflow"
 	"graphsurge/internal/graph"
 	"graphsurge/internal/gvdl"
-	"graphsurge/internal/schedule"
 )
 
 // TestSessionDoTypedRequests drives every request type through one Session
@@ -208,7 +207,7 @@ func TestCancelMidRunReturnsReplicas(t *testing.T) {
 			defer cancel()
 			errCh := make(chan error, 1)
 			go func() {
-				_, err := runCollection(ctx, col, comp, tc.opts, pool, &schedule.Estimator{}, remoteSlots{})
+				_, err := runCollection(ctx, col, comp, tc.opts, pool, remoteSlots{})
 				errCh <- err
 			}()
 			<-comp.started

@@ -16,7 +16,8 @@ import (
 // delta's key is hashed once for the lookup on one side and the append on
 // the other. The first run after the scope's frontier moves folds each side
 // into one canonical batch clamped to the frontier — one pass over the
-// trace into a recycled column set, allocation-free once warm — and batches
+// trace into a recycled column set when a free one has room for it, else
+// into a new one (see arrange.Trace.Advance) — and batches
 // sealed later in the version clamp as they are written. Batch entries may
 // therefore be clamped while stage entries are raw, which is
 // indistinguishable to the join since it only Joins against times at or

@@ -1,5 +1,10 @@
 package splitting
 
+import (
+	"fmt"
+	"sort"
+)
+
 // Segment is a maximal run of views executed on one dataflow instance: the
 // first view seeds the dataflow (the initial load for the segment opening the
 // collection, a from-scratch run for every later segment) and the remaining
@@ -110,3 +115,68 @@ func (p *Planner) Extend(viewSize, diffSize int) (Mode, bool) {
 // Plan returns the plan built so far. The returned value shares backing
 // arrays with the planner; callers should be done extending.
 func (p *Planner) Plan() Plan { return p.plan }
+
+// Policy selects the dispatch order of a static plan's segments.
+type Policy uint8
+
+const (
+	// FIFO dispatches segments in collection order.
+	FIFO Policy = iota
+	// LPT dispatches the largest segment first (Longest Processing Time), so
+	// on a skewed collection the largest segment cannot land last and
+	// serialize the tail of the run.
+	LPT
+)
+
+func (p Policy) String() string {
+	if p == LPT {
+		return "lpt"
+	}
+	return "fifo"
+}
+
+// ParsePolicy parses a policy name: "fifo" (or empty) or "lpt".
+func ParsePolicy(s string) (Policy, error) {
+	switch s {
+	case "fifo", "":
+		return FIFO, nil
+	case "lpt":
+		return LPT, nil
+	}
+	return FIFO, fmt.Errorf("splitting: unknown schedule policy %q (want fifo or lpt)", s)
+}
+
+// MarshalText encodes the policy as its name, so JSON request bodies carry
+// "lpt" rather than an enum ordinal.
+func (p Policy) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
+
+// UnmarshalText parses a policy name — the same names ParsePolicy accepts,
+// so the HTTP API and the -schedule flag agree.
+func (p *Policy) UnmarshalText(text []byte) error {
+	parsed, err := ParsePolicy(string(text))
+	if err != nil {
+		return err
+	}
+	*p = parsed
+	return nil
+}
+
+// LPTOrder returns a dispatch permutation over plan's segments, largest
+// first. A segment's size is its seed view's |GV| plus its successors' |δC|,
+// given per view by viewSizes and diffSizes. Static plans have two shapes —
+// single-view scratch segments, or one diff-only segment — and for those
+// this orders segments as any cost model with a positive slope would. Ties
+// keep collection order, so dispatch is deterministic.
+func LPTOrder(plan Plan, viewSizes, diffSizes []int) []int {
+	size := make([]int, len(plan.Segments))
+	order := make([]int, len(plan.Segments))
+	for i, seg := range plan.Segments {
+		order[i] = i
+		size[i] = viewSizes[seg.Start]
+		for _, d := range diffSizes[seg.Start+1 : seg.End] {
+			size[i] += d
+		}
+	}
+	sort.SliceStable(order, func(a, b int) bool { return size[order[a]] > size[order[b]] })
+	return order
+}

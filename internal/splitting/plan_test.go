@@ -1,8 +1,8 @@
 package splitting
 
 import (
+	"slices"
 	"testing"
-	"time"
 )
 
 func TestPlanDiffOnly(t *testing.T) {
@@ -79,8 +79,8 @@ func TestPlannerBootstrap(t *testing.T) {
 
 	// Make differential execution look terrible and scratch cheap, so the
 	// next batch decision declares a split.
-	opt.ObserveScratch(100, 1*time.Millisecond)
-	opt.ObserveDiff(10, 10*time.Second)
+	opt.ObserveScratch(100, 1)
+	opt.ObserveDiff(10, 10000)
 	mode, split = pl.Extend(100, 10)
 	if mode != ModeScratch || !split {
 		t.Fatalf("view 2: %v %v", mode, split)
@@ -104,5 +104,61 @@ func TestPlannerBootstrap(t *testing.T) {
 	}
 	if next != p.NumViews() {
 		t.Fatalf("coverage: %+v", p.Segments)
+	}
+}
+
+func TestParsePolicy(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want Policy
+	}{{"fifo", FIFO}, {"", FIFO}, {"lpt", LPT}} {
+		got, err := ParsePolicy(c.in)
+		if err != nil || got != c.want {
+			t.Fatalf("ParsePolicy(%q) = %v, %v", c.in, got, err)
+		}
+		var parsed Policy
+		if text, _ := got.MarshalText(); parsed.UnmarshalText(text) != nil || parsed != got {
+			t.Fatalf("%v does not round-trip through its text form", got)
+		}
+	}
+	if _, err := ParsePolicy("bogus"); err == nil {
+		t.Fatal("expected error for unknown policy")
+	}
+	if FIFO.String() != "fifo" || LPT.String() != "lpt" {
+		t.Fatal("policy String()")
+	}
+}
+
+// TestLPTOrder: segments dispatch largest first and ties keep collection
+// order.
+func TestLPTOrder(t *testing.T) {
+	// Five scratch segments sized 3, 9, 1, 9, 5: descending, ties in
+	// collection order.
+	order := LPTOrder(PlanScratch(5), []int{3, 9, 1, 9, 5}, make([]int, 5))
+	if want := []int{1, 3, 4, 0, 2}; !slices.Equal(order, want) {
+		t.Fatalf("LPTOrder = %v, want %v", order, want)
+	}
+	if len(LPTOrder(PlanScratch(0), nil, nil)) != 0 {
+		t.Fatal("empty order")
+	}
+}
+
+// TestPlanCosts: a multi-view segment's size is its seed view's |GV| plus
+// its successors' |δC|; the seed's own difference and the sizes of the
+// successor views do not count.
+func TestPlanCosts(t *testing.T) {
+	plan := PlanFromModes([]Mode{ModeScratch, ModeDiff, ModeScratch, ModeDiff})
+	// seg0 = 100 + 30, seg1 = 50 + 10: seg0 first.
+	if order := LPTOrder(plan, []int{100, 110, 50, 55}, []int{100, 30, 80, 10}); !slices.Equal(order, []int{0, 1}) {
+		t.Fatalf("LPTOrder = %v, want [0 1]", order)
+	}
+	// seg0 = 100 + 30, seg1 = 50 + 90: the successor's difference puts
+	// seg1 first, though its seed is the smaller view.
+	if order := LPTOrder(plan, []int{100, 110, 50, 55}, []int{100, 30, 80, 90}); !slices.Equal(order, []int{1, 0}) {
+		t.Fatalf("LPTOrder = %v, want [1 0]", order)
+	}
+	// seg1's seed difference (800) is not part of its size: seg0 stays first.
+	if order := LPTOrder(plan, []int{100, 110, 50, 55}, []int{100, 30, 800, 10}); !slices.Equal(order, []int{0, 1}) {
+		t.Fatalf("LPTOrder = %v, want [0 1]; a seed's own difference must not count", order)
 	}
 }

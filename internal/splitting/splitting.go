@@ -7,16 +7,27 @@
 // still shared differentially within the view) and continuing differentially
 // from there.
 //
-// The optimizer observes two runtime signals — (|GV_i|, scratch time) and
-// (|δC_i|, differential time) — fits a simple linear model to each, and picks
-// the predicted-faster mode for each upcoming batch of ℓ views (ℓ = 10 by
+// The optimizer observes two signals — (|GV_i|, scratch work) and
+// (|δC_i|, differential work) — fits a simple linear model to each, and picks
+// the predicted-cheaper mode for each upcoming batch of ℓ views (ℓ = 10 by
 // default, matching the paper; batching keeps the engine's indexing efficient
 // when consecutive views run differentially). Bootstrap follows the paper:
 // view 1 runs from scratch, view 2 differentially, and models take over from
 // view 3.
+//
+// Cost is counted in dataflow work — records processed by stateful
+// operators, summed over workers, the proxy Figure 10 plots — not in wall
+// time as the paper does. Work carries no timer noise, so with one dataflow
+// worker a plan is a function of the collection and the computation alone.
+// Work leaves out replica setup and seed building, which a split also pays;
+// the scratch model does not charge them.
 package splitting
 
-import "time"
+import (
+	"math"
+
+	"graphsurge/internal/obs"
+)
 
 // Model is an online simple linear regression y ≈ a + b·x. With a single
 // observation it predicts proportionally through the origin; with none it
@@ -84,7 +95,7 @@ func (m Mode) String() string {
 // DefaultBatchSize is ℓ, the number of views per splitting decision.
 const DefaultBatchSize = 10
 
-// Optimizer makes per-batch splitting decisions from observed runtimes.
+// Optimizer makes per-batch splitting decisions from observed work.
 type Optimizer struct {
 	// BatchSize overrides ℓ when > 0.
 	BatchSize int
@@ -95,14 +106,24 @@ type Optimizer struct {
 	mode    Mode
 }
 
-// ObserveScratch records a from-scratch run of a view with |GV| = size.
-func (o *Optimizer) ObserveScratch(size int, d time.Duration) {
-	o.scratch.Observe(float64(size), d.Seconds())
-}
+// ObserveScratch records a from-scratch run of a view with |GV| = size that
+// did the given dataflow work.
+func (o *Optimizer) ObserveScratch(size int, work int64) { observe(&o.scratch, size, work) }
 
-// ObserveDiff records a differential run of a view with |δC| = size.
-func (o *Optimizer) ObserveDiff(size int, d time.Duration) {
-	o.diff.Observe(float64(size), d.Seconds())
+// ObserveDiff records a differential run of a view with |δC| = size that did
+// the given dataflow work.
+func (o *Optimizer) ObserveDiff(size int, work int64) { observe(&o.diff, size, work) }
+
+// observe adds a point to m. When m was already warm, the prediction it
+// would have made is first scored as |predicted−actual|/actual — the
+// estimator-accuracy signal /metrics exposes. A view that did no work has no
+// relative error to score.
+func observe(m *Model, size int, work int64) {
+	x, y := float64(size), float64(work)
+	if pred, warm := m.Predict(x); warm && work > 0 {
+		obs.M.EstimatorError.Observe(math.Abs(pred-y) / y)
+	}
+	m.Observe(x, y)
 }
 
 // peekMode returns the mode the current models would choose for a view with

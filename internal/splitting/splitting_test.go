@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestModelNoData(t *testing.T) {
@@ -75,11 +74,11 @@ func TestAdaptsToFasterScratch(t *testing.T) {
 	// the optimizer should switch to scratch.
 	o := Optimizer{BatchSize: 2}
 	o.Decide(0, 100, 100)
-	o.ObserveScratch(100, 100*time.Millisecond) // 1ms per size unit
+	o.ObserveScratch(100, 100) // 1 work unit per size unit
 	o.Decide(1, 100, 50)
-	o.ObserveDiff(50, 500*time.Millisecond) // 10ms per diff unit
+	o.ObserveDiff(50, 500) // 10 per diff unit
 
-	m := o.Decide(2, 100, 50) // predicted: scratch 100ms, diff 500ms
+	m := o.Decide(2, 100, 50) // predicted: scratch 100, diff 500
 	if m != ModeScratch {
 		t.Fatalf("expected scratch, got %v", m)
 	}
@@ -92,9 +91,9 @@ func TestAdaptsToFasterScratch(t *testing.T) {
 func TestAdaptsToFasterDiff(t *testing.T) {
 	o := Optimizer{BatchSize: 1}
 	o.Decide(0, 1000, 1000)
-	o.ObserveScratch(1000, time.Second)
+	o.ObserveScratch(1000, 1000)
 	o.Decide(1, 1000, 10)
-	o.ObserveDiff(10, 5*time.Millisecond)
+	o.ObserveDiff(10, 5)
 
 	if m := o.Decide(2, 1000, 10); m != ModeDiff {
 		t.Fatalf("expected diff, got %v", m)
@@ -105,14 +104,14 @@ func TestDecisionUsesSizes(t *testing.T) {
 	// Same models, different upcoming diff sizes flip the decision.
 	o := Optimizer{BatchSize: 1}
 	o.Decide(0, 100, 0)
-	o.ObserveScratch(100, 100*time.Millisecond)
+	o.ObserveScratch(100, 100)
 	o.Decide(1, 100, 10)
-	o.ObserveDiff(10, 20*time.Millisecond) // 2ms per diff unit
+	o.ObserveDiff(10, 20) // 2 per diff unit
 
-	if m := o.Decide(2, 100, 10); m != ModeDiff { // 100ms vs 20ms
+	if m := o.Decide(2, 100, 10); m != ModeDiff { // 100 vs 20
 		t.Fatalf("small diff: got %v", m)
 	}
-	if m := o.Decide(3, 100, 200); m != ModeScratch { // 100ms vs 400ms
+	if m := o.Decide(3, 100, 200); m != ModeScratch { // 100 vs 400
 		t.Fatalf("large diff: got %v", m)
 	}
 }
@@ -128,23 +127,23 @@ func TestBatchExpiryAllowsModeSwitch(t *testing.T) {
 	// the mid-collection adaptation the paper's Caut experiment relies on.
 	o := Optimizer{BatchSize: 3}
 	o.Decide(0, 100, 0)
-	o.ObserveScratch(100, 100*time.Millisecond)
+	o.ObserveScratch(100, 100)
 	o.Decide(1, 100, 10)
-	o.ObserveDiff(10, 10*time.Millisecond) // diff looks cheap
+	o.ObserveDiff(10, 10) // diff looks cheap
 
 	if m := o.Decide(2, 100, 10); m != ModeDiff { // batch covers views 2-4
 		t.Fatalf("view 2: %v", m)
 	}
 	// Differential turns out slow on the next observations.
-	o.ObserveDiff(10, 900*time.Millisecond)
+	o.ObserveDiff(10, 900)
 	if m := o.Decide(3, 100, 10); m != ModeDiff {
 		t.Fatal("view 3 must reuse the batch decision")
 	}
-	o.ObserveDiff(10, 900*time.Millisecond)
+	o.ObserveDiff(10, 900)
 	o.Decide(4, 100, 10)
 	// New batch at view 5: the updated diff model flips the mode.
 	if m := o.Decide(5, 100, 10); m != ModeScratch {
-		t.Fatalf("view 5: %v (diff model should now predict ~600ms > 100ms)", m)
+		t.Fatalf("view 5: %v (diff model should now predict ~600 > 100)", m)
 	}
 }
 
@@ -152,12 +151,12 @@ func TestDefaultBatchSize(t *testing.T) {
 	var o Optimizer
 	o.Decide(0, 10, 0)
 	o.Decide(1, 10, 5)
-	o.ObserveScratch(10, time.Millisecond)
-	o.ObserveDiff(5, 10*time.Millisecond)
+	o.ObserveScratch(10, 10)
+	o.ObserveDiff(5, 100)
 	first := o.Decide(2, 10, 5)
 	// Views 3..11 are inside the default ℓ=10 batch; the decision must not
 	// be recomputed even as observations change.
-	o.ObserveDiff(5, time.Microsecond)
+	o.ObserveDiff(5, 0)
 	for i := 3; i < 12; i++ {
 		if o.Decide(i, 10, 5) != first {
 			t.Fatalf("view %d re-decided inside the default batch", i)
@@ -190,18 +189,18 @@ func TestPredictionAPI(t *testing.T) {
 		t.Fatalf("cold NextSplit(1) = %d", p)
 	}
 
-	// Scratch costs 1ms per unit size, diff 10ms per unit: scratch wins.
-	o.ObserveScratch(100, 100*time.Millisecond)
-	o.ObserveScratch(200, 200*time.Millisecond)
-	o.ObserveDiff(10, 100*time.Millisecond)
-	o.ObserveDiff(20, 200*time.Millisecond)
+	// Scratch costs 1 work unit per unit size, diff 10 per unit: scratch wins.
+	o.ObserveScratch(100, 100)
+	o.ObserveScratch(200, 200)
+	o.ObserveDiff(10, 100)
+	o.ObserveDiff(20, 200)
 
 	st, ok := o.scratch.Predict(300)
-	if !ok || st < 0.25 || st > 0.35 {
+	if !ok || st < 250 || st > 350 {
 		t.Fatalf("scratch.Predict(300) = %v, %v", st, ok)
 	}
 	dt, ok := o.diff.Predict(50)
-	if !ok || dt < 0.4 || dt > 0.6 {
+	if !ok || dt < 400 || dt > 600 {
 		t.Fatalf("diff.Predict(50) = %v, %v", dt, ok)
 	}
 
@@ -249,10 +248,10 @@ func TestNextSplitMatchesDecide(t *testing.T) {
 		for i := 0; i < from; i++ {
 			o.Decide(i, views[i], diffs[i])
 			if r.Intn(2) == 0 {
-				o.ObserveScratch(1+r.Intn(1000), time.Duration(r.Intn(1e6)))
+				o.ObserveScratch(1+r.Intn(1000), int64(r.Intn(1e6)))
 			}
 			if r.Intn(2) == 0 {
-				o.ObserveDiff(r.Intn(1000), time.Duration(r.Intn(1e6)))
+				o.ObserveDiff(r.Intn(1000), int64(r.Intn(1e6)))
 			}
 		}
 		before := *o
@@ -271,5 +270,83 @@ func TestNextSplitMatchesDecide(t *testing.T) {
 			t.Fatalf("trial %d (k=%d from=%d ℓ=%d): NextSplit = %d, %v; Decide splits at %d, %v",
 				trial, k, from, before.BatchSize, got, ok, want, wantOK)
 		}
+	}
+}
+
+// TestPredictSplit: the split point speculative segment starts seed from
+// (Optimizer.NextSplit) skips the views inside a diff batch and returns the
+// first batch boundary whose models prefer scratch — agreeing with what
+// Decide does when the real decisions arrive with unchanged models.
+func TestPredictSplit(t *testing.T) {
+	opt := &Optimizer{BatchSize: 2}
+	// Bootstrap views 0 and 1 so the next fresh decision lands at 2.
+	opt.Decide(0, 100, 100)
+	opt.Decide(1, 100, 10)
+	// Diff is cheap for small diffs, terrible for large ones; scratch flat.
+	opt.ObserveScratch(100, 10)
+	opt.ObserveDiff(10, 2)
+	opt.ObserveDiff(20, 4)
+
+	// Views 2..7: diffs stay small until view 6, which is a huge diff the
+	// model prices above a scratch run. View 5's diff is huge too, but it
+	// sits inside the batch view 4 opened, so it inherits diff.
+	viewSizes := []int{100, 100, 100, 100, 100, 100, 100, 100}
+	diffSizes := []int{100, 10, 10, 12, 11, 900, 500, 12}
+
+	p, ok := opt.NextSplit(2, viewSizes, diffSizes)
+	if !ok || p != 6 {
+		t.Fatalf("NextSplit = %d, %v, want 6 (the first batch boundary whose diff is priced above scratch)", p, ok)
+	}
+	// The real decisions, fed the same sizes with unchanged models, agree:
+	// views 2..5 run differentially, view 6 opens a scratch batch (and view
+	// 7, inside that batch, inherits its mode — a batch, not a boundary).
+	for i := 2; i < 8; i++ {
+		mode := opt.Decide(i, viewSizes[i], diffSizes[i])
+		if want := i >= 6; want != (mode == ModeScratch) {
+			t.Fatalf("Decide(%d) = %v, prediction said the scratch batch opens at 6", i, mode)
+		}
+	}
+
+	// View 7 sits inside the scratch batch Decide(6) opened, so it splits
+	// too and the prediction says so.
+	if p, ok := opt.NextSplit(7, viewSizes, diffSizes); !ok || p != 7 {
+		t.Fatalf("NextSplit(7) = %d, %v; view 7 is in the scratch batch", p, ok)
+	}
+	// Past the collection there is nothing to predict.
+	if _, ok := opt.NextSplit(8, viewSizes, diffSizes); ok {
+		t.Fatal("split predicted past the collection end")
+	}
+}
+
+// TestPredictSplitMidScratchBatch: inside a scratch batch every remaining
+// view opens a segment, so the predicted split point is the very next view
+// — not the next batch boundary, which would guarantee a discarded
+// speculation at each intervening view.
+func TestPredictSplitMidScratchBatch(t *testing.T) {
+	opt := &Optimizer{BatchSize: 4}
+	opt.Decide(0, 100, 100)
+	opt.Decide(1, 100, 10)
+	// Scratch priced far below diff: the decision at view 2 opens a scratch
+	// batch covering views 2..5.
+	opt.ObserveScratch(100, 1)
+	opt.ObserveDiff(10, 100)
+	sizes := []int{100, 100, 100, 100, 100, 100, 100, 100}
+	diffs := []int{100, 10, 10, 10, 10, 10, 10, 10}
+	if mode := opt.Decide(2, sizes[2], diffs[2]); mode != ModeScratch {
+		t.Fatalf("Decide(2) = %v", mode)
+	}
+	// From view 3, still inside the batch: predict 3, not boundary 6.
+	for from := 3; from < 6; from++ {
+		p, ok := opt.NextSplit(from, sizes, diffs)
+		if !ok || p != from {
+			t.Fatalf("NextSplit(from=%d) = %d, %v; want the next view of the scratch batch", from, p, ok)
+		}
+	}
+	// Bootstrap guard: a scratch bootstrap mode never predicts the bootstrap
+	// diff view.
+	fresh := &Optimizer{BatchSize: 4}
+	fresh.Decide(0, 100, 100) // mode now scratch, one view decided
+	if p, ok := fresh.NextSplit(1, sizes, diffs); ok && p < 2 {
+		t.Fatalf("bootstrap view predicted as split: %d", p)
 	}
 }

@@ -13,7 +13,7 @@ import (
 	"graphsurge/internal/core"
 	"graphsurge/internal/datagen"
 	"graphsurge/internal/obs"
-	"graphsurge/internal/schedule"
+	"graphsurge/internal/splitting"
 )
 
 // testEngine builds an engine holding a temporal graph named g and a k-view
@@ -258,7 +258,7 @@ func TestKeyEquivalence(t *testing.T) {
 		{WeightProp: "ts"},
 		{Incremental: true},
 		{BatchSize: 5},
-		{Schedule: schedule.LPT},
+		{Schedule: splitting.LPT},
 	}
 	for i, o := range diff {
 		if k := optionsKey(o); k == base {
