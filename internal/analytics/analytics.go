@@ -94,6 +94,11 @@ type Runner interface {
 	// Reset returns the runner to its just-built condition in place, ready
 	// for a new from-scratch run at version 0 (see Pool).
 	Reset() error
+	// Park tells the runner it goes idle between steps: it lets go of the
+	// exchange columns its dataflows keep from version to version
+	// (dataflow.Scope.Park). It changes no result, and the next Step or
+	// Reset proceeds as if it had not been called.
+	Park()
 }
 
 // Program is implemented by computations that need a custom runner instead
@@ -178,6 +183,9 @@ func (inst *Instance) Reset() error {
 	inst.next = 0
 	return nil
 }
+
+// Park implements Runner.
+func (inst *Instance) Park() { inst.scope.Park() }
 
 // WorkCounts implements Runner.
 func (inst *Instance) WorkCounts() []int64 { return inst.scope.WorkCounts() }

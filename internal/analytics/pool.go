@@ -210,9 +210,11 @@ func (p *Pool) popIdle() Runner {
 }
 
 // Release returns the runner's slot to the pool and keeps the runner warm
-// for reuse by a later Acquire. The caller must be done reading the runner —
-// the next Acquire resets it.
+// for reuse by a later Acquire, parked (Runner.Park) so an idle replica holds
+// no exchange columns of a difference set. The caller must be done reading
+// the runner — the next Acquire resets it.
 func (p *Pool) Release(r Runner) {
+	r.Park()
 	p.mu.Lock()
 	p.idle = append(p.idle, r)
 	p.live--

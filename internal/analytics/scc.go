@@ -313,6 +313,13 @@ func (r *sccRunner) Reset() error {
 	return nil
 }
 
+// Park implements Runner: it parks every phase's trim and coloring scope.
+func (r *sccRunner) Park() {
+	for _, s := range r.scopes() {
+		s.Park()
+	}
+}
+
 func (r *sccRunner) OutputDiffs() int { return r.outputDiffs }
 
 func (r *sccRunner) Results() map[VertexValue]int64 { return maps.Clone(r.answer) }

@@ -232,6 +232,8 @@ func (e *Engine) runIncremental(ctx context.Context, col *view.Collection, comp 
 //
 // Position, version and fingerprint advance with every step, so a run
 // canceled between steps leaves a valid replica that the next run resumes.
+// Either way the runner is parked on the way out (analytics.Runner.Park), so
+// an idle replica keeps its dataflow state but no exchange columns.
 // Stats and work counters cover only the steps this run fed;
 // RunResult.Incremental reports that a warm replica was reused and
 // CachedPrefix how many stream views it had already absorbed.
@@ -260,6 +262,7 @@ func (st *replica) extend(ctx context.Context, col *view.Collection, chain []uin
 	}
 	prefix := st.pos
 	runner := st.runner
+	defer runner.Park() // idle between runs, canceled or not
 	preWork := append([]int64(nil), runner.WorkCounts()...)
 	done := totalWork(preWork)
 	stats := make([]ViewStats, 0, len(st.pending)+k-st.pos)

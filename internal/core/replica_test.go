@@ -7,9 +7,11 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"graphsurge/internal/analytics"
 	"graphsurge/internal/datagen"
+	"graphsurge/internal/graph"
 	"graphsurge/internal/view"
 )
 
@@ -233,6 +235,53 @@ func TestReplicaCancelResumes(t *testing.T) {
 		t.Fatalf("resumed delta run: incremental=%v stats=%+v, want the one remaining delta", res.Incremental, res.Stats)
 	}
 	sameAsScratch(t, e, ext, comp, res, "resumed delta run")
+}
+
+// parkedWCC is WCC run by a parkRecorder.
+type parkedWCC struct{ analytics.WCC }
+
+func (parkedWCC) NewRunner(workers int) (analytics.Runner, error) {
+	inst, err := analytics.NewInstance(analytics.WCC{}, workers)
+	if err != nil {
+		return nil, err
+	}
+	return &parkRecorder{Instance: inst}, nil
+}
+
+// parkRecorder is an Instance that records whether it was parked after its
+// last step.
+type parkRecorder struct {
+	*analytics.Instance
+	parked bool
+}
+
+func (r *parkRecorder) Step(adds, dels *graph.EdgeBatch) time.Duration {
+	r.parked = false
+	return r.Instance.Step(adds, dels)
+}
+
+func (r *parkRecorder) Park() {
+	r.parked = true
+	r.Instance.Park()
+}
+
+// TestReplicaParksRunner pins that extend parks the replica's runner on the
+// way out, after a whole run and after one canceled between steps, so an
+// idle replica holds no exchange columns.
+func TestReplicaParksRunner(t *testing.T) {
+	e, _, ext := daysEngine(t)
+	inc := RunOptions{Incremental: true}
+	if _, err := e.RunOn(&cancelAfter{context.Background(), 3}, ext, parkedWCC{}, inc); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled run: %v, want context.Canceled", err)
+	}
+	st := theReplica(t, e)
+	if rec := st.runner.(*parkRecorder); st.pos != 2 || !rec.parked {
+		t.Fatalf("a run canceled at pos %d left its runner parked=%v, want parked at 2", st.pos, rec.parked)
+	}
+	mustRunOn(t, e, context.Background(), ext, parkedWCC{}, inc)
+	if rec := st.runner.(*parkRecorder); st.pos != ext.Stream.NumViews() || !rec.parked {
+		t.Fatalf("a whole run to pos %d left its runner parked=%v, want parked at %d", st.pos, rec.parked, ext.Stream.NumViews())
+	}
 }
 
 // TestReplicaConcurrent races everything that touches the store — sibling

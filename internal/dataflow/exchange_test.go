@@ -121,10 +121,12 @@ func TestConsolidateMatchesOracle(t *testing.T) {
 }
 
 // TestExchangeColumnsRelease pins how long recycled exchange columns live
-// (Scope.release): through version 0 and across ResetState, so a reset
-// scope's next whole view refills them; gone as the scope enters version 1,
-// and from then on whenever a version ends, so neither a whole view's columns
-// nor a version's stay pinned under a scope that moved on or went idle.
+// (Scope.release): through version 0, across ResetState and through Park at
+// version 0, so a reset scope's next whole view refills them; gone as the
+// scope enters version 1, so a whole view's columns are not pinned under
+// difference sets; kept from version to version after that, so a
+// differential run stops re-growing them; and gone when a scope past version
+// 0 is parked, so an idle scope holds none.
 func TestExchangeColumnsRelease(t *testing.T) {
 	s := NewScope(1)
 	in, col := NewInput[int](s)
@@ -148,8 +150,9 @@ func TestExchangeColumnsRelease(t *testing.T) {
 	}
 	s.ResetState()
 	step(0, view)
+	s.Park()
 	if i, p := held(); i < len(view) || p < len(view) {
-		t.Fatalf("a reset scope's columns are %d and %d rows, want a view's %d kept", i, p, len(view))
+		t.Fatalf("a reset scope parked at version 0 holds columns of %d and %d rows, want a view's %d kept", i, p, len(view))
 	}
 	released := 0
 	s.recycles(func() { released++ })
@@ -159,12 +162,16 @@ func TestExchangeColumnsRelease(t *testing.T) {
 	}
 	s.Drain()
 	s.Compact(1)
+	if i, p := held(); released != 1 || i < 10 || p < 10 {
+		t.Fatalf("the end of version 1 released %d times in all and left %d and %d rows, want the version's 10 kept", released, i, p)
+	}
+	s.Park()
 	if i, p := held(); released != 2 || i != 0 || p != 0 {
-		t.Fatalf("the end of version 1 released %d times in all and left %d and %d rows, want none", released, i, p)
+		t.Fatalf("parking past version 0 released %d times in all and left %d and %d rows, want none", released, i, p)
 	}
 	step(2, view[:10])
-	if released != 3 { // entering a version past the first has nothing to release
-		t.Fatalf("version 2 released %d times in all, want 3", released)
+	if released != 2 { // entering a version past the first has nothing to release
+		t.Fatalf("version 2 released %d times in all, want 2", released)
 	}
 	if got := c.Result(); len(got) != len(view) || got[1] != 3 {
 		t.Fatalf("results changed with the columns: %d records, record 1 ×%d", len(got), got[1])

@@ -141,8 +141,9 @@ func (n *refReduceNode[K, V, O]) run(w int, t timestamp.Time) {
 
 	outer, compacting := n.s.compactionOuter()
 	if compacting && work > 0 {
-		// The first call after a frontier move folds each trace into a
-		// recycled column set, one allocation-free pass; the rest are O(1).
+		// The first call after a frontier move folds each trace in one
+		// pass, into a recycled column set when a free one has room for it
+		// (see arrange.Trace.Advance); the rest are O(1).
 		sh.ins.Advance(outer)
 		sh.outs.Advance(outer)
 	}

@@ -92,11 +92,13 @@ func (s *Scope) addNode(n node) { s.nodes = append(s.nodes, n) }
 func (s *Scope) recycles(release func()) { s.recycled = append(s.recycled, release) }
 
 // release lets every recycled exchange column go. Columns are recycled within
-// a version, and from version 0 across ResetState into the next version 0 (a
-// reset scope runs whole views, each about the size of the last). A scope
-// that moves on instead releases them as it enters version 1 (enter) and from
-// then on whenever a version ends (Compact), so what a whole view grew is not
-// pinned under the difference sets that follow, nor these under an idle scope.
+// a version, from version to version of a differential run, and from version
+// 0 across ResetState into the next version 0 (a reset scope runs whole
+// views, each about the size of the last). They go in two places only: as an
+// input enters version 1 (enter), so what a whole view grew is not pinned
+// under the difference sets that follow, and when the scope's owner parks a
+// scope past version 0 (Park), so an idle scope holds no difference set's
+// columns.
 func (s *Scope) release() {
 	for _, f := range s.recycled {
 		f()
@@ -247,25 +249,34 @@ func (s *Scope) drainTime(t timestamp.Time) {
 // sizes proportional to the number of distinct iteration depths rather than
 // the number of views.
 //
-// Past version 0 the call also releases the exchange columns (see release);
-// otherwise it only advances the frontier. A stateful operator shard that
-// receives input in a later version then folds each of its traces, once per
-// frontier move, into one canonical batch clamped to the frontier: a single
-// streaming pass over the trace (column copies for keys the version did not
-// touch) written into a column set off the trace's free list, so it
-// allocates nothing once warm but does cost time proportional to the shard's
-// state, not to the version's difference set. Shards that receive no input
-// do nothing. ResetState drops the histories and keeps their column sets for
-// the next run.
+// The call only advances the frontier; the exchange columns stay for the
+// next version (see release). A stateful operator shard that receives input
+// in a later version then folds each of its traces, once per frontier move,
+// into one canonical batch clamped to the frontier: a single streaming pass
+// over the trace (column copies for keys the version did not touch), written
+// into a column set off the trace's free list when one has room for it (see
+// arrange.Trace.Advance). It costs time proportional to the shard's state,
+// not to the version's difference set. Shards that receive no input do
+// nothing. ResetState drops the histories and keeps their column sets for the
+// next run.
 func (s *Scope) Compact(outer uint32) {
-	if outer > 0 {
-		s.release()
-	}
 	for {
 		cur := s.frontier.Load()
 		if outer+1 <= cur || s.frontier.CompareAndSwap(cur, outer+1) {
 			return
 		}
+	}
+}
+
+// Park tells the scope it goes idle: past version 0 it releases the recycled
+// exchange columns, which the next version would reuse but an idle scope
+// should not hold. A scope parked at version 0 keeps them, since the next
+// run of a reset scope is a whole view about the size of the last. Call it
+// from the driver goroutine while the scope is quiescent; parking is free to
+// repeat and changes no result.
+func (s *Scope) Park() {
+	if s.version > 0 {
+		s.release()
 	}
 }
 
