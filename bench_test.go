@@ -364,12 +364,11 @@ func BenchmarkLPTSkew(b *testing.B) {
 // BenchmarkParallelAdaptive measures the adaptive planner at Parallelism 1
 // and 4 on two shapes over one graph, at ℓ = 2 and at the default ℓ the CLI
 // and server run with. On disjoint windows differential execution never
-// pays and the optimizer splits, so at Parallelism 4 the predicted next
-// segment seeds on an idle replica while the paced planner walks the
-// current one. On expanding windows sharing wins, nothing splits, and
-// speculation must cost nothing. Reported: wall ns/op plus splits /
-// spec-hits / spec-misses per run. Results equal to Parallelism 1 are
-// pinned by TestParallelAdaptiveSplits and TestParallelAdaptiveKeepsDiffing.
+// pays and the optimizer splits, so at Parallelism 4 a closed segment's
+// tail drains while the paced planner seeds the next one on a fresh
+// replica. On expanding windows sharing wins and nothing splits. Reported:
+// wall ns/op plus splits per run. Results equal to Parallelism 1 are pinned
+// by TestParallelAdaptiveSplits and TestParallelAdaptiveKeepsDiffing.
 func BenchmarkParallelAdaptive(b *testing.B) {
 	const k, perView = 16, 2_000
 	g := datagen.Temporal(datagen.TemporalConfig{Nodes: 2_500, Edges: k * perView, Days: 64, Seed: 23})
@@ -395,7 +394,7 @@ func BenchmarkParallelAdaptive(b *testing.B) {
 			}
 			for _, par := range []int{1, 4} {
 				b.Run(fmt.Sprintf("%s/batch=%s/parallelism=%d", shape, ell, par), func(b *testing.B) {
-					var hits, misses, splits int
+					var splits int
 					for i := 0; i < b.N; i++ {
 						res, err := core.RunCollectionContext(context.Background(), col, analytics.WCC{}, core.RunOptions{
 							Mode:        core.Adaptive,
@@ -405,13 +404,9 @@ func BenchmarkParallelAdaptive(b *testing.B) {
 						if err != nil {
 							b.Fatal(err)
 						}
-						hits += res.SpecHits
-						misses += res.SpecMisses
 						splits += res.Splits
 					}
 					b.ReportMetric(float64(splits)/float64(b.N), "splits")
-					b.ReportMetric(float64(hits)/float64(b.N), "spec-hits")
-					b.ReportMetric(float64(misses)/float64(b.N), "spec-misses")
 				})
 			}
 		}

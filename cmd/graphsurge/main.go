@@ -624,7 +624,6 @@ func cmdRun(args []string) error {
 	}
 	res := resp.(*core.RunResult)
 	core.WriteRunSummary(out, res)
-	core.WriteSpeculation(out, res)
 	if coord != nil {
 		coord.WriteStats(out)
 	}

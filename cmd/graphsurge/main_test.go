@@ -68,7 +68,8 @@ func TestCommandsEndToEnd(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// Largest-first dispatch, and an adaptive run that speculates.
+	// Largest-first dispatch, and an adaptive run on the paced parallel
+	// planner.
 	if err := cmdRun([]string{
 		"-data", data,
 		"-collection", "c",

@@ -141,14 +141,10 @@ func (p *Pool) Acquire(ctx context.Context) (Runner, time.Duration, error) {
 	r := p.popIdle()
 	p.mu.Unlock()
 
-	return p.prepare(r)
-}
-
-// prepare turns a claimed slot into a ready runner: the popped warm replica
-// (possibly nil) is reset in place, falling through to a fresh build when
-// there is none or the reset fails (the broken runner is dropped). On build
-// failure the claimed slot is returned to the pool.
-func (p *Pool) prepare(r Runner) (Runner, time.Duration, error) {
+	// The popped warm replica (possibly nil) is reset in place, falling
+	// through to a fresh build when there is none or the reset fails (the
+	// broken runner is dropped). On build failure the claimed slot is
+	// returned to the pool.
 	start := time.Now()
 	if r != nil {
 		if err := r.Reset(); err == nil {
@@ -172,27 +168,6 @@ func (p *Pool) prepare(r Runner) (Runner, time.Duration, error) {
 	p.mu.Unlock()
 	obs.M.PoolBuilt.Inc()
 	return r, time.Since(start), nil
-}
-
-// TryAcquire is the non-blocking Acquire: it returns ok=false immediately
-// when every replica slot is busy (or construction fails) instead of
-// waiting on the condition variable. Speculative work uses it so exploiting
-// idle capacity can never turn into queuing behind other runs.
-func (p *Pool) TryAcquire() (Runner, time.Duration, bool) {
-	p.mu.Lock()
-	if p.live >= p.size {
-		p.mu.Unlock()
-		return nil, 0, false
-	}
-	p.live++
-	r := p.popIdle()
-	p.mu.Unlock()
-
-	r, setup, err := p.prepare(r)
-	if err != nil {
-		return nil, 0, false
-	}
-	return r, setup, true
 }
 
 // popIdle takes the most recently released warm replica, if any, zeroing

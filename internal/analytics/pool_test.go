@@ -211,39 +211,6 @@ func TestPoolDropIdle(t *testing.T) {
 	p.Release(r2)
 }
 
-// TestPoolTryAcquireNonBlocking: TryAcquire must refuse immediately while
-// all slots are live — it is what keeps speculative work from queuing
-// behind other runs — and succeed once a slot frees.
-func TestPoolTryAcquireNonBlocking(t *testing.T) {
-	p := NewPool(WCC{}, 1, 1)
-	r, _, err := p.Acquire(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		//lint:ignore poolrelease failure-path probe: all slots are live, so no runner is handed out
-		if _, _, ok := p.TryAcquire(); ok {
-			t.Error("TryAcquire succeeded with all slots live")
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("TryAcquire blocked")
-	}
-	p.Release(r)
-	r2, _, ok := p.TryAcquire()
-	if !ok {
-		t.Fatal("TryAcquire failed with a free slot")
-	}
-	if _, reused := p.Counts(); reused != 1 {
-		t.Fatalf("reused %d, want the warm replica recycled", reused)
-	}
-	p.Release(r2)
-}
-
 // parkRunner is an Instance that records whether it was parked after its
 // last step.
 type parkRunner struct {

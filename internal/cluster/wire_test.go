@@ -45,7 +45,7 @@ func TestWireRoundTrip(t *testing.T) {
 			core.ViewStats{Index: 2, Name: "v2", Mode: splitting.ModeDiff, Duration: 3 * time.Millisecond, ViewSize: 9, DiffSize: 4, OutputDiffs: 2},
 			&core.ViewStats{}},
 		{"SegmentStats",
-			core.SegmentStats{Start: 1, End: 4, Setup: time.Millisecond, Drain: 2 * time.Millisecond, Speculative: true},
+			core.SegmentStats{Start: 1, End: 4, Setup: time.Millisecond, Drain: 2 * time.Millisecond},
 			&core.SegmentStats{}},
 		{"ComputationSpec",
 			analytics.Spec{Algorithm: "mpsp", Pairs: []analytics.Pair{{Src: 1, Dst: 2}}},

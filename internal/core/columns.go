@@ -4,7 +4,7 @@ import "graphsurge/internal/graph"
 
 // edgeBatcher returns a run's single conversion point from edge-index lists
 // to columnar batches, resolving each index against the graph's weight
-// column wc. The in-process executor, the speculative path and the cluster
+// column wc. The in-process executor, the adaptive planner and the cluster
 // sharder all materialize through it, so a given edge set becomes the same
 // sorted columns no matter which path builds it — the property the
 // shard-vs-local equivalence tests pin — and a built batch is shared by

@@ -83,8 +83,8 @@ type RunOptions struct {
 	// can prove neither. RunResult.Incremental and CachedPrefix report which
 	// happened; stats and work counters cover only what was stepped. Only
 	// Engine runs support it; Mode, Parallelism and Schedule are ignored —
-	// an incremental run is a single replica stepping diffs, so it neither
-	// splits nor speculates.
+	// an incremental run is a single replica stepping diffs, so it never
+	// splits.
 	Incremental bool `json:"incremental,omitempty"`
 	// BatchSize overrides the adaptive optimizer's ℓ (default 10).
 	BatchSize int `json:"batchSize,omitempty"`
@@ -121,15 +121,12 @@ type ViewStats struct {
 // SegmentStats records one segment's execution: the half-open view range it
 // covered, the time spent acquiring its replica (building or resetting the
 // dataflow, plus building the seed from its EBM column), the wall-clock time
-// the replica spent stepping the segment's views, and whether the segment
-// was opened by a committed speculation (its seed view ran on an idle
-// replica before the adaptive planner declared the split).
+// the replica spent stepping the segment's views.
 type SegmentStats struct {
-	Start       int           `json:"start"`
-	End         int           `json:"end"`
-	Setup       time.Duration `json:"setup"`
-	Drain       time.Duration `json:"drain"`
-	Speculative bool          `json:"speculative,omitempty"`
+	Start int           `json:"start"`
+	End   int           `json:"end"`
+	Setup time.Duration `json:"setup"`
+	Drain time.Duration `json:"drain"`
 	// WireBytes is the encoded size of the shard's SegmentSpec payload when
 	// the segment was dispatched to a cluster worker — what actually crossed
 	// the network under the columnar codec. Zero for in-process segments.
@@ -154,13 +151,6 @@ type RunResult struct {
 	Total  time.Duration `json:"total"`
 	Wall   time.Duration `json:"wall"`
 	Splits int           `json:"splits"` // number of from-scratch runs after view 0
-	// SpecHits counts speculatively seeded segments the planner committed
-	// (the prediction named the split point the optimizer then declared);
-	// SpecMisses counts seeded segments it discarded. Both are zero outside
-	// adaptive runs with Parallelism > 1, the only ones with an idle replica
-	// to speculate on.
-	SpecHits   int `json:"specHits,omitempty"`
-	SpecMisses int `json:"specMisses,omitempty"`
 	// Incremental reports that the run reused a warm replica
 	// (RunOptions.Incremental): it stepped only the queued mutation deltas or
 	// the stream suffix the replica had not absorbed, and the work counters
@@ -390,12 +380,7 @@ func runCollection(ctx context.Context, col *view.Collection, comp analytics.Com
 	if err != nil {
 		return nil, err
 	}
-	res, err := MergeSegmentOutcomes(comp.Name(), col.Name, opts.Mode, plan, cr.outcomes, time.Since(wallStart))
-	if err != nil {
-		return nil, err
-	}
-	res.SpecHits, res.SpecMisses = cr.specHits, cr.specMisses
-	return res, nil
+	return MergeSegmentOutcomes(comp.Name(), col.Name, opts.Mode, plan, cr.outcomes, time.Since(wallStart))
 }
 
 // RunView executes a computation once over an individual filtered view — a

@@ -68,8 +68,8 @@ func randomCollection(t testing.TB, k int, seed int64) *view.Collection {
 // and the per-view ViewSize/DiffSize stats must be byte-identical across
 // Parallelism ∈ {1, 4} × workers ∈ {1, 4}, in all three execution modes —
 // and across LPT vs FIFO dispatch for static plans. Adaptive runs at
-// Parallelism 4 speculate and at 1 do not. Scheduling and speculation may
-// only move work, never change it.
+// Parallelism 4 overlap a closed segment's tail with the next seed and at 1
+// do not. Scheduling may only move work, never change it.
 func TestSegmentParallelDeterminism(t *testing.T) {
 	col := randomCollection(t, 8, 42)
 	comps := []analytics.Computation{analytics.WCC{}, analytics.PageRank{}}
@@ -165,8 +165,8 @@ func TestSeedScanOpeningView(t *testing.T) {
 }
 
 // TestSeedCacheOutOfOrderDispatch: a segment's seed is a walk of its view's
-// EBM column, so views are seeded in any order — LPT dispatch and
-// speculation need no seed cache. Every view's seed, requested in a shuffled
+// EBM column, so views are seeded in any order — LPT dispatch needs no seed
+// cache. Every view's seed, requested in a shuffled
 // order, equals a forward fold of the stream, on a random collection in
 // stream order and on a GVDL-path one whose columns are randomly ordered.
 func TestSeedCacheOutOfOrderDispatch(t *testing.T) {

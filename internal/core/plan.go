@@ -23,8 +23,8 @@ func staticPlan(mode ExecMode, k int) splitting.Plan {
 // seed builds the opening batch of a segment starting at view t — the view's
 // full edge list, one walk of its EBM column — and returns it with the time
 // the build took, which joins the segment's setup cost. It reads only the
-// collection, so the dispatch builder, the adaptive planner and speculation
-// call it for any view in any order, concurrently.
+// collection, so the dispatch builder and the adaptive planner call it for
+// any view in any order, concurrently.
 func (cr *collectionRun) seed(t int) (*graph.EdgeBatch, time.Duration) {
 	start := time.Now()
 	seed := cr.cols(cr.col.EBM.Cols[cr.col.Order[t]].AndNot(nil))

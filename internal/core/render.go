@@ -60,25 +60,13 @@ func WriteRunSummary(w io.Writer, res *RunResult) {
 	}
 	for _, st := range res.Stats {
 		if seg, ok := segAt[st.Index]; ok {
-			spec := ""
-			if seg.Speculative {
-				spec = ", speculative"
-			}
-			fmt.Fprintf(&buf, "  segment views [%d,%d): replica setup %v, drain %v%s\n",
-				seg.Start, seg.End, seg.Setup.Round(1000), seg.Drain.Round(1000), spec)
+			fmt.Fprintf(&buf, "  segment views [%d,%d): replica setup %v, drain %v\n",
+				seg.Start, seg.End, seg.Setup.Round(1000), seg.Drain.Round(1000))
 		}
 		fmt.Fprintf(&buf, "  view %-3d %-16s %-8s |GV|=%-8d |dC|=%-8d out-diffs=%-8d %v\n",
 			st.Index, st.Name, st.Mode, st.ViewSize, st.DiffSize, st.OutputDiffs, st.Duration.Round(1000))
 	}
 	w.Write(buf.Bytes())
-}
-
-// WriteSpeculation renders the speculation hit/miss line of a run that
-// speculated, and nothing for one that did not.
-func WriteSpeculation(w io.Writer, res *RunResult) {
-	if res.SpecHits+res.SpecMisses > 0 {
-		fmt.Fprintf(w, "speculation: %d hits, %d misses\n", res.SpecHits, res.SpecMisses)
-	}
 }
 
 // WritePoolStats renders per-pool replica statistics, one line per pool in

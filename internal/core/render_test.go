@@ -69,7 +69,7 @@ func TestWriteRunSummaryFormat(t *testing.T) {
 		Splits:      1,
 		Segments: []SegmentStats{
 			{Start: 0, End: 1, Setup: time.Millisecond, Drain: time.Millisecond},
-			{Start: 1, End: 2, Setup: time.Millisecond, Drain: time.Millisecond, Speculative: true},
+			{Start: 1, End: 2, Setup: 2 * time.Millisecond, Drain: time.Millisecond},
 		},
 		Stats: []ViewStats{
 			{Index: 0, Name: "a", Mode: splitting.ModeScratch, Duration: time.Millisecond, ViewSize: 10, DiffSize: 10, OutputDiffs: 4},
@@ -81,21 +81,10 @@ func TestWriteRunSummaryFormat(t *testing.T) {
 	want := "wcc on cc (scratch): 3ms total, 2ms wall, 1 splits\n" +
 		"  segment views [0,1): replica setup 1ms, drain 1ms\n" +
 		"  view 0   a                scratch  |GV|=10       |dC|=10       out-diffs=4        1ms\n" +
-		"  segment views [1,2): replica setup 1ms, drain 1ms, speculative\n" +
+		"  segment views [1,2): replica setup 2ms, drain 1ms\n" +
 		"  view 1   b                scratch  |GV|=8        |dC|=5        out-diffs=2        2ms\n"
 	if sb.String() != want {
 		t.Fatalf("WriteRunSummary rendered:\n%q\nwant:\n%q", sb.String(), want)
-	}
-}
-
-// TestWriteSpeculationOnlyWhenSpeculated: the hit/miss line appears for a
-// run that speculated and not for one that had no idle replica to.
-func TestWriteSpeculationOnlyWhenSpeculated(t *testing.T) {
-	var none, some strings.Builder
-	WriteSpeculation(&none, &RunResult{})
-	WriteSpeculation(&some, &RunResult{SpecMisses: 1})
-	if none.String() != "" || some.String() != "speculation: 0 hits, 1 misses\n" {
-		t.Fatalf("rendered %q and %q", none.String(), some.String())
 	}
 }
 

@@ -21,8 +21,8 @@ import (
 // disjointCollection builds a k-view collection whose views are consecutive
 // disjoint slices of the graph's edges: every diff replaces the whole view,
 // so differential execution is maximally unprofitable and the adaptive
-// optimizer reliably splits — the workload speculation and split-heavy
-// executor paths need.
+// optimizer reliably splits — the workload the split-heavy executor paths
+// need.
 func disjointCollection(t testing.TB, k, perView int) *view.Collection {
 	t.Helper()
 	g := datagen.Temporal(datagen.TemporalConfig{Nodes: 400, Edges: k * perView, Days: 50, Seed: 19})
@@ -227,58 +227,11 @@ func TestParallelAdaptiveKeepsDiffing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Splits != 0 || res.SpecHits+res.SpecMisses != 0 {
-			t.Fatalf("p=%d: %d splits, %d+%d speculations on expanding windows", par, res.Splits, res.SpecHits, res.SpecMisses)
+		if res.Splits != 0 {
+			t.Fatalf("p=%d: %d splits on expanding windows", par, res.Splits)
 		}
 		if !reflect.DeepEqual(res.FinalResults(), base.FinalResults()) {
 			t.Fatalf("p=%d: results differ from Parallelism 1", par)
-		}
-	}
-}
-
-// TestSpeculativeAdaptive drives the speculation lifecycle on a collection
-// that splits at every batch boundary: results must match the sequential
-// baseline exactly, committed speculations must be marked on their
-// segments, and on this split-heavy shape at least one speculation must
-// both launch and hit.
-func TestSpeculativeAdaptive(t *testing.T) {
-	col := disjointCollection(t, 12, 400)
-	base, err := RunCollectionContext(context.Background(), col, analytics.WCC{}, RunOptions{Mode: Adaptive, Parallelism: 1, BatchSize: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunCollectionContext(context.Background(), col, analytics.WCC{}, RunOptions{
-		Mode: Adaptive, Parallelism: 4, BatchSize: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, want := res.FinalResults(), base.FinalResults()
-	if len(got) != len(want) {
-		t.Fatalf("%d results with speculation, baseline %d", len(got), len(want))
-	}
-	for kv, d := range want {
-		if got[kv] != d {
-			t.Fatalf("speculative result %+v = %d, baseline %d", kv, got[kv], d)
-		}
-	}
-	specSegs := 0
-	for _, seg := range res.Segments {
-		if seg.Speculative {
-			specSegs++
-		}
-	}
-	if specSegs != res.SpecHits {
-		t.Fatalf("%d speculative segments but %d hits", specSegs, res.SpecHits)
-	}
-	if res.SpecHits == 0 {
-		t.Fatalf("no speculative hits on a split-every-batch collection (misses: %d, splits: %d)",
-			res.SpecMisses, res.Splits)
-	}
-	// Per-view stats are complete, including speculatively executed seeds.
-	for i, st := range res.Stats {
-		if st.Index != i || st.Duration <= 0 || st.OutputDiffs <= 0 {
-			t.Fatalf("stats[%d] not recorded: %+v", i, st)
 		}
 	}
 }
@@ -353,7 +306,7 @@ func TestDispatchAcquireFailure(t *testing.T) {
 // surfaces, and neither slots nor goroutines leak. Both planners reach a
 // split because every decision sees the observations of all views but at
 // most the one in flight; the parallel one additionally drains async
-// segments and resolves the outstanding speculation on the way out.
+// segments on the way out.
 func TestRunAdaptiveAcquireFailure(t *testing.T) {
 	col := disjointCollection(t, 8, 300)
 	for _, par := range []int{1, 2} {

@@ -155,8 +155,7 @@ func (e *Engine) RunSegment(ctx context.Context, spec *SegmentSpec) (*SegmentOut
 }
 
 // MergeSegmentOutcomes assembles a run's RunResult from its segments'
-// outcomes — static, sharded, adaptive and committed speculative segments
-// alike: ViewStats land at their collection indices, per-segment timings
+// outcomes — static, sharded and adaptive segments alike: ViewStats land at their collection indices, per-segment timings
 // sort into collection order, work counters sum per worker index across
 // every replica, the iteration-cap flag ORs, and the final results come from
 // the segment that ends the collection. Outcomes may arrive in any order, but

@@ -49,31 +49,6 @@ func (rp *runPool) Release(r analytics.Runner) {
 	<-rp.sem
 }
 
-// Free reports how many of this run's admission slots are currently
-// unclaimed — the cheap gate speculation checks before bothering to spawn an
-// acquisition. The answer can be stale by the time it is used; TryAcquire is
-// the authoritative, non-blocking claim.
-func (rp *runPool) Free() int { return cap(rp.sem) - len(rp.sem) }
-
-// TryAcquire is the non-blocking form of Acquire used by speculation: it
-// returns ok=false immediately when the run's admission limit is reached,
-// the shared pool has no free replica slot (another run may hold them all),
-// or replica construction fails — instead of stalling or failing the run.
-// A speculation that cannot get a replica simply doesn't happen.
-func (rp *runPool) TryAcquire() (analytics.Runner, time.Duration, bool) {
-	select {
-	case rp.sem <- struct{}{}:
-	default:
-		return nil, 0, false
-	}
-	r, setup, ok := rp.pool.TryAcquire()
-	if !ok {
-		<-rp.sem
-		return nil, 0, false
-	}
-	return r, setup, true
-}
-
 // viewStep is one view ready to execute: its stats identity (index, name,
 // mode, sizes — the step fills in the measurements) and the batches to feed.
 // seed marks a segment's opening view, whose adds are the whole view.
@@ -87,8 +62,8 @@ type viewStep struct {
 // inputs, the adaptive optimizer's hook, and the outcomes completed segments
 // publish.
 // Every strategy — static dispatch on local and remote slots, adaptive
-// planning, committed speculation — reduces to "a segment produced a
-// SegmentOutcome", and MergeSegmentOutcomes assembles the result from them.
+// planning — reduces to "a segment produced a SegmentOutcome", and
+// MergeSegmentOutcomes assembles the result from them.
 type collectionRun struct {
 	col   *view.Collection
 	sizes []int
@@ -107,9 +82,6 @@ type collectionRun struct {
 
 	mu       sync.Mutex
 	outcomes []*SegmentOutcome
-
-	// Speculation tallies; only the adaptive planner goroutine touches them.
-	specHits, specMisses int
 }
 
 // view returns view t of the run's stream as a step. A segment's opening
@@ -150,7 +122,6 @@ type segmentExec struct {
 	start int           // first view index
 	setup time.Duration // replica acquisition plus seed build
 	drain time.Duration // wall time spent on the segment's views
-	spec  bool          // opened by a committed speculation
 	stats []ViewStats
 	work  int64 // the replica's total work after the last step
 
@@ -159,20 +130,20 @@ type segmentExec struct {
 
 	// span covers the segment from replica acquisition to release. It is
 	// ended by releaseSeg — the one choke point every lifecycle path
-	// (finish, cancel, speculation discard) goes through — so a canceled run
-	// closes its spans exactly as reliably as it releases its replicas. Nil
-	// when the run carries no trace and on a worker's shard replica.
+	// (finish, cancel) goes through — so a canceled run closes its spans
+	// exactly as reliably as it releases its replicas. Nil when the run
+	// carries no trace and on a worker's shard replica.
 	span *obs.Span
 }
 
 // step is the one place a view executes on a segment's replica — static
-// slots, worker-side shards, the adaptive consumer and speculation all come
-// through it. It steps the runner and completes the view's stats, among them
-// Work: the growth of the replica's work counters, which an acquired replica
-// starts at zero. Work is the adaptive optimizer's cost; Duration is
-// reported only. A seed view that splits the collection reports its
-// segment's setup with its step, so a split shows the dataflow and seed it
-// rebuilds; the collection's opening view reports only the step.
+// slots, worker-side shards and the adaptive consumer all come through it.
+// It steps the runner and completes the view's stats, among them Work: the
+// growth of the replica's work counters, which an acquired replica starts at
+// zero. Work is the adaptive optimizer's cost; Duration is reported only. A
+// seed view that splits the collection reports its segment's setup with its
+// step, so a split shows the dataflow and seed it rebuilds; the collection's
+// opening view reports only the step.
 func (s *segmentExec) step(v viewStep) ViewStats {
 	st := v.meta
 	start := time.Now()
@@ -222,7 +193,7 @@ func (s *segmentExec) run(ctx context.Context, end int, final bool, view func(t 
 func (s *segmentExec) outcome(end int, final bool) *SegmentOutcome {
 	out := &SegmentOutcome{
 		Stats:   s.stats,
-		Segment: SegmentStats{Start: s.start, End: end, Setup: s.setup, Drain: s.drain, Speculative: s.spec},
+		Segment: SegmentStats{Start: s.start, End: end, Setup: s.setup, Drain: s.drain},
 		Work:    s.r.WorkCounts(),
 		IterCap: s.r.IterCapHit(),
 	}
@@ -443,51 +414,6 @@ func (cr *collectionRun) consume(ctx context.Context, s *segmentExec) {
 	close(s.done)
 }
 
-// speculation is one in-flight speculative segment start: the predicted
-// split view and the segment seeded with it (nil when no idle replica could
-// be claimed or construction failed), published via the done channel.
-type speculation struct {
-	t    int
-	done chan struct{}
-	s    *segmentExec // set only if a replica was acquired and seeded
-}
-
-// speculate predicts the planner's next split point from the optimizer's
-// current models (Optimizer.NextSplit) and, when this run has an idle
-// replica slot, seeds that segment on it ahead of the decision: the replica
-// is acquired, the seed built, and the predicted view stepped from scratch.
-// The segment is independent dataflow state, so the work is correct whether
-// or not the planner later declares the split — a hit converts replica idle
-// time into overlap, a miss releases the replica (its state is discarded by
-// the pool's reset on the next acquire). Returns nil when no split is
-// predicted.
-func (cr *collectionRun) speculate(ctx context.Context, opt *splitting.Optimizer, mu *sync.Mutex, pool *runPool, from int, diffs []int) *speculation {
-	mu.Lock()
-	p, ok := opt.NextSplit(from, cr.sizes, diffs)
-	mu.Unlock()
-	if !ok {
-		return nil
-	}
-	sp := &speculation{t: p, done: make(chan struct{})}
-	go func() {
-		defer close(sp.done)
-		r, setup, ok := pool.TryAcquire()
-		if !ok {
-			return
-		}
-		_, span := obs.StartSpan(ctx, "segment",
-			obs.Int("start", p), obs.String("speculative", "true"))
-		began := time.Now()
-		seed, build := cr.seed(p)
-		s := &segmentExec{r: r, start: p, setup: setup + build, spec: true, span: span}
-		// The optimizer sees the seed view only if its segment commits.
-		s.step(cr.view(p, splitting.ModeScratch, seed))
-		s.drain = time.Since(began)
-		sp.s = s
-	}()
-	return sp
-}
-
 // runAdaptive interleaves online planning with segment execution. The
 // planner walks views in collection order, deciding each view's mode with
 // the optimizer; segments are handed off to pool replicas as the model
@@ -502,14 +428,9 @@ func (cr *collectionRun) speculate(ctx context.Context, opt *splitting.Optimizer
 // modeled one, view 2's, which waits for view 1 to finish so that it sees
 // both bootstrap observations as the inline planner does — and when a split
 // closes a segment its tail can still be draining while the next segment
-// seeds on a fresh replica. Whenever the run has an idle replica slot the
-// predicted next split point's segment is seeded on it while the planner is
-// still deciding (see speculate); a speculative seed view's outcome and
-// model observations are recorded only if its segment commits, so a miss
-// leaves the run's results, ViewStats and work aggregates exactly as if it
-// never happened. The optimizer learns from work, not time, so at
+// seeds on a fresh replica. The optimizer learns from work, not time, so at
 // Parallelism=1 with one dataflow worker the plan is the same on every run;
-// at Parallelism>1 which view is still in flight at a decision depends on
+// at Parallelism>1 which views are still in flight at a decision depends on
 // timing, so split points — never results — may differ from the inline
 // plan's.
 func (cr *collectionRun) runAdaptive(ctx context.Context, opts RunOptions, pool *runPool) (splitting.Plan, error) {
@@ -536,42 +457,17 @@ func (cr *collectionRun) runAdaptive(ctx context.Context, opts RunOptions, pool 
 	diffs := diffSizes(cr.col.Stream)
 	var segs []*segmentExec // asynchronously executing segments, in order
 	var cur *segmentExec
-	var spec *speculation
 	// handoffs tracks the goroutines finishing closed segments; they must be
 	// joined before returning, or a late record would race the merge.
 	var handoffs sync.WaitGroup
-	// resolveSpec joins the outstanding speculation, if any, and returns it
-	// when it seeded the segment the planner just opened at commitAt (a
-	// hit); any other outcome — no split at the predicted view, a split
-	// elsewhere (commitAt -1), or a speculation that never got a replica —
-	// discards it, releasing the replica for the pool to reset.
-	resolveSpec := func(commitAt int) *speculation {
-		if spec == nil {
-			return nil
-		}
-		sp := spec
-		spec = nil
-		<-sp.done
-		if sp.s == nil {
-			return nil
-		}
-		if sp.t == commitAt {
-			return sp
-		}
-		releaseSeg(pool, sp.s)
-		cr.specMisses++
-		return nil
-	}
-	// drain joins the already-dispatched segments and discards any
-	// outstanding speculation. It is only called once every segment's queue
-	// is closed; handoff goroutines own the replicas of segments closed at
-	// split points, the caller the open one's.
+	// drain joins the already-dispatched segments. It is only called once
+	// every segment's queue is closed; handoff goroutines own the replicas of
+	// segments closed at split points, the caller the open one's.
 	drain := func(err error) (splitting.Plan, error) {
 		for _, s := range segs {
 			<-s.done
 		}
 		handoffs.Wait()
-		resolveSpec(-1)
 		return planner.Plan(), err
 	}
 	for t := 0; t < k; t++ {
@@ -591,8 +487,7 @@ func (cr *collectionRun) runAdaptive(ctx context.Context, opts RunOptions, pool 
 		mu.Lock()
 		mode, split := planner.Extend(cr.sizes[t], diffs[t])
 		mu.Unlock()
-		var seed *graph.EdgeBatch
-		committed := false
+		j := viewJob{t: t, mode: mode}
 		if split {
 			if cur != nil {
 				if inline {
@@ -612,20 +507,11 @@ func (cr *collectionRun) runAdaptive(ctx context.Context, opts RunOptions, pool 
 					}(cur, t)
 				}
 			}
-			if sp := resolveSpec(t); sp != nil {
-				// Hit: the segment's seed view already ran on the speculative
-				// replica; feed the models now that it counts.
-				cur = sp.s
-				cr.observe(cur.stats[0], true)
-				cr.specHits++
-				committed = true
-			} else {
-				var build time.Duration
-				seed, build = cr.seed(t)
-				var err error
-				if cur, err = openSegment(ctx, pool, t, build); err != nil {
-					return drain(err)
-				}
+			var build time.Duration
+			j.seed, build = cr.seed(t)
+			var err error
+			if cur, err = openSegment(ctx, pool, t, build); err != nil {
+				return drain(err)
 			}
 			if !inline {
 				cur.jobs = make(chan viewJob)
@@ -633,33 +519,18 @@ func (cr *collectionRun) runAdaptive(ctx context.Context, opts RunOptions, pool 
 				segs = append(segs, cur)
 				go cr.consume(ctx, cur)
 			}
-		} else if spec != nil && t >= spec.t {
-			// The predicted split point passed without a split: a miss.
-			resolveSpec(-1)
 		}
-		if !committed {
-			j := viewJob{t: t, mode: mode, seed: seed}
-			if inline {
-				cr.runJob(cur, j)
-			} else {
-				cur.jobs <- j
-			}
-		}
-		// No modeled choice — view 2's decision or a split prediction — is
-		// made before both models hold an observation: from the scratch
-		// model alone peekMode picks scratch, and Decide would apply it to
-		// the whole first batch of ℓ views. So the parallel planner waits
-		// once, for view 1's diff observation.
-		if t == 0 {
+		if inline {
+			cr.runJob(cur, j)
 			continue
 		}
-		if t == 1 && !inline {
+		cur.jobs <- j
+		// No modeled choice is made before both models hold an observation:
+		// from the scratch model alone peekMode picks scratch, and Decide
+		// would apply it to the whole first batch of ℓ views. So the
+		// parallel planner waits once, for view 1's diff observation.
+		if t == 1 {
 			cur.jobs <- barrier
-		}
-		// The open segment holds a slot, so at Parallelism=1 none is ever
-		// free and the inline path never speculates.
-		if spec == nil && pool.Free() > 0 {
-			spec = cr.speculate(ctx, opt, &mu, pool, t+1, diffs)
 		}
 	}
 	if cur == nil {

@@ -21,8 +21,8 @@ var ErrEdgeCodec = errors.New("graph: bad edge batch encoding")
 // destination, and weight columns sorted by (Src, Dst, W). It is the
 // engine's shipping and seeding unit for edge sets — a segment seed, a
 // per-view difference set — shared by reference wherever the same edge set
-// is needed twice (a pool replica and its speculative snapshot, a shard
-// retained locally and shipped to a worker) instead of copying []Triple.
+// is needed twice (a shard retained locally and shipped to a worker)
+// instead of copying []Triple.
 //
 // The fields are exported for the wire codec and columnar consumers but
 // must be treated as read-only after construction; sharing is only safe

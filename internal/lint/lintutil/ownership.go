@@ -211,7 +211,7 @@ func (w *walk) seekStmt(s ast.Stmt) (bool, pathSet) {
 		return w.seekStmt(s.Stmt)
 	case *ast.IfStmt:
 		if s.Init == w.o.Stmt {
-			// if r, _, ok := pool.TryAcquire(); ok { ... }
+			// if r, _, err := pool.Acquire(ctx); err == nil { ... }
 			return true, w.checkStmt(&ast.IfStmt{Cond: s.Cond, Body: s.Body, Else: s.Else})
 		}
 		if contains(s.Body, w.o.Stmt) {

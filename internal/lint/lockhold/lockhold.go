@@ -11,9 +11,8 @@
 // waiting on a condition variable is *defined* to hold its mutex.
 //
 // Blocking operations recognized: channel send/receive (including range
-// over a channel and select without a default), analytics.Pool.Acquire
-// (TryAcquire is non-blocking and allowed), net/rpc Client.Call,
-// sync.WaitGroup.Wait, and time.Sleep.
+// over a channel and select without a default), analytics.Pool.Acquire,
+// net/rpc Client.Call, sync.WaitGroup.Wait, and time.Sleep.
 //
 // The analysis is a per-function, block-structured scan: a lock set is
 // carried forward across statements, copied into nested blocks (an unlock

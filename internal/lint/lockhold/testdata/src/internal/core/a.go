@@ -1,6 +1,6 @@
 // Fixture for the lockhold analyzer: blocking operations under a held
-// sync.Mutex/RWMutex are reported; unlock-then-block, TryAcquire, and
-// sync.Cond.Wait are fine. The package path internal/core puts the fixture
+// sync.Mutex/RWMutex are reported; unlock-then-block and sync.Cond.Wait
+// are fine. The package path internal/core puts the fixture
 // in the analyzer's scope.
 package core
 
@@ -46,14 +46,6 @@ func (e *engine) acquireUnderLock(ctx context.Context) {
 	defer e.mu.Unlock()
 	r, _, err := e.pool.Acquire(ctx) // want `blocking analytics\.Pool\.Acquire while holding e\.mu`
 	if err == nil {
-		e.pool.Release(r)
-	}
-}
-
-func (e *engine) tryUnderLock() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if r, _, ok := e.pool.TryAcquire(); ok { // non-blocking: fine
 		e.pool.Release(r)
 	}
 }

@@ -1,7 +1,6 @@
 // Package poolrelease enforces the replica-slot invariant that PRs 2 and 3
 // each fixed leaks against by hand: every runner obtained from
-// analytics.Pool.Acquire or TryAcquire must reach Pool.Release on every
-// success path. A leaked slot is invisible until the pool's capacity pins
+// analytics.Pool.Acquire must reach Pool.Release on every success path. A leaked slot is invisible until the pool's capacity pins
 // and every later run queues forever — production-only symptoms the
 // analyzer turns into vet failures.
 //
@@ -16,8 +15,8 @@
 //
 //   - Otherwise the runner is locally owned, and a Release (directly or via
 //     defer) is required on every path from the acquire to function exit.
-//     The failure branch of the acquire (`if err != nil`, `if !ok`) is
-//     exempt — no runner exists there.
+//     The failure branch of the acquire (`if err != nil`) is exempt — no
+//     runner exists there.
 //
 //   - A runner assigned to the blank identifier, or an acquire used as a
 //     bare expression statement, can never be released and is always
@@ -37,7 +36,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "poolrelease",
-	Doc:  "every analytics.Pool.Acquire/TryAcquire success path must reach a Release (defer or all branches)",
+	Doc:  "every analytics.Pool.Acquire success path must reach a Release (defer or all branches)",
 	Run:  run,
 }
 
@@ -50,48 +49,39 @@ func run(pass *analysis.Pass) (interface{}, error) {
 // nested function literal (literals are analyzed as their own bodies).
 func analyzeBody(pass *analysis.Pass, body *ast.BlockStmt) {
 	info := pass.TypesInfo
-	isAcquire := func(call *ast.CallExpr) bool { return acquireMethod(info, call) != "" }
+	isAcquire := func(call *ast.CallExpr) bool {
+		obj := lintutil.Callee(info, call)
+		return obj != nil && lintutil.IsMethodOn(obj, "analytics", "Pool", "Acquire")
+	}
 	type site struct {
 		call  *ast.CallExpr
 		owned lintutil.Owned
 	}
 	var sites []site
 	lintutil.EachAcquire(body, isAcquire, func(call *ast.CallExpr) {
-		pass.Reportf(call.Pos(), "result of analytics.Pool.%s is discarded — the replica slot can never be released", acquireMethod(info, call))
+		pass.Reportf(call.Pos(), "result of analytics.Pool.Acquire is discarded — the replica slot can never be released")
 	}, func(n *ast.AssignStmt, call *ast.CallExpr) {
 		if len(n.Lhs) != 3 {
 			return
 		}
 		runner := lintutil.IdentObj(info, n.Lhs[0])
 		if runner == nil {
-			pass.Reportf(call.Pos(), "runner from analytics.Pool.%s assigned to the blank identifier — the replica slot can never be released", acquireMethod(info, call))
+			pass.Reportf(call.Pos(), "runner from analytics.Pool.Acquire assigned to the blank identifier — the replica slot can never be released")
 			return
 		}
 		sites = append(sites, site{call, lintutil.Owned{
 			Stmt:      n,
 			Obj:       runner,
-			Status:    lintutil.IdentObj(info, n.Lhs[2]), // err (Acquire) or ok (TryAcquire)
+			Status:    lintutil.IdentObj(info, n.Lhs[2]),
 			IsRelease: func(c *ast.CallExpr) bool { return isReleaseCall(info, c, runner) },
 		}})
 	})
 	for _, s := range sites {
 		if lintutil.Leaks(info, body, s.owned) {
 			pass.Reportf(s.call.Pos(),
-				"replica acquired from analytics.Pool.%s is not released on every path — add a defer pool.Release or release on each exit", acquireMethod(info, s.call))
+				"replica acquired from analytics.Pool.Acquire is not released on every path — add a defer pool.Release or release on each exit")
 		}
 	}
-}
-
-// acquireMethod names the analytics.Pool acquire method call invokes —
-// Acquire or TryAcquire — or returns "" for any other call.
-func acquireMethod(info *types.Info, call *ast.CallExpr) string {
-	obj := lintutil.Callee(info, call)
-	for _, m := range []string{"Acquire", "TryAcquire"} {
-		if obj != nil && lintutil.IsMethodOn(obj, "analytics", "Pool", m) {
-			return m
-		}
-	}
-	return ""
 }
 
 // isReleaseCall reports whether call is Pool.Release with the runner as an

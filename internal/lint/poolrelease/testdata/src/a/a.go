@@ -69,17 +69,18 @@ func oneArmLeak(ctx context.Context, p *analytics.Pool, fast bool) {
 	}
 }
 
-// tryAcquireGuard is the if-init TryAcquire idiom, clean.
-func tryAcquireGuard(p *analytics.Pool) {
-	if r, _, ok := p.TryAcquire(); ok {
+// ifInitGuard acquires in an if-init and releases in the success body,
+// clean.
+func ifInitGuard(ctx context.Context, p *analytics.Pool) {
+	if r, _, err := p.Acquire(ctx); err == nil {
 		defer p.Release(r)
 		_ = r.Step()
 	}
 }
 
-// tryAcquireLeak claims a slot in the success body and never returns it.
-func tryAcquireLeak(p *analytics.Pool) {
-	if r, _, ok := p.TryAcquire(); ok { // want `replica acquired from analytics\.Pool\.TryAcquire is not released on every path`
+// ifInitLeak claims a slot in the success body and never returns it.
+func ifInitLeak(ctx context.Context, p *analytics.Pool) {
+	if r, _, err := p.Acquire(ctx); err == nil { // want `replica acquired from analytics\.Pool\.Acquire is not released on every path`
 		_ = r.Step()
 	}
 }
@@ -90,8 +91,8 @@ func discarded(ctx context.Context, p *analytics.Pool) {
 }
 
 // blankRunner throws the runner away but keeps the setup duration.
-func blankRunner(p *analytics.Pool) {
-	_, d, _ := p.TryAcquire() // want `runner from analytics\.Pool\.TryAcquire assigned to the blank identifier`
+func blankRunner(ctx context.Context, p *analytics.Pool) {
+	_, d, _ := p.Acquire(ctx) // want `runner from analytics\.Pool\.Acquire assigned to the blank identifier`
 	_ = d
 }
 

@@ -18,8 +18,4 @@ func (p *Pool) Acquire(ctx context.Context) (*Runner, time.Duration, error) {
 	return &Runner{}, 0, nil
 }
 
-func (p *Pool) TryAcquire() (*Runner, time.Duration, bool) {
-	return &Runner{}, 0, true
-}
-
 func (p *Pool) Release(r *Runner) {}

@@ -171,19 +171,3 @@ func (o *Optimizer) Decide(i, viewSize, diffSize int) Mode {
 	o.decided = i + o.batch()
 	return o.mode
 }
-
-// NextSplit predicts the next split point: the first view t ≥ from that
-// Decide, continuing from the optimizer's current state with its current
-// models, would run from scratch. ok is false when no such view comes before
-// the collection's end. It runs Decide on a copy, so the optimizer is
-// unchanged; observations arriving before the real decisions can still move
-// them, which is why a prediction is only ever acted on speculatively.
-func (o *Optimizer) NextSplit(from int, viewSizes, diffSizes []int) (t int, ok bool) {
-	sim := *o
-	for t = from; t < len(viewSizes); t++ {
-		if sim.Decide(t, viewSizes[t], diffSizes[t]) == ModeScratch {
-			return t, true
-		}
-	}
-	return 0, false
-}

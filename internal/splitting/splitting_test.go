@@ -2,7 +2,6 @@ package splitting
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -164,10 +163,10 @@ func TestDefaultBatchSize(t *testing.T) {
 	}
 }
 
-// TestPredictionAPI pins the prediction surface speculation reads: the
-// models predict nothing while cold, peekMode falls back exactly as Decide
-// does and agrees with it at a fresh decision point, and neither peekMode
-// nor NextSplit advances the decision state.
+// TestPredictionAPI pins the prediction surface Decide reads: the models
+// predict nothing while cold, peekMode falls back exactly as Decide does and
+// agrees with it at a fresh decision point, and peekMode does not advance
+// the decision state.
 func TestPredictionAPI(t *testing.T) {
 	o := &Optimizer{BatchSize: 3}
 	if _, ok := o.scratch.Predict(100); ok {
@@ -182,11 +181,6 @@ func TestPredictionAPI(t *testing.T) {
 	// Cold models: peekMode must fall back exactly as Decide does (diff).
 	if o.peekMode(100, 10) != ModeDiff {
 		t.Fatal("cold peekMode != ModeDiff")
-	}
-	// Cold models never predict a split past the bootstrap.
-	sizes, diffs := []int{300, 300, 300, 300, 300, 300}, []int{300, 50, 50, 50, 50, 50}
-	if p, ok := o.NextSplit(1, sizes, diffs); ok {
-		t.Fatalf("cold NextSplit(1) = %d", p)
 	}
 
 	// Scratch costs 1 work unit per unit size, diff 10 per unit: scratch wins.
@@ -204,8 +198,8 @@ func TestPredictionAPI(t *testing.T) {
 		t.Fatalf("diff.Predict(50) = %v, %v", dt, ok)
 	}
 
-	// peekMode must agree with Decide at a fresh decision point, and neither
-	// it nor NextSplit may advance the decision state the way Decide does.
+	// peekMode must agree with Decide at a fresh decision point, and must
+	// not advance the decision state the way Decide does.
 	peek := o.peekMode(300, 50)
 	o.Decide(0, 0, 0) // bootstrap
 	o.Decide(1, 0, 0)
@@ -216,137 +210,13 @@ func TestPredictionAPI(t *testing.T) {
 	if again := o.peekMode(300, 50); again != peek {
 		t.Fatalf("peekMode unstable: %v then %v", peek, again)
 	}
-	if p, ok := o.NextSplit(2, sizes, diffs); !ok || p != 2 {
-		t.Fatalf("NextSplit(2) = %d, %v; the models price view 2 as scratch", p, ok)
-	}
 	if o.decided != before {
-		t.Fatal("peekMode or NextSplit advanced the decision state")
+		t.Fatal("peekMode advanced the decision state")
 	}
 	if got := o.Decide(2, 300, 50); got != peek {
 		t.Fatalf("Decide(2) = %v, peekMode said %v", got, peek)
 	}
 	if o.decided != 2+o.batch() {
 		t.Fatalf("decided after Decide = %d", o.decided)
-	}
-}
-
-// TestNextSplitMatchesDecide is NextSplit's property test. From any state a
-// planner can reach — views [0, from) decided in order, random observations
-// between them, any ℓ — the prediction equals the first view an explicit
-// continuation of Decide calls runs from scratch, and predicting leaves the
-// optimizer exactly as it was.
-func TestNextSplitMatchesDecide(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 2000; trial++ {
-		k := 1 + r.Intn(24)
-		views, diffs := make([]int, k), make([]int, k)
-		for i := range views {
-			views[i], diffs[i] = 1+r.Intn(1000), r.Intn(1000)
-		}
-		o := &Optimizer{BatchSize: r.Intn(5)} // 0 is the default ℓ
-		from := r.Intn(k + 1)
-		for i := 0; i < from; i++ {
-			o.Decide(i, views[i], diffs[i])
-			if r.Intn(2) == 0 {
-				o.ObserveScratch(1+r.Intn(1000), int64(r.Intn(1e6)))
-			}
-			if r.Intn(2) == 0 {
-				o.ObserveDiff(r.Intn(1000), int64(r.Intn(1e6)))
-			}
-		}
-		before := *o
-		got, ok := o.NextSplit(from, views, diffs)
-		if *o != before {
-			t.Fatalf("trial %d: NextSplit changed the optimizer: %+v -> %+v", trial, before, *o)
-		}
-		want, wantOK := 0, false
-		for i := from; i < k; i++ {
-			if o.Decide(i, views[i], diffs[i]) == ModeScratch {
-				want, wantOK = i, true
-				break
-			}
-		}
-		if got != want || ok != wantOK {
-			t.Fatalf("trial %d (k=%d from=%d ℓ=%d): NextSplit = %d, %v; Decide splits at %d, %v",
-				trial, k, from, before.BatchSize, got, ok, want, wantOK)
-		}
-	}
-}
-
-// TestPredictSplit: the split point speculative segment starts seed from
-// (Optimizer.NextSplit) skips the views inside a diff batch and returns the
-// first batch boundary whose models prefer scratch — agreeing with what
-// Decide does when the real decisions arrive with unchanged models.
-func TestPredictSplit(t *testing.T) {
-	opt := &Optimizer{BatchSize: 2}
-	// Bootstrap views 0 and 1 so the next fresh decision lands at 2.
-	opt.Decide(0, 100, 100)
-	opt.Decide(1, 100, 10)
-	// Diff is cheap for small diffs, terrible for large ones; scratch flat.
-	opt.ObserveScratch(100, 10)
-	opt.ObserveDiff(10, 2)
-	opt.ObserveDiff(20, 4)
-
-	// Views 2..7: diffs stay small until view 6, which is a huge diff the
-	// model prices above a scratch run. View 5's diff is huge too, but it
-	// sits inside the batch view 4 opened, so it inherits diff.
-	viewSizes := []int{100, 100, 100, 100, 100, 100, 100, 100}
-	diffSizes := []int{100, 10, 10, 12, 11, 900, 500, 12}
-
-	p, ok := opt.NextSplit(2, viewSizes, diffSizes)
-	if !ok || p != 6 {
-		t.Fatalf("NextSplit = %d, %v, want 6 (the first batch boundary whose diff is priced above scratch)", p, ok)
-	}
-	// The real decisions, fed the same sizes with unchanged models, agree:
-	// views 2..5 run differentially, view 6 opens a scratch batch (and view
-	// 7, inside that batch, inherits its mode — a batch, not a boundary).
-	for i := 2; i < 8; i++ {
-		mode := opt.Decide(i, viewSizes[i], diffSizes[i])
-		if want := i >= 6; want != (mode == ModeScratch) {
-			t.Fatalf("Decide(%d) = %v, prediction said the scratch batch opens at 6", i, mode)
-		}
-	}
-
-	// View 7 sits inside the scratch batch Decide(6) opened, so it splits
-	// too and the prediction says so.
-	if p, ok := opt.NextSplit(7, viewSizes, diffSizes); !ok || p != 7 {
-		t.Fatalf("NextSplit(7) = %d, %v; view 7 is in the scratch batch", p, ok)
-	}
-	// Past the collection there is nothing to predict.
-	if _, ok := opt.NextSplit(8, viewSizes, diffSizes); ok {
-		t.Fatal("split predicted past the collection end")
-	}
-}
-
-// TestPredictSplitMidScratchBatch: inside a scratch batch every remaining
-// view opens a segment, so the predicted split point is the very next view
-// — not the next batch boundary, which would guarantee a discarded
-// speculation at each intervening view.
-func TestPredictSplitMidScratchBatch(t *testing.T) {
-	opt := &Optimizer{BatchSize: 4}
-	opt.Decide(0, 100, 100)
-	opt.Decide(1, 100, 10)
-	// Scratch priced far below diff: the decision at view 2 opens a scratch
-	// batch covering views 2..5.
-	opt.ObserveScratch(100, 1)
-	opt.ObserveDiff(10, 100)
-	sizes := []int{100, 100, 100, 100, 100, 100, 100, 100}
-	diffs := []int{100, 10, 10, 10, 10, 10, 10, 10}
-	if mode := opt.Decide(2, sizes[2], diffs[2]); mode != ModeScratch {
-		t.Fatalf("Decide(2) = %v", mode)
-	}
-	// From view 3, still inside the batch: predict 3, not boundary 6.
-	for from := 3; from < 6; from++ {
-		p, ok := opt.NextSplit(from, sizes, diffs)
-		if !ok || p != from {
-			t.Fatalf("NextSplit(from=%d) = %d, %v; want the next view of the scratch batch", from, p, ok)
-		}
-	}
-	// Bootstrap guard: a scratch bootstrap mode never predicts the bootstrap
-	// diff view.
-	fresh := &Optimizer{BatchSize: 4}
-	fresh.Decide(0, 100, 100) // mode now scratch, one view decided
-	if p, ok := fresh.NextSplit(1, sizes, diffs); ok && p < 2 {
-		t.Fatalf("bootstrap view predicted as split: %d", p)
 	}
 }
