@@ -200,7 +200,7 @@ func (inst *Instance) Scope() *dataflow.Scope { return inst.scope }
 
 // nodes derives the set of vertices present in the edge stream.
 func nodes(edges *dataflow.Collection[graph.Triple]) *dataflow.Collection[uint64] {
-	return dataflow.Distinct(dataflow.FlatMap(edges, func(t graph.Triple, emit func(uint64)) {
+	return dataflow.DistinctTotal(dataflow.FlatMap(edges, func(t graph.Triple, emit func(uint64)) {
 		emit(t.Src)
 		emit(t.Dst)
 	}))

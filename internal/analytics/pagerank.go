@@ -42,7 +42,7 @@ func (c PageRank) Build(b *Builder) {
 
 	edges := edgesBySrc(b.Edges())
 	verts := nodes(b.Edges())
-	degrees := dataflow.ReduceCount(dataflow.Map(b.Edges(), func(t graph.Triple) dataflow.KV[uint64, uint64] {
+	degrees := dataflow.CountTotal(dataflow.Map(b.Edges(), func(t graph.Triple) dataflow.KV[uint64, uint64] {
 		return dataflow.KV[uint64, uint64]{K: t.Src, V: t.Dst}
 	}))
 	// Every vertex contributes a constant (1-d) base rank each iteration.
@@ -55,11 +55,11 @@ func (c PageRank) Build(b *Builder) {
 
 	ranks := dataflow.IterateN(initial, iters, func(x *dataflow.Collection[dataflow.KV[uint64, int64]]) *dataflow.Collection[dataflow.KV[uint64, int64]] {
 		// Divide each vertex's damped rank by its out-degree...
-		shares := dataflow.JoinMap(x, degrees, func(v uint64, rank int64, deg int64) dataflow.KV[uint64, int64] {
+		shares := dataflow.JoinMapTotal(x, degrees, func(v uint64, rank int64, deg int64) dataflow.KV[uint64, int64] {
 			return dataflow.KV[uint64, int64]{K: v, V: rank * damping / 100 / deg}
 		})
 		// ...send the share along every out-edge...
-		contribs := dataflow.JoinMap(shares, edges, func(_ uint64, share int64, e dstW) dataflow.KV[uint64, int64] {
+		contribs := dataflow.JoinMapTotal(shares, edges, func(_ uint64, share int64, e dstW) dataflow.KV[uint64, int64] {
 			return dataflow.KV[uint64, int64]{K: e.Dst, V: share}
 		})
 		// ...and accumulate with the base rank.

@@ -44,7 +44,7 @@ func shortestPaths(b *Builder, source uint64, weighted bool) *dataflow.Collectio
 	dists := dataflow.Iterate(roots, func(x *dataflow.Collection[dataflow.KV[uint64, int64]]) *dataflow.Collection[dataflow.KV[uint64, int64]] {
 		// JoinMsg: each vertex with a distance proposes d + c(u,v) to its
 		// out-neighbors.
-		msgs := dataflow.JoinMap(x, edges, func(_ uint64, d int64, e dstW) dataflow.KV[uint64, int64] {
+		msgs := dataflow.JoinMapTotal(x, edges, func(_ uint64, d int64, e dstW) dataflow.KV[uint64, int64] {
 			w := int64(1)
 			if weighted {
 				w = e.W
@@ -102,7 +102,7 @@ func (c MPSP) Build(b *Builder) {
 		byNode := dataflow.Map(x, func(kv dataflow.KV[nodeTag, int64]) dataflow.KV[uint64, dataflow.KV[int64, uint8]] {
 			return dataflow.KV[uint64, dataflow.KV[int64, uint8]]{K: kv.K.Node, V: dataflow.KV[int64, uint8]{K: kv.V, V: kv.K.Tag}}
 		})
-		msgs := dataflow.JoinMap(byNode, edges, func(_ uint64, dv dataflow.KV[int64, uint8], e dstW) dataflow.KV[nodeTag, int64] {
+		msgs := dataflow.JoinMapTotal(byNode, edges, func(_ uint64, dv dataflow.KV[int64, uint8], e dstW) dataflow.KV[nodeTag, int64] {
 			return dataflow.KV[nodeTag, int64]{K: nodeTag{Node: e.Dst, Tag: dv.V}, V: dv.K + e.W}
 		})
 		return dataflow.ReduceMin(dataflow.Concat(msgs, roots))

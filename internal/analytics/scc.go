@@ -98,7 +98,7 @@ func newSCCPhase(workers int) *sccPhase {
 	var inside *dataflow.Collection[sccEdge]
 	trimmed := dataflow.Iterate(dataflow.Map(alive, func(v uint64) sccVertex { return sccVertex{K: v} }),
 		func(x *dataflow.Collection[sccVertex]) *dataflow.Collection[sccVertex] {
-			fromX := dataflow.JoinMap(edges, x, func(src uint64, dst uint64, _ struct{}) sccEdge {
+			fromX := dataflow.JoinMapTotal(x, edges, func(src uint64, _ struct{}, dst uint64) sccEdge {
 				return sccEdge{K: dst, V: src}
 			})
 			inside = dataflow.JoinMap(fromX, x, func(dst uint64, src uint64, _ struct{}) sccEdge {
@@ -130,7 +130,7 @@ func newSCCPhase(workers int) *sccPhase {
 	seeds := dataflow.Map(core, func(v uint64) sccEdge { return sccEdge{K: v, V: v} })
 	// Forward fixpoint: color(v) = max(v, colors of in-neighbors).
 	colors := dataflow.Iterate(seeds, func(x *dataflow.Collection[sccEdge]) *dataflow.Collection[sccEdge] {
-		msgs := dataflow.JoinMap(x, edges, func(_ uint64, color uint64, dst uint64) sccEdge {
+		msgs := dataflow.JoinMapTotal(x, edges, func(_ uint64, color uint64, dst uint64) sccEdge {
 			return sccEdge{K: dst, V: color}
 		})
 		return dataflow.ReduceMax(dataflow.Concat(msgs, seeds))
@@ -142,7 +142,7 @@ func newSCCPhase(workers int) *sccPhase {
 	// Backward fixpoint within the color class: done(v) iff v reaches its
 	// color root through same-colored vertices.
 	done := dataflow.Iterate(roots, func(x *dataflow.Collection[sccEdge]) *dataflow.Collection[sccEdge] {
-		msgs := dataflow.JoinMap(x, rev, func(_ uint64, color uint64, pred uint64) sccEdge {
+		msgs := dataflow.JoinMapTotal(x, rev, func(_ uint64, color uint64, pred uint64) sccEdge {
 			return sccEdge{K: pred, V: color}
 		})
 		matched := dataflow.JoinMap(msgs, colors, func(n uint64, cand uint64, actual uint64) sccMatch {

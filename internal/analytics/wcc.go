@@ -21,7 +21,7 @@ func (WCC) Build(b *Builder) {
 		return dataflow.KV[uint64, uint64]{K: v, V: v}
 	})
 	labels := dataflow.Iterate(seeds, func(x *dataflow.Collection[dataflow.KV[uint64, uint64]]) *dataflow.Collection[dataflow.KV[uint64, uint64]] {
-		msgs := dataflow.JoinMap(x, adj, func(_ uint64, label uint64, nbr uint64) dataflow.KV[uint64, uint64] {
+		msgs := dataflow.JoinMapTotal(x, adj, func(_ uint64, label uint64, nbr uint64) dataflow.KV[uint64, uint64] {
 			return dataflow.KV[uint64, uint64]{K: nbr, V: label}
 		})
 		return dataflow.ReduceMin(dataflow.Concat(msgs, seeds))
@@ -43,7 +43,7 @@ func (Degree) Build(b *Builder) {
 	bySrc := dataflow.Map(b.Edges(), func(t graph.Triple) dataflow.KV[uint64, uint64] {
 		return dataflow.KV[uint64, uint64]{K: t.Src, V: t.Dst}
 	})
-	counts := dataflow.ReduceCount(bySrc)
+	counts := dataflow.CountTotal(bySrc)
 	b.Output(dataflow.Map(counts, func(kv dataflow.KV[uint64, int64]) VertexValue {
 		return VertexValue{V: kv.K, Val: kv.V}
 	}))

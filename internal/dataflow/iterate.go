@@ -68,7 +68,10 @@ func (n *delayNode[R]) minPending(w int) (timestamp.Time, bool) { return n.p.min
 // coloring loops in one scope did not terminate on some hash seeds. The rule:
 // a loop fed by another loop's output that retracts at inner times > 0 needs
 // its own scope. Body must contain at least one stateful operator (Reduce),
-// which every converging fixpoint needs anyway.
+// which every converging fixpoint needs anyway. Inside body, times carry
+// iterations, so the totally ordered operators are out of reach there:
+// DistinctTotal, CountTotal and JoinMapTotal's right input panic at an inner
+// time other than 0 (JoinMapTotal's left input may be the loop variable).
 func Iterate[R comparable](initial *Collection[R], body func(*Collection[R]) *Collection[R]) *Collection[R] {
 	return iterate(initial, 0, body)
 }

@@ -9,73 +9,42 @@ import (
 	"graphsurge/internal/timestamp"
 )
 
-// keyTimes is one key's slot: its time set, slab[off:off+n] with room for c;
+// keyTimes is one key's slot in a reduce: its time set, a span of the slab;
 // 1 + the outer coordinate the set was last advanced to; and whether the key
 // is on the running time's due list.
 type keyTimes struct {
-	off, n, c, adv uint32
-	due            bool
+	span
+	adv uint32
+	due bool
 }
 
-// keyIndex maps a shard's keys to their slots by open addressing on the top
-// bits of the key hash.
+// keyIndex is a reduce shard's keys with, per key, the times it has been or
+// is scheduled to be evaluated at.
 type keyIndex[K comparable] struct {
-	tab   []uint32 // 1 + slot; 0 is empty
-	shift uint8
-	hks   []uint64 // per slot
-	keys  []K
-	kts   []keyTimes
-	slab  []timestamp.Time
+	keyTable[K]
+	kts  []keyTimes // per slot
+	slab []timestamp.Time
 }
 
 // slot returns k's slot, adding an empty one the first time k is seen.
 func (ix *keyIndex[K]) slot(hk uint64, k K) uint32 {
-	if 4*len(ix.kts) >= 3*len(ix.tab) {
-		ix.tab = make([]uint32, max(2*len(ix.tab), 64))
-		ix.shift = uint8(65 - bits.Len(uint(len(ix.tab))))
-		for j, h := range ix.hks {
-			*ix.probe(h, func(uint32) bool { return false }) = uint32(j + 1)
-		}
+	s := ix.keyTable.slot(hk, k)
+	if int(s) == len(ix.kts) {
+		ix.kts = append(ix.kts, keyTimes{})
 	}
-	s := ix.probe(hk, func(j uint32) bool { return ix.hks[j] == hk && ix.keys[j] == k })
-	if *s == 0 {
-		*s = uint32(len(ix.kts) + 1)
-		ix.hks, ix.keys, ix.kts = append(ix.hks, hk), append(ix.keys, k), append(ix.kts, keyTimes{})
-	}
-	return *s - 1
-}
-
-// probe returns the table entry holding the slot is matches, else an empty one.
-func (ix *keyIndex[K]) probe(hk uint64, is func(slot uint32) bool) *uint32 {
-	for p := hk >> ix.shift; ; p++ {
-		if s := &ix.tab[p&uint64(len(ix.tab)-1)]; *s == 0 || is(*s-1) {
-			return s
-		}
-	}
+	return s
 }
 
 // reset forgets every key, keeping the columns' capacity.
 func (ix *keyIndex[K]) reset() {
-	clear(ix.tab)
-	ix.hks, ix.keys, ix.kts, ix.slab = ix.hks[:0], ix.keys[:0], ix.kts[:0], ix.slab[:0]
+	ix.keyTable.reset()
+	ix.kts, ix.slab = ix.kts[:0], ix.slab[:0]
 }
 
-func (ix *keyIndex[K]) times(kt *keyTimes) []timestamp.Time {
-	return ix.slab[kt.off : kt.off+kt.n]
-}
+func (ix *keyIndex[K]) times(kt *keyTimes) []timestamp.Time { return stretch(ix.slab, kt.span) }
 
-// push adds t to kt's set. A full set moves to the slab's end with twice the
-// room, leaving its old room unused until reset.
-func (ix *keyIndex[K]) push(kt *keyTimes, t timestamp.Time) {
-	if kt.n == kt.c {
-		off := uint32(len(ix.slab))
-		ix.slab = append(ix.slab, ix.times(kt)...)
-		kt.off, kt.c = off, max(2*kt.c, 2)
-		ix.slab = append(ix.slab, make([]timestamp.Time, kt.c-kt.n)...)
-	}
-	ix.slab[kt.off+kt.n] = t
-	kt.n++
-}
+// push adds t to kt's set.
+func (ix *keyIndex[K]) push(kt *keyTimes, t timestamp.Time) { extend(&ix.slab, &kt.span, t, 2) }
 
 // advance clamps kt's times below the frontier and de-duplicates them. Must
 // not run while the key has scheduled re-evaluations (a clamped time would
@@ -221,7 +190,8 @@ func ReduceSum[K comparable](in *Collection[KV[K, int64]]) *Collection[KV[K, int
 }
 
 // ReduceCount emits, per key, the total multiplicity of its values (e.g.
-// vertex out-degrees from an edge stream keyed by source).
+// vertex out-degrees from an edge stream keyed by source). Upstream of every
+// loop, CountTotal computes the same with one count per key and no trace.
 func ReduceCount[K comparable, V comparable](in *Collection[KV[K, V]]) *Collection[KV[K, int64]] {
 	return reduceLinear(in, "count", nil, func(n, _ int64, emit func(int64)) {
 		if n != 0 {
@@ -231,7 +201,8 @@ func ReduceCount[K comparable, V comparable](in *Collection[KV[K, V]]) *Collecti
 }
 
 // Distinct reduces a stream to multiplicity one per record present with
-// positive multiplicity.
+// positive multiplicity. Upstream of every loop, DistinctTotal computes the
+// same with one count per record and no trace.
 func Distinct[R comparable](in *Collection[R]) *Collection[R] {
 	keyed := Map(in, func(r R) KV[R, struct{}] { return KV[R, struct{}]{r, struct{}{}} })
 	return Map(DistinctKeys(keyed), func(kv KV[R, struct{}]) R { return kv.K })

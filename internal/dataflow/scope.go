@@ -27,8 +27,8 @@ type node interface {
 	// without touching the dataflow wiring, returning the node to its
 	// just-built condition. Implementations release trace batches by
 	// reference and truncate their columns and indexes in place, keeping
-	// every emptied column for the next run; a reduce clears its key index
-	// table and a Capture swaps in fresh maps. Only called while the scope is
+	// every emptied column for the next run; a reduce or a total index
+	// clears its key table and a Capture swaps in fresh maps. Only called while the scope is
 	// quiescent.
 	reset()
 	// name identifies the operator for diagnostics.
@@ -123,8 +123,8 @@ func (s *Scope) enter(v uint32) {
 // worker shards, and the emptied column sets of queues, traces, indexes and
 // output scratch — is untouched, so a reset scope re-executes from scratch
 // without paying graph construction or column growth again. Beyond a pointer
-// move per trace batch, the cost is a memclr of each reduce's key index table
-// (4 B a slot) and a Capture's two fresh maps per worker.
+// move per trace batch, the cost is a memclr of each reduce's and total
+// index's key table (4 B a slot) and a Capture's two fresh maps per worker.
 //
 // Must be called from the driver goroutine while the scope is quiescent
 // (after Drain); resetting with work in flight would discard deltas
@@ -257,8 +257,10 @@ func (s *Scope) drainTime(t timestamp.Time) {
 // into a column set off the trace's free list when one has room for it (see
 // arrange.Trace.Advance). It costs time proportional to the shard's state,
 // not to the version's difference set. Shards that receive no input do
-// nothing. ResetState drops the histories and keeps their column sets for the
-// next run.
+// nothing. The totally ordered operators (DistinctTotal, CountTotal and
+// JoinMapTotal's right side) keep no trace and have nothing to fold.
+// ResetState drops the histories and keeps their column sets for the next
+// run.
 func (s *Scope) Compact(outer uint32) {
 	for {
 		cur := s.frontier.Load()
