@@ -213,6 +213,15 @@ type dstW struct {
 	W   int64
 }
 
+func (e dstW) dst() uint64 { return e.Dst }
+
+// vertex, at and keep are the relaxations' parts for one label per vertex
+// (see dataflow.Relax): a key is its vertex, and a label passes along an edge
+// unchanged under keep.
+func vertex(v uint64) uint64       { return v }
+func at(_ uint64, n uint64) uint64 { return n }
+func keep[V, E any](v V, _ E) V    { return v }
+
 // edgesBySrc keys the edge stream by source vertex.
 func edgesBySrc(edges *dataflow.Collection[graph.Triple]) *dataflow.Collection[dataflow.KV[uint64, dstW]] {
 	return dataflow.Map(edges, func(t graph.Triple) dataflow.KV[uint64, dstW] {

@@ -19,9 +19,10 @@ func (c BFS) Build(b *Builder) {
 }
 
 // SSSP computes single-source shortest path distances with the Bellman-Ford
-// fixpoint of the paper's Figure 2: vertices iteratively exchange
-// distance messages (JoinMsg) and keep the minimum (UnionMin). Edge weights
-// must be non-negative.
+// fixpoint of the paper's Figure 2: vertices iteratively exchange distance
+// messages (JoinMsg) and keep the minimum (UnionMin), both fused into one
+// dataflow.JoinMin that stores no message. Edge weights must be
+// non-negative.
 type SSSP struct {
 	Source uint64
 }
@@ -41,18 +42,15 @@ func shortestPaths(b *Builder, source uint64, weighted bool) *dataflow.Collectio
 			emit(dataflow.KV[uint64, int64]{K: v, V: 0})
 		}
 	})
+	step := func(d int64, _ dstW) int64 { return d + 1 }
+	if weighted {
+		step = func(d int64, e dstW) int64 { return d + e.W }
+	}
+	relax := dataflow.Relax[uint64, uint64, int64, dstW]{Vertex: vertex, At: at, Dst: dstW.dst, Step: step}
 	dists := dataflow.Iterate(roots, func(x *dataflow.Collection[dataflow.KV[uint64, int64]]) *dataflow.Collection[dataflow.KV[uint64, int64]] {
-		// JoinMsg: each vertex with a distance proposes d + c(u,v) to its
-		// out-neighbors.
-		msgs := dataflow.JoinMapTotal(x, edges, func(_ uint64, d int64, e dstW) dataflow.KV[uint64, int64] {
-			w := int64(1)
-			if weighted {
-				w = e.W
-			}
-			return dataflow.KV[uint64, int64]{K: e.Dst, V: d + w}
-		})
-		// UnionMin: keep the minimum distance per vertex.
-		return dataflow.ReduceMin(dataflow.Concat(msgs, roots))
+		// JoinMsg and UnionMin, fused: each vertex with a distance proposes
+		// d + c(u,v) to its out-neighbors, and each keeps the minimum.
+		return dataflow.JoinMin(x, edges, roots, relax)
 	})
 	return dataflow.Map(dists, func(kv dataflow.KV[uint64, int64]) VertexValue {
 		return VertexValue{V: kv.K, Val: kv.V}
@@ -97,15 +95,14 @@ func (c MPSP) Build(b *Builder) {
 			}
 		}
 	})
+	relax := dataflow.Relax[nodeTag, uint64, int64, dstW]{
+		Vertex: func(k nodeTag) uint64 { return k.Node },
+		At:     func(k nodeTag, n uint64) nodeTag { return nodeTag{Node: n, Tag: k.Tag} },
+		Dst:    dstW.dst,
+		Step:   func(d int64, e dstW) int64 { return d + e.W },
+	}
 	dists := dataflow.Iterate(roots, func(x *dataflow.Collection[dataflow.KV[nodeTag, int64]]) *dataflow.Collection[dataflow.KV[nodeTag, int64]] {
-		// Re-key by vertex to meet the edge stream, carrying the pair tag.
-		byNode := dataflow.Map(x, func(kv dataflow.KV[nodeTag, int64]) dataflow.KV[uint64, dataflow.KV[int64, uint8]] {
-			return dataflow.KV[uint64, dataflow.KV[int64, uint8]]{K: kv.K.Node, V: dataflow.KV[int64, uint8]{K: kv.V, V: kv.K.Tag}}
-		})
-		msgs := dataflow.JoinMapTotal(byNode, edges, func(_ uint64, dv dataflow.KV[int64, uint8], e dstW) dataflow.KV[nodeTag, int64] {
-			return dataflow.KV[nodeTag, int64]{K: nodeTag{Node: e.Dst, Tag: dv.V}, V: dv.K + e.W}
-		})
-		return dataflow.ReduceMin(dataflow.Concat(msgs, roots))
+		return dataflow.JoinMin(x, edges, roots, relax)
 	})
 	out := dataflow.FlatMap(dists, func(kv dataflow.KV[nodeTag, int64], emit func(VertexValue)) {
 		if int(kv.K.Tag) < len(pairs) && pairs[kv.K.Tag].Dst == kv.K.Node {

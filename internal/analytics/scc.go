@@ -129,11 +129,9 @@ func newSCCPhase(workers int) *sccPhase {
 	// multiplies message multiplicities, which max/min reduces ignore.
 	seeds := dataflow.Map(core, func(v uint64) sccEdge { return sccEdge{K: v, V: v} })
 	// Forward fixpoint: color(v) = max(v, colors of in-neighbors).
+	relax := dataflow.Relax[uint64, uint64, uint64, uint64]{Vertex: vertex, At: at, Dst: vertex, Step: keep[uint64, uint64]}
 	colors := dataflow.Iterate(seeds, func(x *dataflow.Collection[sccEdge]) *dataflow.Collection[sccEdge] {
-		msgs := dataflow.JoinMapTotal(x, edges, func(_ uint64, color uint64, dst uint64) sccEdge {
-			return sccEdge{K: dst, V: color}
-		})
-		return dataflow.ReduceMax(dataflow.Concat(msgs, seeds))
+		return dataflow.JoinMax(x, edges, seeds, relax)
 	})
 
 	roots := dataflow.Filter(colors, func(kv sccEdge) bool { return kv.K == kv.V })

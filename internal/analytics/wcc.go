@@ -20,11 +20,9 @@ func (WCC) Build(b *Builder) {
 	seeds := dataflow.Map(nodes(b.Edges()), func(v uint64) dataflow.KV[uint64, uint64] {
 		return dataflow.KV[uint64, uint64]{K: v, V: v}
 	})
+	relax := dataflow.Relax[uint64, uint64, uint64, uint64]{Vertex: vertex, At: at, Dst: vertex, Step: keep[uint64, uint64]}
 	labels := dataflow.Iterate(seeds, func(x *dataflow.Collection[dataflow.KV[uint64, uint64]]) *dataflow.Collection[dataflow.KV[uint64, uint64]] {
-		msgs := dataflow.JoinMapTotal(x, adj, func(_ uint64, label uint64, nbr uint64) dataflow.KV[uint64, uint64] {
-			return dataflow.KV[uint64, uint64]{K: nbr, V: label}
-		})
-		return dataflow.ReduceMin(dataflow.Concat(msgs, seeds))
+		return dataflow.JoinMin(x, adj, seeds, relax)
 	})
 	b.Output(dataflow.Map(labels, func(kv dataflow.KV[uint64, uint64]) VertexValue {
 		return VertexValue{V: kv.K, Val: int64(kv.V)}

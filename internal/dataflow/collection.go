@@ -35,27 +35,43 @@ func (c *Collection[R]) emit(w int, b *batch[R]) {
 }
 
 // keyedSubscriber returns a receiver that routes each delta to the worker
-// owning its key and pushes it into p. Worker w splits a batch into parts[w],
-// its own recycled scratch, one batch per target worker.
+// owning its key and pushes it into p.
 func keyedSubscriber[K comparable, V comparable](s *Scope, p *pendings[KV[K, V]]) func(int, *batch[KV[K, V]]) {
+	return routedSubscriber(s, p, func(kv KV[K, V]) K { return kv.K })
+}
+
+// routedSubscriber returns a receiver that routes each delta r to the worker
+// owning by(r) and pushes it into p. Worker w splits a batch into parts[w],
+// its own recycled scratch, one batch per target worker.
+func routedSubscriber[R comparable, N comparable](s *Scope, p *pendings[R], by func(R) N) func(int, *batch[R]) {
 	if s.workers == 1 {
 		return p.push
 	}
-	parts := make([][]batch[KV[K, V]], s.workers)
+	parts := make([][]batch[R], s.workers)
 	for w := range parts {
-		parts[w] = make([]batch[KV[K, V]], s.workers)
+		parts[w] = make([]batch[R], s.workers)
 		s.recycles(func() { clear(parts[w]) })
 	}
-	return func(w int, b *batch[KV[K, V]]) {
+	return func(w int, b *batch[R]) {
 		ps := parts[w]
 		for tw := range ps {
 			ps[tw].reset(b.t, len(b.recs)/len(ps))
 		}
-		for i, kv := range b.recs {
-			ps[partition(s, kv.K)].add(kv, b.diffs[i])
+		for i, r := range b.recs {
+			ps[partition(s, by(r))].add(r, b.diffs[i])
 		}
 		for tw := range ps {
 			p.push(tw, &ps[tw])
+		}
+	}
+}
+
+// broadcastSubscriber returns a receiver that pushes every delta into p on
+// every worker.
+func broadcastSubscriber[R comparable](s *Scope, p *pendings[R]) func(int, *batch[R]) {
+	return func(_ int, b *batch[R]) {
+		for w := range s.workers {
+			p.push(w, b)
 		}
 	}
 }

@@ -104,15 +104,27 @@ type pairRun struct {
 // begin opens a batch.
 func (ix *totalIndex[K, V]) begin() { ix.epoch++ }
 
-// add folds d into the count of (k, v), where hk is k's hash, and returns
-// the count before. A value is looked for only among the pairs that were
-// there before the batch: a batch adds each value once, so a whole view's
-// values arriving at a key in one batch cost linear, not quadratic, time.
-func (ix *totalIndex[K, V]) add(hk uint64, k K, v V, d int64) int64 {
-	s := ix.slot(hk, k)
+// slot returns k's slot, where hk is k's hash, adding an empty one the
+// first time k is seen.
+func (ix *totalIndex[K, V]) slot(hk uint64, k K) uint32 {
+	s := ix.keyTable.slot(hk, k)
 	if int(s) == len(ix.runs) {
 		ix.runs = append(ix.runs, pairRun{})
 	}
+	return s
+}
+
+// add folds d into the count of (k, v), where hk is k's hash, and returns
+// the count before.
+func (ix *totalIndex[K, V]) add(hk uint64, k K, v V, d int64) int64 {
+	return ix.addAt(ix.slot(hk, k), v, d)
+}
+
+// addAt is add for the key in slot s. A value is looked for only among the
+// pairs that were there before the batch: a batch adds each value once, so a
+// whole view's values arriving at a key in one batch cost linear, not
+// quadratic, time.
+func (ix *totalIndex[K, V]) addAt(s uint32, v V, d int64) int64 {
 	r := &ix.runs[s]
 	if r.epoch != ix.epoch {
 		r.epoch, r.old = ix.epoch, r.n
@@ -136,15 +148,20 @@ func (ix *totalIndex[K, V]) add(hk uint64, k K, v V, d int64) int64 {
 	return 0
 }
 
+// pairs returns k's pairs, valid until the next add. hk is k's hash.
+func (ix *totalIndex[K, V]) pairs(hk uint64, k K) []VD[V] {
+	s, ok := ix.find(hk, k)
+	if !ok {
+		return nil
+	}
+	return stretch(ix.slab, ix.runs[s].span)
+}
+
 // key visits k's pairs, each as a count at the beginning of time, and
 // returns how many it visited: a join pairs a delta at t with them at t
 // itself. hk is k's hash.
 func (ix *totalIndex[K, V]) key(hk uint64, k K, yield func(v V, t timestamp.Time, d int64)) int {
-	s, ok := ix.find(hk, k)
-	if !ok {
-		return 0
-	}
-	ps := stretch(ix.slab, ix.runs[s].span)
+	ps := ix.pairs(hk, k)
 	for _, p := range ps {
 		yield(p.V, timestamp.Time{}, p.D)
 	}

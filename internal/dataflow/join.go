@@ -88,8 +88,10 @@ func (r *joinRight[K, B]) reset() {
 }
 
 // JoinMap joins two keyed streams, emitting f(k, a, b) for every matching
-// pair. It is the engine's equivalent of DD's join_map and the JoinMsg
-// operator in the paper's Bellman-Ford dataflow (Figure 2).
+// pair. It is the engine's equivalent of DD's join_map. The JoinMsg operator
+// in the paper's Bellman-Ford dataflow (Figure 2) is a join like this one,
+// but where its messages only feed a min or a max, JoinMin and JoinMax
+// compute both without storing them.
 func JoinMap[K comparable, A comparable, B comparable, O comparable](
 	l *Collection[KV[K, A]], r *Collection[KV[K, B]], f func(K, A, B) O,
 ) *Collection[O] {
@@ -136,20 +138,6 @@ func newJoin[K comparable, A comparable, B comparable, O comparable](
 	s.recycles(func() { clear(n.ob) })
 	s.addNode(n)
 	return n.out
-}
-
-// Semijoin keeps the (k, v) pairs of l whose key appears in the set r,
-// multiplied by r's multiplicities (r should carry multiplicity one per key,
-// e.g. a Distinct output).
-func Semijoin[K comparable, V comparable](l *Collection[KV[K, V]], r *Collection[KV[K, struct{}]]) *Collection[KV[K, V]] {
-	return JoinMap(l, r, func(k K, v V, _ struct{}) KV[K, V] { return KV[K, V]{k, v} })
-}
-
-// Antijoin keeps the (k, v) pairs of l whose key does NOT appear in the set
-// r: l ⊖ (l ⋉ r). r must carry multiplicity one per present key (e.g. a
-// DistinctKeys output), so the subtraction cancels exactly.
-func Antijoin[K comparable, V comparable](l *Collection[KV[K, V]], r *Collection[KV[K, struct{}]]) *Collection[KV[K, V]] {
-	return Concat(l, Negate(Semijoin(l, r)))
 }
 
 func (n *joinNode[K, A, B, O]) name() string { return "join" }

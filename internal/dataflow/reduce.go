@@ -3,88 +3,20 @@ package dataflow
 import (
 	"cmp"
 	"math/bits"
-	"slices"
 
 	"graphsurge/internal/arrange"
 	"graphsurge/internal/timestamp"
 )
 
-// keyTimes is one key's slot in a reduce: its time set, a span of the slab;
-// 1 + the outer coordinate the set was last advanced to; and whether the key
-// is on the running time's due list.
-type keyTimes struct {
-	span
-	adv uint32
-	due bool
-}
-
-// keyIndex is a reduce shard's keys with, per key, the times it has been or
-// is scheduled to be evaluated at.
-type keyIndex[K comparable] struct {
-	keyTable[K]
-	kts  []keyTimes // per slot
-	slab []timestamp.Time
-}
-
-// slot returns k's slot, adding an empty one the first time k is seen.
-func (ix *keyIndex[K]) slot(hk uint64, k K) uint32 {
-	s := ix.keyTable.slot(hk, k)
-	if int(s) == len(ix.kts) {
-		ix.kts = append(ix.kts, keyTimes{})
-	}
-	return s
-}
-
-// reset forgets every key, keeping the columns' capacity.
-func (ix *keyIndex[K]) reset() {
-	ix.keyTable.reset()
-	ix.kts, ix.slab = ix.kts[:0], ix.slab[:0]
-}
-
-func (ix *keyIndex[K]) times(kt *keyTimes) []timestamp.Time { return stretch(ix.slab, kt.span) }
-
-// push adds t to kt's set.
-func (ix *keyIndex[K]) push(kt *keyTimes, t timestamp.Time) { extend(&ix.slab, &kt.span, t, 2) }
-
-// advance clamps kt's times below the frontier and de-duplicates them. Must
-// not run while the key has scheduled re-evaluations (a clamped time would
-// diverge from the schedule), which cannot happen here: the frontier only
-// moves between versions, when the scope is quiescent, and every scheduled
-// time has Outer at or above the version being drained.
-func (ix *keyIndex[K]) advance(kt *keyTimes, outer uint32) {
-	if kt.adv >= outer+1 {
-		return
-	}
-	kt.adv = outer + 1
-	ts := ix.times(kt)
-	for i := range ts {
-		ts[i].Outer = max(ts[i].Outer, outer)
-	}
-	slices.SortFunc(ts, func(a, b timestamp.Time) int {
-		return cmp.Or(cmp.Compare(a.Outer, b.Outer), cmp.Compare(a.Inner, b.Inner))
-	})
-	kt.n = uint32(len(slices.Compact(ts)))
-}
-
-// dirtyKey is a key scheduled for evaluation: its hash and its slot.
-type dirtyKey struct {
-	hk   uint64
-	slot uint32
-}
-
 // reduceShard is one worker's share of a reduce: the input and the output
-// history as columnar arrangements (peers: one key hash serves both), and per
-// key the times it has been, or is scheduled to be, evaluated at, with no
-// per-key heap object: a slot in a flat index, a stretch of a shared slab.
-// Keys due later wait in time-ordered (hash, slot) columns; a running time's
-// keys are sorted by hash once and walked by one forward cursor per trace.
+// history as columnar arrangements (peers: one key hash serves both), and the
+// schedule of the times each key has been, or is to be, evaluated at. A
+// running time's keys are sorted by hash once and walked by one forward
+// cursor per trace.
 type reduceShard[K comparable, V comparable, O comparable] struct {
 	ins   *arrange.Trace[K, V]
 	outs  *arrange.Trace[K, O]
-	keys  keyIndex[K]
-	dirty arrange.Queue[dirtyKey] // keys scheduled at later times (no diffs)
-	due   []dirtyKey              // the keys to evaluate at the running time, each once
-	front []timestamp.Time        // the join closure's work list
+	sched schedule[K]
 	ic    arrange.Cursor[K, V]
 	oc    arrange.Cursor[K, O]
 	vals  []VD[V]         // a key's consolidated input
@@ -144,7 +76,7 @@ func newReduce[K comparable, V comparable, O comparable](in *Collection[KV[K, V]
 		sh := &reduceShard[K, V, O]{ins: ins, outs: arrange.NewPeer[K, O](ins)}
 		sh.emit = func(o O) { mergeVD(&sh.delta, o, 1) }
 		n.st[w] = sh
-		s.recycles(func() { sh.ob, sh.due, sh.dirty = batch[KV[K, O]]{}, nil, arrange.Queue[dirtyKey]{} })
+		s.recycles(func() { sh.ob = batch[KV[K, O]]{}; sh.sched.release() })
 	}
 	in.subscribe(keyedSubscriber(s, n.p))
 	s.addNode(n)
@@ -152,14 +84,16 @@ func newReduce[K comparable, V comparable, O comparable](in *Collection[KV[K, V]
 }
 
 // ReduceMin keeps, per key, the minimum value present with positive
-// multiplicity. The workhorse of label-propagation algorithms (WCC, BFS,
-// shortest paths): the paper's UnionMin operator.
+// multiplicity: the paper's UnionMin operator. Label propagation over edges
+// (WCC, BFS, shortest paths) uses JoinMin, which fuses it with the message
+// join and stores no message; ReduceMin is its reference and serves loops
+// whose messages are not a join with edges (SCC's backward confirmation).
 func ReduceMin[K comparable, V cmp.Ordered](in *Collection[KV[K, V]]) *Collection[KV[K, V]] {
 	return Reduce(in, "min", func(_ K, vals []VD[V], emit func(V)) { pick(vals, -1, emit) })
 }
 
 // ReduceMax keeps, per key, the maximum value present with positive
-// multiplicity (used by the SCC coloring algorithm).
+// multiplicity; JoinMax fuses it with a message join (SCC's coloring).
 func ReduceMax[K comparable, V cmp.Ordered](in *Collection[KV[K, V]]) *Collection[KV[K, V]] {
 	return Reduce(in, "max", func(_ K, vals []VD[V], emit func(V)) { pick(vals, 1, emit) })
 }
@@ -205,12 +139,12 @@ func ReduceCount[K comparable, V comparable](in *Collection[KV[K, V]]) *Collecti
 // same with one count per record and no trace.
 func Distinct[R comparable](in *Collection[R]) *Collection[R] {
 	keyed := Map(in, func(r R) KV[R, struct{}] { return KV[R, struct{}]{r, struct{}{}} })
-	return Map(DistinctKeys(keyed), func(kv KV[R, struct{}]) R { return kv.K })
+	return Map(distinctKeys(keyed), func(kv KV[R, struct{}]) R { return kv.K })
 }
 
-// DistinctKeys reduces a keyed stream to one (key, struct{}{}) record per key
-// present, the shape Semijoin expects for its filter side.
-func DistinctKeys[K comparable, V comparable](in *Collection[KV[K, V]]) *Collection[KV[K, struct{}]] {
+// distinctKeys reduces a keyed stream to one (key, struct{}{}) record per
+// key present.
+func distinctKeys[K comparable, V comparable](in *Collection[KV[K, V]]) *Collection[KV[K, struct{}]] {
 	return reduceLinear(in, "distinct", nil, func(n, _ int64, emit func(struct{})) {
 		if n > 0 {
 			emit(struct{}{})
@@ -237,48 +171,19 @@ func (n *reduceNode[K, V, O]) run(w int, t timestamp.Time) {
 	// The keys due at t are those earlier runs scheduled and those this run's
 	// input touches. Ingest the input, and schedule the join closure of t
 	// with each touched key's known times.
-	taken, _ := sh.dirty.Take(t, sh.due, nil)
-	sh.due = slices.Grow(taken[:0], len(taken)+min(len(b.recs), len(sh.keys.kts))) // room for the keys the input can touch
-	for _, d := range taken {
-		sh.mark(d)
-	}
+	sh.sched.begin(t, len(b.recs)) // room for the keys the input can touch
 	for i, kv := range b.recs {
 		k, hk := kv.K, sh.ins.Hash(kv.K)
-		slot := sh.keys.slot(hk, k)
-		kt := &sh.keys.kts[slot]
-		sh.keys.advance(kt, outer)
 		sh.ins.AppendHashed(hk, k, kv.V, t, b.diffs[i])
-		dk := dirtyKey{hk, slot}
-		sh.mark(dk)
-		front := append(sh.front[:0], t)
-		for len(front) > 0 {
-			nt := front[len(front)-1]
-			front = front[:len(front)-1]
-			ts := sh.keys.times(kt)
-			if slices.Contains(ts, nt) {
-				continue
-			}
-			for _, s := range ts {
-				if j := nt.Join(s); j != nt && j != s && !slices.Contains(ts, j) {
-					front = append(front, j)
-				}
-			}
-			sh.keys.push(kt, nt)
-			if nt != t {
-				sh.dirty.Push(nt, []dirtyKey{dk}, nil)
-			}
-		}
-		sh.front = front
+		sh.sched.touch(hk, k, t, t, outer)
 	}
 
 	// Re-evaluate every key due at t, in hash order.
-	slices.SortFunc(sh.due, func(a, b dirtyKey) int { return cmp.Compare(a.hk, b.hk) })
 	sh.ic.Open(sh.ins)
 	sh.oc.Open(sh.outs)
 	ob := sh.ob.reset(t, 0)
-	for _, d := range sh.due {
-		k := sh.keys.keys[d.slot]
-		sh.keys.kts[d.slot].due = false
+	for _, d := range sh.sched.sorted() {
+		k := sh.sched.keys.keys[d.slot]
 		in, rows := sh.ic.Seek(d.hk, k)
 		work += rows
 		sh.delta = sh.delta[:0]
@@ -323,14 +228,6 @@ func (n *reduceNode[K, V, O]) run(w int, t timestamp.Time) {
 	}
 	n.s.addWork(w, work)
 	n.out.emit(w, ob)
-}
-
-// mark puts d's key on the due list unless it is there already.
-func (sh *reduceShard[K, V, O]) mark(d dirtyKey) {
-	if kt := &sh.keys.kts[d.slot]; !kt.due {
-		kt.due = true
-		sh.due = append(sh.due, d)
-	}
 }
 
 // fold consolidates a key's rows at or before t by value into sh.vals and
@@ -391,18 +288,17 @@ func (n *reduceNode[K, V, O]) reset() {
 	for _, sh := range n.st {
 		sh.ins.Reset()
 		sh.outs.Reset()
-		sh.keys.reset()
-		sh.dirty.Reset()
+		sh.sched.reset()
 	}
 }
 
 func (n *reduceNode[K, V, O]) hasPending(w int, t timestamp.Time) bool {
-	return n.p.has(w, t) || n.st[w].dirty.Has(t)
+	return n.p.has(w, t) || n.st[w].sched.dirty.Has(t)
 }
 
 func (n *reduceNode[K, V, O]) minPending(w int) (timestamp.Time, bool) {
 	best, found := n.p.min(w)
-	if t, ok := n.st[w].dirty.Min(); ok && (!found || t.LexLess(best)) {
+	if t, ok := n.st[w].sched.dirty.Min(); ok && (!found || t.LexLess(best)) {
 		return t, true
 	}
 	return best, found

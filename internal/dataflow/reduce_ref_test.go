@@ -380,7 +380,7 @@ func reduceUnderTest(in *Collection[KV[int, int]], name string, oracle bool) *Co
 	case "count":
 		return ReduceCount(in)
 	default:
-		return Map(DistinctKeys(in), func(kv KV[int, struct{}]) KV[int, int64] { return KV[int, int64]{kv.K, 1} })
+		return Map(distinctKeys(in), func(kv KV[int, struct{}]) KV[int, int64] { return KV[int, int64]{kv.K, 1} })
 	}
 }
 

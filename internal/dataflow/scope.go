@@ -123,7 +123,7 @@ func (s *Scope) enter(v uint32) {
 // worker shards, and the emptied column sets of queues, traces, indexes and
 // output scratch — is untouched, so a reset scope re-executes from scratch
 // without paying graph construction or column growth again. Beyond a pointer
-// move per trace batch, the cost is a memclr of each reduce's and total
+// move per trace batch, the cost is a memclr of each schedule's and total
 // index's key table (4 B a slot) and a Capture's two fresh maps per worker.
 //
 // Must be called from the driver goroutine while the scope is quiescent
@@ -257,8 +257,9 @@ func (s *Scope) drainTime(t timestamp.Time) {
 // into a column set off the trace's free list when one has room for it (see
 // arrange.Trace.Advance). It costs time proportional to the shard's state,
 // not to the version's difference set. Shards that receive no input do
-// nothing. The totally ordered operators (DistinctTotal, CountTotal and
-// JoinMapTotal's right side) keep no trace and have nothing to fold.
+// nothing. The totally ordered operators (DistinctTotal, CountTotal,
+// JoinMapTotal's right side, JoinMin's and JoinMax's edges and roots) keep
+// no trace and have nothing to fold.
 // ResetState drops the histories and keeps their column sets for the next
 // run.
 func (s *Scope) Compact(outer uint32) {

@@ -14,7 +14,8 @@ import (
 // O(delta) per version with nothing to merge. They are Differential
 // Dataflow's distinct_total and count_total, restricted as there to totally
 // ordered times. Fed a time with Inner ≠ 0 — any stream inside an Iterate
-// body — they panic (for JoinMapTotal, on its right input).
+// body — they panic (for JoinMapTotal, on its right input). JoinMin and
+// JoinMax keep their edges and roots in the same index, under the same rule.
 
 // mustBeTotal panics unless t is a time op accepts: (version, 0).
 func mustBeTotal(op string, t timestamp.Time) {
