@@ -100,10 +100,11 @@ type relaxShard[K comparable, N comparable, V cmp.Ordered, E comparable] struct 
 	sources []source
 	slab    []VD[KV[K, V]]
 
-	cands []VD[V] // a key's candidate values
-	delta []VD[V] // a key's output correction
-	emit  func(V)
-	ob    batch[KV[K, V]] // output scratch, lent to the subscribers at the end of each run
+	srcs, dsts []uint32 // an edge batch's slots, by source and by destination
+	cands      []VD[V]  // a key's candidate values
+	delta      []VD[V]  // a key's output correction
+	emit       func(V)
+	ob         batch[KV[K, V]] // output scratch, lent to the subscribers at the end of each run
 }
 
 // source is a by-source slot's entry (see relaxShard.sources).
@@ -165,7 +166,7 @@ func (n *relaxNode[K, N, V, E]) run(w int, t timestamp.Time) {
 			continue
 		}
 		sh.sources[src].labeled = true
-		out := stretch(sh.bySrc.slab, sh.bySrc.runs[src].span)
+		out := sh.bySrc.slab.at(src)
 		for _, p := range out {
 			k := r.At(kv.K, r.Dst(p.V))
 			sh.sched.touch(sh.outs.Hash(k), k, t, t, outer)
@@ -173,23 +174,35 @@ func (n *relaxNode[K, N, V, E]) run(w int, t timestamp.Time) {
 		work += len(out)
 	}
 	// An edge change at t changes the messages of each of its source's
-	// labels, at t joined with the label's time.
+	// labels, at t joined with the label's time. Every edge is slotted
+	// first, so each index makes room for the batch's insertions at once.
 	if len(eb.recs) > 0 {
 		mustBeTotal(n.op+"'s edge input", t)
 		sh.bySrc.begin()
 		sh.byDst.begin()
+		srcs, dsts := sh.srcs[:0], sh.dsts[:0]
+		for i, kv := range eb.recs {
+			u, v := kv.K, r.Dst(kv.V)
+			src, dst := sh.bySrc.slot(sh.xs.Hash(u), u), sh.byDst.slot(sh.xs.Hash(v), v)
+			if int(src) == len(sh.sources) {
+				sh.sources = append(sh.sources, source{})
+			}
+			if eb.diffs[i] > 0 {
+				sh.bySrc.slab.ask(src)
+				sh.byDst.slab.ask(dst)
+			}
+			srcs, dsts = append(srcs, src), append(dsts, dst)
+		}
+		sh.bySrc.slab.reserve()
+		sh.byDst.slab.reserve()
+		sh.srcs, sh.dsts = srcs, dsts
 	}
 	for i, kv := range eb.recs {
-		u, e, d := kv.K, kv.V, eb.diffs[i]
+		u, e, d, src := kv.K, kv.V, eb.diffs[i], sh.srcs[i]
 		v := r.Dst(e)
-		hu := sh.xs.Hash(u)
-		src := sh.bySrc.slot(hu, u)
-		if int(src) == len(sh.sources) {
-			sh.sources = append(sh.sources, source{})
-		}
 		sh.bySrc.addAt(src, e, d)
-		sh.byDst.add(sh.xs.Hash(v), v, inEdge[E]{src, e}, d)
-		rows := sh.xs.KeyHashed(hu, u, func(x KV[K, V], et timestamp.Time, _ int64) {
+		sh.byDst.addAt(sh.dsts[i], inEdge[E]{src, e}, d)
+		rows := sh.xs.KeyHashed(sh.bySrc.hks[src], u, func(x KV[K, V], et timestamp.Time, _ int64) {
 			k := r.At(x.K, v)
 			sh.sched.touch(sh.outs.Hash(k), k, t.Join(et), t, outer)
 		})

@@ -1,7 +1,10 @@
 package dataflow
 
 import (
+	"cmp"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -169,4 +172,107 @@ func TestJoinMinPanicsOnLoopInputs(t *testing.T) {
 	mustPanicNaming(t, "JoinMax's root input", func(in *Collection[KV[int, int]]) {
 		Iterate(in, func(x *Collection[KV[int, int]]) *Collection[KV[int, int]] { return JoinMax(x, in, step(x), same) })
 	})
+}
+
+// BenchmarkJoinMinInDegree measures what join-on-demand trades: a due key's
+// evaluation walks all its in-edges and reads each source's labels, where
+// the general reduce reads the key's stored messages. On a unit-weight
+// (bfs-shaped) graph of 2 000 vertices and 20 000 edges whose in-degrees are
+// skewed (every vertex has one in-edge, the rest go to Zipf-drawn
+// destinations), one op is one version that inserts, or deletes again, one
+// edge into each reachable vertex of an in-degree decile, from a source no
+// nearer the root, so each is re-evaluated and none changes its distance. It runs for JoinMin and for ReduceMin(Concat(JoinMapTotal(…),
+// roots)); indeg is the decile's mean in-degree.
+func BenchmarkJoinMinInDegree(b *testing.B) {
+	const n, m = 2000, 20000
+	r := rand.New(rand.NewSource(1))
+	zipf := rand.NewZipf(r, 1.5, 20, n-1)
+	var graph []Update[KV[int, arc]]
+	indeg := make([]int, n)
+	out := make([][]int, n)
+	for i := range m {
+		dst := i
+		if i >= n {
+			dst = int(zipf.Uint64())
+		}
+		src := r.Intn(n)
+		graph = append(graph, Update[KV[int, arc]]{KV[int, arc]{src, arc{dst, 1}}, 1})
+		indeg[dst]++
+		out[src] = append(out[src], dst)
+	}
+	dist := make([]int, n) // the bfs distances from vertex 0, -1 if unreachable
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[0] = 0
+	for q := []int{0}; len(q) > 0; q = q[1:] {
+		for _, v := range out[q[0]] {
+			if dist[v] < 0 {
+				dist[v] = dist[q[0]] + 1
+				q = append(q, v)
+			}
+		}
+	}
+	byDeg := make([]int, 0, n)
+	for v := range n {
+		if dist[v] > 0 {
+			byDeg = append(byDeg, v)
+		}
+	}
+	slices.SortStableFunc(byDeg, func(a, b int) int { return cmp.Compare(indeg[a], indeg[b]) })
+
+	unit := plain(func(v int, _ arc) int { return v + 1 })
+	for _, op := range []struct {
+		name string
+		loop func(x, roots *Collection[KV[int, int]], edges *Collection[KV[int, arc]]) *Collection[KV[int, int]]
+	}{
+		{"JoinMin", func(x, roots *Collection[KV[int, int]], edges *Collection[KV[int, arc]]) *Collection[KV[int, int]] {
+			return JoinMin(x, edges, roots, unit)
+		}},
+		{"ReduceMin", func(x, roots *Collection[KV[int, int]], edges *Collection[KV[int, arc]]) *Collection[KV[int, int]] {
+			return relaxGeneral(x, edges, roots, unit, ReduceMin[int, int])
+		}},
+	} {
+		for d := range 10 {
+			decile := byDeg[d*len(byDeg)/10 : (d+1)*len(byDeg)/10]
+			var probe []Update[KV[int, arc]]
+			sum := 0
+			for _, v := range decile {
+				u := r.Intn(n)
+				for dist[u] < dist[v] {
+					u = r.Intn(n)
+				}
+				probe = append(probe, Update[KV[int, arc]]{KV[int, arc]{u, arc{v, 1}}, 1})
+				sum += indeg[v]
+			}
+			b.Run(fmt.Sprintf("%s/decile=%d", op.name, d), func(b *testing.B) {
+				s := NewScope(1)
+				ein, edges := NewInput[KV[int, arc]](s)
+				rin, roots := NewInput[KV[int, int]](s)
+				Iterate(roots, func(x *Collection[KV[int, int]]) *Collection[KV[int, int]] { return op.loop(x, roots, edges) })
+				ein.SendAt(0, graph)
+				rin.SendAt(0, []Update[KV[int, int]]{{KV[int, int]{0, 0}, 1}})
+				s.Drain()
+				s.Compact(0)
+				s.ResetWork()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := range b.N {
+					for j := range probe {
+						probe[j].D = 1 - 2*Diff(i%2)
+					}
+					ein.SendAt(uint32(i+1), probe)
+					s.Drain()
+					s.Compact(uint32(i + 1))
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(sum)/float64(len(probe)), "indeg")
+				work := int64(0)
+				for _, w := range s.WorkCounts() {
+					work += w
+				}
+				b.ReportMetric(float64(work)/float64(b.N), "work/op")
+			})
+		}
+	}
 }

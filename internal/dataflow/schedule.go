@@ -8,11 +8,10 @@ import (
 	"graphsurge/internal/timestamp"
 )
 
-// keyTimes is one key's slot in a schedule: its time set, a span of the
-// slab; 1 + the outer coordinate the set was last advanced to; and whether
-// the key is on the running time's due list.
+// keyTimes is one key's slot in a schedule, beside its time set (its span
+// of the index's slab): 1 + the outer coordinate the set was last advanced
+// to, and whether the key is on the running time's due list.
 type keyTimes struct {
-	span
 	adv uint32
 	due bool
 }
@@ -22,7 +21,7 @@ type keyTimes struct {
 type keyIndex[K comparable] struct {
 	keyTable[K]
 	kts  []keyTimes // per slot
-	slab []timestamp.Time
+	slab spanSlab[timestamp.Time]
 }
 
 // slot returns k's slot, adding an empty one the first time k is seen.
@@ -30,6 +29,7 @@ func (ix *keyIndex[K]) slot(hk uint64, k K) uint32 {
 	s := ix.keyTable.slot(hk, k)
 	if int(s) == len(ix.kts) {
 		ix.kts = append(ix.kts, keyTimes{})
+		ix.slab.add()
 	}
 	return s
 }
@@ -37,32 +37,29 @@ func (ix *keyIndex[K]) slot(hk uint64, k K) uint32 {
 // reset forgets every key, keeping the columns' capacity.
 func (ix *keyIndex[K]) reset() {
 	ix.keyTable.reset()
-	ix.kts, ix.slab = ix.kts[:0], ix.slab[:0]
+	ix.kts = ix.kts[:0]
+	ix.slab.reset()
 }
 
-func (ix *keyIndex[K]) times(kt *keyTimes) []timestamp.Time { return stretch(ix.slab, kt.span) }
-
-// push adds t to kt's set.
-func (ix *keyIndex[K]) push(kt *keyTimes, t timestamp.Time) { extend(&ix.slab, &kt.span, t, 2) }
-
-// advance clamps kt's times below the frontier and de-duplicates them. Must
-// not run while the key has scheduled re-evaluations (a clamped time would
-// diverge from the schedule), which cannot happen here: the frontier only
-// moves between versions, when the scope is quiescent, and every scheduled
-// time has Outer at or above the version being drained.
-func (ix *keyIndex[K]) advance(kt *keyTimes, outer uint32) {
+// advance clamps slot s's times below the frontier and de-duplicates them.
+// Must not run while the key has scheduled re-evaluations (a clamped time
+// would diverge from the schedule), which cannot happen here: the frontier
+// only moves between versions, when the scope is quiescent, and every
+// scheduled time has Outer at or above the version being drained.
+func (ix *keyIndex[K]) advance(s uint32, outer uint32) {
+	kt := &ix.kts[s]
 	if kt.adv >= outer+1 {
 		return
 	}
 	kt.adv = outer + 1
-	ts := ix.times(kt)
+	ts := ix.slab.at(s)
 	for i := range ts {
 		ts[i].Outer = max(ts[i].Outer, outer)
 	}
 	slices.SortFunc(ts, func(a, b timestamp.Time) int {
 		return cmp.Or(cmp.Compare(a.Outer, b.Outer), cmp.Compare(a.Inner, b.Inner))
 	})
-	kt.n = uint32(len(slices.Compact(ts)))
+	ix.slab.cut(s, len(slices.Compact(ts)))
 }
 
 // dirtyKey is a key scheduled for evaluation: its hash and its slot.
@@ -73,7 +70,7 @@ type dirtyKey struct {
 
 // schedule is a keyed shard's evaluation schedule, with no per-key heap
 // object: per key, a slot in a flat index and the times it has been or is
-// scheduled to be evaluated at, a stretch of a shared slab. Keys due later
+// scheduled to be evaluated at, a span of a shared slab. Keys due later
 // wait in time-ordered (hash, slot) columns; a running time's keys are put
 // on the due list once each and sorted by hash, so the owner walks its
 // traces with one forward cursor each. The reduce and JoinMin/JoinMax share
@@ -103,8 +100,7 @@ func (sc *schedule[K]) begin(t timestamp.Time, room int) {
 // frontier's outer coordinate, which the key's times are clamped to first.
 func (sc *schedule[K]) touch(hk uint64, k K, nt, t timestamp.Time, outer uint32) {
 	slot := sc.keys.slot(hk, k)
-	kt := &sc.keys.kts[slot]
-	sc.keys.advance(kt, outer)
+	sc.keys.advance(slot, outer)
 	dk := dirtyKey{hk, slot}
 	if nt == t {
 		sc.mark(dk)
@@ -113,7 +109,7 @@ func (sc *schedule[K]) touch(hk uint64, k K, nt, t timestamp.Time, outer uint32)
 	for len(front) > 0 {
 		x := front[len(front)-1]
 		front = front[:len(front)-1]
-		ts := sc.keys.times(kt)
+		ts := sc.keys.slab.at(slot)
 		if slices.Contains(ts, x) {
 			continue
 		}
@@ -122,7 +118,7 @@ func (sc *schedule[K]) touch(hk uint64, k K, nt, t timestamp.Time, outer uint32)
 				front = append(front, j)
 			}
 		}
-		sc.keys.push(kt, x)
+		sc.keys.slab.push(slot, x)
 		if x != t {
 			sc.dirty.Push(x, []dirtyKey{dk}, nil)
 		}
