@@ -25,6 +25,7 @@ package analytics
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"graphsurge/internal/dataflow"
@@ -198,11 +199,27 @@ func (inst *Instance) Scope() *dataflow.Scope { return inst.scope }
 
 // Shared sub-dataflows used by several algorithms.
 
-// nodes derives the set of vertices present in the edge stream.
+// nodes derives the set of vertices present in the edge stream. WCC seeds a
+// label at every vertex and PageRank ranks every vertex, so both need the
+// whole set; the shortest-path roots take nodesAmong instead.
 func nodes(edges *dataflow.Collection[graph.Triple]) *dataflow.Collection[uint64] {
 	return dataflow.DistinctTotal(dataflow.FlatMap(edges, func(t graph.Triple, emit func(uint64)) {
 		emit(t.Src)
 		emit(t.Dst)
+	}))
+}
+
+// nodesAmong derives the vertices of srcs present in the edge stream: the
+// same set nodes would yield after a filter on srcs, but its DistinctTotal
+// sees only the endpoints that are sources, not every edge's two.
+func nodesAmong(edges *dataflow.Collection[graph.Triple], srcs []uint64) *dataflow.Collection[uint64] {
+	return dataflow.DistinctTotal(dataflow.FlatMap(edges, func(t graph.Triple, emit func(uint64)) {
+		if slices.Contains(srcs, t.Src) {
+			emit(t.Src)
+		}
+		if slices.Contains(srcs, t.Dst) {
+			emit(t.Dst)
+		}
 	}))
 }
 

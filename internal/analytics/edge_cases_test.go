@@ -1,6 +1,8 @@
 package analytics
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"graphsurge/internal/graph"
@@ -204,4 +206,77 @@ func TestMPSPSamePairEndpoints(t *testing.T) {
 	if got[VertexValue{V: MPSPVertex(0, 3), Val: 0}] != 1 {
 		t.Fatalf("got %v", got)
 	}
+}
+
+// TestShortestPathRootsFollowSource holds bfs, sssp and mpsp to the oracle
+// while their sources come and go: a source absent from the view, then
+// present with out-, in- and self-loop edges, then stripped of every
+// incident edge, then back with only a self-loop, then back in full; a
+// source with only in-edges; a source whose only edge is a self-loop; and
+// two pairs sharing a source. The roots are the sources the view's edges
+// touch, so a root must come and go with its source's incident edges.
+func TestShortestPathRootsFollowSource(t *testing.T) {
+	base := []graph.Triple{{Src: 2, Dst: 3, W: 2}, {Src: 3, Dst: 4, W: 1}, {Src: 4, Dst: 5, W: 4}}
+	with := func(es []graph.Triple, more ...graph.Triple) []graph.Triple {
+		return append(append([]graph.Triple(nil), es...), more...)
+	}
+	views := [][]graph.Triple{
+		base, // 1 and 6 absent, 5 has only an in-edge
+		with(base, graph.Triple{Src: 1, Dst: 2, W: 5}, graph.Triple{Src: 4, Dst: 1, W: 1}, graph.Triple{Src: 1, Dst: 1, W: 3}, graph.Triple{Src: 6, Dst: 6, W: 2}),
+		with(base, graph.Triple{Src: 6, Dst: 6, W: 2}, graph.Triple{Src: 2, Dst: 5, W: 1}), // 1 lost every incident edge
+		with(base, graph.Triple{Src: 6, Dst: 6, W: 2}, graph.Triple{Src: 2, Dst: 5, W: 1}, graph.Triple{Src: 1, Dst: 1, W: 1}),
+		with(base, graph.Triple{Src: 2, Dst: 5, W: 1}, graph.Triple{Src: 1, Dst: 1, W: 1}, graph.Triple{Src: 3, Dst: 1, W: 2}, graph.Triple{Src: 1, Dst: 3, W: 1}),
+		base,
+	}
+	pairs := []Pair{{Src: 1, Dst: 4}, {Src: 1, Dst: 3}, {Src: 5, Dst: 5}, {Src: 5, Dst: 2}, {Src: 6, Dst: 6}, {Src: 2, Dst: 1}, {Src: 7, Dst: 7}}
+	mpspOracle := func(edges []graph.Triple) map[uint64]int64 {
+		want := map[uint64]int64{}
+		for i, p := range pairs {
+			if d, ok := spOracle(edges, p.Src, true)[p.Dst]; ok {
+				want[MPSPVertex(i, p.Dst)] = d
+			}
+		}
+		return want
+	}
+	type run struct {
+		comp   Computation
+		oracle func([]graph.Triple) map[uint64]int64
+	}
+	runs := []run{{MPSP{Pairs: pairs}, mpspOracle}}
+	for _, src := range []uint64{1, 5, 6, 7} {
+		runs = append(runs,
+			run{BFS{Source: src}, func(es []graph.Triple) map[uint64]int64 { return spOracle(es, src, false) }},
+			run{SSSP{Source: src}, func(es []graph.Triple) map[uint64]int64 { return spOracle(es, src, true) }})
+	}
+	for _, workers := range []int{1, 3} {
+		for _, r := range runs {
+			inst, err := NewInstance(r.comp, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var prev []graph.Triple
+			for v, view := range views {
+				adds, dels := edgeChange(prev, view)
+				inst.Step(graph.NewEdgeBatch(adds), graph.NewEdgeBatch(dels))
+				checkAgainst(t, fmt.Sprintf("%s %+v, %d workers, version %d", r.comp.Name(), r.comp, workers, v), inst, r.oracle(view))
+				prev = view
+			}
+		}
+	}
+}
+
+// edgeChange returns the edges to add and to delete to turn view from into
+// view to (each edge at most once in either).
+func edgeChange(from, to []graph.Triple) (adds, dels []graph.Triple) {
+	for _, e := range to {
+		if !slices.Contains(from, e) {
+			adds = append(adds, e)
+		}
+	}
+	for _, e := range from {
+		if !slices.Contains(to, e) {
+			dels = append(dels, e)
+		}
+	}
+	return adds, dels
 }

@@ -37,10 +37,8 @@ func (c SSSP) Build(b *Builder) {
 
 func shortestPaths(b *Builder, source uint64, weighted bool) *dataflow.Collection[VertexValue] {
 	edges := edgesBySrc(b.Edges())
-	roots := dataflow.FlatMap(nodes(b.Edges()), func(v uint64, emit func(dataflow.KV[uint64, int64])) {
-		if v == source {
-			emit(dataflow.KV[uint64, int64]{K: v, V: 0})
-		}
+	roots := dataflow.Map(nodesAmong(b.Edges(), []uint64{source}), func(v uint64) dataflow.KV[uint64, int64] {
+		return dataflow.KV[uint64, int64]{K: v, V: 0}
 	})
 	step := func(d int64, _ dstW) int64 { return d + 1 }
 	if weighted {
@@ -88,7 +86,11 @@ type nodeTag struct {
 func (c MPSP) Build(b *Builder) {
 	edges := edgesBySrc(b.Edges())
 	pairs := c.Pairs
-	roots := dataflow.FlatMap(nodes(b.Edges()), func(v uint64, emit func(dataflow.KV[nodeTag, int64])) {
+	srcs := make([]uint64, len(pairs))
+	for i, p := range pairs {
+		srcs[i] = p.Src
+	}
+	roots := dataflow.FlatMap(nodesAmong(b.Edges(), srcs), func(v uint64, emit func(dataflow.KV[nodeTag, int64])) {
 		for i, p := range pairs {
 			if v == p.Src {
 				emit(dataflow.KV[nodeTag, int64]{K: nodeTag{Node: v, Tag: uint8(i)}, V: 0})

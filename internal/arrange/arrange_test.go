@@ -275,10 +275,10 @@ func TestQueueOrderAndTake(t *testing.T) {
 	ta := timestamp.Time{Outer: 1, Inner: 0}
 	tb := timestamp.Time{Outer: 0, Inner: 2}
 	tc := timestamp.Time{Outer: 0, Inner: 1}
-	q.Push(ta, []string{"a"}, []int64{1})
-	q.Push(tb, []string{"b"}, []int64{2})
-	q.Push(tc, []string{"c"}, []int64{3})
-	q.Push(tb, []string{"b2", "b3"}, []int64{-1, 4})
+	q.Push(ta, []string{"a"}, []int64{1}, 0)
+	q.Push(tb, []string{"b"}, []int64{2}, 0)
+	q.Push(tc, []string{"c"}, []int64{3}, 0)
+	q.Push(tb, []string{"b2", "b3"}, []int64{-1, 4}, 0)
 	if m, ok := q.Min(); !ok || m != tc {
 		t.Fatalf("Min=%v,%v want %v", m, ok, tc)
 	}
@@ -305,11 +305,11 @@ func TestQueueOrderAndTake(t *testing.T) {
 	if len(recs) != 1 || recs[0] != "c" || diffs[0] != 3 {
 		t.Fatalf("Take(tc) = %v %v", recs, diffs)
 	}
-	q.Push(tb, []string{"again"}, []int64{1})
+	q.Push(tb, []string{"again"}, []int64{1}, 0)
 	if got, _ := q.Take(tb, nil, nil); &got[0] != spent {
 		t.Fatal("a new bucket did not start in the spent column set")
 	}
-	q.Push(ta, []string{"x", "y"}, []int64{1, 1})
+	q.Push(ta, []string{"x", "y"}, []int64{1, 1}, 0)
 	q.Reset()
 	if _, ok := q.Min(); ok || q.Has(ta) {
 		t.Fatal("reset left buckets")
@@ -317,13 +317,23 @@ func TestQueueOrderAndTake(t *testing.T) {
 	if r, _ := q.Take(ta, nil, nil); len(r) != 0 {
 		t.Fatalf("reset left rows: %v", r)
 	}
-	q.Push(ta, []string{"z"}, []int64{1})
+	q.Push(ta, []string{"z"}, []int64{1}, 0)
 	if r, _ := q.Take(ta, nil, nil); len(r) != 1 || r[0] != "z" {
 		t.Fatalf("a bucket in a reset queue holds %v", r)
 	}
 	q.Release()
 	if len(q.recs) != 0 {
 		t.Fatalf("Release kept %d spent column sets", len(q.recs))
+	}
+	// A bucket that must grow grows once for the rows the caller says are
+	// still to come.
+	q.Push(tc, []string{"c1"}, []int64{1}, 0)
+	q.Push(tc, []string{"c2", "c3"}, []int64{1, 1}, 6)
+	first := &q.recs[0][0]
+	q.Push(tc, []string{"c4", "c5", "c6"}, []int64{1, 1, 1}, 3)
+	q.Push(tc, []string{"c7", "c8", "c9"}, []int64{1, 1, 1}, 0)
+	if r, d := q.Take(tc, nil, nil); len(r) != 9 || len(d) != 9 || &r[0] != first || r[8] != "c9" {
+		t.Fatalf("pushes announced by more grew the bucket again or lost rows: %v %v", r, d)
 	}
 }
 

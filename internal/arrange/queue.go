@@ -1,6 +1,7 @@
 package arrange
 
 import (
+	"slices"
 	"sort"
 
 	"graphsurge/internal/timestamp"
@@ -34,8 +35,10 @@ func (q *Queue[R]) bucket(t timestamp.Time) (int, bool) {
 }
 
 // Push appends the rows of two parallel columns to t's bucket, creating it
-// in time order if absent. The columns are copied, not kept.
-func (q *Queue[R]) Push(t timestamp.Time, recs []R, diffs []int64) {
+// in time order if absent. The columns are copied, not kept. more is the
+// caller's estimate of the rows it will push at t after these: a bucket that
+// must grow grows once to hold them too, instead of once per push.
+func (q *Queue[R]) Push(t timestamp.Time, recs []R, diffs []int64, more int) {
 	i, ok := q.bucket(t)
 	if !ok {
 		n := len(q.times)
@@ -48,6 +51,12 @@ func (q *Queue[R]) Push(t timestamp.Time, recs []R, diffs []int64) {
 		copy(q.recs[i+1:n+1], q.recs[i:n])
 		copy(q.diffs[i+1:n+1], q.diffs[i:n])
 		q.times[i], q.recs[i], q.diffs[i] = t, fr, fd
+	}
+	if n := len(q.recs[i]) + len(recs); n > cap(q.recs[i]) && more > 0 {
+		q.recs[i] = slices.Grow(q.recs[i], len(recs)+more)
+		if diffs != nil {
+			q.diffs[i] = slices.Grow(q.diffs[i], len(recs)+more)
+		}
 	}
 	q.recs[i] = append(q.recs[i], recs...)
 	q.diffs[i] = append(q.diffs[i], diffs...)

@@ -56,6 +56,7 @@ func routedSubscriber[R comparable, N comparable](s *Scope, p *pendings[R], by f
 		ps := parts[w]
 		for tw := range ps {
 			ps[tw].reset(b.t, len(b.recs)/len(ps))
+			ps[tw].more = b.more / len(ps)
 		}
 		for i, r := range b.recs {
 			ps[partition(s, by(r))].add(r, b.diffs[i])

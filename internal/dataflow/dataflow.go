@@ -71,12 +71,22 @@ type VD[V comparable] struct {
 // stay columnar from the operator that emits them to the trace that stores
 // them. A batch passed to a subscriber is borrowed for the duration of the
 // emit call: the producer reuses its columns afterwards, so a subscriber
-// copies what it keeps and never writes to it.
+// copies what it keeps and never writes to it. An input or a fused operator
+// hands a large batch on in chunks (chunkRows) and sets more, its estimate of
+// the rows still to come at t, so a pending bucket grows once for all of
+// them.
 type batch[R comparable] struct {
 	recs  []R
 	diffs []Diff
 	t     timestamp.Time
+	more  int
 }
+
+// chunkRows is the most rows an input or a fused operator hands on in one
+// batch per worker. It bounds their scratch, which is why the scope keeps it
+// instead of releasing it (see Scope.release); the pending buffers
+// downstream gather the chunks of one time into one bucket.
+const chunkRows = 1024
 
 // reset empties b for reuse at time t, with room for the n rows the caller
 // expects. Its columns keep their capacity: Scope.release says for how long.
@@ -84,7 +94,7 @@ func (b *batch[R]) reset(t timestamp.Time, n int) *batch[R] {
 	if cap(b.recs) < n {
 		b.recs, b.diffs = make([]R, 0, n), make([]Diff, 0, n)
 	}
-	b.recs, b.diffs, b.t = b.recs[:0], b.diffs[:0], t
+	b.recs, b.diffs, b.t, b.more = b.recs[:0], b.diffs[:0], t, 0
 	return b
 }
 

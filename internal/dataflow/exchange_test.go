@@ -120,8 +120,13 @@ func TestConsolidateMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestExchangeColumnsRelease pins how long recycled exchange columns live
-// (Scope.release): through version 0, across ResetState and through Park at
+// TestExchangeColumnsRelease pins how long exchange columns live. The
+// input's and the fused operators' scratch hands on at most chunkRows rows a
+// batch, each announcing the rows still to come, so it is bounded, and the
+// scope keeps it for its life: a view of more than chunkRows rows never
+// grows it past that, and it survives entering version 1 and Park. Every
+// other holder's recycled columns (the pending buffers here) live by
+// Scope.release: through version 0, across ResetState and through Park at
 // version 0, so a reset scope's next whole view refills them; gone as the
 // scope enters version 1, so a whole view's columns are not pinned under
 // difference sets; kept from version to version after that, so a
@@ -130,50 +135,84 @@ func TestConsolidateMatchesOracle(t *testing.T) {
 func TestExchangeColumnsRelease(t *testing.T) {
 	s := NewScope(1)
 	in, col := NewInput[int](s)
-	c := NewCapture(Map(col, func(r int) int { return r + 1 }))
-	view := make([]Update[int], 1000)
+	// The Map reads a stateful operator's output, which hands it the whole
+	// view in one batch.
+	mapped := Map(DistinctTotal(col), func(r int) int { return r + 1 })
+	var ob *batch[int] // the Map's scratch, as lent to its subscribers
+	most := 0          // the most rows the input or the Map handed on at once
+	var announced [2]int
+	col.subscribe(func(_ int, b *batch[int]) { most, announced[0] = max(most, len(b.recs)), max(announced[0], b.more) })
+	mapped.subscribe(func(_ int, b *batch[int]) {
+		ob, most, announced[1] = b, max(most, len(b.recs)), max(announced[1], b.more)
+	})
+	c := NewCapture(mapped)
+	view := make([]Update[int], 5000)
 	for i := range view {
 		view[i] = Update[int]{i, 1}
 	}
-	// held is the capacity of the input's scratch and of the capture's
-	// pending buffer (the batch it last took); the Map's scratch sits between.
-	held := func() (int, int) { return cap(in.parts[0].recs), cap(c.p.sh[0].cur.recs) }
+	retract := make([]Update[int], 10)
+	for i := range retract {
+		retract[i] = Update[int]{i, -1}
+	}
+	// scratch is the capacity of the input's and the Map's batches, pending
+	// that of the capture's pending buffer (the batch it last took).
+	scratch := func() (int, int) { return cap(in.parts[0].recs), cap(ob.recs) }
+	pending := func() int { return cap(c.p.sh[0].cur.recs) }
 	step := func(v uint32, ups []Update[int]) {
 		in.SendAt(v, ups)
 		s.Drain()
 		s.Compact(v)
 	}
+	bounded := func(when string) (int, int) {
+		t.Helper()
+		i, m := scratch()
+		if i == 0 || m == 0 || max(i, m, most) > chunkRows {
+			t.Fatalf("%s the input's scratch is %d rows, the Map's %d and the largest batch %d, want 1 to %d", when, i, m, most, chunkRows)
+		}
+		return i, m
+	}
 
 	step(0, view)
-	if i, p := held(); i < len(view) || p < len(view) {
-		t.Fatalf("after version 0 the columns are %d and %d rows, want a view's %d kept", i, p, len(view))
+	bounded("after version 0")
+	if p := pending(); p < len(view) {
+		t.Fatalf("after version 0 the pending buffer is %d rows, want a view's %d kept", p, len(view))
+	}
+	if want := len(view) - chunkRows; announced != [2]int{want, want} {
+		t.Fatalf("the first chunks of the input and of the Map announced %v rows still to come, want %d each", announced, want)
 	}
 	s.ResetState()
 	step(0, view)
 	s.Park()
-	if i, p := held(); i < len(view) || p < len(view) {
-		t.Fatalf("a reset scope parked at version 0 holds columns of %d and %d rows, want a view's %d kept", i, p, len(view))
+	i0, m0 := bounded("parked at version 0")
+	if p := pending(); p < len(view) {
+		t.Fatalf("a reset scope parked at version 0 holds a pending buffer of %d rows, want a view's %d kept", p, len(view))
 	}
 	released := 0
 	s.recycles(func() { released++ })
-	in.SendAt(1, view[:10])
-	if i, _ := held(); released != 1 || i >= len(view) {
-		t.Fatalf("entering version 1 released %d times and left the input %d rows, want the view's columns gone", released, i)
+	in.SendAt(1, retract)
+	if p := pending(); released != 1 || p != 0 {
+		t.Fatalf("entering version 1 released %d times and left the pending buffer %d rows, want it gone", released, p)
+	}
+	if i, m := bounded("entering version 1"); i != i0 || m != m0 {
+		t.Fatalf("entering version 1 left the input's and the Map's scratch %d and %d rows, want %d and %d kept", i, m, i0, m0)
 	}
 	s.Drain()
 	s.Compact(1)
-	if i, p := held(); released != 1 || i < 10 || p < 10 {
-		t.Fatalf("the end of version 1 released %d times in all and left %d and %d rows, want the version's 10 kept", released, i, p)
+	if p := pending(); released != 1 || p < len(retract) {
+		t.Fatalf("the end of version 1 released %d times in all and left the pending buffer %d rows, want the version's %d kept", released, p, len(retract))
 	}
 	s.Park()
-	if i, p := held(); released != 2 || i != 0 || p != 0 {
-		t.Fatalf("parking past version 0 released %d times in all and left %d and %d rows, want none", released, i, p)
+	if p := pending(); released != 2 || p != 0 {
+		t.Fatalf("parking past version 0 released %d times in all and left the pending buffer %d rows, want none", released, p)
+	}
+	if i, m := bounded("parked past version 0"); i != i0 || m != m0 {
+		t.Fatalf("parking past version 0 left the input's and the Map's scratch %d and %d rows, want %d and %d kept", i, m, i0, m0)
 	}
 	step(2, view[:10])
 	if released != 2 { // entering a version past the first has nothing to release
 		t.Fatalf("version 2 released %d times in all, want 2", released)
 	}
-	if got := c.Result(); len(got) != len(view) || got[1] != 3 {
+	if got := c.Result(); len(got) != len(view) || got[1] != 1 {
 		t.Fatalf("results changed with the columns: %d records, record 1 ×%d", len(got), got[1])
 	}
 }

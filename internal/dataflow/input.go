@@ -9,32 +9,40 @@ import "graphsurge/internal/timestamp"
 type Input[R comparable] struct {
 	s     *Scope
 	col   *Collection[R]
-	parts []batch[R] // per-worker scratch the updates are written into
+	parts []batch[R] // per-worker scratch of at most chunkRows rows, kept for the scope's life
 }
 
 // NewInput creates an input and the collection carrying its updates.
 func NewInput[R comparable](s *Scope) (*Input[R], *Collection[R]) {
 	col := newCollection[R](s)
-	in := &Input[R]{s: s, col: col, parts: make([]batch[R], s.workers)}
-	s.recycles(func() { clear(in.parts) })
-	return in, col
+	return &Input[R]{s: s, col: col, parts: make([]batch[R], s.workers)}, col
 }
 
 // Collection returns the stream fed by this input.
 func (in *Input[R]) Collection() *Collection[R] { return in.col }
 
 // Send introduces n updates at version v, the i-th being at(i), written
-// straight into the input's recycled per-worker batches. Updates are spread
-// across workers by record hash so stateless operator chains run in
-// parallel; keyed operators re-route by key regardless.
+// straight into the input's per-worker batches. Updates are spread across
+// workers by record hash so stateless operator chains run in parallel; keyed
+// operators re-route by key regardless. A worker's batch is handed on each
+// time it fills chunkRows rows, so the input's scratch is bounded whatever
+// the view's size, and the scope keeps it across versions and Park.
 func (in *Input[R]) Send(v uint32, n int, at func(i int) (R, Diff)) {
 	in.s.enter(v)
+	t := timestamp.Outer(v)
 	for w := range in.parts {
-		in.parts[w].reset(timestamp.Outer(v), n/len(in.parts))
+		in.parts[w].reset(t, min(n, chunkRows))
 	}
 	for i := 0; i < n; i++ {
 		r, d := at(i)
-		in.parts[partition(in.s, r)].add(r, d)
+		w := partition(in.s, r)
+		p := &in.parts[w]
+		p.add(r, d)
+		if len(p.recs) == chunkRows {
+			p.more = (n - i - 1) / len(in.parts)
+			in.col.emit(w, p)
+			p.reset(t, 0)
+		}
 	}
 	for w := range in.parts {
 		in.col.emit(w, &in.parts[w])

@@ -46,14 +46,15 @@ func (p *pendings[R]) release() {
 	}
 }
 
-// push copies a batch into its time's bucket on worker w's shard.
+// push copies a batch into its time's bucket on worker w's shard, sizing a
+// bucket that must grow by the batch's more.
 func (p *pendings[R]) push(w int, b *batch[R]) {
 	if len(b.recs) == 0 {
 		return
 	}
 	sh := &p.sh[w]
 	sh.mu.Lock()
-	sh.q.Push(b.t, b.recs, b.diffs)
+	sh.q.Push(b.t, b.recs, b.diffs, b.more)
 	sh.mu.Unlock()
 }
 

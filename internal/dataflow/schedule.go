@@ -120,7 +120,7 @@ func (sc *schedule[K]) touch(hk uint64, k K, nt, t timestamp.Time, outer uint32)
 		}
 		sc.keys.slab.push(slot, x)
 		if x != t {
-			sc.dirty.Push(x, []dirtyKey{dk}, nil)
+			sc.dirty.Push(x, []dirtyKey{dk}, nil, 0)
 		}
 	}
 	sc.front = front

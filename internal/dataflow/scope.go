@@ -87,18 +87,21 @@ func (s *Scope) Workers() int { return s.workers }
 
 func (s *Scope) addNode(n node) { s.nodes = append(s.nodes, n) }
 
-// recycles registers what lets a holder's recycled exchange columns (input,
-// fused-operator and operator output scratch, pending buffers) go.
+// recycles registers what lets a holder's recycled exchange columns
+// (operator output scratch, routed exchange parts, schedules, pending
+// buffers) go. The input's and the fused operators' scratch is not among
+// them: it hands on chunkRows rows at a time, so it is bounded and kept.
 func (s *Scope) recycles(release func()) { s.recycled = append(s.recycled, release) }
 
-// release lets every recycled exchange column go. Columns are recycled within
-// a version, from version to version of a differential run, and from version
-// 0 across ResetState into the next version 0 (a reset scope runs whole
-// views, each about the size of the last). They go in two places only: as an
-// input enters version 1 (enter), so what a whole view grew is not pinned
-// under the difference sets that follow, and when the scope's owner parks a
-// scope past version 0 (Park), so an idle scope holds no difference set's
-// columns.
+// release lets every registered exchange column go. Columns are recycled
+// within a version, from version to version of a differential run, and from
+// version 0 across ResetState into the next version 0 (a reset scope runs
+// whole views, each about the size of the last). Registered ones go in two
+// places only: as an input enters version 1 (enter), so what a whole view
+// grew is not pinned under the difference sets that follow, and when the
+// scope's owner parks a scope past version 0 (Park), so an idle scope holds
+// no difference set's columns. Bounded scratch (chunkRows) stays through
+// both.
 func (s *Scope) release() {
 	for _, f := range s.recycled {
 		f()
