@@ -104,23 +104,33 @@ func BenchmarkExchangeHop(b *testing.B) {
 	}
 }
 
-// BenchmarkReduce is one warm round through a ReduceMin alone, in two
-// shapes: many small keys (a few values each, like vertex labels) and a few
-// hub keys (hundreds of values each, like a high-degree vertex's messages).
-// Each runs as a reset scope's next view and as a differential run's next
-// version.
+// BenchmarkReduce is one warm round through a reduce alone: a ReduceMin,
+// which arranges its input, and a ReduceSum, which keeps one (time, n, Σ)
+// row per key and time. Each runs in two shapes: many small keys (a few
+// values each, like vertex labels) and a few hub keys (hundreds of values
+// each, like a high-degree vertex's messages), and each as a reset scope's
+// next view and as a differential run's next version.
 func BenchmarkReduce(b *testing.B) {
 	for _, shape := range []struct {
 		name       string
 		keys, vals int
 	}{{"small-keys", 4000, 4}, {"hub-keys", 8, 2000}} {
 		for _, view := range []bool{true, false} {
-			b.Run(shape.name+map[bool]string{true: "/view", false: "/version"}[view], func(b *testing.B) {
+			name := shape.name + map[bool]string{true: "/view", false: "/version"}[view]
+			b.Run("min/"+name, func(b *testing.B) {
 				s := NewScope(1)
 				in, col := NewInput[KV[uint32, uint32]](s)
 				ReduceMin(col)
 				benchRounds(b, rounds(s, in, 4000, view, func(r *rand.Rand) KV[uint32, uint32] {
 					return KV[uint32, uint32]{uint32(r.Intn(shape.keys)), uint32(r.Intn(shape.vals))}
+				}, func() {}))
+			})
+			b.Run("sum/"+name, func(b *testing.B) {
+				s := NewScope(1)
+				in, col := NewInput[KV[uint32, int64]](s)
+				ReduceSum(col)
+				benchRounds(b, rounds(s, in, 4000, view, func(r *rand.Rand) KV[uint32, int64] {
+					return KV[uint32, int64]{uint32(r.Intn(shape.keys)), int64(r.Intn(shape.vals))}
 				}, func() {}))
 			})
 		}

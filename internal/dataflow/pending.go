@@ -62,13 +62,20 @@ func (p *pendings[R]) push(w int, b *batch[R]) {
 // once, completely (empty when absent or when everything cancels). The batch
 // stays valid until the next take on the same shard.
 func (p *pendings[R]) take(w int, t timestamp.Time) *batch[R] {
+	b := p.takeRaw(w, t)
+	b.consolidate(p.hash, &p.sh[w].idx)
+	return b
+}
+
+// takeRaw is take without the consolidation, for an operator that folds the
+// batch by a coarser rule of its own.
+func (p *pendings[R]) takeRaw(w int, t timestamp.Time) *batch[R] {
 	sh := &p.sh[w]
 	b := &sh.cur
 	sh.mu.Lock()
 	b.recs, b.diffs = sh.q.Take(t, b.recs, b.diffs)
 	sh.mu.Unlock()
 	b.t = t
-	b.consolidate(p.hash, &sh.idx)
 	return b
 }
 

@@ -3,27 +3,49 @@ package dataflow
 import (
 	"cmp"
 	"math/bits"
+	"slices"
 
 	"graphsurge/internal/arrange"
 	"graphsurge/internal/timestamp"
 )
 
-// reduceShard is one worker's share of a reduce: the input and the output
-// history as columnar arrangements (peers: one key hash serves both), and the
-// schedule of the times each key has been, or is to be, evaluated at. A
-// running time's keys are sorted by hash once and walked by one forward
-// cursor per trace.
+// reduceShard is one worker's share of a reduce: its input, the output
+// history as a columnar arrangement, and the schedule of the times each key
+// has been, or is to be, evaluated at. A general reducer's input is an
+// arrangement too, a peer of the output's (one key hash serves both). A
+// linear reducer's is, per key, a span of (time, n, Σ) rows, one per time
+// its records arrived at, in the slot the schedule gives the key, and
+// clamped to the frontier with the key's times; a run's batch is folded to
+// one (n, Σ) per key before it is ingested. A running time's keys are sorted
+// by hash once and walked by one forward cursor per trace.
 type reduceShard[K comparable, V comparable, O comparable] struct {
-	ins   *arrange.Trace[K, V]
+	ins   *arrange.Trace[K, V] // a general reducer's input; nil for a linear one
+	lin   spanSlab[linRow]     // a linear reducer's input, per schedule slot
 	outs  *arrange.Trace[K, O]
 	sched schedule[K]
 	ic    arrange.Cursor[K, V]
 	oc    arrange.Cursor[K, O]
 	vals  []VD[V]         // a key's consolidated input
-	idx   []uint32        // the fold's index, recycled across keys
+	idx   []uint32        // the fold's index, recycled across keys and runs
+	folds []keyFold[K]    // a linear reducer's batch, folded per key
 	delta []VD[O]         // a key's output correction
 	emit  func(O)         // the reducer's report: one more of O in delta
 	ob    batch[KV[K, O]] // output scratch, lent to the subscribers at the end of each run
+}
+
+// linRow is a linear reducer's input at one key and time: n = Σ d and
+// sum = Σ w(v)·d over the records that arrived there.
+type linRow struct {
+	t      timestamp.Time
+	n, sum int64
+}
+
+// keyFold is a linear reducer's batch at one key, hk its hash: n = Σ d and
+// sum = Σ w(v)·d over the batch's records of k.
+type keyFold[K comparable] struct {
+	hk     uint64
+	k      K
+	n, sum int64
 }
 
 // reduceNode groups a keyed stream by key and applies a per-key multiset
@@ -59,8 +81,12 @@ func Reduce[K comparable, V comparable, O comparable](
 }
 
 // reduceLinear is Reduce for a reducer of n = Σ d and sum = Σ w(v)·d over a
-// key's values, folded without grouping them. On a collection (no negative
-// multiplicities) a key without values is one with n = 0.
+// key's values. No value is stored: a run's batch is folded per key (a
+// combiner, as GraphX sums a vertex's messages), each key's fold is added to
+// its row at the running time, and a key is evaluated from the sum of its
+// rows at or below t (Differential Dataflow's explode, with (n, Σ) as the
+// difference). On a collection (no negative multiplicities) a key without
+// values is one with n = 0.
 func reduceLinear[K comparable, V comparable, O comparable](
 	in *Collection[KV[K, V]], name string, w func(V) int64, f func(n, sum int64, emit func(O)),
 ) *Collection[KV[K, O]] {
@@ -72,8 +98,10 @@ func newReduce[K comparable, V comparable, O comparable](in *Collection[KV[K, V]
 	n.s, n.out, n.p = s, newCollection[KV[K, O]](s), newPendings[KV[K, V]](s)
 	n.st = make([]*reduceShard[K, V, O], s.workers)
 	for w := range n.st {
-		ins := arrange.NewTrace[K, V]()
-		sh := &reduceShard[K, V, O]{ins: ins, outs: arrange.NewPeer[K, O](ins)}
+		sh := &reduceShard[K, V, O]{outs: arrange.NewTrace[K, O]()}
+		if n.lin == nil {
+			sh.ins = arrange.NewPeer[K, V](sh.outs)
+		}
 		sh.emit = func(o O) { mergeVD(&sh.delta, o, 1) }
 		n.st[w] = sh
 		s.recycles(func() { sh.ob = batch[KV[K, O]]{}; sh.sched.release() })
@@ -114,7 +142,8 @@ func pick[V cmp.Ordered](vals []VD[V], dir int, emit func(V)) {
 }
 
 // ReduceSum emits, per key present, the diff-weighted sum of the values (used
-// by PageRank to accumulate rank contributions).
+// by PageRank to accumulate rank contributions). It is linear: a key keeps
+// one (n, Σ) per time, not its values.
 func ReduceSum[K comparable](in *Collection[KV[K, int64]]) *Collection[KV[K, int64]] {
 	return reduceLinear(in, "sum", func(v int64) int64 { return v }, func(n, sum int64, emit func(int64)) {
 		if n != 0 {
@@ -124,8 +153,9 @@ func ReduceSum[K comparable](in *Collection[KV[K, int64]]) *Collection[KV[K, int
 }
 
 // ReduceCount emits, per key, the total multiplicity of its values (e.g.
-// vertex out-degrees from an edge stream keyed by source). Upstream of every
-// loop, CountTotal computes the same with one count per key and no trace.
+// vertex out-degrees from an edge stream keyed by source). It is linear: a
+// key keeps one count per time, not its values. Upstream of every loop,
+// CountTotal computes the same with one count per key and no times.
 func ReduceCount[K comparable, V comparable](in *Collection[KV[K, V]]) *Collection[KV[K, int64]] {
 	return reduceLinear(in, "count", nil, func(n, _ int64, emit func(int64)) {
 		if n != 0 {
@@ -135,8 +165,9 @@ func ReduceCount[K comparable, V comparable](in *Collection[KV[K, V]]) *Collecti
 }
 
 // Distinct reduces a stream to multiplicity one per record present with
-// positive multiplicity. Upstream of every loop, DistinctTotal computes the
-// same with one count per record and no trace.
+// positive multiplicity. It is linear: a record keeps one count per time.
+// Upstream of every loop, DistinctTotal computes the same with one count per
+// record and no times.
 func Distinct[R comparable](in *Collection[R]) *Collection[R] {
 	keyed := Map(in, func(r R) KV[R, struct{}] { return KV[R, struct{}]{r, struct{}{}} })
 	return Map(distinctKeys(keyed), func(kv KV[R, struct{}]) R { return kv.K })
@@ -156,54 +187,72 @@ func (n *reduceNode[K, V, O]) name() string { return "reduce:" + n.nm }
 
 func (n *reduceNode[K, V, O]) run(w int, t timestamp.Time) {
 	sh := n.st[w]
-	b := n.p.take(w, t)
-	work := len(b.recs)
+	var b *batch[KV[K, V]]
+	if n.lin != nil {
+		b = n.p.takeRaw(w, t)
+		sh.foldKeys(b, n.w) // and empties b
+	} else {
+		b = n.p.take(w, t)
+	}
+	work := len(b.recs) + len(sh.folds) // a shard has records or folds, not both
 
 	outer, compacting := n.s.compactionOuter()
 	if compacting && work > 0 {
 		// The first call after a frontier move folds each trace in one
 		// pass, into a recycled column set when a free one has room for it
 		// (see arrange.Trace.Advance); the rest are O(1).
-		sh.ins.Advance(outer)
+		if sh.ins != nil {
+			sh.ins.Advance(outer)
+		}
 		sh.outs.Advance(outer)
 	}
 
 	// The keys due at t are those earlier runs scheduled and those this run's
 	// input touches. Ingest the input, and schedule the join closure of t
 	// with each touched key's known times.
-	sh.sched.begin(t, len(b.recs)) // room for the keys the input can touch
-	for i, kv := range b.recs {
-		k, hk := kv.K, sh.ins.Hash(kv.K)
-		sh.ins.AppendHashed(hk, k, kv.V, t, b.diffs[i])
-		sh.sched.touch(hk, k, t, t, outer)
+	sh.sched.begin(t, work) // room for the keys the input can touch
+	for _, f := range sh.folds {
+		s, clamped := sh.sched.touch(f.hk, f.k, t, t, outer)
+		if int(s) == len(sh.lin.spans) {
+			sh.lin.add()
+		} else if clamped {
+			clampRows(&sh.lin, s, outer)
+		}
+		addRow(&sh.lin, s, t, f.n, f.sum)
+	}
+	if sh.ins != nil {
+		for i, kv := range b.recs {
+			k, hk := kv.K, sh.outs.Hash(kv.K)
+			sh.ins.AppendHashed(hk, k, kv.V, t, b.diffs[i])
+			sh.sched.touch(hk, k, t, t, outer)
+		}
 	}
 
 	// Re-evaluate every key due at t, in hash order.
-	sh.ic.Open(sh.ins)
+	if sh.ins != nil {
+		sh.ic.Open(sh.ins)
+	}
 	sh.oc.Open(sh.outs)
 	ob := sh.ob.reset(t, 0)
 	for _, d := range sh.sched.sorted() {
 		k := sh.sched.keys.keys[d.slot]
-		in, rows := sh.ic.Seek(d.hk, k)
-		work += rows
 		sh.delta = sh.delta[:0]
-		if n.f != nil {
-			if acc := sh.fold(t, in, rows); len(acc) > 0 {
-				n.f(k, acc, sh.emit)
-			}
-		} else {
+		if n.lin != nil {
+			rows := sh.lin.at(d.slot)
+			work += len(rows)
 			var c, sum int64
-			for _, r := range in {
-				for i, dd := range r.Diffs {
-					if r.Times[i].Leq(t) {
-						c += dd
-						if n.w != nil {
-							sum += n.w(r.Vals[i]) * dd
-						}
-					}
+			for _, r := range rows {
+				if r.t.Leq(t) {
+					c, sum = c+r.n, sum+r.sum
 				}
 			}
 			n.lin(c, sum, sh.emit)
+		} else {
+			in, rows := sh.ic.Seek(d.hk, k)
+			work += rows
+			if acc := sh.fold(t, in, rows); len(acc) > 0 {
+				n.f(k, acc, sh.emit)
+			}
 		}
 		// Desired output minus accumulated emitted output; output sets are
 		// tiny (usually one record), so a linear merge suffices.
@@ -228,6 +277,82 @@ func (n *reduceNode[K, V, O]) run(w int, t timestamp.Time) {
 	}
 	n.s.addWork(w, work)
 	n.out.emit(w, ob)
+}
+
+// foldKeys folds a linear reducer's raw batch into sh.folds, one (n, Σ) per
+// key, and drops the keys whose folds cancel, then empties the batch: the
+// batch's work is its keys. Keys meet through sh.idx on their hashes
+// (batch.consolidate's idiom), so the fold is one pass, and a key is touched
+// and its row updated once per run, not once per record.
+func (sh *reduceShard[K, V, O]) foldKeys(b *batch[KV[K, V]], w func(V) int64) {
+	width := bits.Len(uint(2 * len(b.recs)))
+	if cap(sh.idx) < 1<<width {
+		sh.idx = make([]uint32, 1<<width)
+	}
+	tab, acc := sh.idx[:1<<width], sh.folds[:0]
+	clear(tab)
+	for i, kv := range b.recs {
+		hk, d := sh.outs.Hash(kv.K), b.diffs[i]
+		var x int64
+		if w != nil {
+			x = w(kv.V) * d
+		}
+		for p := hk >> (64 - width); ; p++ {
+			if s := &tab[p&uint64(len(tab)-1)]; *s == 0 {
+				*s = uint32(len(acc) + 1)
+				acc = append(acc, keyFold[K]{hk, kv.K, d, x})
+				break
+			} else if f := &acc[*s-1]; f.hk == hk && f.k == kv.K {
+				f.n, f.sum = f.n+d, f.sum+x
+				break
+			}
+		}
+	}
+	m := 0
+	for _, f := range acc {
+		if f.n != 0 || f.sum != 0 {
+			acc[m], m = f, m+1
+		}
+	}
+	sh.folds = acc[:m]
+	b.recs, b.diffs = b.recs[:0], b.diffs[:0]
+}
+
+// addRow adds (d, x) to slot s's row at t, the running time, pushing one if
+// the key has none. Rows are pushed in the scope's lexicographic time order
+// and clamping keeps them sorted, so the running time's row, if any, is
+// found from the end before the first row lexicographically below t.
+func addRow(sl *spanSlab[linRow], s uint32, t timestamp.Time, d, x int64) {
+	rs := sl.at(s)
+	for j := len(rs) - 1; j >= 0 && !rs[j].t.LexLess(t); j-- {
+		if rs[j].t == t {
+			rs[j].n, rs[j].sum = rs[j].n+d, rs[j].sum+x
+			return
+		}
+	}
+	sl.push(s, linRow{t, d, x})
+}
+
+// clampRows clamps slot s's rows to the frontier, by the rule its times
+// were clamped by in the same touch, merges rows that come to share a time
+// and drops those that cancel.
+func clampRows(sl *spanSlab[linRow], s uint32, outer uint32) {
+	rs := sl.at(s)
+	for i := range rs {
+		rs[i].t = clampTime(rs[i].t, outer)
+	}
+	slices.SortFunc(rs, func(a, b linRow) int { return lexCmp(a.t, b.t) })
+	m := 0
+	for i := 0; i < len(rs); {
+		r := rs[i]
+		for i++; i < len(rs) && rs[i].t == r.t; i++ {
+			r.n, r.sum = r.n+rs[i].n, r.sum+rs[i].sum
+		}
+		if r.n != 0 || r.sum != 0 {
+			rs[m], m = r, m+1
+		}
+	}
+	sl.cut(s, m)
 }
 
 // fold consolidates a key's rows at or before t by value into sh.vals and
@@ -280,13 +405,16 @@ func mergeVD[V comparable](list *[]VD[V], v V, d Diff) {
 }
 
 // reset drops every shard's arrangements by releasing their batch stacks by
-// reference, and truncates the key index, the slab and the schedule in place:
-// O(1) per shard in accumulated history apart from clearing the index table,
-// with every column kept for the next run.
+// reference, and truncates the linear rows and the schedule in place: O(1)
+// per shard in accumulated history apart from clearing the index table, with
+// every column kept for the next run.
 func (n *reduceNode[K, V, O]) reset() {
 	n.p.reset()
 	for _, sh := range n.st {
-		sh.ins.Reset()
+		if sh.ins != nil {
+			sh.ins.Reset()
+		}
+		sh.lin.reset()
 		sh.outs.Reset()
 		sh.sched.reset()
 	}

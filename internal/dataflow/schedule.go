@@ -41,25 +41,40 @@ func (ix *keyIndex[K]) reset() {
 	ix.slab.reset()
 }
 
-// advance clamps slot s's times below the frontier and de-duplicates them.
-// Must not run while the key has scheduled re-evaluations (a clamped time
-// would diverge from the schedule), which cannot happen here: the frontier
-// only moves between versions, when the scope is quiescent, and every
-// scheduled time has Outer at or above the version being drained.
-func (ix *keyIndex[K]) advance(s uint32, outer uint32) {
+// advance clamps slot s's times below the frontier and de-duplicates them,
+// and reports whether it did: the owner clamps what else it keeps per key
+// in the same pass (see clampRows), once per frontier move. Must not run
+// while the key has scheduled re-evaluations (a clamped time would diverge
+// from the schedule), which cannot happen here: the frontier only moves
+// between versions, when the scope is quiescent, and every scheduled time
+// has Outer at or above the version being drained.
+func (ix *keyIndex[K]) advance(s uint32, outer uint32) bool {
 	kt := &ix.kts[s]
 	if kt.adv >= outer+1 {
-		return
+		return false
 	}
 	kt.adv = outer + 1
 	ts := ix.slab.at(s)
 	for i := range ts {
-		ts[i].Outer = max(ts[i].Outer, outer)
+		ts[i] = clampTime(ts[i], outer)
 	}
-	slices.SortFunc(ts, func(a, b timestamp.Time) int {
-		return cmp.Or(cmp.Compare(a.Outer, b.Outer), cmp.Compare(a.Inner, b.Inner))
-	})
+	slices.SortFunc(ts, lexCmp)
 	ix.slab.cut(s, len(slices.Compact(ts)))
+	return true
+}
+
+// clampTime is the compaction clamp: a time below the frontier's outer
+// coordinate moves up to it. For any t at or above the frontier, s ≤ t
+// exactly when clampTime(s, outer) ≤ t, so what is kept per key may be
+// clamped lazily, the next time the key is touched.
+func clampTime(t timestamp.Time, outer uint32) timestamp.Time {
+	t.Outer = max(t.Outer, outer)
+	return t
+}
+
+// lexCmp orders times lexicographically, Outer first.
+func lexCmp(a, b timestamp.Time) int {
+	return cmp.Or(cmp.Compare(a.Outer, b.Outer), cmp.Compare(a.Inner, b.Inner))
 }
 
 // dirtyKey is a key scheduled for evaluation: its hash and its slot.
@@ -98,9 +113,10 @@ func (sc *schedule[K]) begin(t timestamp.Time, room int) {
 // been evaluated at t earlier in the round, before what touches it now
 // arrived); every other new time waits in dirty. outer is the compaction
 // frontier's outer coordinate, which the key's times are clamped to first.
-func (sc *schedule[K]) touch(hk uint64, k K, nt, t timestamp.Time, outer uint32) {
+// touch returns the key's slot and whether its times were clamped now.
+func (sc *schedule[K]) touch(hk uint64, k K, nt, t timestamp.Time, outer uint32) (uint32, bool) {
 	slot := sc.keys.slot(hk, k)
-	sc.keys.advance(slot, outer)
+	clamped := sc.keys.advance(slot, outer)
 	dk := dirtyKey{hk, slot}
 	if nt == t {
 		sc.mark(dk)
@@ -124,6 +140,7 @@ func (sc *schedule[K]) touch(hk uint64, k K, nt, t timestamp.Time, outer uint32)
 		}
 	}
 	sc.front = front
+	return slot, clamped
 }
 
 // mark puts d's key on the due list unless it is there already.
