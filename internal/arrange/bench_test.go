@@ -2,14 +2,13 @@ package arrange
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"graphsurge/internal/timestamp"
 )
 
-// history returns a trace holding n tuples over n/8 keys at version 0,
-// advanced to canonical form, and the generator that built it.
+// history returns a trace holding n tuples over n/8 keys at version 0, and
+// the generator that built it.
 func history(n int) (*Trace[uint64, uint64], *rand.Rand) {
 	r := rand.New(rand.NewSource(int64(n)))
 	tr := NewTrace[uint64, uint64]()
@@ -29,39 +28,57 @@ func view(tr *Trace[uint64, uint64], r *rand.Rand, keys int, v uint32, size int)
 	tr.Advance(v)
 }
 
-// TestAdvanceSteadyStateAllocs checks that absorbing a small view costs no
-// allocation proportional to the history: once warm, a 64-tuple view on a
-// 100k-tuple trace allocates about what it does on a 10k-tuple one.
+// TestAdvanceSteadyStateAllocs checks that a warm trace allocates nothing.
+// A round that appends a small view to a 100k-tuple history, advances the
+// frontier and reads the keys it touched, then retracts the view the same
+// way, leaves the trace as large as it found it, so once the arrays have
+// room it takes no new one. A trace that is reset and rerun on the same
+// tuples finds its key table and both slab arrays large enough.
 func TestAdvanceSteadyStateAllocs(t *testing.T) {
-	perView := func(n int) float64 {
-		tr, r := history(n)
-		v := uint32(1)
-		for ; v <= 8; v++ { // warm: both column sets exist, with growth slack
-			view(tr, r, n/8, v, 64)
+	tr, r := history(100_000)
+	keys := make([]uint64, 64)
+	vals := make([]uint64, 64)
+	v := uint32(0)
+	round := func() {
+		for _, d := range []int64{1, -1} {
+			v++
+			for i := range keys {
+				tr.Append(keys[i], vals[i], timestamp.Time{Outer: v, Inner: uint32(i % 4)}, d)
+			}
+			tr.Advance(v)
+			for _, k := range keys {
+				tr.Key(k, func(uint64, timestamp.Time, int64) {})
+			}
 		}
-		const views = 16
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		for ; v <= 8+views; v++ {
-			view(tr, r, n/8, v, 64)
-		}
-		runtime.ReadMemStats(&m1)
-		if tr.Batches() != 1 || tr.Len() != n+64*(8+views) {
-			t.Fatalf("trace of %d: %d batches, %d tuples", n, tr.Batches(), tr.Len())
-		}
-		return float64(m1.TotalAlloc-m0.TotalAlloc) / views
 	}
-	small, big := perView(10_000), perView(100_000)
-	t.Logf("bytes allocated per 64-tuple view: %.0f on 10k tuples, %.0f on 100k", small, big)
-	// A 64-tuple view seals into one batch of 64 rows (about 3 KB of columns).
-	const bound = 32 << 10
-	if small > bound || big > bound || big > 2*small {
-		t.Fatalf("Advance allocates with the history: %.0f B per view on 10k tuples, %.0f B on 100k (bound %d)", small, big, bound)
+	for i := range keys {
+		keys[i], vals[i] = uint64(r.Intn(100_000/8)), r.Uint64()
+	}
+	round()
+	if n := testing.AllocsPerRun(20, round); n != 0 {
+		t.Fatalf("a warm append + Advance round allocated %.1f times", n)
+	}
+	if tr.Len() != 100_000 {
+		t.Fatalf("the rounds left %d tuples, want 100 000", tr.Len())
+	}
+
+	rerun := func() {
+		tr.Reset()
+		r.Seed(3)
+		for i := 0; i < 50_000; i++ {
+			tr.Append(uint64(r.Intn(50_000/8)), uint64(i), timestamp.Time{Inner: uint32(r.Intn(4))}, 1)
+		}
+	}
+	rerun()
+	rerun()
+	if n := testing.AllocsPerRun(5, rerun); n != 0 {
+		t.Fatalf("a reset trace's rerun allocated %.1f times", n)
 	}
 }
 
 // BenchmarkAdvanceSmallDelta is mutate.incremental's shape: a 100k-tuple
-// history absorbing one 90-tuple view per iteration.
+// history absorbing one 90-tuple view per iteration, each touched key read
+// once after the frontier moves.
 func BenchmarkAdvanceSmallDelta(b *testing.B) {
 	tr, r := history(100_000)
 	for v := uint32(1); v <= 4; v++ {
@@ -74,32 +91,13 @@ func BenchmarkAdvanceSmallDelta(b *testing.B) {
 	}
 }
 
-// BenchmarkSealScratch is disjoint.scratch's shape: one 50k-tuple view
-// appended to an empty trace, every seal and geometric merge included.
-func BenchmarkSealScratch(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r := rand.New(rand.NewSource(1))
-		tr := NewTrace[uint64, uint64]()
-		for j := 0; j < 50_000; j++ {
-			tr.Append(uint64(r.Intn(50_000/8)), uint64(j), timestamp.Time{Inner: uint32(r.Intn(4))}, 1)
-		}
-		if tr.Len() != 50_000 {
-			b.Fatal("lost tuples")
-		}
-	}
-}
-
-// BenchmarkKeyLookup looks keys up in the layout a lookup usually meets in
-// the middle of a view: one canonical batch, two small ones and a half-full
-// stage.
+// BenchmarkKeyLookup looks keys up in the middle of a view: a 100k-tuple
+// history with a view's worth of appends at a later version, every key
+// settled once.
 func BenchmarkKeyLookup(b *testing.B) {
 	tr, r := history(100_000)
-	for i := 0; i < 3*stageThreshold+stageThreshold/2; i++ {
+	for i := 0; i < 3584; i++ {
 		tr.Append(uint64(r.Intn(100_000/8)), r.Uint64(), timestamp.Outer(1), 1)
-	}
-	if tr.Batches() != 3 {
-		b.Fatalf("layout has %d batches, want 3", tr.Batches())
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -109,24 +107,5 @@ func BenchmarkKeyLookup(b *testing.B) {
 	}
 	if n == 0 {
 		b.Fatal("no tuple visited")
-	}
-}
-
-// TestWarmSealAllocs checks that a warm seal allocates nothing: a trace that
-// keeps sealing full stages reads each out of its stage index through a
-// recycled bucket column and writes it into a recycled column set.
-func TestWarmSealAllocs(t *testing.T) {
-	tr := NewTrace[uint64, uint64]()
-	r := rand.New(rand.NewSource(2))
-	seal := func() {
-		for i := 0; i < stageThreshold; i++ { // the last Append seals
-			tr.Append(uint64(r.Intn(64)), r.Uint64(), timestamp.Time{Inner: uint32(r.Intn(4))}, 1)
-		}
-		tr.recycle(tr.batches[0]) // keep the stack one batch deep: no merge runs
-		tr.batches = tr.batches[:0]
-	}
-	seal()
-	if n := testing.AllocsPerRun(100, seal); n != 0 {
-		t.Fatalf("a warm seal of %d rows allocated %.1f times", stageThreshold, n)
 	}
 }

@@ -102,10 +102,13 @@ func runCompactionWCC(compact bool) *Scope {
 	return s
 }
 
-// TestWorkCountPinned holds the engine's work counter to the literal it had
-// before arrangement maintenance was rebuilt: how a trace is merged must not
-// change how many tuples a Key visit reports. One worker, because each Scope
-// draws a fresh partition seed and multi-worker splits differ run to run.
+// TestWorkCountPinned holds the engine's work counter on a compacted wcc
+// run to a literal, so a change to what an operator counts, or to how many
+// entries a key's history holds, shows up as a moved number rather than a
+// silent drift of the optimizer's cost signal. A key's entries depend only on
+// its own updates and the frontier, so the count is that of the multisets
+// themselves. One worker, because each Scope draws a fresh partition seed and
+// the per-worker split differs run to run.
 func TestWorkCountPinned(t *testing.T) {
 	if got := runCompactionWCC(true).WorkCounts(); len(got) != 1 || got[0] != 1499146 {
 		t.Fatalf("work counts %v, want [1499146]", got)

@@ -22,9 +22,10 @@
 // work at t is finalized.
 //
 // A Scope runs W workers. Keyed operators shard their state by key hash and
-// route deltas to the owning worker; execution proceeds in rounds per
-// timestamp with barriers until global quiescence, the moral equivalent of
-// Timely workers exchanging data over channels.
+// route deltas to the owning worker; execution proceeds per timestamp in
+// passes over the nodes, each node run on every worker before a barrier,
+// until global quiescence, the moral equivalent of Timely workers exchanging
+// data over channels.
 package dataflow
 
 import (

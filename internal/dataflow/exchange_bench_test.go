@@ -57,7 +57,7 @@ func rounds[R comparable](s *Scope, in *Input[R], size int, view bool, gen func(
 	}
 }
 
-// warmRounds runs a few rounds to warm an exchangeHop (traces canonical,
+// warmRounds runs a few rounds to warm an exchangeHop (traces settled,
 // queues and scratch grown), then n more, and returns the bytes allocated per
 // input delta of those.
 func warmRounds(round func(v uint32), deltas, n int) float64 {

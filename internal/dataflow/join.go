@@ -11,19 +11,16 @@ import (
 // counted exactly once because whichever delta is processed later does the
 // pairing against the stored history of the other side.
 //
-// The left side's history is an arrangement (internal/arrange): sorted
-// columnar batches plus a bounded stage, per worker. JoinMap's right side is
-// a peer arrangement, so a delta's key is hashed once for the lookup on one
-// side and the append on the other. The first run after the scope's frontier
-// moves folds each arrangement into one canonical batch clamped to the
-// frontier — one pass over the trace into a recycled column set when a free
-// one has room for it, else into a new one (see arrange.Trace.Advance) — and
-// batches sealed later in the version clamp as they are written. Batch
-// entries may therefore be clamped while stage entries are raw, which is
-// indistinguishable to the join since it only Joins against times at or
-// above the frontier.
+// The left side's history is an arrangement (internal/arrange), per worker:
+// per key, its (time, value, diff) entries. JoinMap's right side is a peer
+// arrangement, so a delta's key is hashed once for the lookup on one side and
+// the append on the other. A run after the scope's frontier moves hands the
+// frontier to both; each key's entries are clamped to it the next time the
+// key is looked up or appended to. A key not touched since keeps raw times,
+// which is indistinguishable to the join since it only Joins against times
+// at or above the frontier.
 //
-// JoinMapTotal's right side has no trace and nothing to fold: it is a
+// JoinMapTotal's right side has no trace and no time to clamp: it is a
 // totalIndex, the right input's accumulated (value, count) pairs per key,
 // updated in O(delta).
 type joinNode[K comparable, A comparable, B comparable, O comparable] struct {
@@ -71,8 +68,8 @@ func (r *joinRight[K, B]) add(hk uint64, k K, v B, t timestamp.Time, d int64) {
 	}
 }
 
-// advance folds an arrangement to the frontier; a total index has no time
-// to clamp.
+// advance moves an arrangement's frontier; a total index has no time to
+// clamp.
 func (r *joinRight[K, B]) advance(outer uint32) {
 	if r.tr != nil {
 		r.tr.Advance(outer)
@@ -190,10 +187,10 @@ func (n *joinNode[K, A, B, O]) run(w int, t timestamp.Time) {
 	ob.flush(w, n.out)
 }
 
-// reset drops both sides' state by releasing the arrangements' batch stacks
-// by reference and truncating a total index in place — O(1) per worker
-// regardless of accumulated trace size. Each trace keeps its recycled column
-// sets, and the output scratch stays too.
+// reset drops both sides' state by truncating the arrangements and a total
+// index in place — O(1) per worker in accumulated history apart from
+// clearing the key tables. Every column stays for the next run, and so does
+// the output scratch.
 func (n *joinNode[K, A, B, O]) reset() {
 	n.pl.reset()
 	n.pr.reset()

@@ -90,7 +90,6 @@ type relaxShard[K comparable, N comparable, V cmp.Ordered, E comparable] struct 
 	roots totalIndex[K, V]
 	outs  *arrange.Trace[K, V]
 	sched schedule[K]
-	oc    arrange.Cursor[K, V]
 
 	// Per by-source slot, whether x has ever held a label of the source (a
 	// source it never labeled costs its in-edges no lookup), and the run's
@@ -161,12 +160,12 @@ func (n *relaxNode[K, N, V, E]) run(w int, t timestamp.Time) {
 		u := r.Vertex(kv.K)
 		hu := sh.xs.Hash(u)
 		sh.xs.AppendHashed(hu, u, kv, t, xb.diffs[i])
-		src, ok := sh.bySrc.find(hu, u)
+		src, ok := sh.bySrc.Find(hu, u)
 		if !ok {
 			continue
 		}
 		sh.sources[src].labeled = true
-		out := sh.bySrc.slab.at(src)
+		out := sh.bySrc.slab.At(src)
 		for _, p := range out {
 			k := r.At(kv.K, r.Dst(p.V))
 			sh.sched.touch(sh.outs.Hash(k), k, t, t, outer)
@@ -188,13 +187,13 @@ func (n *relaxNode[K, N, V, E]) run(w int, t timestamp.Time) {
 				sh.sources = append(sh.sources, source{})
 			}
 			if eb.diffs[i] > 0 {
-				sh.bySrc.slab.ask(src)
-				sh.byDst.slab.ask(dst)
+				sh.bySrc.slab.Ask(src)
+				sh.byDst.slab.Ask(dst)
 			}
 			srcs, dsts = append(srcs, src), append(dsts, dst)
 		}
-		sh.bySrc.slab.reserve()
-		sh.byDst.slab.reserve()
+		sh.bySrc.slab.Reserve()
+		sh.byDst.slab.Reserve()
 		sh.srcs, sh.dsts = srcs, dsts
 	}
 	for i, kv := range eb.recs {
@@ -202,7 +201,7 @@ func (n *relaxNode[K, N, V, E]) run(w int, t timestamp.Time) {
 		v := r.Dst(e)
 		sh.bySrc.addAt(src, e, d)
 		sh.byDst.addAt(sh.dsts[i], inEdge[E]{src, e}, d)
-		rows := sh.xs.KeyHashed(sh.bySrc.hks[src], u, func(x KV[K, V], et timestamp.Time, _ int64) {
+		rows := sh.xs.KeyHashed(sh.bySrc.HashAt(src), u, func(x KV[K, V], et timestamp.Time, _ int64) {
 			k := r.At(x.K, v)
 			sh.sched.touch(sh.outs.Hash(k), k, t.Join(et), t, outer)
 		})
@@ -221,7 +220,7 @@ func (n *relaxNode[K, N, V, E]) run(w int, t timestamp.Time) {
 		sh.sched.touch(hk, kv.K, t, t, outer)
 	}
 
-	// Evaluate every key due at t, in hash order.
+	// Evaluate every key due at t.
 	if sh.epoch++; sh.epoch == 0 {
 		for i := range sh.sources {
 			sh.sources[i].epoch = 0
@@ -229,10 +228,9 @@ func (n *relaxNode[K, N, V, E]) run(w int, t timestamp.Time) {
 		sh.epoch = 1
 	}
 	sh.slab = sh.slab[:0]
-	sh.oc.Open(sh.outs)
 	ob := sh.ob.reset(t, 0)
-	for _, d := range sh.sched.sorted() {
-		k := sh.sched.keys.keys[d.slot]
+	for _, d := range sh.sched.takeDue() {
+		k := sh.sched.keys.KeyAt(d.slot)
 		v := r.Vertex(k)
 		// The candidates are kept for the rare key with a negative count;
 		// otherwise the best positive one is the answer.
@@ -245,7 +243,7 @@ func (n *relaxNode[K, N, V, E]) run(w int, t timestamp.Time) {
 			if !c.labeled {
 				continue
 			}
-			from := r.At(k, sh.bySrc.keys[p.V.src])
+			from := r.At(k, sh.bySrc.KeyAt(p.V.src))
 			for _, l := range sh.labels(c, p.V.src, t, &work) {
 				if l.V.K != from {
 					continue
@@ -272,12 +270,9 @@ func (n *relaxNode[K, N, V, E]) run(w int, t timestamp.Time) {
 		case found:
 			sh.emit(best)
 		}
-		out, _ := sh.oc.Seek(d.hk, k)
-		for _, o := range out {
-			for i, ov := range o.Vals {
-				if o.Times[i].Leq(t) {
-					mergeVD(&sh.delta, ov, -o.Diffs[i])
-				}
+		for _, e := range sh.outs.Entries(d.hk, k) {
+			if e.T.Leq(t) {
+				mergeVD(&sh.delta, e.V, -e.D)
 			}
 		}
 		for _, od := range sh.delta {
@@ -286,8 +281,8 @@ func (n *relaxNode[K, N, V, E]) run(w int, t timestamp.Time) {
 			}
 		}
 	}
-	// The output history grows after the walk, so no seal moves rows under
-	// the open cursor.
+	// The output history grows after the walk, so no key's entries move
+	// while they are read.
 	for i, kv := range ob.recs {
 		sh.outs.Append(kv.K, kv.V, t, ob.diffs[i])
 	}
@@ -301,7 +296,7 @@ func (n *relaxNode[K, N, V, E]) run(w int, t timestamp.Time) {
 func (sh *relaxShard[K, N, V, E]) labels(c *source, s uint32, t timestamp.Time, work *int) []VD[KV[K, V]] {
 	if c.epoch != sh.epoch {
 		off := len(sh.slab)
-		*work += sh.xs.KeyHashed(sh.bySrc.hks[s], sh.bySrc.keys[s], func(x KV[K, V], et timestamp.Time, d int64) {
+		*work += sh.xs.KeyHashed(sh.bySrc.HashAt(s), sh.bySrc.KeyAt(s), func(x KV[K, V], et timestamp.Time, d int64) {
 			if !et.Leq(t) {
 				return
 			}

@@ -3,6 +3,7 @@ package dataflow
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -131,8 +132,10 @@ func TestReduceSumRandomSequences(t *testing.T) {
 	}
 }
 
-// TestWorkerCountInvariance checks that results are identical for any worker
-// count on a join+reduce+iterate pipeline.
+// TestWorkerCountInvariance checks that results and the total work are
+// identical for any worker count on a join+reduce+iterate pipeline: a key's
+// stored history, and so the work of reading it, depends only on the key's
+// own updates, not on how the keys are spread over workers.
 func TestWorkerCountInvariance(t *testing.T) {
 	build := func(workers int) (*Input[edge], *Capture[KV[uint32, uint32]], *Scope) {
 		s := NewScope(workers)
@@ -169,6 +172,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 	}
 
 	var reference map[KV[uint32, uint32]]Diff
+	var refWork int64
 	for _, workers := range []int{1, 2, 3} {
 		in, c, s := build(workers)
 		for v, ups := range versions {
@@ -177,9 +181,16 @@ func TestWorkerCountInvariance(t *testing.T) {
 			s.Compact(uint32(v))
 		}
 		got := c.Result()
+		var work int64
+		for _, w := range s.WorkCounts() {
+			work += w
+		}
 		if reference == nil {
-			reference = got
+			reference, refWork = got, work
 			continue
+		}
+		if work != refWork {
+			t.Fatalf("workers=%d: total work %d, want %d as at 1 worker", workers, work, refWork)
 		}
 		if len(got) != len(reference) {
 			t.Fatalf("workers=%d: %d results vs %d", workers, len(got), len(reference))
@@ -280,8 +291,8 @@ func TestIterateNZero(t *testing.T) {
 }
 
 // vtd is a value-time-diff triple, the element of the retired operator state
-// traces: the reference representation TestArrangedTraceMatchesMapTrace
-// checks arrange.Trace against, kept here as that test's oracle.
+// traces: the reference representation FuzzTraceMatchesMap checks
+// arrange.Trace against, kept here as that test's oracle.
 type vtd[V comparable] struct {
 	v V
 	t timestamp.Time
@@ -394,21 +405,31 @@ func (o traceOracle) accumulated(k int, outer uint32) map[vtdKey[int]]Diff {
 	return acc
 }
 
-const oracleKeySpace = 6 // keys used by the arranged-trace property test
-
 // compareArranged checks that tr holds exactly the oracle's multisets, key by
-// key, after clamping both sides to outer. Also cross-checks Trace.Len
+// key, after clamping both sides to outer, for keys [0, keys). When settled,
+// the frontier has moved to outer since the keys were last touched, and each
+// key's first visit must be exactly its consolidated multiset: every (value,
+// time) once, times clamped, no zero diff. Also cross-checks Trace.Len
 // against the tuples Key actually yields.
-func compareArranged(tr *arrange.Trace[int, int], o traceOracle, outer uint32) error {
+func compareArranged(tr *arrange.Trace[int, int], o traceOracle, keys int, outer uint32, settled bool) error {
 	visited := 0
-	for k := 0; k < oracleKeySpace; k++ {
+	for k := 0; k < keys; k++ {
 		got := map[vtdKey[int]]Diff{}
+		var dup error
 		visited += tr.Key(k, func(v int, ts timestamp.Time, d int64) {
+			if settled && dup == nil {
+				if _, seen := got[vtdKey[int]{v, ts}]; seen || d == 0 || ts.Outer < outer {
+					dup = fmt.Errorf("key %d: visits (%d, %v, %d) after an Advance to %d, not its consolidated multiset", k, v, ts, d, outer)
+				}
+			}
 			if ts.Outer < outer {
 				ts.Outer = outer
 			}
 			got[vtdKey[int]{v, ts}] += d
 		})
+		if dup != nil {
+			return dup
+		}
 		for kk, d := range got {
 			if d == 0 {
 				delete(got, kk)
@@ -430,32 +451,60 @@ func compareArranged(tr *arrange.Trace[int, int], o traceOracle, outer uint32) e
 	return nil
 }
 
-// TestArrangedTraceMatchesMapTrace drives an arrange.Trace and the legacy
-// map-of-vtd trace representation through identical random streams of
-// appends, frontier advances, snapshots, and resets, asserting the
+// FuzzTraceMatchesMap drives an arrange.Trace and the legacy map-of-vtd
+// trace representation through identical random streams of appends (some
+// with zero diffs), frontier advances, snapshots and resets, asserting the
 // accumulated per-key multisets stay identical throughout. The vtd machinery
 // (consolidateVTD/advanceVTD) is the oracle: it is the representation the
-// engine used before arrangements, so agreement here is the refactor's
-// equivalence proof. Snapshots are checked at the end, after the original
-// trace has kept sealing and merging, pinning the copy-on-write isolation.
-func TestArrangedTraceMatchesMapTrace(t *testing.T) {
-	type snapshot struct {
-		tr     *arrange.Trace[int, int]
-		oracle traceOracle
-		outer  uint32
-		step   int
+// engine used before arrangements. After every Advance each key's first
+// visit must be its consolidated multiset. Snapshots are checked at the end,
+// after the original has moved on. keys sets the key space (a small one
+// makes hub keys), skip the largest frontier step less one, and retract
+// adds, once, a retraction of everything at the frontier, which must leave
+// the trace empty.
+func FuzzTraceMatchesMap(f *testing.F) {
+	for seed := int64(0); seed < 25; seed++ {
+		f.Add(seed, uint8(6), uint8(1), false)
 	}
-	run := func(seed int64) error {
+	// Skipped versions on Advance, wide and narrow key spaces, total
+	// cancellation, and resets.
+	for seed := int64(1); seed <= 6; seed++ {
+		f.Add(seed, uint8(3+seed*40), uint8(2), true)
+	}
+	f.Add(int64(7), uint8(1), uint8(2), true)
+	f.Fuzz(func(t *testing.T, seed int64, keys, skip uint8, retract bool) {
+		type snapshot struct {
+			tr     *arrange.Trace[int, int]
+			oracle traceOracle
+			outer  uint32
+			step   int
+		}
 		r := rand.New(rand.NewSource(seed))
+		nkeys := max(int(keys), 1)
 		tr := arrange.NewTrace[int, int]()
 		oracle := traceOracle{}
 		outer := uint32(0)
+		advance := func(step int, by uint32) {
+			outer += by
+			tr.Advance(outer)
+			for k, list := range oracle {
+				list, _ = advanceVTD(list, outer)
+				if len(list) == 0 {
+					delete(oracle, k)
+				} else {
+					oracle[k] = list
+				}
+			}
+			if err := compareArranged(tr, oracle, nkeys, outer, true); err != nil {
+				t.Fatalf("step %d, after Advance(%d): %v", step, outer, err)
+			}
+		}
 		var snaps []snapshot
-		steps := 600 + r.Intn(500) // enough appends to force seals and merges
+		steps := 600 + r.Intn(500)
 		for i := 0; i < steps; i++ {
 			switch op := r.Intn(100); {
 			case op < 84: // append, occasionally with a zero diff (must be a no-op)
-				k, v := r.Intn(oracleKeySpace), r.Intn(5)
+				k, v := r.Intn(nkeys), r.Intn(5)
 				ts := timestamp.Time{Outer: outer + uint32(r.Intn(3)), Inner: uint32(r.Intn(3))}
 				d := int64(r.Intn(5) - 2)
 				tr.Append(k, v, ts, d)
@@ -463,16 +512,7 @@ func TestArrangedTraceMatchesMapTrace(t *testing.T) {
 					oracle[k] = append(oracle[k], vtd[int]{v, ts, d})
 				}
 			case op < 92: // advance the compaction frontier on both sides
-				outer += uint32(r.Intn(2) + 1)
-				tr.Advance(outer)
-				for k, list := range oracle {
-					list, _ = advanceVTD(list, outer)
-					if len(list) == 0 {
-						delete(oracle, k)
-					} else {
-						oracle[k] = list
-					}
-				}
+				advance(i, 1+uint32(r.Intn(1+int(skip%3))))
 			case op < 97: // snapshot now, verify after the original moves on
 				snaps = append(snaps, snapshot{tr.Snapshot(), oracle.clone(), outer, i})
 			default: // reset drops all state
@@ -480,27 +520,37 @@ func TestArrangedTraceMatchesMapTrace(t *testing.T) {
 				oracle = traceOracle{}
 				outer = 0
 			}
+			if retract && i == steps/2 {
+				// Once the history is clamped up to the frontier, every
+				// tuple meets its negation.
+				advance(i, 3)
+				for k, list := range oracle {
+					for _, e := range slices.Clone(list) {
+						ts := timestamp.Time{Outer: outer, Inner: e.t.Inner}
+						tr.Append(k, e.v, ts, -e.d)
+						oracle[k] = append(oracle[k], vtd[int]{e.v, ts, -e.d})
+					}
+				}
+				advance(i, 1)
+				if tr.Len() != 0 {
+					t.Fatalf("step %d: retracting everything left %d tuples", i, tr.Len())
+				}
+			}
 			if i%53 == 0 {
-				if err := compareArranged(tr, oracle, outer); err != nil {
-					return fmt.Errorf("step %d: %w", i, err)
+				if err := compareArranged(tr, oracle, nkeys, outer, false); err != nil {
+					t.Fatalf("step %d: %v", i, err)
 				}
 			}
 		}
-		if err := compareArranged(tr, oracle, outer); err != nil {
-			return fmt.Errorf("final: %w", err)
+		if err := compareArranged(tr, oracle, nkeys, outer, false); err != nil {
+			t.Fatalf("final: %v", err)
 		}
 		for _, s := range snaps {
-			if err := compareArranged(s.tr, s.oracle, s.outer); err != nil {
-				return fmt.Errorf("snapshot taken at step %d: %w", s.step, err)
+			if err := compareArranged(s.tr, s.oracle, nkeys, s.outer, false); err != nil {
+				t.Fatalf("snapshot taken at step %d: %v", s.step, err)
 			}
 		}
-		return nil
-	}
-	for seed := int64(0); seed < 25; seed++ {
-		if err := run(seed); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-	}
+	})
 }
 
 func TestNegativeAndZeroDiffHandling(t *testing.T) {

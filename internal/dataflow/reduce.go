@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"cmp"
+	"hash/maphash"
 	"math/bits"
 	"slices"
 
@@ -10,21 +11,19 @@ import (
 )
 
 // reduceShard is one worker's share of a reduce: its input, the output
-// history as a columnar arrangement, and the schedule of the times each key
+// history as a per-key arrangement, and the schedule of the times each key
 // has been, or is to be, evaluated at. A general reducer's input is an
 // arrangement too, a peer of the output's (one key hash serves both). A
 // linear reducer's is, per key, a span of (time, n, Σ) rows, one per time
 // its records arrived at, in the slot the schedule gives the key, and
 // clamped to the frontier with the key's times; a run's batch is folded to
-// one (n, Σ) per key before it is ingested. A running time's keys are sorted
-// by hash once and walked by one forward cursor per trace.
+// one (n, Σ) per key before it is ingested.
 type reduceShard[K comparable, V comparable, O comparable] struct {
-	ins   *arrange.Trace[K, V] // a general reducer's input; nil for a linear one
-	lin   spanSlab[linRow]     // a linear reducer's input, per schedule slot
+	ins   *arrange.Trace[K, V]     // a general reducer's input; nil for a linear one
+	lin   arrange.SpanSlab[linRow] // a linear reducer's input, per schedule slot
 	outs  *arrange.Trace[K, O]
 	sched schedule[K]
-	ic    arrange.Cursor[K, V]
-	oc    arrange.Cursor[K, O]
+	seed  maphash.Seed    // hashes a key's values for the fold
 	vals  []VD[V]         // a key's consolidated input
 	idx   []uint32        // the fold's index, recycled across keys and runs
 	folds []keyFold[K]    // a linear reducer's batch, folded per key
@@ -98,7 +97,7 @@ func newReduce[K comparable, V comparable, O comparable](in *Collection[KV[K, V]
 	n.s, n.out, n.p = s, newCollection[KV[K, O]](s), newPendings[KV[K, V]](s)
 	n.st = make([]*reduceShard[K, V, O], s.workers)
 	for w := range n.st {
-		sh := &reduceShard[K, V, O]{outs: arrange.NewTrace[K, O]()}
+		sh := &reduceShard[K, V, O]{outs: arrange.NewTrace[K, O](), seed: maphash.MakeSeed()}
 		if n.lin == nil {
 			sh.ins = arrange.NewPeer[K, V](sh.outs)
 		}
@@ -198,9 +197,8 @@ func (n *reduceNode[K, V, O]) run(w int, t timestamp.Time) {
 
 	outer, compacting := n.s.compactionOuter()
 	if compacting && work > 0 {
-		// The first call after a frontier move folds each trace in one
-		// pass, into a recycled column set when a free one has room for it
-		// (see arrange.Trace.Advance); the rest are O(1).
+		// Each trace records the frontier; a key's entries are clamped the
+		// next time the key is touched.
 		if sh.ins != nil {
 			sh.ins.Advance(outer)
 		}
@@ -213,8 +211,8 @@ func (n *reduceNode[K, V, O]) run(w int, t timestamp.Time) {
 	sh.sched.begin(t, work) // room for the keys the input can touch
 	for _, f := range sh.folds {
 		s, clamped := sh.sched.touch(f.hk, f.k, t, t, outer)
-		if int(s) == len(sh.lin.spans) {
-			sh.lin.add()
+		if int(s) == sh.lin.Spans() {
+			sh.lin.Add()
 		} else if clamped {
 			clampRows(&sh.lin, s, outer)
 		}
@@ -228,17 +226,13 @@ func (n *reduceNode[K, V, O]) run(w int, t timestamp.Time) {
 		}
 	}
 
-	// Re-evaluate every key due at t, in hash order.
-	if sh.ins != nil {
-		sh.ic.Open(sh.ins)
-	}
-	sh.oc.Open(sh.outs)
+	// Re-evaluate every key due at t.
 	ob := sh.ob.reset(t, 0)
-	for _, d := range sh.sched.sorted() {
-		k := sh.sched.keys.keys[d.slot]
+	for _, d := range sh.sched.takeDue() {
+		k := sh.sched.keys.KeyAt(d.slot)
 		sh.delta = sh.delta[:0]
 		if n.lin != nil {
-			rows := sh.lin.at(d.slot)
+			rows := sh.lin.At(d.slot)
 			work += len(rows)
 			var c, sum int64
 			for _, r := range rows {
@@ -248,20 +242,17 @@ func (n *reduceNode[K, V, O]) run(w int, t timestamp.Time) {
 			}
 			n.lin(c, sum, sh.emit)
 		} else {
-			in, rows := sh.ic.Seek(d.hk, k)
-			work += rows
-			if acc := sh.fold(t, in, rows); len(acc) > 0 {
+			in := sh.ins.Entries(d.hk, k)
+			work += len(in)
+			if acc := sh.fold(t, in); len(acc) > 0 {
 				n.f(k, acc, sh.emit)
 			}
 		}
 		// Desired output minus accumulated emitted output; output sets are
 		// tiny (usually one record), so a linear merge suffices.
-		out, _ := sh.oc.Seek(d.hk, k)
-		for _, r := range out {
-			for i, o := range r.Vals {
-				if r.Times[i].Leq(t) {
-					mergeVD(&sh.delta, o, -r.Diffs[i])
-				}
+		for _, e := range sh.outs.Entries(d.hk, k) {
+			if e.T.Leq(t) {
+				mergeVD(&sh.delta, e.V, -e.D)
 			}
 		}
 		for _, od := range sh.delta {
@@ -270,8 +261,8 @@ func (n *reduceNode[K, V, O]) run(w int, t timestamp.Time) {
 			}
 		}
 	}
-	// The output history grows after the walk, so no seal moves rows under
-	// the open cursor.
+	// The output history grows after the walk, so no key's entries move
+	// while they are read.
 	for i, kv := range ob.recs {
 		sh.outs.Append(kv.K, kv.V, t, ob.diffs[i])
 	}
@@ -322,26 +313,26 @@ func (sh *reduceShard[K, V, O]) foldKeys(b *batch[KV[K, V]], w func(V) int64) {
 // the key has none. Rows are pushed in the scope's lexicographic time order
 // and clamping keeps them sorted, so the running time's row, if any, is
 // found from the end before the first row lexicographically below t.
-func addRow(sl *spanSlab[linRow], s uint32, t timestamp.Time, d, x int64) {
-	rs := sl.at(s)
+func addRow(sl *arrange.SpanSlab[linRow], s uint32, t timestamp.Time, d, x int64) {
+	rs := sl.At(s)
 	for j := len(rs) - 1; j >= 0 && !rs[j].t.LexLess(t); j-- {
 		if rs[j].t == t {
 			rs[j].n, rs[j].sum = rs[j].n+d, rs[j].sum+x
 			return
 		}
 	}
-	sl.push(s, linRow{t, d, x})
+	sl.Push(s, linRow{t, d, x})
 }
 
 // clampRows clamps slot s's rows to the frontier, by the rule its times
 // were clamped by in the same touch, merges rows that come to share a time
 // and drops those that cancel.
-func clampRows(sl *spanSlab[linRow], s uint32, outer uint32) {
-	rs := sl.at(s)
+func clampRows(sl *arrange.SpanSlab[linRow], s uint32, outer uint32) {
+	rs := sl.At(s)
 	for i := range rs {
-		rs[i].t = clampTime(rs[i].t, outer)
+		rs[i].t = arrange.ClampTime(rs[i].t, outer)
 	}
-	slices.SortFunc(rs, func(a, b linRow) int { return lexCmp(a.t, b.t) })
+	slices.SortFunc(rs, func(a, b linRow) int { return arrange.LexCmp(a.t, b.t) })
 	m := 0
 	for i := 0; i < len(rs); {
 		r := rs[i]
@@ -352,34 +343,32 @@ func clampRows(sl *spanSlab[linRow], s uint32, outer uint32) {
 			rs[m], m = r, m+1
 		}
 	}
-	sl.cut(s, m)
+	sl.Cut(s, m)
 }
 
-// fold consolidates a key's rows at or before t by value into sh.vals and
-// returns the values whose diffs do not cancel. Values meet through sh.idx,
-// an open-addressing index on their stored hashes, recycled across keys
+// fold consolidates a key's entries at or before t by value into sh.vals
+// and returns the values whose diffs do not cancel. Values meet through
+// sh.idx, an open-addressing index on their hashes, recycled across keys
 // (batch.consolidate's idiom).
-func (sh *reduceShard[K, V, O]) fold(t timestamp.Time, in []arrange.Rows[V], rows int) []VD[V] {
-	width := bits.Len(uint(2 * rows))
+func (sh *reduceShard[K, V, O]) fold(t timestamp.Time, in []arrange.Entry[V]) []VD[V] {
+	width := bits.Len(uint(2 * len(in)))
 	if cap(sh.idx) < 1<<width {
 		sh.idx = make([]uint32, 1<<width)
 	}
 	tab, acc := sh.idx[:1<<width], sh.vals[:0]
 	clear(tab)
-	for _, r := range in {
-		for i, v := range r.Vals {
-			if !r.Times[i].Leq(t) {
-				continue
-			}
-			for p := r.Hvs[i] >> (64 - width); ; p++ {
-				if s := &tab[p&uint64(len(tab)-1)]; *s == 0 {
-					*s = uint32(len(acc) + 1)
-					acc = append(acc, VD[V]{v, r.Diffs[i]})
-					break
-				} else if j := *s - 1; acc[j].V == v {
-					acc[j].D += r.Diffs[i]
-					break
-				}
+	for _, e := range in {
+		if !e.T.Leq(t) {
+			continue
+		}
+		for p := maphash.Comparable(sh.seed, e.V) >> (64 - width); ; p++ {
+			if s := &tab[p&uint64(len(tab)-1)]; *s == 0 {
+				*s = uint32(len(acc) + 1)
+				acc = append(acc, VD[V]{e.V, e.D})
+				break
+			} else if j := *s - 1; acc[j].V == e.V {
+				acc[j].D += e.D
+				break
 			}
 		}
 	}
@@ -404,17 +393,16 @@ func mergeVD[V comparable](list *[]VD[V], v V, d Diff) {
 	*list = append(*list, VD[V]{v, d})
 }
 
-// reset drops every shard's arrangements by releasing their batch stacks by
-// reference, and truncates the linear rows and the schedule in place: O(1)
-// per shard in accumulated history apart from clearing the index table, with
-// every column kept for the next run.
+// reset truncates every shard's arrangements, linear rows and schedule in
+// place: O(1) per shard in accumulated history apart from clearing the key
+// tables, with every column kept for the next run.
 func (n *reduceNode[K, V, O]) reset() {
 	n.p.reset()
 	for _, sh := range n.st {
 		if sh.ins != nil {
 			sh.ins.Reset()
 		}
-		sh.lin.reset()
+		sh.lin.Reset()
 		sh.outs.Reset()
 		sh.sched.reset()
 	}

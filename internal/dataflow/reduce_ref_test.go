@@ -141,9 +141,8 @@ func (n *refReduceNode[K, V, O]) run(w int, t timestamp.Time) {
 
 	outer, compacting := n.s.compactionOuter()
 	if compacting && work > 0 {
-		// The first call after a frontier move folds each trace in one
-		// pass, into a recycled column set when a free one has room for it
-		// (see arrange.Trace.Advance); the rest are O(1).
+		// Each trace records the frontier; a key's entries are clamped the
+		// next time the key is touched.
 		sh.ins.Advance(outer)
 		sh.outs.Advance(outer)
 	}
@@ -275,10 +274,8 @@ func (sh *refReduceShard[K, V, O]) mark(t timestamp.Time, k K) {
 	m[k] = struct{}{}
 }
 
-// reset drops every shard's arrangements by releasing their batch stacks by
-// reference, and swaps the small scheduling maps for fresh ones — O(1) per
-// shard regardless of how much state the previous run accumulated, with the
-// old state left to the GC.
+// reset truncates every shard's arrangements in place and swaps the small
+// scheduling maps for fresh ones, the old maps left to the GC.
 func (n *refReduceNode[K, V, O]) reset() {
 	n.p.reset()
 	for _, sh := range n.st {

@@ -1,7 +1,6 @@
 package dataflow
 
 import (
-	"cmp"
 	"slices"
 
 	"graphsurge/internal/arrange"
@@ -19,26 +18,26 @@ type keyTimes struct {
 // keyIndex is a shard's keys with, per key, the times it has been or is
 // scheduled to be evaluated at.
 type keyIndex[K comparable] struct {
-	keyTable[K]
+	arrange.KeyTable[K]
 	kts  []keyTimes // per slot
-	slab spanSlab[timestamp.Time]
+	slab arrange.SpanSlab[timestamp.Time]
 }
 
 // slot returns k's slot, adding an empty one the first time k is seen.
 func (ix *keyIndex[K]) slot(hk uint64, k K) uint32 {
-	s := ix.keyTable.slot(hk, k)
+	s := ix.KeyTable.Slot(hk, k)
 	if int(s) == len(ix.kts) {
 		ix.kts = append(ix.kts, keyTimes{})
-		ix.slab.add()
+		ix.slab.Add()
 	}
 	return s
 }
 
 // reset forgets every key, keeping the columns' capacity.
 func (ix *keyIndex[K]) reset() {
-	ix.keyTable.reset()
+	ix.KeyTable.Reset()
 	ix.kts = ix.kts[:0]
-	ix.slab.reset()
+	ix.slab.Reset()
 }
 
 // advance clamps slot s's times below the frontier and de-duplicates them,
@@ -54,27 +53,13 @@ func (ix *keyIndex[K]) advance(s uint32, outer uint32) bool {
 		return false
 	}
 	kt.adv = outer + 1
-	ts := ix.slab.at(s)
+	ts := ix.slab.At(s)
 	for i := range ts {
-		ts[i] = clampTime(ts[i], outer)
+		ts[i] = arrange.ClampTime(ts[i], outer)
 	}
-	slices.SortFunc(ts, lexCmp)
-	ix.slab.cut(s, len(slices.Compact(ts)))
+	slices.SortFunc(ts, arrange.LexCmp)
+	ix.slab.Cut(s, len(slices.Compact(ts)))
 	return true
-}
-
-// clampTime is the compaction clamp: a time below the frontier's outer
-// coordinate moves up to it. For any t at or above the frontier, s ≤ t
-// exactly when clampTime(s, outer) ≤ t, so what is kept per key may be
-// clamped lazily, the next time the key is touched.
-func clampTime(t timestamp.Time, outer uint32) timestamp.Time {
-	t.Outer = max(t.Outer, outer)
-	return t
-}
-
-// lexCmp orders times lexicographically, Outer first.
-func lexCmp(a, b timestamp.Time) int {
-	return cmp.Or(cmp.Compare(a.Outer, b.Outer), cmp.Compare(a.Inner, b.Inner))
 }
 
 // dirtyKey is a key scheduled for evaluation: its hash and its slot.
@@ -87,9 +72,7 @@ type dirtyKey struct {
 // object: per key, a slot in a flat index and the times it has been or is
 // scheduled to be evaluated at, a span of a shared slab. Keys due later
 // wait in time-ordered (hash, slot) columns; a running time's keys are put
-// on the due list once each and sorted by hash, so the owner walks its
-// traces with one forward cursor each. The reduce and JoinMin/JoinMax share
-// it.
+// on the due list once each. The reduce and JoinMin/JoinMax share it.
 type schedule[K comparable] struct {
 	keys  keyIndex[K]
 	dirty arrange.Queue[dirtyKey] // keys scheduled at later times (no diffs)
@@ -125,7 +108,7 @@ func (sc *schedule[K]) touch(hk uint64, k K, nt, t timestamp.Time, outer uint32)
 	for len(front) > 0 {
 		x := front[len(front)-1]
 		front = front[:len(front)-1]
-		ts := sc.keys.slab.at(slot)
+		ts := sc.keys.slab.At(slot)
 		if slices.Contains(ts, x) {
 			continue
 		}
@@ -134,7 +117,7 @@ func (sc *schedule[K]) touch(hk uint64, k K, nt, t timestamp.Time, outer uint32)
 				front = append(front, j)
 			}
 		}
-		sc.keys.slab.push(slot, x)
+		sc.keys.slab.Push(slot, x)
 		if x != t {
 			sc.dirty.Push(x, []dirtyKey{dk}, nil, 0)
 		}
@@ -151,10 +134,9 @@ func (sc *schedule[K]) mark(d dirtyKey) {
 	}
 }
 
-// sorted returns the due list in hash order and clears each key's due flag:
-// the owner evaluates them all before its run ends.
-func (sc *schedule[K]) sorted() []dirtyKey {
-	slices.SortFunc(sc.due, func(a, b dirtyKey) int { return cmp.Compare(a.hk, b.hk) })
+// takeDue returns the due list and clears each key's due flag: the owner
+// evaluates them all before its run ends.
+func (sc *schedule[K]) takeDue() []dirtyKey {
 	for _, d := range sc.due {
 		sc.keys.kts[d.slot].due = false
 	}

@@ -125,9 +125,9 @@ func (s *Scope) enter(v uint32) {
 // zero. The dataflow graph itself — nodes, subscriptions, fused closures,
 // worker shards, and the emptied column sets of queues, traces, indexes and
 // output scratch — is untouched, so a reset scope re-executes from scratch
-// without paying graph construction or column growth again. Beyond a pointer
-// move per trace batch, the cost is a memclr of each schedule's and total
-// index's key table (4 B a slot) and a Capture's two fresh maps per worker.
+// without paying graph construction or column growth again. The cost is a
+// memclr of each trace's, schedule's and total index's key table (4 B a
+// slot) and a Capture's two fresh maps per worker.
 //
 // Must be called from the driver goroutine while the scope is quiescent
 // (after Drain); resetting with work in flight would discard deltas
@@ -197,49 +197,33 @@ func (s *Scope) Drain() {
 	}
 }
 
-// round runs worker w's nodes until none of them has work left at t.
-func (s *Scope) round(w int, t timestamp.Time) {
+// drainTime runs passes over the nodes at exactly time t until no node on
+// any worker has work left at t. A pass runs each node on every worker with
+// work for it, in parallel, and waits for them all before the next node, so
+// a node sees the whole of what the nodes before it sent at t, as on one
+// worker: how a time's records fall into runs, and so the work they cost,
+// does not depend on the worker count or on goroutine timing.
+func (s *Scope) drainTime(t timestamp.Time) {
 	for progress := true; progress; {
 		progress = false
 		for _, n := range s.nodes {
-			if n.hasPending(w, t) {
-				n.run(w, t)
-				progress = true
-			}
-		}
-	}
-}
-
-// drainTime runs rounds of worker-parallel processing at exactly time t until
-// no node on any worker has pending work at t. Cross-worker deliveries made
-// during a round are observed in the next round (the post-barrier check).
-func (s *Scope) drainTime(t timestamp.Time) {
-	if s.workers == 1 {
-		s.round(0, t)
-		return
-	}
-	for {
-		var wg sync.WaitGroup
-		for w := 0; w < s.workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				s.round(w, t)
-			}()
-		}
-		wg.Wait()
-		still := false
-	check:
-		for _, n := range s.nodes {
+			var wg sync.WaitGroup
 			for w := 0; w < s.workers; w++ {
-				if n.hasPending(w, t) {
-					still = true
-					break check
+				if !n.hasPending(w, t) {
+					continue
 				}
+				progress = true
+				if s.workers == 1 {
+					n.run(w, t)
+					continue
+				}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					n.run(w, t)
+				}()
 			}
-		}
-		if !still {
-			return
+			wg.Wait()
 		}
 	}
 }
@@ -254,17 +238,13 @@ func (s *Scope) drainTime(t timestamp.Time) {
 //
 // The call only advances the frontier; the exchange columns stay for the
 // next version (see release). A stateful operator shard that receives input
-// in a later version then folds each of its traces, once per frontier move,
-// into one canonical batch clamped to the frontier: a single streaming pass
-// over the trace (column copies for keys the version did not touch), written
-// into a column set off the trace's free list when one has room for it (see
-// arrange.Trace.Advance). It costs time proportional to the shard's state,
-// not to the version's difference set. Shards that receive no input do
-// nothing. The totally ordered operators (DistinctTotal, CountTotal,
-// JoinMapTotal's right side, JoinMin's and JoinMax's edges and roots) keep
-// no trace and have nothing to fold.
-// ResetState drops the histories and keeps their column sets for the next
-// run.
+// in a later version hands the frontier to its traces, and each trace clamps
+// a key's entries to it the next time the key is appended to or read (see
+// arrange.Trace.Advance), so compaction costs time proportional to the keys
+// a version touches, not to the shard's state. The totally ordered operators
+// (DistinctTotal, CountTotal, JoinMapTotal's right side, JoinMin's and
+// JoinMax's edges and roots) keep no time to clamp. ResetState drops the
+// histories and keeps their columns for the next run.
 func (s *Scope) Compact(outer uint32) {
 	for {
 		cur := s.frontier.Load()

@@ -1,193 +1,16 @@
 package dataflow
 
 import (
-	"cmp"
 	"math/rand"
 	"runtime"
-	"slices"
 	"testing"
 	"unsafe"
 
-	"graphsurge/internal/timestamp"
+	"graphsurge/internal/arrange"
 )
 
 // spread is a test key's hash: the key table probes on the top bits.
 func spread(k int) uint64 { return uint64(k) * 0x9E3779B97F4A7C15 }
-
-// slabRec is one update of a totalIndex batch.
-type slabRec struct {
-	k, v int
-	d    int64
-}
-
-// refRun is the reference for one key of a totalIndex: its pairs in the
-// index's order, and which of them were there before its last batch.
-type refRun struct {
-	ps         []VD[int]
-	old, epoch uint32
-}
-
-// add is totalIndex.addAt on a plain slice: a value is looked for among the
-// pairs before the batch, a pair that cancels is replaced by the last old
-// pair and that by the batch's last pair, and a new value goes last.
-func (r *refRun) add(epoch uint32, v int, d int64) int64 {
-	if r.epoch != epoch {
-		r.epoch, r.old = epoch, uint32(len(r.ps))
-	}
-	for i := range r.ps[:r.old] {
-		if r.ps[i].V != v {
-			continue
-		}
-		was := r.ps[i].D
-		if r.ps[i].D += d; r.ps[i].D == 0 {
-			r.old--
-			r.ps[i], r.ps[r.old] = r.ps[r.old], r.ps[len(r.ps)-1]
-			r.ps = r.ps[:len(r.ps)-1]
-		}
-		return was
-	}
-	r.ps = append(r.ps, VD[int]{v, d})
-	return 0
-}
-
-// FuzzSpanSlabMatchesMap holds the per-key span stores to per-key slices. A
-// totalIndex takes consolidated batches of inserts, count changes and
-// cancels, with hub keys that take hundreds of values at once and sweeps
-// that cancel every pair of most keys, half of the batches reserved before
-// they are added; a keyIndex is pushed times and
-// advanced past a moving frontier; both are reset now and then. After every
-// batch each key's pairs and each key's times must be the reference's, in
-// order, and neither slab may be longer than twice its live entries plus
-// slabSlack.
-func FuzzSpanSlabMatchesMap(f *testing.F) {
-	f.Add(int64(1), uint8(60), false)
-	f.Add(int64(2), uint8(90), true)
-	f.Add(int64(3), uint8(40), true)
-	f.Add(int64(4), uint8(120), false)
-	f.Fuzz(func(t *testing.T, seed int64, rounds uint8, hubs bool) {
-		r := rand.New(rand.NewSource(seed))
-		const keys = 24
-		var ix totalIndex[int, int]
-		var ki keyIndex[int]
-		runs := map[int]*refRun{}
-		times := map[int][]timestamp.Time{}
-		advanced := map[int]uint32{} // 1 + the outer a key's times were last advanced to
-		outer := uint32(0)
-		for round := range int(rounds) {
-			if r.Intn(16) == 0 {
-				ix.reset()
-				ki.reset()
-				clear(runs)
-				clear(times)
-				clear(advanced)
-				outer = 0
-			}
-
-			// A consolidated batch: each (key, value) once.
-			var batch []slabRec
-			seen := map[KV[int, int]]bool{}
-			put := func(k, v int, d int64) {
-				if kv := (KV[int, int]{k, v}); !seen[kv] && d != 0 {
-					seen[kv] = true
-					batch = append(batch, slabRec{k, v, d})
-				}
-			}
-			for range r.Intn(24) {
-				k := r.Intn(keys)
-				if rr := runs[k]; rr != nil && len(rr.ps) > 0 && r.Intn(3) == 0 {
-					p := rr.ps[r.Intn(len(rr.ps))] // cancel it, or change its count
-					put(k, p.V, []int64{-p.D, -p.D, 1, -1}[r.Intn(4)])
-					continue
-				}
-				put(k, r.Intn(12), int64(r.Intn(5)-2))
-			}
-			if hubs && r.Intn(3) == 0 {
-				k := r.Intn(2)
-				for range 100 + r.Intn(300) {
-					put(k, r.Intn(2000), 1)
-				}
-			}
-			if r.Intn(8) == 0 { // a sweep: every pair of some keys cancels
-				for k, rr := range runs {
-					for _, p := range rr.ps {
-						if k%3 != round%3 {
-							put(k, p.V, -p.D)
-						}
-					}
-				}
-			}
-			ix.begin()
-			reserved := r.Intn(2) == 0
-			slots := make([]uint32, len(batch))
-			for i, b := range batch {
-				if slots[i] = ix.slot(spread(b.k), b.k); reserved && b.d > 0 {
-					ix.slab.ask(slots[i])
-				}
-			}
-			if reserved {
-				ix.slab.reserve()
-			}
-			for i, b := range batch {
-				rr := runs[b.k]
-				if rr == nil {
-					rr = &refRun{}
-					runs[b.k] = rr
-				}
-				if was, want := ix.addAt(slots[i], b.v, b.d), rr.add(ix.epoch, b.v, b.d); was != want {
-					t.Fatalf("round %d: (%d, %d) was %d, want %d", round, b.k, b.v, was, want)
-				}
-			}
-
-			// Times: pushes at and past the frontier, then, now and then, a
-			// frontier move that advances some keys.
-			for range r.Intn(16) {
-				k := r.Intn(keys)
-				tm := timestamp.Time{Outer: outer + uint32(r.Intn(3)), Inner: uint32(r.Intn(4))}
-				ki.slab.push(ki.slot(spread(k), k), tm)
-				times[k] = append(times[k], tm)
-			}
-			if r.Intn(4) == 0 {
-				outer++
-				for k, ts := range times {
-					if r.Intn(2) == 0 || advanced[k] >= outer+1 {
-						continue
-					}
-					ki.advance(ki.slot(spread(k), k), outer)
-					advanced[k] = outer + 1
-					for i := range ts {
-						ts[i].Outer = max(ts[i].Outer, outer)
-					}
-					slices.SortFunc(ts, func(a, b timestamp.Time) int {
-						return cmp.Or(cmp.Compare(a.Outer, b.Outer), cmp.Compare(a.Inner, b.Inner))
-					})
-					times[k] = slices.Compact(ts)
-				}
-			}
-
-			live := 0
-			for k, rr := range runs {
-				if got := ix.pairs(spread(k), k); !slices.Equal(got, rr.ps) {
-					t.Fatalf("round %d: key %d holds %v, want %v", round, k, got, rr.ps)
-				}
-				live += len(rr.ps)
-			}
-			if ix.slab.live != live || len(ix.slab.buf) > 2*live+slabSlack {
-				t.Fatalf("round %d: pair slab %d long, %d live by its count, %d by the reference", round, len(ix.slab.buf), ix.slab.live, live)
-			}
-			live = 0
-			for k, ts := range times {
-				s, _ := ki.find(spread(k), k)
-				if got := ki.slab.at(s); !slices.Equal(got, ts) {
-					t.Fatalf("round %d: key %d has times %v, want %v", round, k, got, ts)
-				}
-				live += len(ts)
-			}
-			if ki.slab.live != live || len(ki.slab.buf) > 2*live+slabSlack {
-				t.Fatalf("round %d: time slab %d long, %d live by its count, %d by the reference", round, len(ki.slab.buf), ki.slab.live, live)
-			}
-		}
-	})
-}
 
 // relaxProbe is the similar-collection sssp shape: a temporal graph of 1 000
 // vertices and 10 000 weighted edges with timestamps in [0, 128), run from
@@ -242,12 +65,13 @@ type slabStat struct {
 	arrays       [2]unsafe.Pointer // buf's and spare's, in address order
 }
 
-func statOf[E any](name string, sl *spanSlab[E]) slabStat {
-	a, b := unsafe.Pointer(unsafe.SliceData(sl.buf)), unsafe.Pointer(unsafe.SliceData(sl.spare))
+func statOf[E any](name string, sl *arrange.SpanSlab[E]) slabStat {
+	buf, spare := sl.Arrays()
+	a, b := unsafe.Pointer(unsafe.SliceData(buf)), unsafe.Pointer(unsafe.SliceData(spare))
 	if uintptr(b) < uintptr(a) {
 		a, b = b, a
 	}
-	return slabStat{name, len(sl.buf), sl.live, [2]unsafe.Pointer{a, b}}
+	return slabStat{name, len(buf), sl.Live(), [2]unsafe.Pointer{a, b}}
 }
 
 // slabs returns each worker's by-source, by-destination and time slabs.
@@ -298,12 +122,12 @@ func TestRelaxSlabOccupancy(t *testing.T) {
 			srcs, dsts = srcs[:0], dsts[:0]
 			for _, u := range ups {
 				s, d := bySrc.slot(spread(u.Rec.K), u.Rec.K), byDst.slot(spread(u.Rec.V.Dst), u.Rec.V.Dst)
-				bySrc.slab.ask(s)
-				byDst.slab.ask(d)
+				bySrc.slab.Ask(s)
+				byDst.slab.Ask(d)
 				srcs, dsts = append(srcs, s), append(dsts, d)
 			}
-			bySrc.slab.reserve()
-			byDst.slab.reserve()
+			bySrc.slab.Reserve()
+			byDst.slab.Reserve()
 			for i, u := range ups {
 				bySrc.addAt(srcs[i], u.Rec.V, u.D)
 				byDst.addAt(dsts[i], u.Rec.V, u.D)
