@@ -1,6 +1,8 @@
 package arrange
 
 import (
+	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -182,5 +184,138 @@ func TestQueueOrderAndTake(t *testing.T) {
 	recs, diffs := q.Take(tb, nil, nil)
 	if len(recs) != 3 || recs[0] != "b" || recs[1] != "b2" || recs[2] != "b3" || diffs[0] != 2 || diffs[1] != -1 || diffs[2] != 4 {
 		t.Fatalf("Take(tb) = %v %v", recs, diffs)
+	}
+}
+
+// canonical checks that key k's first read after the frontier moved to outer
+// is its canonical form, and returns it: each (time, value) once, in time
+// order, no zero diff, no time below the frontier.
+func canonical(t *testing.T, where string, tr *Trace[int, int], k int, outer uint32) []Entry[int] {
+	t.Helper()
+	es := slices.Clone(tr.Entries(tr.Hash(k), k))
+	seen := make(map[acc]bool, len(es))
+	for i, e := range es {
+		if e.D == 0 || e.T.Outer < outer {
+			t.Fatalf("%s: key %d entry %v is not settled at frontier %d", where, k, e, outer)
+		}
+		if i > 0 && LexCmp(es[i-1].T, e.T) > 0 {
+			t.Fatalf("%s: key %d entries %v, %v out of time order", where, k, es[i-1], e)
+		}
+		if seen[acc{e.V, e.T}] {
+			t.Fatalf("%s: key %d holds (%v, %d) twice", where, k, e.T, e.V)
+		}
+		seen[acc{e.V, e.T}] = true
+	}
+	return es
+}
+
+// TestCanonicalFormOracle drives a trace and a map of each key's raw updates
+// through seeded random streams that mix Outer values within one view, skip
+// versions on Advance, append views larger than half the history, cancel
+// everything down to an empty trace and reset, and holds snapshots taken
+// before and after an Advance across two further Advances. After every
+// Advance each key's first read must be its canonical form and hold exactly
+// the map's updates, clamped to the frontier and summed.
+func TestCanonicalFormOracle(t *testing.T) {
+	for seed := int64(1); seed <= 10; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		tr := NewTrace[int, int]()
+		keys := 3 + r.Intn(300)
+		oracle := make(map[int][]Entry[int]) // raw updates since the last reset
+		app := func(k, v int, ts timestamp.Time, d int64) {
+			tr.Append(k, v, ts, d)
+			oracle[k] = append(oracle[k], Entry[int]{ts, v, d})
+		}
+		dump := func(tr *Trace[int, int]) [][]Entry[int] {
+			out := make([][]Entry[int], keys)
+			for k := range out {
+				out[k] = slices.Clone(tr.Entries(tr.Hash(k), k))
+			}
+			return out
+		}
+		type held struct {
+			snap *Trace[int, int]
+			want [][]Entry[int]
+			due  int
+		}
+		var snaps []held
+		hold := func(view int) {
+			s := tr.Snapshot()
+			snaps = append(snaps, held{s, dump(s), view + 2})
+		}
+		frontier := uint32(0)
+		advance := func(where string, by uint32) {
+			frontier += by
+			tr.Advance(frontier)
+			live := 0
+			for k := 0; k < keys; k++ {
+				want := make(map[acc]int64)
+				for _, e := range oracle[k] {
+					want[acc{e.V, ClampTime(e.T, frontier)}] += e.D
+				}
+				for e, d := range want {
+					if d == 0 {
+						delete(want, e)
+					}
+				}
+				got := canonical(t, where, tr, k, frontier)
+				if len(got) != len(want) {
+					t.Fatalf("seed %d %s: key %d holds %d entries, want %d", seed, where, k, len(got), len(want))
+				}
+				for _, e := range got {
+					if want[acc{e.V, e.T}] != e.D {
+						t.Fatalf("seed %d %s: key %d entry %v, want diff %d", seed, where, k, e, want[acc{e.V, e.T}])
+					}
+				}
+				live += len(got)
+			}
+			if tr.Len() != live || tr.Batches() > 1 {
+				t.Fatalf("seed %d %s: Len %d, Batches %d after every key settled to %d entries", seed, where, tr.Len(), tr.Batches(), live)
+			}
+		}
+		for view := 0; view < 40; view++ {
+			n := r.Intn(120)
+			if r.Intn(4) == 0 {
+				n = tr.Len()/2 + 1 + r.Intn(2048)
+			}
+			for i := 0; i < n; i++ {
+				ts := timestamp.Time{Outer: frontier + uint32(r.Intn(3)), Inner: uint32(r.Intn(4))}
+				app(r.Intn(keys), r.Intn(4), ts, int64(r.Intn(5)-2))
+			}
+			if view%3 == 0 {
+				hold(view)
+			}
+			advance("after Advance", 1+uint32(r.Intn(3)))
+			if view%3 == 1 {
+				hold(view)
+			}
+			switch view {
+			case 17:
+				// Retract everything at the frontier: once the history is
+				// clamped up to it, every update meets its negation.
+				advance("before retraction", 3)
+				for k := 0; k < keys; k++ {
+					for _, e := range slices.Clone(oracle[k]) {
+						app(k, e.V, timestamp.Time{Outer: frontier, Inner: e.T.Inner}, -e.D)
+					}
+				}
+				advance("after retraction", 1)
+				if tr.Len() != 0 || tr.Batches() != 0 {
+					t.Fatalf("seed %d: retraction left %d entries, %d batches", seed, tr.Len(), tr.Batches())
+				}
+			case 29:
+				tr.Reset()
+				clear(oracle)
+				frontier = 0
+				if tr.Len() != 0 || tr.Batches() != 0 {
+					t.Fatalf("seed %d: reset left state", seed)
+				}
+			}
+			for _, h := range snaps {
+				if view >= h.due && !reflect.DeepEqual(dump(h.snap), h.want) {
+					t.Fatalf("seed %d view %d: a snapshot taken at view %d changed under the original", seed, view, h.due-2)
+				}
+			}
+		}
 	}
 }

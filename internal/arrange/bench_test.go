@@ -2,6 +2,7 @@ package arrange
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"graphsurge/internal/timestamp"
@@ -32,8 +33,7 @@ func view(tr *Trace[uint64, uint64], r *rand.Rand, keys int, v uint32, size int)
 // A round that appends a small view to a 100k-tuple history, advances the
 // frontier and reads the keys it touched, then retracts the view the same
 // way, leaves the trace as large as it found it, so once the arrays have
-// room it takes no new one. A trace that is reset and rerun on the same
-// tuples finds its key table and both slab arrays large enough.
+// room it takes no new one.
 func TestAdvanceSteadyStateAllocs(t *testing.T) {
 	tr, r := history(100_000)
 	keys := make([]uint64, 64)
@@ -61,18 +61,78 @@ func TestAdvanceSteadyStateAllocs(t *testing.T) {
 	if tr.Len() != 100_000 {
 		t.Fatalf("the rounds left %d tuples, want 100 000", tr.Len())
 	}
+}
 
+// TestResetRecyclesColumns checks that Reset keeps the trace's arrays: a
+// trace reset and refilled the way a pooled replica's next view refills it
+// finds its key table and both slab arrays large enough and allocates
+// nothing, and never writes into a snapshot taken before the reset.
+func TestResetRecyclesColumns(t *testing.T) {
+	tr := NewTrace[uint64, uint64]()
+	r := rand.New(rand.NewSource(3))
 	rerun := func() {
 		tr.Reset()
 		r.Seed(3)
 		for i := 0; i < 50_000; i++ {
-			tr.Append(uint64(r.Intn(50_000/8)), uint64(i), timestamp.Time{Inner: uint32(r.Intn(4))}, 1)
+			k := uint64(r.Intn(50_000 / 8))
+			tr.Append(k, uint64(i), timestamp.Time{Inner: uint32(r.Intn(4))}, 1)
+			if i%5 == 0 { // a retraction, so some entries cancel
+				tr.Append(k, uint64(i), timestamp.Time{Inner: uint32(r.Intn(4))}, -1)
+			}
 		}
 	}
 	rerun()
 	rerun()
 	if n := testing.AllocsPerRun(5, rerun); n != 0 {
 		t.Fatalf("a reset trace's rerun allocated %.1f times", n)
+	}
+
+	snap := tr.Snapshot()
+	want := make(map[uint64][]Entry[uint64])
+	for k := uint64(0); k < 50_000/8; k++ {
+		want[k] = slices.Clone(snap.Entries(snap.Hash(k), k))
+	}
+	rerun()
+	tr.Advance(1)
+	for k := uint64(0); k < 50_000/8; k++ {
+		if got := snap.Entries(snap.Hash(k), k); !slices.Equal(got, want[k]) {
+			t.Fatalf("key %d of a snapshot changed under the original's reset and rerun: %v, was %v", k, got, want[k])
+		}
+	}
+}
+
+// TestWarmSealAllocs checks that a warm trace absorbs a full batch of appends
+// without allocating: a round of 1 024 updates over 64 hub keys at one
+// version, an Advance that settles them, and their retraction at the next
+// version grows every key's span by a batch's share and shrinks it again, so
+// once the slab has room the rounds take no new array.
+func TestWarmSealAllocs(t *testing.T) {
+	const rows = 1024
+	tr := NewTrace[uint64, uint64]()
+	r := rand.New(rand.NewSource(2))
+	ks, vs, inner := make([]uint64, rows), make([]uint64, rows), make([]uint32, rows)
+	v := uint32(0)
+	round := func() {
+		for i := range ks {
+			ks[i], vs[i], inner[i] = uint64(r.Intn(64)), r.Uint64(), uint32(r.Intn(4))
+		}
+		for _, d := range []int64{1, -1} {
+			for i := range ks {
+				tr.Append(ks[i], vs[i], timestamp.Time{Outer: v, Inner: inner[i]}, d)
+			}
+			tr.Advance(v)
+			for k := uint64(0); k < 64; k++ {
+				tr.Key(k, func(uint64, timestamp.Time, int64) {})
+			}
+			v++
+		}
+	}
+	round()
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		t.Fatalf("a warm round of %d appends allocated %.1f times", rows, n)
+	}
+	if tr.Len() != 0 {
+		t.Fatalf("the rounds left %d entries, want none", tr.Len())
 	}
 }
 

@@ -451,9 +451,9 @@ func compareArranged(tr *arrange.Trace[int, int], o traceOracle, keys int, outer
 	return nil
 }
 
-// FuzzTraceMatchesMap drives an arrange.Trace and the legacy map-of-vtd
-// trace representation through identical random streams of appends (some
-// with zero diffs), frontier advances, snapshots and resets, asserting the
+// traceMatchesMap drives an arrange.Trace and the legacy map-of-vtd trace
+// representation through identical random streams of appends (some with
+// zero diffs), frontier advances, snapshots and resets, asserting the
 // accumulated per-key multisets stay identical throughout. The vtd machinery
 // (consolidateVTD/advanceVTD) is the oracle: it is the representation the
 // engine used before arrangements. After every Advance each key's first
@@ -462,96 +462,110 @@ func compareArranged(tr *arrange.Trace[int, int], o traceOracle, keys int, outer
 // makes hub keys), skip the largest frontier step less one, and retract
 // adds, once, a retraction of everything at the frontier, which must leave
 // the trace empty.
+func traceMatchesMap(t *testing.T, seed int64, keys, skip uint8, retract bool) {
+	t.Helper()
+	type snapshot struct {
+		tr     *arrange.Trace[int, int]
+		oracle traceOracle
+		outer  uint32
+		step   int
+	}
+	r := rand.New(rand.NewSource(seed))
+	nkeys := max(int(keys), 1)
+	tr := arrange.NewTrace[int, int]()
+	oracle := traceOracle{}
+	outer := uint32(0)
+	advance := func(step int, by uint32) {
+		outer += by
+		tr.Advance(outer)
+		for k, list := range oracle {
+			list, _ = advanceVTD(list, outer)
+			if len(list) == 0 {
+				delete(oracle, k)
+			} else {
+				oracle[k] = list
+			}
+		}
+		if err := compareArranged(tr, oracle, nkeys, outer, true); err != nil {
+			t.Fatalf("step %d, after Advance(%d): %v", step, outer, err)
+		}
+	}
+	var snaps []snapshot
+	steps := 600 + r.Intn(500)
+	for i := 0; i < steps; i++ {
+		switch op := r.Intn(100); {
+		case op < 84: // append, occasionally with a zero diff (must be a no-op)
+			k, v := r.Intn(nkeys), r.Intn(5)
+			ts := timestamp.Time{Outer: outer + uint32(r.Intn(3)), Inner: uint32(r.Intn(3))}
+			d := int64(r.Intn(5) - 2)
+			tr.Append(k, v, ts, d)
+			if d != 0 {
+				oracle[k] = append(oracle[k], vtd[int]{v, ts, d})
+			}
+		case op < 92: // advance the compaction frontier on both sides
+			advance(i, 1+uint32(r.Intn(1+int(skip%3))))
+		case op < 97: // snapshot now, verify after the original moves on
+			snaps = append(snaps, snapshot{tr.Snapshot(), oracle.clone(), outer, i})
+		default: // reset drops all state
+			tr.Reset()
+			oracle = traceOracle{}
+			outer = 0
+		}
+		if retract && i == steps/2 {
+			// Once the history is clamped up to the frontier, every
+			// tuple meets its negation.
+			advance(i, 3)
+			for k, list := range oracle {
+				for _, e := range slices.Clone(list) {
+					ts := timestamp.Time{Outer: outer, Inner: e.t.Inner}
+					tr.Append(k, e.v, ts, -e.d)
+					oracle[k] = append(oracle[k], vtd[int]{e.v, ts, -e.d})
+				}
+			}
+			advance(i, 1)
+			if tr.Len() != 0 {
+				t.Fatalf("step %d: retracting everything left %d tuples", i, tr.Len())
+			}
+		}
+		if i%53 == 0 {
+			if err := compareArranged(tr, oracle, nkeys, outer, false); err != nil {
+				t.Fatalf("step %d: %v", i, err)
+			}
+		}
+	}
+	if err := compareArranged(tr, oracle, nkeys, outer, false); err != nil {
+		t.Fatalf("final: %v", err)
+	}
+	for _, s := range snaps {
+		if err := compareArranged(s.tr, s.oracle, nkeys, s.outer, false); err != nil {
+			t.Fatalf("snapshot taken at step %d: %v", s.step, err)
+		}
+	}
+}
+
+// TestArrangedTraceMatchesMapTrace holds the trace to the map oracle on 25
+// seeded streams over 6 keys, advancing by 1 or 2.
+func TestArrangedTraceMatchesMapTrace(t *testing.T) {
+	for seed := int64(0); seed < 25; seed++ {
+		traceMatchesMap(t, seed, oracleKeySpace, 1, false)
+	}
+}
+
+// FuzzTraceMatchesMap is traceMatchesMap over fuzzed streams, seeded with
+// TestArrangedTraceMatchesMapTrace's streams and with skipped versions on
+// Advance, wide and narrow key spaces, total cancellation, and resets.
 func FuzzTraceMatchesMap(f *testing.F) {
 	for seed := int64(0); seed < 25; seed++ {
-		f.Add(seed, uint8(6), uint8(1), false)
+		f.Add(seed, uint8(oracleKeySpace), uint8(1), false)
 	}
-	// Skipped versions on Advance, wide and narrow key spaces, total
-	// cancellation, and resets.
 	for seed := int64(1); seed <= 6; seed++ {
 		f.Add(seed, uint8(3+seed*40), uint8(2), true)
 	}
 	f.Add(int64(7), uint8(1), uint8(2), true)
-	f.Fuzz(func(t *testing.T, seed int64, keys, skip uint8, retract bool) {
-		type snapshot struct {
-			tr     *arrange.Trace[int, int]
-			oracle traceOracle
-			outer  uint32
-			step   int
-		}
-		r := rand.New(rand.NewSource(seed))
-		nkeys := max(int(keys), 1)
-		tr := arrange.NewTrace[int, int]()
-		oracle := traceOracle{}
-		outer := uint32(0)
-		advance := func(step int, by uint32) {
-			outer += by
-			tr.Advance(outer)
-			for k, list := range oracle {
-				list, _ = advanceVTD(list, outer)
-				if len(list) == 0 {
-					delete(oracle, k)
-				} else {
-					oracle[k] = list
-				}
-			}
-			if err := compareArranged(tr, oracle, nkeys, outer, true); err != nil {
-				t.Fatalf("step %d, after Advance(%d): %v", step, outer, err)
-			}
-		}
-		var snaps []snapshot
-		steps := 600 + r.Intn(500)
-		for i := 0; i < steps; i++ {
-			switch op := r.Intn(100); {
-			case op < 84: // append, occasionally with a zero diff (must be a no-op)
-				k, v := r.Intn(nkeys), r.Intn(5)
-				ts := timestamp.Time{Outer: outer + uint32(r.Intn(3)), Inner: uint32(r.Intn(3))}
-				d := int64(r.Intn(5) - 2)
-				tr.Append(k, v, ts, d)
-				if d != 0 {
-					oracle[k] = append(oracle[k], vtd[int]{v, ts, d})
-				}
-			case op < 92: // advance the compaction frontier on both sides
-				advance(i, 1+uint32(r.Intn(1+int(skip%3))))
-			case op < 97: // snapshot now, verify after the original moves on
-				snaps = append(snaps, snapshot{tr.Snapshot(), oracle.clone(), outer, i})
-			default: // reset drops all state
-				tr.Reset()
-				oracle = traceOracle{}
-				outer = 0
-			}
-			if retract && i == steps/2 {
-				// Once the history is clamped up to the frontier, every
-				// tuple meets its negation.
-				advance(i, 3)
-				for k, list := range oracle {
-					for _, e := range slices.Clone(list) {
-						ts := timestamp.Time{Outer: outer, Inner: e.t.Inner}
-						tr.Append(k, e.v, ts, -e.d)
-						oracle[k] = append(oracle[k], vtd[int]{e.v, ts, -e.d})
-					}
-				}
-				advance(i, 1)
-				if tr.Len() != 0 {
-					t.Fatalf("step %d: retracting everything left %d tuples", i, tr.Len())
-				}
-			}
-			if i%53 == 0 {
-				if err := compareArranged(tr, oracle, nkeys, outer, false); err != nil {
-					t.Fatalf("step %d: %v", i, err)
-				}
-			}
-		}
-		if err := compareArranged(tr, oracle, nkeys, outer, false); err != nil {
-			t.Fatalf("final: %v", err)
-		}
-		for _, s := range snaps {
-			if err := compareArranged(s.tr, s.oracle, nkeys, s.outer, false); err != nil {
-				t.Fatalf("snapshot taken at step %d: %v", s.step, err)
-			}
-		}
-	})
+	f.Fuzz(traceMatchesMap)
 }
+
+const oracleKeySpace = 6 // keys of TestArrangedTraceMatchesMapTrace's streams
 
 func TestNegativeAndZeroDiffHandling(t *testing.T) {
 	s := NewScope(1)
