@@ -1,6 +1,7 @@
 package arrange
 
 import (
+	"hash/maphash"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -25,6 +26,24 @@ func accumulate(tr *Trace[int, int], k int) map[acc]int64 {
 		}
 	})
 	return out
+}
+
+// entries returns k's entries as a read leaves them, clamped if the
+// frontier moved since the key was last touched.
+func entries[K comparable, V comparable](tr *Trace[K, V], k K) []Entry[V] {
+	s, ok := tr.keys.Find(maphash.Comparable(seed, k), k)
+	if !ok {
+		return nil
+	}
+	tr.clamp(s)
+	return tr.h.At(s)
+}
+
+// reset drops all of a trace's state in place, as an operator resets its
+// key space and its histories.
+func reset[K comparable, V comparable](tr *Trace[K, V]) {
+	tr.keys.Reset()
+	tr.h.Reset()
 }
 
 func TestTraceAppendAndKey(t *testing.T) {
@@ -65,8 +84,8 @@ func TestAdvanceIsLazy(t *testing.T) {
 		tr.Append(k, 30, at(3, 0), 1)
 	}
 	raw := func(k int) []Entry[int] {
-		s, _ := tr.keys.Find(tr.Hash(k), k)
-		return slices.Clone(tr.slab.At(s))
+		s, _ := tr.keys.Find(maphash.Comparable(seed, k), k)
+		return slices.Clone(tr.h.At(s))
 	}
 	before := raw(1)
 	tr.Advance(2)
@@ -74,7 +93,7 @@ func TestAdvanceIsLazy(t *testing.T) {
 		t.Fatalf("Advance touched a key's entries: %v, was %v", got, before)
 	}
 	want := []Entry[int]{{at(2, 2), 10, 2}, {at(3, 0), 30, 1}}
-	if got := tr.Entries(tr.Hash(1), 1); !slices.Equal(got, want) {
+	if got := entries(tr, 1); !slices.Equal(got, want) {
 		t.Fatalf("key 1 read after Advance: %v, want %v", got, want)
 	}
 	if got := raw(2); !slices.Equal(got, before) {
@@ -82,7 +101,7 @@ func TestAdvanceIsLazy(t *testing.T) {
 	}
 	tr.Append(2, 40, at(3, 1), 1)
 	want = append(want, Entry[int]{at(3, 1), 40, 1})
-	if got := tr.Entries(tr.Hash(2), 2); !slices.Equal(got, want) {
+	if got := entries(tr, 2); !slices.Equal(got, want) {
 		t.Fatalf("key 2 appended to after Advance: %v, want %v", got, want)
 	}
 	if tr.Len() != 5 {
@@ -90,7 +109,7 @@ func TestAdvanceIsLazy(t *testing.T) {
 	}
 	// An update that cancels an entry at its own time drops it at once.
 	tr.Append(2, 40, at(3, 1), -1)
-	if got := tr.Entries(tr.Hash(2), 2); !slices.Equal(got, want[:2]) {
+	if got := entries(tr, 2); !slices.Equal(got, want[:2]) {
 		t.Fatalf("key 2 after a cancelling append: %v, want %v", got, want[:2])
 	}
 }
@@ -121,7 +140,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	for i := 0; i < 2*1024; i++ {
 		tr.Append(i%50, 2000+i, t0, 1)
 	}
-	tr.Reset()
+	reset(tr)
 	for k := 0; k < 50; k++ {
 		after := accumulate(snap, k)
 		if len(after) != len(before[k]) {
@@ -152,7 +171,7 @@ func TestResetDropsByReference(t *testing.T) {
 	if tr.Batches() != 1 {
 		t.Fatalf("a trace holding entries reports %d batches, want 1", tr.Batches())
 	}
-	tr.Reset()
+	reset(tr)
 	if tr.Len() != 0 || tr.Batches() != 0 {
 		t.Fatalf("reset left state: Len=%d Batches=%d", tr.Len(), tr.Batches())
 	}
@@ -192,7 +211,7 @@ func TestQueueOrderAndTake(t *testing.T) {
 // order, no zero diff, no time below the frontier.
 func canonical(t *testing.T, where string, tr *Trace[int, int], k int, outer uint32) []Entry[int] {
 	t.Helper()
-	es := slices.Clone(tr.Entries(tr.Hash(k), k))
+	es := slices.Clone(entries(tr, k))
 	seen := make(map[acc]bool, len(es))
 	for i, e := range es {
 		if e.D == 0 || e.T.Outer < outer {
@@ -229,7 +248,7 @@ func TestCanonicalFormOracle(t *testing.T) {
 		dump := func(tr *Trace[int, int]) [][]Entry[int] {
 			out := make([][]Entry[int], keys)
 			for k := range out {
-				out[k] = slices.Clone(tr.Entries(tr.Hash(k), k))
+				out[k] = slices.Clone(entries(tr, k))
 			}
 			return out
 		}
@@ -304,7 +323,7 @@ func TestCanonicalFormOracle(t *testing.T) {
 					t.Fatalf("seed %d: retraction left %d entries, %d batches", seed, tr.Len(), tr.Batches())
 				}
 			case 29:
-				tr.Reset()
+				reset(tr)
 				clear(oracle)
 				frontier = 0
 				if tr.Len() != 0 || tr.Batches() != 0 {

@@ -71,7 +71,7 @@ func TestResetRecyclesColumns(t *testing.T) {
 	tr := NewTrace[uint64, uint64]()
 	r := rand.New(rand.NewSource(3))
 	rerun := func() {
-		tr.Reset()
+		reset(tr)
 		r.Seed(3)
 		for i := 0; i < 50_000; i++ {
 			k := uint64(r.Intn(50_000 / 8))
@@ -90,12 +90,12 @@ func TestResetRecyclesColumns(t *testing.T) {
 	snap := tr.Snapshot()
 	want := make(map[uint64][]Entry[uint64])
 	for k := uint64(0); k < 50_000/8; k++ {
-		want[k] = slices.Clone(snap.Entries(snap.Hash(k), k))
+		want[k] = slices.Clone(entries(snap, k))
 	}
 	rerun()
 	tr.Advance(1)
 	for k := uint64(0); k < 50_000/8; k++ {
-		if got := snap.Entries(snap.Hash(k), k); !slices.Equal(got, want[k]) {
+		if got := entries(snap, k); !slices.Equal(got, want[k]) {
 			t.Fatalf("key %d of a snapshot changed under the original's reset and rerun: %v, was %v", k, got, want[k])
 		}
 	}

@@ -3,13 +3,15 @@ package arrange
 import (
 	"cmp"
 	"math/bits"
+	"slices"
 
 	"graphsurge/internal/timestamp"
 )
 
 // KeyTable maps a shard's keys to dense slots by open addressing on the top
 // bits of the key hash. Its owner keeps per-key state in columns of its own,
-// indexed by slot, with no per-key heap object.
+// indexed by slot, with no per-key heap object; a column grows to a slot at
+// the slot's first use (Grow).
 type KeyTable[K comparable] struct {
 	tab   []uint32 // 1 + slot; 0 is empty
 	shift uint8
@@ -57,9 +59,6 @@ func (kt *KeyTable[K]) probe(hk uint64, is func(slot uint32) bool) *uint32 {
 // KeyAt returns slot s's key.
 func (kt *KeyTable[K]) KeyAt(s uint32) K { return kt.keys[s] }
 
-// HashAt returns slot s's key hash.
-func (kt *KeyTable[K]) HashAt(s uint32) uint64 { return kt.hks[s] }
-
 // Reset forgets every key, keeping the columns' capacity.
 func (kt *KeyTable[K]) Reset() {
 	clear(kt.tab)
@@ -67,19 +66,20 @@ func (kt *KeyTable[K]) Reset() {
 }
 
 // SpanSlab is a shard's per-key stretches of one flat array, a span per key
-// slot, with no per-key heap object. It grows by one rule. Room is made
-// before entries are added, by Push for one entry and by Ask and Reserve for
-// a batch: each span that lacks room moves once to the array's end, with
-// room for all it was asked and at least twice its entries, unless the moves
-// would overrun the array's capacity or make it longer than 1.4 times its
-// live entries plus slabSlack. Then the array is instead rebuilt compactly
-// into the spare, each span with its asked room or a quarter's headroom,
-// whichever is more, and the two swap. A cut that leaves the array past that
-// bound rebuilds it too. So no move copies dead room into a larger array, no
-// move or cut leaves the array longer than that bound, and the moves or cuts
-// since the last rebuild pay for the next one's copy. Moves and rebuilds keep
-// every span's order. A reset keeps both arrays, so a reset shard's rerun
-// does not grow them.
+// slot, with no per-key heap object; a slot nothing was pushed to has an
+// empty span. It grows by one rule. Room is made before entries are added,
+// by Push for one entry and by Ask and Reserve for a batch: each span that
+// lacks room moves once to the array's end, with room for all it was asked
+// and at least twice its entries, unless the moves would overrun the
+// array's capacity or make it longer than 1.4 times its live entries plus
+// slabSlack. Then the array is instead rebuilt compactly into the spare,
+// each span with its asked room or a quarter's headroom, whichever is more,
+// and the two swap. A cut that leaves the array past that bound rebuilds it
+// too. So no move copies dead room into a larger array, no move or cut
+// leaves the array longer than that bound, and the moves or cuts since the
+// last rebuild pay for the next one's copy. Moves and rebuilds keep every
+// span's order. A reset keeps both arrays, so a reset shard's rerun does
+// not grow them.
 type SpanSlab[E any] struct {
 	spans []span // per slot
 	buf   []E
@@ -96,21 +96,18 @@ type span struct{ off, n, c, want uint32 }
 // rebuilt at every move.
 const slabSlack = 64
 
-// Add appends an empty span, for a new slot.
-func (sl *SpanSlab[E]) Add() { sl.spans = append(sl.spans, span{}) }
-
-// Spans returns the number of spans.
-func (sl *SpanSlab[E]) Spans() int { return len(sl.spans) }
-
 // At returns slot s's entries, valid until the next Push, Reserve or Cut.
 func (sl *SpanSlab[E]) At(s uint32) []E {
+	if int(s) >= len(sl.spans) {
+		return nil
+	}
 	sp := sl.spans[s]
 	return sl.buf[sp.off : sp.off+sp.n]
 }
 
 // Push appends e to slot s's span.
 func (sl *SpanSlab[E]) Push(s uint32, e E) {
-	if sp := &sl.spans[s]; sp.n == sp.c {
+	if sp := sl.spanAt(s); sp.n == sp.c {
 		sl.Ask(s)
 		sl.Reserve()
 	}
@@ -120,9 +117,15 @@ func (sl *SpanSlab[E]) Push(s uint32, e E) {
 	sl.live++
 }
 
+// spanAt returns slot s's span, adding empty ones up to it.
+func (sl *SpanSlab[E]) spanAt(s uint32) *span {
+	sl.spans = Grow(sl.spans, s)
+	return &sl.spans[s]
+}
+
 // Ask asks room for one more entry in slot s at the next Reserve.
 func (sl *SpanSlab[E]) Ask(s uint32) {
-	sp := &sl.spans[s]
+	sp := sl.spanAt(s)
 	if sp.want == 0 {
 		sl.asked = append(sl.asked, s)
 	}
@@ -201,6 +204,28 @@ func (sl *SpanSlab[E]) rebuild() {
 	sl.buf, sl.spare = to, sl.buf[:0]
 }
 
+// Clamp clamps slot s's rows to outer by ClampTime, time giving a row's
+// time: it sorts them stably by their clamped times, and fold gets each run
+// rs[i:j] of rows whose clamped time is t in turn, writes what it keeps of
+// them, at t, to rs[m:] (m ≤ i) and returns the end of what it wrote, where
+// the span is cut. It is the one clamp rule of every per-key store.
+func (sl *SpanSlab[E]) Clamp(s, outer uint32, time func(E) timestamp.Time, fold func(rs []E, i, j, m int, t timestamp.Time) int) {
+	rs := sl.At(s)
+	slices.SortStableFunc(rs, func(a, b E) int {
+		return LexCmp(ClampTime(time(a), outer), ClampTime(time(b), outer))
+	})
+	m := 0
+	for i, j := 0, 0; i < len(rs); i = j {
+		t := ClampTime(time(rs[i]), outer)
+		for j = i + 1; j < len(rs) && ClampTime(time(rs[j]), outer) == t; j++ {
+		}
+		m = fold(rs, i, j, m, t)
+	}
+	if m < len(rs) {
+		sl.Cut(s, m)
+	}
+}
+
 // Live returns the number of entries the spans hold.
 func (sl *SpanSlab[E]) Live() int { return sl.live }
 
@@ -211,6 +236,16 @@ func (sl *SpanSlab[E]) Arrays() (buf, spare []E) { return sl.buf, sl.spare }
 // Reset forgets every span, keeping both arrays.
 func (sl *SpanSlab[E]) Reset() {
 	sl.spans, sl.buf, sl.live = sl.spans[:0], sl.buf[:0], 0
+}
+
+// Grow returns col lengthened with zero values to hold index s: an owner's
+// per-slot column grows at the slot's first use.
+func Grow[T any](col []T, s uint32) []T {
+	if n, m := int(s)+1, len(col); n > m {
+		col = slices.Grow(col, n-m)[:n]
+		clear(col[m:])
+	}
+	return col
 }
 
 // ClampTime is the compaction clamp: a time below the frontier's outer

@@ -16,8 +16,8 @@ func spread(k int) uint64 { return uint64(k) * 0x9E3779B97F4A7C15 }
 // keys that take hundreds of entries at once, and of cancels, each an entry
 // replaced by the span's last and the span cut by one, as a total index
 // drops a pair; sweeps that cut most spans to nothing; times clamped to a
-// moving frontier, sorted and de-duplicated in place, as a schedule keeps
-// them; and resets now and then. After every round each key's span must be
+// moving frontier by Clamp, sorted and de-duplicated in place, as a
+// schedule keeps them; and resets now and then. After every round each key's span must be
 // the reference's, in order, the live count the reference's, and the array
 // no longer than twice its live entries plus slabSlack.
 func FuzzSpanSlabMatchesMap(f *testing.F) {
@@ -31,13 +31,7 @@ func FuzzSpanSlabMatchesMap(f *testing.F) {
 		var kt KeyTable[int]
 		var sl SpanSlab[timestamp.Time]
 		ref := map[int][]timestamp.Time{}
-		slot := func(k int) uint32 {
-			s := kt.Slot(spread(k), k)
-			if int(s) == sl.Spans() {
-				sl.Add()
-			}
-			return s
-		}
+		slot := func(k int) uint32 { return kt.Slot(spread(k), k) }
 		outer := uint32(0)
 		for round := range int(rounds) {
 			if r.Intn(16) == 0 {
@@ -100,13 +94,8 @@ func FuzzSpanSlabMatchesMap(f *testing.F) {
 					if r.Intn(2) == 0 {
 						continue
 					}
-					s := slot(k)
-					es := sl.At(s)
-					for i := range es {
-						es[i] = ClampTime(es[i], outer)
-					}
-					slices.SortFunc(es, LexCmp)
-					sl.Cut(s, len(slices.Compact(es)))
+					sl.Clamp(slot(k), outer, func(t timestamp.Time) timestamp.Time { return t },
+						func(ts []timestamp.Time, _, _, m int, t timestamp.Time) int { ts[m] = t; return m + 1 })
 					for i := range ts {
 						ts[i].Outer = max(ts[i].Outer, outer)
 					}
@@ -118,7 +107,7 @@ func FuzzSpanSlabMatchesMap(f *testing.F) {
 			live := 0
 			for k, ts := range ref {
 				s, ok := kt.Find(spread(k), k)
-				if !ok || kt.KeyAt(s) != k || kt.HashAt(s) != spread(k) {
+				if !ok || kt.KeyAt(s) != k || kt.hks[s] != spread(k) {
 					t.Fatalf("round %d: key %d lost its slot", round, k)
 				}
 				if got := sl.At(s); !slices.Equal(got, ts) {

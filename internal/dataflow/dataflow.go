@@ -38,15 +38,6 @@ import (
 // deletions.
 type Diff = int64
 
-// Delta is one update to a stream: record r changed by multiplicity D at
-// logical time T. Operators exchange columnar batches; Delta is the row form
-// Inspect shows its callback.
-type Delta[R comparable] struct {
-	Rec R
-	T   timestamp.Time
-	D   Diff
-}
-
 // KV is a keyed record, the input shape of Join and Reduce.
 type KV[K comparable, V comparable] struct {
 	K K
@@ -69,7 +60,7 @@ type VD[V comparable] struct {
 
 // batch is the unit of exchange between operators: parallel record and diff
 // columns that share one logical time. A pending bucket is one, so deltas
-// stay columnar from the operator that emits them to the trace that stores
+// stay columnar from the operator that emits them to the store that keeps
 // them. A batch passed to a subscriber is borrowed for the duration of the
 // emit call: the producer reuses its columns afterwards, so a subscriber
 // copies what it keeps and never writes to it. An input or a fused operator

@@ -9,6 +9,14 @@ import (
 	"graphsurge/internal/timestamp"
 )
 
+// Delta is one row of a stream: record Rec changed by multiplicity D at
+// logical time T, the row form the oracle below consolidates.
+type Delta[R comparable] struct {
+	Rec R
+	T   timestamp.Time
+	D   Diff
+}
+
 // refConsolidate is the consolidation the engine ran on row batches before
 // deltas went columnar — a quadratic merge up to 32 rows, a map above — kept
 // as the oracle batch.consolidate is held to.

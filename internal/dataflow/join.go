@@ -1,6 +1,8 @@
 package dataflow
 
 import (
+	"hash/maphash"
+
 	"graphsurge/internal/arrange"
 	"graphsurge/internal/timestamp"
 )
@@ -11,77 +13,48 @@ import (
 // counted exactly once because whichever delta is processed later does the
 // pairing against the stored history of the other side.
 //
-// The left side's history is an arrangement (internal/arrange), per worker:
-// per key, its (time, value, diff) entries. JoinMap's right side is a peer
-// arrangement, so a delta's key is hashed once for the lookup on one side and
-// the append on the other. A run after the scope's frontier moves hands the
-// frontier to both; each key's entries are clamped to it the next time the
-// key is looked up or appended to. A key not touched since keeps raw times,
-// which is indistinguishable to the join since it only Joins against times
-// at or above the frontier.
+// Each worker keeps both sides at the slots of one key space, so a delta's
+// key is found once for the lookup on one side and the add on the other.
+// The left side is an arrange.History, and so is JoinMap's right side; a
+// run after the scope's frontier moves hands the frontier to the key space,
+// and a slot's histories are clamped to it at the slot's next access. A key
+// not touched since keeps raw times, which is indistinguishable to the join
+// since it only Joins against times at or above the frontier.
 //
-// JoinMapTotal's right side has no trace and no time to clamp: it is a
-// totalIndex, the right input's accumulated (value, count) pairs per key,
-// updated in O(delta).
+// JoinMapTotal's right side has no time to clamp: it is a totalIndex, the
+// right input's accumulated (value, count) pairs per key, updated in
+// O(delta).
 type joinNode[K comparable, A comparable, B comparable, O comparable] struct {
-	s   *Scope
-	out *Collection[O]
-	f   func(K, A, B) O
+	s     *Scope
+	out   *Collection[O]
+	f     func(K, A, B) O
+	total bool // JoinMapTotal
 
 	pl *pendings[KV[K, A]]
 	pr *pendings[KV[K, B]]
 
-	left  []*arrange.Trace[K, A] // per-worker arrangements
-	right []joinRight[K, B]
-	ob    []timeBatches[O] // per-worker output scratch, reused across runs
+	st []joinShard[K, A, B]
+	ob []timeBatches[O] // per-worker output scratch, reused across runs
 }
 
-// joinRight is one worker's store of a join's right input: an arrangement
-// (tr), or for JoinMapTotal a total index (ix). The join calls each through
-// its concrete type, so the closures it hands them stay on the stack.
-type joinRight[K comparable, B comparable] struct {
-	tr *arrange.Trace[K, B]
-	ix *totalIndex[K, B]
+// joinShard is one worker's share of a join: both sides, per slot of one
+// key space. right is JoinMap's right side, total JoinMapTotal's.
+type joinShard[K comparable, A comparable, B comparable] struct {
+	keys  arrange.Keys[K]
+	left  arrange.History[A]
+	right arrange.History[B]
+	total totalIndex[B]
 }
 
-func (r *joinRight[K, B]) key(hk uint64, k K, yield func(v B, t timestamp.Time, d int64)) int {
-	if r.ix != nil {
-		return r.ix.key(hk, k, yield)
+// slot returns k's slot, where hk is k's hash, clamping both histories
+// there on its first access after the frontier moved.
+func (sh *joinShard[K, A, B]) slot(hk uint64, k K) uint32 {
+	s := sh.keys.Slot(hk, k)
+	if outer, stale := sh.keys.Stale(s); stale {
+		sh.left.Clamp(s, outer)
+		sh.right.Clamp(s, outer)
 	}
-	return r.tr.KeyHashed(hk, k, yield)
-}
-
-// open starts a run's right batch at t: a total index checks the time and
-// opens a batch.
-func (r *joinRight[K, B]) open(t timestamp.Time) {
-	if r.ix != nil {
-		mustBeTotal("JoinMapTotal's right input", t)
-		r.ix.begin()
-	}
-}
-
-func (r *joinRight[K, B]) add(hk uint64, k K, v B, t timestamp.Time, d int64) {
-	if r.ix != nil {
-		r.ix.add(hk, k, v, d)
-	} else {
-		r.tr.AppendHashed(hk, k, v, t, d)
-	}
-}
-
-// advance moves an arrangement's frontier; a total index has no time to
-// clamp.
-func (r *joinRight[K, B]) advance(outer uint32) {
-	if r.tr != nil {
-		r.tr.Advance(outer)
-	}
-}
-
-func (r *joinRight[K, B]) reset() {
-	if r.ix != nil {
-		r.ix.reset()
-	} else {
-		r.tr.Reset()
-	}
+	return s
 }
 
 // JoinMap joins two keyed streams, emitting f(k, a, b) for every matching
@@ -116,19 +89,11 @@ func newJoin[K comparable, A comparable, B comparable, O comparable](
 		s:     s,
 		out:   newCollection[O](s),
 		f:     f,
+		total: total,
 		pl:    newPendings[KV[K, A]](s),
 		pr:    newPendings[KV[K, B]](s),
-		left:  make([]*arrange.Trace[K, A], s.workers),
-		right: make([]joinRight[K, B], s.workers),
+		st:    make([]joinShard[K, A, B], s.workers),
 		ob:    make([]timeBatches[O], s.workers),
-	}
-	for w := 0; w < s.workers; w++ {
-		n.left[w] = arrange.NewTrace[K, A]()
-		if total {
-			n.right[w].ix = new(totalIndex[K, B])
-		} else {
-			n.right[w].tr = arrange.NewPeer[K, B](n.left[w])
-		}
 	}
 	l.subscribe(keyedSubscriber(s, n.pl))
 	r.subscribe(keyedSubscriber(s, n.pr))
@@ -144,59 +109,80 @@ func (n *joinNode[K, A, B, O]) run(w int, t timestamp.Time) {
 	if len(lb.recs) == 0 && len(rb.recs) == 0 {
 		return
 	}
-	left, right := n.left[w], &n.right[w]
+	sh := &n.st[w]
 	if outer, compacting := n.s.compactionOuter(); compacting {
-		left.Advance(outer)
-		right.advance(outer)
+		sh.keys.Advance(outer)
 	}
 	// Output is grouped by its time t.Join(et), nearly always t itself, and
 	// lent to the subscribers batch by batch.
 	ob := &n.ob[w]
 	cur := ob.at(t)
 	pairs := 0
-	// New left deltas pair against the stored right history (which does not
+	// New left deltas pair against the stored right side (which does not
 	// yet include this round's right batch).
 	for i, kv := range lb.recs {
-		k, av, dd := kv.K, kv.V, lb.diffs[i]
-		hk := left.Hash(k)
-		pairs += right.key(hk, k, func(v B, et timestamp.Time, ed int64) {
-			if jt := t.Join(et); jt != cur.t {
-				cur = ob.at(jt)
+		k, a, d := kv.K, kv.V, lb.diffs[i]
+		s := sh.slot(maphash.Comparable(n.s.seed, k), k)
+		if n.total {
+			// A total index's pairs count at every time, so they pair at t,
+			// where cur stays through this loop.
+			ps := sh.total.At(s)
+			for _, p := range ps {
+				cur.add(n.f(k, a, p.V), d*p.D)
 			}
-			cur.add(n.f(k, av, v), dd*ed)
-		})
-		left.AppendHashed(hk, k, av, t, dd)
+			pairs += len(ps)
+		} else {
+			es := sh.right.At(s)
+			for _, e := range es {
+				if jt := t.Join(e.T); jt != cur.t {
+					cur = ob.at(jt)
+				}
+				cur.add(n.f(k, a, e.V), d*e.D)
+			}
+			pairs += len(es)
+		}
+		sh.left.Add(s, a, t, d)
 	}
 	// New right deltas pair against the full left history, including this
 	// round's left batch, so each (δL, δR) pair is counted exactly once.
-	if len(rb.recs) > 0 {
-		right.open(t)
+	if len(rb.recs) > 0 && n.total {
+		mustBeTotal("JoinMapTotal's right input", t)
+		sh.total.begin()
 	}
 	for i, kv := range rb.recs {
-		k, bv, dd := kv.K, kv.V, rb.diffs[i]
-		hk := left.Hash(k)
-		pairs += left.KeyHashed(hk, k, func(v A, et timestamp.Time, ed int64) {
-			if jt := t.Join(et); jt != cur.t {
+		k, b, d := kv.K, kv.V, rb.diffs[i]
+		s := sh.slot(maphash.Comparable(n.s.seed, k), k)
+		es := sh.left.At(s)
+		for _, e := range es {
+			if jt := t.Join(e.T); jt != cur.t {
 				cur = ob.at(jt)
 			}
-			cur.add(n.f(k, v, bv), ed*dd)
-		})
-		right.add(hk, k, bv, t, dd)
+			cur.add(n.f(k, e.V, b), e.D*d)
+		}
+		pairs += len(es)
+		if n.total {
+			sh.total.add(s, b, d)
+		} else {
+			sh.right.Add(s, b, t, d)
+		}
 	}
 	n.s.addWork(w, len(lb.recs)+len(rb.recs)+pairs)
 	ob.flush(w, n.out)
 }
 
-// reset drops both sides' state by truncating the arrangements and a total
-// index in place — O(1) per worker in accumulated history apart from
-// clearing the key tables. Every column stays for the next run, and so does
+// reset drops both sides' state by truncating each worker's key space and
+// stores in place — O(1) per worker in accumulated history apart from
+// clearing the key table. Every column stays for the next run, and so does
 // the output scratch.
 func (n *joinNode[K, A, B, O]) reset() {
 	n.pl.reset()
 	n.pr.reset()
-	for w := range n.left {
-		n.left[w].Reset()
-		n.right[w].reset()
+	for w := range n.st {
+		sh := &n.st[w]
+		sh.keys.Reset()
+		sh.left.Reset()
+		sh.right.Reset()
+		sh.total.reset()
 	}
 }
 

@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"cmp"
+	"hash/maphash"
 	"slices"
 
 	"graphsurge/internal/arrange"
@@ -73,43 +74,70 @@ type relaxNode[K comparable, N comparable, V cmp.Ordered, E comparable] struct {
 	st []*relaxShard[K, N, V, E]
 }
 
-// inEdge is an edge in the by-destination index: its source's slot in the
-// by-source index, and its value.
+// inEdge is an edge in the by-destination index: its source's vertex slot,
+// and its value.
 type inEdge[E comparable] struct {
 	src uint32
 	e   E
 }
 
-// relaxShard is one worker's share of a JoinMin or JoinMax. xs, bySrc and
-// byDst hash vertices with xs's seed, roots and the schedule hash keys with
-// outs's.
+// relaxShard is one worker's share of a JoinMin or JoinMax, over two key
+// spaces. The keys' slots hold the schedule, the roots and the output
+// history; the vertices' slots hold all of x (its labels, by vertex), the
+// edges by source and by destination, and the run's label cache. A slot's
+// histories are clamped together at its first access after the frontier
+// moved (key, vertex); the roots and edges keep no time.
 type relaxShard[K comparable, N comparable, V cmp.Ordered, E comparable] struct {
-	xs    *arrange.Trace[N, KV[K, V]] // all of x, by vertex
-	bySrc totalIndex[N, E]
-	byDst totalIndex[N, inEdge[E]]
-	roots totalIndex[K, V]
-	outs  *arrange.Trace[K, V]
-	sched schedule[K]
+	keys  arrange.Keys[K]
+	sched schedule
+	roots totalIndex[V]
+	outs  arrange.History[V]
 
-	// Per by-source slot, whether x has ever held a label of the source (a
-	// source it never labeled costs its in-edges no lookup), and the run's
-	// cache of its labels ≤ t, consolidated: a stretch of one slab, valid
-	// while its epoch is the run's.
+	verts arrange.Keys[N]
+	xs    arrange.History[KV[K, V]]
+	bySrc totalIndex[E]
+	byDst totalIndex[inEdge[E]]
+
+	// Per vertex slot, the run's cache of its labels ≤ t, consolidated: a
+	// stretch of one slab, valid while its epoch is the run's.
 	epoch   uint32
 	sources []source
 	slab    []VD[KV[K, V]]
 
-	srcs, dsts []uint32 // an edge batch's slots, by source and by destination
+	srcs, dsts []uint32 // an edge batch's vertex slots, by source and by destination
 	cands      []VD[V]  // a key's candidate values
 	delta      []VD[V]  // a key's output correction
 	emit       func(V)
 	ob         batch[KV[K, V]] // output scratch, lent to the subscribers at the end of each run
 }
 
-// source is a by-source slot's entry (see relaxShard.sources).
-type source struct {
-	off, n, epoch uint32
-	labeled       bool
+// source is a vertex slot's entry in the label cache (see relaxShard.sources).
+type source struct{ off, n, epoch uint32 }
+
+// key returns k's slot, clamping its output history and times on the
+// slot's first access after the frontier moved.
+func (sh *relaxShard[K, N, V, E]) key(seed maphash.Seed, k K) uint32 {
+	s := sh.keys.Slot(maphash.Comparable(seed, k), k)
+	if outer, stale := sh.keys.Stale(s); stale {
+		sh.outs.Clamp(s, outer)
+		sh.sched.clamp(s, outer)
+	}
+	return s
+}
+
+// vertex returns u's slot, with its labels clamped.
+func (sh *relaxShard[K, N, V, E]) vertex(seed maphash.Seed, u N) uint32 {
+	s := sh.verts.Slot(maphash.Comparable(seed, u), u)
+	sh.freshVertex(s)
+	return s
+}
+
+// freshVertex clamps vertex slot s's labels on the slot's first access after
+// the frontier moved.
+func (sh *relaxShard[K, N, V, E]) freshVertex(s uint32) {
+	if outer, stale := sh.verts.Stale(s); stale {
+		sh.xs.Clamp(s, outer)
+	}
 }
 
 func newRelax[K comparable, N comparable, V cmp.Ordered, E comparable](
@@ -125,7 +153,7 @@ func newRelax[K comparable, N comparable, V cmp.Ordered, E comparable](
 		st: make([]*relaxShard[K, N, V, E], s.workers),
 	}
 	for w := range n.st {
-		sh := &relaxShard[K, N, V, E]{xs: arrange.NewTrace[N, KV[K, V]](), outs: arrange.NewTrace[K, V]()}
+		sh := &relaxShard[K, N, V, E]{}
 		sh.emit = func(v V) { mergeVD(&sh.delta, v, 1) }
 		n.st[w] = sh
 		s.recycles(func() { sh.ob = batch[KV[K, V]]{}; sh.sched.release() })
@@ -144,31 +172,23 @@ func (n *relaxNode[K, N, V, E]) name() string { return n.op }
 // index pairs and x rows visited (a cached source's labels count once per
 // run), and the records out.
 func (n *relaxNode[K, N, V, E]) run(w int, t timestamp.Time) {
-	sh, r := n.st[w], &n.r
+	sh, r, seed := n.st[w], &n.r, n.s.seed
 	xb, eb, rb := n.px.take(w, t), n.pe.take(w, t), n.pr.take(w, t)
 	work := len(xb.recs) + len(eb.recs) + len(rb.recs)
-	outer, compacting := n.s.compactionOuter()
-	if compacting && work > 0 {
-		sh.xs.Advance(outer)
-		sh.outs.Advance(outer)
+	if outer, compacting := n.s.compactionOuter(); compacting {
+		sh.keys.Advance(outer)
+		sh.verts.Advance(outer)
 	}
 	sh.sched.begin(t, work)
 
 	// A label change at t changes its messages at t. The edges this run
 	// brings are not indexed yet: they pair with the labels below.
 	for i, kv := range xb.recs {
-		u := r.Vertex(kv.K)
-		hu := sh.xs.Hash(u)
-		sh.xs.AppendHashed(hu, u, kv, t, xb.diffs[i])
-		src, ok := sh.bySrc.Find(hu, u)
-		if !ok {
-			continue
-		}
-		sh.sources[src].labeled = true
-		out := sh.bySrc.slab.At(src)
+		u := sh.vertex(seed, r.Vertex(kv.K))
+		sh.xs.Add(u, kv, t, xb.diffs[i])
+		out := sh.bySrc.At(u)
 		for _, p := range out {
-			k := r.At(kv.K, r.Dst(p.V))
-			sh.sched.touch(sh.outs.Hash(k), k, t, t, outer)
+			sh.sched.touch(sh.key(seed, r.At(kv.K, r.Dst(p.V))), t, t)
 		}
 		work += len(out)
 	}
@@ -181,43 +201,36 @@ func (n *relaxNode[K, N, V, E]) run(w int, t timestamp.Time) {
 		sh.byDst.begin()
 		srcs, dsts := sh.srcs[:0], sh.dsts[:0]
 		for i, kv := range eb.recs {
-			u, v := kv.K, r.Dst(kv.V)
-			src, dst := sh.bySrc.slot(sh.xs.Hash(u), u), sh.byDst.slot(sh.xs.Hash(v), v)
-			if int(src) == len(sh.sources) {
-				sh.sources = append(sh.sources, source{})
-			}
+			src, dst := sh.vertex(seed, kv.K), sh.vertex(seed, r.Dst(kv.V))
 			if eb.diffs[i] > 0 {
-				sh.bySrc.slab.Ask(src)
-				sh.byDst.slab.Ask(dst)
+				sh.bySrc.Ask(src)
+				sh.byDst.Ask(dst)
 			}
 			srcs, dsts = append(srcs, src), append(dsts, dst)
 		}
-		sh.bySrc.slab.Reserve()
-		sh.byDst.slab.Reserve()
+		sh.bySrc.Reserve()
+		sh.byDst.Reserve()
 		sh.srcs, sh.dsts = srcs, dsts
 	}
 	for i, kv := range eb.recs {
-		u, e, d, src := kv.K, kv.V, eb.diffs[i], sh.srcs[i]
+		e, d, src := kv.V, eb.diffs[i], sh.srcs[i]
 		v := r.Dst(e)
-		sh.bySrc.addAt(src, e, d)
-		sh.byDst.addAt(sh.dsts[i], inEdge[E]{src, e}, d)
-		rows := sh.xs.KeyHashed(sh.bySrc.HashAt(src), u, func(x KV[K, V], et timestamp.Time, _ int64) {
-			k := r.At(x.K, v)
-			sh.sched.touch(sh.outs.Hash(k), k, t.Join(et), t, outer)
-		})
-		if rows > 0 {
-			sh.sources[src].labeled = true
+		sh.bySrc.add(src, e, d)
+		sh.byDst.add(sh.dsts[i], inEdge[E]{src, e}, d)
+		ls := sh.xs.At(src)
+		for _, l := range ls {
+			sh.sched.touch(sh.key(seed, r.At(l.V.K, v)), t.Join(l.T), t)
 		}
-		work += rows
+		work += len(ls)
 	}
 	if len(rb.recs) > 0 {
 		mustBeTotal(n.op+"'s root input", t)
 		sh.roots.begin()
 	}
 	for i, kv := range rb.recs {
-		hk := sh.outs.Hash(kv.K)
-		sh.roots.add(hk, kv.K, kv.V, rb.diffs[i])
-		sh.sched.touch(hk, kv.K, t, t, outer)
+		s := sh.key(seed, kv.K)
+		sh.roots.add(s, kv.V, rb.diffs[i])
+		sh.sched.touch(s, t, t)
 	}
 
 	// Evaluate every key due at t.
@@ -229,22 +242,17 @@ func (n *relaxNode[K, N, V, E]) run(w int, t timestamp.Time) {
 	}
 	sh.slab = sh.slab[:0]
 	ob := sh.ob.reset(t, 0)
-	for _, d := range sh.sched.takeDue() {
-		k := sh.sched.keys.KeyAt(d.slot)
-		v := r.Vertex(k)
+	for _, s := range sh.sched.takeDue() {
+		k := sh.keys.KeyAt(s) // touched since the frontier moved: its stores are clamped
 		// The candidates are kept for the rare key with a negative count;
 		// otherwise the best positive one is the answer.
 		cands, neg := sh.cands[:0], false
 		var best V
 		found := false
-		in := sh.byDst.pairs(sh.xs.Hash(v), v)
+		in := sh.byDst.At(sh.vertex(seed, r.Vertex(k)))
 		for _, p := range in {
-			c := &sh.sources[p.V.src]
-			if !c.labeled {
-				continue
-			}
-			from := r.At(k, sh.bySrc.KeyAt(p.V.src))
-			for _, l := range sh.labels(c, p.V.src, t, &work) {
+			from := r.At(k, sh.verts.KeyAt(p.V.src))
+			for _, l := range sh.labels(p.V.src, t, &work) {
 				if l.V.K != from {
 					continue
 				}
@@ -254,7 +262,7 @@ func (n *relaxNode[K, N, V, E]) run(w int, t timestamp.Time) {
 				}
 			}
 		}
-		rs := sh.roots.pairs(d.hk, k)
+		rs := sh.roots.At(s)
 		for _, p := range rs {
 			if cands, neg = append(cands, p), neg || p.D < 0; p.D > 0 && (!found || cmp.Compare(p.V, best) == n.dir) {
 				best, found = p.V, true
@@ -270,7 +278,7 @@ func (n *relaxNode[K, N, V, E]) run(w int, t timestamp.Time) {
 		case found:
 			sh.emit(best)
 		}
-		for _, e := range sh.outs.Entries(d.hk, k) {
+		for _, e := range sh.outs.At(s) {
 			if e.T.Leq(t) {
 				mergeVD(&sh.delta, e.V, -e.D)
 			}
@@ -278,36 +286,37 @@ func (n *relaxNode[K, N, V, E]) run(w int, t timestamp.Time) {
 		for _, od := range sh.delta {
 			if od.D != 0 {
 				ob.add(KV[K, V]{k, od.V}, od.D)
+				sh.outs.Add(s, od.V, t, od.D)
 			}
 		}
-	}
-	// The output history grows after the walk, so no key's entries move
-	// while they are read.
-	for i, kv := range ob.recs {
-		sh.outs.Append(kv.K, kv.V, t, ob.diffs[i])
 	}
 	n.s.addWork(w, work+len(ob.recs))
 	n.out.emit(w, ob)
 }
 
-// labels returns the labels ≤ t of the source in by-source slot s, whose
-// entry is c, with their counts consolidated and none zero: from the run's
-// cache, or read from x, adding the rows visited to work, and cached.
-func (sh *relaxShard[K, N, V, E]) labels(c *source, s uint32, t timestamp.Time, work *int) []VD[KV[K, V]] {
+// labels returns the labels ≤ t of the source in vertex slot s, with their
+// counts consolidated and none zero: from the run's cache, or read from x,
+// adding the rows visited to work, and cached.
+func (sh *relaxShard[K, N, V, E]) labels(s uint32, t timestamp.Time, work *int) []VD[KV[K, V]] {
+	sh.sources = arrange.Grow(sh.sources, s)
+	c := &sh.sources[s]
 	if c.epoch != sh.epoch {
-		off := len(sh.slab)
-		*work += sh.xs.KeyHashed(sh.bySrc.HashAt(s), sh.bySrc.KeyAt(s), func(x KV[K, V], et timestamp.Time, d int64) {
-			if !et.Leq(t) {
-				return
+		sh.freshVertex(s)
+		off, es := len(sh.slab), sh.xs.At(s)
+		*work += len(es)
+	next:
+		for _, e := range es {
+			if !e.T.Leq(t) {
+				continue
 			}
 			for i := range sh.slab[off:] { // a source's labels are a handful
-				if l := &sh.slab[off+i]; l.V == x {
-					l.D += d
-					return
+				if l := &sh.slab[off+i]; l.V == e.V {
+					l.D += e.D
+					continue next
 				}
 			}
-			sh.slab = append(sh.slab, VD[KV[K, V]]{x, d})
-		})
+			sh.slab = append(sh.slab, VD[KV[K, V]]{e.V, e.D})
+		}
 		ls := sh.slab[off:]
 		m := 0
 		for _, l := range ls {
@@ -338,19 +347,21 @@ func consolidateVD[V cmp.Ordered](vals []VD[V]) []VD[V] {
 	return vals[:m]
 }
 
-// reset drops every shard's stores, schedule and source entries, keeping
-// their columns.
+// reset drops every shard's key spaces, stores, schedule and label cache,
+// keeping their columns.
 func (n *relaxNode[K, N, V, E]) reset() {
 	n.px.reset()
 	n.pe.reset()
 	n.pr.reset()
 	for _, sh := range n.st {
-		sh.xs.Reset()
+		sh.keys.Reset()
+		sh.sched.reset()
+		sh.roots.reset()
 		sh.outs.Reset()
+		sh.verts.Reset()
+		sh.xs.Reset()
 		sh.bySrc.reset()
 		sh.byDst.reset()
-		sh.roots.reset()
-		sh.sched.reset()
 		sh.sources = sh.sources[:0]
 	}
 }

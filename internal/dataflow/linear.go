@@ -59,13 +59,8 @@ func FlatMap[A comparable, B comparable](in *Collection[A], f func(rec A, emit f
 	})
 }
 
-// Concat merges two streams (multiset union).
-func Concat[R comparable](a, b *Collection[R]) *Collection[R] {
-	return ConcatAll(a, b)
-}
-
-// ConcatAll merges any number of streams.
-func ConcatAll[R comparable](cols ...*Collection[R]) *Collection[R] {
+// Concat merges any number of streams (multiset union).
+func Concat[R comparable](cols ...*Collection[R]) *Collection[R] {
 	out := newCollection[R](cols[0].s)
 	for _, c := range cols {
 		c.subscribe(out.emit)
@@ -81,17 +76,4 @@ func Negate[R comparable](in *Collection[R]) *Collection[R] {
 			ob.diffs = append(ob.diffs, -d)
 		}
 	})
-}
-
-// Inspect invokes f on every delta flowing through, for debugging, and
-// forwards the stream unchanged.
-func Inspect[R comparable](in *Collection[R], f func(Delta[R])) *Collection[R] {
-	out := newCollection[R](in.s)
-	in.subscribe(func(w int, b *batch[R]) {
-		for i, r := range b.recs {
-			f(Delta[R]{r, b.t, b.diffs[i]})
-		}
-		out.emit(w, b)
-	})
-	return out
 }

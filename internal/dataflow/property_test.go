@@ -228,23 +228,21 @@ func TestDistinctKeys(t *testing.T) {
 	}
 }
 
-func TestConcatAllAndInspect(t *testing.T) {
+// TestConcatThreeWay merges three inputs with one Concat: every record of
+// each reaches the capture once.
+func TestConcatThreeWay(t *testing.T) {
 	s := NewScope(1)
 	a, acol := NewInput[int](s)
 	b, bcol := NewInput[int](s)
 	cIn, ccol := NewInput[int](s)
-	seen := 0
-	merged := Inspect(ConcatAll(acol, bcol, ccol), func(Delta[int]) { seen++ })
-	cap1 := NewCapture(merged)
+	cap1 := NewCapture(Concat(acol, bcol, ccol))
 	a.SendOne(0, 1, 1)
 	b.SendOne(0, 2, 1)
 	cIn.SendOne(0, 3, 1)
+	cIn.SendOne(0, 1, 1)
 	s.Drain()
-	if got := cap1.Result(); len(got) != 3 {
-		t.Fatalf("got %v", got)
-	}
-	if seen != 3 {
-		t.Fatalf("inspect saw %d deltas", seen)
+	if got, want := cap1.Result(), map[int]Diff{1: 2, 2: 1, 3: 1}; !equalDiffMaps(got, want) {
+		t.Fatalf("got %v, want %v", got, want)
 	}
 }
 
@@ -453,7 +451,7 @@ func compareArranged(tr *arrange.Trace[int, int], o traceOracle, keys int, outer
 
 // traceMatchesMap drives an arrange.Trace and the legacy map-of-vtd trace
 // representation through identical random streams of appends (some with
-// zero diffs), frontier advances, snapshots and resets, asserting the
+// zero diffs), frontier advances, snapshots and fresh traces, asserting the
 // accumulated per-key multisets stay identical throughout. The vtd machinery
 // (consolidateVTD/advanceVTD) is the oracle: it is the representation the
 // engine used before arrangements. After every Advance each key's first
@@ -506,8 +504,8 @@ func traceMatchesMap(t *testing.T, seed int64, keys, skip uint8, retract bool) {
 			advance(i, 1+uint32(r.Intn(1+int(skip%3))))
 		case op < 97: // snapshot now, verify after the original moves on
 			snaps = append(snaps, snapshot{tr.Snapshot(), oracle.clone(), outer, i})
-		default: // reset drops all state
-			tr.Reset()
+		default: // a fresh trace: all state dropped
+			tr = arrange.NewTrace[int, int]()
 			oracle = traceOracle{}
 			outer = 0
 		}
@@ -553,7 +551,7 @@ func TestArrangedTraceMatchesMapTrace(t *testing.T) {
 
 // FuzzTraceMatchesMap is traceMatchesMap over fuzzed streams, seeded with
 // TestArrangedTraceMatchesMapTrace's streams and with skipped versions on
-// Advance, wide and narrow key spaces, total cancellation, and resets.
+// Advance, wide and narrow key spaces, total cancellation, and fresh traces.
 func FuzzTraceMatchesMap(f *testing.F) {
 	for seed := int64(0); seed < 25; seed++ {
 		f.Add(seed, uint8(oracleKeySpace), uint8(1), false)

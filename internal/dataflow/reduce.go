@@ -4,26 +4,25 @@ import (
 	"cmp"
 	"hash/maphash"
 	"math/bits"
-	"slices"
 
 	"graphsurge/internal/arrange"
 	"graphsurge/internal/timestamp"
 )
 
-// reduceShard is one worker's share of a reduce: its input, the output
-// history as a per-key arrangement, and the schedule of the times each key
-// has been, or is to be, evaluated at. A general reducer's input is an
-// arrangement too, a peer of the output's (one key hash serves both). A
-// linear reducer's is, per key, a span of (time, n, Σ) rows, one per time
-// its records arrived at, in the slot the schedule gives the key, and
-// clamped to the frontier with the key's times; a run's batch is folded to
-// one (n, Σ) per key before it is ingested.
+// reduceShard is one worker's share of a reduce: per slot of its key space,
+// the key's input, its output history and its schedule, the times it has
+// been, or is to be, evaluated at. A general reducer's input is a history
+// of its values. A linear reducer's is a span of (time, n, Σ) rows, one per
+// time its records arrived at; a run's batch is folded to one (n, Σ) per
+// key before it is ingested. A slot's stores are clamped together, at its
+// first access after the frontier moved (slot).
 type reduceShard[K comparable, V comparable, O comparable] struct {
-	ins   *arrange.Trace[K, V]     // a general reducer's input; nil for a linear one
-	lin   arrange.SpanSlab[linRow] // a linear reducer's input, per schedule slot
-	outs  *arrange.Trace[K, O]
-	sched schedule[K]
-	seed  maphash.Seed    // hashes a key's values for the fold
+	keys  arrange.Keys[K]
+	ins   arrange.History[V]       // a general reducer's input
+	lin   arrange.SpanSlab[linRow] // a linear reducer's input
+	outs  arrange.History[O]
+	sched schedule
+	seed  maphash.Seed    // the scope's: hashes keys, and a key's values for the fold
 	vals  []VD[V]         // a key's consolidated input
 	idx   []uint32        // the fold's index, recycled across keys and runs
 	folds []keyFold[K]    // a linear reducer's batch, folded per key
@@ -97,10 +96,7 @@ func newReduce[K comparable, V comparable, O comparable](in *Collection[KV[K, V]
 	n.s, n.out, n.p = s, newCollection[KV[K, O]](s), newPendings[KV[K, V]](s)
 	n.st = make([]*reduceShard[K, V, O], s.workers)
 	for w := range n.st {
-		sh := &reduceShard[K, V, O]{outs: arrange.NewTrace[K, O](), seed: maphash.MakeSeed()}
-		if n.lin == nil {
-			sh.ins = arrange.NewPeer[K, V](sh.outs)
-		}
+		sh := &reduceShard[K, V, O]{seed: s.seed}
 		sh.emit = func(o O) { mergeVD(&sh.delta, o, 1) }
 		n.st[w] = sh
 		s.recycles(func() { sh.ob = batch[KV[K, O]]{}; sh.sched.release() })
@@ -194,15 +190,8 @@ func (n *reduceNode[K, V, O]) run(w int, t timestamp.Time) {
 		b = n.p.take(w, t)
 	}
 	work := len(b.recs) + len(sh.folds) // a shard has records or folds, not both
-
-	outer, compacting := n.s.compactionOuter()
-	if compacting && work > 0 {
-		// Each trace records the frontier; a key's entries are clamped the
-		// next time the key is touched.
-		if sh.ins != nil {
-			sh.ins.Advance(outer)
-		}
-		sh.outs.Advance(outer)
+	if outer, compacting := n.s.compactionOuter(); compacting {
+		sh.keys.Advance(outer)
 	}
 
 	// The keys due at t are those earlier runs scheduled and those this run's
@@ -210,29 +199,23 @@ func (n *reduceNode[K, V, O]) run(w int, t timestamp.Time) {
 	// with each touched key's known times.
 	sh.sched.begin(t, work) // room for the keys the input can touch
 	for _, f := range sh.folds {
-		s, clamped := sh.sched.touch(f.hk, f.k, t, t, outer)
-		if int(s) == sh.lin.Spans() {
-			sh.lin.Add()
-		} else if clamped {
-			clampRows(&sh.lin, s, outer)
-		}
+		s := sh.slot(f.hk, f.k)
+		sh.sched.touch(s, t, t)
 		addRow(&sh.lin, s, t, f.n, f.sum)
 	}
-	if sh.ins != nil {
-		for i, kv := range b.recs {
-			k, hk := kv.K, sh.outs.Hash(kv.K)
-			sh.ins.AppendHashed(hk, k, kv.V, t, b.diffs[i])
-			sh.sched.touch(hk, k, t, t, outer)
-		}
+	for i, kv := range b.recs {
+		s := sh.slot(maphash.Comparable(sh.seed, kv.K), kv.K)
+		sh.ins.Add(s, kv.V, t, b.diffs[i])
+		sh.sched.touch(s, t, t)
 	}
 
 	// Re-evaluate every key due at t.
 	ob := sh.ob.reset(t, 0)
-	for _, d := range sh.sched.takeDue() {
-		k := sh.sched.keys.KeyAt(d.slot)
+	for _, s := range sh.sched.takeDue() {
+		k := sh.keys.KeyAt(s) // touched since the frontier moved: its stores are clamped
 		sh.delta = sh.delta[:0]
 		if n.lin != nil {
-			rows := sh.lin.At(d.slot)
+			rows := sh.lin.At(s)
 			work += len(rows)
 			var c, sum int64
 			for _, r := range rows {
@@ -242,7 +225,7 @@ func (n *reduceNode[K, V, O]) run(w int, t timestamp.Time) {
 			}
 			n.lin(c, sum, sh.emit)
 		} else {
-			in := sh.ins.Entries(d.hk, k)
+			in := sh.ins.At(s)
 			work += len(in)
 			if acc := sh.fold(t, in); len(acc) > 0 {
 				n.f(k, acc, sh.emit)
@@ -250,7 +233,7 @@ func (n *reduceNode[K, V, O]) run(w int, t timestamp.Time) {
 		}
 		// Desired output minus accumulated emitted output; output sets are
 		// tiny (usually one record), so a linear merge suffices.
-		for _, e := range sh.outs.Entries(d.hk, k) {
+		for _, e := range sh.outs.At(s) {
 			if e.T.Leq(t) {
 				mergeVD(&sh.delta, e.V, -e.D)
 			}
@@ -258,16 +241,26 @@ func (n *reduceNode[K, V, O]) run(w int, t timestamp.Time) {
 		for _, od := range sh.delta {
 			if od.D != 0 {
 				ob.add(KV[K, O]{k, od.V}, od.D)
+				sh.outs.Add(s, od.V, t, od.D)
 			}
 		}
 	}
-	// The output history grows after the walk, so no key's entries move
-	// while they are read.
-	for i, kv := range ob.recs {
-		sh.outs.Append(kv.K, kv.V, t, ob.diffs[i])
-	}
 	n.s.addWork(w, work)
 	n.out.emit(w, ob)
+}
+
+// slot returns k's slot, where hk is k's hash, clamping every store there,
+// its input, its output history and its times, on the slot's first access
+// after the frontier moved.
+func (sh *reduceShard[K, V, O]) slot(hk uint64, k K) uint32 {
+	s := sh.keys.Slot(hk, k)
+	if outer, stale := sh.keys.Stale(s); stale {
+		sh.ins.Clamp(s, outer)
+		sh.lin.Clamp(s, outer, func(r linRow) timestamp.Time { return r.t }, foldRows)
+		sh.outs.Clamp(s, outer)
+		sh.sched.clamp(s, outer)
+	}
+	return s
 }
 
 // foldKeys folds a linear reducer's raw batch into sh.folds, one (n, Σ) per
@@ -283,7 +276,7 @@ func (sh *reduceShard[K, V, O]) foldKeys(b *batch[KV[K, V]], w func(V) int64) {
 	tab, acc := sh.idx[:1<<width], sh.folds[:0]
 	clear(tab)
 	for i, kv := range b.recs {
-		hk, d := sh.outs.Hash(kv.K), b.diffs[i]
+		hk, d := maphash.Comparable(sh.seed, kv.K), b.diffs[i]
 		var x int64
 		if w != nil {
 			x = w(kv.V) * d
@@ -324,26 +317,19 @@ func addRow(sl *arrange.SpanSlab[linRow], s uint32, t timestamp.Time, d, x int64
 	sl.Push(s, linRow{t, d, x})
 }
 
-// clampRows clamps slot s's rows to the frontier, by the rule its times
-// were clamped by in the same touch, merges rows that come to share a time
-// and drops those that cancel.
-func clampRows(sl *arrange.SpanSlab[linRow], s uint32, outer uint32) {
-	rs := sl.At(s)
-	for i := range rs {
-		rs[i].t = arrange.ClampTime(rs[i].t, outer)
+// foldRows writes the linear rows rs[i:j], whose clamped time is t, merged
+// at t to rs[m] unless they cancel, and returns the end of what it wrote
+// (SpanSlab.Clamp's fold).
+func foldRows(rs []linRow, i, j, m int, t timestamp.Time) int {
+	r := linRow{t, rs[i].n, rs[i].sum}
+	for _, o := range rs[i+1 : j] {
+		r.n, r.sum = r.n+o.n, r.sum+o.sum
 	}
-	slices.SortFunc(rs, func(a, b linRow) int { return arrange.LexCmp(a.t, b.t) })
-	m := 0
-	for i := 0; i < len(rs); {
-		r := rs[i]
-		for i++; i < len(rs) && rs[i].t == r.t; i++ {
-			r.n, r.sum = r.n+rs[i].n, r.sum+rs[i].sum
-		}
-		if r.n != 0 || r.sum != 0 {
-			rs[m], m = r, m+1
-		}
+	if r.n == 0 && r.sum == 0 {
+		return m
 	}
-	sl.Cut(s, m)
+	rs[m] = r
+	return m + 1
 }
 
 // fold consolidates a key's entries at or before t by value into sh.vals
@@ -393,15 +379,14 @@ func mergeVD[V comparable](list *[]VD[V], v V, d Diff) {
 	*list = append(*list, VD[V]{v, d})
 }
 
-// reset truncates every shard's arrangements, linear rows and schedule in
-// place: O(1) per shard in accumulated history apart from clearing the key
-// tables, with every column kept for the next run.
+// reset truncates every shard's key space and stores in place: O(1) per
+// shard in accumulated history apart from clearing the key table, with
+// every column kept for the next run.
 func (n *reduceNode[K, V, O]) reset() {
 	n.p.reset()
 	for _, sh := range n.st {
-		if sh.ins != nil {
-			sh.ins.Reset()
-		}
+		sh.keys.Reset()
+		sh.ins.Reset()
 		sh.lin.Reset()
 		sh.outs.Reset()
 		sh.sched.reset()

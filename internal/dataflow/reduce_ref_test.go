@@ -12,7 +12,7 @@ import (
 
 // This file keeps the reduce as it was before dirty keys became sorted
 // columns and evaluation a cursor walk: per-key heap objects, a map of dirty
-// key sets per time and a KeyHashed probe per key per trace. It is the oracle
+// key sets per time and a lookup per key per trace. It is the oracle
 // TestReduceMatchesOracle holds the operator to, output batch by output batch
 // and work unit by work unit.
 
@@ -70,9 +70,8 @@ next:
 	kt.times = out[:n]
 }
 
-// refReduceShard is one worker's share of a reduce's state: columnar input and
-// output arrangements (peers: one key hash serves both) plus the per-key
-// time sets and the dirty schedule.
+// refReduceShard is one worker's share of a reduce's state: input and
+// output arrangements plus the per-key time sets and the dirty schedule.
 type refReduceShard[K comparable, V comparable, O comparable] struct {
 	ins   *arrange.Trace[K, V]
 	outs  *arrange.Trace[K, O]
@@ -117,10 +116,9 @@ func refReduce[K comparable, V comparable, O comparable](
 		st:  make([]*refReduceShard[K, V, O], s.workers),
 	}
 	for w := 0; w < s.workers; w++ {
-		ins := arrange.NewTrace[K, V]()
 		n.st[w] = &refReduceShard[K, V, O]{
-			ins:   ins,
-			outs:  arrange.NewPeer[K, O](ins),
+			ins:   arrange.NewTrace[K, V](),
+			outs:  arrange.NewTrace[K, O](),
 			keys:  make(map[K]*refKeyTimes),
 			dirty: make(map[timestamp.Time]map[K]struct{}),
 			spill: make(map[V]Diff),
@@ -199,8 +197,8 @@ func (n *refReduceNode[K, V, O]) run(w int, t timestamp.Time) {
 		// by linear scan; large ones (hub vertices) spill to the shard's map,
 		// which is empty between keys and non-empty once a key has spilled.
 		vals = vals[:0]
-		hk, spill := sh.ins.Hash(k), sh.spill
-		work += sh.ins.KeyHashed(hk, k, func(v V, et timestamp.Time, ed int64) {
+		spill := sh.spill
+		work += sh.ins.Key(k, func(v V, et timestamp.Time, ed int64) {
 			if !et.Leq(t) {
 				return
 			}
@@ -249,14 +247,14 @@ func (n *refReduceNode[K, V, O]) run(w int, t timestamp.Time) {
 				mergeVD(&delta, o, 1)
 			}
 		}
-		sh.outs.KeyHashed(hk, k, func(v O, et timestamp.Time, ed int64) {
+		sh.outs.Key(k, func(v O, et timestamp.Time, ed int64) {
 			if et.Leq(t) {
 				mergeVD(&delta, v, -ed)
 			}
 		})
 		for _, od := range delta {
 			if od.D != 0 {
-				sh.outs.AppendHashed(hk, k, od.V, t, od.D)
+				sh.outs.Append(k, od.V, t, od.D)
 				ob.add(KV[K, O]{k, od.V}, od.D)
 			}
 		}
@@ -274,13 +272,12 @@ func (sh *refReduceShard[K, V, O]) mark(t timestamp.Time, k K) {
 	m[k] = struct{}{}
 }
 
-// reset truncates every shard's arrangements in place and swaps the small
-// scheduling maps for fresh ones, the old maps left to the GC.
+// reset swaps every shard's arrangements and scheduling maps for fresh
+// ones, the old ones left to the GC.
 func (n *refReduceNode[K, V, O]) reset() {
 	n.p.reset()
 	for _, sh := range n.st {
-		sh.ins.Reset()
-		sh.outs.Reset()
+		sh.ins, sh.outs = arrange.NewTrace[K, V](), arrange.NewTrace[K, O]()
 		sh.keys = make(map[K]*refKeyTimes)
 		sh.dirty = make(map[timestamp.Time]map[K]struct{})
 	}
@@ -429,13 +426,41 @@ func diffLogs(got, want *outputLog) error {
 	return nil
 }
 
+// outsLive is the number of entries the reduce's output histories hold.
+func (n *reduceNode[K, V, O]) outsLive() (live int) {
+	for _, sh := range n.st {
+		live += sh.outs.Live()
+	}
+	return live
+}
+
+// outsLive is the number of entries the oracle's output traces hold.
+func (n *refReduceNode[K, V, O]) outsLive() (live int) {
+	for _, sh := range n.st {
+		live += sh.outs.Len()
+	}
+	return live
+}
+
+// outsLive sums outsLive over a scope's reduces.
+func outsLive(s *Scope) (live int) {
+	for _, n := range s.nodes {
+		if r, ok := n.(interface{ outsLive() int }); ok {
+			live += r.outsLive()
+		}
+	}
+	return live
+}
+
 // TestReduceMatchesOracle drives the reduce and the oracle it replaced
 // through the same seeded keyed streams — hub keys with far more than 32
 // distinct values, retractions, 24 versions with and without compaction, and
 // the reduce inside a label-propagation Iterate — at 1 and 3 workers, and
 // holds every time's consolidated output batch to the oracle's. For min and
-// max the work counts must match wherever the schedule is deterministic: one
-// worker, or a reduce fed only by the input. The linear reducers (sum, count,
+// max, wherever the schedule is deterministic (one worker, or a reduce fed
+// only by the input), the work counts must match, and the output histories
+// must end as compacted as the oracle's, which clamps a key's the next time
+// it is read or appended to. The linear reducers (sum, count,
 // distinct-keys) may do less, never more: the oracle visits a key's message
 // rows, and they visit its folded (time, n, Σ) rows, one per time.
 func TestReduceMatchesOracle(t *testing.T) {
@@ -513,11 +538,14 @@ func TestReduceMatchesOracle(t *testing.T) {
 					t.Fatalf("%s: %v", what, err)
 				}
 				g, w := sum(s.WorkCounts()), sum(rs.WorkCounts())
+				gl, wl := outsLive(s), outsLive(rs)
 				switch linear := v.name != "min" && v.name != "max"; {
 				case linear && g > w:
 					t.Fatalf("%s: work %d, more than the oracle's %d", what, g, w)
 				case !linear && (workers == 1 || !v.iterate) && g != w:
 					t.Fatalf("%s: work %d, oracle %d", what, g, w)
+				case !linear && (workers == 1 || !v.iterate) && gl != wl:
+					t.Fatalf("%s: output histories hold %d entries, oracle %d", what, gl, wl)
 				}
 			}
 		}

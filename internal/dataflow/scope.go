@@ -23,13 +23,12 @@ type node interface {
 	hasPending(w int, t timestamp.Time) bool
 	// minPending returns worker w's lexicographically smallest pending time.
 	minPending(w int) (timestamp.Time, bool)
-	// reset drops all operator state — traces, pending deltas, schedules —
-	// without touching the dataflow wiring, returning the node to its
-	// just-built condition. Implementations release trace batches by
-	// reference and truncate their columns and indexes in place, keeping
-	// every emptied column for the next run; a reduce or a total index
-	// clears its key table and a Capture swaps in fresh maps. Only called while the scope is
-	// quiescent.
+	// reset drops all operator state — key spaces and their stores,
+	// pending deltas, schedules — without touching the dataflow wiring,
+	// returning the node to its just-built condition. Implementations
+	// truncate their columns in place, keeping every emptied column for
+	// the next run; a keyed operator clears its key tables and a Capture
+	// swaps in fresh maps. Only called while the scope is quiescent.
 	reset()
 	// name identifies the operator for diagnostics.
 	name() string
@@ -52,8 +51,8 @@ type Scope struct {
 	// version are then incomplete.
 	IterCapHit atomic.Bool
 
-	// frontier is 1 + the last fully drained version; each operator trace
-	// clamps its history up to it the next time the operator runs.
+	// frontier is 1 + the last fully drained version; each keyed operator
+	// hands it to its key spaces the next time it runs.
 	frontier atomic.Uint32
 
 	// version is the last one an input fed; recycled holds what lets each
@@ -120,14 +119,15 @@ func (s *Scope) enter(v uint32) {
 }
 
 // ResetState returns the scope to its just-built condition in place: every
-// stateful operator drops its traces and pending work, the version cursor and
-// the compaction frontier rewind, the iteration-cap flag and work counters
-// zero. The dataflow graph itself — nodes, subscriptions, fused closures,
-// worker shards, and the emptied column sets of queues, traces, indexes and
-// output scratch — is untouched, so a reset scope re-executes from scratch
-// without paying graph construction or column growth again. The cost is a
-// memclr of each trace's, schedule's and total index's key table (4 B a
-// slot) and a Capture's two fresh maps per worker.
+// stateful operator drops its histories and pending work, the version cursor
+// and the compaction frontier rewind, the iteration-cap flag and work
+// counters zero. The dataflow graph itself — nodes, subscriptions, fused
+// closures, worker shards, and the emptied column sets of queues, key
+// tables, stores and output scratch — is untouched, so a reset scope
+// re-executes from scratch without paying graph construction or column
+// growth again. The cost is a
+// memclr of each keyed operator shard's key tables, one per key space (4 B
+// a slot), and a Capture's two fresh maps per worker.
 //
 // Must be called from the driver goroutine while the scope is quiescent
 // (after Drain); resetting with work in flight would discard deltas
@@ -237,11 +237,11 @@ func (s *Scope) drainTime(t timestamp.Time) {
 // the number of views.
 //
 // The call only advances the frontier; the exchange columns stay for the
-// next version (see release). A stateful operator shard that receives input
-// in a later version hands the frontier to its traces, and each trace clamps
-// a key's entries to it the next time the key is appended to or read (see
-// arrange.Trace.Advance), so compaction costs time proportional to the keys
-// a version touches, not to the shard's state. The totally ordered operators
+// next version (see release). A keyed operator shard that runs in a later
+// version hands the frontier to its key spaces, and every store at a key's
+// slot is clamped to it at the slot's next access (see arrange.Keys.Stale),
+// so compaction costs time proportional to the keys a version touches, not
+// to the shard's state. The totally ordered operators
 // (DistinctTotal, CountTotal, JoinMapTotal's right side, JoinMin's and
 // JoinMax's edges and roots) keep no time to clamp. ResetState drops the
 // histories and keeps their columns for the next run.
@@ -266,7 +266,7 @@ func (s *Scope) Park() {
 	}
 }
 
-// compactionOuter returns the outer coordinate traces may clamp to, and
+// compactionOuter returns the outer coordinate histories may clamp to, and
 // whether any compaction has been requested.
 func (s *Scope) compactionOuter() (uint32, bool) {
 	f := s.frontier.Load()

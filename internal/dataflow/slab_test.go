@@ -78,7 +78,7 @@ func statOf[E any](name string, sl *arrange.SpanSlab[E]) slabStat {
 func (p *relaxProbe) slabs() []slabStat {
 	var st []slabStat
 	for _, sh := range p.node.st {
-		st = append(st, statOf("bySrc", &sh.bySrc.slab), statOf("byDst", &sh.byDst.slab), statOf("times", &sh.sched.keys.slab))
+		st = append(st, statOf("bySrc", &sh.bySrc.SpanSlab), statOf("byDst", &sh.byDst.SpanSlab), statOf("times", &sh.sched.times))
 	}
 	return st
 }
@@ -88,8 +88,8 @@ func (p *relaxProbe) slabs() []slabStat {
 // slab must end at most 1.5 times their live entries (2.6 times while a full
 // span moved to the slab's end and left its old room dead until a reset).
 // Then the scope is reset and the views replayed: no slab may take a new
-// array, and a bare total index replaying the probe's edge batches after a
-// reset must allocate nothing.
+// array, and a bare vertex table and total indexes replaying the probe's
+// edge batches after a reset must allocate nothing.
 func TestRelaxSlabOccupancy(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		p := newRelaxProbe(workers)
@@ -111,9 +111,11 @@ func TestRelaxSlabOccupancy(t *testing.T) {
 	}
 
 	p := newRelaxProbe(1)
-	var bySrc, byDst totalIndex[int, arc]
+	var verts arrange.KeyTable[int]
+	var bySrc, byDst totalIndex[arc]
 	var srcs, dsts []uint32
 	replay := func() {
+		verts.Reset()
 		bySrc.reset()
 		byDst.reset()
 		for _, ups := range p.views {
@@ -121,16 +123,16 @@ func TestRelaxSlabOccupancy(t *testing.T) {
 			byDst.begin()
 			srcs, dsts = srcs[:0], dsts[:0]
 			for _, u := range ups {
-				s, d := bySrc.slot(spread(u.Rec.K), u.Rec.K), byDst.slot(spread(u.Rec.V.Dst), u.Rec.V.Dst)
-				bySrc.slab.Ask(s)
-				byDst.slab.Ask(d)
+				s, d := verts.Slot(spread(u.Rec.K), u.Rec.K), verts.Slot(spread(u.Rec.V.Dst), u.Rec.V.Dst)
+				bySrc.Ask(s)
+				byDst.Ask(d)
 				srcs, dsts = append(srcs, s), append(dsts, d)
 			}
-			bySrc.slab.Reserve()
-			byDst.slab.Reserve()
+			bySrc.Reserve()
+			byDst.Reserve()
 			for i, u := range ups {
-				bySrc.addAt(srcs[i], u.Rec.V, u.D)
-				byDst.addAt(dsts[i], u.Rec.V, u.D)
+				bySrc.add(srcs[i], u.Rec.V, u.D)
+				byDst.add(dsts[i], u.Rec.V, u.D)
 			}
 		}
 	}
@@ -140,6 +142,6 @@ func TestRelaxSlabOccupancy(t *testing.T) {
 	replay()
 	runtime.ReadMemStats(&m1)
 	if b := m1.TotalAlloc - m0.TotalAlloc; b > 0 {
-		t.Errorf("a reset total index replaying the probe's edge batches allocated %d B, want none", b)
+		t.Errorf("a reset vertex table and total indexes replaying the probe's edge batches allocated %d B, want none", b)
 	}
 }

@@ -4,18 +4,20 @@ import (
 	"fmt"
 	"hash/maphash"
 
+	"graphsurge/internal/arrange"
 	"graphsurge/internal/timestamp"
 )
 
 // Totally ordered operators. Upstream of every loop a collection only
 // carries times (version, 0), which are totally ordered, so a key's whole
 // history is one accumulated count: these operators keep that count per key
-// in a totalIndex instead of a time-indexed trace, and update it in
-// O(delta) per version with nothing to merge. They are Differential
-// Dataflow's distinct_total and count_total, restricted as there to totally
-// ordered times. Fed a time with Inner ≠ 0 — any stream inside an Iterate
-// body — they panic (for JoinMapTotal, on its right input). JoinMin and
-// JoinMax keep their edges and roots in the same index, under the same rule.
+// in a column beside their key table instead of a time-indexed history, and
+// update it in O(delta) per version with nothing to merge or clamp. They
+// are Differential Dataflow's distinct_total and count_total, restricted as
+// there to totally ordered times. Fed a time with Inner ≠ 0 — any stream
+// inside an Iterate body — they panic. JoinMapTotal's right input and
+// JoinMin's and JoinMax's edges and roots are kept the same way, as (value,
+// count) pairs per key (totalIndex), under the same rule.
 
 // mustBeTotal panics unless t is a time op accepts: (version, 0).
 func mustBeTotal(op string, t timestamp.Time) {
@@ -24,8 +26,8 @@ func mustBeTotal(op string, t timestamp.Time) {
 	}
 }
 
-// totalNode keeps one count per key, in a totalIndex per worker, and reports
-// each key a run changes through f: was is its count before the run's
+// totalNode keeps one count per key, in a column per worker beside its key
+// table, and reports each key a run changes through f: was is its count before the run's
 // consolidated batch, now after. Each key appears once in a batch, so f's
 // output is consolidated.
 type totalNode[K comparable, O comparable] struct {
@@ -34,8 +36,15 @@ type totalNode[K comparable, O comparable] struct {
 	out *Collection[O]
 	f   func(k K, was, now int64, ob *batch[O])
 	p   *pendings[KV[K, struct{}]]
-	ix  []totalIndex[K, struct{}]
+	st  []totalShard[K]
 	ob  []batch[O] // per-worker output scratch
+}
+
+// totalShard is one worker's counts: per slot of its key table, the key's
+// accumulated count.
+type totalShard[K comparable] struct {
+	keys  arrange.KeyTable[K]
+	count []int64 // per slot
 }
 
 func newTotal[K comparable, O comparable](in *Collection[KV[K, struct{}]], op string, f func(k K, was, now int64, ob *batch[O])) *Collection[O] {
@@ -46,7 +55,7 @@ func newTotal[K comparable, O comparable](in *Collection[KV[K, struct{}]], op st
 		out: newCollection[O](s),
 		f:   f,
 		p:   newPendings[KV[K, struct{}]](s),
-		ix:  make([]totalIndex[K, struct{}], s.workers),
+		st:  make([]totalShard[K], s.workers),
 		ob:  make([]batch[O], s.workers),
 	}
 	s.recycles(func() { clear(n.ob) })
@@ -88,27 +97,29 @@ func CountTotal[K comparable, V comparable](in *Collection[KV[K, V]]) *Collectio
 
 func (n *totalNode[K, O]) name() string { return n.op }
 
-// run folds the batch at t into worker w's index. Work is the records in
+// run folds the batch at t into worker w's counts. Work is the records in
 // plus the records out, both consolidated.
 func (n *totalNode[K, O]) run(w int, t timestamp.Time) {
 	mustBeTotal(n.op, t)
 	b := n.p.take(w, t)
-	ix, ob := &n.ix[w], n.ob[w].reset(t, 0)
-	ix.begin()
+	sh, ob := &n.st[w], n.ob[w].reset(t, 0)
 	for i, kv := range b.recs {
-		d := b.diffs[i]
-		was := ix.add(maphash.Comparable(n.s.seed, kv.K), kv.K, struct{}{}, d)
+		s, d := sh.keys.Slot(maphash.Comparable(n.s.seed, kv.K), kv.K), b.diffs[i]
+		sh.count = arrange.Grow(sh.count, s)
+		was := sh.count[s]
+		sh.count[s] += d
 		n.f(kv.K, was, was+d, ob)
 	}
 	n.s.addWork(w, len(b.recs)+len(ob.recs))
 	n.out.emit(w, ob)
 }
 
-// reset truncates every worker's index in place.
+// reset truncates every worker's key table and counts in place.
 func (n *totalNode[K, O]) reset() {
 	n.p.reset()
-	for w := range n.ix {
-		n.ix[w].reset()
+	for w := range n.st {
+		n.st[w].keys.Reset()
+		n.st[w].count = n.st[w].count[:0]
 	}
 }
 

@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-
-	"graphsurge/internal/timestamp"
 )
 
 // capturePair is a totally ordered operator's output and its general
@@ -167,7 +165,7 @@ func TestJoinMapTotalPanicsInsideIterate(t *testing.T) {
 // depend on how the updates were batched.
 func TestTotalIndexKeepsPairsConsolidated(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
-	var ix totalIndex[int, int]
+	var ix totalIndex[int]
 	want := map[KV[int, int]]Diff{}
 	for round := range 2000 {
 		if round == 1000 {
@@ -180,19 +178,19 @@ func TestTotalIndexKeepsPairsConsolidated(t *testing.T) {
 			add(batch, KV[int, int]{r.Intn(2), r.Intn(6)}, Diff(r.Intn(3)-1))
 		}
 		for kv, d := range batch {
-			if was := ix.add(uint64(kv.K)<<60, kv.K, kv.V, d); was != want[kv] {
+			if was := ix.add(uint32(kv.K), kv.V, d); was != want[kv] {
 				t.Fatalf("round %d: %v was %d, want %d", round, kv, was, want[kv])
 			}
 			add(want, kv, d)
 		}
 		got := map[KV[int, int]]Diff{}
 		for k := range 2 {
-			ix.key(uint64(k)<<60, k, func(v int, _ timestamp.Time, d int64) {
-				if _, dup := got[KV[int, int]{k, v}]; dup || d == 0 {
-					t.Fatalf("round %d: key %d holds value %d twice or with count 0", round, k, v)
+			for _, p := range ix.At(uint32(k)) {
+				if _, dup := got[KV[int, int]{k, p.V}]; dup || p.D == 0 {
+					t.Fatalf("round %d: key %d holds value %d twice or with count 0", round, k, p.V)
 				}
-				got[KV[int, int]{k, v}] = d
-			})
+				got[KV[int, int]{k, p.V}] = p.D
+			}
 		}
 		if !equalDiffMaps(got, want) {
 			t.Fatalf("round %d: index %v, want %v", round, got, want)
