@@ -17,9 +17,10 @@ func spread(k int) uint64 { return uint64(k) * 0x9E3779B97F4A7C15 }
 // replaced by the span's last and the span cut by one, as a total index
 // drops a pair; sweeps that cut most spans to nothing; times clamped to a
 // moving frontier by Clamp, sorted and de-duplicated in place, as a
-// schedule keeps them; and resets now and then. After every round each key's span must be
-// the reference's, in order, the live count the reference's, and the array
-// no longer than twice its live entries plus slabSlack.
+// schedule keeps them; and resets now and then. After every round each
+// key's span must be the reference's, in order, the live count the
+// reference's, and the array no longer than twice its live entries plus
+// slabSlack.
 func FuzzSpanSlabMatchesMap(f *testing.F) {
 	f.Add(int64(1), uint8(60), false)
 	f.Add(int64(2), uint8(90), true)

@@ -27,9 +27,9 @@ func mustBeTotal(op string, t timestamp.Time) {
 }
 
 // totalNode keeps one count per key, in a column per worker beside its key
-// table, and reports each key a run changes through f: was is its count before the run's
-// consolidated batch, now after. Each key appears once in a batch, so f's
-// output is consolidated.
+// table, and reports each key a run changes through f: was is its count
+// before the run's consolidated batch, now after. Each key appears once in a
+// batch, so f's output is consolidated.
 type totalNode[K comparable, O comparable] struct {
 	s   *Scope
 	op  string
