@@ -86,6 +86,9 @@ type SpanSlab[E any] struct {
 	spare []E      // what the next rebuild writes into: the array before the last rebuild
 	live  int      // Σ n
 	asked []uint32 // the slots asked room for since the last reserve
+
+	times []clamped // Clamp's scratch, recycled across slots
+	rows  []E
 }
 
 // span is one key's stretch of a SpanSlab: buf[off:off+n], with room for c,
@@ -205,24 +208,56 @@ func (sl *SpanSlab[E]) rebuild() {
 }
 
 // Clamp clamps slot s's rows to outer by ClampTime, time giving a row's
-// time: it sorts them stably by their clamped times, and fold gets each run
-// rs[i:j] of rows whose clamped time is t in turn, writes what it keeps of
-// them, at t, to rs[m:] (m ≤ i) and returns the end of what it wrote, where
-// the span is cut. It is the one clamp rule of every per-key store.
+// time: it clamps each row's time once, sorts the rows stably by the clamped
+// times unless they are in order already, and fold gets each run rs[i:j] of
+// rows whose clamped time is t in turn, writes what it keeps of them, at t,
+// to rs[m:] (m ≤ i) and returns the end of what it wrote, where the span is
+// cut. It is the one clamp rule of every per-key store.
 func (sl *SpanSlab[E]) Clamp(s, outer uint32, time func(E) timestamp.Time, fold func(rs []E, i, j, m int, t timestamp.Time) int) {
-	rs := sl.At(s)
-	slices.SortStableFunc(rs, func(a, b E) int {
-		return LexCmp(ClampTime(time(a), outer), ClampTime(time(b), outer))
-	})
+	rs, ts, sorted := sl.At(s), sl.times[:0], true
+	for i, r := range rs {
+		t := ClampTime(time(r), outer)
+		sorted = sorted && (i == 0 || LexCmp(ts[i-1].t, t) <= 0)
+		ts = append(ts, clamped{t, uint32(i)})
+	}
+	if !sorted {
+		sortClamped(ts)
+		was := append(sl.rows[:0], rs...)
+		for i, c := range ts {
+			rs[i] = was[c.i]
+		}
+		sl.rows = was[:0]
+	}
+	sl.times = ts
 	m := 0
 	for i, j := 0, 0; i < len(rs); i = j {
-		t := ClampTime(time(rs[i]), outer)
-		for j = i + 1; j < len(rs) && ClampTime(time(rs[j]), outer) == t; j++ {
+		t := ts[i].t
+		for j = i + 1; j < len(rs) && ts[j].t == t; j++ {
 		}
 		m = fold(rs, i, j, m, t)
 	}
 	if m < len(rs) {
 		sl.Cut(s, m)
+	}
+}
+
+// clamped is a row's clamped time and its index in the span (Clamp's sort).
+type clamped struct {
+	t timestamp.Time
+	i uint32
+}
+
+// sortClamped sorts ts stably by time: a few rows, as most spans hold, by
+// insertion with the comparison inlined.
+func sortClamped(ts []clamped) {
+	if len(ts) > 16 {
+		slices.SortStableFunc(ts, func(a, b clamped) int { return LexCmp(a.t, b.t) })
+		return
+	}
+	for i := 1; i < len(ts); i++ {
+		for j := i; j > 0 && ts[j].t.LexLess(ts[j-1].t); j-- {
+			ts[j-1], ts[j] = ts[j], ts[j-1]
+		}
 	}
 }
 

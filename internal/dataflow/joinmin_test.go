@@ -61,9 +61,12 @@ func loopPair[K comparable](name string, roots *Collection[KV[K, int]], edges *C
 // it converges), inside Iterate with two tagged labels per vertex, and
 // outside any loop with an x whose counts cancel and go negative. Versions
 // bring edge inserts and deletes with parallel edges, root inserts and
-// deletes, empty versions and skipped version numbers; the scope compacts
-// after most versions and is reset at a random one, then runs on from
-// version 0. After every Drain every pair's Result and Diff must agree.
+// deletes, empty versions and skipped version numbers, and retractions of
+// every source of a key's current minimum (or maximum), its roots at that
+// value and the in-edges that step to it, which a later version restores;
+// the scope compacts after most versions and is reset at a random one, then
+// runs on from version 0. After every Drain every pair's Result and Diff
+// must agree.
 func FuzzJoinMinMatchesGeneral(f *testing.F) {
 	f.Add(int64(1), uint8(12), false, uint8(255))
 	f.Add(int64(2), uint8(15), true, uint8(6))
@@ -71,6 +74,7 @@ func FuzzJoinMinMatchesGeneral(f *testing.F) {
 	f.Add(int64(4), uint8(14), true, uint8(0))
 	f.Add(int64(5), uint8(11), false, uint8(7))
 	f.Add(int64(6), uint8(13), true, uint8(9))
+	f.Add(int64(8), uint8(15), false, uint8(255)) // retracts a minimum's sources, then restores them
 	f.Fuzz(func(t *testing.T, seed int64, versions uint8, multi bool, resetAt uint8) {
 		r := rand.New(rand.NewSource(seed))
 		workers := 1
@@ -105,22 +109,65 @@ func FuzzJoinMinMatchesGeneral(f *testing.F) {
 
 		haveE := map[KV[int, arc]]Diff{} // counts stay positive: a graph with parallel edges
 		haveR := map[KV[int, int]]Diff{}
+		var heldE []Update[KV[int, arc]] // retracted sources a later version restores
+		var heldR []Update[KV[int, int]]
 		v := uint32(0)
 		for i := 0; i < 1+int(versions)%16; i++ {
 			if i == int(resetAt)%16 {
 				s.ResetState()
 				clear(haveE)
 				clear(haveR)
+				heldE, heldR = nil, nil
 				v = 0
 			}
 			var eups []Update[KV[int, arc]]
 			var rups, xups []Update[KV[int, int]]
-			switch r.Intn(5) {
+			switch kind := r.Intn(6); kind {
 			case 0: // an empty version
+			case 5: // retract every source of a key's current value in the min or the max loop
+				p, step := pairs[0], plus
+				if r.Intn(2) == 0 {
+					p, step = pairs[1], capped
+				}
+				val := map[int]int{}
+				for kv := range p.total.Result() {
+					val[kv.K] = kv.V
+				}
+				k := r.Intn(7)
+				m, ok := val[k]
+				if !ok {
+					break
+				}
+				for e, c := range haveE {
+					if u, ok := val[e.K]; ok && c > 0 && e.V.Dst == k && step(u, e.V) == m {
+						eups = append(eups, Update[KV[int, arc]]{e, -c})
+					}
+				}
+				if c := haveR[KV[int, int]{k, m}]; c > 0 {
+					rups = append(rups, Update[KV[int, int]]{KV[int, int]{k, m}, -c})
+				}
+				for _, u := range eups {
+					add(haveE, u.Rec, u.D)
+					heldE = append(heldE, Update[KV[int, arc]]{u.Rec, -u.D})
+				}
+				for _, u := range rups {
+					add(haveR, u.Rec, u.D)
+					heldR = append(heldR, Update[KV[int, int]]{u.Rec, -u.D})
+				}
 			case 1: // a skipped version number
 				v++
 				fallthrough
 			default:
+				if r.Intn(2) == 0 { // restore what was retracted
+					for _, u := range heldE {
+						add(haveE, u.Rec, u.D)
+					}
+					for _, u := range heldR {
+						add(haveR, u.Rec, u.D)
+					}
+					eups, rups = append(eups, heldE...), append(rups, heldR...)
+					heldE, heldR = nil, nil
+				}
 				for range r.Intn(8) {
 					e, d := KV[int, arc]{r.Intn(7), arc{r.Intn(7), r.Intn(4)}}, Diff(1)
 					if haveE[e] > 0 && r.Intn(3) == 0 {
@@ -273,6 +320,80 @@ func BenchmarkJoinMinInDegree(b *testing.B) {
 				}
 				b.ReportMetric(float64(work)/float64(b.N), "work/op")
 			})
+		}
+	}
+}
+
+// TestRelaxWalksOnlyRetractions runs the sssp probe of
+// TestRelaxSlabOccupancy at 1 and 3 workers and reads the node's walk
+// counter. Version 0 walks every key. Versions 1–15 only insert edges, so
+// every key's minimum stays or falls and is answered from the version's
+// message differences: they must walk no in-edge. A last version retracts
+// every in-edge that gives one key its distance: that key must be walked,
+// with each of its other in-edges.
+func TestRelaxWalksOnlyRetractions(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		p := newRelaxProbe(workers)
+		walks := func() (n int) {
+			for _, sh := range p.node.st {
+				n, sh.walks = n+sh.walks, 0
+			}
+			return n
+		}
+		p.rin.SendAt(0, []Update[KV[int, int]]{{KV[int, int]{0, 0}, 1}})
+		have := map[KV[int, arc]]Diff{}
+		for v, ups := range p.views {
+			p.ein.SendAt(uint32(v), ups)
+			p.s.Drain()
+			p.s.Compact(uint32(v))
+			for _, u := range ups {
+				add(have, u.Rec, u.D)
+			}
+			switch w := walks(); {
+			case v == 0 && w == 0:
+				t.Fatalf("workers %d: version 0 walked no in-edge", workers)
+			case v > 0 && w != 0:
+				t.Errorf("workers %d: version %d only inserts, and walked %d in-edges", workers, v, w)
+			}
+		}
+
+		// The distances from vertex 0 (Bellman-Ford), and a key with an
+		// in-edge that does not give it its distance.
+		dist := map[int]int{0: 0}
+		for changed := true; changed; {
+			changed = false
+			for e := range have {
+				if d, ok := dist[e.K]; ok {
+					if old, ok := dist[e.V.Dst]; !ok || d+e.V.W < old {
+						dist[e.V.Dst], changed = d+e.V.W, true
+					}
+				}
+			}
+		}
+		k, other := -1, 0
+		for v := 1; v < 1000 && k < 0; v++ {
+			for e := range have {
+				if d, ok := dist[e.K]; e.V.Dst == v && dist[v] > 0 && (!ok || d+e.V.W > dist[v]) {
+					k = v
+					break
+				}
+			}
+		}
+		var cut []Update[KV[int, arc]]
+		for e, c := range have {
+			if e.V.Dst != k {
+				continue
+			}
+			if d, ok := dist[e.K]; ok && d+e.V.W == dist[k] {
+				cut = append(cut, Update[KV[int, arc]]{e, -c})
+			} else {
+				other++
+			}
+		}
+		p.ein.SendAt(uint32(len(p.views)), cut)
+		p.s.Drain()
+		if w := walks(); w < other {
+			t.Errorf("workers %d: retracting key %d's %d minimum in-edges walked %d in-edges, want at least its %d others", workers, k, len(cut), w, other)
 		}
 	}
 }

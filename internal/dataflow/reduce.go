@@ -200,6 +200,9 @@ func (n *reduceNode[K, V, O]) run(w int, t timestamp.Time) {
 	sh.sched.begin(t, work) // room for the keys the input can touch
 	for _, f := range sh.folds {
 		s := sh.slot(f.hk, f.k)
+		if f.n == 0 && f.sum == 0 {
+			continue // clamped, as the general path's key would be, but nothing changed
+		}
 		sh.sched.touch(s, t, t)
 		addRow(&sh.lin, s, t, f.n, f.sum)
 	}
@@ -264,10 +267,11 @@ func (sh *reduceShard[K, V, O]) slot(hk uint64, k K) uint32 {
 }
 
 // foldKeys folds a linear reducer's raw batch into sh.folds, one (n, Σ) per
-// key, and drops the keys whose folds cancel, then empties the batch: the
-// batch's work is its keys. Keys meet through sh.idx on their hashes
-// (batch.consolidate's idiom), so the fold is one pass, and a key is touched
-// and its row updated once per run, not once per record.
+// key, then empties the batch: the batch's work is its keys. A key whose
+// fold cancels to (0, 0) stays, so run clamps its slot without scheduling
+// it. Keys meet through sh.idx on their hashes (batch.consolidate's idiom),
+// so the fold is one pass, and a key is touched and its row updated once per
+// run, not once per record.
 func (sh *reduceShard[K, V, O]) foldKeys(b *batch[KV[K, V]], w func(V) int64) {
 	width := bits.Len(uint(2 * len(b.recs)))
 	if cap(sh.idx) < 1<<width {
@@ -292,13 +296,7 @@ func (sh *reduceShard[K, V, O]) foldKeys(b *batch[KV[K, V]], w func(V) int64) {
 			}
 		}
 	}
-	m := 0
-	for _, f := range acc {
-		if f.n != 0 || f.sum != 0 {
-			acc[m], m = f, m+1
-		}
-	}
-	sh.folds = acc[:m]
+	sh.folds = acc
 	b.recs, b.diffs = b.recs[:0], b.diffs[:0]
 }
 

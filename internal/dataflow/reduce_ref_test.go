@@ -460,9 +460,12 @@ func outsLive(s *Scope) (live int) {
 // max, wherever the schedule is deterministic (one worker, or a reduce fed
 // only by the input), the work counts must match, and the output histories
 // must end as compacted as the oracle's, which clamps a key's the next time
-// it is read or appended to. The linear reducers (sum, count,
-// distinct-keys) may do less, never more: the oracle visits a key's message
-// rows, and they visit its folded (time, n, Σ) rows, one per time.
+// it is read or appended to. The linear reducers (sum, count, distinct-keys)
+// may do less, never more: the oracle visits a key's message rows, and they
+// visit its folded (time, n, Σ) rows, one per time; and their output
+// histories may end more compacted, never less: a key whose batch folds to
+// (0, 0) is clamped, where the oracle's consolidated batch drops the key
+// only if its records cancel value by value.
 func TestReduceMatchesOracle(t *testing.T) {
 	const keys, vals, versions = 40, 90, 24
 	type variant struct {
@@ -542,6 +545,8 @@ func TestReduceMatchesOracle(t *testing.T) {
 				switch linear := v.name != "min" && v.name != "max"; {
 				case linear && g > w:
 					t.Fatalf("%s: work %d, more than the oracle's %d", what, g, w)
+				case linear && gl > wl:
+					t.Fatalf("%s: output histories hold %d entries, more than the oracle's %d", what, gl, wl)
 				case !linear && (workers == 1 || !v.iterate) && g != w:
 					t.Fatalf("%s: work %d, oracle %d", what, g, w)
 				case !linear && (workers == 1 || !v.iterate) && gl != wl:
