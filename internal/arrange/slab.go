@@ -209,26 +209,21 @@ func (sl *SpanSlab[E]) rebuild() {
 
 // Clamp clamps slot s's rows to outer by ClampTime, time giving a row's
 // time: it clamps each row's time once, sorts the rows stably by the clamped
-// times unless they are in order already, and fold gets each run rs[i:j] of
-// rows whose clamped time is t in turn, writes what it keeps of them, at t,
-// to rs[m:] (m ≤ i) and returns the end of what it wrote, where the span is
-// cut. It is the one clamp rule of every per-key store.
+// times, and fold gets each run rs[i:j] of rows whose clamped time is t in
+// turn, writes what it keeps of them, at t, to rs[m:] (m ≤ i) and returns
+// the end of what it wrote, where the span is cut. It is the one clamp rule
+// of every per-key store.
 func (sl *SpanSlab[E]) Clamp(s, outer uint32, time func(E) timestamp.Time, fold func(rs []E, i, j, m int, t timestamp.Time) int) {
-	rs, ts, sorted := sl.At(s), sl.times[:0], true
+	rs, ts := sl.At(s), sl.times[:0]
 	for i, r := range rs {
-		t := ClampTime(time(r), outer)
-		sorted = sorted && (i == 0 || LexCmp(ts[i-1].t, t) <= 0)
-		ts = append(ts, clamped{t, uint32(i)})
+		ts = append(ts, clamped{ClampTime(time(r), outer), uint32(i)})
 	}
-	if !sorted {
-		sortClamped(ts)
-		was := append(sl.rows[:0], rs...)
-		for i, c := range ts {
-			rs[i] = was[c.i]
-		}
-		sl.rows = was[:0]
+	slices.SortStableFunc(ts, func(a, b clamped) int { return LexCmp(a.t, b.t) })
+	was := append(sl.rows[:0], rs...)
+	for i, c := range ts {
+		rs[i] = was[c.i]
 	}
-	sl.times = ts
+	sl.times, sl.rows = ts, was[:0]
 	m := 0
 	for i, j := 0, 0; i < len(rs); i = j {
 		t := ts[i].t
@@ -245,20 +240,6 @@ func (sl *SpanSlab[E]) Clamp(s, outer uint32, time func(E) timestamp.Time, fold 
 type clamped struct {
 	t timestamp.Time
 	i uint32
-}
-
-// sortClamped sorts ts stably by time: a few rows, as most spans hold, by
-// insertion with the comparison inlined.
-func sortClamped(ts []clamped) {
-	if len(ts) > 16 {
-		slices.SortStableFunc(ts, func(a, b clamped) int { return LexCmp(a.t, b.t) })
-		return
-	}
-	for i := 1; i < len(ts); i++ {
-		for j := i; j > 0 && ts[j].t.LexLess(ts[j-1].t); j-- {
-			ts[j-1], ts[j] = ts[j], ts[j-1]
-		}
-	}
 }
 
 // Live returns the number of entries the spans hold.

@@ -88,12 +88,9 @@ func JoinMax[K comparable, N comparable, V cmp.Ordered, E comparable](
 // the frontier below v, so (v−1, i)'s times stay apart from v's; a caller
 // that compacts the version in flight gets walks.
 //
-// Two things keep the rule cheap. A message is not noted when the key's
-// output before v has settled, by the message's time, on a value better
-// than the message's (matters): the rule would skip it. And a version whose
-// rule answers mostly fall back to walks, one that retracts most minima,
-// walks its keys for the rest of the version once 64, and half of those
-// tried, have.
+// A message is not noted when the key's output before v has settled, by the
+// message's time, on a value better than the message's (matters): the rule
+// would skip it.
 type relaxNode[K comparable, N comparable, V cmp.Ordered, E comparable] struct {
 	s   *Scope
 	op  string
@@ -146,10 +143,6 @@ type relaxShard[K comparable, N comparable, V cmp.Ordered, E comparable] struct 
 	noteAt uint32     // 1 + the version the log holds
 	neg    bool       // a walk met a negative count: every key walks until a reset
 	walks  int        // in-edges walked, for tests
-
-	// The version's rule answers attempted, and those left to walks: once
-	// most are, the version retracts most minima, and its keys walk.
-	tried, failed int
 
 	srcs, dsts []uint32 // an edge batch's vertex slots, by source and by destination
 	cands      []VD[V]  // a key's candidate values, or its consolidated Δ
@@ -258,9 +251,8 @@ func (n *relaxNode[K, N, V, E]) run(w int, t timestamp.Time) {
 	}
 	rule := t.Outer > 0 && !sh.neg && (!compacting || outer < t.Outer)
 	if rule && sh.noteAt != t.Outer+1 {
-		sh.notes, sh.noteAt, sh.tried, sh.failed = sh.notes[:0], t.Outer+1, 0, 0
+		sh.notes, sh.noteAt = sh.notes[:0], t.Outer+1
 	}
-	rule = rule && (sh.failed < 64 || 2*sh.failed < sh.tried)
 	sh.sched.begin(t, work)
 
 	// A label change at t changes its messages at t. The edges this run
@@ -338,15 +330,8 @@ func (n *relaxNode[K, N, V, E]) run(w int, t timestamp.Time) {
 	for _, s := range sh.sched.takeDue() {
 		k := sh.keys.KeyAt(s) // touched since the frontier moved: its stores are clamped
 		sh.delta = sh.delta[:0]
-		switch {
-		case !rule:
+		if !rule || !n.byRule(sh, s, t, &work) {
 			n.walk(sh, s, k, t, &work)
-		case !n.byRule(sh, s, t, &work):
-			n.walk(sh, s, k, t, &work)
-			sh.failed++
-			fallthrough
-		default:
-			sh.tried++
 		}
 		for _, e := range sh.outs.At(s) {
 			if e.T.Leq(t) {

@@ -397,3 +397,55 @@ func TestRelaxWalksOnlyRetractions(t *testing.T) {
 		}
 	}
 }
+
+// TestJoinMinOldAnswerWorsens feeds JoinMin, outside any loop, an x that an
+// upstream loop makes worse with each iteration: vertex 1's label climbs by
+// 2 from 1 to 5, vertex 2's stays 4. In version 0 key 3 hears from vertex 1 alone,
+// so its answer worsens with the iteration. Version 1 adds the edge from
+// vertex 2: its message, at iteration 0, is worse than key 3's answer at
+// (0, 0) but better than its answer at the last iteration, where the fused
+// answer must be 4, as the general path's is, and be found without a walk.
+func TestJoinMinOldAnswerWorsens(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		s := NewScope(workers)
+		iin, init := NewInput[KV[int, int]](s)
+		ein, edges := NewInput[KV[int, arc]](s)
+		_, roots := NewInput[KV[int, int]](s)
+		xs := Iterate(init, func(x *Collection[KV[int, int]]) *Collection[KV[int, int]] {
+			return ReduceMax(Map(x, func(kv KV[int, int]) KV[int, int] {
+				if kv.V < 4 {
+					kv.V += 2
+				}
+				return kv
+			}))
+		})
+		plus := plain(func(v int, e arc) int { return v + e.W })
+		p := capturePair[KV[int, int]]{"JoinMin over a worsening x",
+			NewCapture(JoinMin(xs, edges, roots, plus)), NewCapture(relaxGeneral(xs, edges, roots, plus, ReduceMin[int, int]))}
+		var node *relaxNode[int, int, int, arc]
+		for _, n := range s.nodes {
+			if rn, ok := n.(*relaxNode[int, int, int, arc]); ok {
+				node = rn
+			}
+		}
+		iin.SendAt(0, []Update[KV[int, int]]{{KV[int, int]{1, 1}, 1}, {KV[int, int]{2, 4}, 1}})
+		ein.SendAt(0, []Update[KV[int, arc]]{{KV[int, arc]{1, arc{3, 0}}, 1}})
+		s.Drain()
+		s.Compact(0)
+		p.check(t, 0, 0)
+		for _, sh := range node.st {
+			sh.walks = 0
+		}
+		ein.SendAt(1, []Update[KV[int, arc]]{{KV[int, arc]{2, arc{3, 0}}, 1}})
+		s.Drain()
+		p.check(t, 1, 1)
+		if got := p.total.Result()[KV[int, int]{3, 4}]; got != 1 {
+			t.Fatalf("workers %d: key 3's answer 4 has count %d, want 1: %v", workers, got, p.total.Result())
+		}
+		for _, sh := range node.st {
+			if sh.walks != 0 {
+				t.Fatalf("workers %d: version 1 only inserts, and walked %d in-edges", workers, sh.walks)
+			}
+		}
+	}
+}

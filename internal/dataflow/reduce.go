@@ -199,10 +199,15 @@ func (n *reduceNode[K, V, O]) run(w int, t timestamp.Time) {
 	// with each touched key's known times.
 	sh.sched.begin(t, work) // room for the keys the input can touch
 	for _, f := range sh.folds {
-		s := sh.slot(f.hk, f.k)
 		if f.n == 0 && f.sum == 0 {
-			continue // clamped, as the general path's key would be, but nothing changed
+			// Nothing changed, but a key with stores is clamped, as the
+			// general path's would be; a key never seen gets no slot.
+			if s, ok := sh.keys.Find(f.hk, f.k); ok {
+				sh.clamp(s)
+			}
+			continue
 		}
+		s := sh.slot(f.hk, f.k)
 		sh.sched.touch(s, t, t)
 		addRow(&sh.lin, s, t, f.n, f.sum)
 	}
@@ -252,26 +257,30 @@ func (n *reduceNode[K, V, O]) run(w int, t timestamp.Time) {
 	n.out.emit(w, ob)
 }
 
-// slot returns k's slot, where hk is k's hash, clamping every store there,
-// its input, its output history and its times, on the slot's first access
-// after the frontier moved.
+// slot returns k's slot, where hk is k's hash, clamped.
 func (sh *reduceShard[K, V, O]) slot(hk uint64, k K) uint32 {
 	s := sh.keys.Slot(hk, k)
+	sh.clamp(s)
+	return s
+}
+
+// clamp clamps every store at slot s, its input, its output history and its
+// times, on the slot's first access after the frontier moved.
+func (sh *reduceShard[K, V, O]) clamp(s uint32) {
 	if outer, stale := sh.keys.Stale(s); stale {
 		sh.ins.Clamp(s, outer)
 		sh.lin.Clamp(s, outer, func(r linRow) timestamp.Time { return r.t }, foldRows)
 		sh.outs.Clamp(s, outer)
 		sh.sched.clamp(s, outer)
 	}
-	return s
 }
 
 // foldKeys folds a linear reducer's raw batch into sh.folds, one (n, Σ) per
 // key, then empties the batch: the batch's work is its keys. A key whose
-// fold cancels to (0, 0) stays, so run clamps its slot without scheduling
-// it. Keys meet through sh.idx on their hashes (batch.consolidate's idiom),
-// so the fold is one pass, and a key is touched and its row updated once per
-// run, not once per record.
+// fold cancels to (0, 0) stays, so run clamps its slot, if it has one,
+// without scheduling it. Keys meet through sh.idx on their hashes
+// (batch.consolidate's idiom), so the fold is one pass, and a key is touched
+// and its row updated once per run, not once per record.
 func (sh *reduceShard[K, V, O]) foldKeys(b *batch[KV[K, V]], w func(V) int64) {
 	width := bits.Len(uint(2 * len(b.recs)))
 	if cap(sh.idx) < 1<<width {

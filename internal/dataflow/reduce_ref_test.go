@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"fmt"
+	"hash/maphash"
 	"math/rand"
 	"sync"
 	"testing"
@@ -555,6 +556,29 @@ func TestReduceMatchesOracle(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestLinearFoldSlotsNoCancelledKey sends a linear reduce, in version 1,
+// records of a key never seen before that cancel as a fold but not value by
+// value: the key must get no slot, for it has no store to clamp.
+func TestLinearFoldSlotsNoCancelledKey(t *testing.T) {
+	s := NewScope(1)
+	in, col := NewInput[KV[int, int]](s)
+	ReduceCount(col)
+	in.SendAt(0, []Update[KV[int, int]]{{KV[int, int]{1, 1}, 1}})
+	s.Drain()
+	s.Compact(0)
+	in.SendAt(1, []Update[KV[int, int]]{{KV[int, int]{2, 1}, 1}, {KV[int, int]{2, 2}, -1}})
+	s.Drain()
+	for _, n := range s.nodes {
+		if r, ok := n.(*reduceNode[int, int, int64]); ok {
+			if _, ok := r.st[0].keys.Find(maphash.Comparable(r.st[0].seed, 2), 2); ok {
+				t.Fatal("a key whose records cancel as a fold got a slot")
+			}
+			return
+		}
+	}
+	t.Fatal("no reduce node")
 }
 
 func sum(xs []int64) int64 {
