@@ -1,7 +1,9 @@
 package analytics
 
 import (
+	"cmp"
 	"maps"
+	"slices"
 	"time"
 
 	"graphsurge/internal/dataflow"
@@ -52,9 +54,7 @@ func (SCC) Build(b *Builder) {
 
 // NewRunner implements Program.
 func (SCC) NewRunner(workers int) (Runner, error) {
-	r := &sccRunner{workers: workers}
-	r.clear()
-	return r, nil
+	return &sccRunner{workers: workers, nodeDeg: make(map[uint64]int64), answer: make(map[VertexValue]int64)}, nil
 }
 
 // sccEdge is an edge as (src, dst), or a (vertex, color) assignment;
@@ -167,23 +167,59 @@ type sccRunner struct {
 	nodeDeg     map[uint64]int64      // edge-incidence count per vertex
 	answer      map[VertexValue]int64 // the accumulated output
 	outputDiffs int                   // the last step's output difference count
+
+	// A step's scratch, recycled from step to step and across Reset. Each
+	// holds one phase's or one step's differences, never a whole answer,
+	// so no step pays for a larger view that ran before it.
+	alive, core []dataflow.Update[uint64]      // a phase's alive set and core differences
+	edges, done []dataflow.Update[sccEdge]     // its core edges' and confirmed colors' differences
+	merged      []dataflow.Update[VertexValue] // the step's output differences
 }
 
-// clear drops the runner's bookkeeping for fresh maps.
-func (r *sccRunner) clear() {
-	r.nodeDeg = make(map[uint64]int64)
-	r.answer = make(map[VertexValue]int64)
-	r.outputDiffs = 0
-	r.next = 0
-}
-
-// updates lists a captured version difference set as input updates.
+// updates lists a captured result as input updates.
 func updates[R comparable](diff map[R]dataflow.Diff) []dataflow.Update[R] {
 	ups := make([]dataflow.Update[R], 0, len(diff))
 	for rec, d := range diff {
 		ups = append(ups, dataflow.Update[R]{Rec: rec, D: d})
 	}
 	return ups
+}
+
+// consolidate sums the differences of equal records, sorted by compare, and
+// drops those that cancel, in place.
+func consolidate[R comparable](ups []dataflow.Update[R], compare func(a, b R) int) []dataflow.Update[R] {
+	slices.SortFunc(ups, func(a, b dataflow.Update[R]) int { return compare(a.Rec, b.Rec) })
+	n := 0
+	for i := 0; i < len(ups); {
+		u := ups[i]
+		for i++; i < len(ups) && ups[i].Rec == u.Rec; i++ {
+			u.D += ups[i].D
+		}
+		if u.D != 0 {
+			ups[n], n = u, n+1
+		}
+	}
+	return ups[:n]
+}
+
+// bump adds by to n's edge-incidence count, and n to the alive set's
+// difference when the count crosses zero.
+func (r *sccRunner) bump(n uint64, by int64) {
+	old := r.nodeDeg[n]
+	nw := old + by
+	if nw == 0 {
+		delete(r.nodeDeg, n)
+	} else {
+		r.nodeDeg[n] = nw
+	}
+	if (old > 0) != (nw > 0) {
+		r.alive = append(r.alive, dataflow.Update[uint64]{Rec: n, D: by})
+	}
+}
+
+// output adds d of vertex v colored c to the step's output differences.
+func (r *sccRunner) output(v, c uint64, d dataflow.Diff) {
+	r.merged = append(r.merged, dataflow.Update[VertexValue]{Rec: VertexValue{V: v, Val: int64(c)}, D: d})
 }
 
 // Step implements Runner.
@@ -194,41 +230,27 @@ func (r *sccRunner) Step(adds, dels *graph.EdgeBatch) time.Duration {
 
 	na, nd := adds.Len(), dels.Len()
 	edgeUps := edgeUpdates(adds, dels)
-	var aliveDiff []dataflow.Update[uint64]
-	bump := func(n uint64, by int64) {
-		old := r.nodeDeg[n]
-		nw := old + by
-		if nw == 0 {
-			delete(r.nodeDeg, n)
-		} else {
-			r.nodeDeg[n] = nw
-		}
-		if (old > 0) != (nw > 0) {
-			aliveDiff = append(aliveDiff, dataflow.Update[uint64]{Rec: n, D: by})
-		}
-	}
+	r.alive, r.merged = r.alive[:0], r.merged[:0]
 	for i := 0; i < na; i++ {
 		t := adds.Triple(i)
-		bump(t.Src, 1)
-		bump(t.Dst, 1)
+		r.bump(t.Src, 1)
+		r.bump(t.Dst, 1)
 	}
 	for i := 0; i < nd; i++ {
 		t := dels.Triple(i)
-		bump(t.Src, -1)
-		bump(t.Dst, -1)
+		r.bump(t.Src, -1)
+		r.bump(t.Dst, -1)
 	}
 
-	merged := make(map[VertexValue]int64)
-	var edgeDiff []dataflow.Update[sccEdge] // the previous phase's core edges
-	for p := 0; p < len(r.phases) || len(aliveDiff) > 0; p++ {
+	for p := 0; p < len(r.phases) || len(r.alive) > 0; p++ {
 		if p == len(r.phases) {
 			r.phases = append(r.phases, newSCCPhase(r.workers))
 			if p > 0 {
 				// A new phase has missed the previous phase's core edges
 				// of earlier versions: it starts from all of them, not
 				// from this version's difference. (Its alive set was
-				// empty until now, so aliveDiff is already all of it.)
-				edgeDiff = updates(r.phases[p-1].coreEdges.Result())
+				// empty until now, so r.alive is already all of it.)
+				r.edges = updates(r.phases[p-1].coreEdges.Result())
 			}
 		}
 		ph := r.phases[p]
@@ -240,51 +262,49 @@ func (r *sccRunner) Step(adds, dels *graph.EdgeBatch) time.Duration {
 				return sccEdge{K: t.Src, V: t.Dst}, d
 			})
 		} else {
-			ph.edgeIn.SendAt(v, edgeDiff)
+			ph.edgeIn.SendAt(v, r.edges)
 		}
-		ph.aliveIn.SendAt(v, aliveDiff)
+		ph.aliveIn.SendAt(v, r.alive)
 		ph.trim.Drain()
 		ph.trim.Compact(v)
-		coreDiff := ph.core.Diff()
-		edgeDiff = updates(ph.coreEdges.Diff())
+		r.core = ph.core.AppendDiff(r.core[:0])
+		r.edges = ph.coreEdges.AppendDiff(r.edges[:0])
 
 		// A vertex alive but outside the core is its own SCC. The core is a
 		// subset of the alive set, so the singles change by alive − core.
-		for _, u := range aliveDiff {
-			merged[VertexValue{V: u.Rec, Val: int64(u.Rec)}] += u.D
+		for _, u := range r.alive {
+			r.output(u.Rec, u.Rec, u.D)
 		}
-		for n, d := range coreDiff {
-			merged[VertexValue{V: n, Val: int64(n)}] -= d
+		for _, u := range r.core {
+			r.output(u.Rec, u.Rec, -u.D)
 		}
 
 		// Coloring, of the core along the edges inside it.
-		ph.coreEdgeIn.SendAt(v, edgeDiff)
-		ph.coreIn.SendAt(v, updates(coreDiff))
+		ph.coreEdgeIn.SendAt(v, r.edges)
+		ph.coreIn.SendAt(v, r.core)
 		ph.color.Drain()
 		ph.color.Compact(v)
 
 		// The confirmed vertices are a subset of the core, and the next
 		// phase's alive set is core − done. A color change arrives as
-		// {+new, −old} and cancels here.
-		for kv, d := range ph.done.Diff() {
-			merged[VertexValue{V: kv.K, Val: int64(kv.V)}] += d
-			if coreDiff[kv.K] -= d; coreDiff[kv.K] == 0 {
-				delete(coreDiff, kv.K)
-			}
+		// {+new, −old} and cancels in both.
+		r.done = ph.done.AppendDiff(r.done[:0])
+		r.alive = append(r.alive[:0], r.core...)
+		for _, u := range r.done {
+			r.output(u.Rec.K, u.Rec.V, u.D)
+			r.alive = append(r.alive, dataflow.Update[uint64]{Rec: u.Rec.K, D: -u.D})
 		}
-		aliveDiff = updates(coreDiff)
+		r.alive = consolidate(r.alive, cmp.Compare[uint64])
 	}
-	n := 0
-	for vv, d := range merged {
-		if d == 0 {
-			continue
-		}
-		n++
-		if r.answer[vv] += d; r.answer[vv] == 0 {
-			delete(r.answer, vv)
+	r.merged = consolidate(r.merged, func(a, b VertexValue) int {
+		return cmp.Or(cmp.Compare(a.V, b.V), cmp.Compare(a.Val, b.Val))
+	})
+	for _, u := range r.merged {
+		if r.answer[u.Rec] += u.D; r.answer[u.Rec] == 0 {
+			delete(r.answer, u.Rec)
 		}
 	}
-	r.outputDiffs = n
+	r.outputDiffs = len(r.merged)
 	return time.Since(start)
 }
 
@@ -300,14 +320,17 @@ func (r *sccRunner) scopes() []*dataflow.Scope {
 // Reset implements Runner: every phase built so far keeps its two dataflows
 // and resets them in place (each scope's version cursor rewinds with it),
 // and the runner's bookkeeping — degree counts, the accumulated answer, the
-// output-diff count — is dropped for fresh maps. The pool therefore recycles
+// output-diff count — is cleared in place. The pool therefore recycles
 // staged SCC runners exactly like single-dataflow instances, instead of
-// rebuilding two dataflows per phase.
+// rebuilding two dataflows per phase, and a rerun fills the maps and step
+// scratch the last run grew.
 func (r *sccRunner) Reset() error {
 	for _, s := range r.scopes() {
 		s.ResetState()
 	}
-	r.clear()
+	clear(r.nodeDeg)
+	clear(r.answer)
+	r.outputDiffs, r.next = 0, 0
 	return nil
 }
 

@@ -24,11 +24,7 @@ type KeyTable[K comparable] struct {
 // grows its columns to match.
 func (kt *KeyTable[K]) Slot(hk uint64, k K) uint32 {
 	if 4*len(kt.hks) >= 3*len(kt.tab) {
-		kt.tab = make([]uint32, max(2*len(kt.tab), 64))
-		kt.shift = uint8(65 - bits.Len(uint(len(kt.tab))))
-		for j, h := range kt.hks {
-			*kt.probe(h, func(uint32) bool { return false }) = uint32(j + 1)
-		}
+		kt.index(max(2*len(kt.tab), 64))
 	}
 	s := kt.probe(hk, func(j uint32) bool { return kt.hks[j] == hk && kt.keys[j] == k })
 	if *s == 0 {
@@ -54,6 +50,43 @@ func (kt *KeyTable[K]) probe(hk uint64, is func(slot uint32) bool) *uint32 {
 			return s
 		}
 	}
+}
+
+// index rebuilds the table at size entries, a power of two, inside the
+// capacity it has if that is enough.
+func (kt *KeyTable[K]) index(size int) {
+	if cap(kt.tab) >= size {
+		kt.tab = kt.tab[:size]
+		clear(kt.tab)
+	} else {
+		kt.tab = make([]uint32, size)
+	}
+	kt.shift = uint8(65 - bits.Len(uint(size)))
+	for j, h := range kt.hks {
+		*kt.probe(h, func(uint32) bool { return false }) = uint32(j + 1)
+	}
+}
+
+// Retain keeps the slots keep reports and forgets the rest. keep is called
+// once per slot in increasing order, and the kept slots are renumbered 0,
+// 1, … in that order, so keep may move its owner's columns down as it goes.
+// The table is rebuilt at the size the kept keys need, so its cost is the
+// slots held, not a capacity an earlier, larger key set left behind. A
+// Keys has a column of its own, which Retain does not move.
+func (kt *KeyTable[K]) Retain(keep func(s uint32) bool) {
+	n := 0
+	for s := range kt.hks {
+		if keep(uint32(s)) {
+			kt.hks[n], kt.keys[n] = kt.hks[s], kt.keys[s]
+			n++
+		}
+	}
+	kt.hks, kt.keys = kt.hks[:n], kt.keys[:n]
+	size := 64
+	for 4*n >= 3*size {
+		size *= 2
+	}
+	kt.index(size)
 }
 
 // KeyAt returns slot s's key.

@@ -35,12 +35,21 @@ func newPendings[R comparable](s *Scope) *pendings[R] {
 	return p
 }
 
-// release lets every shard's recycled columns go.
+// keptIdx is the largest consolidation index, in entries, a shard keeps
+// when its columns go: 256 KiB, an index for batches of up to 2¹⁵ records,
+// which a differential pass would otherwise regrow after every Park.
+const keptIdx = 1 << 16
+
+// release lets every shard's recycled columns go, and its consolidation
+// index too if that is larger than keptIdx entries.
 func (p *pendings[R]) release() {
 	for w := range p.sh {
 		sh := &p.sh[w]
 		sh.mu.Lock()
-		sh.cur.recs, sh.cur.diffs, sh.idx = nil, nil, nil
+		sh.cur.recs, sh.cur.diffs = nil, nil
+		if cap(sh.idx) > keptIdx {
+			sh.idx = nil
+		}
 		sh.q.Release()
 		sh.mu.Unlock()
 	}

@@ -27,8 +27,8 @@ type node interface {
 	// pending deltas, schedules — without touching the dataflow wiring,
 	// returning the node to its just-built condition. Implementations
 	// truncate their columns in place, keeping every emptied column for
-	// the next run; a keyed operator clears its key tables and a Capture
-	// swaps in fresh maps. Only called while the scope is quiescent.
+	// the next run; a keyed operator or a Capture clears its key tables.
+	// Only called while the scope is quiescent.
 	reset()
 	// name identifies the operator for diagnostics.
 	name() string
@@ -127,7 +127,7 @@ func (s *Scope) enter(v uint32) {
 // re-executes from scratch without paying graph construction or column
 // growth again. The cost is a
 // memclr of each keyed operator shard's key tables, one per key space (4 B
-// a slot), and a Capture's two fresh maps per worker.
+// a slot), and of each Capture's key table per worker.
 //
 // Must be called from the driver goroutine while the scope is quiescent
 // (after Drain); resetting with work in flight would discard deltas
