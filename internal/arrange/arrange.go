@@ -6,11 +6,11 @@
 // column or a span of a SpanSlab: a History keeps a key's (time, value,
 // diff) entries, consolidated as they arrive, and package dataflow's
 // schedules, linear rows and total indexes keep theirs. Advance only
-// records a new frontier; the owner clamps every store at a slot in one
-// place, the slot's first access after the frontier moved (Stale), each by
-// SpanSlab.Clamp's one rule. Dropping all state truncates the columns in
-// place, so a reset shard reruns into the arrays its last run grew. A Trace
-// is a key space with one History, the arrangement on its own.
+// records a new frontier; the owner clamps the histories and linear rows at
+// a slot in one place, the slot's first access after the frontier moved
+// (Stale), each by SpanSlab.Clamp's one rule. Dropping all state truncates
+// the columns in place, so a reset shard reruns into the arrays its last run
+// grew. A Trace is a key space with one History, the arrangement on its own.
 package arrange
 
 import (

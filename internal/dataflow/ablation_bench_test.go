@@ -102,15 +102,21 @@ func runCompactionWCC(compact bool) *Scope {
 	return s
 }
 
-// TestWorkCountPinned holds the engine's work counter on a compacted wcc
-// run to a literal, so a change to what an operator counts, or to how many
-// entries a key's history holds, shows up as a moved number rather than a
-// silent drift of the optimizer's cost signal. A key's entries depend only on
-// its own updates and the frontier, so the count is that of the multisets
+// TestWorkCountPinned holds the engine's work counter on the wcc run, with
+// and without compaction, to a literal, so a change to what an operator
+// counts, to how many entries a key's history holds, or to the times a key
+// is evaluated at shows up as a moved number rather than a silent drift of
+// the optimizer's cost signal. A key's entries depend only on its own
+// updates and the frontier, so the count is that of the multisets
 // themselves. One worker, because each Scope draws a fresh partition seed and
 // the per-worker split differs run to run.
 func TestWorkCountPinned(t *testing.T) {
-	if got := runCompactionWCC(true).WorkCounts(); len(got) != 1 || got[0] != 1499146 {
-		t.Fatalf("work counts %v, want [1499146]", got)
+	for _, c := range []struct {
+		compact bool
+		want    int64
+	}{{true, 1499146}, {false, 1804633}} {
+		if got := runCompactionWCC(c.compact).WorkCounts(); len(got) != 1 || got[0] != c.want {
+			t.Fatalf("compact=%v: work counts %v, want [%d]", c.compact, got, c.want)
+		}
 	}
 }

@@ -34,48 +34,55 @@ func TestCaptureDiffCounts(t *testing.T) {
 }
 
 // TestCaptureRerunAllocs reruns Input → Capture after ResetState, a version
-// 0 of n records and then a version 1 of 100, and requires the same
-// allocations per rerun at every n: a reset capture refills the key table
-// and columns its last run grew, so nothing it allocates grows with the
-// view. The largest n is 30 000, whose version-0 batch still consolidates
-// within the index the pending buffers keep (keptIdx); a larger batch's
-// index is let go on entering version 1 and regrown by the next version 0,
-// two allocations by design that are not the capture's. The race detector
-// adds temporaries of its own (slices.Grow allocates one per call in a race
+// 0 of n records and then a version 1 of 100, on 1 and 2 workers, and
+// requires the same allocations per rerun at every n: a reset capture
+// refills the key table and columns its last run grew, so nothing it
+// allocates grows with the view. On 2 workers a worker's hash share of the
+// rows still to come may run above an even split; the margin the input
+// announces keeps its pending bucket to one growth.
+// The largest n is 30 000, whose version-0 batch still consolidates within
+// the index the pending buffers keep (keptIdx); a larger batch's index is
+// let go on entering version 1 and regrown by the next version 0, two
+// allocations by design that are not the capture's. The race detector adds
+// temporaries of its own (slices.Grow allocates one per call in a race
 // build), so a race build only checks the reruns' answers.
 func TestCaptureRerunAllocs(t *testing.T) {
-	var allocs []float64
-	for _, n := range []int{1000, 10000, 30000} {
-		s := NewScope(1)
-		in, col := NewInput[int](s)
-		c := NewCapture(col)
-		view := make([]Update[int], n)
-		for i := range view {
-			view[i] = Update[int]{i, 1}
-		}
-		next := make([]Update[int], 100)
-		for i := range next {
-			next[i] = Update[int]{i, -1} // 50 retractions, 50 new records
-			if i%2 == 1 {
-				next[i] = Update[int]{n + i, 1}
+	allocs := map[int][]float64{}
+	for _, workers := range []int{1, 2} {
+		for _, n := range []int{1000, 10000, 30000} {
+			s := NewScope(workers)
+			in, col := NewInput[int](s)
+			c := NewCapture(col)
+			view := make([]Update[int], n)
+			for i := range view {
+				view[i] = Update[int]{i, 1}
 			}
-		}
-		allocs = append(allocs, testing.AllocsPerRun(5, func() {
-			s.ResetState()
-			in.SendAt(0, view)
-			s.Drain()
-			in.SendAt(1, next)
-			s.Drain()
-			if d := c.DiffCount(); d != len(next) {
-				t.Fatalf("n=%d: version 1 changed %d records, want %d", n, d, len(next))
+			next := make([]Update[int], 100)
+			for i := range next {
+				next[i] = Update[int]{i, -1} // 50 retractions, 50 new records
+				if i%2 == 1 {
+					next[i] = Update[int]{n + i, 1}
+				}
 			}
-		}))
+			allocs[workers] = append(allocs[workers], testing.AllocsPerRun(5, func() {
+				s.ResetState()
+				in.SendAt(0, view)
+				s.Drain()
+				in.SendAt(1, next)
+				s.Drain()
+				if d := c.DiffCount(); d != len(next) {
+					t.Fatalf("workers=%d n=%d: version 1 changed %d records, want %d", workers, n, d, len(next))
+				}
+			}))
+		}
 	}
 	if raceBuild {
 		t.Skipf("race build: allocations per rerun %v are not the normal build's", allocs)
 	}
-	if allocs[0] != allocs[1] || allocs[1] != allocs[2] {
-		t.Fatalf("allocations per rerun at n = 1 000, 10 000, 30 000: %v, want them equal", allocs)
+	for workers, a := range allocs {
+		if a[0] != a[1] || a[1] != a[2] {
+			t.Fatalf("allocations per rerun on %d workers at n = 1 000, 10 000, 30 000: %v, want them equal", workers, a)
+		}
 	}
 }
 

@@ -10,9 +10,9 @@
 // Concat, Negate) transform deltas directly; Join is bilinear and pairs
 // deltas across sides at the lattice join of their times; Reduce keeps per-key
 // input/output histories and emits corrections at the join-closure of the
-// key's times; Iterate builds the differential feedback loop
-// X = I ⊕ delay(N) ⊖ delay(I) and runs to fixpoint, detected automatically by
-// quiescence.
+// key's times, one per iteration stamped by version; Iterate builds the
+// differential feedback loop X = I ⊕ delay(N) ⊖ delay(I) and runs to
+// fixpoint, detected automatically by quiescence.
 //
 // Scheduling is a deliberate simplification of Timely's distributed progress
 // tracking, sound for Graphsurge's batch-synchronous usage (one view version

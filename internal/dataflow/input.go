@@ -1,6 +1,10 @@
 package dataflow
 
-import "graphsurge/internal/timestamp"
+import (
+	"math"
+
+	"graphsurge/internal/timestamp"
+)
 
 // Input is a handle for feeding updates into a dataflow graph. Each call to
 // SendAt introduces the updates at time (version, 0); the driver then calls
@@ -26,7 +30,8 @@ func (in *Input[R]) Collection() *Collection[R] { return in.col }
 // workers by record hash so stateless operator chains run in parallel; keyed
 // operators re-route by key regardless. A worker's batch is handed on each
 // time it fills chunkRows rows, so the input's scratch is bounded whatever
-// the view's size, and the scope keeps it across versions and Park.
+// the view's size, and the scope keeps it across versions and Park. Its more
+// is an even share of the rows to come plus 4σ of a worker's hash share.
 func (in *Input[R]) Send(v uint32, n int, at func(i int) (R, Diff)) {
 	in.s.enter(v)
 	t := timestamp.Outer(v)
@@ -39,7 +44,8 @@ func (in *Input[R]) Send(v uint32, n int, at func(i int) (R, Diff)) {
 		p := &in.parts[w]
 		p.add(r, d)
 		if len(p.recs) == chunkRows {
-			p.more = (n - i - 1) / len(in.parts)
+			rest, ws := n-i-1, len(in.parts)
+			p.more = (rest + 4*int(math.Sqrt(float64(rest*(ws-1))))) / ws
 			in.col.emit(w, p)
 			p.reset(t, 0)
 		}

@@ -58,9 +58,9 @@ func JoinMax[K comparable, N comparable, V cmp.Ordered, E comparable](
 // The schedule is the reduce's, over the times the messages to a key would
 // carry: a change to x at t makes the keys it reaches due at t, an edge
 // change at t the keys it reaches due at t ⊔ et for each time et of its
-// source's labels, and a root change its key due at t, each closed under
-// lattice joins with the key's known times. A key due at t is answered, and
-// its output history ≤ t subtracted.
+// source's labels, and a root change its key due at t, each also at the
+// key's later iterations (the closure). A key due at t is answered, and its
+// output history ≤ t subtracted.
 //
 // A walk answers a key from x ≤ t, its in-edges and its roots. A key k due
 // at t = (v, i) with v > 0 is mostly answered without one. The down-set
@@ -116,7 +116,7 @@ type inEdge[E comparable] struct {
 // history; the vertices' slots hold all of x (its labels, by vertex), the
 // edges by source and by destination, and the run's label cache. A slot's
 // histories are clamped together at its first access after the frontier
-// moved (key, vertex); the roots and edges keep no time.
+// moved (key, vertex); the schedule, roots and edges are never clamped.
 type relaxShard[K comparable, N comparable, V cmp.Ordered, E comparable] struct {
 	keys  arrange.Keys[K]
 	sched schedule
@@ -167,13 +167,12 @@ type lastNote struct{ at, i uint32 }
 // source is a vertex slot's entry in the label cache (see relaxShard.sources).
 type source struct{ off, n, epoch uint32 }
 
-// key returns k's slot, clamping its output history and times on the
-// slot's first access after the frontier moved.
+// key returns k's slot, clamping its output history on the slot's first
+// access after the frontier moved.
 func (sh *relaxShard[K, N, V, E]) key(seed maphash.Seed, k K) uint32 {
 	s := sh.keys.Slot(maphash.Comparable(seed, k), k)
 	if outer, stale := sh.keys.Stale(s); stale {
 		sh.outs.Clamp(s, outer)
-		sh.sched.clamp(s, outer)
 	}
 	return s
 }

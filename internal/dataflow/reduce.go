@@ -10,12 +10,12 @@ import (
 )
 
 // reduceShard is one worker's share of a reduce: per slot of its key space,
-// the key's input, its output history and its schedule, the times it has
-// been, or is to be, evaluated at. A general reducer's input is a history
-// of its values. A linear reducer's is a span of (time, n, Σ) rows, one per
-// time its records arrived at; a run's batch is folded to one (n, Σ) per
-// key before it is ingested. A slot's stores are clamped together, at its
-// first access after the frontier moved (slot).
+// the key's input, its output history and its schedule (see schedule). A
+// general reducer's input is a history of its values. A linear reducer's is
+// a span of (time, n, Σ) rows, one per time its records arrived at; a run's
+// batch is folded to one (n, Σ) per key before it is ingested. A slot's
+// input and output are clamped together, at its first access after the
+// frontier moved (slot).
 type reduceShard[K comparable, V comparable, O comparable] struct {
 	keys  arrange.Keys[K]
 	ins   arrange.History[V]       // a general reducer's input
@@ -47,11 +47,11 @@ type keyFold[K comparable] struct {
 }
 
 // reduceNode groups a keyed stream by key and applies a per-key multiset
-// function. For each key with an input delta at time t, the node schedules
-// re-evaluation at t and at the lattice-join closure of t with the key's
-// existing times — the essential mechanism that lets differential computation
-// combine changes arriving along the version axis with history recorded along
-// the iteration axis. At each scheduled time it emits
+// function. For each key with an input delta at time t = (v, i), the node
+// schedules re-evaluation at t and at the lattice-join closure of t with the
+// key's times, (v, j) for each iteration j > i it holds — the mechanism that
+// lets differential computation combine changes along the version axis with
+// history along the iteration axis. At each scheduled time it emits
 // f(accumulated input ≤ t) − accumulated output ≤ t.
 type reduceNode[K comparable, V comparable, O comparable] struct {
 	s   *Scope
@@ -195,8 +195,7 @@ func (n *reduceNode[K, V, O]) run(w int, t timestamp.Time) {
 	}
 
 	// The keys due at t are those earlier runs scheduled and those this run's
-	// input touches. Ingest the input, and schedule the join closure of t
-	// with each touched key's known times.
+	// input touches: ingest it, and schedule each key it touches.
 	sh.sched.begin(t, work) // room for the keys the input can touch
 	for _, f := range sh.folds {
 		if f.n == 0 && f.sum == 0 {
@@ -264,14 +263,13 @@ func (sh *reduceShard[K, V, O]) slot(hk uint64, k K) uint32 {
 	return s
 }
 
-// clamp clamps every store at slot s, its input, its output history and its
-// times, on the slot's first access after the frontier moved.
+// clamp clamps slot s's input and output history on the slot's first access
+// after the frontier moved; the schedule needs no clamp (see schedule).
 func (sh *reduceShard[K, V, O]) clamp(s uint32) {
 	if outer, stale := sh.keys.Stale(s); stale {
 		sh.ins.Clamp(s, outer)
 		sh.lin.Clamp(s, outer, func(r linRow) timestamp.Time { return r.t }, foldRows)
 		sh.outs.Clamp(s, outer)
-		sh.sched.clamp(s, outer)
 	}
 }
 

@@ -8,17 +8,22 @@ import (
 )
 
 // schedule is a keyed shard's evaluation schedule, per slot of the shard's
-// key space (arrange.Keys), with no per-key heap object: the times the key
-// has been or is scheduled to be evaluated at, a span of one slab, and
-// whether it is on the running time's due list. Keys due later wait in
-// time-ordered slot columns; a running time's keys are put on the due list
-// once each. The reduce and JoinMin/JoinMax share it.
+// key space (arrange.Keys), with no per-key heap object: one entry per
+// iteration the key has been or is scheduled to be evaluated at, its Outer
+// the last version that iteration was scheduled in (a span of one slab),
+// and whether the key is on the running time's due list. Keys due later
+// wait in time-ordered slot columns; a running time's keys are put on the
+// due list once each. The reduce and JoinMin/JoinMax share it.
+//
+// The closure needs no more: every time a key holds is at or below the
+// running version v, so the closure of (v, i) with them is (v, i) and (v, j)
+// for each iteration j > i the key holds, and compaction, which never moves
+// a time up to v, changes neither. So the schedule is never clamped.
 type schedule struct {
-	times arrange.SpanSlab[timestamp.Time] // per slot
+	times arrange.SpanSlab[timestamp.Time] // per slot: one entry per inner, stamped by version
 	on    []bool                           // per slot: on the due list
 	dirty arrange.Queue[uint32]            // slots scheduled at later times (no diffs)
 	due   []uint32                         // the slots to evaluate at the running time, each once
-	front []timestamp.Time                 // the join closure's work list
 }
 
 // begin opens a run at t: the keys scheduled at t become due, and the due
@@ -31,44 +36,35 @@ func (sc *schedule) begin(t timestamp.Time, room int) {
 	}
 }
 
-// touch schedules slot s at nt ⊒ t, the running time, and at the
-// lattice-join closure of nt with the key's known times, which the owner
-// has clamped. A key touched at t itself is due now, even when t is already
-// in its set (it may have been evaluated at t earlier in the round, before
-// what touches it now arrived); every other new time waits in dirty.
+// touch schedules slot s at nt ⊒ t, the running time, at t's version, and
+// at its closure: it stamps nt's entry and the entries above it with nt's
+// version, queueing each it restamps, and stops at nt's entry if that is
+// stamped already (all above it are). A key touched at t is due now, even
+// when t is scheduled (it may have been evaluated at t earlier in the
+// round); later times wait in dirty.
 func (sc *schedule) touch(s uint32, nt, t timestamp.Time) {
 	if nt == t {
 		sc.mark(s)
 	}
-	front := append(sc.front[:0], nt)
-	for len(front) > 0 {
-		x := front[len(front)-1]
-		front = front[:len(front)-1]
-		ts := sc.times.At(s)
-		if slices.Contains(ts, x) {
-			continue
-		}
-		for _, y := range ts {
-			if j := x.Join(y); j != x && j != y && !slices.Contains(ts, j) {
-				front = append(front, j)
+	ts, own := sc.times.At(s), false
+	for j := range ts {
+		switch e := &ts[j]; {
+		case e.Inner == nt.Inner:
+			if e.Outer == nt.Outer {
+				return
 			}
-		}
-		sc.times.Push(s, x)
-		if x != t {
-			sc.dirty.Push(x, []uint32{s}, nil, 0)
+			e.Outer, own = nt.Outer, true
+		case e.Inner > nt.Inner && e.Outer != nt.Outer:
+			e.Outer = nt.Outer
+			sc.dirty.Push(*e, []uint32{s}, nil, 0)
 		}
 	}
-	sc.front = front
-}
-
-// clamp clamps slot s's times to outer and de-duplicates them. It must not
-// run while the key has scheduled re-evaluations (a clamped time would
-// diverge from the schedule), which cannot happen here: the frontier only
-// moves between versions, when the scope is quiescent, and every scheduled
-// time has Outer at or above the version being drained.
-func (sc *schedule) clamp(s, outer uint32) {
-	sc.times.Clamp(s, outer, func(t timestamp.Time) timestamp.Time { return t },
-		func(ts []timestamp.Time, _, _, m int, t timestamp.Time) int { ts[m] = t; return m + 1 })
+	if !own {
+		sc.times.Push(s, nt)
+	}
+	if nt != t {
+		sc.dirty.Push(nt, []uint32{s}, nil, 0)
+	}
 }
 
 // mark puts slot s on the due list unless it is there already.

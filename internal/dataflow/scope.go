@@ -238,12 +238,12 @@ func (s *Scope) drainTime(t timestamp.Time) {
 //
 // The call only advances the frontier; the exchange columns stay for the
 // next version (see release). A keyed operator shard that runs in a later
-// version hands the frontier to its key spaces, and every store at a key's
-// slot is clamped to it at the slot's next access (see arrange.Keys.Stale),
-// so compaction costs time proportional to the keys a version touches, not
-// to the shard's state. The totally ordered operators
-// (DistinctTotal, CountTotal, JoinMapTotal's right side, JoinMin's and
-// JoinMax's edges and roots) keep no time to clamp. ResetState drops the
+// version hands the frontier to its key spaces, and every timed store at a
+// key's slot but its schedule is clamped to it at the slot's next access
+// (see arrange.Keys.Stale), so compaction costs time proportional to the
+// keys a version touches, not to the shard's state. The totally ordered
+// operators (DistinctTotal, CountTotal, JoinMapTotal's right side, JoinMin's
+// and JoinMax's edges and roots) keep no time to clamp. ResetState drops the
 // histories and keeps their columns for the next run.
 func (s *Scope) Compact(outer uint32) {
 	for {
