@@ -80,9 +80,11 @@ type Computation interface {
 // sequence per version. A runner keeps the answer at the last version and
 // that version's output difference set, not their history.
 type Runner interface {
-	// Step advances to the next version with the given edge changes (nil
-	// batches are empty) and runs to quiescence, returning the elapsed time.
-	Step(adds, dels *graph.EdgeBatch) time.Duration
+	// Step advances to the next version with the given edge changes (a nil
+	// side is empty) and runs to quiescence, returning the elapsed time. The
+	// order of each side's edges does not matter: the dataflow consolidates
+	// its input.
+	Step(adds, dels graph.Edges) time.Duration
 	// OutputDiffs returns the output difference-set size of the last step.
 	OutputDiffs() int
 	// Results returns the accumulated per-vertex results at the last
@@ -142,13 +144,14 @@ func NewInstance(comp Computation, workers int) (*Instance, error) {
 }
 
 // Step advances the instance by one version, applying the given edge
-// additions and deletions, and runs the dataflow to quiescence. The input's
-// batch is filled directly from the shared columns. It returns the elapsed
-// wall-clock time (the per-view runtime the splitting optimizer observes).
-func (inst *Instance) Step(adds, dels *graph.EdgeBatch) time.Duration {
+// additions and deletions, and runs the dataflow to quiescence. The input
+// reads each edge straight from adds and dels, which are not copied. It
+// returns the elapsed wall-clock time (the per-view runtime the splitting
+// optimizer observes).
+func (inst *Instance) Step(adds, dels graph.Edges) time.Duration {
 	start := time.Now()
 	v := inst.next
-	inst.input.Send(v, adds.Len()+dels.Len(), edgeUpdates(adds, dels))
+	inst.input.Send(v, size(adds)+size(dels), edgeUpdates(adds, dels))
 	inst.scope.Drain()
 	inst.scope.Compact(v)
 	inst.next++
@@ -157,14 +160,22 @@ func (inst *Instance) Step(adds, dels *graph.EdgeBatch) time.Duration {
 
 // edgeUpdates is a view's difference set in the shape Input.Send reads: the
 // additions (+1) followed by the deletions (−1).
-func edgeUpdates(adds, dels *graph.EdgeBatch) func(int) (graph.Triple, dataflow.Diff) {
-	na := adds.Len()
+func edgeUpdates(adds, dels graph.Edges) func(int) (graph.Triple, dataflow.Diff) {
+	na := size(adds)
 	return func(i int) (graph.Triple, dataflow.Diff) {
 		if i < na {
 			return adds.Triple(i), 1
 		}
 		return dels.Triple(i - na), -1
 	}
+}
+
+// size is e's length; a nil side of a step is empty.
+func size(e graph.Edges) int {
+	if e == nil {
+		return 0
+	}
+	return e.Len()
 }
 
 // OutputDiffs returns the size of the output difference set of the last

@@ -218,7 +218,7 @@ type parkRunner struct {
 	parked bool
 }
 
-func (r *parkRunner) Step(adds, dels *graph.EdgeBatch) time.Duration {
+func (r *parkRunner) Step(adds, dels graph.Edges) time.Duration {
 	r.parked = false
 	return r.Instance.Step(adds, dels)
 }

@@ -223,12 +223,12 @@ func (r *sccRunner) output(v, c uint64, d dataflow.Diff) {
 }
 
 // Step implements Runner.
-func (r *sccRunner) Step(adds, dels *graph.EdgeBatch) time.Duration {
+func (r *sccRunner) Step(adds, dels graph.Edges) time.Duration {
 	start := time.Now()
 	v := r.next
 	r.next++
 
-	na, nd := adds.Len(), dels.Len()
+	na, nd := size(adds), size(dels)
 	edgeUps := edgeUpdates(adds, dels)
 	r.alive, r.merged = r.alive[:0], r.merged[:0]
 	for i := 0; i < na; i++ {

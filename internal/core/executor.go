@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"graphsurge/internal/analytics"
+	"graphsurge/internal/graph"
 	"graphsurge/internal/obs"
 	"graphsurge/internal/splitting"
 	"graphsurge/internal/view"
@@ -351,12 +352,8 @@ func runCollection(ctx context.Context, col *view.Collection, comp analytics.Com
 	stream := col.Stream
 	k := stream.NumViews()
 
-	cr := &collectionRun{
-		col:      col,
-		sizes:    stream.ViewSizes(),
-		cols:     edgeBatcher(g, wc),
-		progress: opts.OnSegment,
-	}
+	cr := newCollectionRun(col, wc)
+	cr.progress = opts.OnSegment
 	pool := newRunPool(shared, opts.Parallelism)
 	wallStart := time.Now()
 
@@ -405,7 +402,7 @@ func RunView(ctx context.Context, col *view.Collection, comp analytics.Computati
 		return nil, err
 	}
 	edges := col.Stream.Adds[0]
-	dur := runner.Step(edgeBatcher(col.Graph, wc)(edges), nil)
+	dur := runner.Step(graph.EdgeRefs{G: col.Graph, W: wc, Idx: edges}, nil)
 	return &ViewRunResult{
 		Computation: comp.Name(),
 		View:        col.Name,

@@ -9,7 +9,6 @@ import (
 
 	"graphsurge/internal/analytics"
 	"graphsurge/internal/datagen"
-	"graphsurge/internal/graph"
 	"graphsurge/internal/gvdl"
 	"graphsurge/internal/splitting"
 	"graphsurge/internal/view"
@@ -140,12 +139,6 @@ func TestSegmentParallelDeterminism(t *testing.T) {
 	}
 }
 
-// indexBatch materializes an edge-index list with indexes doubling as
-// sources, so the batch's Srcs column mirrors the index list.
-func indexBatch(idxs []uint32) *graph.EdgeBatch {
-	return graph.MakeEdgeBatch(len(idxs), func(i int) graph.Triple { return graph.Triple{Src: uint64(idxs[i])} })
-}
-
 // TestSeedScanOpeningView: the seed of the opening view is exactly its
 // first difference set, and a later view's seed is the stream folded up to
 // it — both read from the view's EBM column, with no scan to advance first.
@@ -156,10 +149,10 @@ func TestSeedScanOpeningView(t *testing.T) {
 		Adds:  [][]uint32{{1, 3, 5}, {2}},
 		Dels:  [][]uint32{nil, {3}},
 	})
-	cr := &collectionRun{col: col, cols: indexBatch}
-	for v, want := range [][]uint64{{1, 3, 5}, {1, 2, 5}} {
-		if got, _ := cr.seed(v); !slices.Equal(got.Srcs, want) {
-			t.Fatalf("seed at view %d: %v, want %v", v, got.Srcs, want)
+	cr := newCollectionRun(col, -1)
+	for v, want := range [][]uint32{{1, 3, 5}, {1, 2, 5}} {
+		if got, _ := cr.seed(v, nil); !slices.Equal(got.Idx, want) {
+			t.Fatalf("seed at view %d: %v, want %v", v, got.Idx, want)
 		}
 	}
 }
@@ -183,9 +176,9 @@ func TestSeedCacheOutOfOrderDispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, col := range []*view.Collection{rnd, shuffled} {
-		cr := &collectionRun{col: col, cols: indexBatch}
+		cr := newCollectionRun(col, -1)
 		member := make([]bool, col.Graph.NumEdges())
-		want := make([][]uint64, col.Stream.NumViews())
+		want := make([][]uint32, col.Stream.NumViews())
 		for v := range want {
 			for _, e := range col.Stream.Adds[v] {
 				member[e] = true
@@ -195,12 +188,12 @@ func TestSeedCacheOutOfOrderDispatch(t *testing.T) {
 			}
 			for e, in := range member {
 				if in {
-					want[v] = append(want[v], uint64(e))
+					want[v] = append(want[v], uint32(e))
 				}
 			}
 		}
 		for _, v := range r.Perm(len(want)) {
-			if got, _ := cr.seed(v); !slices.Equal(got.Srcs, want[v]) {
+			if got, _ := cr.seed(v, nil); !slices.Equal(got.Idx, want[v]) {
 				t.Fatalf("%s: seed of view %d has %d edges, the stream fold %d", col.Name, v, got.Len(), len(want[v]))
 			}
 		}

@@ -20,15 +20,17 @@ func staticPlan(mode ExecMode, k int) splitting.Plan {
 	return splitting.PlanDiffOnly(k)
 }
 
-// seed builds the opening batch of a segment starting at view t — the view's
-// full edge list, one walk of its EBM column — and returns it with the time
-// the build took, which joins the segment's setup cost. It reads only the
+// seed builds the opening edge set of a segment starting at view t — the
+// view's edge indices, one walk of its EBM column, by reference over the
+// graph's columns — and returns it with the time the build took, which joins
+// the segment's setup cost. The list is appended to spare[:0], so a spare
+// list's array is reused (nil takes a new one). It reads only the
 // collection, so the dispatch builder and the adaptive planner call it for
 // any view in any order, concurrently.
-func (cr *collectionRun) seed(t int) (*graph.EdgeBatch, time.Duration) {
+func (cr *collectionRun) seed(t int, spare []uint32) (*graph.EdgeRefs, time.Duration) {
 	start := time.Now()
-	seed := cr.cols(cr.col.EBM.Cols[cr.col.Order[t]].AndNot(nil))
-	return seed, time.Since(start)
+	idx := cr.col.EBM.Cols[cr.col.Order[t]].AppendAndNot(spare[:0], nil)
+	return &graph.EdgeRefs{G: cr.col.Graph, W: cr.wc, Idx: idx}, time.Since(start)
 }
 
 // diffSizes lists every view's difference-set size, the cost models' input.

@@ -43,11 +43,13 @@ type replicaKey struct {
 }
 
 // replicaDelta is one queued mutation delta: the owning collection's
-// final-view membership change as columnar batches, stamped with the graph
-// version the collection reached when it was maintained.
+// final-view membership change, stamped with the graph version the
+// collection reached when it was maintained. Its edges are references into
+// the graph: a later mutation renumbers no edge, so they read the same
+// triples whenever the delta is fed.
 type replicaDelta struct {
 	version    uint64
-	adds, dels *graph.EdgeBatch
+	adds, dels graph.EdgeRefs
 }
 
 // replica is one warm runner and the identity of what it has absorbed. The
@@ -179,10 +181,9 @@ func (st *replica) queue(c *view.Collection, d view.ViewDelta, version uint64, f
 		// A mutation cannot remove a column; fail closed all the same.
 		return false
 	}
-	cols := edgeBatcher(c.Graph, wc)
 	// An empty delta still queues: the version chain must stay contiguous
 	// for warmFor's staleness check.
-	adds, dels := cols(d.Adds), cols(d.Dels)
+	adds, dels := graph.EdgeRefs{G: c.Graph, W: wc, Idx: d.Adds}, graph.EdgeRefs{G: c.Graph, W: wc, Idx: d.Dels}
 	st.pending = append(st.pending, replicaDelta{version: version, adds: adds, dels: dels})
 	st.queued += 1 + adds.Len() + dels.Len()
 	return st.queued <= finalSize
@@ -241,7 +242,9 @@ func (st *replica) extend(ctx context.Context, col *view.Collection, chain []uin
 	stream := col.Stream
 	k := stream.NumViews()
 	sizes := stream.ViewSizes()
-	cols := edgeBatcher(col.Graph, wc)
+	// step holds the additions and deletions each step feeds, by reference;
+	// the runner reads them through pointers into it.
+	var step [2]graph.EdgeRefs
 
 	warm := st.warmFor(col, chain)
 	ctx, span := obs.StartSpan(ctx, "replica",
@@ -272,20 +275,20 @@ func (st *replica) extend(ctx context.Context, col *view.Collection, chain []uin
 			return nil, err
 		}
 		vs := ViewStats{Mode: splitting.ModeDiff}
-		var adds, dels *graph.EdgeBatch
 		delta := len(st.pending) > 0
 		if delta {
 			d := st.pending[0]
-			adds, dels = d.adds, d.dels
+			step[0], step[1] = d.adds, d.dels
 			vs.Index, vs.Name = int(st.next), fmt.Sprintf("Δv%d", d.version)
-			vs.ViewSize, vs.DiffSize = sizes[k-1], adds.Len()+dels.Len()
+			vs.ViewSize, vs.DiffSize = sizes[k-1], d.adds.Len()+d.dels.Len()
 		} else {
 			t := st.pos
-			adds, dels = cols(stream.Adds[t]), cols(stream.Dels[t])
+			step[0] = graph.EdgeRefs{G: col.Graph, W: wc, Idx: stream.Adds[t]}
+			step[1] = graph.EdgeRefs{G: col.Graph, W: wc, Idx: stream.Dels[t]}
 			vs.Index, vs.Name = t, stream.Names[t]
 			vs.ViewSize, vs.DiffSize = sizes[t], stream.DiffSize(t)
 		}
-		vs.Duration = runner.Step(adds, dels)
+		vs.Duration = runner.Step(&step[0], &step[1])
 		vs.OutputDiffs = runner.OutputDiffs()
 		work := totalWork(runner.WorkCounts())
 		vs.Work, done = work-done, work
@@ -296,7 +299,7 @@ func (st *replica) extend(ctx context.Context, col *view.Collection, chain []uin
 			// stream sums to; chain is not consulted before then.
 			st.version, st.pending = st.pending[0].version, st.pending[1:]
 			st.chain = chain[k-1]
-			st.queued -= 1 + adds.Len() + dels.Len()
+			st.queued -= 1 + vs.DiffSize
 		} else {
 			st.chain = chain[st.pos]
 			st.pos++

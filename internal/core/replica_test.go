@@ -255,7 +255,7 @@ type parkRecorder struct {
 	parked bool
 }
 
-func (r *parkRecorder) Step(adds, dels *graph.EdgeBatch) time.Duration {
+func (r *parkRecorder) Step(adds, dels graph.Edges) time.Duration {
 	r.parked = false
 	return r.Instance.Step(adds, dels)
 }

@@ -50,12 +50,14 @@ func (rp *runPool) Release(r analytics.Runner) {
 }
 
 // viewStep is one view ready to execute: its stats identity (index, name,
-// mode, sizes — the step fills in the measurements) and the batches to feed.
-// seed marks a segment's opening view, whose adds are the whole view.
+// mode, sizes — the step fills in the measurements) and the edges to feed,
+// by reference (graph.EdgeRefs) on the local paths and as the shipped
+// batches on a worker. seed marks a segment's opening view, whose adds are
+// the whole view.
 type viewStep struct {
 	meta       ViewStats
 	seed       bool
-	adds, dels *graph.EdgeBatch
+	adds, dels graph.Edges
 }
 
 // collectionRun is the shared context of one RunCollection call: read-only
@@ -67,9 +69,11 @@ type viewStep struct {
 type collectionRun struct {
 	col   *view.Collection
 	sizes []int
-	// cols is the run's single edge-index → columnar-batch conversion point
-	// (see edgeBatcher).
-	cols func(idxs []uint32) *graph.EdgeBatch
+	// wc is the weight column the run's edges are read with, and adds and
+	// dels every view's difference sets as references over the graph's
+	// columns: the stream's own lists, which a step reads in place.
+	wc         int
+	adds, dels []graph.EdgeRefs
 
 	// observe feeds an adaptive run's optimizer each executed view's stats;
 	// runAdaptive sets it, and static runs leave it nil. Safe to call from
@@ -84,19 +88,33 @@ type collectionRun struct {
 	outcomes []*SegmentOutcome
 }
 
+// newCollectionRun prepares a run of col whose edges are weighted by column
+// wc: the view sizes and every view's difference sets as references, the
+// only per-view state a run builds.
+func newCollectionRun(col *view.Collection, wc int) *collectionRun {
+	stream := col.Stream
+	k := stream.NumViews()
+	cr := &collectionRun{col: col, sizes: stream.ViewSizes(), wc: wc, adds: make([]graph.EdgeRefs, k), dels: make([]graph.EdgeRefs, k)}
+	for t := range k {
+		cr.adds[t] = graph.EdgeRefs{G: col.Graph, W: wc, Idx: stream.Adds[t]}
+		cr.dels[t] = graph.EdgeRefs{G: col.Graph, W: wc, Idx: stream.Dels[t]}
+	}
+	return cr
+}
+
 // view returns view t of the run's stream as a step. A segment's opening
 // view feeds the seed built for it; every other view feeds its difference
-// sets, materialized here — per view, as the segment reaches it, so a long
-// segment never holds more than one view's batches.
-func (cr *collectionRun) view(t int, mode splitting.Mode, seed *graph.EdgeBatch) viewStep {
+// sets, which point into the stream and copy nothing.
+func (cr *collectionRun) view(t int, mode splitting.Mode, seed *graph.EdgeRefs) viewStep {
 	stream := cr.col.Stream
 	v := viewStep{
 		meta: ViewStats{Index: t, Name: stream.Names[t], Mode: mode, ViewSize: cr.sizes[t], DiffSize: stream.DiffSize(t)},
 		seed: seed != nil,
-		adds: seed,
 	}
-	if seed == nil {
-		v.adds, v.dels = cr.cols(stream.Adds[t]), cr.cols(stream.Dels[t])
+	if seed != nil {
+		v.adds = seed
+	} else {
+		v.adds, v.dels = &cr.adds[t], &cr.dels[t]
 	}
 	return v
 }
@@ -227,10 +245,11 @@ func releaseSeg(pool *runPool, s *segmentExec) {
 }
 
 // segment is the unit of static dispatch: a plan segment and the seed the
-// builder made for it, with the time that took.
+// builder made for it — the opening view's edge indices, by reference — with
+// the time that took.
 type segment struct {
 	splitting.Segment
-	seed  *graph.EdgeBatch
+	seed  *graph.EdgeRefs
 	build time.Duration
 }
 
@@ -283,6 +302,17 @@ func (cr *collectionRun) dispatch(ctx context.Context, plan splitting.Plan, orde
 		}
 	}
 
+	// spare holds the index lists of seeds whose segments have run, for the
+	// builder to refill, so a run allocates about as many lists as seeds can
+	// be live at once (slots+1, its capacity), not one per segment.
+	spare := make(chan []uint32, local+len(remote.runners)+1)
+	recycle := func(seg *segment) {
+		select {
+		case spare <- seg.seed.Idx:
+		default:
+		}
+	}
+
 	var wg sync.WaitGroup
 	fresh := make(chan *segment)
 	wg.Add(1)
@@ -291,7 +321,12 @@ func (cr *collectionRun) dispatch(ctx context.Context, plan splitting.Plan, orde
 		defer close(fresh)
 		for _, si := range order {
 			seg := &segment{Segment: plan.Segments[si]}
-			seg.seed, seg.build = cr.seed(seg.Start)
+			var list []uint32
+			select {
+			case list = <-spare:
+			default:
+			}
+			seg.seed, seg.build = cr.seed(seg.Start, list)
 			select {
 			case fresh <- seg:
 			case <-ctx.Done():
@@ -313,6 +348,7 @@ func (cr *collectionRun) dispatch(ctx context.Context, plan splitting.Plan, orde
 					retry <- seg
 					return
 				}
+				recycle(seg)
 				cr.record(out)
 			}
 		}(r)
@@ -341,6 +377,7 @@ func (cr *collectionRun) dispatch(ctx context.Context, plan splitting.Plan, orde
 						cancel(err)
 						return
 					}
+					recycle(seg)
 					cr.record(out)
 				}
 			}
@@ -351,8 +388,10 @@ func (cr *collectionRun) dispatch(ctx context.Context, plan splitting.Plan, orde
 }
 
 // spec materializes a segment as the self-contained shard a SegmentRunner
-// executes: the same view steps a local slot would take, with the successor
-// views' difference batches built up front because they must cross a wire.
+// executes: the same view steps a local slot would take, with the seed and
+// the successor views' difference sets built up front as sorted batches
+// because they must cross a wire. This is where a run's edge sets become
+// graph.EdgeBatch values.
 func (rs remoteSlots) spec(collection string, seg *segment, view func(int) viewStep) *SegmentSpec {
 	n := seg.Len()
 	sp := &SegmentSpec{
@@ -365,25 +404,31 @@ func (rs remoteSlots) spec(collection string, seg *segment, view func(int) viewS
 		Modes:      make([]splitting.Mode, n),
 		ViewSizes:  make([]int, n),
 		DiffSizes:  make([]int, n),
-		Seed:       seg.seed,
+		Seed:       batch(seg.seed),
 	}
 	for i := 0; i < n; i++ {
 		v := view(seg.Start + i)
 		sp.Names[i], sp.Modes[i], sp.ViewSizes[i], sp.DiffSizes[i] = v.meta.Name, v.meta.Mode, v.meta.ViewSize, v.meta.DiffSize
 		if i > 0 {
-			sp.Adds, sp.Dels = append(sp.Adds, v.adds), append(sp.Dels, v.dels)
+			sp.Adds, sp.Dels = append(sp.Adds, batch(v.adds)), append(sp.Dels, batch(v.dels))
 		}
 	}
 	return sp
 }
 
+// batch materializes an edge set for the wire: sorted, so a set ships as the
+// same bytes whichever order it is read in, and never nil (see SegmentSpec).
+func batch(e graph.Edges) *graph.EdgeBatch {
+	return graph.MakeEdgeBatch(e.Len(), e.Triple)
+}
+
 // viewJob is one view handed to an adaptive segment's executor: the view's
 // index, the mode the planner chose, and — on the segment's first view only —
-// the columnar edge batch seeding the segment's fresh dataflow.
+// the edge indices seeding the segment's fresh dataflow.
 type viewJob struct {
 	t    int
 	mode splitting.Mode
-	seed *graph.EdgeBatch // non-nil exactly on the segment's first view
+	seed *graph.EdgeRefs // non-nil exactly on the segment's first view
 }
 
 // barrier is a no-op job: sending it on a segment's unbuffered queue returns
@@ -508,7 +553,7 @@ func (cr *collectionRun) runAdaptive(ctx context.Context, opts RunOptions, pool 
 				}
 			}
 			var build time.Duration
-			j.seed, build = cr.seed(t)
+			j.seed, build = cr.seed(t, nil)
 			var err error
 			if cur, err = openSegment(ctx, pool, t, build); err != nil {
 				return drain(err)

@@ -1,6 +1,9 @@
 package graph
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // Bitset is a fixed-length bit vector over row indices: one column of a
 // collection's edge boolean matrix, one compiled predicate's rows, or a row
@@ -48,9 +51,15 @@ func (b *Bitset) Count() int {
 }
 
 // AndNot returns the ascending indices of the bits set in b and not in o (nil
-// for none), counted first to allocate the slice at its exact size. A nil o
-// clears nothing, so b.AndNot(nil) lists b's members.
-func (b *Bitset) AndNot(o *Bitset) []uint32 {
+// for none), in a slice of exactly that size. A nil o clears nothing, so
+// b.AndNot(nil) lists b's members.
+func (b *Bitset) AndNot(o *Bitset) []uint32 { return b.AppendAndNot(nil, o) }
+
+// AppendAndNot appends the ascending indices of the bits set in b and not in
+// o to dst and returns the extended slice. It counts them first, so dst grows
+// at most once, to exactly the size needed; a caller that passes a spare
+// list's dst[:0] back in reuses its array.
+func (b *Bitset) AppendAndNot(dst []uint32, o *Bitset) []uint32 {
 	var ow []uint64
 	if o != nil {
 		ow = o.words
@@ -63,18 +72,18 @@ func (b *Bitset) AndNot(o *Bitset) []uint32 {
 		n += bits.OnesCount64(w)
 	}
 	if n == 0 {
-		return nil
+		return dst
 	}
-	out := make([]uint32, 0, n)
+	dst = slices.Grow(dst, n)
 	for i, w := range b.words {
 		if i < len(ow) {
 			w &^= ow[i]
 		}
 		for ; w != 0; w &= w - 1 {
-			out = append(out, uint32(i<<6|bits.TrailingZeros64(w)))
+			dst = append(dst, uint32(i<<6|bits.TrailingZeros64(w)))
 		}
 	}
-	return out
+	return dst
 }
 
 // HammingDistance returns the number of positions where b and o differ.

@@ -42,4 +42,12 @@ func TestBitset(t *testing.T) {
 	if got := b.AndNot(o); !slices.Equal(got, []uint32{64, 129, 199}) {
 		t.Fatalf("and-not of a shorter bitset = %v", got)
 	}
+	spare := make([]uint32, 1, 8)
+	spare[0] = 7
+	if got := b.AppendAndNot(spare, o); !slices.Equal(got, []uint32{7, 64, 129, 199}) || &got[0] != &spare[0] {
+		t.Fatalf("append and-not = %v, in its own array: %v", got, &got[0] != &spare[0])
+	}
+	if got := o.AppendAndNot(spare[:0], o); len(got) != 0 || cap(got) != 8 {
+		t.Fatalf("empty append and-not = %v with capacity %d", got, cap(got))
+	}
 }

@@ -17,12 +17,43 @@ const EdgeBatchCodecVersion = 1
 // layer wraps it (via gob) into its own typed ErrWire.
 var ErrEdgeCodec = errors.New("graph: bad edge batch encoding")
 
+// Edges is a read-only sequence of edges, what a computation steps: a view's
+// edge set or one of its difference sets. Its order carries no meaning; the
+// dataflow reads it as a multiset. Two types implement it: EdgeRefs, edge
+// indices resolved against the graph's own columns as they are read (every
+// local path), and *EdgeBatch, the materialized columns a shard ships.
+type Edges interface {
+	// Len returns the number of edges.
+	Len() int
+	// Triple returns edge i.
+	Triple(i int) Triple
+}
+
+// EdgeRefs is an edge set by reference: a list of edge indices of a graph,
+// each read from the graph's source, destination and weight columns when it
+// is asked for, so the set costs no copy of its edges. It is valid while the
+// graph keeps those rows: a mutation appends rows and tombstones others but
+// never renumbers or rewrites one, so references made at any graph version
+// read the same triples at every later one. The list is shared, not copied,
+// and must not change while the set is read.
+type EdgeRefs struct {
+	G   *Graph
+	W   int      // weight column, -1 for unit weights (see Graph.Triple)
+	Idx []uint32 // edge indices
+}
+
+// Len returns the number of edges.
+func (r EdgeRefs) Len() int { return len(r.Idx) }
+
+// Triple returns edge i of the set, edge Idx[i] of the graph.
+func (r EdgeRefs) Triple(i int) Triple { return r.G.Triple(int(r.Idx[i]), r.W) }
+
 // EdgeBatch is an immutable columnar edge multiset: parallel source,
-// destination, and weight columns sorted by (Src, Dst, W). It is the
-// engine's shipping and seeding unit for edge sets — a segment seed, a
-// per-view difference set — shared by reference wherever the same edge set
-// is needed twice (a shard retained locally and shipped to a worker)
-// instead of copying []Triple.
+// destination, and weight columns sorted by (Src, Dst, W). It is the wire
+// unit for edge sets — a shard's seed and difference sets (core's
+// SegmentSpec), a mutation's inserts and deletes — where the receiving side
+// holds no graph to resolve edge indices against; local execution reads
+// EdgeRefs instead.
 //
 // The fields are exported for the wire codec and columnar consumers but
 // must be treated as read-only after construction; sharing is only safe
@@ -45,9 +76,9 @@ func NewEdgeBatch(ts []Triple) *EdgeBatch {
 	return MakeEdgeBatch(len(ts), func(i int) Triple { return ts[i] })
 }
 
-// MakeEdgeBatch builds a sorted batch from n triples produced by at — the
-// single conversion point from edge indexes or triple slices to columns,
-// without an intermediate []Triple.
+// MakeEdgeBatch builds a sorted batch from n triples produced by at, without
+// an intermediate []Triple. Sorting makes a batch a function of its multiset:
+// the same edge set ships as the same bytes whatever order it was read in.
 func MakeEdgeBatch(n int, at func(i int) Triple) *EdgeBatch {
 	b := &EdgeBatch{
 		Srcs: make([]uint64, n),
