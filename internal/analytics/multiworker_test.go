@@ -31,8 +31,9 @@ func TestMPSPMultiWorker(t *testing.T) {
 	}
 }
 
-// TestPageRankMultiWorker covers the sum-reduce and degree join under
-// parallelism (numeric paths, unlike the min-based algorithms).
+// TestPageRankMultiWorker covers the degree join and JoinSum under
+// parallelism (numeric paths, unlike the min-based algorithms): JoinSum's
+// shares are broadcast to every worker and its edges routed by destination.
 func TestPageRankMultiWorker(t *testing.T) {
 	for _, workers := range []int{2, 4} {
 		runVersions(t, PageRank{Iterations: 5}, workers, 33, func(es []graph.Triple) map[uint64]int64 {

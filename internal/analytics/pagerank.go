@@ -53,17 +53,18 @@ func (c PageRank) Build(b *Builder) {
 		return dataflow.KV[uint64, int64]{K: v, V: PRScale}
 	})
 
+	// Each iteration divides every vertex's damped rank by its out-degree.
+	// A share, ⌊rank·85/100⌋/deg, is not linear in the rank, so this join
+	// stays its own operator. JoinSum then sends each share along every
+	// out-edge and adds the base rank: it folds a share's difference
+	// straight into its out-neighbours' (time, n, Σ) rows, so no
+	// contribution record is made, exchanged or stored.
+	send := dataflow.Sum[uint64, dstW]{Dst: dstW.dst, Weight: func(share int64, _ dstW) int64 { return share }}
 	ranks := dataflow.IterateN(initial, iters, func(x *dataflow.Collection[dataflow.KV[uint64, int64]]) *dataflow.Collection[dataflow.KV[uint64, int64]] {
-		// Divide each vertex's damped rank by its out-degree...
 		shares := dataflow.JoinMapTotal(x, degrees, func(v uint64, rank int64, deg int64) dataflow.KV[uint64, int64] {
 			return dataflow.KV[uint64, int64]{K: v, V: rank * damping / 100 / deg}
 		})
-		// ...send the share along every out-edge...
-		contribs := dataflow.JoinMapTotal(shares, edges, func(_ uint64, share int64, e dstW) dataflow.KV[uint64, int64] {
-			return dataflow.KV[uint64, int64]{K: e.Dst, V: share}
-		})
-		// ...and accumulate with the base rank.
-		return dataflow.ReduceSum(dataflow.Concat(base, contribs))
+		return dataflow.JoinSum(shares, edges, base, send)
 	})
 	b.Output(dataflow.Map(ranks, func(kv dataflow.KV[uint64, int64]) VertexValue {
 		return VertexValue{V: kv.K, Val: kv.V}

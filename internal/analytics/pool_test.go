@@ -261,8 +261,9 @@ func TestPoolReleaseParks(t *testing.T) {
 // TestPoolKeepsScratchColumns pins the version-0 condition of Scope.Park: a
 // pooled Instance that ran only version 0 keeps its exchange columns across
 // Release and Acquire, so the next scratch view refills them instead of
-// growing them again: about 55 B per edge (about 100 B under the race
-// detector) against about 1 600 B when Release lets them go.
+// growing them again. Measured: wcc and pagerank about 1 B per edge (also
+// under the race detector), against about 1 600 B when Release lets them go
+// and about 1 700 B for pagerank when JoinSum's reset drops its columns.
 func TestPoolKeepsScratchColumns(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	edges := make([]graph.Triple, 4000)
@@ -270,29 +271,31 @@ func TestPoolKeepsScratchColumns(t *testing.T) {
 		edges[i] = graph.Triple{Src: uint64(r.Intn(2000)), Dst: uint64(r.Intn(2000)), W: 1}
 	}
 	view := graph.NewEdgeBatch(edges)
-	p := NewPool(WCC{}, 1, 1)
-	cycle := func() {
-		run, _, err := p.Acquire(context.Background())
-		if err != nil {
-			t.Fatal(err)
+	for _, comp := range []Computation{WCC{}, PageRank{Iterations: 5}} {
+		p := NewPool(comp, 1, 1)
+		cycle := func() {
+			run, _, err := p.Acquire(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			run.Step(view, nil)
+			p.Release(run)
 		}
-		run.Step(view, nil)
-		p.Release(run)
-	}
-	for i := 0; i < 3; i++ {
-		cycle()
-	}
-	const n = 5
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	for i := 0; i < n; i++ {
-		cycle()
-	}
-	runtime.ReadMemStats(&m1)
-	perEdge := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(n*len(edges))
-	t.Logf("a pooled scratch view allocates %.1f B per edge", perEdge)
-	if perEdge > 400 {
-		t.Fatalf("a pooled scratch view allocates %.1f B per edge, want at most 400: its exchange columns did not survive Release", perEdge)
+		for i := 0; i < 3; i++ {
+			cycle()
+		}
+		const n = 5
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < n; i++ {
+			cycle()
+		}
+		runtime.ReadMemStats(&m1)
+		perEdge := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(n*len(edges))
+		t.Logf("%s: a pooled scratch view allocates %.1f B per edge", comp.Name(), perEdge)
+		if perEdge > 400 {
+			t.Fatalf("%s: a pooled scratch view allocates %.1f B per edge, want at most 400: its exchange columns did not survive Release", comp.Name(), perEdge)
+		}
 	}
 }
 
@@ -302,9 +305,9 @@ func TestPoolKeepsScratchColumns(t *testing.T) {
 // pending buffers, output batches and schedules go and the next run grows
 // them again, while the input's and the fused operators' scratch, bounded at
 // chunkRows rows a batch, stays. Bytes per edge a run, measured (under the
-// race detector): wcc 853 (1 022), sssp 663 (710); 1 220 and 984 while that
-// scratch was view-sized and went with the rest, and sssp's roots came from
-// the whole vertex set.
+// race detector): wcc 466 (636), sssp 147 (183), pagerank 1 181 (1 418);
+// pagerank read 1 847 (2 080) while its loop sent one contribution record
+// per out-edge through a join and a sum reduce, before JoinSum.
 func TestPoolDifferentialRunBytes(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	edge := func() graph.Triple {
@@ -326,7 +329,7 @@ func TestPoolDifferentialRunBytes(t *testing.T) {
 	for _, c := range []struct {
 		comp  Computation
 		bound float64
-	}{{WCC{}, 1100}, {SSSP{Source: edges[0].Src}, 800}} {
+	}{{WCC{}, 1100}, {SSSP{Source: edges[0].Src}, 800}, {PageRank{Iterations: 5}, 1600}} {
 		p := NewPool(c.comp, 1, 1)
 		cycle := func() {
 			run, _, err := p.Acquire(context.Background())

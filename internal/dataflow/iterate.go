@@ -70,10 +70,10 @@ func (n *delayNode[R]) minPending(w int) (timestamp.Time, bool) { return n.p.min
 // its own scope. Body must contain at least one stateful operator (Reduce),
 // which every converging fixpoint needs anyway. Inside body, times carry
 // iterations, so the totally ordered operators are out of reach there:
-// DistinctTotal, CountTotal, JoinMapTotal's right input and the edge and
-// root inputs of JoinMin and JoinMax panic at an inner time other than 0
-// (JoinMapTotal's left input and JoinMin's and JoinMax's x may be the loop
-// variable).
+// DistinctTotal, CountTotal, JoinMapTotal's right input, the edge and root
+// inputs of JoinMin and JoinMax and the edge and base inputs of JoinSum
+// panic at an inner time other than 0 (JoinMapTotal's left input and the x
+// of JoinMin, JoinMax and JoinSum may be the loop variable).
 func Iterate[R comparable](initial *Collection[R], body func(*Collection[R]) *Collection[R]) *Collection[R] {
 	return iterate(initial, 0, body)
 }

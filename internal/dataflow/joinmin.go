@@ -332,17 +332,7 @@ func (n *relaxNode[K, N, V, E]) run(w int, t timestamp.Time) {
 		if !rule || !n.byRule(sh, s, t, &work) {
 			n.walk(sh, s, k, t, &work)
 		}
-		for _, e := range sh.outs.At(s) {
-			if e.T.Leq(t) {
-				mergeVD(&sh.delta, e.V, -e.D)
-			}
-		}
-		for _, od := range sh.delta {
-			if od.D != 0 {
-				ob.add(KV[K, V]{k, od.V}, od.D)
-				sh.outs.Add(s, od.V, t, od.D)
-			}
-		}
+		sh.delta = correct(&sh.outs, s, k, t, sh.delta, ob)
 	}
 	n.s.addWork(w, work+len(ob.recs))
 	n.out.emit(w, ob)

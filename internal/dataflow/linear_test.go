@@ -40,7 +40,9 @@ func linearGeneral(name string) func(*Collection[KV[int, int64]]) *Collection[KV
 // distinctKeys to Reduce with the same fold written out: outside any loop,
 // over a stream whose counts may go negative; inside IterateN in PageRank's
 // shape, Concat(base, JoinMapTotal(x, edges)); and inside a fixpoint Iterate
-// (reachability through distinct). Versions bring inserts and deletes, keys
+// (reachability through distinct). It holds JoinSum to ReduceSum(Concat(base,
+// JoinMapTotal(x, edges))) in the same two places, the loop's body dividing
+// x by the out-degree first, as PageRank's does. Versions bring inserts and deletes, keys
 // retracted to zero and later restored, empty versions and skipped version
 // numbers; the scope compacts after most versions. At a random version the
 // scope is reset and replays every version sent so far, from version 0, then
@@ -80,6 +82,25 @@ func FuzzLinearReduceMatchesGeneral(f *testing.F) {
 			}
 			pairs = append(pairs, capturePair[KV[int, int64]]{name + " in IterateN", pagerank(op), pagerank(general)})
 		}
+		// JoinSum against the three operators it fuses: outside any loop,
+		// where x's counts go negative, and in PageRank's shape, each
+		// iteration's values divided by the out-degree before they are sent.
+		sum := Sum[int, int]{Dst: func(dst int) int { return dst }, Weight: func(v int64, dst int) int64 { return v%5 + int64(dst) }}
+		unfused := func(x *Collection[KV[int, int64]]) *Collection[KV[int, int64]] {
+			return ReduceSum(Concat(base, JoinMapTotal(x, edges, send)))
+		}
+		pairs = append(pairs, capturePair[KV[int, int64]]{"JoinSum",
+			NewCapture(JoinSum(vals, edges, base, sum)), NewCapture(unfused(vals))})
+		degrees := CountTotal(edges)
+		pagerank := func(join func(*Collection[KV[int, int64]]) *Collection[KV[int, int64]]) *Capture[KV[int, int64]] {
+			return NewCapture(IterateN(base, 4, func(x *Collection[KV[int, int64]]) *Collection[KV[int, int64]] {
+				return join(JoinMapTotal(x, degrees, func(k int, v, deg int64) KV[int, int64] { return KV[int, int64]{k, v * 85 / 100 / deg} }))
+			}))
+		}
+		pairs = append(pairs, capturePair[KV[int, int64]]{"JoinSum in IterateN", pagerank(func(x *Collection[KV[int, int64]]) *Collection[KV[int, int64]] {
+			return JoinSum(x, edges, base, sum)
+		}), pagerank(unfused)})
+
 		fixpoint := func(reduce func(*Collection[KV[int, int64]]) *Collection[KV[int, int64]]) *Capture[KV[int, int64]] {
 			return NewCapture(Iterate(base, func(x *Collection[KV[int, int64]]) *Collection[KV[int, int64]] {
 				return reduce(Concat(base, JoinMapTotal(x, edges, reach)))

@@ -136,9 +136,10 @@ func pick[V cmp.Ordered](vals []VD[V], dir int, emit func(V)) {
 	}
 }
 
-// ReduceSum emits, per key present, the diff-weighted sum of the values (used
-// by PageRank to accumulate rank contributions). It is linear: a key keeps
-// one (n, Σ) per time, not its values.
+// ReduceSum emits, per key present, the diff-weighted sum of the values. It
+// is linear: a key keeps one (n, Σ) per time, not its values. A sum over
+// messages joined from edges is JoinSum, which fuses the join with this
+// reduce and keeps the same rows; ReduceSum is its reference.
 func ReduceSum[K comparable](in *Collection[KV[K, int64]]) *Collection[KV[K, int64]] {
 	return reduceLinear(in, "sum", func(v int64) int64 { return v }, func(n, sum int64, emit func(int64)) {
 		if n != 0 {
@@ -222,14 +223,8 @@ func (n *reduceNode[K, V, O]) run(w int, t timestamp.Time) {
 		k := sh.keys.KeyAt(s) // touched since the frontier moved: its stores are clamped
 		sh.delta = sh.delta[:0]
 		if n.lin != nil {
-			rows := sh.lin.At(s)
-			work += len(rows)
-			var c, sum int64
-			for _, r := range rows {
-				if r.t.Leq(t) {
-					c, sum = c+r.n, sum+r.sum
-				}
-			}
+			c, sum, read := sumRows(sh.lin.At(s), t)
+			work += read
 			n.lin(c, sum, sh.emit)
 		} else {
 			in := sh.ins.At(s)
@@ -238,19 +233,7 @@ func (n *reduceNode[K, V, O]) run(w int, t timestamp.Time) {
 				n.f(k, acc, sh.emit)
 			}
 		}
-		// Desired output minus accumulated emitted output; output sets are
-		// tiny (usually one record), so a linear merge suffices.
-		for _, e := range sh.outs.At(s) {
-			if e.T.Leq(t) {
-				mergeVD(&sh.delta, e.V, -e.D)
-			}
-		}
-		for _, od := range sh.delta {
-			if od.D != 0 {
-				ob.add(KV[K, O]{k, od.V}, od.D)
-				sh.outs.Add(s, od.V, t, od.D)
-			}
-		}
+		sh.delta = correct(&sh.outs, s, k, t, sh.delta, ob)
 	}
 	n.s.addWork(w, work)
 	n.out.emit(w, ob)
@@ -307,19 +290,42 @@ func (sh *reduceShard[K, V, O]) foldKeys(b *batch[KV[K, V]], w func(V) int64) {
 	b.recs, b.diffs = b.recs[:0], b.diffs[:0]
 }
 
-// addRow adds (d, x) to slot s's row at t, the running time, pushing one if
-// the key has none. Rows are pushed in the scope's lexicographic time order
-// and clamping keeps them sorted, so the running time's row, if any, is
-// found from the end before the first row lexicographically below t.
+// addRow adds (d, x) to slot s's row at t, inserting one in its place if
+// the key has none. A key's rows are sorted lexicographically by time
+// (clamping keeps them so, and sumRows relies on it), and t is at or above
+// the running time, so t's row or place is found from the end: a reduce's
+// rows land at the running time, last; JoinSum's at several iterations of
+// the running version in one run.
 func addRow(sl *arrange.SpanSlab[linRow], s uint32, t timestamp.Time, d, x int64) {
 	rs := sl.At(s)
-	for j := len(rs) - 1; j >= 0 && !rs[j].t.LexLess(t); j-- {
-		if rs[j].t == t {
-			rs[j].n, rs[j].sum = rs[j].n+d, rs[j].sum+x
+	j := len(rs)
+	for ; j > 0 && !rs[j-1].t.LexLess(t); j-- {
+		if r := &rs[j-1]; r.t == t {
+			r.n, r.sum = r.n+d, r.sum+x
 			return
 		}
 	}
 	sl.Push(s, linRow{t, d, x})
+	if j < len(rs) {
+		rs = sl.At(s)
+		copy(rs[j+1:], rs[j:])
+		rs[j] = linRow{t, d, x}
+	}
+}
+
+// sumRows sums the rows rs at or below t into n and sum. The rows are
+// sorted (addRow), and none lexicographically above t is ≤ t, so it stops
+// at the first of those; read is the rows it read.
+func sumRows(rs []linRow, t timestamp.Time) (n, sum int64, read int) {
+	for i, r := range rs {
+		if t.LexLess(r.t) {
+			return n, sum, i + 1
+		}
+		if r.t.Leq(t) {
+			n, sum = n+r.n, sum+r.sum
+		}
+	}
+	return n, sum, len(rs)
 }
 
 // foldRows writes the linear rows rs[i:j], whose clamped time is t, merged
@@ -371,6 +377,25 @@ func (sh *reduceShard[K, V, O]) fold(t timestamp.Time, in []arrange.Entry[V]) []
 		}
 	}
 	return acc[:n]
+}
+
+// correct adds key k's output correction at t to ob: delta, the output
+// wanted at t, less slot s's output history accumulated ≤ t, each record
+// also added to the history. Output sets are tiny (usually one record), so
+// a linear merge suffices. It returns delta's column, for reuse.
+func correct[K comparable, O comparable](outs *arrange.History[O], s uint32, k K, t timestamp.Time, delta []VD[O], ob *batch[KV[K, O]]) []VD[O] {
+	for _, e := range outs.At(s) {
+		if e.T.Leq(t) {
+			mergeVD(&delta, e.V, -e.D)
+		}
+	}
+	for _, od := range delta {
+		if od.D != 0 {
+			ob.add(KV[K, O]{k, od.V}, od.D)
+			outs.Add(s, od.V, t, od.D)
+		}
+	}
+	return delta
 }
 
 // mergeVD accumulates d into the entry for v, appending if absent.

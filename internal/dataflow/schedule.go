@@ -41,10 +41,12 @@ func (sc *schedule) begin(t timestamp.Time, room int) {
 // version, queueing each it restamps, and stops at nt's entry if that is
 // stamped already (all above it are). A key touched at t is due now, even
 // when t is scheduled (it may have been evaluated at t earlier in the
-// round); later times wait in dirty.
+// round); later times wait in dirty. A key already due at t needs nothing
+// more: it was touched at t, or queued at t when t's entry was stamped, and
+// no version since has restamped it.
 func (sc *schedule) touch(s uint32, nt, t timestamp.Time) {
-	if nt == t {
-		sc.mark(s)
+	if nt == t && !sc.mark(s) {
+		return
 	}
 	ts, own := sc.times.At(s), false
 	for j := range ts {
@@ -67,12 +69,15 @@ func (sc *schedule) touch(s uint32, nt, t timestamp.Time) {
 	}
 }
 
-// mark puts slot s on the due list unless it is there already.
-func (sc *schedule) mark(s uint32) {
-	if sc.on = arrange.Grow(sc.on, s); !sc.on[s] {
-		sc.on[s] = true
-		sc.due = append(sc.due, s)
+// mark puts slot s on the due list unless it is there already, and
+// reports whether it did.
+func (sc *schedule) mark(s uint32) bool {
+	if sc.on = arrange.Grow(sc.on, s); sc.on[s] {
+		return false
 	}
+	sc.on[s] = true
+	sc.due = append(sc.due, s)
+	return true
 }
 
 // takeDue returns the due list and clears each key's due flag: the owner

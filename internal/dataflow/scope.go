@@ -243,8 +243,8 @@ func (s *Scope) drainTime(t timestamp.Time) {
 // (see arrange.Keys.Stale), so compaction costs time proportional to the
 // keys a version touches, not to the shard's state. The totally ordered
 // operators (DistinctTotal, CountTotal, JoinMapTotal's right side, JoinMin's
-// and JoinMax's edges and roots) keep no time to clamp. ResetState drops the
-// histories and keeps their columns for the next run.
+// and JoinMax's edges and roots, JoinSum's edges) keep no time to clamp.
+// ResetState drops the histories and keeps their columns for the next run.
 func (s *Scope) Compact(outer uint32) {
 	for {
 		cur := s.frontier.Load()

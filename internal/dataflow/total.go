@@ -15,9 +15,10 @@ import (
 // update it in O(delta) per version with nothing to merge or clamp. They
 // are Differential Dataflow's distinct_total and count_total, restricted as
 // there to totally ordered times. Fed a time with Inner ≠ 0 — any stream
-// inside an Iterate body — they panic. JoinMapTotal's right input and
-// JoinMin's and JoinMax's edges and roots are kept the same way, as (value,
-// count) pairs per key (totalIndex), under the same rule.
+// inside an Iterate body — they panic. JoinMapTotal's right input,
+// JoinMin's and JoinMax's edges and roots and JoinSum's edges are kept the
+// same way, as (value, count) pairs per key (totalIndex), under the same
+// rule; JoinSum's base, folded into its rows, is held to it too.
 
 // mustBeTotal panics unless t is a time op accepts: (version, 0).
 func mustBeTotal(op string, t timestamp.Time) {

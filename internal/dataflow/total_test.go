@@ -158,6 +158,28 @@ func TestJoinMapTotalPanicsInsideIterate(t *testing.T) {
 	})
 }
 
+// TestJoinSumPanicsInsideIterate feeds JoinSum's edges, then its base, from
+// the loop variable; its x may carry any time.
+func TestJoinSumPanicsInsideIterate(t *testing.T) {
+	sum := Sum[int, int]{Dst: func(dst int) int { return dst }, Weight: func(v int64, _ int) int64 { return v }}
+	widen := func(x *Collection[KV[int, int]]) *Collection[KV[int, int64]] {
+		return Map(x, func(kv KV[int, int]) KV[int, int64] { return KV[int, int64]{kv.K, int64(kv.V)} })
+	}
+	narrow := func(x *Collection[KV[int, int64]]) *Collection[KV[int, int]] {
+		return Map(x, func(kv KV[int, int64]) KV[int, int] { return KV[int, int]{kv.K, int(kv.V)} })
+	}
+	mustPanicNaming(t, "JoinSum's edge input", func(in *Collection[KV[int, int]]) {
+		Iterate(in, func(x *Collection[KV[int, int]]) *Collection[KV[int, int]] {
+			return narrow(JoinSum(widen(x), step(x), widen(in), sum))
+		})
+	})
+	mustPanicNaming(t, "JoinSum's base input", func(in *Collection[KV[int, int]]) {
+		Iterate(in, func(x *Collection[KV[int, int]]) *Collection[KV[int, int]] {
+			return narrow(JoinSum(widen(x), in, widen(step(x)), sum))
+		})
+	})
+}
+
 // TestTotalIndexKeepsPairsConsolidated holds a total index to a map of its
 // accumulated counts over random batches, each a consolidated set of
 // updates, across a reset: every key's pairs must be exactly its values
