@@ -59,12 +59,11 @@ func (c PageRank) Build(b *Builder) {
 	// out-edge and adds the base rank: it folds a share's difference
 	// straight into its out-neighbours' (time, n, Σ) rows, so no
 	// contribution record is made, exchanged or stored.
-	send := dataflow.Sum[uint64, dstW]{Dst: dstW.dst, Weight: func(share int64, _ dstW) int64 { return share }}
 	ranks := dataflow.IterateN(initial, iters, func(x *dataflow.Collection[dataflow.KV[uint64, int64]]) *dataflow.Collection[dataflow.KV[uint64, int64]] {
 		shares := dataflow.JoinMapTotal(x, degrees, func(v uint64, rank int64, deg int64) dataflow.KV[uint64, int64] {
 			return dataflow.KV[uint64, int64]{K: v, V: rank * damping / 100 / deg}
 		})
-		return dataflow.JoinSum(shares, edges, base, send)
+		return dataflow.JoinSum(shares, edges, base, dstW.dst)
 	})
 	b.Output(dataflow.Map(ranks, func(kv dataflow.KV[uint64, int64]) VertexValue {
 		return VertexValue{V: kv.K, Val: kv.V}

@@ -544,18 +544,9 @@ func (n *relaxNode[K, N, V, E]) reset() {
 }
 
 func (n *relaxNode[K, N, V, E]) hasPending(w int, t timestamp.Time) bool {
-	return n.px.has(w, t) || n.pe.has(w, t) || n.pr.has(w, t) || n.st[w].sched.dirty.Has(t)
+	return n.st[w].sched.hasPending(w, t, n.px, n.pe, n.pr)
 }
 
 func (n *relaxNode[K, N, V, E]) minPending(w int) (timestamp.Time, bool) {
-	best, found := n.st[w].sched.dirty.Min()
-	lower := func(t timestamp.Time, ok bool) {
-		if ok && (!found || t.LexLess(best)) {
-			best, found = t, true
-		}
-	}
-	lower(n.px.min(w))
-	lower(n.pe.min(w))
-	lower(n.pr.min(w))
-	return best, found
+	return n.st[w].sched.minPending(w, n.px, n.pe, n.pr)
 }

@@ -7,20 +7,13 @@ import (
 	"graphsurge/internal/timestamp"
 )
 
-// Sum says how JoinSum's messages travel along edges: an edge is keyed by
-// its source vertex and carries a value E; the message a source's x record
-// of value v sends along it goes to key Dst(e) with weight Weight(v, e).
-type Sum[K comparable, E comparable] struct {
-	Dst    func(E) K                // an edge's destination: the key its messages go to
-	Weight func(v int64, e E) int64 // a message's weight
-}
-
 // JoinSum computes, per key, the sum of its base values and of the messages
-// the loop variable x sends along edges:
+// the loop variable x sends along edges, each edge keyed by its source and
+// going to key dst(e):
 //
 //	ReduceSum(Concat(base, msgs)), with msgs the join of x and edges by
-//	source: (Dst(e), Weight(v, e)) for each x record (u, v) and edge (u, e),
-//	with multiplicity their product,
+//	source: (dst(e), v) for each x record (u, v) and edge (u, e), with
+//	multiplicity their product,
 //
 // fused into one node that stores no message: each message difference is
 // folded where it is made into its key's (time, n, Σ) rows, the linear
@@ -31,11 +24,11 @@ type Sum[K comparable, E comparable] struct {
 // are upstream of every loop, and a delta on either at an inner time other
 // than 0 panics (see mustBeTotal).
 func JoinSum[K comparable, E comparable](
-	x *Collection[KV[K, int64]], edges *Collection[KV[K, E]], base *Collection[KV[K, int64]], sum Sum[K, E],
+	x *Collection[KV[K, int64]], edges *Collection[KV[K, E]], base *Collection[KV[K, int64]], dst func(E) K,
 ) *Collection[KV[K, int64]] {
 	s := x.s
 	n := &sumNode[K, E]{
-		s: s, out: newCollection[KV[K, int64]](s), sum: sum,
+		s: s, out: newCollection[KV[K, int64]](s), dst: dst,
 		px: newPendings[KV[K, int64]](s),
 		pe: newPendings[KV[K, E]](s),
 		pb: newPendings[KV[K, int64]](s),
@@ -47,7 +40,7 @@ func JoinSum[K comparable, E comparable](
 		s.recycles(func() { sh.ob = batch[KV[K, int64]]{}; sh.sched.release() })
 	}
 	x.subscribe(broadcastSubscriber(s, n.px))
-	edges.subscribe(routedSubscriber(s, n.pe, func(kv KV[K, E]) K { return sum.Dst(kv.V) }))
+	edges.subscribe(routedSubscriber(s, n.pe, func(kv KV[K, E]) K { return dst(kv.V) }))
 	base.subscribe(keyedSubscriber(s, n.pb))
 	s.addNode(n)
 	return n.out
@@ -62,17 +55,16 @@ func JoinSum[K comparable, E comparable](
 // messages to a key carry).
 //
 // An x difference (u, v, d) at t reaches each of u's out-edges (e, c): it
-// adds (d·c, Weight(v, e)·d·c) to Dst(e)'s row at t. An edge difference
-// (u, e, d) at t pairs with u's whole x history, this run's x batch
-// included (joinNode's bilinear rule): each entry (τ, v, d′) adds
-// (d·d′, Weight(v, e)·d·d′) to Dst(e)'s row at t ⊔ τ. A base record (k, v,
-// d) adds (d, v·d) to k's row at t. Each addition schedules its key at its
-// row's time; a key due at t is answered from its rows ≤ t, and its output
-// history ≤ t subtracted.
+// adds (d·c, v·d·c) to dst(e)'s row at t. An edge difference (u, e, d) at
+// t pairs with u's whole x history, this run's x batch included
+// (joinNode's bilinear rule): each entry (τ, v, d′) adds (d·d′, v·d·d′) to
+// dst(e)'s row at t ⊔ τ. A base record (k, v, d) adds (d, v·d) to k's row
+// at t. Each addition schedules its key at its row's time; a key due at t
+// is answered from its rows ≤ t, and its output history ≤ t subtracted.
 type sumNode[K comparable, E comparable] struct {
 	s   *Scope
 	out *Collection[KV[K, int64]]
-	sum Sum[K, E]
+	dst func(E) K // an edge's destination: the key its messages go to
 
 	px *pendings[KV[K, int64]] // x, on every worker
 	pe *pendings[KV[K, E]]     // edges, on the worker owning their destination
@@ -99,7 +91,8 @@ type sumShard[K comparable, E comparable] struct {
 }
 
 // outEdge is an edge in the by-source index: its destination's slot, and
-// its value.
+// its value, which no message reads but which keeps two edges to the same
+// key distinct pairs, as the index's consolidated batches need.
 type outEdge[E comparable] struct {
 	dst uint32
 	e   E
@@ -137,7 +130,7 @@ func (n *sumNode[K, E]) name() string { return "JoinSum" }
 // broadcast x record on the worker owning its vertex only), the index pairs
 // and x entries visited, the rows read and the records out.
 func (n *sumNode[K, E]) run(w int, t timestamp.Time) {
-	sh, seed, sum := n.st[w], n.s.seed, &n.sum
+	sh, seed := n.st[w], n.s.seed
 	xb, eb, bb := n.px.take(w, t), n.pe.take(w, t), n.pb.take(w, t)
 	work := len(eb.recs) + len(bb.recs)
 	if outer, compacting := n.s.compactionOuter(); compacting {
@@ -148,16 +141,17 @@ func (n *sumNode[K, E]) run(w int, t timestamp.Time) {
 	// An x difference at t changes its messages at t. The edges this run
 	// brings are not indexed yet: they pair with the x history below.
 	for i, kv := range xb.recs {
-		if partition(n.s, kv.K) == w {
+		hk := maphash.Comparable(seed, kv.K)
+		if owner(n.s, hk) == w {
 			work++
 		}
-		u, d := sh.slot(maphash.Comparable(seed, kv.K), kv.K), xb.diffs[i]
+		u, d := sh.slot(hk, kv.K), xb.diffs[i]
 		sh.xs.Add(u, kv.V, t, d)
 		out := sh.bySrc.At(u)
 		for _, p := range out {
 			c := d * p.D
 			sh.clamp(p.V.dst)
-			sh.add(p.V.dst, t, t, c, sum.Weight(kv.V, p.V.e)*c)
+			sh.add(p.V.dst, t, t, c, kv.V*c)
 		}
 		work += len(out)
 	}
@@ -170,7 +164,7 @@ func (n *sumNode[K, E]) run(w int, t timestamp.Time) {
 		sh.bySrc.begin()
 		srcs, dsts := sh.srcs[:0], sh.dsts[:0]
 		for i, kv := range eb.recs {
-			k := sum.Dst(kv.V)
+			k := n.dst(kv.V)
 			u, s := sh.slot(maphash.Comparable(seed, kv.K), kv.K), sh.slot(maphash.Comparable(seed, k), k)
 			if eb.diffs[i] > 0 {
 				sh.bySrc.Ask(u)
@@ -186,7 +180,7 @@ func (n *sumNode[K, E]) run(w int, t timestamp.Time) {
 		xs := sh.xs.At(u)
 		for _, x := range xs {
 			c := x.D * d
-			sh.add(s, t.Join(x.T), t, c, sum.Weight(x.V, e)*c)
+			sh.add(s, t.Join(x.T), t, c, x.V*c)
 		}
 		work += len(xs)
 	}
@@ -230,18 +224,9 @@ func (n *sumNode[K, E]) reset() {
 }
 
 func (n *sumNode[K, E]) hasPending(w int, t timestamp.Time) bool {
-	return n.px.has(w, t) || n.pe.has(w, t) || n.pb.has(w, t) || n.st[w].sched.dirty.Has(t)
+	return n.st[w].sched.hasPending(w, t, n.px, n.pe, n.pb)
 }
 
 func (n *sumNode[K, E]) minPending(w int) (timestamp.Time, bool) {
-	best, found := n.st[w].sched.dirty.Min()
-	lower := func(t timestamp.Time, ok bool) {
-		if ok && (!found || t.LexLess(best)) {
-			best, found = t, true
-		}
-	}
-	lower(n.px.min(w))
-	lower(n.pe.min(w))
-	lower(n.pb.min(w))
-	return best, found
+	return n.st[w].sched.minPending(w, n.px, n.pe, n.pb)
 }

@@ -85,12 +85,13 @@ func FuzzLinearReduceMatchesGeneral(f *testing.F) {
 		// JoinSum against the three operators it fuses: outside any loop,
 		// where x's counts go negative, and in PageRank's shape, each
 		// iteration's values divided by the out-degree before they are sent.
-		sum := Sum[int, int]{Dst: func(dst int) int { return dst }, Weight: func(v int64, dst int) int64 { return v%5 + int64(dst) }}
+		dst := func(dst int) int { return dst }
+		relay := func(_ int, v int64, dst int) KV[int, int64] { return KV[int, int64]{dst, v} }
 		unfused := func(x *Collection[KV[int, int64]]) *Collection[KV[int, int64]] {
-			return ReduceSum(Concat(base, JoinMapTotal(x, edges, send)))
+			return ReduceSum(Concat(base, JoinMapTotal(x, edges, relay)))
 		}
 		pairs = append(pairs, capturePair[KV[int, int64]]{"JoinSum",
-			NewCapture(JoinSum(vals, edges, base, sum)), NewCapture(unfused(vals))})
+			NewCapture(JoinSum(vals, edges, base, dst)), NewCapture(unfused(vals))})
 		degrees := CountTotal(edges)
 		pagerank := func(join func(*Collection[KV[int, int64]]) *Collection[KV[int, int64]]) *Capture[KV[int, int64]] {
 			return NewCapture(IterateN(base, 4, func(x *Collection[KV[int, int64]]) *Collection[KV[int, int64]] {
@@ -98,7 +99,7 @@ func FuzzLinearReduceMatchesGeneral(f *testing.F) {
 			}))
 		}
 		pairs = append(pairs, capturePair[KV[int, int64]]{"JoinSum in IterateN", pagerank(func(x *Collection[KV[int, int64]]) *Collection[KV[int, int64]] {
-			return JoinSum(x, edges, base, sum)
+			return JoinSum(x, edges, base, dst)
 		}), pagerank(unfused)})
 
 		fixpoint := func(reduce func(*Collection[KV[int, int64]]) *Collection[KV[int, int64]]) *Capture[KV[int, int64]] {

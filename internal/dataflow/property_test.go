@@ -179,12 +179,11 @@ func TestWorkerCountInvariance(t *testing.T) {
 			verts := DistinctTotal(FlatMap(ecol, func(e edge, emit func(uint32)) { emit(e.src); emit(e.dst) }))
 			base := Map(verts, func(v uint32) KV[uint32, int64] { return KV[uint32, int64]{v, 150} })
 			initial := Map(verts, func(v uint32) KV[uint32, int64] { return KV[uint32, int64]{v, 1000} })
-			send := Sum[uint32, uint32]{Dst: func(dst uint32) uint32 { return dst }, Weight: func(share int64, _ uint32) int64 { return share }}
 			return IterateN(initial, 5, func(x *Collection[KV[uint32, int64]]) *Collection[KV[uint32, int64]] {
 				shares := JoinMapTotal(x, degrees, func(v uint32, rank, deg int64) KV[uint32, int64] {
 					return KV[uint32, int64]{v, rank * 85 / 100 / deg}
 				})
-				return JoinSum(shares, keyed, base, send)
+				return JoinSum(shares, keyed, base, func(dst uint32) uint32 { return dst })
 			})
 		})
 	})

@@ -424,13 +424,9 @@ func (n *reduceNode[K, V, O]) reset() {
 }
 
 func (n *reduceNode[K, V, O]) hasPending(w int, t timestamp.Time) bool {
-	return n.p.has(w, t) || n.st[w].sched.dirty.Has(t)
+	return n.st[w].sched.hasPending(w, t, n.p)
 }
 
 func (n *reduceNode[K, V, O]) minPending(w int) (timestamp.Time, bool) {
-	best, found := n.p.min(w)
-	if t, ok := n.st[w].sched.dirty.Min(); ok && (!found || t.LexLess(best)) {
-		return t, true
-	}
-	return best, found
+	return n.st[w].sched.minPending(w, n.p)
 }

@@ -13,7 +13,7 @@ import (
 // the last version that iteration was scheduled in (a span of one slab),
 // and whether the key is on the running time's due list. Keys due later
 // wait in time-ordered slot columns; a running time's keys are put on the
-// due list once each. The reduce and JoinMin/JoinMax share it.
+// due list once each. The reduce, JoinMin/JoinMax and JoinSum share it.
 //
 // The closure needs no more: every time a key holds is at or below the
 // running version v, so the closure of (v, i) with them is (v, i) and (v, j)
@@ -87,6 +87,35 @@ func (sc *schedule) takeDue() []uint32 {
 		sc.on[s] = false
 	}
 	return sc.due
+}
+
+// inputs is a node's pending input deltas, per worker.
+type inputs interface {
+	has(w int, t timestamp.Time) bool
+	min(w int) (timestamp.Time, bool)
+}
+
+// hasPending reports whether worker w, whose schedule sc is, has a key
+// scheduled at t or a delta at t on one of its inputs ps.
+func (sc *schedule) hasPending(w int, t timestamp.Time, ps ...inputs) bool {
+	for _, p := range ps {
+		if p.has(w, t) {
+			return true
+		}
+	}
+	return sc.dirty.Has(t)
+}
+
+// minPending returns the smallest time at which worker w, whose schedule sc
+// is, has a key scheduled or a delta on one of its inputs ps.
+func (sc *schedule) minPending(w int, ps ...inputs) (timestamp.Time, bool) {
+	best, found := sc.dirty.Min()
+	for _, p := range ps {
+		if t, ok := p.min(w); ok && (!found || t.LexLess(best)) {
+			best, found = t, true
+		}
+	}
+	return best, found
 }
 
 // release lets the recycled due list and dirty columns go.

@@ -167,8 +167,11 @@ func partition[K comparable](s *Scope, k K) int {
 	if s.workers == 1 {
 		return 0
 	}
-	return int(maphash.Comparable(s.seed, k) % uint64(s.workers))
+	return owner(s, maphash.Comparable(s.seed, k))
 }
+
+// owner returns the worker owning a key whose hash is hk.
+func owner(s *Scope, hk uint64) int { return int(hk % uint64(s.workers)) }
 
 // minPendingTime scans all nodes and workers for the smallest pending time.
 // Only called while workers are idle.

@@ -161,7 +161,7 @@ func TestJoinMapTotalPanicsInsideIterate(t *testing.T) {
 // TestJoinSumPanicsInsideIterate feeds JoinSum's edges, then its base, from
 // the loop variable; its x may carry any time.
 func TestJoinSumPanicsInsideIterate(t *testing.T) {
-	sum := Sum[int, int]{Dst: func(dst int) int { return dst }, Weight: func(v int64, _ int) int64 { return v }}
+	dst := func(dst int) int { return dst }
 	widen := func(x *Collection[KV[int, int]]) *Collection[KV[int, int64]] {
 		return Map(x, func(kv KV[int, int]) KV[int, int64] { return KV[int, int64]{kv.K, int64(kv.V)} })
 	}
@@ -170,12 +170,12 @@ func TestJoinSumPanicsInsideIterate(t *testing.T) {
 	}
 	mustPanicNaming(t, "JoinSum's edge input", func(in *Collection[KV[int, int]]) {
 		Iterate(in, func(x *Collection[KV[int, int]]) *Collection[KV[int, int]] {
-			return narrow(JoinSum(widen(x), step(x), widen(in), sum))
+			return narrow(JoinSum(widen(x), step(x), widen(in), dst))
 		})
 	})
 	mustPanicNaming(t, "JoinSum's base input", func(in *Collection[KV[int, int]]) {
 		Iterate(in, func(x *Collection[KV[int, int]]) *Collection[KV[int, int]] {
-			return narrow(JoinSum(widen(x), in, widen(step(x)), sum))
+			return narrow(JoinSum(widen(x), in, widen(step(x)), dst))
 		})
 	})
 }
