@@ -466,7 +466,7 @@ func BenchmarkPoolReuse(b *testing.B) {
 			r.Step(seed, nil)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := r.Reset(); err != nil {
+				if err := r.Reset(c.comp); err != nil {
 					b.Fatal(err)
 				}
 				if c.first != nil {

@@ -25,6 +25,7 @@ package analytics
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"time"
 
@@ -45,6 +46,7 @@ type Builder struct {
 	scope  *dataflow.Scope
 	edges  *dataflow.Collection[graph.Triple]
 	output *dataflow.Capture[VertexValue]
+	roots  *roots // bound by a rooted built-in's Build (bind)
 }
 
 // Scope returns the dataflow scope being built.
@@ -70,7 +72,10 @@ type Computation interface {
 	// The operator functions it wires (map/filter/reduce closures) must be
 	// stateless and deterministic: runners are recycled across runs by
 	// resetting operator state in place, which cannot see — and therefore
-	// cannot clear — mutable state captured inside closures.
+	// cannot clear — mutable state captured inside closures. The one state
+	// they may read is the bound roots of the built-in bfs, sssp and mpsp,
+	// which Runner.Reset rebinds: their closures read the roots when the
+	// dataflow steps, so they are not captured here.
 	Build(b *Builder)
 }
 
@@ -95,8 +100,10 @@ type Runner interface {
 	// IterCapHit reports whether any fixpoint hit the iteration safety cap.
 	IterCapHit() bool
 	// Reset returns the runner to its just-built condition in place, ready
-	// for a new from-scratch run at version 0 (see Pool).
-	Reset() error
+	// for a new from-scratch run of comp at version 0 (see Pool), and binds
+	// comp's roots. It fails, changing nothing, when comp has another Shape
+	// than the computation the runner was built for.
+	Reset(comp Computation) error
 	// Park tells the runner it goes idle between steps: it lets go of the
 	// exchange columns its dataflows keep from version to version
 	// (dataflow.Scope.Park). It changes no result, and the next Step or
@@ -128,6 +135,7 @@ type Instance struct {
 	scope  *dataflow.Scope
 	input  *dataflow.Input[graph.Triple]
 	output *dataflow.Capture[VertexValue]
+	roots  *roots // what the dataflow reads its roots from; nil if it has none
 	next   uint32
 }
 
@@ -140,7 +148,7 @@ func NewInstance(comp Computation, workers int) (*Instance, error) {
 	if b.output == nil {
 		return nil, fmt.Errorf("analytics: computation %q did not register an output", comp.Name())
 	}
-	return &Instance{comp: comp, scope: s, input: input, output: b.output}, nil
+	return &Instance{comp: comp, scope: s, input: input, output: b.output, roots: b.roots}, nil
 }
 
 // Step advances the instance by one version, applying the given edge
@@ -188,13 +196,39 @@ func (inst *Instance) Results() map[VertexValue]int64 { return inst.output.Resul
 // Reset returns the instance to its just-built condition in place: every
 // operator's state, the captured answer, the input's version cursor, work
 // counters and the iteration-cap flag are cleared, while the dataflow graph
-// itself is reused. The instance then serves a new from-scratch run starting
-// at version 0.
-func (inst *Instance) Reset() error {
+// itself is reused. The instance then serves a new from-scratch run of comp
+// starting at version 0: comp's roots are bound (a bfs dataflow built for
+// source 1 serves source 2 once reset). A comp of another Shape is refused.
+func (inst *Instance) Reset(comp Computation) error {
+	if !sameShape(inst.comp, comp) {
+		return fmt.Errorf("analytics: a runner built for %s cannot serve %s", inst.comp.Name(), comp.Name())
+	}
 	inst.scope.ResetState()
 	inst.next = 0
+	if inst.roots != nil {
+		inst.roots.bind(comp)
+	}
 	return nil
 }
+
+// Shape is comp with the parameters that only pick its roots cleared: BFS{}
+// for every bfs source, SSSP{} for every sssp source and MPSP{} for every
+// list of pairs. Every other computation is its own shape. A runner serves
+// any computation of the shape it was built for (Runner.Reset).
+func Shape(comp Computation) Computation {
+	switch comp.(type) {
+	case BFS:
+		return BFS{}
+	case SSSP:
+		return SSSP{}
+	case MPSP:
+		return MPSP{}
+	}
+	return comp
+}
+
+// sameShape reports whether a runner built for a serves b.
+func sameShape(a, b Computation) bool { return reflect.DeepEqual(Shape(a), Shape(b)) }
 
 // Park implements Runner.
 func (inst *Instance) Park() { inst.scope.Park() }
@@ -220,15 +254,16 @@ func nodes(edges *dataflow.Collection[graph.Triple]) *dataflow.Collection[uint64
 	}))
 }
 
-// nodesAmong derives the vertices of srcs present in the edge stream: the
-// same set nodes would yield after a filter on srcs, but its DistinctTotal
-// sees only the endpoints that are sources, not every edge's two.
-func nodesAmong(edges *dataflow.Collection[graph.Triple], srcs []uint64) *dataflow.Collection[uint64] {
+// nodesAmong derives the vertices of r's sources present in the edge
+// stream: the same set nodes would yield after a filter on the sources, but
+// its DistinctTotal sees only the endpoints that are sources, not every
+// edge's two. The sources are read as the dataflow steps.
+func nodesAmong(edges *dataflow.Collection[graph.Triple], r *roots) *dataflow.Collection[uint64] {
 	return dataflow.DistinctTotal(dataflow.FlatMap(edges, func(t graph.Triple, emit func(uint64)) {
-		if slices.Contains(srcs, t.Src) {
+		if slices.Contains(r.srcs, t.Src) {
 			emit(t.Src)
 		}
-		if slices.Contains(srcs, t.Dst) {
+		if slices.Contains(r.srcs, t.Dst) {
 			emit(t.Dst)
 		}
 	}))

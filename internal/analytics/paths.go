@@ -4,6 +4,40 @@ import (
 	"graphsurge/internal/dataflow"
 )
 
+// roots is what the dataflow of a bfs, sssp or mpsp reads its roots from as
+// it steps: the sources, and mpsp's pairs. The Instance owns it; Build binds
+// it and Runner.Reset rebinds it, so one dataflow serves bfs(1) and, once
+// reset, bfs(2).
+type roots struct {
+	srcs  []uint64 // the source, or mpsp's sources in pair order
+	pairs []Pair   // mpsp's pairs; empty for bfs and sssp
+}
+
+// bind points r at comp's roots, reusing r's slices. A computation of
+// another kind leaves r as it is.
+func (r *roots) bind(comp Computation) {
+	switch c := comp.(type) {
+	case BFS:
+		r.srcs, r.pairs = append(r.srcs[:0], c.Source), r.pairs[:0]
+	case SSSP:
+		r.srcs, r.pairs = append(r.srcs[:0], c.Source), r.pairs[:0]
+	case MPSP:
+		r.srcs, r.pairs = r.srcs[:0], append(r.pairs[:0], c.Pairs...)
+		for _, p := range c.Pairs {
+			r.srcs = append(r.srcs, p.Src)
+		}
+	}
+}
+
+// bind returns the builder's roots, bound to comp's.
+func (b *Builder) bind(comp Computation) *roots {
+	if b.roots == nil {
+		b.roots = &roots{}
+	}
+	b.roots.bind(comp)
+	return b.roots
+}
+
 // BFS computes directed hop distances from a source vertex; unreachable
 // vertices have no output.
 type BFS struct {
@@ -15,7 +49,7 @@ func (BFS) Name() string { return "bfs" }
 
 // Build implements Computation.
 func (c BFS) Build(b *Builder) {
-	b.Output(shortestPaths(b, c.Source, false))
+	b.Output(shortestPaths(b, b.bind(c), false))
 }
 
 // SSSP computes single-source shortest path distances with the Bellman-Ford
@@ -32,12 +66,12 @@ func (SSSP) Name() string { return "bellman-ford" }
 
 // Build implements Computation.
 func (c SSSP) Build(b *Builder) {
-	b.Output(shortestPaths(b, c.Source, true))
+	b.Output(shortestPaths(b, b.bind(c), true))
 }
 
-func shortestPaths(b *Builder, source uint64, weighted bool) *dataflow.Collection[VertexValue] {
+func shortestPaths(b *Builder, r *roots, weighted bool) *dataflow.Collection[VertexValue] {
 	edges := edgesBySrc(b.Edges())
-	roots := dataflow.Map(nodesAmong(b.Edges(), []uint64{source}), func(v uint64) dataflow.KV[uint64, int64] {
+	roots := dataflow.Map(nodesAmong(b.Edges(), r), func(v uint64) dataflow.KV[uint64, int64] {
 		return dataflow.KV[uint64, int64]{K: v, V: 0}
 	})
 	step := func(d int64, _ dstW) int64 { return d + 1 }
@@ -85,13 +119,9 @@ type nodeTag struct {
 // Build implements Computation.
 func (c MPSP) Build(b *Builder) {
 	edges := edgesBySrc(b.Edges())
-	pairs := c.Pairs
-	srcs := make([]uint64, len(pairs))
-	for i, p := range pairs {
-		srcs[i] = p.Src
-	}
-	roots := dataflow.FlatMap(nodesAmong(b.Edges(), srcs), func(v uint64, emit func(dataflow.KV[nodeTag, int64])) {
-		for i, p := range pairs {
+	r := b.bind(c)
+	roots := dataflow.FlatMap(nodesAmong(b.Edges(), r), func(v uint64, emit func(dataflow.KV[nodeTag, int64])) {
+		for i, p := range r.pairs {
 			if v == p.Src {
 				emit(dataflow.KV[nodeTag, int64]{K: nodeTag{Node: v, Tag: uint8(i)}, V: 0})
 			}
@@ -107,7 +137,7 @@ func (c MPSP) Build(b *Builder) {
 		return dataflow.JoinMin(x, edges, roots, relax)
 	})
 	out := dataflow.FlatMap(dists, func(kv dataflow.KV[nodeTag, int64], emit func(VertexValue)) {
-		if int(kv.K.Tag) < len(pairs) && pairs[kv.K.Tag].Dst == kv.K.Node {
+		if int(kv.K.Tag) < len(r.pairs) && r.pairs[kv.K.Tag].Dst == kv.K.Node {
 			emit(VertexValue{V: MPSPVertex(int(kv.K.Tag), kv.K.Node), Val: kv.V})
 		}
 	})

@@ -147,7 +147,7 @@ func (p *Pool) Acquire(ctx context.Context) (Runner, time.Duration, error) {
 	// returned to the pool.
 	start := time.Now()
 	if r != nil {
-		if err := r.Reset(); err == nil {
+		if err := r.Reset(p.comp); err == nil {
 			p.mu.Lock()
 			p.reused++
 			p.mu.Unlock()

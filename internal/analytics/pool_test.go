@@ -28,7 +28,7 @@ func TestInstanceReset(t *testing.T) {
 	if len(inst.Results()) != 5 {
 		t.Fatalf("results: %v", inst.Results())
 	}
-	if err := inst.Reset(); err != nil {
+	if err := inst.Reset(WCC{}); err != nil {
 		t.Fatal(err)
 	}
 	// The reset is in place: the same dataflow (same scope) is reused, not

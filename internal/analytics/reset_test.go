@@ -2,6 +2,7 @@ package analytics
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"graphsurge/internal/graph"
@@ -110,7 +111,7 @@ func TestResetEquivalence(t *testing.T) {
 				// Dirty the runner with a different prefix, then reset.
 				reused.Step(graph.NewEdgeBatch(seq[0].adds[:10]), nil)
 				reused.Step(graph.NewEdgeBatch(seq[1].adds), nil)
-				if err := reused.Reset(); err != nil {
+				if err := reused.Reset(comp); err != nil {
 					t.Fatal(err)
 				}
 				if len(reused.Results()) != 0 || reused.OutputDiffs() != 0 {
@@ -136,5 +137,86 @@ func TestResetEquivalence(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestResetRebindsRoots is the rebind contract of bfs, sssp and mpsp: a
+// runner stepped for one root set and then reset for another must equal a
+// runner built fresh for the second, at every version: Results and
+// OutputDiffs, and at one worker the work too (at more workers the work
+// depends on the scope's partition seed, which a reset keeps). Vertex 30
+// appears only in the last view, so a rebind to it starts from a root with
+// no edges; the mpsp cases change the pair count. A computation of another
+// shape is refused and leaves the runner as it was.
+func TestResetRebindsRoots(t *testing.T) {
+	seq := append(resetSeq(), viewDelta{adds: []graph.Triple{{Src: 30, Dst: 1, W: 2}, {Src: 5, Dst: 30, W: 1}}})
+	cases := []struct{ a, b Computation }{
+		{BFS{Source: 1}, BFS{Source: 30}},
+		{BFS{Source: 30}, BFS{Source: 2}},
+		{SSSP{Source: 1}, SSSP{Source: 30}},
+		{SSSP{Source: 3}, SSSP{Source: 7}},
+		{MPSP{Pairs: []Pair{{Src: 1, Dst: 3}}}, MPSP{Pairs: []Pair{{Src: 30, Dst: 2}, {Src: 2, Dst: 30}, {Src: 4, Dst: 9}}}},
+		{MPSP{Pairs: []Pair{{Src: 1, Dst: 3}, {Src: 2, Dst: 5}, {Src: 7, Dst: 1}}}, MPSP{Pairs: []Pair{{Src: 3, Dst: 30}}}},
+	}
+	for _, c := range cases {
+		for _, workers := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s/%v/w=%d", c.b.Name(), c.b, workers), func(t *testing.T) {
+				fresh, err := NewRunner(c.b, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rebound, err := NewRunner(c.a, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, d := range seq[:3] {
+					rebound.Step(graph.NewEdgeBatch(d.adds), graph.NewEdgeBatch(d.dels))
+				}
+				if err := rebound.Reset(c.b); err != nil {
+					t.Fatal(err)
+				}
+				for v, d := range seq {
+					fresh.Step(graph.NewEdgeBatch(d.adds), graph.NewEdgeBatch(d.dels))
+					rebound.Step(graph.NewEdgeBatch(d.adds), graph.NewEdgeBatch(d.dels))
+					if got, want := rebound.Results(), fresh.Results(); !reflect.DeepEqual(got, want) {
+						t.Fatalf("v%d: results %v, fresh %v", v, got, want)
+					}
+					if got, want := rebound.OutputDiffs(), fresh.OutputDiffs(); got != want {
+						t.Fatalf("v%d: OutputDiffs = %d, fresh %d", v, got, want)
+					}
+					if got, want := rebound.WorkCounts(), fresh.WorkCounts(); workers == 1 && !reflect.DeepEqual(got, want) {
+						t.Fatalf("v%d: work %v, fresh %v", v, got, want)
+					}
+				}
+			})
+		}
+	}
+
+	r, err := NewRunner(BFS{Source: 1}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Step(graph.NewEdgeBatch(seq[0].adds), nil)
+	before := r.Results()
+	for _, other := range []Computation{SSSP{Source: 1}, MPSP{Pairs: []Pair{{Src: 1, Dst: 2}}}, WCC{}, PageRank{}, SCC{}} {
+		if err := r.Reset(other); err == nil {
+			t.Fatalf("a bfs runner was reset for %s", other.Name())
+		}
+	}
+	if got := r.Results(); !reflect.DeepEqual(got, before) {
+		t.Fatal("a refused Reset changed the runner's answer")
+	}
+	if err := r.Reset(BFS{Source: 2}); err != nil {
+		t.Fatal(err)
+	}
+	scc, err := NewRunner(SCC{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scc.Reset(WCC{}) == nil || scc.Reset(SCC{}) != nil {
+		t.Fatal("an scc runner must serve scc and only scc")
+	}
+	if pr, err := NewRunner(PageRank{Iterations: 5}, 1); err != nil || pr.Reset(PageRank{Iterations: 6}) == nil {
+		t.Fatalf("a PageRank runner of 5 iterations was reset for 6 (%v)", err)
 	}
 }

@@ -2,6 +2,7 @@ package analytics
 
 import (
 	"cmp"
+	"fmt"
 	"maps"
 	"slices"
 	"time"
@@ -323,8 +324,11 @@ func (r *sccRunner) scopes() []*dataflow.Scope {
 // output-diff count — is cleared in place. The pool therefore recycles
 // staged SCC runners exactly like single-dataflow instances, instead of
 // rebuilding two dataflows per phase, and a rerun fills the maps and step
-// scratch the last run grew.
-func (r *sccRunner) Reset() error {
+// scratch the last run grew. SCC has no parameters, so comp must be SCC.
+func (r *sccRunner) Reset(comp Computation) error {
+	if !sameShape(SCC{}, comp) {
+		return fmt.Errorf("analytics: an scc runner cannot serve %s", comp.Name())
+	}
 	for _, s := range r.scopes() {
 		s.ResetState()
 	}

@@ -28,13 +28,16 @@ import (
 // between runs, while a warm replica's accumulated state is the whole point.
 // They live in one LRU-bounded list and die with Close.
 
-// replicaKey is everything that must be equal for a replica's dataflow to be
-// the run's dataflow: the base graph (by pointer — a different graph loaded
+// replicaKey is everything that must be equal for a replica's state to be
+// the run's state: the base graph (by pointer — a different graph loaded
 // under the same name shares no edge indices), the computation's identity
 // (bfs(source=1) and bfs(source=2) never share state), the worker count and
 // the weight property the batches are resolved with. The collection is not
 // part of it: a key holds one replica per collection run on it, and which of
-// them a run can use is decided by content.
+// them a run can use is decided by content. A dataflow is shared more
+// widely than state: any replica of the run's shape (analytics.Shape, which
+// clears bfs's, sssp's and mpsp's roots) and worker count can hand its
+// runner to a new one, reset (see acquire).
 type replicaKey struct {
 	graph   *graph.Graph
 	ident   string
@@ -58,7 +61,8 @@ type replicaDelta struct {
 // over the replica. Lock order is warmMu, then mu, and nothing blocks on mu
 // while holding warmMu.
 type replica struct {
-	key replicaKey
+	key   replicaKey
+	shape string // identity of the key's analytics.Shape
 	// col is the collection of the replica's latest run, its owner: col's
 	// next run comes back here, col's maintenance deltas are queued here once
 	// the replica has absorbed all of col's stream, and re-creating col drops
@@ -78,8 +82,11 @@ type replica struct {
 }
 
 // maxReplicas bounds the replica list the way maxEnginePools bounds the warm
-// pools: at the cap the least-recently-run replica is dropped (a later run of
-// its collection simply rebuilds cold).
+// pools. At the cap a new replica takes the place of the least recently run
+// idle replica of its shape and worker count, and that replica's runner,
+// which its first run resets instead of building a dataflow; only when there
+// is none is the least recently run replica of any shape dropped. A later
+// run of a dropped replica's collection rebuilds cold.
 const maxReplicas = 64
 
 // warmFor reports whether the replica can prove its state is a point on
@@ -101,9 +108,10 @@ func (st *replica) warmFor(col *view.Collection, chain []uint64) bool {
 // own if it has one (warm or not — extend decides); else the idle replica of
 // the key that has absorbed the longest prefix of col's stream, which col
 // takes over (a sibling collection extending another's stream steps only its
-// suffix); else a new empty one, evicting the least recently used at the
-// bound. A replica busy with another collection's run is left alone.
-func (e *Engine) acquire(key replicaKey, col *view.Collection, chain []uint64) *replica {
+// suffix); else a new one of the given shape, with no state (at the bound it
+// takes an evicted replica's runner, see evict). A replica busy with another
+// collection's run is left alone.
+func (e *Engine) acquire(key replicaKey, shape string, col *view.Collection, chain []uint64) *replica {
 	e.warmMu.Lock()
 	var st *replica
 	for _, r := range e.replicas {
@@ -129,16 +137,10 @@ func (e *Engine) acquire(key replicaKey, col *view.Collection, chain []uint64) *
 		}
 	}
 	if st == nil {
+		st = &replica{key: key, shape: shape}
 		if len(e.replicas) >= maxReplicas {
-			victim := 0
-			for i, r := range e.replicas {
-				if r.lastUse.Before(e.replicas[victim].lastUse) {
-					victim = i
-				}
-			}
-			e.replicas = slices.Delete(e.replicas, victim, victim+1)
+			e.evict(st)
 		}
-		st = &replica{key: key}
 		st.mu.Lock()
 		e.replicas = append(e.replicas, st)
 	}
@@ -148,6 +150,40 @@ func (e *Engine) acquire(key replicaKey, col *view.Collection, chain []uint64) *
 		st.mu.Lock()
 	}
 	return st
+}
+
+// evict makes room at the bound for st, a new replica. The least recently
+// run replica of st's shape and worker count that TryLock can take (none is
+// running on it) is dropped and its runner moves to st, which extend resets
+// for st's run instead of building a dataflow. Only when there is none is the
+// least recently run replica of any shape dropped, runner and all. A run
+// about to lock the victim as its own finds no runner and rebuilds cold.
+// Caller holds warmMu.
+func (e *Engine) evict(st *replica) {
+	victim := -1
+	for i, r := range e.replicas {
+		if r.shape != st.shape || r.key.workers != st.key.workers ||
+			(victim >= 0 && !r.lastUse.Before(e.replicas[victim].lastUse)) || !r.mu.TryLock() {
+			continue
+		}
+		if victim >= 0 {
+			e.replicas[victim].mu.Unlock()
+		}
+		victim = i
+	}
+	if victim >= 0 {
+		r := e.replicas[victim]
+		st.runner, r.runner = r.runner, nil
+		r.mu.Unlock()
+	} else {
+		victim = 0
+		for i, r := range e.replicas {
+			if r.lastUse.Before(e.replicas[victim].lastUse) {
+				victim = i
+			}
+		}
+	}
+	e.replicas = slices.Delete(e.replicas, victim, victim+1)
 }
 
 // queueDelta hands one maintained collection's final-view delta to every
@@ -217,7 +253,8 @@ func (e *Engine) runIncremental(ctx context.Context, col *view.Collection, comp 
 		return nil, err
 	}
 	chain := col.Stream.ChainFingerprints()
-	st := e.acquire(replicaKey{graph: col.Graph, ident: compIdentity(comp), workers: opts.Workers, weight: opts.WeightProp}, col, chain)
+	key := replicaKey{graph: col.Graph, ident: compIdentity(comp), workers: opts.Workers, weight: opts.WeightProp}
+	st := e.acquire(key, compIdentity(analytics.Shape(comp)), col, chain)
 	defer st.mu.Unlock()
 	return st.extend(ctx, col, chain, comp, opts.Workers, wc)
 }
@@ -229,7 +266,9 @@ func (e *Engine) runIncremental(ctx context.Context, col *view.Collection, comp 
 // the remaining views [pos, k) are stepped; otherwise — no runner yet, a
 // version the deltas do not reach, a stream that diverges — the replica
 // cannot prove its state matches col (warmFor) and rebuilds cold from view
-// zero. Nothing stale is ever served.
+// zero: its runner, its own or one handed over by evict, is reset for comp
+// (analytics.Runner.Reset), and a dataflow is built only when there is none
+// or it has another shape. Nothing stale is ever served.
 //
 // Position, version and fingerprint advance with every step, so a run
 // canceled between steps leaves a valid replica that the next run resumes.
@@ -256,11 +295,16 @@ func (st *replica) extend(ctx context.Context, col *view.Collection, chain []uin
 		obs.M.IncrementalWarm.Inc()
 	} else {
 		obs.M.IncrementalCold.Inc()
-		runner, err := analytics.NewRunner(comp, workers)
-		if err != nil {
-			return nil, err
+		if st.runner != nil && st.runner.Reset(comp) == nil {
+			obs.M.IncrementalReuse.Inc()
+		} else {
+			runner, err := analytics.NewRunner(comp, workers)
+			if err != nil {
+				return nil, err
+			}
+			st.runner = runner
 		}
-		st.runner, st.version, st.pos, st.chain, st.next = runner, col.Version, 0, 0, 0
+		st.version, st.pos, st.chain, st.next = col.Version, 0, 0, 0
 		st.pending, st.queued = nil, 0
 	}
 	prefix := st.pos

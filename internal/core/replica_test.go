@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"graphsurge/internal/analytics"
 	"graphsurge/internal/datagen"
 	"graphsurge/internal/graph"
+	"graphsurge/internal/obs"
 	"graphsurge/internal/view"
 )
 
@@ -402,4 +404,83 @@ func TestReplicaQueuedDeltasBounded(t *testing.T) {
 		t.Fatal("run after the replica was dropped did not rebuild cold")
 	}
 	sameAsScratch(t, e, col, comp, res, "run after the replica was dropped")
+}
+
+// TestReplicaHandsOverRunner pins how a cold miss at the bound reuses a
+// dataflow. With the store full of bfs and sssp replicas, a new bfs source
+// evicts the least recently run bfs replica, not the older sssp one, takes
+// its runner (reset, no NewRunner; graphsurge_incremental_recycled_total
+// counts it) and answers like a fresh engine. A locked replica is passed
+// over for the next bfs one, and with no idle bfs replica left the new one
+// drops the least recently run replica of any shape and builds.
+func TestReplicaHandsOverRunner(t *testing.T) {
+	e, days, _ := daysEngine(t)
+	ctx := context.Background()
+	inc := RunOptions{Incremental: true}
+	bfs := func(src uint64) analytics.Computation { return analytics.BFS{Source: src} }
+	sssp := func(src uint64) analytics.Computation { return analytics.SSSP{Source: src} }
+	find := func(comp analytics.Computation) *replica {
+		for _, r := range e.replicas {
+			if r.key.ident == compIdentity(comp) {
+				return r
+			}
+		}
+		return nil
+	}
+	// Oldest first: sssp(0), then bfs(1), bfs(2), sssp(3), bfs(4), ...
+	for src := uint64(0); src < maxReplicas; src++ {
+		comp := bfs(src)
+		if src%3 == 0 {
+			comp = sssp(src)
+		}
+		mustRunOn(t, e, ctx, days, comp, inc)
+	}
+	runner := find(bfs(1)).runner
+	recycled := obs.M.IncrementalReuse.Value()
+	res := mustRunOn(t, e, ctx, days, bfs(100), inc)
+	if find(bfs(1)) != nil || find(sssp(0)) == nil {
+		t.Fatal("the new bfs replica did not evict the least recently run bfs replica")
+	}
+	if got := find(bfs(100)); got.runner != runner || obs.M.IncrementalReuse.Value() != recycled+1 {
+		t.Fatal("the new bfs replica did not take the evicted replica's runner")
+	}
+	fresh, _, _ := daysEngine(t)
+	if want := mustRunOn(t, fresh, ctx, days, bfs(100), inc); !reflect.DeepEqual(res.FinalResults(), want.FinalResults()) {
+		t.Fatal("a handed-over runner answers unlike a fresh engine")
+	}
+
+	// bfs(2) is the least recently run bfs replica now; a run holds it.
+	held := find(bfs(2))
+	held.mu.Lock()
+	mustRunOn(t, e, ctx, days, bfs(101), inc)
+	if find(bfs(2)) != held || find(bfs(4)) != nil {
+		t.Fatal("a locked replica was evicted, or the next bfs replica was not")
+	}
+	held.mu.Unlock()
+
+	// A store of sssp replicas and one bfs replica, which a run holds: a new
+	// bfs source finds no idle replica of its shape, drops the least recently
+	// run replica (the held one, which its run keeps) and builds.
+	e, days, _ = daysEngine(t)
+	mustRunOn(t, e, ctx, days, bfs(1), inc)
+	for src := uint64(0); len(e.replicas) < maxReplicas; src++ {
+		mustRunOn(t, e, ctx, days, sssp(src), inc)
+	}
+	held = find(bfs(1))
+	runner = held.runner
+	var others []analytics.Runner
+	for _, r := range e.replicas {
+		others = append(others, r.runner)
+	}
+	recycled = obs.M.IncrementalReuse.Value()
+	held.mu.Lock()
+	res = mustRunOn(t, e, ctx, days, bfs(2), inc)
+	held.mu.Unlock()
+	if got := find(bfs(2)); obs.M.IncrementalReuse.Value() != recycled || slices.Contains(others, got.runner) {
+		t.Fatal("a replica of another shape, or a held one, was handed over")
+	}
+	if find(bfs(1)) != nil || held.runner != runner || len(e.replicas) != maxReplicas {
+		t.Fatal("the least recently run replica was not dropped, or its run lost its runner")
+	}
+	sameAsScratch(t, e, days, bfs(2), res, "a bfs replica built beside sssp ones")
 }

@@ -262,7 +262,7 @@ type failRunner struct {
 	*analytics.Instance
 }
 
-func (failRunner) Reset() error { return errors.New("injected reset failure") }
+func (failRunner) Reset(analytics.Computation) error { return errors.New("injected reset failure") }
 
 // settleGoroutines waits for the goroutine count to drop back to the base,
 // failing the test if executor goroutines leaked.

@@ -15,6 +15,7 @@ import (
 // copies a borrowed batch in with two bulk appends, take hands a bucket's
 // columns to the operator and returns the previous ones to the queue.
 type pendings[R comparable] struct {
+	s    *Scope         // whose per-worker index take consolidates in
 	hash func(R) uint64 // consolidation's record hash
 	sh   []pendingShard[R]
 }
@@ -23,11 +24,11 @@ type pendingShard[R comparable] struct {
 	mu  sync.Mutex
 	q   arrange.Queue[R]
 	cur batch[R] // the batch last taken, the operator's until its next take
-	idx []uint32 // consolidation scratch, touched only by the owning worker
 }
 
 func newPendings[R comparable](s *Scope) *pendings[R] {
 	p := &pendings[R]{
+		s:    s,
 		hash: func(r R) uint64 { return maphash.Comparable(s.seed, r) },
 		sh:   make([]pendingShard[R], s.workers),
 	}
@@ -35,21 +36,12 @@ func newPendings[R comparable](s *Scope) *pendings[R] {
 	return p
 }
 
-// keptIdx is the largest consolidation index, in entries, a shard keeps
-// when its columns go: 256 KiB, an index for batches of up to 2¹⁵ records,
-// which a differential pass would otherwise regrow after every Park.
-const keptIdx = 1 << 16
-
-// release lets every shard's recycled columns go, and its consolidation
-// index too if that is larger than keptIdx entries.
+// release lets every shard's recycled columns go.
 func (p *pendings[R]) release() {
 	for w := range p.sh {
 		sh := &p.sh[w]
 		sh.mu.Lock()
 		sh.cur.recs, sh.cur.diffs = nil, nil
-		if cap(sh.idx) > keptIdx {
-			sh.idx = nil
-		}
 		sh.q.Release()
 		sh.mu.Unlock()
 	}
@@ -72,7 +64,7 @@ func (p *pendings[R]) push(w int, b *batch[R]) {
 // stays valid until the next take on the same shard.
 func (p *pendings[R]) take(w int, t timestamp.Time) *batch[R] {
 	b := p.takeRaw(w, t)
-	b.consolidate(p.hash, &p.sh[w].idx)
+	b.consolidate(p.hash, &p.s.idx[w])
 	return b
 }
 

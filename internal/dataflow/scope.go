@@ -61,7 +61,18 @@ type Scope struct {
 	recycled []func()
 
 	work []paddedCounter // per-worker records processed, for scaling proxies
+
+	// idx is each worker's consolidation index (batch.consolidate), shared
+	// by every pending buffer's take on that worker. drainTime runs one node
+	// at a time on a worker, so a worker's index has one user at a time.
+	idx [][]uint32
 }
+
+// keptIdx is the largest consolidation index, in entries, a worker keeps
+// when the exchange columns go (release): 256 KiB, an index for batches of
+// up to 2¹⁵ records, which a differential pass would otherwise regrow after
+// every Park.
+const keptIdx = 1 << 16
 
 type paddedCounter struct {
 	n int64
@@ -78,6 +89,7 @@ func NewScope(workers int) *Scope {
 		seed:    maphash.MakeSeed(),
 		MaxIter: DefaultMaxIter,
 		work:    make([]paddedCounter, workers),
+		idx:     make([][]uint32, workers),
 	}
 }
 
@@ -104,6 +116,11 @@ func (s *Scope) recycles(release func()) { s.recycled = append(s.recycled, relea
 func (s *Scope) release() {
 	for _, f := range s.recycled {
 		f()
+	}
+	for w := range s.idx {
+		if cap(s.idx[w]) > keptIdx {
+			s.idx[w] = nil
+		}
 	}
 }
 

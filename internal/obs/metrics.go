@@ -228,6 +228,7 @@ var M = struct {
 	PoolReused        *Counter
 	IncrementalWarm   *Counter
 	IncrementalCold   *Counter
+	IncrementalReuse  *Counter
 	EstimatorError    *Histogram
 	WireBytes         *Counter
 	HeartbeatFailures *Counter
@@ -252,6 +253,7 @@ var M = struct {
 	PoolReused:        Default.NewCounter("graphsurge_pool_reused_total", "Replica runners reused from a warm pool."),
 	IncrementalWarm:   Default.NewCounter("graphsurge_incremental_warm_total", "Incremental re-runs served by a warm replica (hit)."),
 	IncrementalCold:   Default.NewCounter("graphsurge_incremental_cold_total", "Incremental runs that built their replica cold (miss)."),
+	IncrementalReuse:  Default.NewCounter("graphsurge_incremental_recycled_total", "Cold incremental replicas built on a reset runner instead of a new dataflow."),
 	EstimatorError:    Default.NewHistogram("graphsurge_estimator_relative_error", "Relative error |predicted-actual|/actual of the adaptive optimizer's per-view work predictions.", ErrorBuckets),
 	WireBytes:         Default.NewCounter("graphsurge_wire_bytes_total", "Bytes of encoded shard payloads shipped to cluster workers."),
 	HeartbeatFailures: Default.NewCounter("graphsurge_heartbeat_failures_total", "Worker heartbeats missed past the failure threshold."),
