@@ -47,6 +47,7 @@ type Builder struct {
 	edges  *dataflow.Collection[graph.Triple]
 	output *dataflow.Capture[VertexValue]
 	roots  *roots // bound by a rooted built-in's Build (bind)
+	feed   *feed  // its inputs made by nodes and outDegrees
 }
 
 // Scope returns the dataflow scope being built.
@@ -137,29 +138,49 @@ type Instance struct {
 	output *dataflow.Capture[VertexValue]
 	roots  *roots // what the dataflow reads its roots from; nil if it has none
 	next   uint32
+	feed   *feed // the vertex and degree inputs; nil if Build asked for neither
 }
 
 // NewInstance builds a fresh dataflow for the computation.
 func NewInstance(comp Computation, workers int) (*Instance, error) {
 	s := dataflow.NewScope(workers)
 	input, edges := dataflow.NewInput[graph.Triple](s)
-	b := &Builder{scope: s, edges: edges}
+	b := &Builder{scope: s, edges: edges, feed: &feed{}}
 	comp.Build(b)
 	if b.output == nil {
 		return nil, fmt.Errorf("analytics: computation %q did not register an output", comp.Name())
 	}
-	return &Instance{comp: comp, scope: s, input: input, output: b.output, roots: b.roots}, nil
+	inst := &Instance{comp: comp, scope: s, input: input, output: b.output, roots: b.roots}
+	if b.feed.verts != nil || b.feed.degs != nil {
+		inst.feed = b.feed
+	}
+	return inst, nil
 }
 
 // Step advances the instance by one version, applying the given edge
 // additions and deletions, and runs the dataflow to quiescence. The input
-// reads each edge straight from adds and dels, which are not copied. It
-// returns the elapsed wall-clock time (the per-view runtime the splitting
-// optimizer observes).
+// reads each edge straight from adds and dels, which are not copied; when
+// Build asked for the vertex set or the out-degrees, the same pass counts
+// the edge's endpoints, and the vertices and degrees the step changed enter
+// through their own inputs at the same version. It returns the elapsed
+// wall-clock time (the per-view runtime the splitting optimizer observes).
 func (inst *Instance) Step(adds, dels graph.Edges) time.Duration {
 	start := time.Now()
 	v := inst.next
-	inst.input.Send(v, size(adds)+size(dels), edgeUpdates(adds, dels))
+	at := edgeUpdates(adds, dels)
+	if f := inst.feed; f != nil {
+		f.begin()
+		read := at
+		at = func(i int) (graph.Triple, dataflow.Diff) {
+			t, d := read(i)
+			f.add(t, d)
+			return t, d
+		}
+	}
+	inst.input.Send(v, size(adds)+size(dels), at)
+	if inst.feed != nil {
+		inst.feed.send(v)
+	}
 	inst.scope.Drain()
 	inst.scope.Compact(v)
 	inst.next++
@@ -205,6 +226,9 @@ func (inst *Instance) Reset(comp Computation) error {
 	}
 	inst.scope.ResetState()
 	inst.next = 0
+	if inst.feed != nil {
+		inst.feed.reset()
+	}
 	if inst.roots != nil {
 		inst.roots.bind(comp)
 	}
@@ -244,29 +268,30 @@ func (inst *Instance) Scope() *dataflow.Scope { return inst.scope }
 
 // Shared sub-dataflows used by several algorithms.
 
-// nodes derives the set of vertices present in the edge stream. WCC seeds a
-// label at every vertex and PageRank ranks every vertex, so both need the
-// whole set; the shortest-path roots take nodesAmong instead.
-func nodes(edges *dataflow.Collection[graph.Triple]) *dataflow.Collection[uint64] {
-	return dataflow.DistinctTotal(dataflow.FlatMap(edges, func(t graph.Triple, emit func(uint64)) {
-		emit(t.Src)
-		emit(t.Dst)
-	}))
+// nodes returns the set of vertices present in the edge stream, which the
+// Instance counts where the edges enter (feed). WCC seeds a label at every
+// vertex and PageRank ranks every vertex, so both need the whole set; the
+// shortest-path roots take nodesAmong.
+func (b *Builder) nodes() *dataflow.Collection[uint64] {
+	if b.feed.verts == nil {
+		b.feed.verts, _ = dataflow.NewInput[uint64](b.scope)
+	}
+	return b.feed.verts.Collection()
 }
 
-// nodesAmong derives the vertices of r's sources present in the edge
-// stream: the same set nodes would yield after a filter on the sources, but
-// its DistinctTotal sees only the endpoints that are sources, not every
-// edge's two. The sources are read as the dataflow steps.
-func nodesAmong(edges *dataflow.Collection[graph.Triple], r *roots) *dataflow.Collection[uint64] {
-	return dataflow.DistinctTotal(dataflow.FlatMap(edges, func(t graph.Triple, emit func(uint64)) {
-		if slices.Contains(r.srcs, t.Src) {
-			emit(t.Src)
-		}
-		if slices.Contains(r.srcs, t.Dst) {
-			emit(t.Dst)
-		}
-	}))
+// outDegrees returns each source's out-degree in the edge stream as a
+// (source, degree) record, counted like nodes.
+func (b *Builder) outDegrees() *dataflow.Collection[degree] {
+	if b.feed.degs == nil {
+		b.feed.degs, _ = dataflow.NewInput[degree](b.scope)
+	}
+	return b.feed.degs.Collection()
+}
+
+// nodesAmong is the vertex set restricted to r's sources, which are read as
+// the dataflow steps.
+func (b *Builder) nodesAmong(r *roots) *dataflow.Collection[uint64] {
+	return dataflow.Filter(b.nodes(), func(v uint64) bool { return slices.Contains(r.srcs, v) })
 }
 
 // dstW is a (destination, weight) pair, the value of an edge keyed by

@@ -1,9 +1,6 @@
 package analytics
 
-import (
-	"graphsurge/internal/dataflow"
-	"graphsurge/internal/graph"
-)
+import "graphsurge/internal/dataflow"
 
 // PRScale is the fixed-point scale of PageRank values: an output value of
 // PRScale corresponds to a rank of 1.0. Integer fixed-point keeps the
@@ -41,10 +38,8 @@ func (c PageRank) Build(b *Builder) {
 	const damping = 85 // percent
 
 	edges := edgesBySrc(b.Edges())
-	verts := nodes(b.Edges())
-	degrees := dataflow.CountTotal(dataflow.Map(b.Edges(), func(t graph.Triple) dataflow.KV[uint64, uint64] {
-		return dataflow.KV[uint64, uint64]{K: t.Src, V: t.Dst}
-	}))
+	verts := b.nodes()
+	degrees := b.outDegrees()
 	// Every vertex contributes a constant (1-d) base rank each iteration.
 	base := dataflow.Map(verts, func(v uint64) dataflow.KV[uint64, int64] {
 		return dataflow.KV[uint64, int64]{K: v, V: (100 - damping) * PRScale / 100}

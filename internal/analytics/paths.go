@@ -71,7 +71,7 @@ func (c SSSP) Build(b *Builder) {
 
 func shortestPaths(b *Builder, r *roots, weighted bool) *dataflow.Collection[VertexValue] {
 	edges := edgesBySrc(b.Edges())
-	roots := dataflow.Map(nodesAmong(b.Edges(), r), func(v uint64) dataflow.KV[uint64, int64] {
+	roots := dataflow.Map(b.nodesAmong(r), func(v uint64) dataflow.KV[uint64, int64] {
 		return dataflow.KV[uint64, int64]{K: v, V: 0}
 	})
 	step := func(d int64, _ dstW) int64 { return d + 1 }
@@ -120,7 +120,7 @@ type nodeTag struct {
 func (c MPSP) Build(b *Builder) {
 	edges := edgesBySrc(b.Edges())
 	r := b.bind(c)
-	roots := dataflow.FlatMap(nodesAmong(b.Edges(), r), func(v uint64, emit func(dataflow.KV[nodeTag, int64])) {
+	roots := dataflow.FlatMap(b.nodesAmong(r), func(v uint64, emit func(dataflow.KV[nodeTag, int64])) {
 		for i, p := range r.pairs {
 			if v == p.Src {
 				emit(dataflow.KV[nodeTag, int64]{K: nodeTag{Node: v, Tag: uint8(i)}, V: 0})

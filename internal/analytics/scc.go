@@ -55,7 +55,7 @@ func (SCC) Build(b *Builder) {
 
 // NewRunner implements Program.
 func (SCC) NewRunner(workers int) (Runner, error) {
-	return &sccRunner{workers: workers, nodeDeg: make(map[uint64]int64), answer: make(map[VertexValue]int64)}, nil
+	return &sccRunner{workers: workers, answer: make(map[VertexValue]int64)}, nil
 }
 
 // sccEdge is an edge as (src, dst), or a (vertex, color) assignment;
@@ -165,7 +165,7 @@ type sccRunner struct {
 	phases  []*sccPhase // built on demand and kept across Reset
 	next    uint32
 
-	nodeDeg     map[uint64]int64      // edge-incidence count per vertex
+	nodeDeg     counts                // edge-incidence count per vertex
 	answer      map[VertexValue]int64 // the accumulated output
 	outputDiffs int                   // the last step's output difference count
 
@@ -203,21 +203,6 @@ func consolidate[R comparable](ups []dataflow.Update[R], compare func(a, b R) in
 	return ups[:n]
 }
 
-// bump adds by to n's edge-incidence count, and n to the alive set's
-// difference when the count crosses zero.
-func (r *sccRunner) bump(n uint64, by int64) {
-	old := r.nodeDeg[n]
-	nw := old + by
-	if nw == 0 {
-		delete(r.nodeDeg, n)
-	} else {
-		r.nodeDeg[n] = nw
-	}
-	if (old > 0) != (nw > 0) {
-		r.alive = append(r.alive, dataflow.Update[uint64]{Rec: n, D: by})
-	}
-}
-
 // output adds d of vertex v colored c to the step's output differences.
 func (r *sccRunner) output(v, c uint64, d dataflow.Diff) {
 	r.merged = append(r.merged, dataflow.Update[VertexValue]{Rec: VertexValue{V: v, Val: int64(c)}, D: d})
@@ -231,17 +216,12 @@ func (r *sccRunner) Step(adds, dels graph.Edges) time.Duration {
 
 	na, nd := size(adds), size(dels)
 	edgeUps := edgeUpdates(adds, dels)
-	r.alive, r.merged = r.alive[:0], r.merged[:0]
-	for i := 0; i < na; i++ {
-		t := adds.Triple(i)
-		r.bump(t.Src, 1)
-		r.bump(t.Dst, 1)
+	r.merged = r.merged[:0]
+	r.nodeDeg.begin()
+	for i := 0; i < na+nd; i++ {
+		r.nodeDeg.add(edgeUps(i))
 	}
-	for i := 0; i < nd; i++ {
-		t := dels.Triple(i)
-		r.bump(t.Src, -1)
-		r.bump(t.Dst, -1)
-	}
+	r.alive = r.nodeDeg.vertexDiffs(r.alive[:0])
 
 	for p := 0; p < len(r.phases) || len(r.alive) > 0; p++ {
 		if p == len(r.phases) {
@@ -332,7 +312,7 @@ func (r *sccRunner) Reset(comp Computation) error {
 	for _, s := range r.scopes() {
 		s.ResetState()
 	}
-	clear(r.nodeDeg)
+	r.nodeDeg.reset()
 	clear(r.answer)
 	r.outputDiffs, r.next = 0, 0
 	return nil

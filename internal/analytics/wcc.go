@@ -1,9 +1,6 @@
 package analytics
 
-import (
-	"graphsurge/internal/dataflow"
-	"graphsurge/internal/graph"
-)
+import "graphsurge/internal/dataflow"
 
 // WCC computes weakly connected components by undirected minimum-label
 // propagation: every vertex starts labeled with its own ID and iteratively
@@ -17,7 +14,7 @@ func (WCC) Name() string { return "wcc" }
 // Build implements Computation.
 func (WCC) Build(b *Builder) {
 	adj := edgesSymmetric(b.Edges())
-	seeds := dataflow.Map(nodes(b.Edges()), func(v uint64) dataflow.KV[uint64, uint64] {
+	seeds := dataflow.Map(b.nodes(), func(v uint64) dataflow.KV[uint64, uint64] {
 		return dataflow.KV[uint64, uint64]{K: v, V: v}
 	})
 	relax := dataflow.Relax[uint64, uint64, uint64, uint64]{Vertex: vertex, At: at, Dst: vertex, Step: keep[uint64, uint64]}
@@ -38,11 +35,7 @@ func (Degree) Name() string { return "degree" }
 
 // Build implements Computation.
 func (Degree) Build(b *Builder) {
-	bySrc := dataflow.Map(b.Edges(), func(t graph.Triple) dataflow.KV[uint64, uint64] {
-		return dataflow.KV[uint64, uint64]{K: t.Src, V: t.Dst}
-	})
-	counts := dataflow.CountTotal(bySrc)
-	b.Output(dataflow.Map(counts, func(kv dataflow.KV[uint64, int64]) VertexValue {
+	b.Output(dataflow.Map(b.outDegrees(), func(kv degree) VertexValue {
 		return VertexValue{V: kv.K, Val: kv.V}
 	}))
 }

@@ -53,6 +53,25 @@ func TestWireCorruptBatchPayload(t *testing.T) {
 	}
 }
 
+// TestWireSpecNamesNodeOutOfRange: a payload that decodes but names a node
+// id at or above its NumNodes is refused by Validate with core.ErrNodeRange,
+// so a shard cannot make a worker grow its per-node columns without bound.
+func TestWireSpecNamesNodeOutOfRange(t *testing.T) {
+	bad := sampleSpec()
+	bad.Adds[0] = graph.NewEdgeBatch([]graph.Triple{{Src: 0, Dst: 1 << 40, W: 1}})
+	data, err := EncodeWire(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spec core.SegmentSpec
+	if err := DecodeWire(data, &spec); err != nil {
+		t.Fatalf("structurally valid gob refused: %v", err)
+	}
+	if err := spec.Validate(); !errors.Is(err, core.ErrNodeRange) {
+		t.Fatalf("Validate = %v, want ErrNodeRange", err)
+	}
+}
+
 // TestWireBitFlipsNeverPanic sweeps a single-bit flip across every byte of a
 // good payload. Any individual flip may still decode (gob and the batch
 // codec cannot checksum every bit), but the contract is: DecodeWire either
@@ -75,8 +94,9 @@ func TestWireBitFlipsNeverPanic(t *testing.T) {
 
 // FuzzDecodeWireSegmentSpec fuzzes the full decode boundary a worker exposes
 // to the network: arbitrary payloads must produce either a decoded spec or a
-// typed ErrWire, never a panic. Seeds cover the valid encoding plus the
-// classic corruptions.
+// typed ErrWire, never a panic, and a decoded spec's Validate never panics.
+// Seeds cover the valid encoding, the classic corruptions and a spec whose
+// edges name a node outside its NumNodes.
 func FuzzDecodeWireSegmentSpec(f *testing.F) {
 	good, err := EncodeWire(sampleSpec())
 	if err != nil {
@@ -89,10 +109,21 @@ func FuzzDecodeWireSegmentSpec(f *testing.F) {
 	tail := append([]byte(nil), good...)
 	tail[len(tail)-1] ^= 0xff
 	f.Add(tail)
+	outside := sampleSpec()
+	outside.NumNodes = 2 // the seed names node 2
+	if data, err := EncodeWire(outside); err == nil {
+		f.Add(data)
+	} else {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var out core.SegmentSpec
-		if err := DecodeWire(data, &out); err != nil && !errors.Is(err, ErrWire) {
+		err := DecodeWire(data, &out)
+		if err != nil && !errors.Is(err, ErrWire) {
 			t.Fatalf("error %v does not wrap ErrWire", err)
+		}
+		if err == nil {
+			_ = out.Validate() // refuses or accepts; never panics
 		}
 	})
 }

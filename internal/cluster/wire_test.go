@@ -20,6 +20,7 @@ func sampleSpec() core.SegmentSpec {
 		Collection: "col",
 		Start:      4,
 		End:        6,
+		NumNodes:   3,
 		Names:      []string{"v4", "v5"},
 		Modes:      []splitting.Mode{splitting.ModeScratch, splitting.ModeDiff},
 		ViewSizes:  []int{3, 4},

@@ -85,8 +85,8 @@ type replica struct {
 // pools. At the cap a new replica takes the place of the least recently run
 // idle replica of its shape and worker count, and that replica's runner,
 // which its first run resets instead of building a dataflow; only when there
-// is none is the least recently run replica of any shape dropped. A later
-// run of a dropped replica's collection rebuilds cold.
+// is none is the least recently run idle replica of any shape dropped (see
+// evict). A later run of a dropped replica's collection rebuilds cold.
 const maxReplicas = 64
 
 // warmFor reports whether the replica can prove its state is a point on
@@ -155,26 +155,21 @@ func (e *Engine) acquire(key replicaKey, shape string, col *view.Collection, cha
 // evict makes room at the bound for st, a new replica. The least recently
 // run replica of st's shape and worker count that TryLock can take (none is
 // running on it) is dropped and its runner moves to st, which extend resets
-// for st's run instead of building a dataflow. Only when there is none is the
-// least recently run replica of any shape dropped, runner and all. A run
-// about to lock the victim as its own finds no runner and rebuilds cold.
-// Caller holds warmMu.
+// for st's run instead of building a dataflow. When there is none, the least
+// recently run replica of any shape that TryLock takes is dropped, runner
+// and all; only when a run holds every replica is the least recently run one
+// dropped all the same, and a run about to lock it as its own finds no
+// runner and rebuilds cold. Caller holds warmMu.
 func (e *Engine) evict(st *replica) {
-	victim := -1
-	for i, r := range e.replicas {
-		if r.shape != st.shape || r.key.workers != st.key.workers ||
-			(victim >= 0 && !r.lastUse.Before(e.replicas[victim].lastUse)) || !r.mu.TryLock() {
-			continue
-		}
-		if victim >= 0 {
-			e.replicas[victim].mu.Unlock()
-		}
-		victim = i
-	}
+	victim := e.leastRecentIdle(func(r *replica) bool { return r.shape == st.shape && r.key.workers == st.key.workers })
 	if victim >= 0 {
 		r := e.replicas[victim]
 		st.runner, r.runner = r.runner, nil
-		r.mu.Unlock()
+	} else {
+		victim = e.leastRecentIdle(func(*replica) bool { return true })
+	}
+	if victim >= 0 {
+		e.replicas[victim].mu.Unlock()
 	} else {
 		victim = 0
 		for i, r := range e.replicas {
@@ -184,6 +179,23 @@ func (e *Engine) evict(st *replica) {
 		}
 	}
 	e.replicas = slices.Delete(e.replicas, victim, victim+1)
+}
+
+// leastRecentIdle returns the index of the least recently run replica that
+// ok accepts and TryLock takes, locked, or -1 when there is none. Caller
+// holds warmMu.
+func (e *Engine) leastRecentIdle(ok func(*replica) bool) int {
+	victim := -1
+	for i, r := range e.replicas {
+		if !ok(r) || (victim >= 0 && !r.lastUse.Before(e.replicas[victim].lastUse)) || !r.mu.TryLock() {
+			continue
+		}
+		if victim >= 0 {
+			e.replicas[victim].mu.Unlock()
+		}
+		victim = i
+	}
+	return victim
 }
 
 // queueDelta hands one maintained collection's final-view delta to every

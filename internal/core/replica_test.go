@@ -411,8 +411,10 @@ func TestReplicaQueuedDeltasBounded(t *testing.T) {
 // evicts the least recently run bfs replica, not the older sssp one, takes
 // its runner (reset, no NewRunner; graphsurge_incremental_recycled_total
 // counts it) and answers like a fresh engine. A locked replica is passed
-// over for the next bfs one, and with no idle bfs replica left the new one
-// drops the least recently run replica of any shape and builds.
+// over for the next bfs one. With no idle bfs replica left the new one drops
+// the least recently run idle replica of any shape and builds, and the held
+// replica stays; only when every replica is held does the least recently
+// run one leave.
 func TestReplicaHandsOverRunner(t *testing.T) {
 	e, days, _ := daysEngine(t)
 	ctx := context.Background()
@@ -460,7 +462,7 @@ func TestReplicaHandsOverRunner(t *testing.T) {
 
 	// A store of sssp replicas and one bfs replica, which a run holds: a new
 	// bfs source finds no idle replica of its shape, drops the least recently
-	// run replica (the held one, which its run keeps) and builds.
+	// run idle replica (sssp(0)) and builds; the held replica stays.
 	e, days, _ = daysEngine(t)
 	mustRunOn(t, e, ctx, days, bfs(1), inc)
 	for src := uint64(0); len(e.replicas) < maxReplicas; src++ {
@@ -479,8 +481,21 @@ func TestReplicaHandsOverRunner(t *testing.T) {
 	if got := find(bfs(2)); obs.M.IncrementalReuse.Value() != recycled || slices.Contains(others, got.runner) {
 		t.Fatal("a replica of another shape, or a held one, was handed over")
 	}
-	if find(bfs(1)) != nil || held.runner != runner || len(e.replicas) != maxReplicas {
-		t.Fatal("the least recently run replica was not dropped, or its run lost its runner")
+	if find(bfs(1)) != held || held.runner != runner || find(sssp(0)) != nil || len(e.replicas) != maxReplicas {
+		t.Fatal("the held replica was dropped, or the least recently run idle one was not")
 	}
 	sameAsScratch(t, e, days, bfs(2), res, "a bfs replica built beside sssp ones")
+
+	// Runs hold every replica: the least recently run one, bfs(1), leaves.
+	for _, r := range e.replicas {
+		r.mu.Lock()
+	}
+	locked := slices.Clone(e.replicas)
+	mustRunOn(t, e, ctx, days, bfs(3), inc)
+	for _, r := range locked {
+		r.mu.Unlock()
+	}
+	if find(bfs(1)) != nil || find(bfs(3)) == nil || len(e.replicas) != maxReplicas {
+		t.Fatal("with every replica held, the least recently run one was not dropped")
+	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -42,6 +43,9 @@ type SegmentSpec struct {
 	Collection string
 	// Start and End delimit the shard's view range within the collection.
 	Start, End int
+	// NumNodes is the graph's node count: every edge names node ids below
+	// it, and a runner's per-node columns grow no further (Validate).
+	NumNodes int
 	// Names, Modes, ViewSizes and DiffSizes are per-view metadata for the
 	// range, indexed relative to Start (length End-Start); they let the
 	// executing side fill complete ViewStats.
@@ -59,9 +63,15 @@ type SegmentSpec struct {
 	Adds, Dels []*graph.EdgeBatch
 }
 
-// Validate checks the spec's internal consistency — range sanity and
-// per-view slice lengths — so a corrupt or truncated wire payload fails
-// loudly before any dataflow is built for it.
+// ErrNodeRange marks a segment spec whose edges name a node id at or above
+// its NumNodes.
+var ErrNodeRange = errors.New("core: segment spec names a node outside its graph")
+
+// Validate checks the spec's internal consistency — range sanity, per-view
+// slice lengths, and every edge's endpoints below NumNodes (ErrNodeRange) —
+// so a corrupt or truncated wire payload fails loudly before any dataflow is
+// built for it, and cannot make a runner grow its per-node columns without
+// bound.
 func (s *SegmentSpec) Validate() error {
 	n := s.End - s.Start
 	if s.Start < 0 || n < 1 {
@@ -74,6 +84,16 @@ func (s *SegmentSpec) Validate() error {
 	if len(s.Adds) != n-1 || len(s.Dels) != n-1 {
 		return fmt.Errorf("core: segment spec [%d,%d) has %d/%d difference sets, want %d",
 			s.Start, s.End, len(s.Adds), len(s.Dels), n-1)
+	}
+	for _, b := range append(append([]*graph.EdgeBatch{s.Seed}, s.Adds...), s.Dels...) {
+		if b == nil {
+			continue
+		}
+		for i := range b.Srcs {
+			if b.Srcs[i] >= uint64(s.NumNodes) || b.Dsts[i] >= uint64(s.NumNodes) {
+				return fmt.Errorf("%w: edge %d->%d, %d nodes", ErrNodeRange, b.Srcs[i], b.Dsts[i], s.NumNodes)
+			}
+		}
 	}
 	return nil
 }

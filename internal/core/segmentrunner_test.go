@@ -306,6 +306,9 @@ func TestSegmentSpecValidate(t *testing.T) {
 		"short diffs":    func(s *SegmentSpec) { s.DiffSizes = nil },
 		"short adds":     func(s *SegmentSpec) { s.Adds = nil },
 		"extra dels":     func(s *SegmentSpec) { s.Dels = append(s.Dels, nil) },
+		"node out of range": func(s *SegmentSpec) {
+			s.NumNodes, s.Dels[0] = 5, graph.NewEdgeBatch([]graph.Triple{{Src: 1, Dst: 5}})
+		},
 	}
 	e, err := NewEngine(Options{})
 	if err != nil {

@@ -343,7 +343,7 @@ func (cr *collectionRun) dispatch(ctx context.Context, plan splitting.Plan, orde
 		go func(r SegmentRunner) {
 			defer remotes.Done()
 			for seg := range fresh {
-				out, err := r.RunSegment(ctx, remote.spec(cr.col.Name, seg, view(seg)))
+				out, err := r.RunSegment(ctx, remote.spec(cr.col, seg, view(seg)))
 				if err != nil {
 					retry <- seg
 					return
@@ -392,14 +392,15 @@ func (cr *collectionRun) dispatch(ctx context.Context, plan splitting.Plan, orde
 // the successor views' difference sets built up front as sorted batches
 // because they must cross a wire. This is where a run's edge sets become
 // graph.EdgeBatch values.
-func (rs remoteSlots) spec(collection string, seg *segment, view func(int) viewStep) *SegmentSpec {
+func (rs remoteSlots) spec(col *view.Collection, seg *segment, view func(int) viewStep) *SegmentSpec {
 	n := seg.Len()
 	sp := &SegmentSpec{
 		Comp:       rs.comp,
 		Workers:    rs.workers,
-		Collection: collection,
+		Collection: col.Name,
 		Start:      seg.Start,
 		End:        seg.End,
+		NumNodes:   col.Graph.NumNodes,
 		Names:      make([]string, n),
 		Modes:      make([]splitting.Mode, n),
 		ViewSizes:  make([]int, n),

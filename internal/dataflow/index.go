@@ -1,6 +1,25 @@
 package dataflow
 
-import "graphsurge/internal/arrange"
+import (
+	"fmt"
+
+	"graphsurge/internal/arrange"
+	"graphsurge/internal/timestamp"
+)
+
+// Totally ordered state. Upstream of every loop a collection only carries
+// times (version, 0), so a key's history is its accumulated multiset:
+// JoinMapTotal's right input, JoinMin's and JoinMax's edges and roots and
+// JoinSum's edges keep (value, count) pairs per key (totalIndex), updated
+// in O(delta) with nothing to merge or clamp. They, and JoinSum's base,
+// panic when fed a time with Inner ≠ 0, as inside an Iterate body.
+
+// mustBeTotal panics unless t is a time op accepts: (version, 0).
+func mustBeTotal(op string, t timestamp.Time) {
+	if t.Inner != 0 {
+		panic(fmt.Sprintf("dataflow: %s fed at time %v: it keeps no time column and takes only times (version, 0), so it cannot run inside Iterate", op, t))
+	}
+}
 
 // totalIndex is the accumulated state of a collection whose times are
 // totally ordered, (version, 0), per slot of its owner's key space: the

@@ -69,8 +69,8 @@ func (n *delayNode[R]) minPending(w int) (timestamp.Time, bool) { return n.p.min
 // a loop fed by another loop's output that retracts at inner times > 0 needs
 // its own scope. Body must contain at least one stateful operator (Reduce),
 // which every converging fixpoint needs anyway. Inside body, times carry
-// iterations, so the totally ordered operators are out of reach there:
-// DistinctTotal, CountTotal, JoinMapTotal's right input, the edge and root
+// iterations, so the totally ordered inputs are out of reach there:
+// JoinMapTotal's right input, the edge and root
 // inputs of JoinMin and JoinMax and the edge and base inputs of JoinSum
 // panic at an inner time other than 0 (JoinMapTotal's left input and the x
 // of JoinMin, JoinMax and JoinSum may be the loop variable).

@@ -72,7 +72,7 @@ func JoinMap[K comparable, A comparable, B comparable, O comparable](
 // (version, 0): a collection upstream of every loop, such as a graph's
 // edges, joined with a loop variable on the left. The right side is kept as
 // its accumulated multiset, with no time column and no merge (see
-// DistinctTotal); the left side may carry any time. A right delta at an
+// totalIndex); the left side may carry any time. A right delta at an
 // inner time other than 0 panics.
 func JoinMapTotal[K comparable, A comparable, B comparable, O comparable](
 	l *Collection[KV[K, A]], r *Collection[KV[K, B]], f func(K, A, B) O,

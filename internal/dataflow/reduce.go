@@ -150,8 +150,7 @@ func ReduceSum[K comparable](in *Collection[KV[K, int64]]) *Collection[KV[K, int
 
 // ReduceCount emits, per key, the total multiplicity of its values (e.g.
 // vertex out-degrees from an edge stream keyed by source). It is linear: a
-// key keeps one count per time, not its values. Upstream of every loop,
-// CountTotal computes the same with one count per key and no times.
+// key keeps one count per time, not its values.
 func ReduceCount[K comparable, V comparable](in *Collection[KV[K, V]]) *Collection[KV[K, int64]] {
 	return reduceLinear(in, "count", nil, func(n, _ int64, emit func(int64)) {
 		if n != 0 {
@@ -162,8 +161,6 @@ func ReduceCount[K comparable, V comparable](in *Collection[KV[K, V]]) *Collecti
 
 // Distinct reduces a stream to multiplicity one per record present with
 // positive multiplicity. It is linear: a record keeps one count per time.
-// Upstream of every loop, DistinctTotal computes the same with one count per
-// record and no times.
 func Distinct[R comparable](in *Collection[R]) *Collection[R] {
 	keyed := Map(in, func(r R) KV[R, struct{}] { return KV[R, struct{}]{r, struct{}{}} })
 	return Map(distinctKeys(keyed), func(kv KV[R, struct{}]) R { return kv.K })

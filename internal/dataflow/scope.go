@@ -262,8 +262,8 @@ func (s *Scope) drainTime(t timestamp.Time) {
 // key's slot but its schedule is clamped to it at the slot's next access
 // (see arrange.Keys.Stale), so compaction costs time proportional to the
 // keys a version touches, not to the shard's state. The totally ordered
-// operators (DistinctTotal, CountTotal, JoinMapTotal's right side, JoinMin's
-// and JoinMax's edges and roots, JoinSum's edges) keep no time to clamp.
+// inputs (JoinMapTotal's right side, JoinMin's and JoinMax's edges and
+// roots, JoinSum's edges) keep no time to clamp.
 // ResetState drops the histories and keeps their columns for the next run.
 func (s *Scope) Compact(outer uint32) {
 	for {

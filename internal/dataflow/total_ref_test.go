@@ -1,31 +1,20 @@
 package dataflow
 
 import (
-	"fmt"
 	"hash/maphash"
 
 	"graphsurge/internal/arrange"
 	"graphsurge/internal/timestamp"
 )
 
-// Totally ordered operators. Upstream of every loop a collection only
-// carries times (version, 0), which are totally ordered, so a key's whole
-// history is one accumulated count: these operators keep that count per key
-// in a column beside their key table instead of a time-indexed history, and
-// update it in O(delta) per version with nothing to merge or clamp. They
-// are Differential Dataflow's distinct_total and count_total, restricted as
-// there to totally ordered times. Fed a time with Inner ≠ 0 — any stream
-// inside an Iterate body — they panic. JoinMapTotal's right input,
-// JoinMin's and JoinMax's edges and roots and JoinSum's edges are kept the
-// same way, as (value, count) pairs per key (totalIndex), under the same
-// rule; JoinSum's base, folded into its rows, is held to it too.
-
-// mustBeTotal panics unless t is a time op accepts: (version, 0).
-func mustBeTotal(op string, t timestamp.Time) {
-	if t.Inner != 0 {
-		panic(fmt.Sprintf("dataflow: %s fed at time %v: it keeps no time column and takes only times (version, 0), so it cannot run inside Iterate", op, t))
-	}
-}
+// DistinctTotal and CountTotal are Differential Dataflow's distinct_total
+// and count_total: upstream of every loop a collection only carries times
+// (version, 0), which are totally ordered, so a key's whole history is one
+// accumulated count, kept here in a column beside the operator's key table.
+// No production dataflow runs them any more (analytics counts vertices and
+// out-degrees where the edges enter); they stay as references for the
+// tests that hold them to Distinct and ReduceCount and drive the exchange
+// and the work counters with them.
 
 // totalNode keeps one count per key, in a column per worker beside its key
 // table, and reports each key a run changes through f: was is its count
