@@ -9,17 +9,22 @@ import (
 type degree = dataflow.KV[uint64, int64]
 
 // counts keeps, per node id, the edge endpoints and out-edges of the edges
-// stepped so far, in columns indexed by the id (node ids are dense, see
+// stepped so far, in a column indexed by the id (node ids are dense, see
 // graph.Graph) and grown to the largest id seen. A step opens with begin and
 // adds each edge; the first time a step touches a node, the node's counts
 // from before the step are kept, so what is read after the step is what
 // the whole step changed, consolidated. The Instance feeds its vertex and
 // degree inputs from them (feed), the staged SCC runner its alive set.
 type counts struct {
-	inc, out []int64  // per node: edge endpoints, out-edges
-	seen     []uint32 // per node: the last step that touched it
-	step     uint32
-	touched  []before // the open step's nodes
+	nodes   []nodeCount // per node id
+	step    uint32
+	touched []before // the open step's nodes
+}
+
+// nodeCount is one node's counts and the last step that touched it.
+type nodeCount struct {
+	inc, out int64 // edge endpoints, out-edges
+	seen     uint32
 }
 
 // before is a node the open step touched, with its counts before the step.
@@ -36,32 +41,31 @@ func (c *counts) begin() {
 
 // add folds d copies of edge t into the counts.
 func (c *counts) add(t graph.Triple, d dataflow.Diff) {
-	c.touch(t.Src)
-	c.touch(t.Dst)
-	c.inc[t.Src] += d
-	c.inc[t.Dst] += d
-	c.out[t.Src] += d
+	if n := max(t.Src, t.Dst) + 1; n > uint64(len(c.nodes)) {
+		c.nodes = append(c.nodes, make([]nodeCount, n-uint64(len(c.nodes)))...)
+	}
+	src, dst := c.touch(t.Src), c.touch(t.Dst)
+	src.inc += d
+	src.out += d
+	dst.inc += d
 }
 
-// touch grows the columns to hold n and, the first time the open step
-// touches n, records its counts before the step.
-func (c *counts) touch(n uint64) {
-	if m := uint64(len(c.inc)); n >= m {
-		c.inc = append(c.inc, make([]int64, n+1-m)...)
-		c.out = append(c.out, make([]int64, n+1-m)...)
-		c.seen = append(c.seen, make([]uint32, n+1-m)...)
+// touch returns node n's counts and, the first time the open step touches
+// n, records its counts before the step.
+func (c *counts) touch(n uint64) *nodeCount {
+	p := &c.nodes[n]
+	if p.seen != c.step {
+		p.seen = c.step
+		c.touched = append(c.touched, before{n, p.inc, p.out})
 	}
-	if c.seen[n] != c.step {
-		c.seen[n] = c.step
-		c.touched = append(c.touched, before{n, c.inc[n], c.out[n]})
-	}
+	return p
 }
 
 // vertexDiffs appends to ups the vertices the open step added (a count that
 // left 0) and removed (a count that reached 0).
 func (c *counts) vertexDiffs(ups []dataflow.Update[uint64]) []dataflow.Update[uint64] {
 	for _, b := range c.touched {
-		switch was, now := b.inc > 0, c.inc[b.n] > 0; {
+		switch was, now := b.inc > 0, c.nodes[b.n].inc > 0; {
 		case now && !was:
 			ups = append(ups, dataflow.Update[uint64]{Rec: b.n, D: 1})
 		case was && !now:
@@ -73,9 +77,7 @@ func (c *counts) vertexDiffs(ups []dataflow.Update[uint64]) []dataflow.Update[ui
 
 // reset zeroes the counts, keeping the columns' arrays.
 func (c *counts) reset() {
-	clear(c.inc)
-	clear(c.out)
-	clear(c.seen)
+	clear(c.nodes)
 	c.step, c.touched = 0, c.touched[:0]
 }
 
@@ -104,7 +106,7 @@ func (f *feed) send(v uint32) {
 	}
 	f.dups = f.dups[:0]
 	for _, b := range f.touched {
-		if now := f.out[b.n]; now != b.out {
+		if now := f.nodes[b.n].out; now != b.out {
 			if b.out != 0 {
 				f.dups = append(f.dups, dataflow.Update[degree]{Rec: degree{K: b.n, V: b.out}, D: -1})
 			}
